@@ -12,10 +12,10 @@ such a fleet with learned costs through both paths:
   deferred frontier pricing, one job at a time;
 * **fleet** — :func:`repro.optimizer.replan.replan_jobs`: each template
   shape is analyzed once and replayed per instance over slotted nodes
-  (skeleton memoization), instances of one shape advance through the search
-  in lockstep so every frontier flush prices all of them in one packed
-  ``predict_inputs`` pass, and the whole fleet's plan totals are reduced in
-  a single ``price_plans`` call.
+  (skeleton memoization), every job's search — whatever its template —
+  advances to its next suspension and each wave prices all their pending
+  ledger rows in one packed ``predict_inputs`` pass, and the whole fleet's
+  plan totals are reduced in a single ``price_plans`` call.
 
 The fleet is the canonical workload's test day with each job replicated
 into several live instances under distinct jitter salts.  Two phases are
@@ -159,7 +159,7 @@ def run_benchmark(
                 "model_lookups": int(base_lookups),
             },
             "fleet": {
-                "path": "skeleton replay, lockstep frontier flushes, "
+                "path": "skeleton replay, cross-template pricing waves, "
                 "fleet-wide price_plans finale",
                 "seconds": [round(t, 4) for t in fleet_times],
                 "seconds_best": round(fleet_best, 4),

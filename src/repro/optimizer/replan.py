@@ -2,38 +2,38 @@
 
 A production cluster re-optimizes its recurring jobs in bulk — nightly, or
 whenever a model bank refresh lands (the paper's monthly retraining cadence,
-Section 6.3).  The fleet shares massive structure: thousands of instances of
-a few hundred templates, each instance differing only in its numbers.  This
-driver compounds the repo's three planning optimizations over that shape:
+Section 6.3).  Consulting the learned models one costing frontier at a time
+is almost all per-call overhead (a handful of rows per router call against a
+packed runtime that prices hundreds of thousands of rows a second), so this
+driver prices the fleet in **waves across templates**:
 
-* **skeleton memoization** — each ``(template_id, day)`` shape is analyzed
-  once and replayed per instance (:class:`~repro.optimizer.skeleton.SkeletonPlanner`);
-* **deferred frontier pricing** — candidate costs accumulate in the
-  reference planner's ledger instead of scalar model round-trips;
-* **packed inference** — and, the fleet-scale step, instances of one
-  template are driven through the search *in lockstep*, so every frontier
-  flush prices all instances' candidates in one
-  :meth:`~repro.serving.service.CleoService.predict_inputs` pass, and the
-  final per-plan totals for the whole fleet go through one
+* every job gets its own resumable search
+  (:class:`~repro.optimizer.skeleton.SkeletonPlanner`, skeleton-memoized per
+  ``(template_id, day)``), whatever its template;
+* a search runs until it *suspends*: a multi-candidate frame needs the job's
+  pending deferred-cost ledger priced before it can compare candidates;
+* each wave advances every open search to its next suspension and prices
+  all their pending rows in ONE
+  :meth:`~repro.core.cost_model.CleoCostModel.price_inputs` call, so the
+  number of pricing calls per :meth:`FleetReplanner.replan_jobs` is the
+  deepest job's flush depth (a few tens) and does not grow with the fleet;
+* the plan totals of the whole fleet go through one
   :meth:`~repro.core.cost_model.CleoCostModel.price_plans` call.
 
-Lockstep is sound because the search's *frame sequence* — which
-``(node, requirement)`` subproblems are optimized, in what order — is a pure
-function of the template structure and planner config: costs pick winners,
-they never change which frames run.  The first replayed instance records the
-sequence on the skeleton (:attr:`TemplateSkeleton.schedule`); every other
-instance then processes frames in that order, which makes each frame's child
-lookups memo hits and leaves candidate generation, enforcement, tie-breaking,
-and floating-point arithmetic exactly the solo replay's.  Plans, costs, and
-(with the prediction cache disabled, the optimizer-experiment default)
-per-prediction lookup accounting are therefore bitwise identical to a
-per-job :class:`~repro.optimizer.planner.QueryPlanner` loop; with a shared
-prediction cache enabled, values are still identical but in-batch reuse
-accounting can differ (the PR-5 precedent for cross-plan batches).
+Waves are exact.  A job's rows may be priced earlier than its solo search
+would price them (another job's suspension triggers the wave), but
+predictions are batch-invariant and ledger indices are assigned when a
+candidate is costed, not when it is priced — so candidate generation,
+enforcement, tie-breaking and floating-point arithmetic are the solo
+search's.  Plans, costs, choice keys and (with the prediction cache
+disabled, the optimizer-experiment default) per-prediction lookup accounting
+are bitwise identical to a per-job
+:class:`~repro.optimizer.planner.QueryPlanner` loop, in any job order; with
+a shared prediction cache enabled, values are still identical but in-batch
+reuse accounting can differ (the PR-5 precedent for cross-plan batches).
 
-Heuristic cost models and scalar learned serving (``batched=False``) have no
-frontier batches to share, so :meth:`FleetReplanner.replan_jobs` simply runs
-:meth:`SkeletonPlanner.replan_job` per instance — still skeleton-memoized.
+Heuristic cost models and scalar learned serving (``batched=False``) never
+suspend: the same driver finishes each of their searches in its first wave.
 """
 
 from __future__ import annotations
@@ -42,19 +42,8 @@ import time
 from dataclasses import dataclass
 
 from repro.cardinality.estimator import CardinalityEstimator
-from repro.common.errors import OptimizationError
-from repro.optimizer.planner import PlannedJob, PlannerConfig, _resolve_cost
-from repro.optimizer.skeleton import (
-    _ANY,
-    _NO_SORT,
-    RNode,
-    SkeletonPlanner,
-    SkeletonPlannerStats,
-    _ReplayState,
-    _replay_feature_input,
-    _walk_replay,
-    materialize,
-)
+from repro.optimizer.planner import PlannedJob, PlannerConfig
+from repro.optimizer.skeleton import SkeletonPlanner, SkeletonPlannerStats
 from repro.plan.logical import LogicalOp
 
 
@@ -78,7 +67,7 @@ class ReplanJob:
 
 
 class FleetReplanner:
-    """Replans a fleet of recurring jobs, batching across instances.
+    """Replans a fleet of recurring jobs, pricing it in cross-template waves.
 
     One instance wraps one :class:`SkeletonPlanner` (and thus one cost
     model / estimator / config triple); the skeleton cache and telemetry
@@ -95,6 +84,9 @@ class FleetReplanner:
         self.planner = SkeletonPlanner(
             cost_model, estimator or CardinalityEstimator(), config
         )
+        #: Per job of the last :meth:`replan_jobs` call, the search's choice
+        #: key (see :attr:`SkeletonPlanner.last_choice_key`).
+        self.last_choice_keys: list[tuple[str, tuple[int, ...]]] = []
 
     def stats(self) -> SkeletonPlannerStats:
         return self.planner.stats()
@@ -102,190 +94,27 @@ class FleetReplanner:
     def replan_jobs(self, jobs) -> list[PlannedJob]:
         """Replan every instance; results align with the input order.
 
-        ``optimize_seconds`` amortizes shared work (a group's lockstep
-        search, the fleet-wide pricing finale) evenly over the jobs that
-        shared it — per-job wall clock is not individually attributable
-        once instances batch together.
+        ``optimize_seconds`` is the call's wall time split evenly over its
+        jobs: every pricing wave and the plan-total finale are shared by the
+        whole fleet, so per-job time is not individually attributable.
         """
+        start = time.perf_counter()
         jobs = list(jobs)
         if not jobs:
             return []
-        planner = self.planner
-        if not planner._deferred:
-            # No frontier batches to share across instances: the solo replay
-            # (already skeleton-memoized) is the whole optimization.
-            return [
-                planner.replan_job(job.template_id, job.day, job.logical, job.salt)
-                for job in jobs
-            ]
-
-        groups: dict[tuple[str, int], list[int]] = {}
-        for i, job in enumerate(jobs):
-            groups.setdefault((job.template_id, job.day), []).append(i)
-
-        wins: list[RNode | None] = [None] * len(jobs)
-        seconds = [0.0] * len(jobs)
-        candidates = [0] * len(jobs)
-        for indices in groups.values():
-            start = time.perf_counter()
-            group_wins, group_candidates = self._search_group(jobs, indices)
-            share = (time.perf_counter() - start) / len(indices)
-            for k, i in enumerate(indices):
-                wins[i] = group_wins[k]
-                candidates[i] = group_candidates[k]
-                seconds[i] = share
-
-        strategy = planner.config.partition_strategy
-        if strategy is not None:
-            out: list[PlannedJob] = []
-            for i, win in enumerate(wins):
-                start = time.perf_counter()
-                plan, total = planner._finalize(win)
-                elapsed = seconds[i] + (time.perf_counter() - start)
-                out.append(PlannedJob(plan, total, elapsed, candidates[i]))
-            return out
-
-        # Fleet-wide pricing finale: every job's plan total in one packed
-        # pass, each reduced with predict_plan's exact left-fold order.
-        start = time.perf_counter()
-        walks = [list(_walk_replay(win)) for win in wins]
-        inputs = [_replay_feature_input(node) for nodes in walks for node in nodes]
-        bundles = [node.bundle for nodes in walks for node in nodes]
-        lengths = [len(nodes) for nodes in walks]
-        totals = planner.cost_model.price_plans(inputs, bundles, lengths)
-        plans = [materialize(win) for win in wins]
+        searches = self.planner._search(
+            (job.template_id, job.day, job.logical, job.salt) for job in jobs
+        )
+        self.last_choice_keys = [
+            (job.template_id, tuple(search.choices))
+            for job, search in zip(jobs, searches)
+        ]
+        finals = self.planner._finalize([search.win for search in searches])
         share = (time.perf_counter() - start) / len(jobs)
         return [
-            PlannedJob(plans[i], float(totals[i]), seconds[i] + share, candidates[i])
-            for i in range(len(jobs))
+            PlannedJob(plan, total, share, search.candidates_considered)
+            for (plan, total), search in zip(finals, searches)
         ]
-
-    # ------------------------------------------------------------------ #
-    # One template group, searched in lockstep
-    # ------------------------------------------------------------------ #
-
-    def _search_group(
-        self, jobs: list[ReplanJob], indices: list[int]
-    ) -> tuple[list[RNode], list[int]]:
-        planner = self.planner
-        skeleton = None
-        states: list[_ReplayState] = []
-        for i in indices:
-            job = jobs[i]
-            skeleton = planner.prepare_job(
-                job.template_id, job.day, job.logical, job.salt
-            )
-            states.append(planner._export_state())
-
-        wins: list[RNode | None] = [None] * len(indices)
-        pos = 0
-        if skeleton.schedule is None:
-            # First instance runs solo to record the frame schedule (and in
-            # the common single-instance-per-group case, this IS the search).
-            planner._load_state(states[0])
-            planner._schedule = []
-            best, _cost = planner._optimize(skeleton.root_index, _ANY, _NO_SORT)
-            skeleton.schedule = tuple(planner._schedule)
-            planner._schedule = None
-            planner._flush_pending()
-            states[0] = planner._export_state()
-            wins[0] = best
-            pos = 1
-
-        rest = states[pos:]
-        if rest:
-            for frame in skeleton.schedule:
-                self._lockstep_frame(rest, frame)
-            # The solo replay flushes stragglers after the search; match it
-            # so lookup accounting stays aligned.
-            self._flush_states(rest)
-            root_key = (skeleton.root_index, id(_ANY), id(_NO_SORT))
-            for k, st in enumerate(rest):
-                wins[pos + k] = st.memo[root_key][0]
-        return wins, [st.candidates_considered for st in states]
-
-    def _lockstep_frame(
-        self, states: list[_ReplayState], frame: tuple
-    ) -> None:
-        """Run one recorded search frame across every instance.
-
-        Mirrors ``SkeletonPlanner._optimize`` for a cache-missing frame —
-        same candidate generation, enforcement, choice-key packing, and
-        first-seen strict ``<`` tie-breaking — except that when any instance
-        has a real comparison to make, *all* instances' pending operators
-        are priced in one packed pass.  Early pricing never perturbs values
-        or ledger indices (predictions are batch-invariant and indices are
-        assigned at ``_cost`` time), so per-instance arithmetic is exactly
-        the solo replay's.
-        """
-        planner = self.planner
-        index, req_part, req_sort = frame
-        key = (index, id(req_part), id(req_sort))
-        no_requirement = req_part is _ANY and req_sort is _NO_SORT
-        per_state: list[list] = []
-        need_flush = False
-        for st in states:
-            planner._load_state(st)
-            candidates = planner._implementations(index, req_part, req_sort)
-            if not candidates:
-                raise OptimizationError(
-                    f"no implementation for {st.bound[index].op_type.value} "
-                    f"under {req_part.describe()}/{req_sort.describe()}"
-                )
-            st.candidates_considered += len(candidates)
-            if no_requirement:
-                enforced = candidates
-            else:
-                enforced = [
-                    planner._enforce(candidate, req_part, req_sort)
-                    for candidate in candidates
-                ]
-            if len(enforced) > 1:
-                need_flush = True
-            per_state.append(enforced)
-        if need_flush:
-            self._flush_states(states)
-        for st, enforced in zip(states, per_state):
-            if len(enforced) == 1:
-                best = enforced[0]
-                best_ordinal = 0
-            else:
-                priced = st.priced
-                best_op, best_cost = enforced[0]
-                best_cost = _resolve_cost(best_cost, priced)
-                best = (best_op, best_cost)
-                best_ordinal = 0
-                for ordinal in range(1, len(enforced)):
-                    op, cost = enforced[ordinal]
-                    cost = _resolve_cost(cost, priced)
-                    if cost < best_cost:
-                        best = (op, cost)
-                        best_cost = cost
-                        best_ordinal = ordinal
-            st.choices.append(best_ordinal * 16 + len(enforced))
-            st.memo[key] = best
-
-    def _flush_states(self, states: list[_ReplayState]) -> None:
-        """Price every instance's pending operators in one packed pass."""
-        pending: list[RNode] = []
-        for st in states:
-            pending.extend(st.pending)
-        if not pending:
-            return
-        planner = self.planner
-        inputs = [_replay_feature_input(node) for node in pending]
-        bundles = [node.bundle for node in pending]
-        values = planner.cost_model.price_inputs(inputs, bundles)
-        offset = 0
-        for st in states:
-            n = len(st.pending)
-            for value in values[offset : offset + n]:
-                st.priced.append(float(value))
-            # In-place clear: the planner's _pending aliases this list while
-            # the state is loaded.
-            st.pending.clear()
-            offset += n
-        planner._frontier_flushes += 1
 
 
 def replan_jobs(

@@ -42,6 +42,22 @@ backends chosen at construction from the cost model's capabilities:
   priced through ``price_inputs`` in single packed passes — same values,
   same per-prediction lookup accounting, bitwise-identical plans.
 
+**One resumable search.**  The recursion is written as generators with a
+single suspension point: a frame with more than one candidate under the
+deferred ledger yields, meaning "this job's pending ledger rows must be
+priced before I can compare".  Each job's mutable state lives in one
+:class:`_Search` object the planner points at, so any number of searches —
+of any templates — can be open at once.  :meth:`SkeletonPlanner._search`
+is the only driver: it advances every open search to its next suspension,
+prices all their pending rows in one ``price_inputs`` call, and repeats.
+``plan_job`` / ``replan_job`` drive it with one job (a flush per
+suspension, the reference planner's schedule);
+:class:`~repro.optimizer.replan.FleetReplanner` drives it with a fleet, so
+pricing calls follow the deepest job instead of the job count.  Heuristic
+and scalar learned backends never suspend.  Pricing a row earlier than the
+solo search would is exact — predictions are batch-invariant and ledger
+indices are assigned when ``_cost`` runs, not when the row is priced.
+
 Models opt in through ``supports_replay_costing``
 (:class:`~repro.cost.interface.CostModelBase`); the workload runner's fast
 path additionally requires the plain :class:`CardinalityEstimator` and no
@@ -55,6 +71,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.common.errors import OptimizationError
@@ -160,24 +177,14 @@ class SkelNode:
 
 
 class TemplateSkeleton:
-    """The memoized product of one template's structure analysis.
+    """The memoized product of one template's structure analysis."""
 
-    ``schedule`` is lazily recorded by the first replayed instance that asks
-    for it (:meth:`SkeletonPlanner.replan_job`): the memo-entry creation
-    order of the search, i.e. every ``(index, req_part, req_sort)`` frame in
-    the order it completes.  Frame order is a pure function of the template
-    structure and planner config — costs only pick winners, never which
-    frames run — so the fleet replanner can drive any number of instances
-    through the same frame sequence in lockstep.
-    """
-
-    __slots__ = ("nodes", "root_index", "node_count", "schedule")
+    __slots__ = ("nodes", "root_index", "node_count")
 
     def __init__(self, nodes: list[SkelNode]) -> None:
         self.nodes = nodes
         self.root_index = len(nodes) - 1
         self.node_count = len(nodes)
-        self.schedule: tuple[tuple[int, Partitioning, SortOrder], ...] | None = None
 
 
 def _build_skeleton(root: LogicalOp) -> TemplateSkeleton:
@@ -367,9 +374,10 @@ class SkeletonPlannerStats:
     ``skeleton_hits``/``skeleton_builds`` split replays that reused a cached
     skeleton from ones that had to analyze the template structure;
     ``skeleton_evictions`` counts entries dropped by the clear-at-limit cap.
-    The per-job ``_memo`` needs no cap: it is reset at every replay (its
-    size is bounded by one template's frame count), and clearing it
-    mid-search would invalidate live deferred-cost ledger indices.
+    ``frontier_flushes`` counts pricing calls (one per wave that had rows
+    to price).  A search's memo needs no cap of its own: it is bounded by
+    one template's frame count and dropped when the winner is known, and
+    the number of searches open at once is bounded instead.
     """
 
     jobs_replayed: int
@@ -380,19 +388,18 @@ class SkeletonPlannerStats:
     frontier_flushes: int
 
 
-class _ReplayState:
-    """One job instance's live search state, detached from the planner.
+class _Search:
+    """One job's live search: everything the replay mutates, in one object.
 
-    The fleet replanner replays many instances of one template in lockstep
-    (:mod:`repro.optimizer.replan`): it prepares each instance, exports its
-    state, and swaps states in and out of the shared planner frame by frame.
-    All mutable members (memo, choices, pending, priced, jitter cache) are
-    shared by reference with the planner while loaded, so in-place mutation
-    through either handle stays coherent; ``candidates_considered`` is a
-    plain int the driver updates on the state directly.
+    The planner points at the search it is advancing
+    (``SkeletonPlanner._job``), so switching jobs is one pointer swap and any
+    number of searches — of any templates — can be open at once.  ``run`` is
+    the suspended search itself (the root ``_optimize`` generator); it and
+    the memo are dropped the moment the winner is known.
     """
 
     __slots__ = (
+        "nodes",
         "bound",
         "salt",
         "jitter_cache",
@@ -402,7 +409,23 @@ class _ReplayState:
         "priced",
         "primed",
         "candidates_considered",
+        "run",
+        "win",
     )
+
+    def __init__(self, nodes: list[SkelNode], bound: list[LogicalOp], salt: str):
+        self.nodes = nodes
+        self.bound = bound
+        self.salt = salt
+        self.jitter_cache: dict[str, float] = {}
+        self.memo: dict[tuple[int, int, int], tuple[RNode, object]] = {}
+        self.choices: list[int] = []
+        self.pending: list[RNode] = []
+        self.priced: list[float] = []
+        self.primed: list[float] = []
+        self.candidates_considered = 0
+        self.run = None
+        self.win: RNode | None = None
 
 
 class SkeletonPlanner:
@@ -419,6 +442,12 @@ class SkeletonPlanner:
     #: like the module-level signature-hash caches: wholesale clearing keeps
     #: the common case allocation-free and the worst case bounded.
     _SKELETON_CACHE_LIMIT = 1 << 12
+
+    #: Most searches :meth:`_search` keeps open at once.  Each open search
+    #: pins its memo of subplans (~30 KiB), so this bounds the planner's
+    #: footprint whatever the fleet size; past it, finished searches are
+    #: replaced as they retire, which costs a few extra pricing waves.
+    _LIVE_SEARCH_LIMIT = 64
 
     def __init__(
         self,
@@ -476,32 +505,91 @@ class SkeletonPlanner:
         self._skeleton_builds = 0
         self._skeleton_evictions = 0
         self._frontier_flushes = 0
-        # Per-job state, reset by prepare_job.
-        self._bound: list[LogicalOp] = []
-        self._salt = ""
-        self._jitter_cache: dict[str, float] = {}
-        self._memo: dict[tuple[int, int, int], tuple[RNode, object]] = {}
-        self._choices: list[int] = []
-        self._pending: list[RNode] = []
-        self._priced: list[float] = []
-        self._primed: list[float] = []
-        self._candidates_considered = 0
-        self._schedule: list[tuple[int, Partitioning, SortOrder]] | None = None
-        self._skel: TemplateSkeleton | None = None
+        # The search being advanced (see _Search); swapped by _advance.
+        self._job: _Search | None = None
 
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
 
-    def prepare_job(
+    def plan_job(
         self, template_id: str, day: int, logical_root: LogicalOp, jitter_salt: str
-    ) -> TemplateSkeleton:
-        """Bind one job instance to its (possibly cached) skeleton.
+    ) -> RNode:
+        """Optimize one job instance through the memoized skeleton.
 
-        Resets all per-job search state; callers then drive the replay with
-        :meth:`_optimize` (done by :meth:`plan_job` / :meth:`replan_job`, and
-        frame-by-frame by the fleet replanner's lockstep loop).
+        Also records the job's *choice key* (see :attr:`last_choice_key`): the
+        ordinal of the winning candidate at every memo entry, in entry-creation
+        order.  Entry order is a pure function of the template structure, so
+        ``(template_id, choices)`` uniquely identifies the resulting plan
+        shape — the batched execution engine keys its shape-statics cache on
+        it without fingerprinting the tree.
         """
+        (job,) = self._search([(template_id, day, logical_root, jitter_salt)])
+        self.last_choice_key = (template_id, tuple(job.choices))
+        return job.win
+
+    def replan_job(
+        self, template_id: str, day: int, logical_root: LogicalOp, jitter_salt: str
+    ) -> PlannedJob:
+        """Full :meth:`QueryPlanner.plan` replacement for one recurring job.
+
+        Beyond :meth:`plan_job` it materializes the winner, runs the
+        partition-strategy pass when one is configured, and reports the total
+        plan cost — everything :class:`~repro.optimizer.planner.PlannedJob`
+        carries — bitwise identical to the reference planner.
+        """
+        start = time.perf_counter()
+        (job,) = self._search([(template_id, day, logical_root, jitter_salt)])
+        self.last_choice_key = (template_id, tuple(job.choices))
+        ((plan, total),) = self._finalize([job.win])
+        elapsed = time.perf_counter() - start
+        return PlannedJob(plan, total, elapsed, job.candidates_considered)
+
+    def stats(self) -> SkeletonPlannerStats:
+        """Current telemetry counters (cheap; safe to call between jobs)."""
+        return SkeletonPlannerStats(
+            jobs_replayed=self._jobs_replayed,
+            skeleton_hits=self._skeleton_hits,
+            skeleton_builds=self._skeleton_builds,
+            skeleton_evictions=self._skeleton_evictions,
+            skeletons_cached=len(self._skeletons),
+            frontier_flushes=self._frontier_flushes,
+        )
+
+    # ------------------------------------------------------------------ #
+    # The search driver: open, advance to a suspension, price, repeat
+    # ------------------------------------------------------------------ #
+
+    def _search(self, requests) -> list[_Search]:
+        """Search every ``(template_id, day, logical_root, jitter_salt)``
+        request to its winner; the finished searches align with the input.
+
+        Each wave advances every open search to its next suspension and
+        prices all their pending ledger rows in ONE ``price_inputs`` call, so
+        the number of pricing calls is the deepest job's flush depth, not a
+        multiple of the job count (why that is exact: module docstring).  A
+        lone request degenerates to the solo search, flushing at every
+        suspension.
+        """
+        requests = iter(requests)
+        opened: list[_Search] = []
+        live: list[_Search] = []
+        while True:
+            room = self._LIVE_SEARCH_LIMIT - len(live)
+            fresh = [self._open(*request) for request in islice(requests, room)]
+            opened += fresh
+            wave = live + fresh
+            live = [job for job in wave if self._advance(job)]
+            # Finished searches flush their stragglers here too, matching
+            # the reference planner's post-search flush (lookup accounting).
+            self._flush(wave)
+            if not live and len(fresh) < room:  # nothing open, nothing left
+                return opened
+
+    def _open(
+        self, template_id: str, day: int, logical_root: LogicalOp, jitter_salt: str
+    ) -> _Search:
+        """Bind one job instance to its (possibly cached) skeleton."""
         key = (template_id, day)
         skeleton = self._skeletons.get(key)
         bound = _bind_logical(logical_root)
@@ -516,145 +604,89 @@ class SkeletonPlanner:
             self._skeleton_builds += 1
         else:
             self._skeleton_hits += 1
-        self._skel = skeleton
-        self._bound = bound
-        self._salt = jitter_salt
-        self._jitter_cache = {}
-        self._memo = {}
-        self._choices = []
-        self._pending = []
-        self._priced = []
-        self._candidates_considered = 0
-        self._schedule = None
         # Prime one estimate per logical node.  Any candidate whose physical
         # children all carry primed estimates shares the primed value (the
         # estimate formula sees identical inputs); only subplans containing a
         # synthesized local aggregate compute estimates live.  The JOIN and
         # UNION formulas are symmetric/order-matching, so commuted join
         # orientations share the primed value too.
+        job = _Search(skeleton.nodes, bound, jitter_salt)
         estimate_logical = self._estimate_logical
-        primed: list[float] = []
+        primed = job.primed
         for i, sn in enumerate(skeleton.nodes):
             primed.append(
                 estimate_logical(bound[i], [primed[c] for c in sn.children])
             )
-        self._primed = primed
+        job.run = self._optimize(skeleton.root_index, _ANY, _NO_SORT)
         self._jobs_replayed += 1
-        return skeleton
+        return job
 
-    def plan_job(
-        self, template_id: str, day: int, logical_root: LogicalOp, jitter_salt: str
-    ) -> RNode:
-        """Optimize one job instance through the memoized skeleton.
+    def _advance(self, job: _Search) -> bool:
+        """Run ``job`` to its next suspension; False once its winner is known."""
+        self._job = job
+        try:
+            next(job.run)
+        except StopIteration as done:
+            job.win = done.value[0]
+            # Only the winner, the choice key and the straggler ledger
+            # outlive the search; the memo pins every frame's subplan.
+            job.run = job.memo = job.jitter_cache = job.primed = None
+            return False
+        return True
 
-        Also records the job's *choice key* (see :attr:`last_choice_key`): the
-        ordinal of the winning candidate at every memo entry, in entry-creation
-        order.  Entry order is a pure function of the template structure, so
-        ``(template_id, choices)`` uniquely identifies the resulting plan
-        shape — the batched execution engine keys its shape-statics cache on
-        it without fingerprinting the tree.
-        """
-        skeleton = self.prepare_job(template_id, day, logical_root, jitter_salt)
-        best, _cost = self._optimize(skeleton.root_index, _ANY, _NO_SORT)
-        self.last_choice_key = (template_id, tuple(self._choices))
-        return best
+    def _flush(self, jobs: list[_Search]) -> None:
+        """Price every pending ledger row of ``jobs`` in one packed pass."""
+        nodes = [node for job in jobs for node in job.pending]
+        if not nodes:
+            return
+        values = self.cost_model.price_inputs(
+            [_replay_feature_input(node) for node in nodes],
+            [node.bundle for node in nodes],
+        )
+        offset = 0
+        for job in jobs:
+            count = len(job.pending)
+            job.priced.extend(map(float, values[offset : offset + count]))
+            job.pending.clear()
+            offset += count
+        self._frontier_flushes += 1
 
-    def replan_job(
-        self, template_id: str, day: int, logical_root: LogicalOp, jitter_salt: str
-    ) -> PlannedJob:
-        """Full :meth:`QueryPlanner.plan` replacement for one recurring job.
-
-        Beyond :meth:`plan_job` it materializes the winner, runs the
-        partition-strategy pass when one is configured, and reports the total
-        plan cost — everything :class:`~repro.optimizer.planner.PlannedJob`
-        carries — bitwise identical to the reference planner.  Also records
-        the skeleton's frame :attr:`~TemplateSkeleton.schedule` on first use,
-        which the fleet replanner's lockstep loop keys on.
-        """
-        start = time.perf_counter()
-        skeleton = self.prepare_job(template_id, day, logical_root, jitter_salt)
-        record = skeleton.schedule is None
-        if record:
-            self._schedule = []
-        best, _cost = self._optimize(skeleton.root_index, _ANY, _NO_SORT)
-        if record:
-            skeleton.schedule = tuple(self._schedule)
-            self._schedule = None
-        self.last_choice_key = (template_id, tuple(self._choices))
-        if self._deferred:
-            # Align lookup accounting with the reference planner, which
-            # flushes any straggling deferred candidates after the search.
-            self._flush_pending()
-        plan, total = self._finalize(best)
-        elapsed = time.perf_counter() - start
-        return PlannedJob(plan, total, elapsed, self._candidates_considered)
-
-    def _finalize(self, win: RNode) -> tuple[PhysicalOp, float]:
+    def _finalize(self, wins: list[RNode]) -> list[tuple[PhysicalOp, float]]:
         """Materialize + partition pass + total cost, as ``plan()`` would."""
         strategy = self.config.partition_strategy
         if strategy is not None:
-            physical = materialize(win)
-            self.estimator.reset()
-            physical = optimize_partitions(
-                physical,
-                self.cost_model,
-                self.estimator,
-                strategy,
-                max_partitions=self.config.max_partitions,
-            )
-            return physical, plan_cost(self.cost_model, physical, self.estimator)
+            out = []
+            for win in wins:
+                self.estimator.reset()
+                physical = optimize_partitions(
+                    materialize(win),
+                    self.cost_model,
+                    self.estimator,
+                    strategy,
+                    max_partitions=self.config.max_partitions,
+                )
+                out.append(
+                    (physical, plan_cost(self.cost_model, physical, self.estimator))
+                )
+            return out
         if self._learned:
-            # One packed pass over the walk, with CleoService.predict_plan's
-            # exact left-fold order (see price_plans).
-            nodes = list(_walk_replay(win))
-            inputs = [_replay_feature_input(n) for n in nodes]
-            bundles = [n.bundle for n in nodes]
-            totals = self.cost_model.price_plans(inputs, bundles, [len(nodes)])
-            return materialize(win), float(totals[0])
+            # Every plan total in one packed pass, each reduced with
+            # CleoService.predict_plan's exact left-fold order (price_plans).
+            walks = [list(_walk_replay(win)) for win in wins]
+            totals = self.cost_model.price_plans(
+                [_replay_feature_input(node) for nodes in walks for node in nodes],
+                [node.bundle for nodes in walks for node in nodes],
+                [len(nodes) for nodes in walks],
+            )
+            return [(materialize(win), float(t)) for win, t in zip(wins, totals)]
         # Heuristic models: CostModelBase.plan_cost's int-0 left fold.
-        total = 0
-        for node in _walk_replay(win):
-            total = total + self._cost(node)
-        return materialize(win), float(total)
-
-    def stats(self) -> SkeletonPlannerStats:
-        """Current telemetry counters (cheap; safe to call between jobs)."""
-        return SkeletonPlannerStats(
-            jobs_replayed=self._jobs_replayed,
-            skeleton_hits=self._skeleton_hits,
-            skeleton_builds=self._skeleton_builds,
-            skeleton_evictions=self._skeleton_evictions,
-            skeletons_cached=len(self._skeletons),
-            frontier_flushes=self._frontier_flushes,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Per-job state capture (the fleet replanner's lockstep loop)
-    # ------------------------------------------------------------------ #
-
-    def _export_state(self) -> "_ReplayState":
-        st = _ReplayState()
-        st.bound = self._bound
-        st.salt = self._salt
-        st.jitter_cache = self._jitter_cache
-        st.memo = self._memo
-        st.choices = self._choices
-        st.pending = self._pending
-        st.priced = self._priced
-        st.primed = self._primed
-        st.candidates_considered = self._candidates_considered
-        return st
-
-    def _load_state(self, st: "_ReplayState") -> None:
-        self._bound = st.bound
-        self._salt = st.salt
-        self._jitter_cache = st.jitter_cache
-        self._memo = st.memo
-        self._choices = st.choices
-        self._pending = st.pending
-        self._priced = st.priced
-        self._primed = st.primed
-        self._candidates_considered = st.candidates_considered
+        out = []
+        for win in wins:
+            total = 0
+            for node in _walk_replay(win):
+                total = total + self._cost(node)
+            out.append((materialize(win), float(total)))
+        return out
 
     # ------------------------------------------------------------------ #
     # Node construction (the _mk analogue)
@@ -692,7 +724,7 @@ class SkeletonPlanner:
                         primed = False
                         break
             if primed:
-                node.est_out = self._primed[index]
+                node.est_out = self._job.primed[index]
             else:
                 node.est_out = self._estimate_logical(
                     logical, [child.est_out for child in children]
@@ -799,135 +831,91 @@ class SkeletonPlanner:
     def _cost_deferred(self, node: RNode):
         # Learned model, batched: emit the reference planner's deferred-cost
         # ledger; whole frontiers are priced at flush time in packed passes.
-        index = len(self._priced) + len(self._pending)
-        self._pending.append(node)
+        job = self._job
+        index = len(job.priced) + len(job.pending)
+        job.pending.append(node)
         return _DeferredCost(_DeferredCost.LEAF, index)
-
-    def _flush_pending(self) -> None:
-        """Price every pending deferred operator in one packed pass."""
-        if not self._pending:
-            return
-        nodes = self._pending
-        self._pending = []
-        inputs = [_replay_feature_input(n) for n in nodes]
-        bundles = [n.bundle for n in nodes]
-        self._priced.extend(map(float, self.cost_model.price_inputs(inputs, bundles)))
-        self._frontier_flushes += 1
 
     # ------------------------------------------------------------------ #
     # Core recursion (mirrors QueryPlanner._optimize)
     # ------------------------------------------------------------------ #
 
-    def _optimize(
-        self, index: int, req_part: Partitioning, req_sort: SortOrder
-    ) -> tuple[RNode, float]:
+    def _optimize(self, index: int, req_part: Partitioning, req_sort: SortOrder):
+        """One search frame, as a generator returning ``(RNode, cost)``.
+
+        The search is resumable with exactly one suspension point, the bare
+        ``yield`` below: "this job's pending ledger must be priced before the
+        frame can compare its candidates".  Whoever drives the generator
+        (:meth:`_search`) flushes and resumes; heuristic and scalar learned
+        backends never suspend.
+        """
         # Requirement objects are interned (module constants + per-skeleton
         # precomputed properties), so identity keys are equivalent to the
         # reference planner's value keys — and skip frozen-dataclass hashing.
         # A hypothetical identity miss only recomputes the same pure result.
+        job = self._job
         key = (index, id(req_part), id(req_sort))
-        cached = self._memo.get(key)
+        cached = job.memo.get(key)
         if cached is not None:
             # The reference planner clones memoized subplans so physical
             # plans stay trees; the replay shares winners during the search
             # and duplicates shared subtrees at materialization instead.
             return cached
-        candidates = self._implementations(index, req_part, req_sort)
+        candidates = yield from self._implementations(index, req_part, req_sort)
         if not candidates:
             raise OptimizationError(
-                f"no implementation for {self._bound[index].op_type.value} under "
+                f"no implementation for {job.bound[index].op_type.value} under "
                 f"{req_part.describe()}/{req_sort.describe()}"
             )
-        self._candidates_considered += len(candidates)
-        if self._deferred:
-            best, best_ordinal = self._pick_deferred(candidates, req_part, req_sort)
-        elif req_part is _ANY and req_sort is _NO_SORT:
-            # Enforcement is a no-op under (ANY, unsorted): every delivered
-            # partitioning satisfies ANY and every sort satisfies "none".
-            best = candidates[0]
-            best_ordinal = 0
-            for ordinal in range(1, len(candidates)):
-                if candidates[ordinal][1] < best[1]:
-                    best = candidates[ordinal]
-                    best_ordinal = ordinal
-        else:
-            best = self._enforce(candidates[0], req_part, req_sort)
-            best_ordinal = 0
-            for ordinal in range(1, len(candidates)):
-                enforced = self._enforce(candidates[ordinal], req_part, req_sort)
-                if enforced[1] < best[1]:
-                    best = enforced
-                    best_ordinal = ordinal
+        job.candidates_considered += len(candidates)
+        # Enforcement is a no-op under (ANY, unsorted): every delivered
+        # partitioning satisfies ANY and every sort satisfies "none".
+        if not (req_part is _ANY and req_sort is _NO_SORT):
+            for ordinal, candidate in enumerate(candidates):
+                candidates[ordinal] = self._enforce(candidate, req_part, req_sort)
+        if self._deferred and len(candidates) > 1:
+            # Mirrors the reference planner's batched branch: a lone
+            # candidate keeps its cost expression unresolved (the parent
+            # frontier prices it); a genuine comparison has the ledger priced
+            # and resolves each expression with _resolve_cost's bit-exact
+            # arithmetic replay.
+            yield
+            priced = job.priced
+            candidates = [(op, _resolve_cost(cost, priced)) for op, cost in candidates]
+        # First-seen strict ``<`` scan, like the reference planner's min().
+        best = candidates[0]
+        best_ordinal = 0
+        for ordinal in range(1, len(candidates)):
+            if candidates[ordinal][1] < best[1]:
+                best = candidates[ordinal]
+                best_ordinal = ordinal
         # Candidate *existence* can vary per job (alignment failures), so the
         # choice key records how many candidates were in play as well
         # (packed with the winner ordinal; counts are single-digit).
-        self._choices.append(best_ordinal * 16 + len(candidates))
-        if self._schedule is not None:
-            self._schedule.append((index, req_part, req_sort))
-        self._memo[key] = best
+        job.choices.append(best_ordinal * 16 + len(candidates))
+        job.memo[key] = best
         return best
 
-    def _pick_deferred(
-        self,
-        candidates: list[tuple[RNode, object]],
-        req_part: Partitioning,
-        req_sort: SortOrder,
-    ) -> tuple[tuple[RNode, object], int]:
-        """The winner under a deferred-cost ledger.
-
-        Mirrors the reference planner's batched branch: a lone candidate is
-        stored with its cost expression unresolved (no flush — the parent
-        frontier prices it), while a genuine comparison flushes the pending
-        operators in one packed pass and resolves each expression with
-        :func:`_resolve_cost`'s bit-exact arithmetic replay before the usual
-        first-seen strict ``<`` scan.
-        """
-        if req_part is _ANY and req_sort is _NO_SORT:
-            enforced = candidates
-        else:
-            enforced = [
-                self._enforce(candidate, req_part, req_sort)
-                for candidate in candidates
-            ]
-        if len(enforced) == 1:
-            return enforced[0], 0
-        self._flush_pending()
-        priced = self._priced
-        best_op, best_cost = enforced[0]
-        best_cost = _resolve_cost(best_cost, priced)
-        best = (best_op, best_cost)
-        best_ordinal = 0
-        for ordinal in range(1, len(enforced)):
-            op, cost = enforced[ordinal]
-            cost = _resolve_cost(cost, priced)
-            if cost < best_cost:
-                best = (op, cost)
-                best_cost = cost
-                best_ordinal = ordinal
-        return best, best_ordinal
-
-    def _implementations(
-        self, index: int, req_part: Partitioning, req_sort: SortOrder
-    ) -> list[tuple[RNode, float]]:
-        kind = self._skel.nodes[index].op_type
+    def _implementations(self, index: int, req_part: Partitioning, req_sort: SortOrder):
+        kind = self._job.nodes[index].op_type
         if kind is LogicalOpType.GET:
             return self._impl_get(index)
         if kind in (LogicalOpType.FILTER, LogicalOpType.PROJECT):
-            return self._impl_passthrough(index, req_part, req_sort)
+            return (yield from self._impl_passthrough(index, req_part, req_sort))
         if kind is LogicalOpType.PROCESS:
-            return self._impl_process(index)
+            return (yield from self._impl_process(index))
         if kind is LogicalOpType.JOIN:
-            return self._impl_join(index)
+            return (yield from self._impl_join(index))
         if kind is LogicalOpType.AGGREGATE:
-            return self._impl_aggregate(index)
+            return (yield from self._impl_aggregate(index))
         if kind is LogicalOpType.SORT:
-            return self._impl_sort(index)
+            return (yield from self._impl_sort(index))
         if kind is LogicalOpType.TOP_K:
-            return self._impl_topk(index)
+            return (yield from self._impl_topk(index))
         if kind is LogicalOpType.UNION:
-            return self._impl_union(index)
+            return (yield from self._impl_union(index))
         if kind is LogicalOpType.OUTPUT:
-            return self._impl_output(index)
+            return (yield from self._impl_output(index))
         raise OptimizationError(f"unsupported logical operator {kind}")
 
     # ------------------------------------------------------------------ #
@@ -935,7 +923,7 @@ class SkeletonPlanner:
     # ------------------------------------------------------------------ #
 
     def _impl_get(self, index: int) -> list[tuple[RNode, float]]:
-        logical = self._bound[index]
+        logical = self._job.bound[index]
         partitions = self._heuristic_partitions_for_volume(
             logical.true_card, logical.row_bytes, logical.template_tag
         )
@@ -946,9 +934,10 @@ class SkeletonPlanner:
 
     def _impl_passthrough(
         self, index: int, req_part: Partitioning, req_sort: SortOrder
-    ) -> list[tuple[RNode, float]]:
-        sn = self._skel.nodes[index]
-        logical = self._bound[index]
+    ):
+        job = self._job
+        sn = job.nodes[index]
+        logical = job.bound[index]
         phys_type = (
             PhysOpType.FILTER
             if sn.op_type is LogicalOpType.FILTER
@@ -960,7 +949,9 @@ class SkeletonPlanner:
             requirement_pairs.append((_ANY, _NO_SORT))
         out: list[tuple[RNode, float]] = []
         for child_part, child_sort in requirement_pairs:
-            child_node, child_cost = self._optimize(child_index, child_part, child_sort)
+            child_node, child_cost = yield from self._optimize(
+                child_index, child_part, child_sort
+            )
             op = self._mk(
                 phys_type,
                 (child_node,),
@@ -973,22 +964,26 @@ class SkeletonPlanner:
             out.append((op, child_cost + self._cost(op)))
         return out
 
-    def _impl_process(self, index: int) -> list[tuple[RNode, float]]:
-        sn = self._skel.nodes[index]
-        child_node, child_cost = self._optimize(sn.children[0], _ANY, _NO_SORT)
+    def _impl_process(self, index: int):
+        job = self._job
+        sn = job.nodes[index]
+        child_node, child_cost = yield from self._optimize(
+            sn.children[0], _ANY, _NO_SORT
+        )
         op = self._mk(
             PhysOpType.PROCESS,
             (child_node,),
-            self._bound[index],
+            job.bound[index],
             child_node.partition_count,
             _RANDOM,
             index=index,
         )
         return [(op, child_cost + self._cost(op))]
 
-    def _impl_join(self, index: int) -> list[tuple[RNode, float]]:
-        sn = self._skel.nodes[index]
-        logical = self._bound[index]
+    def _impl_join(self, index: int):
+        job = self._job
+        sn = job.nodes[index]
+        logical = job.bound[index]
         left, right = sn.children
         sides = [(left, right, sn.hash_left, sn.hash_right)]
         if self.config.enable_join_commute:
@@ -1000,8 +995,8 @@ class SkeletonPlanner:
         mask = 0
         out: list[tuple[RNode, float]] = []
         for side, (probe, build, probe_req, build_req) in enumerate(sides):
-            probe_cand = self._optimize(probe, probe_req, _NO_SORT)
-            build_cand = self._optimize(build, build_req, _NO_SORT)
+            probe_cand = yield from self._optimize(probe, probe_req, _NO_SORT)
+            build_cand = yield from self._optimize(build, build_req, _NO_SORT)
             aligned = self._align_partitions([probe_cand, build_cand])
             if aligned is not None:
                 mask |= 1 << side
@@ -1017,8 +1012,8 @@ class SkeletonPlanner:
                 out.append((op, probe_cost + build_cost + self._cost(op)))
 
         if self.config.enable_merge_join:
-            left_cand = self._optimize(left, sn.hash_left, sn.sort_left)
-            right_cand = self._optimize(right, sn.hash_right, sn.sort_right)
+            left_cand = yield from self._optimize(left, sn.hash_left, sn.sort_left)
+            right_cand = yield from self._optimize(right, sn.hash_right, sn.sort_right)
             aligned = self._align_partitions([left_cand, right_cand])
             if aligned is not None:
                 mask |= 4
@@ -1033,12 +1028,13 @@ class SkeletonPlanner:
                     index=index,
                 )
                 out.append((op, left_cost + right_cost + self._cost(op)))
-        self._choices.append(mask)
+        job.choices.append(mask)
         return out
 
-    def _impl_aggregate(self, index: int) -> list[tuple[RNode, float]]:
-        sn = self._skel.nodes[index]
-        logical = self._bound[index]
+    def _impl_aggregate(self, index: int):
+        job = self._job
+        sn = job.nodes[index]
+        logical = job.bound[index]
         keys = logical.keys
         child_index = sn.children[0]
         final_req = sn.final_req
@@ -1046,7 +1042,9 @@ class SkeletonPlanner:
         out: list[tuple[RNode, float]] = []
 
         # (a) Hash aggregate directly on repartitioned input.
-        child_node, child_cost = self._optimize(child_index, final_req, _NO_SORT)
+        child_node, child_cost = yield from self._optimize(
+            child_index, final_req, _NO_SORT
+        )
         hash_agg = self._mk(
             PhysOpType.HASH_AGGREGATE,
             (child_node,),
@@ -1059,7 +1057,9 @@ class SkeletonPlanner:
 
         # (b) Stream aggregate over sorted, repartitioned input.
         if keys and self.config.enable_stream_aggregate:
-            sorted_node, sorted_cost = self._optimize(child_index, final_req, sn.sort_req)
+            sorted_node, sorted_cost = yield from self._optimize(
+                child_index, final_req, sn.sort_req
+            )
             stream_agg = self._mk(
                 PhysOpType.STREAM_AGGREGATE,
                 (sorted_node,),
@@ -1073,7 +1073,7 @@ class SkeletonPlanner:
 
         # (c) Local pre-aggregation before the shuffle (the Q17 plan shape).
         if self.config.enable_local_aggregate:
-            any_node, any_cost = self._optimize(child_index, _ANY, _NO_SORT)
+            any_node, any_cost = yield from self._optimize(child_index, _ANY, _NO_SORT)
             local_logical = self._local_aggregate_logical(
                 logical, sn.local_tag, any_node.partition_count
             )
@@ -1099,10 +1099,13 @@ class SkeletonPlanner:
             out.append((final, cost))
         return out
 
-    def _impl_sort(self, index: int) -> list[tuple[RNode, float]]:
-        sn = self._skel.nodes[index]
-        logical = self._bound[index]
-        child_node, child_cost = self._optimize(sn.children[0], _SINGLETON, _NO_SORT)
+    def _impl_sort(self, index: int):
+        job = self._job
+        sn = job.nodes[index]
+        logical = job.bound[index]
+        child_node, child_cost = yield from self._optimize(
+            sn.children[0], _SINGLETON, _NO_SORT
+        )
         op = self._mk(
             PhysOpType.SORT,
             (child_node,),
@@ -1115,10 +1118,13 @@ class SkeletonPlanner:
         )
         return [(op, child_cost + self._cost(op))]
 
-    def _impl_topk(self, index: int) -> list[tuple[RNode, float]]:
-        sn = self._skel.nodes[index]
-        logical = self._bound[index]
-        child_node, child_cost = self._optimize(sn.children[0], _SINGLETON, _NO_SORT)
+    def _impl_topk(self, index: int):
+        job = self._job
+        sn = job.nodes[index]
+        logical = job.bound[index]
+        child_node, child_cost = yield from self._optimize(
+            sn.children[0], _SINGLETON, _NO_SORT
+        )
         op = self._mk(
             PhysOpType.TOP_K,
             (child_node,),
@@ -1131,12 +1137,13 @@ class SkeletonPlanner:
         )
         return [(op, child_cost + self._cost(op))]
 
-    def _impl_union(self, index: int) -> list[tuple[RNode, float]]:
-        sn = self._skel.nodes[index]
-        logical = self._bound[index]
-        child_cands = [
-            self._optimize(child, _ANY, _NO_SORT) for child in sn.children
-        ]
+    def _impl_union(self, index: int):
+        job = self._job
+        sn = job.nodes[index]
+        logical = job.bound[index]
+        child_cands = []
+        for child in sn.children:
+            child_cands.append((yield from self._optimize(child, _ANY, _NO_SORT)))
         target = max(
             self._heuristic_partitions_for_volume(
                 child.true_card, child.row_bytes, logical.template_tag
@@ -1162,13 +1169,16 @@ class SkeletonPlanner:
         )
         return [(op, cost + self._cost(op))]
 
-    def _impl_output(self, index: int) -> list[tuple[RNode, float]]:
-        sn = self._skel.nodes[index]
-        child_node, child_cost = self._optimize(sn.children[0], _ANY, _NO_SORT)
+    def _impl_output(self, index: int):
+        job = self._job
+        sn = job.nodes[index]
+        child_node, child_cost = yield from self._optimize(
+            sn.children[0], _ANY, _NO_SORT
+        )
         op = self._mk(
             PhysOpType.OUTPUT,
             (child_node,),
-            self._bound[index],
+            job.bound[index],
             child_node.partition_count,
             child_node.partitioning,
             child_node.sorting,
@@ -1300,10 +1310,10 @@ class SkeletonPlanner:
         sigma = self.config.partition_jitter
         if sigma <= 0.0:
             return partitions
-        factor = self._jitter_cache.get(key)
+        factor = self._job.jitter_cache.get(key)
         if factor is None:
-            factor = jitter_factor(self._salt, key, sigma)
-            self._jitter_cache[key] = factor
+            factor = jitter_factor(self._job.salt, key, sigma)
+            self._job.jitter_cache[key] = factor
         return max(1, int(round(partitions * factor)))
 
     # ------------------------------------------------------------------ #

@@ -324,9 +324,11 @@ class TestPlannerTelemetryAndGates:
         sizes = []
         for template_id, day, logical, salt in jobs:
             planner.replan_job(template_id, day, logical, salt)
-            sizes.append(len(planner._memo))
-            assert planner._pending == []
-        # Each job's memo is bounded by its own template's frame count.
+            sizes.append(len(planner.last_choice_key[1]))
+            # A finished search keeps no memo, no generator and no unpriced rows.
+            assert planner._job.memo is None and planner._job.run is None
+            assert planner._job.pending == []
+        # Each job's choice key is bounded by its own template's frame count.
         assert all(0 < size < 200 for size in sizes)
 
     def test_opaque_model_is_rejected(self):
