@@ -32,7 +32,7 @@ from repro.execution.runtime_log import RunLog
 from repro.execution.simulator import STAGE_STARTUP_SECONDS
 from repro.features.extract import feature_input_for
 from repro.plan.physical import PhysicalOp
-from repro.plan.signatures import compute_signature_bundles
+from repro.plan.signatures import SignatureBundle
 from repro.plan.stages import build_stage_graph
 from repro.serving.service import CleoService, PredictionRequest
 
@@ -156,7 +156,6 @@ class JobPerformancePredictor:
     def predict(self, plan: PhysicalOp) -> JobPrediction:
         """Predicted stage timeline, latency, and CPU time for ``plan``."""
         self.estimator.reset()
-        bundles = compute_signature_bundles(plan)
         graph = build_stage_graph(plan)
 
         ops = list(plan.walk())
@@ -164,7 +163,9 @@ class JobPerformancePredictor:
         batch = getattr(self.predictor, "predict_batch", None)
         if callable(batch):
             requests = [
-                PredictionRequest(feature_input_for(op, self.estimator), bundles[id(op)])
+                PredictionRequest(
+                    feature_input_for(op, self.estimator), SignatureBundle.of(op)
+                )
                 for op in ops
             ]
             for op, cost in zip(ops, batch(requests)):
@@ -172,7 +173,7 @@ class JobPerformancePredictor:
         else:
             for op in ops:
                 features = feature_input_for(op, self.estimator)
-                op_cost[id(op)] = self.predictor.predict(features, bundles[id(op)])
+                op_cost[id(op)] = self.predictor.predict(features, SignatureBundle.of(op))
 
         durations: dict[int, float] = {}
         cpu: dict[int, float] = {}

@@ -33,7 +33,6 @@ from repro.common.errors import ValidationError
 from repro.cost.interface import CostModel
 from repro.execution.simulator import STAGE_STARTUP_SECONDS, ExecutionSimulator
 from repro.plan.physical import PhysicalOp
-from repro.plan.signatures import compute_signature_bundles
 from repro.plan.stages import build_stage_graph
 from repro.serving.service import CleoService, as_cost_model
 
@@ -82,16 +81,13 @@ def job_to_tasks(
     cost_model = as_cost_model(cost_model)
     estimator.reset()
     graph = build_stage_graph(plan)
-    bundles = compute_signature_bundles(plan)
     tasks: list[TaskSpec] = []
     for stage in graph.stages:
         estimated = STAGE_STARTUP_SECONDS + sum(
             cost_model.operator_cost(op, estimator) for op in stage.operators
         )
         actual = STAGE_STARTUP_SECONDS + sum(
-            simulator.ground_truth.exclusive_latency(
-                op, rng=None, strict_sig=bundles[id(op)].strict
-            )
+            simulator.ground_truth.exclusive_latency(op, rng=None)
             for op in stage.operators
         )
         tasks.append(
@@ -312,7 +308,4 @@ class _OracleCostModel:
         priced = (
             op if partition_override is None else op.with_partition_count(partition_override)
         )
-        bundle_op = compute_signature_bundles(op)[id(op)]
-        return self._simulator.ground_truth.exclusive_latency(
-            priced, rng=None, strict_sig=bundle_op.strict
-        )
+        return self._simulator.ground_truth.exclusive_latency(priced, rng=None)

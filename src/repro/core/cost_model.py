@@ -6,23 +6,25 @@ Inputs (step 10 of Figure 8a) — the paper's "minimally invasive" goal.
 
 The heavy lifting lives in :class:`~repro.serving.service.CleoService`:
 this class is the thin :class:`~repro.cost.interface.CostModel` adapter the
-planner holds.  Signature bundles are memoized in the service's *bounded*
-LRU (the earlier per-``id()`` dict grew without bound and could alias
-recycled ids across plans), and whole-plan pricing goes through the
-service's batched path.
+planner holds.  Signature bundles and the P-independent feature statistics
+are read off the operators themselves
+(:class:`~repro.plan.summary.SubtreeSummary`), and whole-plan pricing goes
+through the service's batched path.
 
 Beyond the scalar :class:`~repro.cost.interface.CostModel` protocol, this
 adapter advertises **batched planning pricing** (``supports_batched_pricing``
 plus :meth:`CleoCostModel.price_operators` /
 :meth:`CleoCostModel.price_stage_sweep`): the planner prices whole candidate
-frontiers, and partition exploration prices whole per-stage partition
-sweeps, through the packed serving runtime in a constant number of numpy
-passes — bitwise identical values and per-prediction lookup accounting to
+frontiers, and partition exploration prices a whole plan's partition
+sweeps as one P-grid, through the packed serving runtime in a constant
+number of numpy passes — bitwise identical values and per-prediction lookup accounting to
 the scalar ``operator_cost`` loop.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +34,9 @@ from repro.core.learned_model import ResourceProfile
 from repro.core.predictor import CleoPredictor
 from repro.cost.interface import CostExplanation
 from repro.features.extract import feature_input_for
+from repro.features.table import FeatureTable
 from repro.plan.physical import PhysicalOp
+from repro.plan.signatures import SignatureBundle
 
 
 class CleoCostModel:
@@ -108,10 +112,9 @@ class CleoCostModel:
         lookup and fallback accounting (see
         :meth:`~repro.serving.service.CleoService.predict_inputs`).
         """
-        service = self.service
         inputs = [feature_input_for(op, estimator) for op in ops]
-        bundles = [service.bundle_for(op) for op in ops]
-        return service.predict_inputs(inputs, bundles)
+        bundles = [SignatureBundle.of(op) for op in ops]
+        return self.service.predict_inputs(inputs, bundles)
 
     def price_input(self, features, bundle) -> float:
         """Exclusive cost of one already-featurized operator.
@@ -145,36 +148,56 @@ class CleoCostModel:
 
     def price_stage_sweep(
         self,
-        stage_ops: Sequence[PhysicalOp],
+        stages: Sequence[Sequence[PhysicalOp]],
         estimator: CardinalityEstimator,
-        partitions: Sequence[int],
-    ) -> list[float]:
-        """Stage-total cost at every candidate partition count, one pass.
+        candidates: Sequence[Sequence[int]],
+    ) -> list[list[float]]:
+        """Each stage's total cost at each of its candidate counts, one pass.
 
-        Replaces partition exploration's per-candidate
-        ``sum(operator_cost(op, partition_override=p) for op in stage)``
-        loops: all ``len(partitions) * len(stage_ops)`` predictions run as
-        one batched call, then each candidate's stage total is reduced with
-        the exact left-fold order the scalar ``sum`` uses, so totals (and
-        therefore every argmin/guard decision) are bitwise identical.
+        ``candidates[i]`` are the partition counts to probe for
+        ``stages[i]``; the result aligns with both.  Replaces partition
+        exploration's per-candidate ``sum(operator_cost(op,
+        partition_override=p) for op in stage)`` loops with a P-grid: every
+        stage operator is featurized once (its *stem* row: only ``P``
+        varies across a sweep), the stems are tiled over the candidates, the
+        ``P`` column is written, and the whole ``(stages x candidates x
+        ops)`` grid is priced through the columnar ``predict_table`` entry —
+        boundary validation, quarantine-and-repair and the router's guard
+        ladder included.  Each total is then reduced with the exact
+        left-fold order the scalar ``sum`` uses, so totals (and therefore
+        every argmin/guard decision) are bitwise identical.
+
+        Grid rows skip the prediction LRU by ``predict_table``'s contract (a
+        sweep's rows are probed once and never again), so lookup accounting
+        is the paper's analytic ``5 x ops x candidates`` whether or not the
+        service caches.
         """
-        service = self.service
-        bundles = [service.bundle_for(op) for op in stage_ops]
-        inputs = [
-            feature_input_for(op, estimator, int(p))
-            for p in partitions
-            for op in stage_ops
-        ]
-        values = service.predict_inputs(inputs, bundles * len(partitions))
-        n = len(stage_ops)
-        totals: list[float] = []
+        ops = [op for stage in stages for op in stage]
+        stems = FeatureTable.from_inputs(
+            [feature_input_for(op, estimator) for op in ops],
+            [SignatureBundle.of(op) for op in ops],
+        )
+        rows: list[np.ndarray] = []
+        counts: list[np.ndarray] = []
         offset = 0
-        for _ in partitions:
-            total = 0  # int start, exactly like the scalar sum()
-            for value in values[offset : offset + n]:
-                total = total + float(value)
-            totals.append(total)
-            offset += n
+        for stage, probes in zip(stages, candidates):
+            stage_rows = np.arange(offset, offset + len(stage))
+            rows.append(np.tile(stage_rows, len(probes)))
+            counts.append(np.repeat(np.asarray(probes, dtype=float), len(stage)))
+            offset += len(stage)
+        grid = replace(
+            stems.take(np.concatenate(rows)), partition_count=np.concatenate(counts)
+        )
+        values = iter(self.service.predict_table(grid).tolist())
+        totals: list[list[float]] = []
+        for stage, probes in zip(stages, candidates):
+            stage_totals = []
+            for _ in probes:
+                total = 0  # int start, exactly like the scalar sum()
+                for value in islice(values, len(stage)):
+                    total = total + value
+                stage_totals.append(total)
+            totals.append(stage_totals)
         return totals
 
     def explain(
@@ -187,7 +210,7 @@ class CleoCostModel:
     ) -> ResourceProfile | None:
         """(theta_p, theta_c, theta_0) for the partition-exploration step."""
         features = feature_input_for(op, estimator)
-        return self.predictor.resource_profile(features, self.service.bundle_for(op))
+        return self.predictor.resource_profile(features, SignatureBundle.of(op))
 
     def resource_profiles(
         self, ops: Sequence[PhysicalOp], estimator: CardinalityEstimator
@@ -201,10 +224,9 @@ class CleoCostModel:
         """
         if not self.batched:
             return [self.resource_profile(op, estimator) for op in ops]
-        service = self.service
         inputs = [feature_input_for(op, estimator) for op in ops]
-        bundles = [service.bundle_for(op) for op in ops]
-        return service.resource_profiles(inputs, bundles)
+        bundles = [SignatureBundle.of(op) for op in ops]
+        return self.service.resource_profiles(inputs, bundles)
 
     @property
     def lookup_count(self) -> int:

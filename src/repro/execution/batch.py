@@ -12,7 +12,7 @@ instead, in two layers:
   context features.  None of these depend on a job instance's numbers, so
   every job that makes the same planning choices reuses them.  Statics are
   extracted by running the *real* implementations
-  (``compute_signature_bundles``, ``build_stage_graph``,
+  (``SignatureBundle.of``, ``build_stage_graph``,
   ``hidden_multiplier``) once over a materialized representative plan —
   parity with the scalar path is structural, not re-implemented.
 * **Per-run numerics**: jobs are accumulated into flat row-major buffers
@@ -41,7 +41,7 @@ from repro.features.featurizer import FeatureInput
 from repro.features.table import FeatureTable
 from repro.optimizer.skeleton import RNode, materialize
 from repro.plan.physical import PhysOpType, PhysicalOp
-from repro.plan.signatures import compute_signature_bundles
+from repro.plan.signatures import SignatureBundle
 from repro.plan.stages import build_stage_graph
 
 
@@ -85,17 +85,13 @@ def build_shape_statics(plan: PhysicalOp, simulator: ExecutionSimulator) -> Shap
     ground_truth = simulator.ground_truth
     ops = list(plan.walk())
     index_of = {id(op): i for i, op in enumerate(ops)}
-    bundles_by_id = compute_signature_bundles(plan)
 
     s = ShapeStatics()
     s.n = len(ops)
     s.op_type_values = [op.op_type.value for op in ops]
     s.template_tags = [op.template_tag for op in ops]
-    s.bundles = [bundles_by_id[id(op)] for op in ops]
-    s.multipliers = [
-        ground_truth.hidden_multiplier(op, strict_sig=s.bundles[i].strict)
-        for i, op in enumerate(ops)
-    ]
+    s.bundles = [SignatureBundle.of(op) for op in ops]
+    s.multipliers = [ground_truth.hidden_multiplier(op) for op in ops]
     s.skew_u = [
         ground_truth.skew_unit(frozenset(op.normalized_inputs)) for op in ops
     ]
@@ -121,32 +117,15 @@ def build_shape_statics(plan: PhysicalOp, simulator: ExecutionSimulator) -> Shap
     s.child_indices = tuple(
         tuple(index_of[id(child)] for child in op.children) for op in ops
     )
-    # CL / D / leaf sets, bottom-up in one pass (post-order guarantees the
-    # children's entries exist).  Integer-exact, matching the per-node
-    # recursive properties.
-    logical_count = [0] * s.n
-    depth = [1] * s.n
-    leaf_sets: list[tuple[int, ...]] = [()] * s.n
-    for i, op in enumerate(ops):
-        children = s.child_indices[i]
-        own = 1 if op.logical is not None else 0
-        if not children:
-            logical_count[i] = own
-            leaf_sets[i] = (i,)
-        else:
-            count = own
-            max_depth = 0
-            leaves: list[int] = []
-            for c in children:
-                count += logical_count[c]
-                if depth[c] > max_depth:
-                    max_depth = depth[c]
-                leaves.extend(leaf_sets[c])
-            logical_count[i] = count
-            depth[i] = 1 + max_depth
-            leaf_sets[i] = tuple(leaves)
-    s.logical_count = [float(v) for v in logical_count]
-    s.depth = [float(v) for v in depth]
+    # CL / D are reads of each operator's summary; the leaf *index* sets are
+    # built bottom-up (post-order guarantees the children's entries exist).
+    s.logical_count = [float(op.summary.n_logical) for op in ops]
+    s.depth = [float(op.summary.depth) for op in ops]
+    leaf_sets: list[tuple[int, ...]] = []
+    for i, children in enumerate(s.child_indices):
+        leaf_sets.append(
+            tuple(leaf for c in children for leaf in leaf_sets[c]) if children else (i,)
+        )
     s.leaf_sets = tuple(leaf_sets)
     s.root_leaves = s.leaf_sets[-1]
     s.params_indices = tuple(

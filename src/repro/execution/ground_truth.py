@@ -138,13 +138,9 @@ class GroundTruthModel:
         z = math.sqrt(-2.0 * math.log(u)) * math.cos(2.0 * math.pi * v)
         return math.exp(sigma * z)
 
-    def hidden_multiplier(self, op: PhysicalOp, strict_sig: int | None = None) -> float:
-        """Combined template multiplier ``m_op * m_input * m_ctx * m_res``.
-
-        ``strict_sig`` may be precomputed by the caller (the simulator does
-        one bottom-up signature pass per plan) to avoid re-hashing subtrees.
-        """
-        sig = strict_signature(op) if strict_sig is None else strict_sig
+    def hidden_multiplier(self, op: PhysicalOp) -> float:
+        """Combined template multiplier ``m_op * m_input * m_ctx * m_res``."""
+        sig = strict_signature(op)
         # The cluster name is constant per model instance, so (sig, op_type)
         # identifies the template; a plain tuple key avoids re-hashing on the
         # per-operator hot path.
@@ -232,10 +228,7 @@ class GroundTruthModel:
         return work
 
     def exclusive_latency(
-        self,
-        op: PhysicalOp,
-        rng: np.random.Generator | None = None,
-        strict_sig: int | None = None,
+        self, op: PhysicalOp, rng: np.random.Generator | None = None
     ) -> float:
         """Actual exclusive latency of ``op`` in seconds.
 
@@ -246,9 +239,7 @@ class GroundTruthModel:
         coef = self.params.coefficients[op.op_type]
         base = self.work_per_partition(op) * self.skew_factor(op)
         base += coef.setup * float(op.partition_count)
-        latency = (
-            self.hidden_multiplier(op, strict_sig=strict_sig) * base / self.cluster.speed_factor
-        )
+        latency = self.hidden_multiplier(op) * base / self.cluster.speed_factor
         if rng is not None:
             latency *= self._noise(rng)
         return max(latency, self.params.min_latency)

@@ -19,7 +19,7 @@ from repro.execution.runtime_log import JobRecord, OperatorRecord
 from repro.features.extract import feature_input_for
 from repro.features.featurizer import FeatureInput
 from repro.plan.physical import PhysicalOp
-from repro.plan.signatures import compute_signature_bundles
+from repro.plan.signatures import SignatureBundle
 from repro.plan.stages import build_stage_graph
 
 #: Fixed per-stage scheduling latency (container acquisition, setup waves).
@@ -82,7 +82,6 @@ class ExecutionSimulator:
         # The estimate memo is keyed by object identity; clear it so reused
         # estimators never serve entries from a previous (freed) plan.
         estimator.reset()
-        bundles = compute_signature_bundles(plan)
         noise_rng = (
             self._rngs.child("noise", job_id, day) if with_noise else None
         )
@@ -91,10 +90,8 @@ class ExecutionSimulator:
         latencies: dict[int, float] = {}
         cpu_total = 0.0
         for op in plan.walk():
-            bundle = bundles[id(op)]
-            latency = self.ground_truth.exclusive_latency(
-                op, rng=noise_rng, strict_sig=bundle.strict
-            )
+            bundle = SignatureBundle.of(op)
+            latency = self.ground_truth.exclusive_latency(op, rng=noise_rng)
             cpu = self.ground_truth.cpu_seconds(op, latency)
             cpu_total += cpu
             latencies[id(op)] = latency
@@ -154,11 +151,8 @@ class ExecutionSimulator:
 
     def expected_job_latency(self, plan: PhysicalOp) -> float:
         """Noise-free end-to-end latency: the oracle for plan comparisons."""
-        bundles = compute_signature_bundles(plan)
         latencies = {
-            id(op): self.ground_truth.exclusive_latency(
-                op, rng=None, strict_sig=bundles[id(op)].strict
-            )
+            id(op): self.ground_truth.exclusive_latency(op, rng=None)
             for op in plan.walk()
         }
         _, total = self._stage_critical_path(plan, latencies)
@@ -166,11 +160,8 @@ class ExecutionSimulator:
 
     def expected_cpu_seconds(self, plan: PhysicalOp) -> float:
         """Noise-free total processing time across all containers."""
-        bundles = compute_signature_bundles(plan)
         total = 0.0
         for op in plan.walk():
-            latency = self.ground_truth.exclusive_latency(
-                op, rng=None, strict_sig=bundles[id(op)].strict
-            )
+            latency = self.ground_truth.exclusive_latency(op, rng=None)
             total += self.ground_truth.cpu_seconds(op, latency)
         return total

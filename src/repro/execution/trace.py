@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from repro.execution.simulator import STAGE_STARTUP_SECONDS, ExecutionSimulator
 from repro.plan.physical import PhysicalOp
-from repro.plan.signatures import compute_signature_bundles
 from repro.plan.stages import build_stage_graph
 
 
@@ -79,13 +78,10 @@ def trace_job(simulator: ExecutionSimulator, plan: PhysicalOp) -> JobTrace:
     critical path is recovered by backtracking from the final stage.
     """
     graph = build_stage_graph(plan)
-    bundles = compute_signature_bundles(plan)
     durations: dict[int, float] = {}
     for stage in graph.stages:
         durations[stage.index] = STAGE_STARTUP_SECONDS + sum(
-            simulator.ground_truth.exclusive_latency(
-                op, rng=None, strict_sig=bundles[id(op)].strict
-            )
+            simulator.ground_truth.exclusive_latency(op, rng=None)
             for op in stage.operators
         )
 

@@ -15,8 +15,8 @@ generated workload's test day with learned costs through both paths:
 * **batched** — the default ``CleoCostModel``: the planner defers frontier
   costs into a pending ledger priced through
   :meth:`~repro.serving.service.CleoService.predict_inputs` in batched
-  passes, and partition exploration prices each stage's whole candidate
-  sweep as one matrix pass
+  passes, and partition exploration prices every stage's whole candidate
+  sweep as one columnar P-grid
   (:meth:`~repro.core.cost_model.CleoCostModel.price_stage_sweep`).
 
 Two phases are timed: ``structural`` (the Cascades search alone) and
@@ -120,7 +120,7 @@ def run_benchmark(
             },
             "batched": {
                 "path": "deferred frontier ledger -> predict_inputs batches"
-                + (" + per-stage sweep matrix passes" if phase == "partitioned" else ""),
+                + (" + one P-grid per plan sweep" if phase == "partitioned" else ""),
                 "seconds": [round(t, 4) for t in batched_times],
                 "seconds_best": round(batched_best, 4),
                 "plans_per_second": round(n_jobs / batched_best, 1),

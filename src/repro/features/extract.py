@@ -23,15 +23,21 @@ def feature_input_for(
     cost model consumes, which is the paper's fairness convention — while
     ``partition_override`` lets partition exploration re-featurize the
     operator at a candidate partition count without rebuilding the plan.
+
+    O(1) in the size of the plan: the subtree statistics (``B``, ``IN``,
+    ``CL``, ``D``) are reads of the operator's own
+    :class:`~repro.plan.summary.SubtreeSummary`, and only ``P`` depends on
+    the partition count.
     """
+    summary = op.summary
     return FeatureInput(
         input_card=estimator.estimate_input(op),
-        base_card=op.base_card,
+        base_card=summary.base_card,
         output_card=estimator.estimate(op),
         avg_row_bytes=op.row_bytes,
         partition_count=float(partition_override or op.partition_count),
-        input_enc=FeatureInput.encode_inputs(op.normalized_inputs),
+        input_enc=FeatureInput.encode_inputs(summary.inputs),
         params_enc=FeatureInput.encode_params(op.params),
-        logical_count=float(op.logical_op_count()),
-        depth=float(op.depth),
+        logical_count=float(summary.n_logical),
+        depth=float(summary.depth),
     )

@@ -74,15 +74,25 @@ class FeatureInput:
     @staticmethod
     def encode_params(params: tuple[float, ...]) -> float:
         """Numeric encoding of job parameters (mean value; 0 when absent)."""
-        # repro: allow(float-reduction) -- reduces one operator's fixed parameter tuple, computed once at featurization time by BOTH the scalar and columnar paths; batch size can never change its grouping
-        return float(np.mean(params)) if params else 0.0
+        if not params:
+            return 0.0
+        cached = _PARAMS_ENC_CACHE.get(params)
+        if cached is None:
+            if len(_PARAMS_ENC_CACHE) >= _INPUT_ENC_CACHE_LIMIT:
+                _PARAMS_ENC_CACHE.clear()
+            # repro: allow(float-reduction) -- reduces one operator's fixed parameter tuple, computed once at featurization time by BOTH the scalar and columnar paths; batch size can never change its grouping
+            cached = float(np.mean(params))
+            _PARAMS_ENC_CACHE[params] = cached
+        return cached
 
 
-#: Input-set encodings recur across every operator instance of a template;
-#: the cache skips re-hashing identical frozensets (values unchanged).  It
+#: Input-set encodings recur across every operator instance of a template,
+#: and parameter tuples across every featurization of an operator; the caches
+#: skip re-hashing / re-reducing identical keys (values unchanged).  Each
 #: clears at the limit so long-running processes stay bounded (entries are
 #: pure recomputations).
 _INPUT_ENC_CACHE: dict[frozenset[str], float] = {}
+_PARAMS_ENC_CACHE: dict[tuple[float, ...], float] = {}
 _INPUT_ENC_CACHE_LIMIT = 1 << 18
 
 

@@ -117,22 +117,48 @@ def _stage_cost_at(
 
 
 def _stage_costs_at(
+    stages: list[list[PhysicalOp]],
+    cost_model: CostModel,
+    estimator: CardinalityEstimator,
+    candidates: list[list[int]],
+) -> list[list[float]]:
+    """Each stage's total at each of its candidate counts.
+
+    Learned cost models advertising ``supports_batched_pricing`` price the
+    whole ``(stages x candidates x ops)`` grid in one pass
+    (:meth:`~repro.core.cost_model.CleoCostModel.price_stage_sweep`),
+    bitwise identical to the scalar per-candidate :func:`_stage_cost_at`
+    loops this falls back to.
+    """
+    if getattr(cost_model, "supports_batched_pricing", False):
+        return cost_model.price_stage_sweep(stages, estimator, candidates)
+    return [
+        [_stage_cost_at(ops, cost_model, estimator, p) for p in probes]
+        for ops, probes in zip(stages, candidates)
+    ]
+
+
+def _argmin(costs: list[float]) -> int:
+    """Index of the first minimum: a cost tie keeps the earlier candidate."""
+    return min(range(len(costs)), key=costs.__getitem__)
+
+
+def _choose_by_sweep(
+    strategy: "ExhaustiveStrategy | SamplingStrategy",
     stage_ops: list[PhysicalOp],
     cost_model: CostModel,
     estimator: CardinalityEstimator,
-    partitions: "list[int] | range",
-) -> list[float]:
-    """Stage totals at several candidate counts — one matrix pass if possible.
+    max_partitions: int,
+) -> int:
+    """One stage's cheapest candidate, probed one scalar call at a time.
 
-    Learned cost models advertising ``supports_batched_pricing`` price the
-    whole ``len(partitions) x len(stage_ops)`` sweep through the packed
-    serving runtime (:meth:`~repro.core.cost_model.CleoCostModel.
-    price_stage_sweep`), bitwise identical to the scalar per-candidate
-    :func:`_stage_cost_at` loop this falls back to.
+    What non-batched cost models (and the parity oracle) run; batched models
+    skip it: :func:`optimize_partitions` prices every stage's candidates as
+    one grid and applies the same :func:`_argmin`.
     """
-    if getattr(cost_model, "supports_batched_pricing", False):
-        return cost_model.price_stage_sweep(stage_ops, estimator, list(partitions))
-    return [_stage_cost_at(stage_ops, cost_model, estimator, p) for p in partitions]
+    candidates = strategy.candidates(max_partitions)
+    costs = [_stage_cost_at(stage_ops, cost_model, estimator, p) for p in candidates]
+    return candidates[_argmin(costs)]
 
 
 @dataclass
@@ -164,6 +190,9 @@ class ExhaustiveStrategy:
 
     name: str = "exhaustive"
 
+    def candidates(self, max_partitions: int) -> list[int]:
+        return list(range(1, max_partitions + 1))
+
     def choose(
         self,
         stage_ops: list[PhysicalOp],
@@ -171,9 +200,7 @@ class ExhaustiveStrategy:
         estimator: CardinalityEstimator,
         max_partitions: int,
     ) -> int:
-        candidates = range(1, max_partitions + 1)
-        costs = _stage_costs_at(stage_ops, cost_model, estimator, candidates)
-        return candidates[min(range(len(costs)), key=costs.__getitem__)]
+        return _choose_by_sweep(self, stage_ops, cost_model, estimator, max_partitions)
 
 
 @dataclass
@@ -214,9 +241,7 @@ class SamplingStrategy:
         estimator: CardinalityEstimator,
         max_partitions: int,
     ) -> int:
-        candidates = self.candidates(max_partitions)
-        costs = _stage_costs_at(stage_ops, cost_model, estimator, candidates)
-        return candidates[min(range(len(costs)), key=costs.__getitem__)]
+        return _choose_by_sweep(self, stage_ops, cost_model, estimator, max_partitions)
 
 
 @dataclass
@@ -309,10 +334,14 @@ def optimize_partitions(
 ) -> PhysicalOp:
     """Re-optimize every stage's partition count in a finished plan.
 
-    Walks the stage graph, asks the strategy for each non-fixed stage, and
-    rebuilds the plan with the new counts.  Stages formed by co-partitioned
-    joins share one count by construction (their exchanges live in the same
-    stage), preserving co-partitioning.
+    Explores every non-fixed stage of the stage graph and rebuilds the plan
+    with the new counts.  For a cost model with ``supports_batched_pricing``
+    and a strategy that probes a candidate list (``candidates``: exhaustive,
+    sampling), the plan's whole exploration is two columnar P-grids — one
+    ``price_stage_sweep`` call for every stage's candidates, one for every
+    stage's guard probes; otherwise each stage asks ``strategy.choose``.
+    Stages formed by co-partitioned joins share one count by construction
+    (their exchanges live in the same stage), preserving co-partitioning.
 
     With ``guard`` enabled, a stage keeps its current count unless the cost
     model itself predicts the new count is cheaper — one of the paper's
@@ -320,23 +349,45 @@ def optimize_partitions(
     suggestion the learned costs do not endorse.
     """
     graph = build_stage_graph(plan)
-    chosen: dict[int, int] = {}
-    for stage in graph.topological_order():
-        if _stage_is_fixed(stage):
-            chosen[stage.index] = stage.partition_count
-            continue
-        candidate = strategy.choose(stage.operators, cost_model, estimator, max_partitions)
-        if guard and candidate != stage.partition_count:
-            # Both probes priced in one batched pass for learned models.
-            current_cost, new_cost = _stage_costs_at(
-                stage.operators,
-                cost_model,
-                estimator,
-                [stage.partition_count, candidate],
-            )
-            if new_cost >= current_cost:
-                candidate = stage.partition_count
-        chosen[stage.index] = candidate
+    stages = graph.topological_order()
+    chosen = {stage.index: stage.partition_count for stage in stages}
+    # Stages never read each other's choice (every probe prices the original
+    # ``stage.operators``), so the whole plan is explored at once.
+    explore = [stage for stage in stages if not _stage_is_fixed(stage)]
+    candidates = getattr(strategy, "candidates", None)
+    if (
+        explore
+        and candidates is not None
+        and getattr(cost_model, "supports_batched_pricing", False)
+    ):
+        grid = candidates(max_partitions)
+        totals = cost_model.price_stage_sweep(
+            [stage.operators for stage in explore], estimator, [grid] * len(explore)
+        )
+        picks = [grid[_argmin(costs)] for costs in totals]
+    else:
+        picks = [
+            strategy.choose(stage.operators, cost_model, estimator, max_partitions)
+            for stage in explore
+        ]
+    moves = [
+        (stage, pick)
+        for stage, pick in zip(explore, picks)
+        if pick != stage.partition_count
+    ]
+    if guard and moves:
+        # Every stage's (current, new) probe pair, one pass for learned models.
+        probes = _stage_costs_at(
+            [stage.operators for stage, _ in moves],
+            cost_model,
+            estimator,
+            [[stage.partition_count, pick] for stage, pick in moves],
+        )
+        moves = [
+            move for move, (current, new) in zip(moves, probes) if not new >= current
+        ]
+    for stage, pick in moves:
+        chosen[stage.index] = pick
 
     rebuilt: dict[int, PhysicalOp] = {}
 

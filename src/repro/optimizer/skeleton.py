@@ -35,8 +35,9 @@ backends chosen at construction from the cost model's capabilities:
   cached per-node estimates the estimator would have produced;
 * *learned* — models exposing the packed pricing hooks
   (:class:`~repro.core.cost_model.CleoCostModel`): the replay featurizes
-  straight from incrementally-maintained per-node statistics and signature
-  bundles.  When the model also advertises ``supports_batched_pricing``,
+  straight from each node's :class:`~repro.plan.summary.SubtreeSummary` —
+  the same routine, and the same signature recursion, :class:`PhysicalOp`
+  runs.  When the model also advertises ``supports_batched_pricing``,
   ``_cost`` emits the reference planner's deferred-cost ledger
   (:class:`~repro.optimizer.planner._DeferredCost`) and whole frontiers are
   priced through ``price_inputs`` in single packed passes — same values,
@@ -75,7 +76,6 @@ from itertools import islice
 
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.common.errors import OptimizationError
-from repro.common.hashing import combine_hashes
 from repro.cost.default_model import DefaultCostModel
 from repro.cost.interface import plan_cost
 from repro.features.featurizer import FeatureInput
@@ -95,14 +95,8 @@ from repro.plan.physical import (
     PhysicalOp,
 )
 from repro.plan.properties import Partitioning, PartitionScheme, SortOrder
-from repro.plan.signatures import (
-    SignatureBundle,
-    _approx_hash,
-    _freq_hash,
-    _own_hash,
-    input_signature_for,
-    operator_signature_for,
-)
+from repro.plan.signatures import signed
+from repro.plan.summary import summarize
 
 _ANY = Partitioning.any()
 _NO_SORT = SortOrder.none()
@@ -118,13 +112,14 @@ class RNode:
     ``true_card`` / ``row_bytes`` / ``est_out`` / ``est_in`` are resolved at
     construction (enforcers inherit their child's), so costing is O(1).
 
-    Under a learned cost model the replay additionally maintains, per node,
-    every derived statistic :func:`~repro.features.extract.feature_input_for`
-    and :meth:`SignatureBundle.of` would recompute by walking a
-    :class:`PhysicalOp` subtree — leaf cardinalities, normalized inputs,
-    logical-operator counts/frequencies, depth, and all four model
-    signatures — built incrementally from the children (``leaf_cards``
-    through ``bundle``; unset for heuristic backends).
+    It satisfies the node protocol :func:`~repro.plan.summary.summarize` and
+    :func:`~repro.plan.signatures.signed` are written against (``op_type``,
+    ``children``, ``logical``, ``template_tag``, ``true_card``, ``summary``),
+    so under a learned cost model ``summary`` holds exactly what the
+    materialized :class:`PhysicalOp` would compute for itself — built from
+    the children's summaries as the node is made (unset for heuristic
+    backends), and shared with every ``_with_partitions`` copy, since
+    nothing in it depends on a partition count.
     """
 
     __slots__ = (
@@ -142,16 +137,7 @@ class RNode:
         "est_out",
         "est_in",
         "primed",
-        # Learned-costing annotations (see _annotate_replay).
-        "leaf_cards",
-        "base_card",
-        "inputs",
-        "params",
-        "n_logical",
-        "depth",
-        "strict_sig",
-        "freq_incl",
-        "bundle",
+        "summary",  # learned backends only
     )
 
 class SkelNode:
@@ -278,92 +264,22 @@ def _walk_replay(node: RNode):
     yield node
 
 
-def _annotate_replay(node: RNode) -> None:
-    """Attach the learned-costing statistics, incrementally from children.
-
-    Every value matches what :func:`feature_input_for` /
-    :meth:`SignatureBundle.of` would compute on the materialized operator —
-    including float fold order (``base_card`` left-folds the leaf true
-    cardinalities in walk order, exactly like ``PhysicalOp.base_card``) and
-    the approx-signature convention that logical-operator frequencies count
-    descendants only (the node's own logical type is added *after* its
-    bundle is computed, mirroring ``compute_signature_bundles``).
-    """
-    children = node.children
-    logical = node.logical
-    op_value = node.op_type.value
-    if logical is not None:
-        inputs = logical.normalized_inputs
-        node.params = logical.params
-    else:
-        # Enforcers have exactly one child; PhysicalOp.normalized_inputs
-        # unions the children's sets, which for one child is the child's.
-        inputs = children[0].inputs
-        node.params = ()
-    node.inputs = inputs
-    if not children:
-        node.leaf_cards = (node.true_card,)
-        node.depth = 1
-        node.n_logical = 1 if logical is not None else 0
-        strict = combine_hashes([_own_hash(op_value, node.template_tag)])
-        freq_below: dict[str, int] = {}
-    elif len(children) == 1:
-        child = children[0]
-        node.leaf_cards = child.leaf_cards
-        node.depth = child.depth + 1
-        node.n_logical = child.n_logical + (1 if logical is not None else 0)
-        strict = combine_hashes(
-            [child.strict_sig, _own_hash(op_value, node.template_tag)]
-        )
-        freq_below = child.freq_incl
-    else:
-        leaf_cards: tuple[float, ...] = ()
-        depth = 0
-        n_logical = 0
-        child_sigs: list[int] = []
-        freq_below = {}
-        for child in children:
-            leaf_cards += child.leaf_cards
-            if child.depth > depth:
-                depth = child.depth
-            n_logical += child.n_logical
-            child_sigs.append(child.strict_sig)
-            for name, count in child.freq_incl.items():
-                freq_below[name] = freq_below.get(name, 0) + count
-        node.leaf_cards = leaf_cards
-        node.depth = depth + 1
-        node.n_logical = n_logical + (1 if logical is not None else 0)
-        child_sigs.append(_own_hash(op_value, node.template_tag))
-        strict = combine_hashes(child_sigs)
-    node.base_card = float(sum(node.leaf_cards))
-    node.strict_sig = strict
-    node.bundle = SignatureBundle(
-        strict=strict,
-        approx=_approx_hash(op_value, _freq_hash(freq_below), inputs),
-        input=input_signature_for(op_value, inputs),
-        operator=operator_signature_for(op_value),
-    )
-    if logical is not None:
-        freq = dict(freq_below)  # children may share the dict — copy first
-        name = logical.op_type.value
-        freq[name] = freq.get(name, 0) + 1
-        node.freq_incl = freq
-    else:
-        node.freq_incl = freq_below
-
-
 def _replay_feature_input(node: RNode) -> FeatureInput:
     """``feature_input_for`` from the replay node's cached statistics."""
+    summary = node.summary
+    logical = node.logical
     return FeatureInput(
         input_card=node.est_in,
-        base_card=node.base_card,
+        base_card=summary.base_card,
         output_card=node.est_out,
         avg_row_bytes=node.row_bytes,
         partition_count=float(node.partition_count),
-        input_enc=FeatureInput.encode_inputs(node.inputs),
-        params_enc=FeatureInput.encode_params(node.params),
-        logical_count=float(node.n_logical),
-        depth=float(node.depth),
+        input_enc=FeatureInput.encode_inputs(summary.inputs),
+        params_enc=FeatureInput.encode_params(
+            logical.params if logical is not None else ()
+        ),
+        logical_count=float(summary.n_logical),
+        depth=float(summary.depth),
     )
 
 
@@ -641,7 +557,7 @@ class SkeletonPlanner:
             return
         values = self.cost_model.price_inputs(
             [_replay_feature_input(node) for node in nodes],
-            [node.bundle for node in nodes],
+            [signed(node).bundle for node in nodes],
         )
         offset = 0
         for job in jobs:
@@ -675,7 +591,7 @@ class SkeletonPlanner:
             walks = [list(_walk_replay(win)) for win in wins]
             totals = self.cost_model.price_plans(
                 [_replay_feature_input(node) for nodes in walks for node in nodes],
-                [node.bundle for nodes in walks for node in nodes],
+                [signed(node).bundle for nodes in walks for node in nodes],
                 [len(nodes) for nodes in walks],
             )
             return [(materialize(win), float(t)) for win, t in zip(wins, totals)]
@@ -753,17 +669,16 @@ class SkeletonPlanner:
                 total += child.est_out
             node.est_in = total
         if self._learned:
-            _annotate_replay(node)
+            node.summary = summarize(node)
         return node
 
     def _with_partitions(self, op: RNode, partition_count: int) -> RNode:
         """A copy of ``op`` at a different partition count.
 
         Estimates are partition-independent, so they are copied rather than
-        recomputed (used by the alignment rebuild) — and so are every one of
-        the learned-costing annotations (signatures and feature statistics
-        never look at partition counts; the partition feature is read off
-        the node at pricing time).
+        recomputed (used by the alignment rebuild) — and so is the summary
+        (signatures and feature statistics never look at partition counts;
+        the partition feature is read off the node at pricing time).
         """
         node = RNode()
         node.op_type = op.op_type
@@ -781,15 +696,7 @@ class SkeletonPlanner:
         node.est_in = op.est_in
         node.primed = op.primed
         if self._learned:
-            node.leaf_cards = op.leaf_cards
-            node.base_card = op.base_card
-            node.inputs = op.inputs
-            node.params = op.params
-            node.n_logical = op.n_logical
-            node.depth = op.depth
-            node.strict_sig = op.strict_sig
-            node.freq_incl = op.freq_incl
-            node.bundle = op.bundle
+            node.summary = op.summary
         return node
 
     def _cost_inlined(self, node: RNode) -> float:
@@ -826,7 +733,9 @@ class SkeletonPlanner:
     def _cost_scalar(self, node: RNode) -> float:
         # Learned model, scalar serving path (batched=False): one service
         # round-trip per candidate, like QueryPlanner's operator_cost calls.
-        return self.cost_model.price_input(_replay_feature_input(node), node.bundle)
+        return self.cost_model.price_input(
+            _replay_feature_input(node), signed(node).bundle
+        )
 
     def _cost_deferred(self, node: RNode):
         # Learned model, batched: emit the reference planner's deferred-cost

@@ -15,8 +15,6 @@ from repro.plan.signatures import (
     input_signature,
     operator_signature,
     strict_signature,
-    subgraph_depth,
-    subgraph_logical_count,
 )
 from repro.plan.stages import Stage, StageGraph, build_stage_graph
 
@@ -36,6 +34,4 @@ __all__ = [
     "input_signature",
     "operator_signature",
     "strict_signature",
-    "subgraph_depth",
-    "subgraph_logical_count",
 ]

@@ -12,11 +12,12 @@ the paper's resource-aware planner optimizes (Section 5.2).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.common.errors import InvalidPlanError
 from repro.plan.logical import LogicalOp, LogicalOpType
 from repro.plan.properties import Partitioning, SortOrder
+from repro.plan.summary import SubtreeSummary, summarize
 
 
 class PhysOpType(enum.Enum):
@@ -76,6 +77,9 @@ class PhysicalOp:
         sorting: the intra-partition sort order this operator delivers.
         exchange_mode: set only for EXCHANGE nodes.
         sort_keys: set for SORT / TOP_K / MERGE_JOIN enforcer context.
+
+    ``_summary`` caches :attr:`summary`; it is not part of the node's value
+    (no ``__init__`` argument, ignored by equality, hash and ``repr``).
     """
 
     op_type: PhysOpType
@@ -86,6 +90,9 @@ class PhysicalOp:
     sorting: SortOrder = SortOrder.none()
     exchange_mode: ExchangeMode | None = None
     sort_keys: tuple[str, ...] = ()
+    _summary: SubtreeSummary | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.partition_count < 1:
@@ -132,13 +139,17 @@ class PhysicalOp:
         return f"enf:{self.op_type.value.lower()}:{','.join(self.sort_keys)}"
 
     @property
+    def summary(self) -> SubtreeSummary:
+        """The P-independent subtree statistics, computed on first read."""
+        summary = self._summary
+        if summary is None:
+            summary = summarize(self)
+            object.__setattr__(self, "_summary", summary)
+        return summary
+
+    @property
     def normalized_inputs(self) -> frozenset[str]:
-        if self.logical is not None:
-            return self.logical.normalized_inputs
-        result: set[str] = set()
-        for child in self.children:
-            result |= child.normalized_inputs
-        return frozenset(result)
+        return self.summary.inputs
 
     @property
     def params(self) -> tuple[float, ...]:
@@ -159,7 +170,7 @@ class PhysicalOp:
     @property
     def base_card(self) -> float:
         """Total true cardinality of leaf inputs (the ``B`` feature)."""
-        return float(sum(leaf.true_card for leaf in self.walk() if not leaf.children))
+        return self.summary.base_card
 
     @property
     def input_card(self) -> float:
@@ -184,9 +195,7 @@ class PhysicalOp:
 
     @property
     def depth(self) -> int:
-        if not self.children:
-            return 1
-        return 1 + max(child.depth for child in self.children)
+        return self.summary.depth
 
     def child_context(self) -> tuple[str, ...]:
         """Immediate-children operator types, the pipelining context.
@@ -205,7 +214,7 @@ class PhysicalOp:
 
     def logical_op_count(self) -> int:
         """Number of non-enforcer operators in the subtree (``CL`` feature)."""
-        return sum(1 for node in self.walk() if node.logical is not None)
+        return self.summary.n_logical
 
     def describe(self, indent: int = 0) -> str:
         """Readable multi-line physical plan, for examples and debugging."""

@@ -13,17 +13,23 @@ signatures, (ii) the operator's name, and (iii) its logical properties
   normalized input templates;
 * :func:`operator_signature` — just the physical operator type.
 
-All four are computed in a single recursion in the optimizer's logging path,
-mirroring the paper's "all signatures can be computed simultaneously in the
-same recursion" observation.
+All four are computed by one recursion, :func:`signed` — the paper's "all
+signatures can be computed simultaneously in the same recursion" — which
+stores them on the node's :class:`~repro.plan.summary.SubtreeSummary`, so
+each operator is hashed at most once however many callers ask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.common.hashing import combine_hashes, combine_hashes_unordered, stable_hash
+from repro.plan.logical import LogicalOpType
 from repro.plan.physical import PhysicalOp
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.plan.summary import SubtreeSummary
 
 # Per-component hash caches.  Signatures hash the same small set of template
 # tags, input sets, and operator names over and over across a workload's
@@ -37,7 +43,7 @@ _CACHE_LIMIT = 1 << 18
 _OWN_HASH_CACHE: dict[tuple[str, str], int] = {}
 _INPUT_SIG_CACHE: dict[tuple[str, frozenset[str]], int] = {}
 _OPERATOR_SIG_CACHE: dict[str, int] = {}
-_FREQ_HASH_CACHE: dict[frozenset[tuple[str, int]], int] = {}
+_FREQ_HASH_CACHE: dict[int, int] = {}
 _APPROX_SIG_CACHE: dict[tuple[str, int, frozenset[str]], int] = {}
 
 
@@ -63,26 +69,71 @@ def _own_hash(op_type_value: str, template_tag: str) -> int:
     return cached
 
 
-def _freq_hash(freq: dict[str, int]) -> int:
-    key = frozenset(freq.items())
-    cached = _FREQ_HASH_CACHE.get(key)
+#: Logical-operator frequencies travel as ONE int, ``_FREQ_BITS`` bits per
+#: :class:`LogicalOpType` in declaration order: merging children is addition,
+#: the value is its own cache key, and it is a fraction of the size of the
+#: dict per operator it replaces (the fattest part of a stored summary).
+_FREQ_BITS = 32
+_FREQ_UNIT = {t.value: 1 << (_FREQ_BITS * i) for i, t in enumerate(LogicalOpType)}
+
+
+def logical_frequencies(freq: int) -> dict[str, int]:
+    """Unpack a frequency int: logical type name -> count (non-zero only)."""
+    mask = (1 << _FREQ_BITS) - 1
+    counts = ((name, (freq // unit) & mask) for name, unit in _FREQ_UNIT.items())
+    return {name: count for name, count in counts if count}
+
+
+def _freq_hash(freq: int) -> int:
+    cached = _FREQ_HASH_CACHE.get(freq)
     if cached is None:
         if len(_FREQ_HASH_CACHE) >= _CACHE_LIMIT:
             _FREQ_HASH_CACHE.clear()
-        # combine_hashes_unordered is order-independent by construction, so
-        # the frozenset key loses nothing.
+        # combine_hashes_unordered is order-independent by construction.
         cached = combine_hashes_unordered(
-            stable_hash("freq", name, count) for name, count in freq.items()
+            stable_hash("freq", name, count)
+            for name, count in logical_frequencies(freq).items()
         )
-        _FREQ_HASH_CACHE[key] = cached
+        _FREQ_HASH_CACHE[freq] = cached
     return cached
+
+
+def signed(node) -> "SubtreeSummary":
+    """``node.summary`` with its signature tier filled in, on first demand.
+
+    The one signature recursion, shared by :class:`PhysicalOp` and the
+    skeleton planner's ``RNode`` (it reads ``op_type``, ``template_tag``,
+    ``logical``, ``children`` and ``summary``): the strict hash combines the
+    children's strict hashes with the node's own, and the approx signature
+    hashes the logical-operator frequencies *below* the node — the node's
+    own type joins ``freq_incl`` only after its bundle is made.  ``bundle``
+    is stored last, so a reader that sees it sees the whole tier.
+    """
+    summary = node.summary
+    if summary.bundle is not None:
+        return summary
+    op_value = node.op_type.value
+    tiers = [signed(child) for child in node.children]
+    strict = combine_hashes(
+        [below.bundle.strict for below in tiers]
+        + [_own_hash(op_value, node.template_tag)]
+    )
+    freq_below = sum(below.freq_incl for below in tiers)
+    logical = node.logical
+    own = 0 if logical is None else _FREQ_UNIT[logical.op_type.value]
+    summary.freq_incl = freq_below + own
+    summary.bundle = SignatureBundle(
+        strict=strict,
+        approx=_approx_hash(op_value, _freq_hash(freq_below), summary.inputs),
+        input=input_signature_for(op_value, summary.inputs),
+        operator=operator_signature_for(op_value),
+    )
+    return summary
 
 
 def strict_signature(op: PhysicalOp) -> int:
     """Exact operator-subgraph signature (root operator + all descendants)."""
-    child_sigs = [strict_signature(child) for child in op.children]
-    own = _own_hash(op.op_type.value, op.template_tag)
-    return combine_hashes(child_sigs + [own])
+    return signed(op).bundle.strict
 
 
 def approx_signature(op: PhysicalOp) -> int:
@@ -92,20 +143,12 @@ def approx_signature(op: PhysicalOp) -> int:
     operator, the normalized inputs, and the multiset of logical operator
     types beneath the root — the two relaxations of Section 4.2.
     """
-    freq: dict[str, int] = {}
-    for node in op.walk():
-        if node is op:
-            continue
-        if node.logical is not None:
-            key = node.logical.op_type.value
-            freq[key] = freq.get(key, 0) + 1
-    freq_hash = _freq_hash(freq)
-    return _approx_hash(op.op_type.value, freq_hash, frozenset(op.normalized_inputs))
+    return signed(op).bundle.approx
 
 
 def input_signature(op: PhysicalOp) -> int:
     """Operator-input signature: physical operator + normalized inputs."""
-    return input_signature_for(op.op_type.value, frozenset(op.normalized_inputs))
+    return input_signature_for(op.op_type.value, op.normalized_inputs)
 
 
 def input_signature_for(op_type_value: str, normalized_inputs: frozenset[str]) -> int:
@@ -134,16 +177,6 @@ def operator_signature_for(op_type_value: str) -> int:
     return cached
 
 
-def subgraph_logical_count(op: PhysicalOp) -> int:
-    """Number of logical operators in the subgraph (the ``CL`` feature)."""
-    return op.logical_op_count()
-
-
-def subgraph_depth(op: PhysicalOp) -> int:
-    """Depth of the physical operator in its subgraph (the ``D`` feature)."""
-    return op.depth
-
-
 @dataclass(frozen=True, slots=True)
 class SignatureBundle:
     """All four model keys for one operator, computed in one recursion."""
@@ -155,53 +188,15 @@ class SignatureBundle:
 
     @classmethod
     def of(cls, op: PhysicalOp) -> "SignatureBundle":
-        return cls(
-            strict=strict_signature(op),
-            approx=approx_signature(op),
-            input=input_signature(op),
-            operator=operator_signature(op),
-        )
+        """The operator's own bundle: an O(1) read once computed."""
+        return signed(op).bundle
 
 
 def compute_signature_bundles(root: PhysicalOp) -> dict[int, SignatureBundle]:
-    """Compute every operator's four signatures in one bottom-up recursion.
+    """Every operator's bundle, as a map from ``id(op)``.
 
-    Mirrors the paper's instrumentation note that all signatures are computed
-    simultaneously in the same recursion with minimal overhead.  Returns a
-    map from ``id(op)`` to its :class:`SignatureBundle`.
+    A view over the bundles the operators carry: the paper's "all signatures
+    can be computed simultaneously in the same recursion" is :func:`signed`,
+    which each operator runs at most once.
     """
-    bundles: dict[int, SignatureBundle] = {}
-    strict_memo: dict[int, int] = {}
-    freq_memo: dict[int, dict[str, int]] = {}
-
-    def visit(op: PhysicalOp) -> tuple[int, dict[str, int]]:
-        child_sigs: list[int] = []
-        freq: dict[str, int] = {}
-        for child in op.children:
-            sig, child_freq = visit(child)
-            child_sigs.append(sig)
-            for name, count in child_freq.items():
-                freq[name] = freq.get(name, 0) + count
-        own = _own_hash(op.op_type.value, op.template_tag)
-        strict = combine_hashes(child_sigs + [own])
-        strict_memo[id(op)] = strict
-
-        # The approx signature counts logical operators *beneath* the root,
-        # i.e. the subtree frequencies before adding this node's own type.
-        freq_hash = _freq_hash(freq)
-        approx = _approx_hash(
-            op.op_type.value, freq_hash, frozenset(op.normalized_inputs)
-        )
-        bundles[id(op)] = SignatureBundle(
-            strict=strict,
-            approx=approx,
-            input=input_signature(op),
-            operator=operator_signature(op),
-        )
-        if op.logical is not None:
-            freq[op.logical.op_type.value] = freq.get(op.logical.op_type.value, 0) + 1
-        freq_memo[id(op)] = freq
-        return strict, freq
-
-    visit(root)
-    return bundles
+    return {id(op): signed(op).bundle for op in root.walk()}

@@ -23,9 +23,6 @@ Serving-grade mechanics:
 * **Prediction cache** — a bounded, signature-keyed LRU in front of the
   models turns the recurring-job workload's repeated (features, signatures)
   pairs into O(1) hits; hit/miss counters surface via :meth:`stats`.
-* **Bundle cache** — signature bundles of live plan operators are memoized
-  in a bounded LRU owned by the service (replacing the unbounded per-``id``
-  dict the optimizer-facing cost model used to leak across plans).
 * **Lifecycle** — :meth:`train` / :meth:`load` / :meth:`save` /
   :meth:`deploy` wrap the trainer, the JSON model-file format, and the
   versioned :class:`~repro.core.lifecycle.ModelRegistry`.
@@ -64,9 +61,6 @@ from repro.serving.cache import CacheStats, LRUCache
 #: Default prediction-cache capacity: comfortably holds a few optimization
 #: passes of a production-shaped recurring workload.
 DEFAULT_PREDICTION_CACHE = 65_536
-
-#: Default bundle-cache capacity: a few hundred plans' worth of operators.
-DEFAULT_BUNDLE_CACHE = 8_192
 
 #: The answer of last resort when even the repair path produced garbage.
 _BOUNDED_DEFAULT_COST = 1.0
@@ -116,7 +110,6 @@ class ServiceStats:
     batched_predictions: int
     scalar_predictions: int
     cache: CacheStats
-    bundle_cache: CacheStats
     individual_model_calls: int
     combined_model_calls: int
     fallback_predictions: int
@@ -162,7 +155,6 @@ class ServiceStats:
             batched_predictions=sum(p.batched_predictions for p in parts),
             scalar_predictions=sum(p.scalar_predictions for p in parts),
             cache=CacheStats.aggregate(p.cache for p in parts),
-            bundle_cache=CacheStats.aggregate(p.bundle_cache for p in parts),
             individual_model_calls=sum(p.individual_model_calls for p in parts),
             combined_model_calls=sum(p.combined_model_calls for p in parts),
             fallback_predictions=sum(p.fallback_predictions for p in parts),
@@ -207,8 +199,6 @@ class CleoService:
         prediction_cache_size: LRU capacity of the (features, signatures)
             prediction cache; ``0`` disables caching (every request is
             computed, preserving exact model-lookup accounting).
-        bundle_cache_size: LRU capacity of the per-operator signature-bundle
-            cache used by the optimizer-facing path.
         registry: versioned deployment registry; a fresh one when omitted.
         validate_inputs: reject requests carrying non-finite feature values
             with :class:`~repro.common.errors.FeatureValidationError`
@@ -226,7 +216,6 @@ class CleoService:
         predictor: CleoPredictor,
         config: CleoConfig | None = None,
         prediction_cache_size: int = DEFAULT_PREDICTION_CACHE,
-        bundle_cache_size: int = DEFAULT_BUNDLE_CACHE,
         registry: ModelRegistry | None = None,
         validate_inputs: bool = True,
         validate_outputs: bool = True,
@@ -234,7 +223,6 @@ class CleoService:
     ) -> None:
         self.config = config or CleoConfig()
         self._prediction_cache = LRUCache(prediction_cache_size)
-        self._bundle_cache = LRUCache(bundle_cache_size)
         self._predictor = predictor
         self.registry = registry or ModelRegistry()
         self._validate_inputs = bool(validate_inputs)
@@ -771,18 +759,10 @@ class CleoService:
     # Operator / plan entry points (optimizer-facing)
     # ------------------------------------------------------------------ #
 
-    def bundle_for(self, op: PhysicalOp) -> SignatureBundle:
-        """The operator's signature bundle, via the bounded bundle cache.
-
-        Entries carry the operator reference, so a recycled ``id`` from a
-        freed plan can never alias a live operator's signatures.
-        """
-        entry = self._bundle_cache.get(id(op))
-        if entry is not None and entry[0] is op:
-            return entry[1]
-        bundle = SignatureBundle.of(op)
-        self._bundle_cache.put(id(op), (op, bundle))
-        return bundle
+    @staticmethod
+    def bundle_for(op: PhysicalOp) -> SignatureBundle:
+        """The operator's own signature bundle (the service holds no copy)."""
+        return SignatureBundle.of(op)
 
     def predict_operator(
         self,
@@ -949,7 +929,6 @@ class CleoService:
                 batched_predictions=self._batched_predictions,
                 scalar_predictions=self._scalar_predictions,
                 cache=self._prediction_cache.stats(),
-                bundle_cache=self._bundle_cache.stats(),
                 individual_model_calls=self._individual_calls,
                 combined_model_calls=self._combined_calls,
                 fallback_predictions=self._fallbacks,
@@ -971,12 +950,10 @@ class CleoService:
             self._degraded = 0
             self._quarantined = 0
         self._prediction_cache.reset_stats()
-        self._bundle_cache.reset_stats()
 
     def clear_caches(self) -> None:
-        """Drop cached predictions and bundles (counters are kept)."""
+        """Drop cached predictions (counters are kept)."""
         self._prediction_cache.clear()
-        self._bundle_cache.clear()
 
     def describe(self) -> str:
         return (

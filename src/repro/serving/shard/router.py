@@ -4,7 +4,7 @@ One router serves every cluster's models behind a single surface, the way
 the paper's optimizer-facing deployment does (Section 5.1), but scaled out:
 
 * **Sharding** — each shard owns one :class:`~repro.serving.service.
-  CleoService` per cluster: its own prediction/bundle LRUs, its own
+  CleoService` per cluster: its own prediction LRU, its own
   counters, its own :class:`~repro.core.predictor.CleoPredictor` view (own
   lookup accounting).  All shards of a cluster *share* the read-only model
   bank — the :class:`~repro.core.model_store.ModelStore`, the combined
@@ -52,10 +52,8 @@ from repro.features.table import FeatureTable
 from repro.plan.physical import PhysicalOp, PhysOpType
 from repro.plan.signatures import SignatureBundle
 from repro.core.serialization import health_state_from_dict, health_state_to_dict
-from repro.serving.cache import LRUCache
 from repro.serving.faults import FaultInjector, FaultKind
 from repro.serving.service import (
-    DEFAULT_BUNDLE_CACHE,
     DEFAULT_PREDICTION_CACHE,
     CleoService,
     PredictionRequest,
@@ -88,7 +86,6 @@ class ShardedCleoRouter:
         prediction_cache_size: **per-shard** prediction-LRU capacity (each
             shard node brings its own cache memory; total capacity grows
             with the fleet).  ``0`` disables caching on every shard.
-        bundle_cache_size: per-shard (and per-client) bundle-LRU capacity.
         resilience: retry / circuit-breaker / degradation-ladder knobs.
             ``None`` disables the reliability layer entirely (the pre-ladder
             fail-fast router: one shard exception aborts the fan-out).
@@ -113,7 +110,6 @@ class ShardedCleoRouter:
         n_workers: int = 1,
         replicas: int = DEFAULT_REPLICAS,
         prediction_cache_size: int = DEFAULT_PREDICTION_CACHE,
-        bundle_cache_size: int = DEFAULT_BUNDLE_CACHE,
         resilience: ResilienceConfig | None = DEFAULT_RESILIENCE,
         fault_injector: FaultInjector | None = None,
     ) -> None:
@@ -123,7 +119,6 @@ class ShardedCleoRouter:
             raise ValueError("n_workers must be >= 1")
         self.ring = HashRing(n_shards, replicas=replicas)
         self.n_workers = int(n_workers)
-        self._bundle_cache_size = int(bundle_cache_size)
         self._base: dict[str, CleoPredictor] = {}
         for cluster, predictor in predictors.items():
             if isinstance(predictor, CleoService):
@@ -149,7 +144,6 @@ class ShardedCleoRouter:
                         fallback_cost=base.fallback_cost,
                     ),
                     prediction_cache_size=prediction_cache_size,
-                    bundle_cache_size=bundle_cache_size,
                 )
                 for cluster, base in self._base.items()
             }
@@ -688,11 +682,7 @@ class ShardedCleoRouter:
     # ------------------------------------------------------------------ #
 
     def client(self, cluster: str | None = None) -> "ClusterClient":
-        """A CleoService-shaped view of this router bound to one cluster.
-
-        Memoized per cluster so repeated plan pricing reuses one bundle
-        cache.
-        """
+        """A CleoService-shaped view of this router bound to one cluster."""
         cluster = self._default_cluster(cluster)
         client = self._clients.get(cluster)
         if client is None:
@@ -859,15 +849,15 @@ class ClusterClient:
 
     What :class:`~repro.core.cost_model.CleoCostModel` (and the planner
     behind it) needs from a service, re-pointed at the router: scalar and
-    batched prediction, bundle memoization, plan pricing with the exact
-    left-fold total, resource profiles, and explanations.  Bundles are
-    memoized here — routing needs the bundle *before* a shard is known.
+    batched prediction, plan pricing with the exact left-fold total,
+    resource profiles, and explanations.
     """
+
+    bundle_for = staticmethod(SignatureBundle.of)
 
     def __init__(self, router: ShardedCleoRouter, cluster: str) -> None:
         self.router = router
         self.cluster = cluster
-        self._bundle_cache = LRUCache(router._bundle_cache_size)
 
     @property
     def predictor(self) -> CleoPredictor:
@@ -881,14 +871,6 @@ class ClusterClient:
     @property
     def lookup_count(self) -> int:
         return self.router.lookup_count
-
-    def bundle_for(self, op: PhysicalOp) -> SignatureBundle:
-        entry = self._bundle_cache.get(id(op))
-        if entry is not None and entry[0] is op:
-            return entry[1]
-        bundle = SignatureBundle.of(op)
-        self._bundle_cache.put(id(op), (op, bundle))
-        return bundle
 
     def predict(self, features: FeatureInput, signatures: SignatureBundle) -> float:
         return self.router.predict(self.cluster, features, signatures)
@@ -988,7 +970,6 @@ class ClusterClient:
         return CleoCostModel(self.predictor, service=self)
 
     def clear_caches(self) -> None:
-        self._bundle_cache.clear()
         self.router.clear_caches()
 
     def describe(self) -> str:

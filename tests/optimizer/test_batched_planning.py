@@ -181,14 +181,15 @@ class TestStageSweepPricing:
         estimator = CardinalityEstimator()
         model = CleoCostModel(tiny_predictor)
         graph = build_stage_graph(plan)
-        partitions = [1, 2, 7, 33, 250]
-        for stage in graph.stages:
-            batched = model.price_stage_sweep(stage.operators, estimator, partitions)
-            scalar = [
-                _stage_cost_at(stage.operators, model, estimator, p)
-                for p in partitions
-            ]
-            assert batched == scalar  # exact float equality, not approx
+        stages = [stage.operators for stage in graph.stages]
+        # A different candidate list per stage: the grid is ragged.
+        candidates = [[1, 2, 7, 33, 250][: 1 + i % 5] for i in range(len(stages))]
+        batched = model.price_stage_sweep(stages, estimator, candidates)
+        scalar = [
+            [_stage_cost_at(ops, model, estimator, p) for p in probes]
+            for ops, probes in zip(stages, candidates)
+        ]
+        assert batched == scalar  # exact float equality, not approx
 
     def test_price_operators_matches_operator_cost(self, tiny_bundle, tiny_predictor):
         job = next(iter(tiny_bundle.test_log()))

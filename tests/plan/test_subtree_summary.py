@@ -1,0 +1,389 @@
+"""Subtree summaries against a walk-based oracle (repro.plan.summary).
+
+Every plan node carries one lazily computed, P-independent summary of the
+subtree it roots, built from its children's summaries.  The oracle below is
+the code the summary replaced — the ``PhysicalOp.base_card`` / ``depth`` /
+``logical_op_count`` / ``normalized_inputs`` and ``strict_signature`` /
+``approx_signature`` bodies, verbatim, each re-walking the subtree — and the
+summary must agree with it bit for bit on generated plans: enforcer chains,
+multi-way unions, multi-child enforcers and DAG-shaped inputs included.
+"""
+
+from __future__ import annotations
+
+import pickle
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cardinality.estimator import CardinalityEstimator
+from repro.common.hashing import combine_hashes, combine_hashes_unordered, stable_hash
+from repro.core.cost_model import CleoCostModel
+from repro.cost.default_model import DefaultCostModel
+from repro.features.extract import feature_input_for
+from repro.optimizer.partition import SamplingStrategy, optimize_partitions
+from repro.optimizer.planner import PlannerConfig, QueryPlanner
+from repro.optimizer.skeleton import SkeletonPlanner, _walk_replay, materialize
+from repro.plan.logical import LogicalOp, LogicalOpType
+from repro.plan.physical import ExchangeMode, PhysicalOp, PhysOpType
+from repro.plan.properties import Partitioning
+from repro.plan.signatures import (
+    SignatureBundle,
+    _approx_hash,
+    _own_hash,
+    approx_signature,
+    compute_signature_bundles,
+    input_signature_for,
+    logical_frequencies,
+    operator_signature_for,
+    signed,
+    strict_signature,
+)
+from repro.plan.summary import summarize
+from repro.workload.templates import instantiate
+
+# --------------------------------------------------------------------- #
+# The walk-based oracle (the replaced bodies, verbatim)
+# --------------------------------------------------------------------- #
+
+
+def oracle_base_card(op: PhysicalOp) -> float:
+    return float(sum(leaf.true_card for leaf in op.walk() if not leaf.children))
+
+
+def oracle_depth(op: PhysicalOp) -> int:
+    if not op.children:
+        return 1
+    return 1 + max(oracle_depth(child) for child in op.children)
+
+
+def oracle_logical_op_count(op: PhysicalOp) -> int:
+    return sum(1 for node in op.walk() if node.logical is not None)
+
+
+def oracle_normalized_inputs(op: PhysicalOp) -> frozenset[str]:
+    if op.logical is not None:
+        return op.logical.normalized_inputs
+    result: set[str] = set()
+    for child in op.children:
+        result |= oracle_normalized_inputs(child)
+    return frozenset(result)
+
+
+def oracle_strict_signature(op: PhysicalOp) -> int:
+    child_sigs = [oracle_strict_signature(child) for child in op.children]
+    own = _own_hash(op.op_type.value, op.template_tag)
+    return combine_hashes(child_sigs + [own])
+
+
+def oracle_freq_below(op: PhysicalOp) -> dict[str, int]:
+    freq: dict[str, int] = {}
+    for node in op.walk():
+        if node is op:
+            continue
+        if node.logical is not None:
+            key = node.logical.op_type.value
+            freq[key] = freq.get(key, 0) + 1
+    return freq
+
+
+def oracle_freq_hash(freq: dict[str, int]) -> int:
+    return combine_hashes_unordered(
+        stable_hash("freq", name, count) for name, count in freq.items()
+    )
+
+
+def oracle_approx_signature(op: PhysicalOp) -> int:
+    freq_hash = oracle_freq_hash(oracle_freq_below(op))
+    return _approx_hash(
+        op.op_type.value, freq_hash, frozenset(oracle_normalized_inputs(op))
+    )
+
+
+def oracle_bundle(op: PhysicalOp) -> SignatureBundle:
+    inputs = frozenset(oracle_normalized_inputs(op))
+    return SignatureBundle(
+        strict=oracle_strict_signature(op),
+        approx=oracle_approx_signature(op),
+        input=input_signature_for(op.op_type.value, inputs),
+        operator=operator_signature_for(op.op_type.value),
+    )
+
+
+def assert_matches_oracle(op: PhysicalOp) -> None:
+    """Every summary field, every property over it, and the bundle."""
+    summary = op.summary
+    leaves = tuple(leaf.true_card for leaf in op.walk() if not leaf.children)
+    assert summary.leaf_cards == leaves
+    base = oracle_base_card(op)
+    assert summary.base_card == base and type(summary.base_card) is float
+    assert op.base_card == base
+    assert summary.inputs == op.normalized_inputs == oracle_normalized_inputs(op)
+    assert summary.n_logical == op.logical_op_count() == oracle_logical_op_count(op)
+    assert summary.depth == op.depth == oracle_depth(op)
+    bundle = oracle_bundle(op)
+    assert SignatureBundle.of(op) == bundle
+    assert strict_signature(op) == bundle.strict
+    assert approx_signature(op) == bundle.approx
+    own = [op.logical.op_type.value] if op.logical is not None else []
+    expected = oracle_freq_below(op)
+    for name in own:
+        expected[name] = expected.get(name, 0) + 1
+    assert logical_frequencies(signed(op).freq_incl) == expected
+
+
+# --------------------------------------------------------------------- #
+# Generated physical plans
+# --------------------------------------------------------------------- #
+
+_ANY = Partitioning.any()
+#: Awkward magnitudes on purpose: summing the children's ``base_card``s
+#: instead of left-folding the leaves would re-associate these floats.
+_CARDS = st.one_of(
+    st.integers(min_value=0, max_value=10**9),
+    st.floats(min_value=0.0, max_value=1e15, allow_nan=False),
+    st.sampled_from([0.1, 0.2, 0.3, 1e16, 1.0, 3.0]),
+)
+_TABLES = st.sampled_from(["events_#", "users_#", "clicks_#", "orders_#"])
+_UNARY = [
+    (LogicalOpType.FILTER, PhysOpType.FILTER),
+    (LogicalOpType.PROJECT, PhysOpType.COMPUTE),
+    (LogicalOpType.AGGREGATE, PhysOpType.HASH_AGGREGATE),
+    (LogicalOpType.SORT, PhysOpType.SORT),
+]
+
+
+def _logical(op_type, children, tag, card, inputs) -> LogicalOp:
+    return LogicalOp(
+        op_type=op_type,
+        children=children,
+        template_tag=tag,
+        true_card=card,
+        row_bytes=8.0,
+        normalized_inputs=inputs,
+    )
+
+
+def _physical(op_type, children, logical, **extra) -> PhysicalOp:
+    return PhysicalOp(
+        op_type=op_type,
+        children=children,
+        logical=logical,
+        partition_count=4,
+        partitioning=_ANY,
+        **extra,
+    )
+
+
+@st.composite
+def physical_plans(draw, max_depth: int = 5) -> PhysicalOp:
+    """A random physical plan, built bottom-up next to its logical plan.
+
+    Shapes the planner never emits are included on purpose — multi-child
+    enforcers, a subtree shared by several parents — because the summary is
+    defined on any :class:`PhysicalOp` graph, not only on planner output.
+    """
+    built: list[tuple[PhysicalOp, LogicalOp]] = []
+    counter = iter(range(10_000))
+
+    def build(depth: int) -> tuple[PhysicalOp, LogicalOp]:
+        if built and draw(st.integers(0, 5)) == 0:
+            return draw(st.sampled_from(built))  # DAG: share a built subtree
+        kind = draw(
+            st.sampled_from(
+                ["leaf"]
+                if depth >= max_depth
+                else ["leaf", "unary", "enforcers", "join", "union", "gather"]
+            )
+        )
+        tag = f"g:{next(counter)}"
+        if kind == "leaf":
+            logical = _logical(
+                LogicalOpType.GET, (), tag, draw(_CARDS), frozenset({draw(_TABLES)})
+            )
+            node = _physical(PhysOpType.EXTRACT, (), logical)
+        elif kind == "unary":
+            child, below = build(depth + 1)
+            logical_type, physical_type = draw(st.sampled_from(_UNARY))
+            logical = _logical(
+                logical_type, (below,), tag, draw(_CARDS), below.normalized_inputs
+            )
+            node = _physical(physical_type, (child,), logical)
+        elif kind == "enforcers":
+            node, logical = build(depth + 1)
+            for _ in range(draw(st.integers(1, 3))):  # an enforcer chain
+                if draw(st.booleans()):
+                    node = _physical(
+                        PhysOpType.EXCHANGE, (node,), None, exchange_mode=ExchangeMode.HASH
+                    )
+                else:
+                    node = _physical(PhysOpType.SORT, (node,), None, sort_keys=("k",))
+        elif kind == "gather":
+            # An enforcer over several children: unions their inputs.
+            parts = [build(depth + 1) for _ in range(draw(st.integers(2, 3)))]
+            node = _physical(
+                PhysOpType.EXCHANGE,
+                tuple(part for part, _ in parts),
+                None,
+                exchange_mode=ExchangeMode.GATHER,
+            )
+            logical = parts[0][1]
+        else:
+            arity = 2 if kind == "join" else draw(st.integers(2, 4))
+            parts = [build(depth + 1) for _ in range(arity)]
+            inputs = frozenset().union(*(below.normalized_inputs for _, below in parts))
+            logical = _logical(
+                LogicalOpType.JOIN if kind == "join" else LogicalOpType.UNION,
+                tuple(below for _, below in parts),
+                tag,
+                draw(_CARDS),
+                inputs,
+            )
+            node = _physical(
+                PhysOpType.HASH_JOIN if kind == "join" else PhysOpType.UNION_ALL,
+                tuple(part for part, _ in parts),
+                logical,
+            )
+        built.append((node, logical))
+        return node, logical
+
+    return build(0)[0]
+
+
+class TestAgainstWalkOracle:
+    @given(plan=physical_plans())
+    @settings(max_examples=120, deadline=None)
+    def test_every_node_matches_the_oracle(self, plan):
+        for op in plan.walk():
+            assert_matches_oracle(op)
+        bundles = compute_signature_bundles(plan)
+        assert bundles == {id(op): oracle_bundle(op) for op in plan.walk()}
+
+    @given(plan=physical_plans(), count=st.integers(1, 3000))
+    @settings(max_examples=60, deadline=None)
+    def test_with_partition_count_copy_matches(self, plan, count):
+        """The summary never looks at a partition count."""
+        for op in plan.walk():
+            copy = op.with_partition_count(count)
+            assert_matches_oracle(copy)
+            assert SignatureBundle.of(copy) == SignatureBundle.of(op)
+
+    @given(plan=physical_plans())
+    @settings(max_examples=60, deadline=None)
+    def test_cache_slot_is_not_part_of_the_value(self, plan):
+        fresh = replace(plan)  # same fields, nothing computed yet
+        assert fresh._summary is None
+        plan.summary  # noqa: B018 - fill the cache on one side only
+        signed(plan)
+        assert plan._summary is not None
+        assert plan == fresh and hash(plan) == hash(fresh)
+        assert repr(plan) == repr(fresh) and "_summary" not in repr(plan)
+        assert replace(plan, partition_count=9)._summary is None
+        with pytest.raises(TypeError):
+            PhysicalOp(**{**_fields(plan), "_summary": plan.summary})
+        for subject in (plan, fresh):
+            clone = pickle.loads(pickle.dumps(subject))
+            assert clone == plan and hash(clone) == hash(plan)
+            assert_matches_oracle(clone)
+
+
+def _fields(op: PhysicalOp) -> dict:
+    return {
+        "op_type": op.op_type,
+        "children": op.children,
+        "logical": op.logical,
+        "partition_count": op.partition_count,
+        "partitioning": op.partitioning,
+    }
+
+
+# --------------------------------------------------------------------- #
+# Planner output: rebuilt copies, RNode trees, the walk-count guard
+# --------------------------------------------------------------------- #
+
+
+def _jobs(bundle, limit=None):
+    day = bundle.log.days[-1]
+    catalog = bundle.generator.catalog_for_day(day)
+    return [
+        (spec, instantiate(spec, catalog))
+        for spec in bundle.generator.jobs_for_day(day)[:limit]
+    ]
+
+
+class TestPlannerOutput:
+    def test_planned_and_partition_rebuilt_plans_match(self, tiny_bundle):
+        planner = QueryPlanner(DefaultCostModel(), CardinalityEstimator())
+        for spec, logical in _jobs(tiny_bundle, limit=12):
+            planner.jitter_salt = spec.job_id
+            plan = planner.plan(logical).plan
+            rebuilt = optimize_partitions(
+                plan,
+                DefaultCostModel(),
+                CardinalityEstimator(),
+                SamplingStrategy(scheme="geometric"),
+                max_partitions=500,
+                guard=False,
+            )
+            assert any(
+                a.partition_count != b.partition_count
+                for a, b in zip(plan.walk(), rebuilt.walk())
+            )
+            for before, after in zip(plan.walk(), rebuilt.walk()):
+                assert_matches_oracle(before)
+                assert_matches_oracle(after)
+                assert SignatureBundle.of(after) == SignatureBundle.of(before)
+
+    def test_rnode_tree_equals_materialized_plan(self, tiny_bundle, tiny_predictor):
+        """One routine, two node types: the replay's ``RNode``s carry exactly
+        what the materialized ``PhysicalOp``s compute for themselves."""
+        estimator = CardinalityEstimator()
+        planner = SkeletonPlanner(CleoCostModel(tiny_predictor), estimator)
+        for spec, logical in _jobs(tiny_bundle):
+            win = planner.plan_job(
+                spec.template.template_id, spec.day, logical, spec.job_id
+            )
+            plan = materialize(win)
+            estimator.reset()
+            pairs = list(zip(_walk_replay(win), plan.walk(), strict=True))
+            for node, op in pairs:
+                ours, theirs = signed(node), signed(op)
+                for name in type(ours).__slots__:
+                    assert getattr(ours, name) == getattr(theirs, name), name
+                assert_matches_oracle(op)
+                # The summary is all the replay adds to featurize a node.
+                assert summarize(node).base_card == feature_input_for(
+                    op, estimator
+                ).base_card
+
+    def test_plan_enters_walk_linearly(self, tiny_bundle, tiny_predictor, monkeypatch):
+        """One resource-aware ``plan()`` enters ``PhysicalOp.walk`` O(plan
+        size) times: the stage sweep no longer re-walks every operator's
+        subtree per candidate (that was ~22 000 generator frames a job,
+        O(candidates x size^2))."""
+        frames = 0
+        walk = PhysicalOp.walk
+
+        def counting_walk(self):
+            nonlocal frames
+            frames += 1
+            return walk(self)
+
+        planner = QueryPlanner(
+            CleoCostModel(tiny_predictor),
+            CardinalityEstimator(),
+            PlannerConfig(partition_strategy=SamplingStrategy("geometric")),
+        )
+        monkeypatch.setattr(PhysicalOp, "walk", counting_walk)
+        for spec, logical in _jobs(tiny_bundle):
+            planner.jitter_salt = spec.job_id
+            frames = 0
+            planned = planner.plan(logical)
+            budget = frames
+            frames = 0
+            size = sum(1 for _ in planned.plan.walk())
+            assert size == frames  # the monkeypatch counts one frame per node
+            # plan_cost walks the final plan once; nothing else may walk.
+            assert budget <= 2 * size, (spec.job_id, budget, size)

@@ -247,10 +247,26 @@ class TestCostModelFacade:
         assert model.service is service
         assert as_cost_model(model) is model
 
-    def test_bundle_cache_is_bounded(self, tiny_predictor, tiny_bundle):
-        service = CleoService(tiny_predictor, bundle_cache_size=8)
-        job = next(iter(tiny_bundle.test_log()))
-        plan = tiny_bundle.runner.plans[job.job_id]
-        for op in plan.walk():
-            service.bundle_for(op)
-        assert service.stats().bundle_cache.size <= 8
+    def test_pricing_leaves_no_reference_to_the_plan(
+        self, tiny_predictor, join_plan, estimator
+    ):
+        """Bundles live on the operators; the service keeps no ``(op,
+        bundle)`` pairs (the old LRU pinned up to 8192 live operators)."""
+        import gc
+        import sys
+
+        from repro.cost.default_model import DefaultCostModel
+        from repro.optimizer.planner import QueryPlanner
+
+        service = CleoService(tiny_predictor)
+        plan = QueryPlanner(DefaultCostModel(), estimator).plan(join_plan).plan
+        ops = list(plan.walk())
+        gc.collect()  # the planner that built the plan is gone
+        # PhysicalOp is slotted without ``__weakref__``, so count references.
+        before = [sys.getrefcount(op) for op in ops]
+        model = service.cost_model()
+        model.plan_cost(plan, estimator)
+        model.price_operators(ops, estimator)
+        assert service.bundle_for(plan) is service.bundle_for(plan)
+        assert service.stats().predictions == 2 * len(ops)
+        assert [sys.getrefcount(op) for op in ops] == before

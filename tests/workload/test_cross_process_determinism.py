@@ -90,7 +90,8 @@ def test_batched_and_reference_agree_across_hash_seeds():
 #: batched frontier-pricing path or the retained scalar planner
 #: (``{batched}``), and fingerprints everything a plan-choice divergence
 #: would perturb: shapes, partition counts, estimated costs, candidate
-#: counts.
+#: counts, and every operator's subtree summary and signature bundle of the
+#: partition-rebuilt plan.
 _PLAN_SCRIPT = """
 import hashlib
 from repro.cardinality.estimator import CardinalityEstimator
@@ -99,6 +100,7 @@ from repro.core.trainer import CleoTrainer
 from repro.experiments.shared import cluster_spec, workload_config
 from repro.optimizer.partition import SamplingStrategy
 from repro.optimizer.planner import PlannerConfig, QueryPlanner
+from repro.plan.signatures import SignatureBundle
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.runner import WorkloadRunner
 from repro.workload.templates import instantiate
@@ -123,6 +125,17 @@ for job in generator.jobs_for_day(3):
             [(op.op_type.value, op.partition_count) for op in planned.plan.walk()],
             planned.estimated_cost,
             planned.candidates_considered,
+            [
+                (
+                    op.summary.leaf_cards,
+                    op.summary.base_card,
+                    sorted(op.summary.inputs),
+                    op.summary.n_logical,
+                    op.summary.depth,
+                    SignatureBundle.of(op),
+                )
+                for op in planned.plan.walk()
+            ],
         )
     )
 print(hashlib.sha256(repr(payload).encode()).hexdigest())
