@@ -1,6 +1,6 @@
 """lock-discipline: model compute under a lock, shared state outside one.
 
-PR 6's concurrency rule for the serving tier has two halves:
+PR 6's concurrency rule for the serving tier has three halves:
 
 * **no compute under a lock** — the per-shard services serialize only
   counter bumps; holding a lock across a model-compute entry point
@@ -9,7 +9,14 @@ PR 6's concurrency rule for the serving tier has two halves:
 * **no unlocked mutation of guarded state** — an attribute that is mutated
   under a lock somewhere in a class is shared by definition, so a second,
   unlocked mutation site in the same class (outside ``__init__``) is a lost
-  update waiting for a concurrency test to get lucky.
+  update waiting for a concurrency test to get lucky;
+* **no foreign lock, no foreign guarded state** — the second half only sees
+  ``self.<attr>`` inside one class, so code that reaches into *another*
+  object (``with cache._lock:``, ``cache._entries[key] = value``) escapes
+  it entirely.  Taking a ``_``-prefixed lock, or mutating a ``_``-prefixed
+  attribute, through a receiver that is neither ``self``/``cls`` nor a
+  module global is a finding: the owner's invariants can only be checked
+  where they are kept, so give the owner a method instead.
 
 The rule is heuristic by design: a "lock" is any context-manager expression
 whose terminal name contains ``lock`` (``self._stats_lock``,
@@ -83,6 +90,50 @@ def _self_attr(node: ast.AST) -> str | None:
     return None
 
 
+def _module_globals(tree: ast.Module) -> set[str]:
+    """Names bound at module level (imports, assignments, defs)."""
+    names: set[str] = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in stmt.names)
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _foreign_private(node: ast.AST, own: set[str]) -> ast.Attribute | None:
+    """The ``<receiver>._attr`` link of an expression whose receiver is not
+    ``self``/``cls`` or a module global; ``None`` when there is none."""
+    while isinstance(node, (ast.Attribute, ast.Subscript, ast.Call)):
+        if isinstance(node, ast.Attribute):
+            private = node.attr.startswith("_") and not node.attr.startswith("__")
+            receiver = node.value
+            if private and not (isinstance(receiver, ast.Name) and receiver.id in own):
+                return node
+            node = receiver
+        else:
+            node = node.func if isinstance(node, ast.Call) else node.value
+    return None
+
+
+def _mutation_targets(node: ast.AST) -> list[ast.AST]:
+    """The expressions a statement or call mutates in place (else empty)."""
+    if isinstance(node, ast.Assign):
+        return list(node.targets)
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        return [node.target]
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _MUTATING_METHODS
+    ):
+        return [node.func.value]
+    return []
+
+
 class _Mutation:
     __slots__ = ("attr", "method", "node", "locked")
 
@@ -106,12 +157,44 @@ class LockDisciplineRule(Rule):
 
     def check_module(self, ctx: ModuleContext) -> Iterable[Finding]:
         findings: list[Finding] = []
+        own = _module_globals(ctx.tree) | {"self", "cls"}
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ClassDef):
                 findings.extend(self._check_class(ctx, node))
             elif isinstance(node, (ast.With, ast.AsyncWith)):
                 findings.extend(self._check_with(ctx, node))
+            findings.extend(self._check_foreign(ctx, node, own))
         return findings
+
+    # ------------------------------------------------------------------ #
+    # (c) another object's lock or guarded state
+    # ------------------------------------------------------------------ #
+
+    def _check_foreign(
+        self, ctx: ModuleContext, node: ast.AST, own: set[str]
+    ) -> Iterable[Finding]:
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                lock = item.context_expr
+                if _is_lock_expr(lock) and _foreign_private(lock, own) is not None:
+                    yield ctx.finding(
+                        lock,
+                        self.name,
+                        f"foreign lock: {ast.unparse(lock)} belongs to another "
+                        "object; call a method of its owner instead of taking "
+                        "its lock from outside",
+                    )
+            return
+        for target in _mutation_targets(node):
+            link = _foreign_private(target, own)
+            if link is not None:
+                yield ctx.finding(
+                    target,
+                    self.name,
+                    f"foreign guarded state: {ast.unparse(link)} is private to "
+                    "another object and is mutated from outside it; no lock "
+                    "held here can be checked against its owner's",
+                )
 
     # ------------------------------------------------------------------ #
     # (a) compute under a lock
@@ -184,25 +267,10 @@ class LockDisciplineRule(Rule):
                 return
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not method:
                 return  # nested defs get their own pass
-            attr: str | None
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    attr = _self_attr(target)
-                    if attr is not None:
-                        out.append(_Mutation(attr, method.name, target, locked))
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                attr = _self_attr(node.target)
+            for target in _mutation_targets(node):
+                attr = _self_attr(target)
                 if attr is not None:
-                    out.append(_Mutation(attr, method.name, node.target, locked))
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in _MUTATING_METHODS
-                ):
-                    attr = _self_attr(func.value)
-                    if attr is not None:
-                        out.append(_Mutation(attr, method.name, node, locked))
+                    out.append(_Mutation(attr, method.name, target, locked))
             for child in ast.iter_child_nodes(node):
                 walk(child, locked)
 

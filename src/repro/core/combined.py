@@ -17,13 +17,12 @@ two can never drift.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.core.config import CleoConfig, ModelKind
 from repro.core.model_store import SIGNATURE_FIELDS, ModelStore
-from repro.features.featurizer import FeatureInput, feature_names
+from repro.core.packed import PackedKindModels
+from repro.features.featurizer import FeatureInput, expand_columns, feature_names
 from repro.features.table import FeatureTable
 from repro.ml.base import Regressor
 from repro.ml.gbm import FastTreeRegressor
@@ -63,7 +62,6 @@ def predict_covered(
     table: FeatureTable,
     kind: ModelKind,
     full_matrix: np.ndarray | None = None,
-    on_model_call: Callable[[], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One kind's vectorized predictions over a table's covered rows.
 
@@ -80,35 +78,37 @@ def predict_covered(
     it that way.
 
     ``full_matrix`` may pass a precomputed ``table.feature_matrix(
-    include_context=True)`` to avoid a second expansion; ``on_model_call``
-    is invoked once per answering ``(kind, signature)`` model (the serving
-    layer's vectorized-call accounting, preserved by the packed path).
+    include_context=True)`` to avoid a second expansion.
     """
-    packed = store.packed_bank().kinds[kind]
-    if packed is None:
-        return predict_covered_reference(store, table, kind, full_matrix, on_model_call)
     if full_matrix is None:
         full_matrix = table.feature_matrix(include_context=True)
-    column = table.signature_column(SIGNATURE_FIELDS[kind])
-    mask, position = packed.match(column)
-    if mask.all() and len(table):
+    packed = store.packed_bank().kinds[kind]
+    if packed is None:
+        return _covered_reference(store, table, kind, full_matrix)[:2]
+    return _covered_packed(packed, table, full_matrix)[:2]
+
+
+def _covered_packed(
+    packed: PackedKindModels, table: FeatureTable, full_matrix: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``(mask, predictions, answering parameter rows)`` of one packed kind;
+    the third is ``None`` when the kind covers no row."""
+    n = len(table)
+    mask, position = packed.match(table.signature_column(SIGNATURE_FIELDS[packed.kind]))
+    covered = np.count_nonzero(mask)
+    if covered == n and n:
         # Fully covered (the operator kind, usually): price in place with no
         # row gather or scatter at all.
-        values = packed.predict_rows(full_matrix[:, : packed.width], position)
-        model_idx = position
-    elif mask.any():
-        indices = np.flatnonzero(mask)
-        model_idx = position[indices]
-        values = np.zeros(len(table), dtype=float)
-        values[indices] = packed.predict_rows(
-            full_matrix[indices, : packed.width], model_idx
-        )
-    else:
-        return mask, np.zeros(len(table), dtype=float)
-    if on_model_call is not None:
-        for _ in range(packed.group_count(model_idx)):
-            on_model_call()
-    return mask, values
+        return mask, packed.predict_rows(full_matrix[:, : packed.width], position), position
+    values = np.zeros(n, dtype=float)
+    if not covered:
+        return mask, values, None
+    indices = np.flatnonzero(mask)
+    model_idx = position[indices]
+    values[indices] = packed.predict_rows(
+        full_matrix[indices, : packed.width], model_idx
+    )
+    return mask, values, model_idx
 
 
 def predict_covered_reference(
@@ -116,7 +116,6 @@ def predict_covered_reference(
     table: FeatureTable,
     kind: ModelKind,
     full_matrix: np.ndarray | None = None,
-    on_model_call: Callable[[], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The retained object-graph path: one ``predict_matrix`` per group.
 
@@ -127,97 +126,108 @@ def predict_covered_reference(
     """
     if full_matrix is None:
         full_matrix = table.feature_matrix(include_context=True)
+    return _covered_reference(store, table, kind, full_matrix)[:2]
+
+
+def _covered_reference(
+    store: ModelStore, table: FeatureTable, kind: ModelKind, full_matrix: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(mask, predictions, model calls made)`` of one kind, group by group."""
     width = len(feature_names(kind.uses_context_features))
     mask = np.zeros(len(table), dtype=bool)
     values = np.zeros(len(table), dtype=float)
+    calls = 0
     uniques, order, starts, counts = table.group_by_signature(SIGNATURE_FIELDS[kind])
     for signature, start, count in zip(uniques, starts, counts):
         model = store.get(kind, int(signature))
         if model is None:
             continue
         indices = order[start : start + count]
-        if on_model_call is not None:
-            on_model_call()
+        calls += 1
         values[indices] = model.predict_matrix(full_matrix[indices, :width])
         mask[indices] = True
-    return mask, values
+    return mask, values, calls
 
 
 def build_meta_matrix(
-    store: ModelStore,
-    table: FeatureTable,
-    full_matrix: np.ndarray | None = None,
-    on_model_call: Callable[[], None] | None = None,
+    store: ModelStore, table: FeatureTable, full_matrix: np.ndarray | None = None
 ) -> np.ndarray:
     """Meta-feature rows for every table row, built with grouped model calls.
 
     ``full_matrix`` may pass a precomputed ``table.feature_matrix(
     include_context=True)`` so callers that already expanded the table
-    (the trainer) avoid a second pass.  ``on_model_call`` is invoked once
-    per vectorized individual-model call — the serving layer counts these.
+    (the trainer) avoid a second pass.
 
     Missing individual predictions are imputed with the most general
     available prediction; the coverage flags let the trees learn where each
     model's prediction is real versus imputed.
     """
-    return _meta_matrix_via(predict_covered, store, table, full_matrix, on_model_call)
+    return meta_matrix_and_calls(store, table, full_matrix)[0]
 
 
 def build_meta_matrix_reference(
+    store: ModelStore, table: FeatureTable, full_matrix: np.ndarray | None = None
+) -> np.ndarray:
+    """:func:`build_meta_matrix` through the retained object-graph path
+    (one model call per covering group) — the benchmark/parity baseline."""
+    return meta_matrix_and_calls(store, table, full_matrix, reference=True)[0]
+
+
+def meta_matrix_and_calls(
     store: ModelStore,
     table: FeatureTable,
     full_matrix: np.ndarray | None = None,
-    on_model_call: Callable[[], None] | None = None,
-) -> np.ndarray:
-    """:func:`build_meta_matrix` through the retained object-graph path
-    (one model call per covering group) — the benchmark/parity baseline.
+    reference: bool = False,
+) -> tuple[np.ndarray, int]:
+    """The meta rows plus how many individual models answered.
 
-    Faithful to the pre-packed pipeline including its per-batch feature
-    expansion: when no ``full_matrix`` is supplied the derived matrix is
-    recomputed here rather than read from the table's memo.
-    """
-    if full_matrix is None:
-        from repro.features.featurizer import expand_columns
-
-        full_matrix = expand_columns(table, include_context=True)
-    return _meta_matrix_via(
-        predict_covered_reference, store, table, full_matrix, on_model_call
-    )
-
-
-def _meta_matrix_via(
-    covered_fn: Callable[..., tuple[np.ndarray, np.ndarray]],
-    store: ModelStore,
-    table: FeatureTable,
-    full_matrix: np.ndarray | None,
-    on_model_call: Callable[[], None] | None,
-) -> np.ndarray:
-    """Shared meta-row assembly over either covered-prediction primitive.
+    The count is the serving layer's vectorized-call accounting: one per
+    distinct covering ``(kind, signature)`` model, made once per batch from
+    the packed parameter rows that priced it (not one scratch array and one
+    callback loop per kind).  ``reference`` takes the retained object-graph
+    path for every kind and is faithful to the pre-packed pipeline including
+    its per-batch feature expansion: without a ``full_matrix`` the derived
+    matrix is recomputed rather than read from the table's memo.
 
     Columns are written straight into one preallocated ``(n, 15)`` output —
     the copies move exact values, so assembly order cannot affect bits.
     """
     n = len(table)
     if full_matrix is None:
-        full_matrix = table.feature_matrix(include_context=True)
+        full_matrix = (
+            expand_columns(table, include_context=True)
+            if reference
+            else table.feature_matrix(include_context=True)
+        )
+    bank = None if reference else store.packed_bank()
     kinds = len(_KIND_ORDER)
     out = np.empty((n, len(META_FEATURE_NAMES)), dtype=float)
-    predictions = out[:, :kinds]
     flags = out[:, kinds : 2 * kinds]
 
-    for k, kind in enumerate(_KIND_ORDER):
-        mask, values = covered_fn(store, table, kind, full_matrix, on_model_call)
-        predictions[:, k] = values
-        flags[:, k] = mask
-
-    # Impute missing predictions with the most general available one —
-    # the last covered kind in specificity order, 0.0 when none covers.
+    calls = 0
+    answered: np.ndarray | None = None  # (kind, packed parameter row) -> answered
+    covered: list[tuple[np.ndarray, np.ndarray]] = []
+    # The most general available prediction — the last covered kind in
+    # specificity order, 0.0 when none covers — imputes the missing ones.
     impute = np.zeros(n, dtype=float)
-    for k in range(kinds):
-        impute = np.where(flags[:, k] == 1.0, predictions[:, k], impute)
-    uncovered = flags != 1.0
-    if uncovered.any():
-        np.copyto(predictions, impute[:, None], where=uncovered)
+    for k, kind in enumerate(_KIND_ORDER):
+        packed = bank.kinds[kind] if bank is not None else None
+        if packed is None:
+            mask, values, kind_calls = _covered_reference(store, table, kind, full_matrix)
+            calls += kind_calls
+        else:
+            mask, values, model_idx = _covered_packed(packed, table, full_matrix)
+            if model_idx is not None:
+                if answered is None:
+                    answered = bank.answered_ledger()
+                answered[k, model_idx] = True
+        flags[:, k] = mask
+        impute = np.where(mask, values, impute)
+        covered.append((mask, values))
+    if answered is not None:
+        calls += int(np.count_nonzero(answered))
+    for k, (mask, values) in enumerate(covered):
+        out[:, k] = np.where(mask, values, impute)
 
     extras = out[:, 2 * kinds :]
     extras[:, 0] = table.input_card
@@ -227,7 +237,7 @@ def _meta_matrix_via(
     np.divide(table.base_card, table.partition_count, out=extras[:, 4])
     np.divide(table.output_card, table.partition_count, out=extras[:, 5])
     extras[:, 6] = table.partition_count
-    return out
+    return out, calls
 
 
 def build_meta_row(

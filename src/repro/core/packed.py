@@ -63,7 +63,7 @@ def match_sorted(
     if signatures.size == 0:
         zeros = np.zeros(len(column), dtype=np.int64)
         return np.zeros(len(column), dtype=bool), zeros
-    position = np.searchsorted(signatures, column)
+    position = signatures.searchsorted(column)
     position = np.minimum(position, signatures.size - 1)
     return signatures[position] == column, position
 
@@ -121,12 +121,6 @@ class PackedKindModels:
         raw = (buf.sum(axis=1) + self.intercept[model_idx]) * self.y_scale[model_idx]
         return np.minimum(np.maximum(raw, 0.0), _MAX_PREDICT_SECONDS)
 
-    def group_count(self, model_idx: np.ndarray) -> int:
-        """Distinct models among ``model_idx`` (vectorized-call accounting)."""
-        hit = np.zeros(len(self), dtype=bool)
-        hit[model_idx] = True
-        return int(hit.sum())
-
     def resource_rows(
         self, at_one_rows: np.ndarray, model_idx: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -165,6 +159,18 @@ class PackedModelBank:
 
     coverage: dict[ModelKind, np.ndarray]
     kinds: dict[ModelKind, "PackedKindModels | None"]
+    #: The largest packed kind's model count (the ledger's row width).
+    max_models: int
+
+    def answered_ledger(self) -> np.ndarray:
+        """An all-False ``(kind, parameter row)`` scratch for call accounting.
+
+        A pricing pass marks ``ledger[k, model_idx] = True`` for the rows of
+        each packed kind that answered and reads the number of distinct
+        models once, with ``np.count_nonzero`` — the serving layer's
+        vectorized-call count for the whole batch.
+        """
+        return np.zeros((len(self.kinds), self.max_models), dtype=bool)
 
     @classmethod
     def compile(cls, store: ModelStore) -> "PackedModelBank":
@@ -225,7 +231,8 @@ class PackedModelBank:
                     if name not in INVERSE_P_FEATURES and name != "P"
                 ),
             )
-        return cls(coverage=coverage, kinds=kinds)
+        max_models = max((len(p) for p in kinds.values() if p is not None), default=0)
+        return cls(coverage=coverage, kinds=kinds, max_models=max_models)
 
     def covered(self, kind: ModelKind, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coverage ``(mask, position)`` for a signature column of ``kind``.
@@ -241,6 +248,7 @@ def predict_most_specific(
     table: "FeatureTable",
     fallback_cost: float,
     full_matrix: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, int]:
     """Fallback-chain predictions for every table row, via the packed bank.
 
@@ -253,7 +261,8 @@ def predict_most_specific(
     Returns ``(values, n_model_groups, n_fallbacks)`` where
     ``n_model_groups`` counts the distinct ``(kind, signature)`` models that
     answered (the serving layer's ``individual_model_calls`` accounting) and
-    ``n_fallbacks`` the rows served the global fallback.
+    ``n_fallbacks`` the rows served the global fallback — each weighing
+    ``weights[i]`` when given (how many requests a deduplicated row answers).
     """
     bank = store.packed_bank()
     n = len(table)
@@ -262,7 +271,8 @@ def predict_most_specific(
     values = np.full(n, float(fallback_cost), dtype=float)
     remaining = np.ones(n, dtype=bool)
     n_groups = 0
-    for kind in SPECIFICITY_ORDER:
+    answered = bank.answered_ledger()
+    for k, kind in enumerate(SPECIFICITY_ORDER):
         if not remaining.any():
             break
         if bank.coverage[kind].size == 0:
@@ -277,7 +287,7 @@ def predict_most_specific(
         if packed is not None:
             model_idx = position[idx]
             values[idx] = packed.predict_rows(full_matrix[idx, : packed.width], model_idx)
-            n_groups += packed.group_count(model_idx)
+            answered[k, model_idx] = True
         else:
             # Reference pricing for an unpackable kind: grouped object-graph
             # calls (an unfitted model raises here, as the scalar path would).
@@ -295,7 +305,9 @@ def predict_most_specific(
                 values[rows] = model.predict_matrix(full_matrix[rows, :width])
                 n_groups += 1
         remaining[idx] = False
-    return values, n_groups, int(remaining.sum())
+    n_groups += int(np.count_nonzero(answered))
+    n_fallbacks = remaining if weights is None else weights[remaining]
+    return values, n_groups, int(n_fallbacks.sum())
 
 
 def resource_profiles_most_specific(

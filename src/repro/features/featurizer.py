@@ -34,15 +34,19 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.common.hashing import stable_unit_float
+from repro.common.hashing import HashCached, stable_unit_float
 
 
 @dataclass(frozen=True, slots=True)
-class FeatureInput:
+class FeatureInput(HashCached):
     """Raw statistics of one operator instance.
 
     Attributes mirror Table 2; ``input_enc`` and ``params_enc`` are numeric
     encodings of the normalized-input template and parameter values.
+
+    Instances are prediction-cache keys, probed several times per request
+    and again on every replay of a recurring job, so the field-wise hash is
+    computed once per object (:class:`~repro.common.hashing.HashCached`).
     """
 
     input_card: float  # I
@@ -54,6 +58,26 @@ class FeatureInput:
     params_enc: float = 0.0  # PM
     logical_count: float = 1.0  # CL
     depth: float = 1.0  # D
+
+    def __hash__(self) -> int:
+        value = getattr(self, "_hash", None)
+        if value is None:
+            # repro: allow(hashseed-hazard) -- nine floats: their hashes are not salted, and the cached value is never persisted, ordered on or compared across processes
+            value = hash(
+                (
+                    self.input_card,
+                    self.base_card,
+                    self.output_card,
+                    self.avg_row_bytes,
+                    self.partition_count,
+                    self.input_enc,
+                    self.params_enc,
+                    self.logical_count,
+                    self.depth,
+                )
+            )
+            object.__setattr__(self, "_hash", value)
+        return value
 
     def with_partition_count(self, partition_count: float) -> "FeatureInput":
         """Copy with a different ``P`` — used during partition exploration."""

@@ -19,6 +19,12 @@ from repro.ml.base import check_fit_inputs, check_predict_input
 from repro.ml.tree import _NO_FEATURE, DecisionTreeRegressor
 
 
+#: Rows up to which the ``(1 + n_trees, n)`` stage stack of
+#: :meth:`FastTreeRegressor.predict` stays cache-resident (measured crossover
+#: between 4096 and 8192 rows at 20 trees).
+_STACK_MAX_ROWS = 4096
+
+
 class _FlatForest:
     """All trees' node arrays concatenated, traversed simultaneously.
 
@@ -187,14 +193,27 @@ class FastTreeRegressor:
 
         Bitwise identical to :meth:`predict_reference` — leaf routing and
         values are the same scalars, and the per-tree contributions are
-        accumulated in stage order, exactly like the sequential loop.
+        accumulated in stage order, exactly like the sequential loop: one
+        axis-0 reduction over the ``(1 + n_trees, n)`` stack of the base and
+        the shrunken stages adds row after row into the output — a serving
+        batch of a few rows pays three numpy calls, not one per stage.  The
+        explicit loop stays for a single sample (there the reduced axis is
+        contiguous and numpy would sum it pairwise instead) and for tables
+        so long that the stack falls out of cache, where it is the faster
+        way to the same bits.
         """
         features = check_predict_input(features, bool(self.trees_))
         leaves = self._flat_forest().leaf_values(features)
-        out = np.full(features.shape[0], self.base_prediction_)
-        for stage in range(leaves.shape[0]):
-            out += self.learning_rate * leaves[stage]
-        return self._inverse(out)
+        n_trees, n = leaves.shape
+        if n == 1 or n > _STACK_MAX_ROWS:
+            out = np.full(n, self.base_prediction_)
+            for stage in range(n_trees):
+                out += self.learning_rate * leaves[stage]
+            return self._inverse(out)
+        stack = np.empty((n_trees + 1, n))
+        stack[0] = self.base_prediction_
+        np.multiply(leaves, self.learning_rate, out=stack[1:])
+        return self._inverse(np.add.reduce(stack, axis=0))
 
     def predict_reference(self, features: np.ndarray) -> np.ndarray:
         """The retained tree-at-a-time path (benchmark/parity reference)."""

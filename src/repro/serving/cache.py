@@ -10,8 +10,9 @@ previous per-``id()`` dict that grew without bound across plans.
 Caches are **thread-safe**: the sharded serving tier fans batches out across
 a worker pool, and concurrent ``get``/``put`` calls on one cache would
 otherwise race both the ``OrderedDict`` recency updates and the hit/miss
-counters that the router aggregates.  A single uncontended lock costs tens
-of nanoseconds per operation — noise next to a model call.
+counters that the router aggregates.  The batch entry points
+(:meth:`LRUCache.get_many` / :meth:`LRUCache.put_many`) take the lock once
+per batch, not once per key, and hold it across dict operations only.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable
+from typing import Any, Hashable, Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,12 @@ class LRUCache:
     All operations are atomic under an internal lock, so concurrent serving
     threads can share one cache without corrupting the recency order or the
     counters; :meth:`stats` returns a consistent snapshot.
+
+    :meth:`get_many` and :meth:`put_many` are the serving hot path: one lock
+    acquisition per batch, with hits, misses, evictions and recency order
+    exactly those of the equivalent one-key-at-a-time ``get``/``put`` replay.
+    Keys are hashed a few times per probe (lookup, recency refresh, insert),
+    so hot keys should hash cheaply — the prediction keys cache theirs.
     """
 
     _MISSING = object()
@@ -92,15 +99,59 @@ class LRUCache:
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert/refresh ``key``, evicting the oldest entry when full."""
+        self.put_many(((key, value),))
+
+    def get_many(
+        self, keys: Sequence[Hashable], default: Any = None
+    ) -> tuple[list[Any], dict[Hashable, list[int]]]:
+        """Probe ``keys`` in order under one lock acquisition.
+
+        Returns ``(values, missing)``: ``values[i]`` is the cached value of
+        ``keys[i]`` or ``default``; ``missing`` maps every distinct absent
+        key, in first-seen order, to the positions that asked for it.  Each
+        probe that finds its key counts a hit and refreshes its recency,
+        repeats included; an absent key counts one miss however often the
+        batch repeats it — what a caller replaying ``get`` key by key and
+        remembering its own misses would have counted.
+        """
+        values: list[Any] = []
+        missing: dict[Hashable, list[int]] = {}
+        absent = self._MISSING
+        with self._lock:
+            entries = self._entries
+            lookup = entries.get
+            refresh = entries.move_to_end
+            hits = 0
+            for key in keys:
+                value = lookup(key, absent)
+                if value is absent:
+                    positions = missing.get(key)
+                    if positions is None:
+                        missing[key] = [len(values)]
+                    else:
+                        positions.append(len(values))
+                    value = default
+                else:
+                    refresh(key)
+                    hits += 1
+                values.append(value)
+            self.hits += hits
+            self.misses += len(missing)
+        return values, missing
+
+    def put_many(self, items: Iterable[tuple[Hashable, Any]]) -> None:
+        """``put`` every ``(key, value)`` in order, under one lock acquisition."""
         if self.capacity <= 0:
             return
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = value
-            if len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+            entries = self._entries
+            for key, value in items:
+                if key in entries:
+                    entries.move_to_end(key)
+                entries[key] = value
+                if len(entries) > self.capacity:
+                    entries.popitem(last=False)
+                    self.evictions += 1
 
     def __len__(self) -> int:
         with self._lock:

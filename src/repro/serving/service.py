@@ -15,14 +15,17 @@ Serving-grade mechanics:
   ``np.searchsorted`` over sorted arrays and all rows of a model kind are
   priced in one gather + row multiply-sum pass (the combined model's trees
   traverse as one flat ensemble).  :meth:`CleoService.predict_table` is the
-  table-native entry — no per-request objects, no cache-key hashing — and
-  :meth:`CleoService.predict_batch` groups request objects by covering
-  ``(model kind, signature)`` over the same runtime.  Both paths are
-  *bitwise identical* to one-at-a-time prediction: every underlying
-  regressor computes per-row, batch-size-invariant reductions.
+  one columnar primitive — no per-request objects, no cache-key hashing —
+  and every other batched entry point ends in its core:
+  :meth:`CleoService.predict_batch` packs the requests the cache could not
+  answer into a table and prices that.  All paths are *bitwise identical*
+  to one-at-a-time prediction: every underlying regressor computes
+  per-row, batch-size-invariant reductions.
 * **Prediction cache** — a bounded, signature-keyed LRU in front of the
   models turns the recurring-job workload's repeated (features, signatures)
-  pairs into O(1) hits; hit/miss counters surface via :meth:`stats`.
+  pairs into O(1) hits: a batch is one locked probe and one locked insert,
+  over keys that keep their hash; hit/miss counters surface via
+  :meth:`stats`.
 * **Lifecycle** — :meth:`train` / :meth:`load` / :meth:`save` /
   :meth:`deploy` wrap the trainer, the JSON model-file format, and the
   versioned :class:`~repro.core.lifecycle.ModelRegistry`.
@@ -40,7 +43,7 @@ import numpy as np
 
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.common.errors import FeatureValidationError
-from repro.core.combined import build_meta_matrix, build_meta_matrix_reference
+from repro.core.combined import meta_matrix_and_calls
 from repro.core.config import SPECIFICITY_ORDER, CleoConfig, ModelKind
 from repro.core.packed import predict_most_specific, resource_profiles_most_specific
 from repro.core.learned_model import _MAX_PREDICT_SECONDS, ResourceProfile
@@ -76,7 +79,30 @@ def _value_ok(value: float) -> bool:
     return math.isfinite(value) and value >= 0.0
 
 
-@dataclass(frozen=True)
+def plan_totals(values: np.ndarray, lengths: Sequence[int]) -> list[float]:
+    """Per-plan totals of concatenated operator costs, each reduced with the
+    exact left fold ``predict_plan`` uses (so batching never moves a bit)."""
+    totals: list[float] = []
+    offset = 0
+    for n in lengths:
+        total = 0.0
+        for value in values[offset : offset + n]:
+            total = total + float(value)
+        totals.append(total)
+        offset += n
+    return totals
+
+
+def values_ok(values: np.ndarray) -> bool:
+    """Every prediction of a batch serveable (an empty batch is).
+
+    Two reductions, not four: ``min`` propagates NaN and catches negatives
+    and ``-inf``; ``max`` catches ``+inf``.
+    """
+    return not values.size or bool(values.min() >= 0.0 and values.max() < math.inf)
+
+
+@dataclass(frozen=True, slots=True)
 class PredictionRequest:
     """One operator to price: its compile-time features and signatures."""
 
@@ -90,7 +116,13 @@ class PredictionRequest:
 
     @property
     def key(self) -> tuple[FeatureInput, SignatureBundle]:
-        """The prediction-cache key (both components are frozen/hashable)."""
+        """The prediction-cache key: a plain ``(features, signatures)`` tuple.
+
+        Both components are frozen and keep their field-wise hash once
+        computed, so hashing the key — in-batch dedup, LRU probe, recency
+        refresh, insert, and every later replay of the same request — costs
+        two slot reads, not thirteen float and int hashes.
+        """
         return (self.features, self.signatures)
 
 
@@ -376,27 +408,29 @@ class CleoService:
     # ------------------------------------------------------------------ #
 
     def predict_batch(self, requests: Sequence[PredictionRequest]) -> np.ndarray:
-        """Price a batch of operators with grouped, vectorized model calls.
+        """Price a batch of operators in one pass over its requests.
 
-        Cache hits are answered immediately; the remaining unique requests
-        are grouped by covering model and each group is priced through the
-        packed runtime.  Results are bitwise identical to calling
-        :meth:`predict` per request.  (For whole-table workloads prefer
-        :meth:`predict_table`, which skips the per-request layer entirely.)
+        One locked probe of the prediction LRU answers the hits and names
+        the distinct misses; those are packed into a table once, priced by
+        the same core :meth:`predict_table` runs, and inserted under one more
+        lock acquisition.  A request identical to an earlier miss of the same
+        batch reuses its value (``in_batch_reuses``).  Results are bitwise
+        identical to calling :meth:`predict` per request.  (For whole-table
+        workloads prefer :meth:`predict_table`, which skips the per-request
+        layer entirely.)
         """
         return self._predict_batch(requests, reference=False)
 
     def predict_records_reference(self, records: Iterable[OperatorRecord]) -> np.ndarray:
         """The retained pre-packed serving pipeline (benchmark baseline).
 
-        Replays what serving a record batch cost before the packed runtime:
-        per-record :class:`PredictionRequest` materialization, per-request
-        cache-key hashing and in-batch dedup, a fresh feature-table build
-        from the unique requests' inputs, per-batch derived-feature
-        expansion, one object-graph model call per covering ``(kind,
-        signature)`` group, and tree-at-a-time ensemble traversal.  The
-        packed :meth:`predict_table`/:meth:`predict_records` must match it
-        bit for bit.
+        Replays what pricing a record batch cost before the packed runtime:
+        per-record :class:`PredictionRequest` materialization and cache
+        probing, a fresh feature-table build from the unique requests'
+        inputs, per-batch derived-feature expansion, one object-graph model
+        call per covering ``(kind, signature)`` group, and tree-at-a-time
+        ensemble traversal.  The packed :meth:`predict_table`/
+        :meth:`predict_records` must match it bit for bit.
         """
         requests = [PredictionRequest.for_record(r) for r in records]
         return self._predict_batch(requests, reference=True)
@@ -404,29 +438,19 @@ class CleoService:
     def _predict_batch(
         self, requests: Sequence[PredictionRequest], reference: bool
     ) -> np.ndarray:
-        out = np.empty(len(requests), dtype=float)
-
-        pending: dict[tuple[FeatureInput, SignatureBundle], list[int]] = {}
-        uncached = 0
-        reuses = 0
-        for i, request in enumerate(requests):
-            key = request.key
-            indices = pending.get(key)
-            if indices is not None:  # duplicate within this batch
-                indices.append(i)
-                reuses += 1
-                uncached += 1
-                continue
-            cached = self._prediction_cache.get(key)
-            if cached is not None:
-                out[i] = cached
-            else:
-                if self._validate_inputs:
-                    # Only first-seen uncached keys pay the check: cached
-                    # entries already passed it before insertion.
-                    self._check_features(request.features)
-                pending[key] = [i]
-                uncached += 1
+        cache = self._prediction_cache
+        values, missing = cache.get_many([request.key for request in requests])
+        counts = [len(positions) for positions in missing.values()]
+        uncached = sum(counts)
+        table = None
+        if missing:
+            table = FeatureTable.from_inputs(
+                [key[0] for key in missing], [key[1] for key in missing]
+            )
+            # Only first-seen uncached keys pay the check (cached entries
+            # passed it before insertion), and a bad one raises before
+            # anything is counted, priced or inserted.
+            self._check_table(table)
 
         # Lookup accounting (and the fallback counter) charges every request
         # not served from the LRU, so a cache-disabled service matches the
@@ -439,26 +463,18 @@ class CleoService:
         with self._stats_lock:
             self._batches += 1
             self._batched_predictions += len(requests)
-            self._batch_reuses += reuses
+            self._batch_reuses += uncached - len(missing)
             self.predictor.lookup_count += (
                 uncached * CleoPredictor.LOOKUPS_PER_PREDICTION
             )
 
-        if pending:
-            keys = list(pending)
-            values = self._compute_batch(
-                keys, [len(pending[k]) for k in keys], reference
-            )
-            if self._validate_outputs:
-                values = self._validated_values(
-                    values, [k[0] for k in keys], [k[1] for k in keys]
-                )
-            for key, value in zip(keys, values):
-                scalar = float(value)
-                self._prediction_cache.put(key, scalar)
-                for i in pending[key]:
-                    out[i] = scalar
-        return out
+        if table is not None:
+            priced = self._price_table(table, counts, reference).tolist()
+            cache.put_many(zip(missing, priced))
+            for positions, value in zip(missing.values(), priced):
+                for i in positions:
+                    values[i] = value
+        return np.array(values, dtype=float)
 
     def predict_records(
         self, records: Iterable[OperatorRecord], table: FeatureTable | None = None
@@ -477,57 +493,68 @@ class CleoService:
     def predict_table(self, table: FeatureTable) -> np.ndarray:
         """Price every row of a signature-bearing table: the packed fast path.
 
-        Skips :class:`PredictionRequest` materialization and per-request
-        ``(FeatureInput, SignatureBundle)`` dict hashing entirely — the
-        whole batch runs as a constant number of numpy passes over the
+        The one columnar primitive: no :class:`PredictionRequest` objects,
+        no keys hashed, nothing looked up or stored in the prediction LRU —
+        the whole batch runs as a constant number of numpy passes over the
         store's compiled :class:`~repro.core.packed.PackedModelBank` (and
-        the combined model's flat tree ensemble), bitwise identical to
-        :meth:`predict_batch` over the same rows.
-
-        The prediction LRU is bypassed (no keys are hashed, nothing is
-        looked up or stored); lookup, model-call, and fallback accounting
-        match a **cache-disabled** :meth:`predict_batch` exactly.
+        the combined model's flat tree ensemble).  :meth:`predict_batch`
+        prices its cache misses through this same core, so the two are
+        bitwise identical over the same rows by construction, and lookup,
+        model-call, and fallback accounting match a **cache-disabled**
+        :meth:`predict_batch` exactly.
         """
         if not table.has_signatures:
             raise FeatureValidationError(
                 "predict_table requires a table with signature columns"
             )
+        self._check_table(table)
         n = len(table)
-        if self._validate_inputs and n:
-            for name in COLUMN_NAMES:
-                if not np.isfinite(getattr(table, name)).all():
-                    raise FeatureValidationError(
-                        f"non-finite values in feature column {name!r}"
-                    )
-        predictor = self._predictor
         with self._stats_lock:
             self._batches += 1
             self._batched_predictions += n
-            predictor.lookup_count += n * CleoPredictor.LOOKUPS_PER_PREDICTION
+            self._predictor.lookup_count += n * CleoPredictor.LOOKUPS_PER_PREDICTION
         if n == 0:
             return np.empty(0, dtype=float)
+        return self._price_table(table)
+
+    def _price_table(
+        self,
+        table: FeatureTable,
+        request_counts: Sequence[int] | None = None,
+        reference: bool = False,
+    ) -> np.ndarray:
+        """The table core: model pricing, call accounting, output validation.
+
+        Every batched entry point ends here — :meth:`predict_table` with its
+        rows, :meth:`predict_batch` with its distinct cache misses, where
+        ``request_counts[i]`` is how many requests row ``i`` answers so the
+        per-request fallback counter matches the scalar path.  ``reference``
+        routes the combined model through the retained object-graph meta
+        builder and tree-at-a-time ensemble (the pre-packed pipeline).
+        """
+        predictor = self._predictor
         combined = predictor.combined
-        if combined is not None and combined.is_fitted:
-            calls = 0
-
-            def count_call() -> None:
-                nonlocal calls
-                calls += 1
-
-            rows = build_meta_matrix(predictor.store, table, on_model_call=count_call)
-            with self._stats_lock:
-                self._individual_calls += calls
-                self._combined_calls += 1
-            values = combined.predict_rows(rows)
-        else:
-            values, n_groups, n_fallbacks = predict_most_specific(
-                predictor.store, table, predictor.fallback_cost
+        use_combined = combined is not None and combined.is_fitted
+        if use_combined:
+            rows, calls = meta_matrix_and_calls(
+                predictor.store, table, reference=reference
             )
-            with self._stats_lock:
-                self._individual_calls += n_groups
-                self._fallbacks += n_fallbacks
-        if self._validate_outputs:
-            values = self._validated_table(table, values)
+            fallbacks = 0
+            if reference:
+                values = combined.predict_rows_reference(rows)
+            else:
+                values = combined.predict_rows(rows)
+        else:
+            weights = None if request_counts is None else np.asarray(request_counts)
+            values, calls, fallbacks = predict_most_specific(
+                predictor.store, table, predictor.fallback_cost, weights=weights
+            )
+        with self._stats_lock:
+            self._individual_calls += calls
+            self._combined_calls += use_combined
+            self._fallbacks += fallbacks
+        if self._validate_outputs and not values_ok(values):
+            values = self._repaired_table(table, values)
         return values
 
     def predict_inputs(
@@ -540,99 +567,20 @@ class CleoService:
         The optimizer's frontier/sweep pricing entry.  With the prediction
         LRU enabled it routes through :meth:`predict_batch` (cache hits and
         in-batch dedup still pay off for recurring operators); with caching
-        disabled it skips request materialization and per-request key
-        hashing entirely and runs the packed table-native path, whose
+        disabled it packs the sequences into a table and calls
+        :meth:`predict_table` directly — no requests, no keys hashed — whose
         lookup and fallback accounting matches a cache-disabled
         :meth:`predict_batch` — and the scalar :meth:`predict` loop —
-        exactly.  Values are bitwise identical either way.
+        exactly.  Either way the rows are priced by the one table core, so
+        values are bitwise identical.
         """
         if len(inputs) != len(bundles):
             raise FeatureValidationError("inputs and bundles must align")
         if self.prediction_cache_enabled:
-            requests = [
-                PredictionRequest(features, bundle)
-                for features, bundle in zip(inputs, bundles)
-            ]
-            return self.predict_batch(requests)
+            return self.predict_batch(
+                [PredictionRequest(f, b) for f, b in zip(inputs, bundles)]
+            )
         return self.predict_table(FeatureTable.from_inputs(inputs, bundles))
-
-    def _compute_batch(
-        self,
-        keys: list[tuple[FeatureInput, SignatureBundle]],
-        request_counts: list[int],
-        reference: bool = False,
-    ) -> np.ndarray:
-        """Grouped, vectorized predictions for unique uncached requests.
-
-        ``request_counts[i]`` is how many batch requests key ``i`` answers,
-        so per-request counters (fallbacks) match the scalar path exactly.
-        ``reference`` routes the combined model through the retained
-        object-graph meta builder and tree-at-a-time ensemble (the
-        pre-packed pipeline) instead of the packed runtime.
-        """
-        n = len(keys)
-        features = [key[0] for key in keys]
-        bundles = [key[1] for key in keys]
-        predictor = self.predictor
-        store = predictor.store
-
-        combined = predictor.combined
-        if combined is not None and combined.is_fitted:
-            rows = self._meta_rows(store, features, bundles, reference)
-            with self._stats_lock:
-                self._combined_calls += 1
-            if reference:
-                return combined.predict_rows_reference(rows)
-            return combined.predict_rows(rows)
-
-        values = np.full(n, predictor.fallback_cost, dtype=float)
-        groups: dict[tuple[ModelKind, int], list[int]] = {}
-        fallback_requests = 0
-        for i, bundle in enumerate(bundles):
-            best = store.most_specific(bundle)
-            if best is None:
-                fallback_requests += request_counts[i]
-                continue
-            kind, _ = best
-            groups.setdefault((kind, signature_for(kind, bundle)), []).append(i)
-        for (kind, signature), indices in groups.items():
-            model = store.get(kind, signature)
-            assert model is not None
-            values[indices] = model.predict_many([features[i] for i in indices])
-        with self._stats_lock:
-            self._fallbacks += fallback_requests
-            self._individual_calls += len(groups)
-        return values
-
-    def _meta_rows(
-        self,
-        store: ModelStore,
-        features: list[FeatureInput],
-        bundles: list[SignatureBundle],
-        reference: bool = False,
-    ) -> np.ndarray:
-        """Vectorized meta rows for a batch, with model-call accounting.
-
-        Delegates to :func:`~repro.core.combined.build_meta_matrix` — the
-        same implementation behind the scalar ``build_meta_row`` and the
-        trainer's bulk meta-row construction — so batched, scalar, and
-        training-time meta rows can never drift.  The regression net is
-        ``tests/serving/test_service.py::TestBatchedPrediction::
-        test_batch_bitwise_identical_to_sequential``.
-        """
-
-        calls = 0
-
-        def count_call() -> None:
-            nonlocal calls
-            calls += 1
-
-        table = FeatureTable.from_inputs(features, bundles)
-        builder = build_meta_matrix_reference if reference else build_meta_matrix
-        rows = builder(store, table, on_model_call=count_call)
-        with self._stats_lock:
-            self._individual_calls += calls
-        return rows
 
     # ------------------------------------------------------------------ #
     # Boundary validation and repair
@@ -647,31 +595,19 @@ class CleoService:
                     "in serving request"
                 )
 
-    def _validated_values(
-        self,
-        values: np.ndarray,
-        features: "list[FeatureInput]",
-        bundles: "list[SignatureBundle]",
-    ) -> np.ndarray:
-        """Repair any non-finite / negative predictions in a batch result."""
-        values = np.asarray(values, dtype=float)
-        bad = ~(np.isfinite(values) & (values >= 0.0))
-        if not bad.any():
-            return values
-        idx = np.flatnonzero(bad)
-        out = values.copy()
-        out[idx] = self._repair_rows(
-            [features[i] for i in idx], [bundles[i] for i in idx]
-        )
-        return out
+    def _check_table(self, table: FeatureTable) -> None:
+        """Reject a table carrying non-finite feature values."""
+        if not self._validate_inputs:
+            return
+        for name in COLUMN_NAMES:
+            if not np.isfinite(getattr(table, name)).all():
+                raise FeatureValidationError(
+                    f"non-finite values in feature column {name!r}"
+                )
 
-    def _validated_table(self, table: FeatureTable, values: np.ndarray) -> np.ndarray:
-        """Table-path output validation: rebuild offending rows and repair."""
-        values = np.asarray(values, dtype=float)
-        bad = ~(np.isfinite(values) & (values >= 0.0))
-        if not bad.any():
-            return values
-        idx = np.flatnonzero(bad)
+    def _repaired_table(self, table: FeatureTable, values: np.ndarray) -> np.ndarray:
+        """Rebuild the requests of non-finite / negative rows and repair them."""
+        idx = np.flatnonzero(~(np.isfinite(values) & (values >= 0.0)))
         inputs = [
             FeatureInput(
                 **{name: float(getattr(table, name)[i]) for name in COLUMN_NAMES}
@@ -810,16 +746,7 @@ class CleoService:
             raise FeatureValidationError("inputs and bundles must align")
         if sum(lengths) != len(inputs):
             raise FeatureValidationError("lengths must partition the request sequence")
-        values = self.predict_inputs(inputs, bundles)
-        totals: list[float] = []
-        offset = 0
-        for n in lengths:
-            total = 0.0
-            for value in values[offset : offset + n]:
-                total = total + float(value)
-            totals.append(total)
-            offset += n
-        return totals
+        return plan_totals(self.predict_inputs(inputs, bundles), lengths)
 
     def cost_model(self) -> CostModel:
         """An optimizer-facing :class:`CostModel` bound to this service."""

@@ -58,6 +58,8 @@ from repro.serving.service import (
     CleoService,
     PredictionRequest,
     ServiceStats,
+    plan_totals,
+    values_ok,
 )
 from repro.serving.shard.health import (
     DEFAULT_RESILIENCE,
@@ -71,6 +73,11 @@ _T = TypeVar("_T")
 
 #: The ladder's last rung when even the heuristic produced garbage.
 _BOUNDED_DEFAULT_COST = 1.0
+
+#: Templates memoized per cluster before the route memo starts over (entries
+#: are pure recomputations of the ring lookup): ad-hoc traffic mints a new
+#: approximate signature per query and must not grow the router forever.
+_ROUTE_MEMO_LIMIT = 1 << 16
 
 
 class ShardedCleoRouter:
@@ -149,7 +156,8 @@ class ShardedCleoRouter:
             }
             for _ in range(self.ring.n_shards)
         ]
-        self._route_cache: dict[tuple[str, int], int] = {}
+        #: cluster name -> approximate signature -> owning shard (bounded memo).
+        self._routes: dict[str, dict[int, int]] = {c: {} for c in self._base}
         self._route_lock = Lock()
         self._clients: dict[str, ClusterClient] = {}
         self._resilience = resilience
@@ -191,13 +199,19 @@ class ShardedCleoRouter:
 
     def shard_for(self, cluster: str, template_signature: int) -> int:
         """Owning shard of a ``(cluster, template)`` pair, memoized."""
-        self._check_cluster(cluster)
-        key = (cluster, int(template_signature))
-        shard = self._route_cache.get(key)
+        routes = self._routes[self._check_cluster(cluster)]
+        shard = routes.get(template_signature)
         if shard is None:
-            shard = self.ring.shard_for_key(route_key(*key))
-            with self._route_lock:
-                self._route_cache[key] = shard
+            shard = self._route(cluster, routes, int(template_signature))
+        return shard
+
+    def _route(self, cluster: str, routes: dict[int, int], template: int) -> int:
+        """Ring lookup of a template the memo does not hold, then memoized."""
+        shard = self.ring.shard_for_key(route_key(cluster, template))
+        with self._route_lock:
+            if len(routes) >= _ROUTE_MEMO_LIMIT:
+                routes.clear()
+            routes[template] = shard
         return shard
 
     def _check_cluster(self, cluster: str) -> str:
@@ -293,29 +307,19 @@ class ShardedCleoRouter:
     # Degradation ladder
     # ------------------------------------------------------------------ #
 
-    def _attempt_order(self, shard: int) -> list[int]:
-        """The owning shard, then its ring successors, bounded by retries."""
-        if self._resilience is None:
-            return [shard]
-        n = self.ring.n_shards
-        budget = min(self._resilience.max_retries, n - 1)
-        return [(shard + k) % n for k in range(budget + 1)]
-
     def _call_shard(
         self,
         shard: int,
         cluster: str,
         token: tuple[int, int],
         attempt: int,
-        call: Callable[[], np.ndarray],
+        compute: Callable[[int], np.ndarray],
     ) -> np.ndarray:
         if self._injector is None:
-            return call()
-        return self._injector.invoke(shard, cluster, token, attempt, call)
-
-    @staticmethod
-    def _values_ok(values: np.ndarray) -> bool:
-        return bool(np.isfinite(values).all() and (values >= 0.0).all())
+            return compute(shard)
+        return self._injector.invoke(
+            shard, cluster, token, attempt, lambda: compute(shard)
+        )
 
     def _bounded(self, values: np.ndarray) -> np.ndarray:
         out = np.asarray(values, dtype=float)
@@ -336,52 +340,45 @@ class ShardedCleoRouter:
         ``compute(s)`` prices the sub-batch on shard ``s``; ``heuristic()``
         produces the :class:`DefaultCostModel` floor for the same rows.
         Rungs: owning shard -> ring-successor retries (breaker- and
-        deadline-gated) -> heuristic floor -> bounded default.  Input
-        validation errors are the caller's bug, not a shard failure, and
-        re-raise immediately.
+        deadline-gated, at most ``max_retries``) -> heuristic floor ->
+        bounded default.  Input validation errors are the caller's bug, not
+        a shard failure, and re-raise immediately.  With no fault the first
+        rung answers: one breaker read, the shard call, two reductions over
+        its answer, one health record.
         """
         resilience = self._resilience
-        if resilience is None and self._injector is None:
-            return compute(shard)
         if resilience is None:
-            # Chaos without the safety net (used to measure the blast
-            # radius of the pre-ladder router): faults propagate.
-            return self._call_shard(shard, cluster, token, 0, lambda: compute(shard))
+            # Fail-fast (and, with an injector, chaos without the safety
+            # net, used to measure the blast radius): faults propagate.
+            return self._call_shard(shard, cluster, token, 0, compute)
         deadline = time.perf_counter() + resilience.deadline_s
         hedge_target = self._hedge_target(cluster, shard, token)
         if hedge_target is not None:
             values = self._hedge(cluster, hedge_target, compute, token)
             if values is not None:
                 return values
-        for attempt, target in enumerate(self._attempt_order(shard)):
-            health = self._health[target] if self._health is not None else None
+        n_shards = self.ring.n_shards
+        for attempt in range(min(resilience.max_retries, n_shards - 1) + 1):
+            target = (shard + attempt) % n_shards
+            health = self._health[target]
+            if attempt > 0 and time.perf_counter() > deadline:
+                break
+            if not health.allow():
+                continue
             if attempt > 0:
-                if time.perf_counter() > deadline:
-                    break
-                if health is not None and not health.allow():
-                    continue
                 with self._ladder_lock:
                     self._retries += 1
-            elif health is not None and not health.allow():
-                continue
             try:
-                values = self._call_shard(
-                    target, cluster, token, attempt, lambda t=target: compute(t)
-                )
+                values = self._call_shard(target, cluster, token, attempt, compute)
             except FeatureValidationError:
                 raise
             except Exception as exc:
-                if health is not None:
-                    health.record_failure(
-                        timeout=isinstance(exc, ShardTimeoutError)
-                    )
+                health.record_failure(timeout=isinstance(exc, ShardTimeoutError))
                 continue
-            if resilience.validate_outputs and not self._values_ok(values):
-                if health is not None:
-                    health.record_failure()
+            if resilience.validate_outputs and not values_ok(values):
+                health.record_failure()
                 continue
-            if health is not None:
-                health.record_success()
+            health.record_success()
             return values
         # Every learned rung failed: heuristic floor, then bounded default.
         values = self._bounded(heuristic())
@@ -434,34 +431,25 @@ class ShardedCleoRouter:
         returns ``None`` and the normal ladder walks from the owner, which
         still answers — late, but within the deadline budget.
         """
-        health = self._health[target] if self._health is not None else None
-        if health is not None and not health.allow():
+        health = self._health[target]
+        if not health.allow():
             return None
         with self._ladder_lock:
             self._hedges += 1
         try:
-            values = self._call_shard(
-                target, cluster, token, 1, lambda: compute(target)
-            )
+            values = self._call_shard(target, cluster, token, 1, compute)
         except FeatureValidationError:
             raise
         except Exception as exc:
-            if health is not None:
-                health.record_failure(timeout=isinstance(exc, ShardTimeoutError))
+            health.record_failure(timeout=isinstance(exc, ShardTimeoutError))
             return None
-        if self._resilience.validate_outputs and not self._values_ok(values):
-            if health is not None:
-                health.record_failure()
+        if self._resilience.validate_outputs and not values_ok(values):
+            health.record_failure()
             return None
-        if health is not None:
-            health.record_success()
+        health.record_success()
         with self._ladder_lock:
             self._hedge_wins += 1
         return values
-
-    def _token(self, n_rows: int, approx: int) -> tuple[int, int]:
-        """A deterministic sub-batch identity for fault decisions."""
-        return (int(n_rows), int(approx))
 
     def _heuristic_inputs(self, inputs: Sequence[FeatureInput]) -> np.ndarray:
         """DefaultCostModel floor for a row sequence (COMPUTE coefficients)."""
@@ -518,7 +506,7 @@ class ShardedCleoRouter:
             cluster,
             shard,
             compute,
-            self._token(1, signatures.approx),
+            (1, signatures.approx),
             lambda: self._heuristic_inputs([features]),
             1,
         )
@@ -534,26 +522,15 @@ class ShardedCleoRouter:
         :meth:`~repro.serving.service.CleoService.predict_batch` sees every
         duplicate pair a single service would.
         """
-        self._check_cluster(cluster)
-        groups = self._group_requests(cluster, requests)
-        out = np.empty(len(requests), dtype=float)
-
-        def price(shard: int, idx: list[int]) -> np.ndarray:
-            sub = [requests[i] for i in idx]
-            return self._guarded(
-                cluster,
-                shard,
-                lambda s: self._shards[s][cluster].predict_batch(sub),
-                self._token(len(sub), sub[0].signatures.approx),
-                lambda: self._heuristic_inputs([r.features for r in sub]),
-                len(sub),
-            )
-
-        tasks = [(lambda s=shard, i=idx: price(s, i)) for shard, idx in groups]
-        shards = [shard for shard, _ in groups]
-        for (_, idx), values in zip(groups, self._fan_out(tasks, shards)):
-            out[np.asarray(idx, dtype=np.int64)] = values
-        return out
+        approx = [request.signatures.approx for request in requests]
+        return self._sharded(
+            cluster,
+            approx,
+            self._group_rows(cluster, approx),
+            lambda idx: [requests[i] for i in idx],
+            lambda service, sub: service.predict_batch(sub),
+            lambda sub: self._heuristic_inputs([r.features for r in sub]),
+        )
 
     def predict_inputs(
         self,
@@ -564,29 +541,15 @@ class ShardedCleoRouter:
         """Parallel (features, signatures) sequences, sharded and merged."""
         if len(inputs) != len(bundles):
             raise FeatureValidationError("inputs and bundles must align")
-        self._check_cluster(cluster)
-        groups = self._group_bundles(cluster, bundles)
-        out = np.empty(len(inputs), dtype=float)
-
-        def price(shard: int, idx: list[int]) -> np.ndarray:
-            sub_inputs = [inputs[i] for i in idx]
-            sub_bundles = [bundles[i] for i in idx]
-            return self._guarded(
-                cluster,
-                shard,
-                lambda s: self._shards[s][cluster].predict_inputs(
-                    sub_inputs, sub_bundles
-                ),
-                self._token(len(sub_inputs), sub_bundles[0].approx),
-                lambda: self._heuristic_inputs(sub_inputs),
-                len(sub_inputs),
-            )
-
-        tasks = [(lambda s=shard, i=idx: price(s, i)) for shard, idx in groups]
-        shards = [shard for shard, _ in groups]
-        for (_, idx), values in zip(groups, self._fan_out(tasks, shards)):
-            out[np.asarray(idx, dtype=np.int64)] = values
-        return out
+        approx = [bundle.approx for bundle in bundles]
+        return self._sharded(
+            cluster,
+            approx,
+            self._group_rows(cluster, approx),
+            lambda idx: ([inputs[i] for i in idx], [bundles[i] for i in idx]),
+            lambda service, sub: service.predict_inputs(*sub),
+            lambda sub: self._heuristic_inputs(sub[0]),
+        )
 
     def predict_table(self, cluster: str, table: FeatureTable) -> np.ndarray:
         """A whole signature-bearing table, split by shard with array ops."""
@@ -598,32 +561,60 @@ class ShardedCleoRouter:
         n = len(table)
         if n == 0:
             return self._shards[0][cluster].predict_table(table)
-        owners = self._shards_for_column(cluster, table.signature_column("approx"))
+        approx = table.signature_column("approx")
+        owners = self._shards_for_column(cluster, approx)
         shards = np.unique(owners)
         if len(shards) == 1:
-            splits = [(int(shards[0]), np.arange(n, dtype=np.int64))]
+            groups = [(int(shards[0]), np.arange(n, dtype=np.int64))]
         else:
-            splits = [(int(s), np.flatnonzero(owners == s)) for s in shards]
-        approx = table.signature_column("approx")
+            groups = [(int(s), np.flatnonzero(owners == s)) for s in shards]
+        return self._sharded(
+            cluster,
+            approx,
+            groups,
+            lambda idx: table if len(idx) == n else table.take(idx),
+            lambda service, sub: service.predict_table(sub),
+            self._heuristic_table,
+        )
 
-        def price(shard: int, idx: np.ndarray) -> np.ndarray:
-            sub = table if len(idx) == n else table.take(idx)
+    def _sharded(
+        self,
+        cluster: str,
+        approx: "Sequence[int] | np.ndarray",
+        groups: "list[tuple[int, list[int] | np.ndarray]]",
+        take: Callable[["list[int] | np.ndarray"], _T],
+        call: Callable[[CleoService, _T], np.ndarray],
+        floor: Callable[[_T], np.ndarray],
+    ) -> np.ndarray:
+        """The one fan-out every batched entry point runs.
+
+        ``groups`` holds each owning shard's row indices (shards ascending,
+        rows in input order) over the ``approx`` column; ``take(idx)`` cuts
+        that shard's sub-batch, ``call(service, sub)`` prices it on one
+        shard's service and ``floor(sub)`` is its heuristic floor.  Every
+        sub-batch walks the degradation ladder under the fault token
+        ``(rows, first row's template)`` and answers merge back in input
+        order.
+        """
+
+        def price(shard: int, idx: "list[int] | np.ndarray") -> np.ndarray:
+            sub = take(idx)
             return self._guarded(
                 cluster,
                 shard,
-                lambda s: self._shards[s][cluster].predict_table(sub),
-                self._token(len(idx), int(approx[idx[0]])),
-                lambda: self._heuristic_table(sub),
+                lambda s: call(self._shards[s][cluster], sub),
+                (len(idx), int(approx[idx[0]])),
+                lambda: floor(sub),
                 len(idx),
             )
 
-        if len(splits) == 1:
-            return price(*splits[0])
-        out = np.empty(n, dtype=float)
-        tasks = [(lambda s=shard, i=idx: price(s, i)) for shard, idx in splits]
-        task_shards = [shard for shard, _ in splits]
-        for (_, idx), values in zip(splits, self._fan_out(tasks, task_shards)):
-            out[idx] = values
+        tasks = [(lambda s=shard, i=idx: price(s, i)) for shard, idx in groups]
+        answers = self._fan_out(tasks, [shard for shard, _ in groups])
+        if len(groups) == 1:
+            return answers[0]  # one shard owns every row, already in order
+        out = np.empty(len(approx), dtype=float)
+        for (_, idx), values in zip(groups, answers):
+            out[np.asarray(idx, dtype=np.int64)] = values
         return out
 
     def resource_profile(
@@ -641,8 +632,7 @@ class ShardedCleoRouter:
         """Batched Section-5.3 profiles, sharded and merged in input order."""
         if len(inputs) != len(bundles):
             raise FeatureValidationError("inputs and bundles must align")
-        self._check_cluster(cluster)
-        groups = self._group_bundles(cluster, bundles)
+        groups = self._group_rows(cluster, [bundle.approx for bundle in bundles])
         out: list[ResourceProfile | None] = [None] * len(inputs)
 
         def profile(shard: int, idx: list[int]) -> list[ResourceProfile | None]:
@@ -663,18 +653,25 @@ class ShardedCleoRouter:
         shard = self.shard_for(cluster, signatures.approx)
         return self._shards[shard][cluster].explain(features, signatures)
 
-    def _group_requests(
-        self, cluster: str, requests: Sequence[PredictionRequest]
+    def _group_rows(
+        self, cluster: str, approx: Sequence[int]
     ) -> list[tuple[int, list[int]]]:
-        return self._group_bundles(cluster, [r.signatures for r in requests])
+        """Input indices per owning shard, shards in ascending order.
 
-    def _group_bundles(
-        self, cluster: str, bundles: Sequence[SignatureBundle]
-    ) -> list[tuple[int, list[int]]]:
-        """Input indices per owning shard, shards in ascending order."""
+        The cluster is validated once and each row is one read of its
+        route memo; only a template the memo does not hold asks the ring.
+        """
+        routes = self._routes[self._check_cluster(cluster)]
         groups: dict[int, list[int]] = {}
-        for i, bundle in enumerate(bundles):
-            groups.setdefault(self.shard_for(cluster, bundle.approx), []).append(i)
+        for i, template in enumerate(approx):
+            shard = routes.get(template)
+            if shard is None:
+                shard = self._route(cluster, routes, template)
+            rows = groups.get(shard)
+            if rows is None:
+                groups[shard] = [i]
+            else:
+                rows.append(i)
         return sorted(groups.items())
 
     # ------------------------------------------------------------------ #
@@ -818,6 +815,9 @@ class ShardedCleoRouter:
     def clear_caches(self) -> None:
         for service in self._services():
             service.clear_caches()
+        with self._route_lock:
+            for routes in self._routes.values():
+                routes.clear()
 
     def close(self) -> None:
         """Shut the fan-out pool down (idempotent)."""
@@ -942,16 +942,7 @@ class ClusterClient:
             raise ValueError("inputs and bundles must align")
         if sum(lengths) != len(inputs):
             raise ValueError("lengths must partition the request sequence")
-        values = self.predict_inputs(inputs, bundles)
-        totals: list[float] = []
-        offset = 0
-        for n in lengths:
-            total = 0.0
-            for value in values[offset : offset + n]:
-                total = total + float(value)
-            totals.append(total)
-            offset += n
-        return totals
+        return plan_totals(self.predict_inputs(inputs, bundles), lengths)
 
     def explain(
         self, features: FeatureInput, signatures: SignatureBundle

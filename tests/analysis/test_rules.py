@@ -81,6 +81,32 @@ class TestLockDiscipline:
         report = lint_fixture("locks_good.py")
         assert report.findings == []
 
+    def test_foreign_lock_and_foreign_state_are_flagged(self):
+        """The third half: what the per-class ``self.<attr>`` tracking
+        cannot see — another object's lock taken, or its private state
+        mutated, from outside."""
+        report = lint_fixture("locks_foreign_bad.py")
+        assert report.failed
+        assert {f.rule for f in report.findings} == {"lock-discipline"}
+        locks = [f for f in report.findings if "foreign lock" in f.message]
+        state = [f for f in report.findings if "foreign guarded state" in f.message]
+        # `with cache._lock`, `with self._cache._lock`
+        assert len(locks) == 2
+        assert any("cache._lock" in f.message for f in locks)
+        assert any("self._cache._lock" in f.message for f in locks)
+        # `cache._hits += 1`, `self._cache._entries[key] = value`,
+        # `self._cache._entries.pop(...)`
+        assert len(state) == 3
+        assert any("cache._hits" in f.message for f in state)
+        assert sum("self._cache._entries" in f.message for f in state) == 2
+        assert len(report.findings) == 5
+
+    def test_foreign_good_twin_is_clean(self):
+        """Owner methods, ``self``-received locks, module-global locks and
+        plain reads of another object's state are all fine."""
+        report = lint_fixture("locks_foreign_good.py")
+        assert report.findings == []
+
 
 class TestReferenceParity:
     def test_orphaned_reference_is_flagged(self):

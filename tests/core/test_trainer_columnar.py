@@ -11,7 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.combined import build_meta_matrix, build_meta_row
+from repro.core.combined import (
+    build_meta_matrix,
+    build_meta_row,
+    meta_matrix_and_calls,
+)
 from repro.core.config import CleoConfig, ModelKind
 from repro.core.trainer import CleoTrainer
 from repro.ml.proximal import ElasticNetMSLE, fit_elastic_nets
@@ -101,16 +105,12 @@ class TestMetaMatrix:
     def test_model_call_accounting(self, tiny_bundle, parity_predictors):
         columnar, _ = parity_predictors
         table = tiny_bundle.test_log().to_table()
-        calls = 0
-
-        def count() -> None:
-            nonlocal calls
-            calls += 1
-
-        build_meta_matrix(columnar.store, table, on_model_call=count)
+        _, calls = meta_matrix_and_calls(columnar.store, table)
         # One vectorized call per covering (kind, signature) group; never
         # more than one per model nor per (kind, record).
         assert 0 < calls <= columnar.store.count()
+        # The packed ledger counts exactly what the object-graph loop makes.
+        assert calls == meta_matrix_and_calls(columnar.store, table, reference=True)[1]
 
 
 class TestBatchedElasticNet:

@@ -329,6 +329,27 @@ class TestFlatForestParity:
         fresh = rng.uniform(0, 120, size=(500, 7))
         assert np.array_equal(model.predict(fresh), model.predict_reference(fresh))
 
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 500])
+    def test_stage_reduction_is_the_sequential_loop_at_every_size(self, n_rows):
+        """One axis-0 reduction over the (1 + trees, n) stack replays the
+        stage-order ``out += lr * leaves[stage]`` loop bit for bit — except
+        at one row, where numpy would sum the contiguous axis pairwise, so
+        that case keeps the loop.  Paper-shaped ensemble: 20 trees, log
+        target, non-contiguous rows included."""
+        rng = np.random.default_rng(71)
+        x = np.exp(rng.normal(0, 3, size=(800, 15)))
+        y = np.exp(rng.normal(1, 1, size=800))
+        model = FastTreeRegressor().fit(x, y)
+        assert len(model.trees_) == 20
+        fresh = np.exp(rng.normal(0, 3, size=(n_rows, 15)))
+        assert np.array_equal(model.predict(fresh), model.predict_reference(fresh))
+        strided = np.exp(rng.normal(0, 3, size=(2 * n_rows, 15)))[::2]
+        assert np.array_equal(model.predict(strided), model.predict_reference(strided))
+        if n_rows > 1:
+            # Row by row (the n == 1 loop) equals the batched reduction too.
+            one_at_a_time = np.concatenate([model.predict(fresh[i : i + 1]) for i in range(n_rows)])
+            assert np.array_equal(model.predict(fresh), one_at_a_time)
+
     def test_refit_invalidates_flat_layout(self):
         rng = np.random.default_rng(61)
         x = rng.uniform(0, 10, size=(120, 4))

@@ -1,0 +1,265 @@
+"""The request path end to end: keys hashed once, counters exactly the parent's.
+
+Three things the one-pass sub-batch rests on:
+
+* a prediction-cache key keeps its field-wise hash for the life of its
+  ``FeatureInput`` / ``SignatureBundle``, still equals and hashes like a
+  plain ``(features, signatures)`` tuple, and every copy (``replace``,
+  ``with_partition_count``, pickle) recomputes its own;
+* through the sharded router on the zero-fault path — default
+  ``ResilienceConfig``, no injector — one replay of a request stream
+  leaves every service, cache, shard and health counter exactly where the
+  commit before the one-pass rewrite left it (values pinned below);
+* a non-finite feature still raises before anything is priced or inserted.
+"""
+
+from __future__ import annotations
+
+import pickle
+from dataclasses import replace
+
+import pytest
+
+import repro.features.featurizer as featurizer
+import repro.plan.signatures as signatures
+from repro.common.errors import FeatureValidationError
+from repro.core.config import CleoConfig
+from repro.core.trainer import CleoTrainer
+from repro.features.featurizer import FeatureInput
+from repro.features.table import FeatureTable
+from repro.plan.signatures import SignatureBundle
+from repro.serving import CleoService, PredictionRequest
+from repro.serving.cache import LRUCache
+from repro.serving.shard import ShardedCleoRouter
+from repro.serving.shard.health import BreakerState
+
+
+def make_features(partition_count: float = 8.0) -> FeatureInput:
+    return FeatureInput(
+        input_card=1.5e6,
+        base_card=2.5e7,
+        output_card=3.5e4,
+        avg_row_bytes=64.0,
+        partition_count=partition_count,
+        input_enc=0.25,
+        params_enc=0.5,
+        logical_count=3.0,
+        depth=2.0,
+    )
+
+
+def make_bundle() -> SignatureBundle:
+    return SignatureBundle(strict=2**63 + 5, approx=2**62 + 1, input=17, operator=2**64 - 1)
+
+
+class TestKeysHashedOnce:
+    def test_equal_requests_share_one_cache_entry(self):
+        first = PredictionRequest(make_features(), make_bundle())
+        second = PredictionRequest(make_features(), make_bundle())
+        assert first is not second and first.features is not second.features
+        assert first == second and hash(first.key) == hash(second.key)
+        cache = LRUCache(4)
+        cache.put(first.key, 1.25)
+        cache.put(second.key, 2.5)
+        assert len(cache) == 1 and cache.get(first.key) == 2.5
+
+    def test_key_is_a_plain_tuple(self):
+        request = PredictionRequest(make_features(), make_bundle())
+        features, bundle = request.key  # unpacks
+        assert type(request.key) is tuple
+        assert request.key == (features, bundle)
+        assert hash(request.key) == hash((make_features(), make_bundle()))
+
+    def test_hash_is_the_field_tuple_hash(self):
+        """Same value the generated dataclass ``__hash__`` returned, so
+        nothing that ever depended on it can have moved."""
+        f, b = make_features(), make_bundle()
+        assert hash(f) == hash((1.5e6, 2.5e7, 3.5e4, 64.0, 8.0, 0.25, 0.5, 3.0, 2.0))
+        assert hash(b) == hash((b.strict, b.approx, b.input, b.operator))
+
+    def test_copies_recompute_their_own_hash(self):
+        original = make_features()
+        hash(original)  # the original's is cached now
+        copies = {
+            "replace": (replace(original, depth=5.0), replace(make_features(), depth=5.0)),
+            "with_partition_count": (original.with_partition_count(32), make_features(32.0)),
+            "pickle": (pickle.loads(pickle.dumps(original)), make_features()),
+        }
+        for how, (copy, fresh) in copies.items():
+            assert copy == fresh and hash(copy) == hash(fresh), how
+        assert hash(original.with_partition_count(32)) != hash(original)
+        bundle = make_bundle()
+        hash(bundle)
+        assert hash(pickle.loads(pickle.dumps(bundle))) == hash(make_bundle())
+        assert hash(replace(bundle, input=18)) == hash(replace(make_bundle(), input=18))
+        request = PredictionRequest(original, bundle)
+        assert hash(pickle.loads(pickle.dumps(request)).key) == hash(request.key)
+
+    def test_hashing_a_request_twice_hashes_its_fields_once(self, monkeypatch):
+        calls = {"features": 0, "signatures": 0}
+
+        def counting(name):
+            def field_hash(fields):
+                calls[name] += 1
+                return hash(fields)
+
+            return field_hash
+
+        # The field-wise hash is the one builtin ``hash(...)`` call inside
+        # each ``__hash__``; shadow it at module level to count it.
+        monkeypatch.setattr(featurizer, "hash", counting("features"), raising=False)
+        monkeypatch.setattr(signatures, "hash", counting("signatures"), raising=False)
+        request = PredictionRequest(make_features(), make_bundle())
+        cache = LRUCache(4)
+        hash(request.key)
+        hash(request.key)
+        cache.get_many([request.key, request.key])
+        cache.put_many([(request.key, 1.0)])
+        cache.get_many([request.key])
+        assert calls == {"features": 1, "signatures": 1}
+        hash(PredictionRequest(make_features(), make_bundle()).key)  # a new object
+        assert calls == {"features": 2, "signatures": 2}
+
+
+# ------------------------------------------------------------------ #
+# Counters through the router, pinned to the parent commit's values
+# ------------------------------------------------------------------ #
+
+#: (predictions, batches, batched, scalar, cache hits, misses, evictions,
+#: size, individual calls, combined calls, fallbacks, in-batch reuses)
+PINNED = {
+    1: {
+        "fleet": (1405, 50, 1400, 5, 643, 648, 584, 64, 1128, 26, 0, 14),
+        "shards": [(1405, 50, 1400, 5, 643, 648, 584, 64, 1128, 26, 0, 14)],
+        "health_calls": [55],
+        "lookups": 3810,
+    },
+    3: {
+        "fleet": (1405, 148, 1400, 5, 657, 639, 447, 192, 1322, 77, 0, 9),
+        "shards": [
+            (351, 48, 350, 1, 151, 173, 109, 64, 309, 25, 0, 0),
+            (435, 50, 434, 1, 201, 199, 135, 64, 419, 26, 0, 6),
+            (619, 50, 616, 3, 305, 267, 203, 64, 594, 26, 0, 3),
+        ],
+        "health_calls": [49, 51, 53],
+        "lookups": 3740,
+    },
+}
+
+
+def counters(stats) -> tuple:
+    assert (
+        stats.retries,
+        stats.breaker_opens,
+        stats.degraded_predictions,
+        stats.quarantined_models,
+        stats.hedged_requests,
+    ) == (0, 0, 0, 0, 0)
+    return (
+        stats.predictions,
+        stats.batches,
+        stats.batched_predictions,
+        stats.scalar_predictions,
+        stats.cache.hits,
+        stats.cache.misses,
+        stats.cache.evictions,
+        stats.cache.size,
+        stats.individual_model_calls,
+        stats.combined_model_calls,
+        stats.fallback_predictions,
+        stats.in_batch_reuses,
+    )
+
+
+@pytest.fixture(scope="module")
+def records(tiny_bundle):
+    records = list(tiny_bundle.log.operator_records())[:700]
+    assert len(records) == 700
+    return records
+
+
+@pytest.fixture(scope="module")
+def requests(records):
+    return [PredictionRequest.for_record(r) for r in records]
+
+
+@pytest.fixture(scope="module")
+def pristine_predictor(tiny_bundle):
+    """Trained here, on the bundle's own day split: the session-wide
+    ``tiny_predictor`` is shared with tests that quarantine models out of
+    its store, and the pins below count model calls."""
+    return CleoTrainer(CleoConfig()).train(
+        tiny_bundle.log, individual_days=[1, 2], combined_days=[2]
+    )
+
+
+def replay(router: ShardedCleoRouter, records, requests) -> None:
+    """Every batched entry point plus the scalar one; each 25-request chunk
+    twice back to back, so the second pass hits what the first inserted
+    while the 64-entry shard caches keep evicting."""
+    for start in range(0, 600, 25):
+        for _ in range(2):
+            router.predict_batch("cluster1", requests[start : start + 25])
+    tail = requests[600:700]
+    router.predict_inputs(
+        "cluster1", [r.features for r in tail], [r.signatures for r in tail]
+    )
+    router.predict_table("cluster1", FeatureTable.from_records(records[:100]))
+    for request in requests[:5]:
+        router.predict("cluster1", request.features, request.signatures)
+
+
+class TestZeroFaultCountersUnchanged:
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_every_counter_matches_the_parent_commit(
+        self, pristine_predictor, records, requests, n_shards
+    ):
+        pinned = PINNED[n_shards]
+        with ShardedCleoRouter(
+            {"cluster1": pristine_predictor}, n_shards=n_shards, prediction_cache_size=64
+        ) as router:
+            before = router.lookup_count
+            replay(router, records, requests)
+            assert counters(router.stats()) == pinned["fleet"]
+            assert [counters(s) for s in router.shard_stats()] == pinned["shards"]
+            assert router.lookup_count - before == pinned["lookups"]
+            health = router.resilience_stats()
+            assert [h.calls for h in health] == pinned["health_calls"]
+            for h in health:
+                assert h.state is BreakerState.CLOSED
+                assert (h.failures, h.timeouts, h.consecutive_failures) == (0, 0, 0)
+                assert (h.breaker_opens, h.breaker_closes, h.rejected) == (0, 0, 0)
+                assert h.window_failure_rate == 0.0
+            windows = [shard["window"] for shard in router.export_health()["shards"]]
+            assert [len(w) for w in windows] == pinned["health_calls"]
+            assert all(all(w) for w in windows)
+
+
+class TestBadInputStillRaisesFirst:
+    def test_non_finite_feature_prices_and_inserts_nothing(
+        self, tiny_predictor, requests
+    ):
+        service = CleoService(tiny_predictor, prediction_cache_size=64)
+        poisoned = PredictionRequest(
+            replace(requests[7].features, output_card=float("nan")),
+            requests[7].signatures,
+        )
+        batch = [*requests[:7], poisoned, *requests[8:12]]
+        lookups_before = service.lookup_count  # the shared predictor's, so far
+        with pytest.raises(FeatureValidationError):
+            service.predict_batch(batch)
+        stats = service.stats()
+        assert stats.cache.size == 0  # nothing inserted, not even the good rows
+        assert stats.model_calls == 0 and stats.predictions == 0
+        assert service.lookup_count == lookups_before
+        with ShardedCleoRouter({"cluster1": tiny_predictor}, n_shards=3) as router:
+            with pytest.raises(FeatureValidationError):
+                router.predict_batch("cluster1", batch)
+            assert router.stats().degraded_predictions == 0
+            assert router.stats().retries == 0
+        # A cached key skips the check (it passed before insertion) and a
+        # good batch still prices normally afterwards.
+        values = service.predict_batch(requests[:12])
+        assert len(values) == 12 and service.stats().cache.size == len(
+            {r.key for r in requests[:12]}
+        )

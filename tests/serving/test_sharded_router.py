@@ -141,6 +141,48 @@ class TestRouting:
                 expected = ring.shard_for_key(stable_hash("cluster1", int(approx)))
                 assert router.shard_for("cluster1", approx) == expected
 
+    def test_route_memo_is_bounded_and_dropped_with_the_caches(
+        self, tiny_predictor, requests, monkeypatch
+    ):
+        """Ad-hoc traffic mints a new template per query: the route memo
+        starts over at its limit instead of growing with every template
+        ever routed, stays correct across the reset, and goes with
+        ``clear_caches()``."""
+        from dataclasses import replace
+
+        from repro.serving.shard import router as router_module
+
+        limit = 32
+        monkeypatch.setattr(router_module, "_ROUTE_MEMO_LIMIT", limit)
+        adhoc = [
+            PredictionRequest(
+                requests[i % len(requests)].features,
+                replace(requests[i % len(requests)].signatures, approx=10_000_019 * (i + 1)),
+            )
+            for i in range(10 * limit)
+        ]
+        with make_router(tiny_predictor, n_shards=4) as router:
+            ring = HashRing(4)
+            memo = router._routes["cluster1"]
+            for start in range(0, len(adhoc), 40):
+                chunk = adhoc[start : start + 40]
+                router.predict_batch("cluster1", chunk)
+                assert len(memo) <= limit
+                for shard, rows in router._group_rows(
+                    "cluster1", [r.signatures.approx for r in chunk]
+                ):
+                    for i in rows:
+                        template = chunk[i].signatures.approx
+                        assert shard == ring.shard_for_key(route_key("cluster1", template))
+                        assert shard == router.shard_for("cluster1", template)
+                assert len(memo) <= limit
+            assert 0 < len(memo) <= limit
+            router.clear_caches()
+            assert len(memo) == 0
+            assert router.shard_for("cluster1", adhoc[0].signatures.approx) == (
+                ring.shard_for_key(route_key("cluster1", adhoc[0].signatures.approx))
+            )
+
     def test_accepts_service_as_predictor(self, tiny_predictor, requests, baseline):
         """A CleoService stands in for its predictor at construction."""
         with ShardedCleoRouter({"cluster1": CleoService(tiny_predictor)}) as router:

@@ -249,11 +249,11 @@ class TestOutputValidationAndQuarantine:
         store = copy.deepcopy(tiny_bundle.predictor().store)
         service = CleoService(CleoPredictor(store=store, combined=None))
         values = np.array([1.0, -5.0, 2.0])
-        repaired = service._validated_values(
-            values,
+        table = FeatureTable.from_inputs(
             [r.features for r in requests[:3]],
             [r.signatures for r in requests[:3]],
         )
+        repaired = service._repaired_table(table, values)
         assert repaired[0] == 1.0 and repaired[2] == 2.0
         assert math.isfinite(repaired[1]) and repaired[1] >= 0.0
         stats = service.stats()
