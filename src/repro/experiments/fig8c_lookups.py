@@ -63,7 +63,7 @@ def _measure_lookups(bundle, strategy) -> tuple[int, int, int]:
     explored_ops = 0
     before = predictor.lookup_count
     for stage in graph.topological_order():
-        if _stage_is_fixed(stage):
+        if _stage_is_fixed(stage.operators):
             continue
         estimator.reset()
         strategy.choose(

@@ -28,7 +28,7 @@ from repro.core.learned_model import ResourceProfile
 from repro.cost.interface import CostModel
 from repro.plan.physical import ExchangeMode, PhysOpType, PhysicalOp
 from repro.plan.properties import PartitionScheme
-from repro.plan.stages import Stage, build_stage_graph
+from repro.plan.stages import build_stage_graph
 
 
 @dataclass
@@ -310,13 +310,15 @@ class AnalyticalStrategy:
 # --------------------------------------------------------------------- #
 
 
-def _stage_is_fixed(stage: Stage) -> bool:
-    """Stages pinned by required properties (singleton/gather) are skipped.
+def _stage_is_fixed(operators) -> bool:
+    """True when a stage's operators pin its partition count (singleton/gather).
 
     This is step 2 of Figure 8a: when a partition count comes as a required
-    property from upstream operators, no exploration happens.
+    property from upstream operators, no exploration happens.  Written over
+    any iterable of plan nodes (a ``Stage.operators``, or the root stage the
+    search collects off a candidate before a stage graph exists).
     """
-    for op in stage.operators:
+    for op in operators:
         if op.op_type is PhysOpType.EXCHANGE and op.exchange_mode is ExchangeMode.GATHER:
             return True
         if op.partitioning.scheme is PartitionScheme.SINGLETON:
@@ -353,7 +355,7 @@ def optimize_partitions(
     chosen = {stage.index: stage.partition_count for stage in stages}
     # Stages never read each other's choice (every probe prices the original
     # ``stage.operators``), so the whole plan is explored at once.
-    explore = [stage for stage in stages if not _stage_is_fixed(stage)]
+    explore = [stage for stage in stages if not _stage_is_fixed(stage.operators)]
     candidates = getattr(strategy, "candidates", None)
     if (
         explore

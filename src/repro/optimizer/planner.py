@@ -1,63 +1,44 @@
-"""Top-down query planner with property enforcement and resource awareness.
+"""``QueryPlanner``: the Cascades search over real :class:`PhysicalOp` nodes.
 
-A Cascades-style Optimize-Inputs loop: required properties (partitioning,
-sort order) flow down, delivered properties flow up, Exchange/Sort enforcers
-reconcile the two, and every candidate operator is priced through a pluggable
-cost model — the default heuristic model or Cleo's learned models served via
-:class:`~repro.serving.service.CleoService` (step 10 of Figure 8a is
-literally one call-site here).  Final plan totals go through the model's
-``plan_cost``, which the learned models answer with one batched, grouped
-prediction call.
+The rules live in :mod:`repro.optimizer.search`; this is the configuration
+of that core which builds frozen :class:`PhysicalOp` candidates, reads
+estimates from the :class:`CardinalityEstimator` it is given, and prices each
+candidate with ``cost_model.operator_cost(op, estimator)`` — the default
+heuristic model, Cleo's learned models served via
+:class:`~repro.serving.service.CleoService`, or anything duck-typed with that
+one method.  That makes it the construction an opaque cost model or an
+estimator subclass can be served by, and the reference the skeleton replay's
+cached statistics are compared against.
 
-Alternatives explored per logical operator:
-
-* joins: hash join (either build side, via commutativity) and merge join;
-* aggregates: hash vs stream aggregate, plus local-aggregate pre-reduction
-  (the plan shape behind the paper's Q17 discussion);
-* filters/projections: requirement push-down vs enforcement above (shuffle
-  raw vs shuffle reduced data).
-
-After the structural search, the optional partition strategy re-optimizes
-every stage's partition count (Section 5.2's partition exploration +
-optimization, run as a dedicated pass over the chosen plan's stage graph).
-
-**Batched learned-cost planning.**  When the cost model advertises
-``supports_batched_pricing`` (Cleo's :class:`~repro.core.cost_model.
-CleoCostModel` does), the planner defers every ``_cost`` call: operators
-are appended to a pending ledger and the call returns a
-:class:`_DeferredCost` expression that records the exact float arithmetic
-the scalar planner would have executed.  Whenever a costing frontier
-actually needs comparing (a multi-candidate ``_optimize`` frame), the
-whole ledger — the frontier's candidates plus every operator accumulated
-through single-candidate frames below it — is priced in one
-``price_operators`` call over the packed serving runtime, and the deferred
-expressions are resolved by replaying their recorded arithmetic.  Plan
-choices, costs, and model-lookup accounting are bitwise identical to the
-scalar path (``tests/optimizer/test_batched_planning.py`` pins this); only
-the number of vectorized model invocations differs.
+What it overrides: ``_mk`` / ``_with_partitions`` (a ``PhysicalOp`` per
+candidate, kept alive for the estimator's identity-keyed memo),
+``_heuristic_partitions`` (:func:`default_partition_heuristic` over the
+estimator), ``_cost`` / ``_price`` (``operator_cost``; under a model that
+advertises ``supports_batched_pricing``, the deferred ledger flushed through
+``price_operators``), and ``_skeleton`` (built per call, never cached).
+Winners are shared between frames during the search and cloned into a tree
+once, at the end; the optional partition strategy then re-optimizes every
+stage's partition count, and the plan total goes through the model's
+``plan_cost``.
 """
 
 from __future__ import annotations
 
-import math
-import time
-from dataclasses import dataclass, field
-
-from repro.common.hashing import stable_unit_float
+from dataclasses import dataclass
 
 from repro.cardinality.estimator import CardinalityEstimator
-from repro.common.errors import OptimizationError
-from repro.cost.interface import CostModel, plan_cost
-from repro.optimizer.partition import (
-    PartitionStrategy,
-    _stage_is_fixed,
-    default_partition_heuristic,
-    optimize_partitions,
+from repro.cost.interface import CostModel
+from repro.optimizer.partition import PartitionStrategy, default_partition_heuristic
+from repro.optimizer.search import (  # PlannedJob, _resolve_cost: re-exported
+    _NO_SORT,
+    CascadesSearch,
+    PlannedJob,
+    _build_skeleton,
+    _DeferredCost,
+    _resolve_cost,  # noqa: F401
 )
-from repro.plan.logical import LogicalOp, LogicalOpType
-from repro.plan.physical import ExchangeMode, PhysOpType, PhysicalOp
-from repro.plan.properties import Partitioning, PartitionScheme, SortOrder
-from repro.plan.stages import build_stage_graph
+from repro.plan.logical import LogicalOp
+from repro.plan.physical import PhysicalOp
 
 
 @dataclass(frozen=True)
@@ -85,124 +66,7 @@ class PlannerConfig:
     partition_jitter: float = 0.0
 
 
-@dataclass(frozen=True)
-class PlanCandidate:
-    """A physical subplan with its accumulated estimated cost.
-
-    During batched costing ``cost`` may transiently hold a
-    :class:`_DeferredCost` expression; it is resolved to a float before any
-    candidate comparison (and before the memo winner escapes the search).
-    """
-
-    op: PhysicalOp
-    cost: float
-
-
-@dataclass
-class PlannedJob:
-    """Result of one optimization: the plan plus planning telemetry."""
-
-    plan: PhysicalOp
-    estimated_cost: float
-    optimize_seconds: float
-    candidates_considered: int = 0
-
-    @property
-    def partition_counts(self) -> dict[int, int]:
-        """Stage index -> partition count of the final plan."""
-        graph = build_stage_graph(self.plan)
-        return {stage.index: stage.partition_count for stage in graph.stages}
-
-
-_ANY = Partitioning.any()
-_NO_SORT = SortOrder.none()
-
-
-class _DeferredCost:
-    """A cost expression awaiting batched pricing.
-
-    Leaves index into the planner's priced-value ledger (one entry per
-    deferred operator, in ``_cost`` call order); interior nodes record the
-    ``+``/``-`` arithmetic the scalar planner would have executed, with the
-    operand order preserved by the reflected operators.  Resolving after
-    the batch therefore replays bit-identical floating point: the batched
-    planner can never flip a cost tie the scalar planner would not flip.
-    """
-
-    __slots__ = ("kind", "a", "b")
-
-    LEAF = 0
-    ADD = 1
-    SUB = 2
-
-    def __init__(self, kind: int, a, b=None) -> None:
-        self.kind = kind
-        self.a = a
-        self.b = b
-
-    def __add__(self, other):
-        return _DeferredCost(_DeferredCost.ADD, self, other)
-
-    def __radd__(self, other):
-        return _DeferredCost(_DeferredCost.ADD, other, self)
-
-    def __sub__(self, other):
-        return _DeferredCost(_DeferredCost.SUB, self, other)
-
-    def __rsub__(self, other):
-        return _DeferredCost(_DeferredCost.SUB, other, self)
-
-
-def _resolve_cost(cost, priced: list[float]) -> float:
-    """Evaluate a (possibly deferred) cost against the priced ledger.
-
-    Iterative post-order walk with an explicit stack: wide frontiers (a
-    union of thousands of branches accumulating ``cost += ...``) build
-    expressions deeper than the interpreter recursion limit.  Shared
-    subexpressions (memo-reused deferred costs) are evaluated once per
-    call; the arithmetic per node is identical to a recursive evaluation.
-    """
-    if not isinstance(cost, _DeferredCost):
-        return cost
-    values: dict[int, float] = {}
-    stack: list[tuple[_DeferredCost, bool]] = [(cost, False)]
-    while stack:
-        node, expanded = stack.pop()
-        node_id = id(node)
-        if node_id in values:
-            continue
-        kind = node.kind
-        if kind == _DeferredCost.LEAF:
-            values[node_id] = priced[node.a]
-        elif expanded:
-            a, b = node.a, node.b
-            a_value = values[id(a)] if isinstance(a, _DeferredCost) else a
-            b_value = values[id(b)] if isinstance(b, _DeferredCost) else b
-            values[node_id] = (
-                a_value + b_value if kind == _DeferredCost.ADD else a_value - b_value
-            )
-        else:
-            stack.append((node, True))
-            if isinstance(node.b, _DeferredCost):
-                stack.append((node.b, False))
-            if isinstance(node.a, _DeferredCost):
-                stack.append((node.a, False))
-    return values[id(cost)]
-
-
-def jitter_factor(salt: str, key: str, sigma: float) -> float:
-    """The deterministic log-normal allocation-jitter multiplier.
-
-    Shared by :meth:`QueryPlanner._jittered` and the skeleton planner so the
-    two paths draw bit-identical wobble from the same (salt, key) pair.
-    """
-    u = stable_unit_float("partition-jitter", salt, key)
-    v = stable_unit_float("partition-jitter-v", salt, key)
-    z = math.sqrt(-2.0 * math.log(max(u, 1e-12))) * math.cos(2.0 * math.pi * v)
-    return math.exp(sigma * z)
-
-
-class QueryPlanner:
+class QueryPlanner(CascadesSearch):
     """Optimizes logical plans into physical plans under a cost model."""
 
     def __init__(
@@ -211,499 +75,68 @@ class QueryPlanner:
         estimator: CardinalityEstimator,
         config: PlannerConfig | None = None,
     ) -> None:
-        self.cost_model = cost_model
-        self.estimator = estimator
-        self.config = config or PlannerConfig()
+        super().__init__(cost_model, estimator, config or PlannerConfig())
         #: Callers (e.g. the workload runner) vary this per job so allocation
         #: jitter differs across jobs while staying reproducible.
         self.jitter_salt: str = ""
-        self._memo: dict[tuple[int, Partitioning, SortOrder], PlanCandidate] = {}
         self._keepalive: list[object] = []
-        self._candidates_considered = 0
-        # Batched-costing state (active only while `plan` runs with a cost
-        # model that advertises `supports_batched_pricing`).
-        self._batched = False
-        self._pending_ops: list[PhysicalOp] = []
-        self._priced: list[float] = []
-
-    # ------------------------------------------------------------------ #
-    # Public API
-    # ------------------------------------------------------------------ #
 
     def plan(self, logical_root: LogicalOp) -> PlannedJob:
         """Optimize one logical plan end to end."""
-        start = time.perf_counter()
-        self._memo.clear()
         self._keepalive = [logical_root]
-        self._candidates_considered = 0
-        self._batched = bool(
+        self._deferred = bool(
             getattr(self.cost_model, "supports_batched_pricing", False)
         )
-        self._pending_ops = []
-        self._priced = []
         # The estimator memoizes by object identity; stale entries from a
         # previous (freed) plan must never leak into this optimization.
         self.estimator.reset()
-
-        best = self._optimize(logical_root, _ANY, _NO_SORT)
-        if self._batched:
-            # Operators whose costs never had to decide a comparison
-            # (single-candidate frontiers feeding the final winner) are
-            # still priced exactly once, so per-prediction model-lookup
-            # accounting matches the scalar planner's total.
-            self._flush_pending()
-        physical = best.op
-        if self.config.partition_strategy is not None:
-            physical = optimize_partitions(
-                physical,
-                self.cost_model,
-                self.estimator,
-                self.config.partition_strategy,
-                max_partitions=self.config.max_partitions,
-            )
-        total_cost = plan_cost(self.cost_model, physical, self.estimator)
-        elapsed = time.perf_counter() - start
-        return PlannedJob(
-            plan=physical,
-            estimated_cost=total_cost,
-            optimize_seconds=elapsed,
-            candidates_considered=self._candidates_considered,
-        )
+        _, (planned,) = self._plan_all([("", 0, logical_root, self.jitter_salt)])
+        self._keepalive.append(planned.plan)
+        return planned
 
     # ------------------------------------------------------------------ #
-    # Core recursion
+    # What this configuration supplies to the search core
     # ------------------------------------------------------------------ #
 
-    def _optimize(
-        self, node: LogicalOp, req_part: Partitioning, req_sort: SortOrder
-    ) -> PlanCandidate:
-        key = (id(node), req_part, req_sort)
-        cached = self._memo.get(key)
-        if cached is not None:
-            # Logical plans may be DAGs (common subexpressions used twice,
-            # e.g. TPC-H Q17's lineitem branch).  Physical plans must stay
-            # trees — the stage graph and simulator count each operator
-            # once — so every reuse of a memoized subplan gets fresh nodes.
-            return PlanCandidate(self._clone_tree(cached.op), cached.cost)
+    def _skeleton(self, template_id, day, bound):
+        return _build_skeleton(bound)
 
-        candidates = self._implementations(node, req_part, req_sort)
-        if not candidates:
-            raise OptimizationError(
-                f"no implementation for {node.op_type.value} under "
-                f"{req_part.describe()}/{req_sort.describe()}"
-            )
-        enforced = [self._enforce(c, req_part, req_sort) for c in candidates]
-        self._candidates_considered += len(enforced)
-        if self._batched and len(enforced) > 1:
-            # This frontier needs comparing: price every operator deferred
-            # so far in one batched pass, then resolve the candidates'
-            # recorded cost arithmetic.  Single-candidate frames skip the
-            # flush entirely — their deferred cost flows into the parent's
-            # expression and is priced with the parent's frontier.
-            self._flush_pending()
-            priced = self._priced
-            enforced = [
-                PlanCandidate(c.op, _resolve_cost(c.cost, priced)) for c in enforced
-            ]
-        best = min(enforced, key=lambda c: c.cost)
-        self._memo[key] = best
-        return best
-
-    def _implementations(
-        self, node: LogicalOp, req_part: Partitioning, req_sort: SortOrder
-    ) -> list[PlanCandidate]:
-        kind = node.op_type
-        if kind is LogicalOpType.GET:
-            return self._impl_get(node)
-        if kind in (LogicalOpType.FILTER, LogicalOpType.PROJECT):
-            return self._impl_passthrough(node, req_part, req_sort)
-        if kind is LogicalOpType.PROCESS:
-            return self._impl_process(node)
-        if kind is LogicalOpType.JOIN:
-            return self._impl_join(node)
-        if kind is LogicalOpType.AGGREGATE:
-            return self._impl_aggregate(node)
-        if kind is LogicalOpType.SORT:
-            return self._impl_sort(node)
-        if kind is LogicalOpType.TOP_K:
-            return self._impl_topk(node)
-        if kind is LogicalOpType.UNION:
-            return self._impl_union(node)
-        if kind is LogicalOpType.OUTPUT:
-            return self._impl_output(node)
-        raise OptimizationError(f"unsupported logical operator {kind}")
-
-    # ------------------------------------------------------------------ #
-    # Per-operator implementations
-    # ------------------------------------------------------------------ #
-
-    def _impl_get(self, node: LogicalOp) -> list[PlanCandidate]:
-        partitions = self._heuristic_partitions_for_volume(
-            node.true_card, node.row_bytes, jitter_key=node.template_tag
+    def _mk(
+        self,
+        op_type,
+        children,
+        logical,
+        partition_count,
+        partitioning,
+        sorting=_NO_SORT,
+        exchange_mode=None,
+        sort_keys=(),
+        index=-1,
+    ) -> PhysicalOp:
+        op = PhysicalOp(
+            op_type,
+            children,
+            logical,
+            partition_count,
+            partitioning,
+            sorting,
+            exchange_mode,
+            sort_keys,
         )
-        op = self._mk(
-            PhysOpType.EXTRACT,
-            children=(),
-            logical=node,
-            partition_count=partitions,
-            partitioning=Partitioning.random(),
-        )
-        return [PlanCandidate(op, self._cost(op))]
-
-    def _impl_passthrough(
-        self, node: LogicalOp, req_part: Partitioning, req_sort: SortOrder
-    ) -> list[PlanCandidate]:
-        """Filter/Project: push the requirement down, or enforce above."""
-        phys_type = (
-            PhysOpType.FILTER if node.op_type is LogicalOpType.FILTER else PhysOpType.COMPUTE
-        )
-        child = node.children[0]
-        # Push-down first, relaxed second, in a deterministic ORDER: a set
-        # here would iterate in salted-hash order, and since `_optimize`
-        # breaks cost ties by first-seen candidate, plan shapes (and thus
-        # every simulated latency) would vary with PYTHONHASHSEED across
-        # processes.
-        requirement_pairs = [(req_part, req_sort)]
-        if (req_part, req_sort) != (_ANY, _NO_SORT):
-            requirement_pairs.append((_ANY, _NO_SORT))
-        out: list[PlanCandidate] = []
-        for child_part, child_sort in requirement_pairs:
-            child_cand = self._optimize(child, child_part, child_sort)
-            op = self._mk(
-                phys_type,
-                children=(child_cand.op,),
-                logical=node,
-                partition_count=child_cand.op.partition_count,
-                partitioning=child_cand.op.partitioning,
-                sorting=child_cand.op.sorting,
-            )
-            out.append(PlanCandidate(op, child_cand.cost + self._cost(op)))
-        return out
-
-    def _impl_process(self, node: LogicalOp) -> list[PlanCandidate]:
-        """UDF: order/partitioning guarantees do not survive custom code."""
-        child_cand = self._optimize(node.children[0], _ANY, _NO_SORT)
-        op = self._mk(
-            PhysOpType.PROCESS,
-            children=(child_cand.op,),
-            logical=node,
-            partition_count=child_cand.op.partition_count,
-            partitioning=Partitioning.random(),
-        )
-        return [PlanCandidate(op, child_cand.cost + self._cost(op))]
-
-    def _impl_join(self, node: LogicalOp) -> list[PlanCandidate]:
-        left, right = node.children
-        left_key, right_key = node.keys
-        sides = [(left, right, left_key, right_key)]
-        if self.config.enable_join_commute:
-            sides.append((right, left, right_key, left_key))
-
-        out: list[PlanCandidate] = []
-        for probe, build, probe_key, build_key in sides:
-            probe_cand = self._optimize(probe, Partitioning.hash(probe_key), _NO_SORT)
-            build_cand = self._optimize(build, Partitioning.hash(build_key), _NO_SORT)
-            aligned = self._align_partitions([probe_cand, build_cand])
-            if aligned is not None:
-                probe_a, build_a = aligned
-                op = self._mk(
-                    PhysOpType.HASH_JOIN,
-                    children=(probe_a.op, build_a.op),
-                    logical=node,
-                    partition_count=probe_a.op.partition_count,
-                    partitioning=Partitioning.hash(probe_key),
-                )
-                out.append(PlanCandidate(op, probe_a.cost + build_a.cost + self._cost(op)))
-
-        if self.config.enable_merge_join:
-            left_cand = self._optimize(
-                left, Partitioning.hash(left_key), SortOrder.on(left_key)
-            )
-            right_cand = self._optimize(
-                right, Partitioning.hash(right_key), SortOrder.on(right_key)
-            )
-            aligned = self._align_partitions([left_cand, right_cand])
-            if aligned is not None:
-                left_a, right_a = aligned
-                op = self._mk(
-                    PhysOpType.MERGE_JOIN,
-                    children=(left_a.op, right_a.op),
-                    logical=node,
-                    partition_count=left_a.op.partition_count,
-                    partitioning=Partitioning.hash(left_key),
-                    sorting=SortOrder.on(left_key),
-                )
-                out.append(PlanCandidate(op, left_a.cost + right_a.cost + self._cost(op)))
-        return out
-
-    def _impl_aggregate(self, node: LogicalOp) -> list[PlanCandidate]:
-        keys = node.keys
-        child = node.children[0]
-        final_req = Partitioning.hash(*keys) if keys else Partitioning.singleton()
-        delivered = final_req if keys else Partitioning.singleton()
-        out: list[PlanCandidate] = []
-
-        # (a) Hash aggregate directly on repartitioned input.
-        child_cand = self._optimize(child, final_req, _NO_SORT)
-        hash_agg = self._mk(
-            PhysOpType.HASH_AGGREGATE,
-            children=(child_cand.op,),
-            logical=node,
-            partition_count=child_cand.op.partition_count,
-            partitioning=delivered,
-        )
-        out.append(PlanCandidate(hash_agg, child_cand.cost + self._cost(hash_agg)))
-
-        # (b) Stream aggregate over sorted, repartitioned input.
-        if keys and self.config.enable_stream_aggregate:
-            sorted_cand = self._optimize(child, final_req, SortOrder.on(*keys))
-            stream_agg = self._mk(
-                PhysOpType.STREAM_AGGREGATE,
-                children=(sorted_cand.op,),
-                logical=node,
-                partition_count=sorted_cand.op.partition_count,
-                partitioning=delivered,
-                sorting=SortOrder.on(*keys),
-            )
-            out.append(PlanCandidate(stream_agg, sorted_cand.cost + self._cost(stream_agg)))
-
-        # (c) Local pre-aggregation before the shuffle (the Q17 plan shape).
-        if self.config.enable_local_aggregate:
-            any_cand = self._optimize(child, _ANY, _NO_SORT)
-            local_logical = self._local_aggregate_logical(
-                node, any_cand.op.partition_count
-            )
-            local = self._mk(
-                PhysOpType.LOCAL_AGGREGATE,
-                children=(any_cand.op,),
-                logical=local_logical,
-                partition_count=any_cand.op.partition_count,
-                partitioning=any_cand.op.partitioning,
-            )
-            exchange = self._exchange_for(local, final_req)
-            final = self._mk(
-                PhysOpType.HASH_AGGREGATE,
-                children=(exchange,),
-                logical=node,
-                partition_count=exchange.partition_count,
-                partitioning=delivered,
-            )
-            cost = (
-                any_cand.cost + self._cost(local) + self._cost(exchange) + self._cost(final)
-            )
-            out.append(PlanCandidate(final, cost))
-        return out
-
-    def _impl_sort(self, node: LogicalOp) -> list[PlanCandidate]:
-        child_cand = self._optimize(node.children[0], Partitioning.singleton(), _NO_SORT)
-        op = self._mk(
-            PhysOpType.SORT,
-            children=(child_cand.op,),
-            logical=node,
-            partition_count=1,
-            partitioning=Partitioning.singleton(),
-            sorting=SortOrder.on(*node.keys),
-            sort_keys=node.keys,
-        )
-        return [PlanCandidate(op, child_cand.cost + self._cost(op))]
-
-    def _impl_topk(self, node: LogicalOp) -> list[PlanCandidate]:
-        child_cand = self._optimize(node.children[0], Partitioning.singleton(), _NO_SORT)
-        op = self._mk(
-            PhysOpType.TOP_K,
-            children=(child_cand.op,),
-            logical=node,
-            partition_count=1,
-            partitioning=Partitioning.singleton(),
-            sorting=SortOrder.on(*node.keys),
-            sort_keys=node.keys,
-        )
-        return [PlanCandidate(op, child_cand.cost + self._cost(op))]
-
-    def _impl_union(self, node: LogicalOp) -> list[PlanCandidate]:
-        child_cands = [self._optimize(child, _ANY, _NO_SORT) for child in node.children]
-        # All inputs rebalanced to a common width (a union barrier).
-        target = max(
-            self._heuristic_partitions_for_volume(
-                child.true_card, child.row_bytes, jitter_key=node.template_tag
-            )
-            for child in node.children
-        )
-        exchanged = []
-        cost = 0.0
-        for cand in child_cands:
-            exchange = self._mk(
-                PhysOpType.EXCHANGE,
-                children=(cand.op,),
-                logical=None,
-                partition_count=target,
-                partitioning=Partitioning.random(),
-                exchange_mode=ExchangeMode.RANDOM,
-            )
-            exchanged.append(exchange)
-            cost += cand.cost + self._cost(exchange)
-        op = self._mk(
-            PhysOpType.UNION_ALL,
-            children=tuple(exchanged),
-            logical=node,
-            partition_count=target,
-            partitioning=Partitioning.random(),
-        )
-        return [PlanCandidate(op, cost + self._cost(op))]
-
-    def _impl_output(self, node: LogicalOp) -> list[PlanCandidate]:
-        child_cand = self._optimize(node.children[0], _ANY, _NO_SORT)
-        op = self._mk(
-            PhysOpType.OUTPUT,
-            children=(child_cand.op,),
-            logical=node,
-            partition_count=child_cand.op.partition_count,
-            partitioning=child_cand.op.partitioning,
-            sorting=child_cand.op.sorting,
-        )
-        return [PlanCandidate(op, child_cand.cost + self._cost(op))]
-
-    # ------------------------------------------------------------------ #
-    # Enforcers and alignment
-    # ------------------------------------------------------------------ #
-
-    def _enforce(
-        self, candidate: PlanCandidate, req_part: Partitioning, req_sort: SortOrder
-    ) -> PlanCandidate:
-        """Insert Exchange/Sort on top until the requirement is satisfied."""
-        op, cost = candidate.op, candidate.cost
-        if not op.partitioning.satisfies(req_part):
-            op = self._exchange_for(op, req_part)
-            cost += self._cost(op)
-        if not op.sorting.satisfies(req_sort):
-            op = self._mk(
-                PhysOpType.SORT,
-                children=(op,),
-                logical=None,
-                partition_count=op.partition_count,
-                partitioning=op.partitioning,
-                sorting=SortOrder(req_sort.columns),
-                sort_keys=req_sort.columns,
-            )
-            cost += self._cost(op)
-        return PlanCandidate(op, cost)
-
-    def _exchange_for(self, child: PhysicalOp, req_part: Partitioning) -> PhysicalOp:
-        """Build the Exchange enforcer that delivers ``req_part``."""
-        if req_part.scheme is PartitionScheme.SINGLETON:
-            mode, partitions, delivered = ExchangeMode.GATHER, 1, Partitioning.singleton()
-        elif req_part.scheme is PartitionScheme.HASH:
-            mode = ExchangeMode.HASH
-            partitions = self._heuristic_partitions(child)
-            delivered = req_part
-        else:  # RANDOM or ANY-after-failure: rebalance round-robin
-            mode = ExchangeMode.RANDOM
-            partitions = self._heuristic_partitions(child)
-            delivered = Partitioning.random()
-        return self._mk(
-            PhysOpType.EXCHANGE,
-            children=(child,),
-            logical=None,
-            partition_count=partitions,
-            partitioning=delivered,
-            exchange_mode=mode,
-        )
-
-    def _align_partitions(
-        self, candidates: list[PlanCandidate]
-    ) -> list[PlanCandidate] | None:
-        """Make co-partitioned join inputs agree on a partition count.
-
-        The larger count wins; the other side's root stage is rebuilt with
-        the new count when possible.  Returns None when alignment fails
-        (both sides pinned to different fixed counts).
-        """
-        counts = [c.op.partition_count for c in candidates]
-        target = max(counts)
-        out: list[PlanCandidate] = []
-        for cand in candidates:
-            if cand.op.partition_count == target:
-                out.append(cand)
-                continue
-            adjusted = self._with_root_stage_partitions(cand, target)
-            if adjusted is None:
-                return None
-            out.append(adjusted)
-        return out
-
-    def _with_root_stage_partitions(
-        self, candidate: PlanCandidate, new_count: int
-    ) -> PlanCandidate | None:
-        """Rebuild the candidate's root stage at ``new_count`` partitions."""
-        graph = build_stage_graph(candidate.op)
-        root_stage = graph.stage_for(candidate.op)
-        if _stage_is_fixed(root_stage):
-            return None
-        in_stage = {id(op) for op in root_stage.operators}
-        cost_delta = 0.0
-
-        def rebuild(op: PhysicalOp) -> PhysicalOp:
-            nonlocal cost_delta
-            if id(op) not in in_stage:
-                return op
-            new_children = tuple(rebuild(child) for child in op.children)
-            replaced = PhysicalOp(
-                op_type=op.op_type,
-                children=new_children,
-                logical=op.logical,
-                partition_count=new_count,
-                partitioning=op.partitioning,
-                sorting=op.sorting,
-                exchange_mode=op.exchange_mode,
-                sort_keys=op.sort_keys,
-            )
-            self._keepalive.append(replaced)
-            cost_delta += self._cost(replaced) - self._cost(op)
-            return replaced
-
-        new_root = rebuild(candidate.op)
-        return PlanCandidate(new_root, candidate.cost + cost_delta)
-
-    # ------------------------------------------------------------------ #
-    # Small helpers
-    # ------------------------------------------------------------------ #
-
-    def _mk(self, op_type: PhysOpType, **kwargs) -> PhysicalOp:
-        op = PhysicalOp(op_type=op_type, **kwargs)
         self._keepalive.append(op)
         return op
 
-    def _clone_tree(self, op: PhysicalOp) -> PhysicalOp:
-        """Deep-copy a physical subtree (fresh node identities)."""
-        children = tuple(self._clone_tree(child) for child in op.children)
-        clone = PhysicalOp(
-            op_type=op.op_type,
-            children=children,
-            logical=op.logical,
-            partition_count=op.partition_count,
-            partitioning=op.partitioning,
-            sorting=op.sorting,
-            exchange_mode=op.exchange_mode,
-            sort_keys=op.sort_keys,
+    def _with_partitions(self, op: PhysicalOp, partition_count: int, children):
+        return self._mk(
+            op.op_type,
+            children,
+            op.logical,
+            partition_count,
+            op.partitioning,
+            op.sorting,
+            op.exchange_mode,
+            op.sort_keys,
         )
-        self._keepalive.append(clone)
-        return clone
-
-    def _cost(self, op: PhysicalOp) -> "float | _DeferredCost":
-        if not self._batched:
-            return self.cost_model.operator_cost(op, self.estimator)
-        index = len(self._priced) + len(self._pending_ops)
-        self._pending_ops.append(op)
-        return _DeferredCost(_DeferredCost.LEAF, index)
-
-    def _flush_pending(self) -> None:
-        """Price every deferred operator through the model's batched path."""
-        ops = self._pending_ops
-        if not ops:
-            return
-        self._pending_ops = []
-        values = self.cost_model.price_operators(ops, self.estimator)
-        self._priced.extend(map(float, values))
 
     def _heuristic_partitions(self, op: PhysicalOp) -> int:
         base = default_partition_heuristic(
@@ -717,44 +150,10 @@ class QueryPlanner:
             self.config.max_partitions,
         )
 
-    def _heuristic_partitions_for_volume(
-        self, rows: float, row_bytes: float, jitter_key: str = ""
-    ) -> int:
-        partitions = int(
-            max(1, rows * row_bytes // (self.config.exchange_partition_mb * 1024 * 1024) + 1)
-        )
-        partitions = min(partitions, self.config.default_partition_cap)
-        return min(self._jittered(partitions, jitter_key), self.config.max_partitions)
+    def _cost(self, op: PhysicalOp) -> "float | _DeferredCost":
+        if self._deferred:
+            return self._cost_deferred(op)
+        return self.cost_model.operator_cost(op, self.estimator)
 
-    def _jittered(self, partitions: int, key: str) -> int:
-        """Deterministic allocation wobble around the heuristic choice."""
-        sigma = self.config.partition_jitter
-        if sigma <= 0.0:
-            return partitions
-        factor = jitter_factor(self.jitter_salt, key, sigma)
-        return max(1, int(round(partitions * factor)))
-
-    def _local_aggregate_logical(self, node: LogicalOp, partitions: int) -> LogicalOp:
-        """Synthesize the logical node of a partial (per-partition) aggregate.
-
-        Each partition emits at most ``group_count`` groups, so the local
-        output is ``min(input, group_count * partitions)`` — a big win when
-        groups are few, pure overhead when they are near-distinct (the
-        paper's Q17 regression case).
-        """
-        child = node.children[0]
-        groups = node.group_count if node.group_count is not None else node.true_card
-        local_card = max(1.0, min(child.true_card, groups * partitions))
-        return LogicalOp(
-            op_type=LogicalOpType.AGGREGATE,
-            children=(child,),
-            template_tag=f"{node.template_tag}#local",
-            true_card=local_card,
-            row_bytes=node.row_bytes,
-            normalized_inputs=node.normalized_inputs,
-            sel_true=(local_card / child.true_card) if child.true_card > 0 else 1.0,
-            keys=node.keys,
-            # The estimator reads group_count as "output groups of this
-            # node"; for a per-partition aggregate that is groups*partitions.
-            group_count=local_card,
-        )
+    def _price(self, ops: list[PhysicalOp]):
+        return self.cost_model.price_operators(ops, self.estimator)

@@ -38,7 +38,6 @@ suspend: the same driver finishes each of their searches in its first wave.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro.cardinality.estimator import CardinalityEstimator
@@ -95,26 +94,19 @@ class FleetReplanner:
         """Replan every instance; results align with the input order.
 
         ``optimize_seconds`` is the call's wall time split evenly over its
-        jobs: every pricing wave and the plan-total finale are shared by the
-        whole fleet, so per-job time is not individually attributable.
+        jobs (see :meth:`~repro.optimizer.search.CascadesSearch._plan_all`).
         """
-        start = time.perf_counter()
         jobs = list(jobs)
         if not jobs:
             return []
-        searches = self.planner._search(
+        searches, planned = self.planner._plan_all(
             (job.template_id, job.day, job.logical, job.salt) for job in jobs
         )
         self.last_choice_keys = [
             (job.template_id, tuple(search.choices))
             for job, search in zip(jobs, searches)
         ]
-        finals = self.planner._finalize([search.win for search in searches])
-        share = (time.perf_counter() - start) / len(jobs)
-        return [
-            PlannedJob(plan, total, share, search.candidates_considered)
-            for (plan, total), search in zip(finals, searches)
-        ]
+        return planned
 
 
 def replan_jobs(

@@ -1,0 +1,933 @@
+"""The Cascades search, written once: one rule set, one resumable driver.
+
+A top-down Optimize-Inputs loop: required properties (partitioning, sort
+order) flow down, delivered properties flow up, Exchange/Sort enforcers
+reconcile the two, and every candidate operator is priced through ``_cost``
+(step 10 of the paper's Figure 8a is that one call).  Alternatives explored
+per logical operator:
+
+* joins: hash join (either build side, via commutativity) and merge join;
+* aggregates: hash vs stream aggregate, plus local-aggregate pre-reduction
+  (the plan shape behind the paper's Q17 discussion);
+* filters/projections: requirement push-down vs enforcement above (shuffle
+  raw vs shuffle reduced data).
+
+:class:`CascadesSearch` holds every rule — ``_optimize``, ``_implementations``,
+the ``_impl_*`` family, ``_enforce``, ``_exchange_for``, partition alignment
+and the root-stage rebuild, the volume heuristic, allocation jitter, the
+synthesized local aggregate — written against the six attributes the rules
+read on a plan node (``op_type``, ``children``, ``partition_count``,
+``partitioning``, ``sorting``, ``exchange_mode``).  A *configuration*
+subclasses it and supplies only what genuinely differs:
+
+* node construction — ``_mk`` / ``_with_partitions``;
+* where estimates come from — ``_heuristic_partitions(node)`` and whatever
+  ``_mk`` caches on the node;
+* costing — ``_cost(node)`` and ``_price(nodes)``, the ledger flush call;
+* where a template's static search data comes from — ``_skeleton``.
+
+:class:`~repro.optimizer.planner.QueryPlanner` (frozen ``PhysicalOp`` nodes,
+the estimator, ``operator_cost`` / ``price_operators``, a fresh skeleton per
+call) and :class:`~repro.optimizer.skeleton.SkeletonPlanner` (slotted
+``RNode``s, primed per-index estimates, inlined / stats / packed pricing, a
+skeleton cached per ``(template_id, day)``) are the two configurations.
+Candidate order, tie-breaks and floating-point expression order exist here
+and nowhere else, so the two cannot disagree on them.
+
+**Deferred costing.**  When ``_deferred`` is set, ``_cost`` is
+:meth:`CascadesSearch._cost_deferred`: nodes are appended to the search's
+pending ledger and the call returns a :class:`_DeferredCost` expression
+recording the exact float arithmetic the scalar search would have executed.
+A frame with a single candidate keeps the expression unresolved (its parent
+frontier prices it); a frame that must compare candidates suspends, the
+driver prices every pending row in one ``_price`` call, and the expressions
+are resolved by replaying their recorded arithmetic.  Plan choices, costs and
+model-lookup accounting are bitwise identical to scalar costing
+(``tests/optimizer/test_batched_planning.py``); only the number of
+vectorized model invocations differs.
+
+**One resumable search.**  The recursion is generators with that single
+suspension point.  Each job's mutable state lives in one :class:`_Search`
+the planner points at, so any number of searches — of any templates — can be
+open at once.  :meth:`CascadesSearch._search` is the only driver: it advances
+every open search to its next suspension, prices all their pending rows
+together, and repeats.  One job flushes at every suspension; a fleet
+(:class:`~repro.optimizer.replan.FleetReplanner`) makes as many pricing calls
+as its deepest job.  Pricing a row earlier than the solo search would is
+exact — predictions are batch-invariant and ledger indices are assigned when
+``_cost`` runs, not when the row is priced.  Scalar costing never suspends.
+"""
+
+from __future__ import annotations
+
+import math
+import time
+from dataclasses import dataclass
+from itertools import islice
+
+from repro.common.errors import OptimizationError
+from repro.common.hashing import stable_unit_float
+from repro.cost.interface import plan_cost
+from repro.optimizer.partition import _stage_is_fixed, optimize_partitions
+from repro.plan.logical import LogicalOp, LogicalOpType
+from repro.plan.physical import PARTITIONING_OPS, ExchangeMode, PhysOpType, PhysicalOp
+from repro.plan.properties import Partitioning, PartitionScheme, SortOrder
+from repro.plan.stages import build_stage_graph
+
+_ANY = Partitioning.any()
+_NO_SORT = SortOrder.none()
+_RANDOM = Partitioning.random()
+_SINGLETON = Partitioning.singleton()
+
+
+@dataclass
+class PlannedJob:
+    """Result of one optimization: the plan plus planning telemetry."""
+
+    plan: PhysicalOp
+    estimated_cost: float
+    optimize_seconds: float
+    candidates_considered: int = 0
+
+    @property
+    def partition_counts(self) -> dict[int, int]:
+        """Stage index -> partition count of the final plan."""
+        graph = build_stage_graph(self.plan)
+        return {stage.index: stage.partition_count for stage in graph.stages}
+
+
+class _DeferredCost:
+    """A cost expression awaiting batched pricing.
+
+    Leaves index into the search's priced-value ledger (one entry per
+    deferred node, in ``_cost`` call order); interior nodes record the
+    ``+``/``-`` arithmetic the scalar search would have executed, with the
+    operand order preserved by the reflected operators.  Resolving after
+    the batch therefore replays bit-identical floating point: deferred
+    costing can never flip a cost tie scalar costing would not flip.
+    """
+
+    __slots__ = ("kind", "a", "b")
+
+    LEAF = 0
+    ADD = 1
+    SUB = 2
+
+    def __init__(self, kind: int, a, b=None) -> None:
+        self.kind = kind
+        self.a = a
+        self.b = b
+
+    def __add__(self, other):
+        return _DeferredCost(_DeferredCost.ADD, self, other)
+
+    def __radd__(self, other):
+        return _DeferredCost(_DeferredCost.ADD, other, self)
+
+    def __sub__(self, other):
+        return _DeferredCost(_DeferredCost.SUB, self, other)
+
+    def __rsub__(self, other):
+        return _DeferredCost(_DeferredCost.SUB, other, self)
+
+
+def _resolve_cost(cost, priced: list[float]) -> float:
+    """Evaluate a (possibly deferred) cost against the priced ledger.
+
+    Iterative post-order walk with an explicit stack: wide frontiers (a
+    union of thousands of branches accumulating ``cost += ...``) build
+    expressions deeper than the interpreter recursion limit.  Shared
+    subexpressions (memo-reused deferred costs) are evaluated once per
+    call; the arithmetic per node is identical to a recursive evaluation.
+    """
+    if not isinstance(cost, _DeferredCost):
+        return cost
+    values: dict[int, float] = {}
+    stack: list[tuple[_DeferredCost, bool]] = [(cost, False)]
+    while stack:
+        node, expanded = stack.pop()
+        node_id = id(node)
+        if node_id in values:
+            continue
+        kind = node.kind
+        if kind == _DeferredCost.LEAF:
+            values[node_id] = priced[node.a]
+        elif expanded:
+            a, b = node.a, node.b
+            a_value = values[id(a)] if isinstance(a, _DeferredCost) else a
+            b_value = values[id(b)] if isinstance(b, _DeferredCost) else b
+            values[node_id] = (
+                a_value + b_value if kind == _DeferredCost.ADD else a_value - b_value
+            )
+        else:
+            stack.append((node, True))
+            if isinstance(node.b, _DeferredCost):
+                stack.append((node.b, False))
+            if isinstance(node.a, _DeferredCost):
+                stack.append((node.a, False))
+    return values[id(cost)]
+
+
+def jitter_factor(salt: str, key: str, sigma: float) -> float:
+    """The deterministic log-normal allocation-jitter multiplier."""
+    u = stable_unit_float("partition-jitter", salt, key)
+    v = stable_unit_float("partition-jitter-v", salt, key)
+    z = math.sqrt(-2.0 * math.log(max(u, 1e-12))) * math.cos(2.0 * math.pi * v)
+    return math.exp(sigma * z)
+
+
+def materialize(node) -> PhysicalOp:
+    """A fresh :class:`PhysicalOp` tree from a winning search node.
+
+    The search shares memoized winners between the frames that reuse them
+    (a logical DAG such as TPC-H Q17's lineitem branch, or one subplan
+    winning under two requirements); physical plans must be trees — the
+    stage graph and simulator count each operator once — so every
+    occurrence of a shared subtree becomes its own nodes here.
+    """
+    return PhysicalOp(
+        op_type=node.op_type,
+        children=tuple(materialize(child) for child in node.children),
+        logical=node.logical,
+        partition_count=node.partition_count,
+        partitioning=node.partitioning,
+        sorting=node.sorting,
+        exchange_mode=node.exchange_mode,
+        sort_keys=node.sort_keys,
+    )
+
+
+class SkelNode:
+    """Static per-logical-node search data, shared by a template's jobs."""
+
+    __slots__ = (
+        "children",
+        "op_type",
+        # join
+        "hash_left",
+        "hash_right",
+        "sort_left",
+        "sort_right",
+        # aggregate
+        "final_req",
+        "sort_req",
+        "local_tag",
+        # sort / top-k
+        "sort_order",
+    )
+
+
+def _bind_logical(root: LogicalOp) -> list[LogicalOp]:
+    """A job's distinct logical nodes, post-order (the skeleton positions).
+
+    Nodes are indexed by identity: a subexpression shared by several parents
+    gets one position, hence one memo entry per requirement.
+    """
+    bound: list[LogicalOp] = []
+    seen: set[int] = set()
+
+    def visit(logical: LogicalOp) -> None:
+        if id(logical) in seen:
+            return
+        for child in logical.children:
+            visit(child)
+        seen.add(id(logical))
+        bound.append(logical)
+
+    visit(root)
+    return bound
+
+
+def _build_skeleton(bound: list[LogicalOp]) -> list[SkelNode]:
+    """Extract the static search data of one bound logical plan.
+
+    Requirement properties are interned by value, module constants included:
+    ``_optimize`` keys its memo on their identity.
+    """
+    index_of = {id(logical): index for index, logical in enumerate(bound)}
+    interned = {prop: prop for prop in (_ANY, _NO_SORT, _RANDOM, _SINGLETON)}
+
+    def intern(prop):
+        return interned.setdefault(prop, prop)
+
+    nodes: list[SkelNode] = []
+    for logical in bound:
+        sn = SkelNode()
+        sn.children = tuple(index_of[id(child)] for child in logical.children)
+        sn.op_type = kind = logical.op_type
+        if kind is LogicalOpType.JOIN:
+            left_key, right_key = logical.keys
+            sn.hash_left = intern(Partitioning.hash(left_key))
+            sn.hash_right = intern(Partitioning.hash(right_key))
+            sn.sort_left = intern(SortOrder.on(left_key))
+            sn.sort_right = intern(SortOrder.on(right_key))
+        elif kind is LogicalOpType.AGGREGATE:
+            keys = logical.keys
+            sn.final_req = intern(Partitioning.hash(*keys)) if keys else _SINGLETON
+            sn.sort_req = intern(SortOrder.on(*keys))
+            sn.local_tag = f"{logical.template_tag}#local"
+        elif kind in (LogicalOpType.SORT, LogicalOpType.TOP_K):
+            sn.sort_order = intern(SortOrder.on(*logical.keys))
+        nodes.append(sn)
+    return nodes
+
+
+class _Search:
+    """One job's live search: everything the rules mutate, in one object.
+
+    The planner points at the search it is advancing
+    (``CascadesSearch._job``), so switching jobs is one pointer swap and any
+    number of searches — of any templates — can be open at once.  ``run`` is
+    the suspended search itself (the root ``_optimize`` generator); it and
+    the memo are dropped the moment the winner is known.
+    """
+
+    __slots__ = (
+        "nodes",
+        "bound",
+        "salt",
+        "jitter_cache",
+        "memo",
+        "choices",
+        "pending",
+        "priced",
+        "primed",
+        "candidates_considered",
+        "run",
+        "win",
+    )
+
+    def __init__(self, nodes: list[SkelNode], bound: list[LogicalOp], salt: str):
+        self.nodes = nodes
+        self.bound = bound
+        self.salt = salt
+        self.jitter_cache: dict[str, float] = {}
+        self.memo: dict[tuple[int, int, int], tuple[object, object]] = {}
+        self.choices: list[int] = []
+        self.pending: list = []
+        self.priced: list[float] = []
+        self.primed: list[float] = []  # per-index estimates, if the config primes
+        self.candidates_considered = 0
+        self.run = None
+        self.win = None
+
+
+class CascadesSearch:
+    """The rule set and its driver; see the module docstring for the plug points.
+
+    Configurations provide ``_mk``, ``_with_partitions``,
+    ``_heuristic_partitions``, ``_cost``, ``_price`` and ``_skeleton``, and
+    set ``_deferred`` when ``_cost`` is :meth:`_cost_deferred`.
+    """
+
+    #: Most searches :meth:`_search` keeps open at once.  Each open search
+    #: pins its memo of subplans (~30 KiB), so this bounds the planner's
+    #: footprint whatever the fleet size; past it, finished searches are
+    #: replaced as they retire, which costs a few extra pricing waves.
+    _LIVE_SEARCH_LIMIT = 64
+
+    def __init__(self, cost_model, estimator, config) -> None:
+        self.cost_model = cost_model
+        self.estimator = estimator
+        self.config = config
+        self._mb_bytes = config.exchange_partition_mb * 1024 * 1024
+        self._deferred = False
+        # The search being advanced (see _Search); swapped by _advance.
+        self._job: _Search | None = None
+
+    # ------------------------------------------------------------------ #
+    # The driver: open, advance to a suspension, price, repeat
+    # ------------------------------------------------------------------ #
+
+    def _plan_all(self, requests) -> tuple[list[_Search], list[PlannedJob]]:
+        """Search and finalize every request: the one place a
+        :class:`PlannedJob` is stamped.
+
+        ``optimize_seconds`` is the call's wall time split evenly over its
+        jobs: every pricing wave and the plan-total finale are shared by the
+        whole batch, so per-job time is not individually attributable.
+        """
+        start = time.perf_counter()
+        searches = self._search(requests)
+        finals = self._finalize([search.win for search in searches])
+        share = (time.perf_counter() - start) / len(searches)
+        return searches, [
+            PlannedJob(plan, total, share, search.candidates_considered)
+            for (plan, total), search in zip(finals, searches)
+        ]
+
+    def _search(self, requests) -> list[_Search]:
+        """Search every ``(template_id, day, logical_root, jitter_salt)``
+        request to its winner; the finished searches align with the input.
+
+        Each wave advances every open search to its next suspension and
+        prices all their pending ledger rows in ONE ``_price`` call, so the
+        number of pricing calls is the deepest job's flush depth, not a
+        multiple of the job count (why that is exact: module docstring).  A
+        lone request degenerates to the solo search, flushing at every
+        suspension.
+        """
+        requests = iter(requests)
+        opened: list[_Search] = []
+        live: list[_Search] = []
+        while True:
+            room = self._LIVE_SEARCH_LIMIT - len(live)
+            fresh = [self._open(*request) for request in islice(requests, room)]
+            opened += fresh
+            wave = live + fresh
+            live = [job for job in wave if self._advance(job)]
+            # Finished searches flush their stragglers here too: operators
+            # whose costs never had to decide a comparison are still priced
+            # exactly once, so lookup accounting matches scalar costing.
+            self._flush(wave)
+            if not live and len(fresh) < room:  # nothing open, nothing left
+                return opened
+
+    def _open(
+        self, template_id: str, day: int, logical_root: LogicalOp, jitter_salt: str
+    ) -> _Search:
+        """Bind one job instance to its template's static search data."""
+        bound = _bind_logical(logical_root)
+        job = _Search(self._skeleton(template_id, day, bound), bound, jitter_salt)
+        job.run = self._optimize(len(bound) - 1, _ANY, _NO_SORT)
+        return job
+
+    def _advance(self, job: _Search) -> bool:
+        """Run ``job`` to its next suspension; False once its winner is known."""
+        self._job = job
+        try:
+            next(job.run)
+        except StopIteration as done:
+            job.win = done.value[0]
+            # Only the winner, the choice key and the straggler ledger
+            # outlive the search; the memo pins every frame's subplan.
+            job.run = job.memo = job.jitter_cache = job.primed = None
+            return False
+        return True
+
+    def _flush(self, jobs: list[_Search]) -> None:
+        """Price every pending ledger row of ``jobs`` in one ``_price`` call."""
+        nodes = [node for job in jobs for node in job.pending]
+        if not nodes:
+            return
+        values = self._price(nodes)
+        offset = 0
+        for job in jobs:
+            count = len(job.pending)
+            job.priced.extend(map(float, values[offset : offset + count]))
+            job.pending.clear()
+            offset += count
+
+    def _finalize(self, wins: list) -> list[tuple[PhysicalOp, float]]:
+        """Per winner: the materialized plan (after the partition-strategy
+        pass, when one is configured — Section 5.2's exploration, run over
+        the chosen plan's stage graph) and its total cost."""
+        strategy = self.config.partition_strategy
+        out = []
+        for win in wins:
+            # The estimator memoizes by object identity; entries of freed
+            # plans must never be served to this one.
+            self.estimator.reset()
+            physical = materialize(win)
+            if strategy is not None:
+                physical = optimize_partitions(
+                    physical,
+                    self.cost_model,
+                    self.estimator,
+                    strategy,
+                    max_partitions=self.config.max_partitions,
+                )
+            out.append((physical, plan_cost(self.cost_model, physical, self.estimator)))
+        return out
+
+    def _cost_deferred(self, node) -> _DeferredCost:
+        """``_cost`` under batched pricing: a ledger row, priced at a flush."""
+        job = self._job
+        index = len(job.priced) + len(job.pending)
+        job.pending.append(node)
+        return _DeferredCost(_DeferredCost.LEAF, index)
+
+    # ------------------------------------------------------------------ #
+    # Core recursion
+    # ------------------------------------------------------------------ #
+
+    def _optimize(self, index: int, req_part: Partitioning, req_sort: SortOrder):
+        """One search frame, as a generator returning ``(node, cost)``.
+
+        The search is resumable with exactly one suspension point, the bare
+        ``yield`` below: "this job's pending ledger must be priced before the
+        frame can compare its candidates".  Whoever drives the generator
+        (:meth:`_search`) flushes and resumes; scalar costing never suspends.
+        """
+        # Requirement objects are interned (module constants + the skeleton's
+        # precomputed properties), so identity keys are equivalent to value
+        # keys — and skip frozen-dataclass hashing.
+        job = self._job
+        key = (index, id(req_part), id(req_sort))
+        cached = job.memo.get(key)
+        if cached is not None:
+            # Winners are shared between the frames that reuse them;
+            # `materialize` gives every occurrence its own nodes at the end.
+            return cached
+        candidates = yield from self._implementations(index, req_part, req_sort)
+        if not candidates:
+            raise OptimizationError(
+                f"no implementation for {job.bound[index].op_type.value} under "
+                f"{req_part.describe()}/{req_sort.describe()}"
+            )
+        job.candidates_considered += len(candidates)
+        # Enforcement is a no-op under (ANY, unsorted): every delivered
+        # partitioning satisfies ANY and every sort satisfies "none".
+        if not (req_part is _ANY and req_sort is _NO_SORT):
+            for ordinal, candidate in enumerate(candidates):
+                candidates[ordinal] = self._enforce(candidate, req_part, req_sort)
+        if self._deferred and len(candidates) > 1:
+            # A lone candidate keeps its cost expression unresolved (the
+            # parent frontier prices it); a genuine comparison has the ledger
+            # priced and resolves each expression with _resolve_cost's
+            # bit-exact arithmetic replay.
+            yield
+            priced = job.priced
+            candidates = [(op, _resolve_cost(cost, priced)) for op, cost in candidates]
+        # Cost ties go to the first-seen candidate (strict ``<``).
+        best = candidates[0]
+        best_ordinal = 0
+        for ordinal in range(1, len(candidates)):
+            if candidates[ordinal][1] < best[1]:
+                best = candidates[ordinal]
+                best_ordinal = ordinal
+        # The choice key (SkeletonPlanner.last_choice_key): candidate
+        # *existence* can vary per job (alignment failures), so it records how
+        # many candidates were in play as well (packed with the winner
+        # ordinal; counts are single-digit).
+        job.choices.append(best_ordinal * 16 + len(candidates))
+        job.memo[key] = best
+        return best
+
+    def _implementations(self, index: int, req_part: Partitioning, req_sort: SortOrder):
+        kind = self._job.nodes[index].op_type
+        if kind is LogicalOpType.GET:
+            return self._impl_get(index)
+        if kind in (LogicalOpType.FILTER, LogicalOpType.PROJECT):
+            return (yield from self._impl_passthrough(index, req_part, req_sort))
+        if kind is LogicalOpType.PROCESS:
+            return (yield from self._impl_process(index))
+        if kind is LogicalOpType.JOIN:
+            return (yield from self._impl_join(index))
+        if kind is LogicalOpType.AGGREGATE:
+            return (yield from self._impl_aggregate(index))
+        if kind is LogicalOpType.SORT:
+            return (yield from self._impl_ordered(index, PhysOpType.SORT))
+        if kind is LogicalOpType.TOP_K:
+            return (yield from self._impl_ordered(index, PhysOpType.TOP_K))
+        if kind is LogicalOpType.UNION:
+            return (yield from self._impl_union(index))
+        if kind is LogicalOpType.OUTPUT:
+            return (yield from self._impl_output(index))
+        raise OptimizationError(f"unsupported logical operator {kind}")
+
+    # ------------------------------------------------------------------ #
+    # Per-operator implementations
+    # ------------------------------------------------------------------ #
+
+    def _impl_get(self, index: int) -> list[tuple[object, float]]:
+        logical = self._job.bound[index]
+        partitions = self._heuristic_partitions_for_volume(
+            logical.true_card, logical.row_bytes, logical.template_tag
+        )
+        op = self._mk(
+            PhysOpType.EXTRACT, (), logical, partitions, _RANDOM, index=index
+        )
+        return [(op, self._cost(op))]
+
+    def _impl_passthrough(
+        self, index: int, req_part: Partitioning, req_sort: SortOrder
+    ):
+        """Filter/Project: push the requirement down, or enforce above."""
+        job = self._job
+        sn = job.nodes[index]
+        logical = job.bound[index]
+        phys_type = (
+            PhysOpType.FILTER
+            if sn.op_type is LogicalOpType.FILTER
+            else PhysOpType.COMPUTE
+        )
+        child_index = sn.children[0]
+        # Push-down first, relaxed second, in a deterministic ORDER: a set
+        # here would iterate in salted-hash order, and since `_optimize`
+        # breaks cost ties by first-seen candidate, plan shapes (and thus
+        # every simulated latency) would vary with PYTHONHASHSEED across
+        # processes.
+        requirement_pairs = [(req_part, req_sort)]
+        if (req_part, req_sort) != (_ANY, _NO_SORT):
+            requirement_pairs.append((_ANY, _NO_SORT))
+        out: list[tuple[object, float]] = []
+        for child_part, child_sort in requirement_pairs:
+            child_node, child_cost = yield from self._optimize(
+                child_index, child_part, child_sort
+            )
+            op = self._mk(
+                phys_type,
+                (child_node,),
+                logical,
+                child_node.partition_count,
+                child_node.partitioning,
+                child_node.sorting,
+                index=index,
+            )
+            out.append((op, child_cost + self._cost(op)))
+        return out
+
+    def _impl_process(self, index: int):
+        """UDF: order/partitioning guarantees do not survive custom code."""
+        job = self._job
+        sn = job.nodes[index]
+        child_node, child_cost = yield from self._optimize(
+            sn.children[0], _ANY, _NO_SORT
+        )
+        op = self._mk(
+            PhysOpType.PROCESS,
+            (child_node,),
+            job.bound[index],
+            child_node.partition_count,
+            _RANDOM,
+            index=index,
+        )
+        return [(op, child_cost + self._cost(op))]
+
+    def _impl_join(self, index: int):
+        job = self._job
+        sn = job.nodes[index]
+        logical = job.bound[index]
+        left, right = sn.children
+        sides = [(left, right, sn.hash_left, sn.hash_right)]
+        if self.config.enable_join_commute:
+            sides.append((right, left, sn.hash_right, sn.hash_left))
+
+        # Candidate existence here is *numeric* (partition alignment can fail
+        # on one side only), so the join contributes an existence mask to the
+        # choice key — winner ordinals alone would be ambiguous.
+        mask = 0
+        out: list[tuple[object, float]] = []
+        for side, (probe, build, probe_req, build_req) in enumerate(sides):
+            probe_cand = yield from self._optimize(probe, probe_req, _NO_SORT)
+            build_cand = yield from self._optimize(build, build_req, _NO_SORT)
+            aligned = self._align_partitions([probe_cand, build_cand])
+            if aligned is not None:
+                mask |= 1 << side
+                (probe_node, probe_cost), (build_node, build_cost) = aligned
+                op = self._mk(
+                    PhysOpType.HASH_JOIN,
+                    (probe_node, build_node),
+                    logical,
+                    probe_node.partition_count,
+                    probe_req,
+                    index=index,
+                )
+                out.append((op, probe_cost + build_cost + self._cost(op)))
+
+        if self.config.enable_merge_join:
+            left_cand = yield from self._optimize(left, sn.hash_left, sn.sort_left)
+            right_cand = yield from self._optimize(right, sn.hash_right, sn.sort_right)
+            aligned = self._align_partitions([left_cand, right_cand])
+            if aligned is not None:
+                mask |= 4
+                (left_node, left_cost), (right_node, right_cost) = aligned
+                op = self._mk(
+                    PhysOpType.MERGE_JOIN,
+                    (left_node, right_node),
+                    logical,
+                    left_node.partition_count,
+                    sn.hash_left,
+                    sn.sort_left,
+                    index=index,
+                )
+                out.append((op, left_cost + right_cost + self._cost(op)))
+        job.choices.append(mask)
+        return out
+
+    def _impl_aggregate(self, index: int):
+        job = self._job
+        sn = job.nodes[index]
+        logical = job.bound[index]
+        keys = logical.keys
+        child_index = sn.children[0]
+        final_req = sn.final_req
+        delivered = final_req if keys else _SINGLETON
+        out: list[tuple[object, float]] = []
+
+        # (a) Hash aggregate directly on repartitioned input.
+        child_node, child_cost = yield from self._optimize(
+            child_index, final_req, _NO_SORT
+        )
+        hash_agg = self._mk(
+            PhysOpType.HASH_AGGREGATE,
+            (child_node,),
+            logical,
+            child_node.partition_count,
+            delivered,
+            index=index,
+        )
+        out.append((hash_agg, child_cost + self._cost(hash_agg)))
+
+        # (b) Stream aggregate over sorted, repartitioned input.
+        if keys and self.config.enable_stream_aggregate:
+            sorted_node, sorted_cost = yield from self._optimize(
+                child_index, final_req, sn.sort_req
+            )
+            stream_agg = self._mk(
+                PhysOpType.STREAM_AGGREGATE,
+                (sorted_node,),
+                logical,
+                sorted_node.partition_count,
+                delivered,
+                sn.sort_req,
+                index=index,
+            )
+            out.append((stream_agg, sorted_cost + self._cost(stream_agg)))
+
+        # (c) Local pre-aggregation before the shuffle (the Q17 plan shape).
+        if self.config.enable_local_aggregate:
+            any_node, any_cost = yield from self._optimize(child_index, _ANY, _NO_SORT)
+            local_logical = self._local_aggregate_logical(
+                logical, sn.local_tag, any_node.partition_count
+            )
+            local = self._mk(
+                PhysOpType.LOCAL_AGGREGATE,
+                (any_node,),
+                local_logical,
+                any_node.partition_count,
+                any_node.partitioning,
+            )
+            exchange = self._exchange_for(local, final_req)
+            final = self._mk(
+                PhysOpType.HASH_AGGREGATE,
+                (exchange,),
+                logical,
+                exchange.partition_count,
+                delivered,
+                index=index,
+            )
+            cost = (
+                any_cost + self._cost(local) + self._cost(exchange) + self._cost(final)
+            )
+            out.append((final, cost))
+        return out
+
+    def _impl_ordered(self, index: int, phys_type: PhysOpType):
+        """Sort / top-k: one globally ordered partition."""
+        job = self._job
+        sn = job.nodes[index]
+        logical = job.bound[index]
+        child_node, child_cost = yield from self._optimize(
+            sn.children[0], _SINGLETON, _NO_SORT
+        )
+        op = self._mk(
+            phys_type,
+            (child_node,),
+            logical,
+            1,
+            _SINGLETON,
+            sn.sort_order,
+            sort_keys=logical.keys,
+            index=index,
+        )
+        return [(op, child_cost + self._cost(op))]
+
+    def _impl_union(self, index: int):
+        job = self._job
+        sn = job.nodes[index]
+        logical = job.bound[index]
+        child_cands = []
+        for child in sn.children:
+            child_cands.append((yield from self._optimize(child, _ANY, _NO_SORT)))
+        # All inputs rebalanced to a common width (a union barrier).
+        target = max(
+            self._heuristic_partitions_for_volume(
+                child.true_card, child.row_bytes, logical.template_tag
+            )
+            for child in logical.children
+        )
+        exchanged = []
+        cost = 0.0
+        for child_node, child_cost in child_cands:
+            exchange = self._mk(
+                PhysOpType.EXCHANGE,
+                (child_node,),
+                None,
+                target,
+                _RANDOM,
+                exchange_mode=ExchangeMode.RANDOM,
+            )
+            exchanged.append(exchange)
+            cost += child_cost + self._cost(exchange)
+        op = self._mk(
+            PhysOpType.UNION_ALL, tuple(exchanged), logical, target, _RANDOM,
+            index=index,
+        )
+        return [(op, cost + self._cost(op))]
+
+    def _impl_output(self, index: int):
+        job = self._job
+        sn = job.nodes[index]
+        child_node, child_cost = yield from self._optimize(
+            sn.children[0], _ANY, _NO_SORT
+        )
+        op = self._mk(
+            PhysOpType.OUTPUT,
+            (child_node,),
+            job.bound[index],
+            child_node.partition_count,
+            child_node.partitioning,
+            child_node.sorting,
+            index=index,
+        )
+        return [(op, child_cost + self._cost(op))]
+
+    # ------------------------------------------------------------------ #
+    # Enforcers and alignment
+    # ------------------------------------------------------------------ #
+
+    def _enforce(self, candidate, req_part: Partitioning, req_sort: SortOrder):
+        """Insert Exchange/Sort on top until the requirement is satisfied."""
+        op, cost = candidate
+        if not op.partitioning.satisfies(req_part):
+            op = self._exchange_for(op, req_part)
+            cost += self._cost(op)
+        if not op.sorting.satisfies(req_sort):
+            op = self._mk(
+                PhysOpType.SORT,
+                (op,),
+                None,
+                op.partition_count,
+                op.partitioning,
+                SortOrder(req_sort.columns),
+                sort_keys=req_sort.columns,
+            )
+            cost += self._cost(op)
+        return (op, cost)
+
+    def _exchange_for(self, child, req_part: Partitioning):
+        """Build the Exchange enforcer that delivers ``req_part``."""
+        if req_part.scheme is PartitionScheme.SINGLETON:
+            mode, partitions, delivered = ExchangeMode.GATHER, 1, _SINGLETON
+        elif req_part.scheme is PartitionScheme.HASH:
+            mode = ExchangeMode.HASH
+            partitions = self._heuristic_partitions(child)
+            delivered = req_part
+        else:  # RANDOM or ANY-after-failure: rebalance round-robin
+            mode = ExchangeMode.RANDOM
+            partitions = self._heuristic_partitions(child)
+            delivered = _RANDOM
+        return self._mk(
+            PhysOpType.EXCHANGE,
+            (child,),
+            None,
+            partitions,
+            delivered,
+            exchange_mode=mode,
+        )
+
+    def _align_partitions(self, candidates: list) -> list | None:
+        """Make co-partitioned join inputs agree on a partition count.
+
+        The larger count wins; the other side's root stage is rebuilt with
+        the new count when possible.  Returns None when alignment fails
+        (both sides pinned to different fixed counts).
+        """
+        counts = [node.partition_count for node, _ in candidates]
+        target = max(counts)
+        out = []
+        for candidate in candidates:
+            if candidate[0].partition_count == target:
+                out.append(candidate)
+                continue
+            adjusted = self._with_root_stage_partitions(candidate, target)
+            if adjusted is None:
+                return None
+            out.append(adjusted)
+        return out
+
+    def _with_root_stage_partitions(self, candidate, new_count: int):
+        """Rebuild the candidate's root stage at ``new_count`` partitions."""
+        root, cost = candidate
+        stage_ops: list = []
+
+        def collect(op) -> None:
+            stage_ops.append(op)
+            if op.op_type in PARTITIONING_OPS:
+                return
+            for child in op.children:
+                collect(child)
+
+        collect(root)
+        if _stage_is_fixed(stage_ops):
+            return None
+        in_stage = {id(op) for op in stage_ops}
+        cost_delta = 0.0
+
+        def rebuild(op):
+            nonlocal cost_delta
+            if id(op) not in in_stage:
+                return op
+            new_children = tuple(rebuild(child) for child in op.children)
+            replaced = self._with_partitions(op, new_count, new_children)
+            cost_delta += self._cost(replaced) - self._cost(op)
+            return replaced
+
+        new_root = rebuild(root)
+        return (new_root, cost + cost_delta)
+
+    # ------------------------------------------------------------------ #
+    # Partition heuristics and jitter
+    # ------------------------------------------------------------------ #
+
+    def _heuristic_partitions_for_volume(
+        self, rows: float, row_bytes: float, jitter_key: str
+    ) -> int:
+        partitions = int(max(1, rows * row_bytes // self._mb_bytes + 1))
+        partitions = min(partitions, self.config.default_partition_cap)
+        return min(self._jittered(partitions, jitter_key), self.config.max_partitions)
+
+    def _jittered(self, partitions: int, key: str) -> int:
+        """Deterministic allocation wobble around the heuristic choice."""
+        sigma = self.config.partition_jitter
+        if sigma <= 0.0:
+            return partitions
+        factor = self._job.jitter_cache.get(key)
+        if factor is None:
+            factor = jitter_factor(self._job.salt, key, sigma)
+            self._job.jitter_cache[key] = factor
+        return max(1, int(round(partitions * factor)))
+
+    # ------------------------------------------------------------------ #
+    # Synthesized logical nodes
+    # ------------------------------------------------------------------ #
+
+    @staticmethod
+    def _local_aggregate_logical(
+        node: LogicalOp, local_tag: str, partitions: int
+    ) -> LogicalOp:
+        """Synthesize the logical node of a partial (per-partition) aggregate.
+
+        Each partition emits at most ``group_count`` groups, so the local
+        output is ``min(input, group_count * partitions)`` — a big win when
+        groups are few, pure overhead when they are near-distinct (the
+        paper's Q17 regression case).
+        """
+        child = node.children[0]
+        groups = node.group_count if node.group_count is not None else node.true_card
+        local_card = max(1.0, min(child.true_card, groups * partitions))
+        return LogicalOp(
+            op_type=LogicalOpType.AGGREGATE,
+            children=(child,),
+            template_tag=local_tag,
+            true_card=local_card,
+            row_bytes=node.row_bytes,
+            normalized_inputs=node.normalized_inputs,
+            sel_true=(local_card / child.true_card) if child.true_card > 0 else 1.0,
+            keys=node.keys,
+            # The estimator reads group_count as "output groups of this
+            # node"; for a per-partition aggregate that is groups*partitions.
+            group_count=local_card,
+        )

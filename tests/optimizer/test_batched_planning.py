@@ -262,7 +262,7 @@ class TestDeferredCostArithmetic:
         for job_id, logical in jobs:
             planner.jitter_salt = job_id
             planner.plan(logical)
-            assert planner._pending_ops == []
+            assert planner._job.pending == []
 
 
 class TestApplicationRouting:

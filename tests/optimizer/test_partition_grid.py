@@ -145,7 +145,7 @@ class TestGridEqualsScalarOracle:
         seen = set()
         for plan in _plans(tiny_bundle):
             stages = build_stage_graph(plan).stages
-            explored = any(not _stage_is_fixed(stage) for stage in stages)
+            explored = any(not _stage_is_fixed(stage.operators) for stage in stages)
             for guard in (False, True):
                 before = service.stats().batches
                 optimize_partitions(
@@ -193,7 +193,7 @@ class TestEdges:
             PhysOpType.OUTPUT, (leaf,), builder.output(scan), partition_count=1,
             partitioning=Partitioning.singleton(),
         )  # fmt: skip
-        assert all(_stage_is_fixed(s) for s in build_stage_graph(plan).stages)
+        assert all(_stage_is_fixed(s.operators) for s in build_stage_graph(plan).stages)
         for strategy in (SamplingStrategy(), ExhaustiveStrategy(), AnalyticalStrategy()):
             same = optimize_partitions(plan, _Unpriceable(), CardinalityEstimator(), strategy)
             assert same is plan
@@ -210,7 +210,7 @@ class TestEdges:
                 max_partitions=64, guard=False,
             )  # fmt: skip
             for stage in build_stage_graph(rebuilt).stages:
-                if not _stage_is_fixed(stage):
+                if not _stage_is_fixed(stage.operators):
                     assert stage.partition_count == smallest
             # With the guard on, a tie never moves a stage.
             kept = optimize_partitions(
