@@ -7,7 +7,7 @@ Usage::
         [--seed 0] [--repeats 5] [--out BENCH_plan.json]
 
 Times re-planning the generated workload's test day with learned cost
-models through the retained scalar ``predict_operator`` loop and through
+models through the retained scalar ``operator_cost`` loop and through
 the batched frontier/sweep pricing path, verifies the two choose
 bitwise-identical plans (shapes, partition counts, costs), and records
 both timings — the optimizer-side perf trajectory the ROADMAP asks for.

@@ -1,15 +1,20 @@
-"""Cleo as an optimizer-facing cost model.
+"""Cleo as an optimizer-facing cost model: the one pricing surface.
 
 Implements the same protocol as the default cost model, so retrofitting it
 into the planner is a drop-in replacement of the cost call in Optimize
 Inputs (step 10 of Figure 8a) — the paper's "minimally invasive" goal.
 
-The heavy lifting lives in :class:`~repro.serving.service.CleoService`:
-this class is the thin :class:`~repro.cost.interface.CostModel` adapter the
-planner holds.  Signature bundles and the P-independent feature statistics
-are read off the operators themselves
-(:class:`~repro.plan.summary.SubtreeSummary`), and whole-plan pricing goes
-through the service's batched path.
+The serving tier (:class:`~repro.serving.service.CleoService`, or a
+:class:`~repro.serving.shard.router.ClusterClient` bound to a sharded
+fleet) prices *rows* — ``(features, signatures)`` pairs — and knows nothing
+about operators.  This class is the only place a live operator or plan
+becomes rows (:func:`~repro.features.extract.feature_input_for` +
+:meth:`~repro.plan.signatures.SignatureBundle.of`, both O(1) reads of the
+operator's own :class:`~repro.plan.summary.SubtreeSummary`) and the only
+place a plan's costs fold to a total
+(:func:`~repro.serving.service.plan_totals`); every entry point calls the
+row primitives directly, so the call chain is ``CleoCostModel`` -> row tier
+-> packed bank whichever backend serves.
 
 Beyond the scalar :class:`~repro.cost.interface.CostModel` protocol, this
 adapter advertises **batched planning pricing** (``supports_batched_pricing``
@@ -29,11 +34,16 @@ from typing import Sequence
 
 import numpy as np
 
+# Bound as a module, not by name: ``serving.service`` imports ``repro.core``,
+# whose package init imports this file, so names resolve at call time.
+import repro.serving.service as serving
 from repro.cardinality.estimator import CardinalityEstimator
+from repro.common.errors import FeatureValidationError
 from repro.core.learned_model import ResourceProfile
 from repro.core.predictor import CleoPredictor
 from repro.cost.interface import CostExplanation
 from repro.features.extract import feature_input_for
+from repro.features.featurizer import FeatureInput
 from repro.features.table import FeatureTable
 from repro.plan.physical import PhysicalOp
 from repro.plan.signatures import SignatureBundle
@@ -45,26 +55,25 @@ class CleoCostModel:
     Args:
         predictor: a trained :class:`CleoPredictor`, or a
             :class:`~repro.serving.service.CleoService` to adopt.
-        service: explicit service to serve through (overrides the wrapping
-            behaviour; used by :meth:`CleoService.cost_model`).
+        service: explicit row tier to price through (overrides the wrapping
+            behaviour; used by ``CleoService.cost_model`` and
+            ``ClusterClient.cost_model``).
 
     A bare predictor is wrapped in a service with the prediction cache
     *disabled*, so optimizer experiments keep their exact per-prediction
     model-lookup accounting; pass a service to share its caches instead.
 
     ``batched=False`` retains the scalar pricing path everywhere (one
-    ``predict_operator`` round-trip per costed candidate) — the baseline
+    ``operator_cost`` round-trip per costed candidate) — the baseline
     the plan-throughput benchmark and the parity suite compare against.
     """
 
     def __init__(self, predictor, service=None, batched: bool = True) -> None:
-        from repro.serving.service import CleoService  # deferred: import cycle
-
         if service is None:
-            if isinstance(predictor, CleoService):
+            if isinstance(predictor, serving.CleoService):
                 service = predictor
             else:
-                service = CleoService(predictor, prediction_cache_size=0)
+                service = serving.CleoService(predictor, prediction_cache_size=0)
         self.service = service
         self.batched = bool(batched)
 
@@ -90,17 +99,28 @@ class CleoCostModel:
         """The currently served predictor (tracks service rollbacks)."""
         return self.service.predictor
 
+    @staticmethod
+    def _rows(
+        ops: Sequence[PhysicalOp], estimator: CardinalityEstimator
+    ) -> tuple[list[FeatureInput], list[SignatureBundle]]:
+        """Live operators as the aligned row sequences the service prices."""
+        return (
+            [feature_input_for(op, estimator) for op in ops],
+            [SignatureBundle.of(op) for op in ops],
+        )
+
     def operator_cost(
         self,
         op: PhysicalOp,
         estimator: CardinalityEstimator,
         partition_override: int | None = None,
     ) -> float:
-        return self.service.predict_operator(op, estimator, partition_override)
+        features = feature_input_for(op, estimator, partition_override)
+        return self.service.predict(features, SignatureBundle.of(op))
 
     def plan_cost(self, root: PhysicalOp, estimator: CardinalityEstimator) -> float:
-        """Total plan cost through the service's batched path."""
-        return self.service.predict_plan(root, estimator)
+        """Total plan cost: one batched call, folded in walk order."""
+        return serving.price_plan(self.service, root, estimator)
 
     def price_operators(
         self, ops: Sequence[PhysicalOp], estimator: CardinalityEstimator
@@ -112,9 +132,7 @@ class CleoCostModel:
         lookup and fallback accounting (see
         :meth:`~repro.serving.service.CleoService.predict_inputs`).
         """
-        inputs = [feature_input_for(op, estimator) for op in ops]
-        bundles = [SignatureBundle.of(op) for op in ops]
-        return self.service.predict_inputs(inputs, bundles)
+        return self.service.predict_inputs(*self._rows(ops, estimator))
 
     def price_input(self, features, bundle) -> float:
         """Exclusive cost of one already-featurized operator.
@@ -144,7 +162,10 @@ class CleoCostModel:
         the exact left-fold order :meth:`plan_cost` uses, so fleet replanning
         reports costs bitwise identical to a per-plan loop.
         """
-        return self.service.predict_plan_batch(inputs, bundles, lengths)
+        if sum(lengths) != len(inputs):
+            raise FeatureValidationError("lengths must partition the request sequence")
+        values = self.service.predict_inputs(inputs, bundles)
+        return serving.plan_totals(values, lengths)
 
     def price_stage_sweep(
         self,
@@ -173,10 +194,7 @@ class CleoCostModel:
         service caches.
         """
         ops = [op for stage in stages for op in stage]
-        stems = FeatureTable.from_inputs(
-            [feature_input_for(op, estimator) for op in ops],
-            [SignatureBundle.of(op) for op in ops],
-        )
+        stems = FeatureTable.from_inputs(*self._rows(ops, estimator))
         rows: list[np.ndarray] = []
         counts: list[np.ndarray] = []
         offset = 0
@@ -203,7 +221,8 @@ class CleoCostModel:
     def explain(
         self, op: PhysicalOp, estimator: CardinalityEstimator
     ) -> CostExplanation:
-        return self.service.explain_operator(op, estimator)
+        features = feature_input_for(op, estimator)
+        return self.service.explain(features, SignatureBundle.of(op))
 
     def resource_profile(
         self, op: PhysicalOp, estimator: CardinalityEstimator
@@ -224,9 +243,7 @@ class CleoCostModel:
         """
         if not self.batched:
             return [self.resource_profile(op, estimator) for op in ops]
-        inputs = [feature_input_for(op, estimator) for op in ops]
-        bundles = [SignatureBundle.of(op) for op in ops]
-        return self.service.resource_profiles(inputs, bundles)
+        return self.service.resource_profiles(*self._rows(ops, estimator))
 
     @property
     def lookup_count(self) -> int:

@@ -55,16 +55,6 @@ class CleoPredictor:
     def predict_record(self, record: OperatorRecord) -> float:
         return self.predict(record.features, record.signatures)
 
-    def predict_with_kind(
-        self, kind: ModelKind, features: FeatureInput, signatures: SignatureBundle
-    ) -> float | None:
-        """Prediction from one individual model, or None when uncovered."""
-        model = self.store.lookup(kind, signatures)
-        if model is None:
-            return None
-        self.lookup_count += 1
-        return model.predict_one(features)
-
     # ------------------------------------------------------------------ #
     # Resource profiles (Section 5.3)
     # ------------------------------------------------------------------ #

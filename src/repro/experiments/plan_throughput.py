@@ -4,12 +4,12 @@ The paper's retrofitting story (Section 5) puts the learned models *inside*
 the optimizer: every candidate costed during the Cascades search and every
 partition-exploration probe is a learned prediction.  After the training,
 workload, and serving pipelines went columnar (PRs 2-4), that optimizer
-loop was the last scalar hot path — one Python ``predict_operator``
+loop was the last scalar hot path — one Python ``operator_cost``
 round-trip per candidate.  This benchmark times re-planning the canonical
 generated workload's test day with learned costs through both paths:
 
 * **scalar** — ``CleoCostModel(batched=False)``: the retained per-candidate
-  ``predict_operator`` loop (one request materialization, one packed
+  ``operator_cost`` loop (one request materialization, one packed
   single-row prediction per costed operator) and per-candidate
   ``_stage_cost_at`` partition probes;
 * **batched** — the default ``CleoCostModel``: the planner defers frontier
@@ -113,7 +113,7 @@ def run_benchmark(
         scalar_best, batched_best = min(scalar_times), min(batched_times)
         phases[phase] = {
             "scalar": {
-                "path": "per-candidate predict_operator loop",
+                "path": "per-candidate operator_cost loop",
                 "seconds": [round(t, 4) for t in scalar_times],
                 "seconds_best": round(scalar_best, 4),
                 "plans_per_second": round(n_jobs / scalar_best, 1),

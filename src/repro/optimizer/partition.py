@@ -273,21 +273,15 @@ class AnalyticalStrategy:
     ) -> int:
         # Duck-typed on purpose: only Cleo's cost model exposes learned
         # resource profiles (importing it here would cycle core<->optimizer).
-        if not hasattr(cost_model, "resource_profile"):
+        if not hasattr(cost_model, "resource_profiles"):
             raise TypeError(
-                "AnalyticalStrategy requires a cost model with resource_profile()"
+                "AnalyticalStrategy requires a cost model with resource_profiles()"
                 " (CleoCostModel)"
             )
         context = ResourceContext()
-        if hasattr(cost_model, "resource_profiles") and getattr(
-            cost_model, "supports_batched_pricing", False
-        ):
-            # One packed pass for the whole stage (bitwise identical to the
-            # per-op loop below, which batched=False cost models retain).
-            profiles = cost_model.resource_profiles(stage_ops, estimator)
-        else:
-            profiles = [cost_model.resource_profile(op, estimator) for op in stage_ops]
-        for profile in profiles:
+        # One call for the whole stage; a batched=False cost model answers it
+        # with its retained per-op loop, bitwise identically.
+        for profile in cost_model.resource_profiles(stage_ops, estimator):
             if profile is not None:
                 context.attach(profile)
         if not context.profiles:

@@ -8,6 +8,13 @@ object that owns training, persistence, versioned deployment, and the hot
 prediction path, so no consumer ever assembles ``ModelStore`` +
 ``CombinedModel`` + ``CleoPredictor`` by hand again.
 
+The service prices **rows** — ``(features, signatures)`` pairs, scalar,
+batched or columnar — and never sees an operator: turning operators and
+plans into rows is :class:`~repro.core.cost_model.CleoCostModel`'s job.  The
+one exception is the load replays' whole-plan *request*:
+:meth:`CleoService.predict_plan` is :func:`price_plan`, i.e.
+:func:`plan_requests` and :func:`plan_totals` around one batch.
+
 Serving-grade mechanics:
 
 * **Packed inference** — prediction runs on the store's compiled
@@ -80,8 +87,12 @@ def _value_ok(value: float) -> bool:
 
 
 def plan_totals(values: np.ndarray, lengths: Sequence[int]) -> list[float]:
-    """Per-plan totals of concatenated operator costs, each reduced with the
-    exact left fold ``predict_plan`` uses (so batching never moves a bit)."""
+    """Per-plan totals of concatenated operator costs: *the* plan fold.
+
+    Each total is the left fold of its operators' costs in walk order — the
+    order a sequential ``operator_cost`` loop sums in — so pricing one plan,
+    many plans or a whole wave in one batch never moves a bit of a total.
+    """
     totals: list[float] = []
     offset = 0
     for n in lengths:
@@ -124,6 +135,27 @@ class PredictionRequest:
         two slot reads, not thirteen float and int hashes.
         """
         return (self.features, self.signatures)
+
+
+def plan_requests(
+    root: PhysicalOp, estimator: CardinalityEstimator
+) -> list[PredictionRequest]:
+    """One request per operator of a plan, in walk order.
+
+    The serving package's only featurization site: a whole-plan request
+    becomes rows here, and :func:`plan_totals` folds the answers back.
+    """
+    return [
+        PredictionRequest(feature_input_for(op, estimator), SignatureBundle.of(op))
+        for op in root.walk()
+    ]
+
+
+def price_plan(tier, root: PhysicalOp, estimator: CardinalityEstimator) -> float:
+    """A plan's total through ``tier.predict_batch``: the one ``predict_plan``
+    / ``plan_cost`` body, whichever row tier serves."""
+    requests = plan_requests(root, estimator)
+    return plan_totals(tier.predict_batch(requests), [len(requests)])[0]
 
 
 @dataclass(frozen=True)
@@ -231,16 +263,12 @@ class CleoService:
         prediction_cache_size: LRU capacity of the (features, signatures)
             prediction cache; ``0`` disables caching (every request is
             computed, preserving exact model-lookup accounting).
-        registry: versioned deployment registry; a fresh one when omitted.
         validate_inputs: reject requests carrying non-finite feature values
             with :class:`~repro.common.errors.FeatureValidationError`
             instead of pricing garbage.
         validate_outputs: check every prediction leaving the service for
             non-finite / negative values; offenders trigger the
             quarantine-and-reprice repair path.
-        quarantine: the :class:`~repro.core.regression_control.
-            ModelQuarantine` used by the repair path; a default one when
-            omitted.
     """
 
     def __init__(
@@ -248,18 +276,16 @@ class CleoService:
         predictor: CleoPredictor,
         config: CleoConfig | None = None,
         prediction_cache_size: int = DEFAULT_PREDICTION_CACHE,
-        registry: ModelRegistry | None = None,
         validate_inputs: bool = True,
         validate_outputs: bool = True,
-        quarantine: ModelQuarantine | None = None,
     ) -> None:
         self.config = config or CleoConfig()
         self._prediction_cache = LRUCache(prediction_cache_size)
         self._predictor = predictor
-        self.registry = registry or ModelRegistry()
+        self.registry = ModelRegistry()
         self._validate_inputs = bool(validate_inputs)
         self._validate_outputs = bool(validate_outputs)
-        self._model_quarantine = quarantine or ModelQuarantine()
+        self._model_quarantine = ModelQuarantine()
         # Guards every serving counter (including the predictor's
         # lookup_count, whose `+=` is a read-modify-write): the sharded tier
         # fans batches across threads, and torn increments would corrupt the
@@ -371,11 +397,6 @@ class CleoService:
     def predict_record(self, record: OperatorRecord) -> float:
         return self.predict(record.features, record.signatures)
 
-    def resource_profile(
-        self, features: FeatureInput, signatures: SignatureBundle
-    ) -> ResourceProfile | None:
-        return self.predictor.resource_profile(features, signatures)
-
     def resource_profiles(
         self,
         inputs: Sequence[FeatureInput],
@@ -383,8 +404,9 @@ class CleoService:
     ) -> list[ResourceProfile | None]:
         """Batched Section-5.3 resource profiles, via the packed bank.
 
-        Bitwise identical to a per-operator :meth:`resource_profile` loop
-        (``None`` where no individual model covers the operator), with the
+        Bitwise identical to a per-operator
+        :meth:`CleoPredictor.resource_profile` loop (``None`` where no
+        individual model covers the operator), with the
         same lookup accounting: five lookups per covered profile, none for
         uncovered operators.
         """
@@ -396,12 +418,6 @@ class CleoService:
                 n_covered * CleoPredictor.LOOKUPS_PER_PREDICTION
             )
         return profiles
-
-    def covers(self, kind: ModelKind, signatures: SignatureBundle) -> bool:
-        return self.predictor.covers(kind, signatures)
-
-    def coverage_fraction(self, kind: ModelKind, records: list[OperatorRecord]) -> float:
-        return self.predictor.coverage_fraction(kind, records)
 
     # ------------------------------------------------------------------ #
     # Batched prediction
@@ -692,61 +708,12 @@ class CleoService:
         return out
 
     # ------------------------------------------------------------------ #
-    # Operator / plan entry points (optimizer-facing)
+    # Whole-plan requests and the optimizer-facing adapter
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def bundle_for(op: PhysicalOp) -> SignatureBundle:
-        """The operator's own signature bundle (the service holds no copy)."""
-        return SignatureBundle.of(op)
-
-    def predict_operator(
-        self,
-        op: PhysicalOp,
-        estimator: CardinalityEstimator,
-        partition_override: int | None = None,
-    ) -> float:
-        """Exclusive cost of a live plan operator (the planner's call)."""
-        features = feature_input_for(op, estimator, partition_override)
-        return self.predict(features, self.bundle_for(op))
-
     def predict_plan(self, root: PhysicalOp, estimator: CardinalityEstimator) -> float:
-        """Total plan cost, priced through one batched call.
-
-        The left-fold summation matches a sequential ``operator_cost`` loop
-        exactly, so batching never changes a plan's total cost.
-        """
-        requests = [
-            PredictionRequest(feature_input_for(op, estimator), self.bundle_for(op))
-            for op in root.walk()
-        ]
-        total = 0.0
-        for value in self.predict_batch(requests):
-            total = total + float(value)
-        return total
-
-    def predict_plan_batch(
-        self,
-        inputs: Sequence[FeatureInput],
-        bundles: Sequence[SignatureBundle],
-        lengths: Sequence[int],
-    ) -> list[float]:
-        """Total costs of several plans, priced in one packed pass.
-
-        ``inputs``/``bundles`` concatenate every plan's operators in walk
-        order; ``lengths[i]`` is how many operators plan ``i`` contributed.
-        All predictions run as a single :meth:`predict_inputs` call, then
-        each plan's total is reduced with the exact left-fold order
-        :meth:`predict_plan` uses — so fleet replanning
-        (``repro.optimizer.replan``) reports per-plan costs bitwise
-        identical to a sequential :meth:`predict_plan` loop, and this is the
-        batch what-if building block ROADMAP item 5 asks for.
-        """
-        if len(inputs) != len(bundles):
-            raise FeatureValidationError("inputs and bundles must align")
-        if sum(lengths) != len(inputs):
-            raise FeatureValidationError("lengths must partition the request sequence")
-        return plan_totals(self.predict_inputs(inputs, bundles), lengths)
+        """Total cost of a whole-plan request, priced as one batch."""
+        return price_plan(self, root, estimator)
 
     def cost_model(self) -> CostModel:
         """An optimizer-facing :class:`CostModel` bound to this service."""
@@ -808,12 +775,6 @@ class CleoService:
             fallback_reason="no trained model covers this operator; "
             "serving the trained global mean",
         )
-
-    def explain_operator(
-        self, op: PhysicalOp, estimator: CardinalityEstimator
-    ) -> CostExplanation:
-        features = feature_input_for(op, estimator)
-        return self.explain(features, self.bundle_for(op))
 
     # ------------------------------------------------------------------ #
     # Introspection and stats

@@ -24,6 +24,10 @@ the paper's optimizer-facing deployment does (Section 5.1), but scaled out:
   identical to one single-process :class:`~repro.serving.service.
   CleoService` pricing the whole batch — the property the serving load
   test asserts as ``predictions_bitwise_identical``.
+
+Like the service, the router speaks only rows (plus ``predict_plan``, the
+load replays' whole-plan request); :class:`ClusterClient` binds one cluster
+so a :class:`~repro.core.cost_model.CleoCostModel` prices through the fleet.
 """
 
 from __future__ import annotations
@@ -31,8 +35,9 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace as dataclass_replace
+from operator import attrgetter
 from threading import Lock
-from typing import Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -46,7 +51,6 @@ from repro.core.learned_model import _MAX_PREDICT_SECONDS, ResourceProfile
 from repro.core.predictor import CleoPredictor
 from repro.cost.default_model import DefaultCostModel
 from repro.cost.interface import CostExplanation, CostModel
-from repro.features.extract import feature_input_for
 from repro.features.featurizer import FeatureInput
 from repro.features.table import FeatureTable
 from repro.plan.physical import PhysicalOp, PhysOpType
@@ -58,7 +62,7 @@ from repro.serving.service import (
     CleoService,
     PredictionRequest,
     ServiceStats,
-    plan_totals,
+    price_plan,
     values_ok,
 )
 from repro.serving.shard.health import (
@@ -78,6 +82,11 @@ _BOUNDED_DEFAULT_COST = 1.0
 #: are pure recomputations of the ring lookup): ad-hoc traffic mints a new
 #: approximate signature per query and must not grow the router forever.
 _ROUTE_MEMO_LIMIT = 1 << 16
+
+#: What the heuristic floor reads, off one row or (as columns) a whole table.
+_FLOOR_STATS = attrgetter(
+    "input_card", "output_card", "avg_row_bytes", "partition_count"
+)
 
 
 class ShardedCleoRouter:
@@ -333,7 +342,6 @@ class ShardedCleoRouter:
         compute: Callable[[int], np.ndarray],
         token: tuple[int, int],
         heuristic: Callable[[], np.ndarray],
-        n_rows: int,
     ) -> np.ndarray:
         """Walk the degradation ladder for one sub-batch.
 
@@ -354,36 +362,71 @@ class ShardedCleoRouter:
         deadline = time.perf_counter() + resilience.deadline_s
         hedge_target = self._hedge_target(cluster, shard, token)
         if hedge_target is not None:
-            values = self._hedge(cluster, hedge_target, compute, token)
+            # The deterministic analogue of first-response-wins hedging: the
+            # owner's spike is known from the pure fault decision, so instead
+            # of racing two in-flight calls the successor is asked first, at
+            # ``attempt=1`` — the draw a ladder retry would see; the shared
+            # read-only bank makes its answer bitwise identical to the
+            # owner's.  A hedge that fails leaves the ladder to walk from the
+            # owner, which still answers — late, but within the deadline.
+            values = self._attempt(
+                cluster, hedge_target, 1, compute, token, hedge=True
+            )
             if values is not None:
+                with self._ladder_lock:
+                    self._hedge_wins += 1
                 return values
         n_shards = self.ring.n_shards
         for attempt in range(min(resilience.max_retries, n_shards - 1) + 1):
-            target = (shard + attempt) % n_shards
-            health = self._health[target]
             if attempt > 0 and time.perf_counter() > deadline:
                 break
-            if not health.allow():
-                continue
-            if attempt > 0:
-                with self._ladder_lock:
-                    self._retries += 1
-            try:
-                values = self._call_shard(target, cluster, token, attempt, compute)
-            except FeatureValidationError:
-                raise
-            except Exception as exc:
-                health.record_failure(timeout=isinstance(exc, ShardTimeoutError))
-                continue
-            if resilience.validate_outputs and not values_ok(values):
-                health.record_failure()
-                continue
-            health.record_success()
-            return values
+            target = (shard + attempt) % n_shards
+            values = self._attempt(cluster, target, attempt, compute, token)
+            if values is not None:
+                return values
         # Every learned rung failed: heuristic floor, then bounded default.
         values = self._bounded(heuristic())
         with self._ladder_lock:
-            self._degraded += n_rows
+            self._degraded += len(values)
+        return values
+
+    def _attempt(
+        self,
+        cluster: str,
+        target: int,
+        attempt: int,
+        compute: Callable[[int], np.ndarray],
+        token: tuple[int, int],
+        hedge: bool = False,
+    ) -> np.ndarray | None:
+        """One rung of the ladder: allow -> call -> validate -> record.
+
+        ``None`` when the rung did not answer: the target's breaker is open,
+        the call failed, or its answer is not serveable.  An admitted call
+        off the owning shard counts as a retry — or, fired ahead of the
+        owner, as a hedge.  Input validation errors are the caller's bug,
+        not a shard failure, and re-raise.
+        """
+        health = self._health[target]
+        if not health.allow():
+            return None
+        if hedge or attempt > 0:
+            with self._ladder_lock:
+                if hedge:
+                    self._hedges += 1
+                else:
+                    self._retries += 1
+        try:
+            values = self._call_shard(target, cluster, token, attempt, compute)
+        except FeatureValidationError:
+            raise
+        except Exception as exc:
+            health.record_failure(timeout=isinstance(exc, ShardTimeoutError))
+            return None
+        if self._resilience.validate_outputs and not values_ok(values):
+            health.record_failure()
+            return None
+        health.record_success()
         return values
 
     def _hedge_target(
@@ -413,73 +456,23 @@ class ShardedCleoRouter:
             return None
         return (shard + 1) % self.ring.n_shards
 
-    def _hedge(
-        self,
-        cluster: str,
-        target: int,
-        compute: Callable[[int], np.ndarray],
-        token: tuple[int, int],
-    ) -> np.ndarray | None:
-        """Fire the sub-batch at the ring successor ahead of the slow owner.
-
-        The deterministic analogue of first-response-wins hedging: the
-        owner's spike duration is known from the pure fault decision, so
-        instead of racing two in-flight calls the router asks the successor
-        first (at ``attempt=1`` — the same draw a ladder retry would see;
-        the shared read-only bank makes the answer bitwise identical to the
-        owner's) and takes its response when valid.  Any hedge failure
-        returns ``None`` and the normal ladder walks from the owner, which
-        still answers — late, but within the deadline budget.
-        """
-        health = self._health[target]
-        if not health.allow():
-            return None
-        with self._ladder_lock:
-            self._hedges += 1
-        try:
-            values = self._call_shard(target, cluster, token, 1, compute)
-        except FeatureValidationError:
-            raise
-        except Exception as exc:
-            health.record_failure(timeout=isinstance(exc, ShardTimeoutError))
-            return None
-        if self._resilience.validate_outputs and not values_ok(values):
-            health.record_failure()
-            return None
-        health.record_success()
-        with self._ladder_lock:
-            self._hedge_wins += 1
-        return values
-
-    def _heuristic_inputs(self, inputs: Sequence[FeatureInput]) -> np.ndarray:
+    def _heuristic_inputs(self, inputs: Iterable[FeatureInput]) -> np.ndarray:
         """DefaultCostModel floor for a row sequence (COMPUTE coefficients)."""
-        cost = self._heuristic.operator_cost_from_stats
-        return np.array(
-            [
-                cost(
-                    PhysOpType.COMPUTE,
-                    float(f.input_card),
-                    float(f.output_card),
-                    float(f.avg_row_bytes),
-                    max(1, int(f.partition_count)),
-                )
-                for f in inputs
-            ],
-            dtype=float,
-        )
+        return self._heuristic_floor(map(_FLOOR_STATS, inputs))
 
-    def _heuristic_table(self, table: FeatureTable) -> np.ndarray:
+    def _heuristic_floor(self, stats: Iterable[tuple]) -> np.ndarray:
+        """The floor itself, over one ``_FLOOR_STATS`` 4-tuple per row."""
         cost = self._heuristic.operator_cost_from_stats
         return np.array(
             [
                 cost(
                     PhysOpType.COMPUTE,
-                    float(table.input_card[i]),
-                    float(table.output_card[i]),
-                    float(table.avg_row_bytes[i]),
-                    max(1, int(table.partition_count[i])),
+                    float(input_card),
+                    float(output_card),
+                    float(avg_row_bytes),
+                    max(1, int(partition_count)),
                 )
-                for i in range(len(table))
+                for input_card, output_card, avg_row_bytes, partition_count in stats
             ],
             dtype=float,
         )
@@ -508,7 +501,6 @@ class ShardedCleoRouter:
             compute,
             (1, signatures.approx),
             lambda: self._heuristic_inputs([features]),
-            1,
         )
         return float(values[0])
 
@@ -574,7 +566,7 @@ class ShardedCleoRouter:
             groups,
             lambda idx: table if len(idx) == n else table.take(idx),
             lambda service, sub: service.predict_table(sub),
-            self._heuristic_table,
+            lambda sub: self._heuristic_floor(zip(*_FLOOR_STATS(sub))),
         )
 
     def _sharded(
@@ -605,7 +597,6 @@ class ShardedCleoRouter:
                 lambda s: call(self._shards[s][cluster], sub),
                 (len(idx), int(approx[idx[0]])),
                 lambda: floor(sub),
-                len(idx),
             )
 
         tasks = [(lambda s=shard, i=idx: price(s, i)) for shard, idx in groups]
@@ -616,12 +607,6 @@ class ShardedCleoRouter:
         for (_, idx), values in zip(groups, answers):
             out[np.asarray(idx, dtype=np.int64)] = values
         return out
-
-    def resource_profile(
-        self, cluster: str, features: FeatureInput, signatures: SignatureBundle
-    ) -> ResourceProfile | None:
-        shard = self.shard_for(cluster, signatures.approx)
-        return self._shards[shard][cluster].resource_profile(features, signatures)
 
     def resource_profiles(
         self,
@@ -689,8 +674,9 @@ class ShardedCleoRouter:
     def predict_plan(
         self, cluster: str, root: PhysicalOp, estimator: CardinalityEstimator
     ) -> float:
-        """Total plan cost through the cluster's client (the load-test path)."""
-        return self.client(cluster).predict_plan(root, estimator)
+        """Total cost of a whole-plan request through the sharded batch path
+        (the service's request list and fold, so bitwise its total)."""
+        return price_plan(self.client(cluster), root, estimator)
 
     def cost_model(self, cluster: str | None = None) -> CostModel:
         """An optimizer-facing cost model that prices through the fleet."""
@@ -845,15 +831,11 @@ class ShardedCleoRouter:
 
 
 class ClusterClient:
-    """The :class:`~repro.serving.service.CleoService` surface, one cluster.
+    """One cluster's view of a router: the row surface with ``cluster`` bound.
 
-    What :class:`~repro.core.cost_model.CleoCostModel` (and the planner
-    behind it) needs from a service, re-pointed at the router: scalar and
-    batched prediction, plan pricing with the exact left-fold total,
-    resource profiles, and explanations.
+    What :class:`~repro.core.cost_model.CleoCostModel` needs from a
+    :class:`~repro.serving.service.CleoService`, re-pointed at the fleet.
     """
-
-    bundle_for = staticmethod(SignatureBundle.of)
 
     def __init__(self, router: ShardedCleoRouter, cluster: str) -> None:
         self.router = router
@@ -888,10 +870,8 @@ class ClusterClient:
     def predict_table(self, table: FeatureTable) -> np.ndarray:
         return self.router.predict_table(self.cluster, table)
 
-    def resource_profile(
-        self, features: FeatureInput, signatures: SignatureBundle
-    ) -> ResourceProfile | None:
-        return self.router.resource_profile(self.cluster, features, signatures)
+    def predict_plan(self, root: PhysicalOp, estimator: CardinalityEstimator) -> float:
+        return self.router.predict_plan(self.cluster, root, estimator)
 
     def resource_profiles(
         self,
@@ -900,60 +880,10 @@ class ClusterClient:
     ) -> list[ResourceProfile | None]:
         return self.router.resource_profiles(self.cluster, inputs, bundles)
 
-    def predict_operator(
-        self,
-        op: PhysicalOp,
-        estimator: CardinalityEstimator,
-        partition_override: int | None = None,
-    ) -> float:
-        features = feature_input_for(op, estimator, partition_override)
-        return self.predict(features, self.bundle_for(op))
-
-    def predict_plan(self, root: PhysicalOp, estimator: CardinalityEstimator) -> float:
-        """Total plan cost through the sharded batch path.
-
-        Same request construction and left-fold summation as
-        :meth:`~repro.serving.service.CleoService.predict_plan`, so plan
-        totals are bitwise identical to the single-process service.
-        """
-        requests = [
-            PredictionRequest(feature_input_for(op, estimator), self.bundle_for(op))
-            for op in root.walk()
-        ]
-        total = 0.0
-        for value in self.predict_batch(requests):
-            total = total + float(value)
-        return total
-
-    def predict_plan_batch(
-        self,
-        inputs: Sequence[FeatureInput],
-        bundles: Sequence[SignatureBundle],
-        lengths: Sequence[int],
-    ) -> list[float]:
-        """Several plans' totals through the sharded batch path.
-
-        Same contract and left-fold reduction as
-        :meth:`~repro.serving.service.CleoService.predict_plan_batch`, so
-        fleet replanning against a sharded tier stays bitwise identical to
-        the single-process service.
-        """
-        if len(inputs) != len(bundles):
-            raise ValueError("inputs and bundles must align")
-        if sum(lengths) != len(inputs):
-            raise ValueError("lengths must partition the request sequence")
-        return plan_totals(self.predict_inputs(inputs, bundles), lengths)
-
     def explain(
         self, features: FeatureInput, signatures: SignatureBundle
     ) -> CostExplanation:
         return self.router.explain(self.cluster, features, signatures)
-
-    def explain_operator(
-        self, op: PhysicalOp, estimator: CardinalityEstimator
-    ) -> CostExplanation:
-        features = feature_input_for(op, estimator)
-        return self.explain(features, self.bundle_for(op))
 
     def cost_model(self) -> CostModel:
         from repro.core.cost_model import CleoCostModel

@@ -12,6 +12,7 @@ from repro.applications.prediction import (
 from repro.common.errors import ValidationError
 from repro.common.stats import pearson
 from repro.plan.stages import build_stage_graph
+from repro.serving.service import CleoService
 
 
 @pytest.fixture()
@@ -104,6 +105,17 @@ class TestCalibration:
         assert quantiles[0.05] <= quantiles[0.25] <= quantiles[0.5]
         assert quantiles[0.5] <= quantiles[0.75] <= quantiles[0.95]
         assert report.median_ratio > 0
+
+    def test_calibration_through_a_service_matches_the_bare_predictor(
+        self, perf, tiny_bundle, tiny_predictor
+    ):
+        # The documented way to build one (applications, ext_applications)
+        # hands it a CleoService; `calibrate` prices records through it.
+        served = JobPerformancePredictor(
+            CleoService(tiny_predictor), tiny_bundle.fresh_estimator()
+        )
+        log = tiny_bundle.test_log()
+        assert served.calibrate(log) == perf.calibrate(log)
 
     def test_interval_brackets_point(self, perf, tiny_bundle, any_plan):
         perf.calibrate(tiny_bundle.test_log())

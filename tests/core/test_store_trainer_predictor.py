@@ -116,21 +116,6 @@ class TestPredictor:
         tiny_predictor.predict_record(record)
         assert tiny_predictor.lookup_count == CleoPredictor.LOOKUPS_PER_PREDICTION
 
-    def test_predict_with_kind_none_when_uncovered(self, tiny_bundle, tiny_predictor):
-        records = list(tiny_bundle.test_log().operator_records())
-        uncovered = [
-            r
-            for r in records
-            if not tiny_predictor.covers(ModelKind.OP_SUBGRAPH, r.signatures)
-        ]
-        if uncovered:
-            assert (
-                tiny_predictor.predict_with_kind(
-                    ModelKind.OP_SUBGRAPH, uncovered[0].features, uncovered[0].signatures
-                )
-                is None
-            )
-
     def test_fallback_without_combined(self, tiny_bundle, tiny_predictor):
         bare = CleoPredictor(store=tiny_predictor.store, combined=None)
         record = next(tiny_bundle.test_log().operator_records())

@@ -3,7 +3,10 @@
 ``repro.optimizer.search`` holds the rule set; ``QueryPlanner`` and
 ``SkeletonPlanner`` are configurations of it.  A second definition of any
 rule anywhere in the package is the hand-synchronised copy this layout
-exists to prevent.  The second test is the contract of ``bench/trace.py``,
+exists to prevent.  The same holds for pricing: the serving tier prices
+rows, and ``CleoCostModel`` is the one place an operator or plan becomes
+rows, so the operator-level entry points must not reappear under
+``repro.serving``.  The tracer test is the contract of ``bench/trace.py``,
 which binds its timing wrappers by ``vars(cls)[name]`` — a method moved to a
 base class would fail in the next benchmark run; it fails here instead.
 """
@@ -15,10 +18,13 @@ from collections import Counter
 from pathlib import Path
 
 import repro.optimizer
+import repro.serving
 from repro.core.cost_model import CleoCostModel
 from repro.optimizer.planner import QueryPlanner
 from repro.optimizer.replan import FleetReplanner
 from repro.optimizer.skeleton import SkeletonPlanner
+from repro.serving.service import CleoService
+from repro.serving.shard.router import ShardedCleoRouter
 
 RULES = {
     "_optimize",
@@ -31,10 +37,10 @@ RULES = {
 }
 
 
-def _definitions() -> Counter:
-    """``name -> count`` of every function defined in the optimizer package."""
+def _definitions(package=repro.optimizer) -> Counter:
+    """``name -> count`` of every function defined in a package."""
     counts: Counter = Counter()
-    for path in sorted(Path(repro.optimizer.__file__).parent.glob("*.py")):
+    for path in sorted(Path(package.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 counts[node.name] += 1
@@ -64,7 +70,38 @@ def test_tracer_targets_are_defined_on_the_classes_themselves():
         (QueryPlanner, ["plan"]),
         (SkeletonPlanner, ["plan_job"]),
         (FleetReplanner, ["replan_jobs"]),
-        (CleoCostModel, ["price_operators", "price_inputs", "price_plans"]),
+        (
+            CleoCostModel,
+            ["price_operators", "price_inputs", "price_plans", "price_stage_sweep"],
+        ),
+        (CleoService, ["predict_inputs", "predict_batch"]),
+        (
+            ShardedCleoRouter,
+            ["__init__", "predict_inputs", "predict_batch", "predict_plan"],
+        ),
     ):
         for name in names:
             assert callable(vars(cls)[name]), (cls.__name__, name)
+
+
+def test_serving_tier_defines_no_operator_level_entry_points():
+    counts = _definitions(repro.serving)
+    gone = ("predict_operator", "predict_plan_batch", "explain_operator", "bundle_for")
+    assert {name: counts[name] for name in gone} == dict.fromkeys(gone, 0)
+    # Featurization happens once in the package, inside ``plan_requests``.
+    root = Path(repro.serving.__file__).parent
+    calls = [
+        path.name
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "feature_input_for"
+    ]
+    assert calls == ["service.py"] and counts["plan_requests"] == 1
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse((root / "shard" / "router.py").read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "feature_input_for" not in imported

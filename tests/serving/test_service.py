@@ -13,6 +13,7 @@ import pytest
 from repro.core.config import SPECIFICITY_ORDER, ModelKind
 from repro.core.model_store import ModelStore, signature_for
 from repro.core.predictor import CleoPredictor
+from repro.plan.signatures import SignatureBundle
 from repro.serving import CleoService, LRUCache, PredictionRequest
 from repro.serving.service import as_cost_model
 
@@ -267,6 +268,6 @@ class TestCostModelFacade:
         model = service.cost_model()
         model.plan_cost(plan, estimator)
         model.price_operators(ops, estimator)
-        assert service.bundle_for(plan) is service.bundle_for(plan)
+        assert SignatureBundle.of(plan) is SignatureBundle.of(plan)
         assert service.stats().predictions == 2 * len(ops)
         assert [sys.getrefcount(op) for op in ops] == before

@@ -19,9 +19,12 @@ import numpy as np
 import pytest
 
 from repro.common.hashing import stable_hash
+from repro.core.predictor import CleoPredictor
 from repro.features.table import FeatureTable
+from repro.plan.stages import build_stage_graph
 from repro.serving import CleoService, PredictionRequest
-from repro.serving.service import ServiceStats
+from repro.serving.faults import FaultInjector, FaultPolicy
+from repro.serving.service import ServiceStats, plan_requests
 from repro.serving.shard import HashRing, ShardedCleoRouter, route_key
 from repro.serving.shard.routing import _RING_SALT
 
@@ -256,7 +259,8 @@ class TestParity:
         inputs = [r.features for r in requests[:200]]
         bundles = [r.signatures for r in requests[:200]]
         expected = [
-            baseline.resource_profile(f, s) for f, s in zip(inputs, bundles)
+            baseline.predictor.resource_profile(f, s)
+            for f, s in zip(inputs, bundles)
         ]
         with make_router(tiny_predictor, n_shards=3, n_workers=2) as router:
             assert router.resource_profiles("cluster1", inputs, bundles) == expected
@@ -282,6 +286,103 @@ class TestParity:
                 ours = router.explain("cluster1", request.features, request.signatures)
                 theirs = baseline.explain(request.features, request.signatures)
                 assert (ours.cost, ours.source) == (theirs.cost, theirs.source)
+
+
+    def test_every_entry_point_degrades_to_the_one_floor(
+        self, tiny_predictor, requests
+    ):
+        """Rows, requests and tables share one heuristic floor."""
+        inputs = [r.features for r in requests[:120]]
+        bundles = [r.signatures for r in requests[:120]]
+        injector = FaultInjector(FaultPolicy(name="killall", error_rate=1.0))
+        with make_router(
+            tiny_predictor, n_shards=2, fault_injector=injector
+        ) as router:
+            floor = router._bounded(router._heuristic_inputs(inputs))
+            answers = [
+                router.predict_batch("cluster1", requests[:120]),
+                router.predict_inputs("cluster1", inputs, bundles),
+                router.predict_table(
+                    "cluster1", FeatureTable.from_inputs(inputs, bundles)
+                ),
+                [router.predict("cluster1", f, s) for f, s in zip(inputs, bundles)],
+            ]
+        for values in answers:
+            assert np.array_equal(values, floor)
+
+
+# ------------------------------------------------------------------ #
+# One CleoCostModel over any backend
+# ------------------------------------------------------------------ #
+
+
+def _pricing_transcript(model, bundle) -> list:
+    """Every optimizer-facing answer of ``model`` on the day-1 plans."""
+    estimator = bundle.fresh_estimator()
+    plans = [bundle.runner.plans[j.job_id] for j in bundle.log.jobs if j.day == 1]
+    transcript: list = []
+    inputs, bundles, lengths = [], [], []
+    for plan in plans:
+        ops = list(plan.walk())
+        stages = [stage.operators for stage in build_stage_graph(plan).stages]
+        transcript += [
+            [model.operator_cost(op, estimator) for op in ops],
+            [model.operator_cost(op, estimator, partition_override=7) for op in ops],
+            model.plan_cost(plan, estimator),
+            model.price_operators(ops, estimator).tolist(),
+            model.price_stage_sweep(stages, estimator, [[1, 4, 64]] * len(stages)),
+            [model.resource_profile(op, estimator) for op in ops],
+            model.resource_profiles(ops, estimator),
+            [model.explain(op, estimator) for op in ops],
+        ]
+        requests = plan_requests(plan, estimator)
+        inputs += [request.features for request in requests]
+        bundles += [request.signatures for request in requests]
+        lengths.append(len(requests))
+    transcript.append(model.price_plans(inputs, bundles, lengths))
+    return transcript
+
+
+class TestCostModelBackendParity:
+    """The contract the deleted service-side twins carried by being copies:
+    a ``CleoCostModel`` answers the same bits whichever row tier it prices
+    through, and charges the same lookups and per-request counters."""
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_router_client_matches_plain_service(
+        self, tiny_bundle, tiny_predictor, n_shards
+    ):
+        def view() -> CleoPredictor:
+            return CleoPredictor(
+                store=tiny_predictor.store,
+                combined=tiny_predictor.combined,
+                fallback_cost=tiny_predictor.fallback_cost,
+            )
+
+        service = CleoService(view(), prediction_cache_size=0)
+        expected = _pricing_transcript(service.cost_model(), tiny_bundle)
+        with ShardedCleoRouter(
+            {"cluster1": view()}, n_shards=n_shards, prediction_cache_size=0
+        ) as router:
+            model = router.client().cost_model()
+            assert _pricing_transcript(model, tiny_bundle) == expected
+            assert router.lookup_count == service.lookup_count > 0
+            ours, theirs = router.stats(), service.stats()
+        if n_shards == 1:
+            assert ours == theirs
+        # Splitting a batch across shards adds sub-batches (and their
+        # vectorized model calls); what is charged per request cannot move.
+        for counter in (
+            "predictions",
+            "batched_predictions",
+            "scalar_predictions",
+            "fallback_predictions",
+            "in_batch_reuses",
+            "cache",
+            "degraded_predictions",
+            "quarantined_models",
+        ):
+            assert getattr(ours, counter) == getattr(theirs, counter), counter
 
 
 # ------------------------------------------------------------------ #

@@ -56,6 +56,16 @@ def corrupt_most_specific(store, bundle):
     return kind, signature
 
 
+@pytest.fixture(params=["service", "router"])
+def cost_model(request, tiny_predictor):
+    """A ``CleoCostModel`` over a plain service and over a router client."""
+    if request.param == "service":
+        yield CleoService(tiny_predictor).cost_model()
+    else:
+        with ShardedCleoRouter({"cluster1": tiny_predictor}, n_shards=2) as router:
+            yield router.client().cost_model()
+
+
 @pytest.fixture()
 def corrupt_service(tiny_bundle, records):
     """A store-only service whose most specific model for record 0 is NaN.
@@ -123,12 +133,16 @@ class TestInputValidation:
                 [r.signatures for r in requests[:3]],
             )
 
-    def test_plan_batch_misalignment_rejected(self, tiny_predictor, requests):
-        service = CleoService(tiny_predictor)
+    @pytest.mark.parametrize(
+        "n_bundles, lengths", [(3, [4]), (4, [3])], ids=["misaligned", "lengths"]
+    )
+    def test_price_plans_misuse_is_typed_on_every_backend(
+        self, cost_model, requests, n_bundles, lengths
+    ):
         inputs = [r.features for r in requests[:4]]
-        bundles = [r.signatures for r in requests[:4]]
+        bundles = [r.signatures for r in requests[:n_bundles]]
         with pytest.raises(FeatureValidationError):
-            service.predict_plan_batch(inputs, bundles, lengths=[3])
+            cost_model.price_plans(inputs, bundles, lengths=lengths)
 
     def test_validation_can_be_disabled(self, tiny_predictor, requests):
         service = CleoService(tiny_predictor, validate_inputs=False)
