@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Eight commands cover the library's day-to-day loops without writing code:
+Seven commands cover the library's day-to-day loops without writing code:
 
 * ``workload``   — generate + execute a synthetic cluster workload and
   print its Figure-9-style profile;
@@ -16,22 +16,13 @@ Eight commands cover the library's day-to-day loops without writing code:
 * ``experiment`` — regenerate any paper table/figure or ablation by id
   (``--list`` enumerates them), printing the same report the benchmark
   suite persists;
-* ``bench-serving`` — replay the deterministic serving load through the
-  sharded router at each ``--shards``/``--workers`` pairing and write
-  ``BENCH_serving.json`` (throughput, p50/p99 latency, bitwise parity
-  with single-process serving);
-* ``bench-plan`` — re-plan the generated workload's test day with learned
-  costs through the scalar and batched planners and write
-  ``BENCH_plan.json`` (timings plus bitwise plan parity);
-* ``bench-replan`` — replan a recurring-job fleet (each test-day job
-  replicated into several live instances) through the per-job batched
-  planner and the fleet skeleton-replay driver and write
-  ``BENCH_replan.json`` (timings, bitwise plan parity, and per-prediction
-  lookup accounting);
-* ``bench-faults`` — replay the serving load through the hardened router
-  under each deterministic fault scenario and write ``BENCH_faults.json``
-  (availability, p99 under faults, degraded fraction, breaker activity,
-  zero-fault bitwise/counter parity);
+* ``bench``      — run one of the seven layer benchmarks (``train``,
+  ``workload``, ``predict``, ``plan``, ``replan``, ``serving``, ``faults``):
+  a fast path timed against its retained reference in the same run, the
+  ratio and a bitwise-parity boolean written to ``BENCH_<name>.json``, and a
+  non-zero exit if any parity gate fails.  Flags, gates and the driver live
+  in :mod:`repro.experiments.throughput`; ``repro bench <name> --help``
+  lists each benchmark's flags;
 * ``lint``       — run the determinism & concurrency invariant checker
   (:mod:`repro.analysis`) over the tree: builtin-``hash``/set-iteration
   hazards, wall-clock/raw-RNG in deterministic modules, batch-variant
@@ -39,8 +30,9 @@ Eight commands cover the library's day-to-day loops without writing code:
   coverage of every ``*_reference`` baseline; fails on any finding not
   pragma-justified or recorded in ``LINT_BASELINE.json``.
 
-Every command is deterministic given ``--seed`` (and ``lint`` given the
-tree: its JSON report is byte-identical across PYTHONHASHSEED values).
+Every command is deterministic given ``--seed`` (``bench`` in everything
+but its timings; ``lint`` given the tree: its JSON report is byte-identical
+across PYTHONHASHSEED values).
 """
 
 from __future__ import annotations
@@ -51,7 +43,8 @@ from typing import Callable
 
 from repro.experiments.harness import ExperimentResult
 
-# Lazy imports inside handlers keep `--help` fast.
+# Handlers import lazily; `bench` and `lint` attach their own parsers (and
+# `func`) in `build_parser`.
 
 
 def _experiment_registry() -> dict[str, Callable[[str, int], ExperimentResult]]:
@@ -269,165 +262,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_serving(args: argparse.Namespace) -> int:
-    from repro.experiments.serving_throughput import (
-        format_result,
-        run_benchmark,
-        write_result,
-    )
-
-    if len(args.shards) != len(args.workers):
-        print("--shards and --workers must pair up", file=sys.stderr)
-        return 2
-    result = run_benchmark(
-        scale=args.scale,
-        clusters=tuple(args.clusters),
-        seed=args.seed,
-        epochs=args.epochs,
-        configs=tuple(zip(args.shards, args.workers)),
-        max_jobs_per_cluster=args.max_jobs,
-    )
-    path = write_result(result, args.out)
-    print(format_result(result))
-    print(f"wrote {path}")
-    if not result["predictions_bitwise_identical"]:
-        print(
-            "ERROR: sharded predictions diverged from the single-process service",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def cmd_bench_plan(args: argparse.Namespace) -> int:
-    from repro.experiments.plan_throughput import (
-        format_result,
-        run_benchmark,
-        write_result,
-    )
-
-    result = run_benchmark(scale=args.scale, seed=args.seed, repeats=args.repeats)
-    path = write_result(result, args.out)
-    print(format_result(result))
-    print(f"wrote {path}")
-    if not result["plans_bitwise_identical"]:
-        print(
-            "ERROR: batched planning diverged from the scalar planner",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def cmd_bench_replan(args: argparse.Namespace) -> int:
-    from repro.experiments.replan_throughput import (
-        format_result,
-        run_benchmark,
-        write_result,
-    )
-
-    result = run_benchmark(
-        scale=args.scale,
-        seed=args.seed,
-        repeats=args.repeats,
-        instances=args.instances,
-    )
-    path = write_result(result, args.out)
-    print(format_result(result))
-    print(f"wrote {path}")
-    if not result["plans_bitwise_identical"]:
-        print(
-            "ERROR: fleet replay diverged from the per-job planner",
-            file=sys.stderr,
-        )
-        return 1
-    if not result["lookup_accounting_identical"]:
-        print(
-            "ERROR: fleet replay changed per-prediction lookup accounting",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def cmd_bench_faults(args: argparse.Namespace) -> int:
-    from repro.experiments.fault_tolerance import (
-        PIPELINE_SCENARIOS,
-        format_result,
-        list_scenarios,
-        run_benchmark,
-        select_scenarios,
-        write_result,
-    )
-
-    if args.list_scenarios:
-        print(list_scenarios())
-        return 0
-
-    if args.scenario:
-        try:
-            serving, pipeline = select_scenarios(args.scenario)
-        except ValueError as exc:
-            print(f"ERROR: {exc}", file=sys.stderr)
-            return 2
-    else:
-        serving, pipeline = tuple(args.scenarios), PIPELINE_SCENARIOS
-
-    result = run_benchmark(
-        scale=args.scale,
-        clusters=tuple(args.clusters),
-        seed=args.seed,
-        epochs=args.epochs,
-        shards=args.shards,
-        workers=args.workers,
-        scenarios=serving,
-        max_jobs_per_cluster=args.max_jobs,
-        pipeline_scenarios=pipeline,
-        hedge_threshold_s=args.hedge_threshold or None,
-    )
-    path = write_result(result, args.out)
-    print(format_result(result))
-    print(f"wrote {path}")
-    if not result["zero_fault"]["predictions_bitwise_identical"]:
-        print(
-            "ERROR: hardened router diverged from the fail-fast fleet",
-            file=sys.stderr,
-        )
-        return 1
-    if not result["zero_fault"]["stats_counter_identical"]:
-        print(
-            "ERROR: hardened router stats diverged with faults disabled",
-            file=sys.stderr,
-        )
-        return 1
-    if not result["all_available"]:
-        print(
-            "ERROR: a fault scenario dropped below availability 1.0",
-            file=sys.stderr,
-        )
-        return 1
-    if result["pipeline_all_recovered"] is False:
-        print(
-            "ERROR: a pipeline chaos scenario failed to recover",
-            file=sys.stderr,
-        )
-        return 1
-    hedging = result["hedging"]
-    if hedging is not None and not hedging["predictions_bitwise_identical"]:
-        print(
-            "ERROR: hedged serving diverged from the unhedged replay",
-            file=sys.stderr,
-        )
-        return 1
-    if hedging is not None and hedging["hedges"] == 0:
-        print(
-            "ERROR: hedging enabled but no request was hedged",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _add_workload_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cluster", default="cluster1", help="cluster name (default: cluster1)")
     parser.add_argument("--tables", type=int, default=8, help="base tables (default: 8)")
@@ -478,89 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--seed", type=int, default=0, help="deterministic seed (default: 0)")
     p_exp.set_defaults(func=cmd_experiment)
 
-    p_serve = sub.add_parser(
-        "bench-serving",
-        help="load-test the sharded serving tier and write BENCH_serving.json",
+    p_bench = sub.add_parser(
+        "bench",
+        help="run a layer benchmark (fast path vs its reference, parity-gated) "
+        "and write its BENCH_<name>.json",
     )
-    p_serve.add_argument("--scale", default="small", choices=("tiny", "small", "full"),
-                         help="workload scale (default: small)")
-    p_serve.add_argument("--clusters", nargs="+", default=["cluster1", "cluster2"],
-                         help="clusters to serve (default: cluster1 cluster2)")
-    p_serve.add_argument("--seed", type=int, default=0, help="deterministic seed (default: 0)")
-    p_serve.add_argument("--epochs", type=int, default=4,
-                         help="replay epochs per configuration (default: 4)")
-    p_serve.add_argument("--shards", type=int, nargs="+", default=[1, 1, 2, 4],
-                         help="shard count per configuration (paired with --workers)")
-    p_serve.add_argument("--workers", type=int, nargs="+", default=[1, 4, 4, 4],
-                         help="worker count per configuration (paired with --shards)")
-    p_serve.add_argument("--max-jobs", type=int, default=None,
-                         help="cap jobs per cluster (smoke runs)")
-    p_serve.add_argument("--out", default="BENCH_serving.json",
-                         help="output JSON path (default: BENCH_serving.json)")
-    p_serve.set_defaults(func=cmd_bench_serving)
+    from repro.experiments.throughput import configure_parser as _configure_bench_parser
 
-    p_bplan = sub.add_parser(
-        "bench-plan",
-        help="time scalar vs batched learned-cost planning, write BENCH_plan.json",
-    )
-    p_bplan.add_argument("--scale", default="small", choices=("tiny", "small", "full"),
-                         help="workload scale (default: small)")
-    p_bplan.add_argument("--seed", type=int, default=0, help="deterministic seed (default: 0)")
-    p_bplan.add_argument("--repeats", type=int, default=5,
-                         help="timed repeats per path (default: 5)")
-    p_bplan.add_argument("--out", default="BENCH_plan.json",
-                         help="output JSON path (default: BENCH_plan.json)")
-    p_bplan.set_defaults(func=cmd_bench_plan)
-
-    p_breplan = sub.add_parser(
-        "bench-replan",
-        help="time per-job vs fleet skeleton replanning, write BENCH_replan.json",
-    )
-    p_breplan.add_argument("--scale", default="small", choices=("tiny", "small", "full"),
-                           help="workload scale (default: small)")
-    p_breplan.add_argument("--seed", type=int, default=0,
-                           help="deterministic seed (default: 0)")
-    p_breplan.add_argument("--repeats", type=int, default=5,
-                           help="timed repeats per path (default: 5)")
-    p_breplan.add_argument("--instances", type=int, default=4,
-                           help="live instances per recurring job (default: 4)")
-    p_breplan.add_argument("--out", default="BENCH_replan.json",
-                           help="output JSON path (default: BENCH_replan.json)")
-    p_breplan.set_defaults(func=cmd_bench_replan)
-
-    p_faults = sub.add_parser(
-        "bench-faults",
-        help="chaos-test the hardened serving fleet, write BENCH_faults.json",
-    )
-    p_faults.add_argument("--scale", default="small", choices=("tiny", "small", "full"),
-                          help="workload scale (default: small)")
-    p_faults.add_argument("--clusters", nargs="+", default=["cluster1", "cluster2"],
-                          help="clusters to serve (default: cluster1 cluster2)")
-    p_faults.add_argument("--seed", type=int, default=0,
-                          help="deterministic seed (default: 0)")
-    p_faults.add_argument("--epochs", type=int, default=2,
-                          help="replay epochs per scenario (default: 2)")
-    p_faults.add_argument("--shards", type=int, default=3,
-                          help="shard count (default: 3)")
-    p_faults.add_argument("--workers", type=int, default=1,
-                          help="fan-out workers; 1 keeps breaker replay exact (default: 1)")
-    p_faults.add_argument("--scenarios", nargs="+",
-                          default=["baseline", "latency_spikes", "shard_errors",
-                                   "timeouts", "corrupt_outputs", "mixed_chaos"],
-                          help="named serving fault scenarios (see repro.serving.faults)")
-    p_faults.add_argument("--scenario", action="append", default=None, metavar="NAME",
-                          help="run only this scenario (repeatable; serving or "
-                               "pipeline names; overrides --scenarios)")
-    p_faults.add_argument("--list-scenarios", action="store_true",
-                          help="list every serving and pipeline chaos scenario, then exit")
-    p_faults.add_argument("--hedge-threshold", type=float, default=0.001,
-                          metavar="SECONDS",
-                          help="latency SLO for hedged requests; 0 disables (default: 0.001)")
-    p_faults.add_argument("--max-jobs", type=int, default=None,
-                          help="cap jobs per cluster (smoke runs)")
-    p_faults.add_argument("--out", default="BENCH_faults.json",
-                          help="output JSON path (default: BENCH_faults.json)")
-    p_faults.set_defaults(func=cmd_bench_faults)
+    _configure_bench_parser(p_bench)
 
     p_lint = sub.add_parser(
         "lint",

@@ -28,23 +28,23 @@ replay defaults to one fan-out worker so breaker state transitions are
 replayable too (with threads, failure *interleaving* — and thus breaker
 trip points — depends on scheduling).
 
-Run ``python scripts/bench_faults.py`` to emit ``BENCH_faults.json``, or
-``benchmarks/test_fault_tolerance.py`` under pytest.
+Run it with ``repro bench faults`` (:mod:`repro.experiments.throughput`;
+``--list-scenarios`` shows what can be injected) to emit
+``BENCH_faults.json``.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import platform
 import tempfile
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from repro.experiments.serving_throughput import replay_parity
 from repro.experiments.shared import get_bundle
 from repro.serving.faults import SCENARIOS, FaultInjector
 from repro.serving.service import CleoService, ServiceStats
@@ -60,14 +60,7 @@ from repro.serving.shard.router import ShardedCleoRouter
 
 #: Scenario replay order: the no-fault control first, then each single
 #: fault class in isolation, then the combined storm.
-DEFAULT_SCENARIOS: tuple[str, ...] = (
-    "baseline",
-    "latency_spikes",
-    "shard_errors",
-    "timeouts",
-    "corrupt_outputs",
-    "mixed_chaos",
-)
+DEFAULT_SCENARIOS: tuple[str, ...] = tuple(SCENARIOS)
 
 #: Pipeline-chaos scenario order: poisoned telemetry first, then the
 #: mid-retrain crash, then serving with quarantined models.
@@ -127,13 +120,9 @@ def _chaos_replay(
                 values_out.append(answer)
             if ok:
                 available += 1
-    lat = np.asarray(latencies, dtype=float)
     result = {
-        "available": available,
-        "total": total,
-        "availability": available / total if total else 1.0,
-        "latency_p50_ms": float(1e3 * np.quantile(lat, 0.50)),
-        "latency_p99_ms": float(1e3 * np.quantile(lat, 0.99)),
+        "availability": round(available / total, 6) if total else 1.0,
+        **_latency_columns(latencies),
     }
     if collect:
         result["values"] = values_out
@@ -149,56 +138,35 @@ def _latency_columns(durations: list[float]) -> dict:
 
 
 def _zero_fault_section(
+    fleet,
     predictors: dict,
-    load: ServingLoad,
     capacity: int,
-    shards: int,
-    workers: int,
+    load: ServingLoad,
     epochs: int,
     resilience: ResilienceConfig,
 ) -> dict:
-    """Pin the reliability layer's zero-fault parity contract."""
+    """Pin the reliability layer's zero-fault parity contract.
+
+    ``fleet(resilience=..., fault_injector=...)`` builds the benchmark's
+    router: predictors, shard and worker counts and cache capacity fixed.
+    """
     baseline_services = {
         cluster: CleoService(predictor, prediction_cache_size=capacity)
         for cluster, predictor in predictors.items()
     }
     baseline = run_load(ServiceBackend(baseline_services), load, epochs=epochs)
 
-    with ShardedCleoRouter(
-        predictors,
-        n_shards=shards,
-        n_workers=workers,
-        prediction_cache_size=capacity,
-        resilience=resilience,
-    ) as hardened_router:
+    with fleet(resilience=resilience) as hardened_router:
         hardened = run_load(hardened_router, load, epochs=epochs)
         hardened_stats = hardened_router.stats()
 
-    with ShardedCleoRouter(
-        predictors,
-        n_shards=shards,
-        n_workers=workers,
-        prediction_cache_size=capacity,
-        resilience=None,
-    ) as legacy_router:
+    with fleet(resilience=None) as legacy_router:
         legacy = run_load(legacy_router, load, epochs=epochs)
         legacy_stats = legacy_router.stats()
 
-    bitwise = bool(
-        len(hardened.predictions) == len(baseline.predictions)
-        and all(
-            np.array_equal(a, b)
-            for a, b in zip(baseline.predictions, hardened.predictions)
-        )
-        and hardened.plan_totals == baseline.plan_totals
-        and all(
-            np.array_equal(a, b)
-            for a, b in zip(legacy.predictions, hardened.predictions)
-        )
-        and hardened.plan_totals == legacy.plan_totals
-    )
     return {
-        "predictions_bitwise_identical": bitwise,
+        "predictions_bitwise_identical": replay_parity(hardened, baseline)
+        and replay_parity(hardened, legacy),
         "stats_counter_identical": hardened_stats == legacy_stats,
         "retries": hardened_stats.retries,
         "breaker_opens": hardened_stats.breaker_opens,
@@ -207,11 +175,8 @@ def _zero_fault_section(
 
 
 def _hedging_section(
-    predictors: dict,
+    fleet,
     load: ServingLoad,
-    capacity: int,
-    shards: int,
-    workers: int,
     epochs: int,
     seed: int,
     resilience: ResilienceConfig,
@@ -231,14 +196,7 @@ def _hedging_section(
         "hedged": replace(resilience, hedge_threshold_s=hedge_threshold_s),
     }
     for mode, config in configs.items():
-        with ShardedCleoRouter(
-            predictors,
-            n_shards=shards,
-            n_workers=workers,
-            prediction_cache_size=capacity,
-            resilience=config,
-            fault_injector=FaultInjector(policy),
-        ) as router:
+        with fleet(resilience=config, fault_injector=FaultInjector(policy)) as router:
             measures = _chaos_replay(router, load, epochs, collect=True)
             hedge = router.hedge_stats()
         answers[mode] = measures.pop("values")
@@ -254,15 +212,15 @@ def _hedging_section(
         "scenario": "latency_spikes",
         "hedge_threshold_s": hedge_threshold_s,
         "spike_s": policy.latency_spike_s,
-        "unhedged_p99_ms": round(unhedged_p99, 4),
-        "hedged_p99_ms": round(hedged_p99, 4),
-        "unhedged_p50_ms": round(rows["unhedged"]["latency_p50_ms"], 4),
-        "hedged_p50_ms": round(rows["hedged"]["latency_p50_ms"], 4),
+        "unhedged_p99_ms": unhedged_p99,
+        "hedged_p99_ms": hedged_p99,
+        "unhedged_p50_ms": rows["unhedged"]["latency_p50_ms"],
+        "hedged_p50_ms": rows["hedged"]["latency_p50_ms"],
         "p99_speedup": round(unhedged_p99 / hedged_p99, 3) if hedged_p99 else None,
         "hedges": rows["hedged"]["hedges"],
         "hedge_wins": rows["hedged"]["hedge_wins"],
         "unhedged_hedges": rows["unhedged"]["hedges"],
-        "availability": round(rows["hedged"]["availability"], 6),
+        "availability": rows["hedged"]["availability"],
         "predictions_bitwise_identical": bitwise,
     }
 
@@ -413,12 +371,10 @@ def _quarantined_planner_row(
         "ledger_entries": len(quarantine.ledger()),
         "models_removed": removed,
         "replay_idempotent": replay_idempotent,
-        "availability": round(measures["availability"], 6),
+        **measures,
         "recovery": measures["availability"] == 1.0
         and removed > 0
         and replay_idempotent,
-        "latency_p50_ms": round(measures["latency_p50_ms"], 4),
-        "latency_p99_ms": round(measures["latency_p99_ms"], 4),
     }
 
 
@@ -435,7 +391,10 @@ def run_benchmark(
     pipeline_scenarios: tuple[str, ...] = PIPELINE_SCENARIOS,
     hedge_threshold_s: float | None = 0.001,
 ) -> dict:
-    """Replay the serving load under every fault scenario; JSON-ready dict."""
+    """Replay the serving load under every fault scenario; JSON-ready dict.
+
+    A ``hedge_threshold_s`` of 0 or ``None`` skips the hedging section.
+    """
     unknown = [name for name in scenarios if name not in SCENARIOS]
     if unknown:
         raise ValueError(f"unknown fault scenarios {unknown}; have {sorted(SCENARIOS)}")
@@ -451,22 +410,23 @@ def run_benchmark(
     capacity = load.suggested_cache_capacity(cache_fraction)
     predictors = {cluster: bundle.predictor() for cluster, bundle in bundles.items()}
     resilience = ResilienceConfig()
+    fleet = partial(
+        ShardedCleoRouter,
+        predictors,
+        n_shards=shards,
+        n_workers=workers,
+        prediction_cache_size=capacity,
+    )
 
     zero_fault = _zero_fault_section(
-        predictors, load, capacity, shards, workers, epochs, resilience
+        fleet, predictors, capacity, load, epochs, resilience
     )
 
     scenario_rows: list[dict] = []
     for name in scenarios:
         policy = replace(SCENARIOS[name], seed=seed)
-        injector = FaultInjector(policy)
-        with ShardedCleoRouter(
-            predictors,
-            n_shards=shards,
-            n_workers=workers,
-            prediction_cache_size=capacity,
-            resilience=resilience,
-            fault_injector=injector,
+        with fleet(
+            resilience=resilience, fault_injector=FaultInjector(policy)
         ) as router:
             measures = _chaos_replay(router, load, epochs)
             stats = router.stats()
@@ -483,9 +443,7 @@ def run_benchmark(
                     "latency_rate": policy.latency_rate,
                     "seed": policy.seed,
                 },
-                "availability": round(measures["availability"], 6),
-                "latency_p50_ms": round(measures["latency_p50_ms"], 4),
-                "latency_p99_ms": round(measures["latency_p99_ms"], 4),
+                **measures,
                 "injected_faults": injected,
                 "retries": stats.retries,
                 "breaker_opens": stats.breaker_opens,
@@ -501,31 +459,20 @@ def run_benchmark(
         )
 
     hedging = None
-    if hedge_threshold_s is not None and "latency_spikes" in scenarios:
+    if hedge_threshold_s and "latency_spikes" in scenarios:
         hedging = _hedging_section(
-            predictors,
-            load,
-            capacity,
-            shards,
-            workers,
-            epochs,
-            seed,
-            resilience,
-            hedge_threshold_s,
+            fleet, load, epochs, seed, resilience, hedge_threshold_s
         )
 
-    pipeline_rows: list[dict] = []
-    if pipeline_scenarios:
-        with tempfile.TemporaryDirectory() as tmpdir:
-            for name in pipeline_scenarios:
-                if name == "poisoned_runlog":
-                    pipeline_rows.append(_poisoned_runlog_row(scale, seed))
-                elif name == "retrain_crash":
-                    pipeline_rows.append(_retrain_crash_row(scale, seed, tmpdir))
-                elif name == "quarantined_planner":
-                    pipeline_rows.append(
-                        _quarantined_planner_row(bundles, load, capacity)
-                    )
+    with tempfile.TemporaryDirectory() as tmpdir:
+        rows = {
+            "poisoned_runlog": lambda: _poisoned_runlog_row(scale, seed),
+            "retrain_crash": lambda: _retrain_crash_row(scale, seed, tmpdir),
+            "quarantined_planner": lambda: _quarantined_planner_row(
+                bundles, load, capacity
+            ),
+        }
+        pipeline_rows = [rows[name]() for name in pipeline_scenarios]
 
     baseline_rows = [r for r in scenario_rows if r["scenario"] == "baseline"]
     return {
@@ -561,11 +508,6 @@ def run_benchmark(
             baseline_rows[0]["availability"] if baseline_rows else None
         ),
         "all_available": all(r["availability"] == 1.0 for r in scenario_rows),
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-        },
     }
 
 
@@ -619,13 +561,6 @@ def select_scenarios(names: list[str]) -> tuple[tuple[str, ...], tuple[str, ...]
     serving = tuple(n for n in DEFAULT_SCENARIOS if n in names)
     pipeline = tuple(n for n in PIPELINE_SCENARIOS if n in names)
     return serving, pipeline
-
-
-def write_result(result: dict, path: str | Path) -> Path:
-    """Write the benchmark result as pretty JSON; returns the path."""
-    path = Path(path)
-    path.write_text(json.dumps(result, indent=2) + "\n")
-    return path
 
 
 def format_result(result: dict) -> str:

@@ -26,47 +26,71 @@ sampling — the paper's full retrofitted configuration, and the headline
 verified identical — operator shapes, partition counts, estimated costs
 (exact float equality), and candidates considered.
 
-Run it from the CLI (``python scripts/bench_plan.py``) to emit
-``BENCH_plan.json``, or through ``benchmarks/test_plan_throughput.py``.
+Run it with ``repro bench plan`` (:mod:`repro.experiments.throughput`) to
+emit ``BENCH_plan.json``.
 """
 
 from __future__ import annotations
 
-import json
-import platform
-import time
-from pathlib import Path
-
-import numpy as np
-
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.core.cost_model import CleoCostModel
 from repro.experiments.shared import get_bundle
+from repro.experiments.throughput import path_stats, plan_fingerprint, speedup, timed
 from repro.optimizer.partition import SamplingStrategy
 from repro.optimizer.planner import PlannerConfig, QueryPlanner
+from repro.optimizer.replan import ReplanJob
 from repro.workload.templates import instantiate
 
 
-def _plan_fingerprint(planned) -> tuple:
-    """Everything a plan-choice divergence would perturb."""
-    return (
-        tuple((op.op_type.value, op.partition_count) for op in planned.plan.walk()),
-        planned.estimated_cost,
-        planned.candidates_considered,
-    )
+def planning_fixture(cluster: str, scale: str, seed: int, instances: int = 1):
+    """What both planning benchmarks (this one and ``replan_throughput``) run.
+
+    The canonical workload's trained predictor; its test day as a fleet —
+    each job replicated into ``instances`` live instances under distinct
+    jitter salts; the two timed phases; and the ``planner`` result block
+    describing them.
+    """
+    bundle = get_bundle(cluster, scale=scale, seed=seed)
+    test_day = bundle.log.days[-1]
+    catalog = bundle.generator.catalog_for_day(test_day)
+    jobs: list[ReplanJob] = []
+    for spec in bundle.generator.jobs_for_day(test_day):
+        logical = instantiate(spec, catalog)
+        for k in range(instances):
+            job_id = spec.job_id if k == 0 else f"{spec.job_id}/rep{k}"
+            jobs.append(
+                ReplanJob(job_id, spec.template.template_id, spec.day, logical)
+            )
+    strategy = SamplingStrategy(scheme="geometric")
+    phase_configs = {
+        "structural": PlannerConfig(),
+        "partitioned": PlannerConfig(partition_strategy=strategy),
+    }
+    planner = {
+        "partition_strategy": strategy.name,
+        "skip_coefficient": strategy.skip_coefficient,
+        "max_partitions": PlannerConfig().max_partitions,
+    }
+    return bundle.predictor(), int(test_day), jobs, phase_configs, planner
 
 
-def _time_planner(planner, jobs, repeats: int) -> tuple[list[float], list[tuple]]:
-    times: list[float] = []
-    fingerprints: list[tuple] = []
-    for _ in range(max(1, repeats)):
+def time_per_job(planner, jobs, predictor, repeats: int):
+    """One full search per job, each plan fingerprinted inside the timed region.
+
+    Returns the times, the last repeat's fingerprints and its model lookups
+    (the counter is zeroed as a repeat starts and read as it ends).
+    """
+
+    def plan_all() -> tuple[list[tuple], int]:
+        predictor.reset_lookup_count()
         fingerprints = []
-        start = time.perf_counter()
-        for job_id, logical in jobs:
-            planner.jitter_salt = job_id
-            fingerprints.append(_plan_fingerprint(planner.plan(logical)))
-        times.append(time.perf_counter() - start)
-    return times, fingerprints
+        for job in jobs:
+            planner.jitter_salt = job.salt
+            fingerprints.append(plan_fingerprint(planner.plan(job.logical)))
+        return fingerprints, predictor.lookup_count
+
+    times, (fingerprints, lookups) = timed(plan_all, repeats)
+    return times, fingerprints, lookups
 
 
 def run_benchmark(
@@ -81,24 +105,12 @@ def run_benchmark(
     ``repeats`` scalar time over best batched time for the ``partitioned``
     phase (the full retrofitted configuration).
     """
-    bundle = get_bundle(cluster, scale=scale, seed=seed)
-    predictor = bundle.predictor()
-    test_day = bundle.log.days[-1]
-    catalog = bundle.generator.catalog_for_day(test_day)
-    jobs = [
-        (job.job_id, instantiate(job, catalog))
-        for job in bundle.generator.jobs_for_day(test_day)
-    ]
+    predictor, test_day, jobs, phase_configs, planner = planning_fixture(
+        cluster, scale, seed
+    )
     n_jobs = len(jobs)
 
-    strategy = SamplingStrategy(scheme="geometric")
-    phase_configs = {
-        "structural": PlannerConfig(),
-        "partitioned": PlannerConfig(partition_strategy=strategy),
-    }
-
     phases: dict[str, dict] = {}
-    all_identical = True
     for phase, config in phase_configs.items():
         scalar_planner = QueryPlanner(
             CleoCostModel(predictor, batched=False), CardinalityEstimator(), config
@@ -106,27 +118,24 @@ def run_benchmark(
         batched_planner = QueryPlanner(
             CleoCostModel(predictor), CardinalityEstimator(), config
         )
-        scalar_times, scalar_plans = _time_planner(scalar_planner, jobs, repeats)
-        batched_times, batched_plans = _time_planner(batched_planner, jobs, repeats)
-        identical = scalar_plans == batched_plans
-        all_identical = all_identical and identical
-        scalar_best, batched_best = min(scalar_times), min(batched_times)
+        scalar_times, scalar_plans, _ = time_per_job(
+            scalar_planner, jobs, predictor, repeats
+        )
+        batched_times, batched_plans, _ = time_per_job(
+            batched_planner, jobs, predictor, repeats
+        )
         phases[phase] = {
-            "scalar": {
-                "path": "per-candidate operator_cost loop",
-                "seconds": [round(t, 4) for t in scalar_times],
-                "seconds_best": round(scalar_best, 4),
-                "plans_per_second": round(n_jobs / scalar_best, 1),
-            },
-            "batched": {
-                "path": "deferred frontier ledger -> predict_inputs batches"
+            "scalar": path_stats(
+                scalar_times, path="per-candidate operator_cost loop", plans=n_jobs
+            ),
+            "batched": path_stats(
+                batched_times,
+                path="deferred frontier ledger -> predict_inputs batches"
                 + (" + one P-grid per plan sweep" if phase == "partitioned" else ""),
-                "seconds": [round(t, 4) for t in batched_times],
-                "seconds_best": round(batched_best, 4),
-                "plans_per_second": round(n_jobs / batched_best, 1),
-            },
-            "speedup": round(scalar_best / batched_best, 2),
-            "plans_bitwise_identical": bool(identical),
+                plans=n_jobs,
+            ),
+            "speedup": speedup(scalar_times, batched_times),
+            "plans_bitwise_identical": scalar_plans == batched_plans,
         }
 
     partitioned = phases["partitioned"]
@@ -136,33 +145,20 @@ def run_benchmark(
             "cluster": cluster,
             "scale": scale,
             "seed": seed,
-            "test_day": int(test_day),
+            "test_day": test_day,
             "job_count": n_jobs,
         },
         "models_served": predictor.store.count(),
-        "planner": {
-            "partition_strategy": strategy.name,
-            "skip_coefficient": strategy.skip_coefficient,
-            "max_partitions": PlannerConfig().max_partitions,
-        },
+        "planner": planner,
         "prediction_cache": "disabled (exact per-prediction lookup accounting)",
         "phases": phases,
         "speedup": partitioned["speedup"],
         "speedup_structural": phases["structural"]["speedup"],
         "plans_per_second": partitioned["batched"]["plans_per_second"],
-        "plans_bitwise_identical": bool(all_identical),
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
+        "plans_bitwise_identical": all(
+            phase["plans_bitwise_identical"] for phase in phases.values()
+        ),
     }
-
-
-def write_result(result: dict, path: str | Path) -> Path:
-    """Write the benchmark result as pretty JSON; returns the path."""
-    path = Path(path)
-    path.write_text(json.dumps(result, indent=2) + "\n")
-    return path
 
 
 def format_result(result: dict) -> str:

@@ -24,33 +24,18 @@ are verified bitwise identical before the speedup is reported.  The first
 packed repeat pays one-time bank compilation (recorded as
 ``seconds_first``); best-of-``repeats`` measures the steady state.
 
-Run it from the CLI (``python scripts/bench_predict.py``) to emit
-``BENCH_predict.json``, or through ``benchmarks/test_predict_throughput.py``.
+Run it with ``repro bench predict`` (:mod:`repro.experiments.throughput`)
+to emit ``BENCH_predict.json``.
 """
 
 from __future__ import annotations
 
-import json
-import platform
-import time
-from pathlib import Path
-
 import numpy as np
 
 from repro.core.trainer import CleoTrainer
+from repro.experiments.throughput import path_stats, speedup, timed
 from repro.experiments.train_throughput import build_workload
 from repro.serving.service import CleoService
-
-
-def _time_path(fn, repeats: int) -> tuple[list[float], np.ndarray]:
-    times: list[float] = []
-    result = None
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - start)
-    assert result is not None
-    return times, result
 
 
 def run_benchmark(
@@ -73,16 +58,12 @@ def run_benchmark(
     reference_service = CleoService(predictor, prediction_cache_size=0)
     packed_service = CleoService(predictor, prediction_cache_size=0)
 
-    reference_times, reference = _time_path(
+    reference_times, reference = timed(
         lambda: reference_service.predict_records_reference(records), repeats
     )
-    packed_times, packed = _time_path(
-        lambda: packed_service.predict_table(table), repeats
-    )
+    packed_times, packed = timed(lambda: packed_service.predict_table(table), repeats)
 
     identical = bool(np.array_equal(reference, packed))
-    reference_best = min(reference_times)
-    packed_best = min(packed_times)
     n = len(records)
     return {
         "benchmark": "predict_throughput",
@@ -96,36 +77,23 @@ def run_benchmark(
         },
         "models_served": predictor.store.count(),
         "prediction_cache": "disabled (steady-state compute, not cache hits)",
-        "reference": {
-            "path": "predict_records_reference (request materialization + "
+        "reference": path_stats(
+            reference_times,
+            path="predict_records_reference (request materialization + "
             "grouped object-graph calls + tree-at-a-time ensemble)",
-            "seconds": [round(t, 4) for t in reference_times],
-            "seconds_best": round(reference_best, 4),
-            "seconds_first": round(reference_times[0], 4),
-            "predictions_per_second": round(n / reference_best, 1),
-        },
-        "packed": {
-            "path": "predict_table (packed model bank + flat tree ensemble)",
-            "seconds": [round(t, 4) for t in packed_times],
-            "seconds_best": round(packed_best, 4),
-            "seconds_first": round(packed_times[0], 4),
-            "predictions_per_second": round(n / packed_best, 1),
-        },
-        "speedup": round(reference_best / packed_best, 2),
-        "speedup_first_run": round(reference_times[0] / packed_times[0], 2),
+            first=True,
+            predictions=n,
+        ),
+        "packed": path_stats(
+            packed_times,
+            path="predict_table (packed model bank + flat tree ensemble)",
+            first=True,
+            predictions=n,
+        ),
+        "speedup": speedup(reference_times, packed_times),
+        "speedup_first_run": speedup(reference_times[:1], packed_times[:1]),
         "predictions_bitwise_identical": identical,
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
     }
-
-
-def write_result(result: dict, path: str | Path) -> Path:
-    """Write the benchmark result as pretty JSON; returns the path."""
-    path = Path(path)
-    path.write_text(json.dumps(result, indent=2) + "\n")
-    return path
 
 
 def format_result(result: dict) -> str:

@@ -28,79 +28,29 @@ operator shapes, partition counts, estimated costs (exact float equality),
 candidates considered — and, with the prediction cache disabled, identical
 per-prediction model-lookup accounting.
 
-Run it from the CLI (``python scripts/bench_replan.py``) to emit
-``BENCH_replan.json``, or through ``benchmarks/test_replan_throughput.py``.
+Run it with ``repro bench replan`` (:mod:`repro.experiments.throughput`) to
+emit ``BENCH_replan.json``.
 """
 
 from __future__ import annotations
 
-import json
-import platform
-import time
-from pathlib import Path
-
-import numpy as np
-
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.core.cost_model import CleoCostModel
-from repro.experiments.shared import get_bundle
-from repro.optimizer.partition import SamplingStrategy
-from repro.optimizer.planner import PlannerConfig, QueryPlanner
-from repro.optimizer.replan import FleetReplanner, ReplanJob
-from repro.workload.templates import instantiate
-
-
-def _plan_fingerprint(planned) -> tuple:
-    """Everything a plan-choice divergence would perturb."""
-    return (
-        tuple((op.op_type.value, op.partition_count) for op in planned.plan.walk()),
-        planned.estimated_cost,
-        planned.candidates_considered,
-    )
-
-
-def _fleet_jobs(bundle, instances: int) -> list[ReplanJob]:
-    test_day = bundle.log.days[-1]
-    catalog = bundle.generator.catalog_for_day(test_day)
-    jobs: list[ReplanJob] = []
-    for spec in bundle.generator.jobs_for_day(test_day):
-        logical = instantiate(spec, catalog)
-        for k in range(instances):
-            job_id = spec.job_id if k == 0 else f"{spec.job_id}/rep{k}"
-            jobs.append(
-                ReplanJob(job_id, spec.template.template_id, spec.day, logical)
-            )
-    return jobs
-
-
-def _time_baseline(planner, jobs, predictor, repeats: int):
-    times: list[float] = []
-    fingerprints: list[tuple] = []
-    lookups = 0
-    for _ in range(max(1, repeats)):
-        fingerprints = []
-        predictor.reset_lookup_count()
-        start = time.perf_counter()
-        for job in jobs:
-            planner.jitter_salt = job.salt
-            fingerprints.append(_plan_fingerprint(planner.plan(job.logical)))
-        times.append(time.perf_counter() - start)
-        lookups = predictor.lookup_count
-    return times, fingerprints, lookups
+from repro.experiments.plan_throughput import planning_fixture, time_per_job
+from repro.experiments.throughput import path_stats, plan_fingerprint, speedup, timed
+from repro.optimizer.planner import QueryPlanner
+from repro.optimizer.replan import FleetReplanner
 
 
 def _time_fleet(replanner, jobs, predictor, repeats: int):
-    times: list[float] = []
-    fingerprints: list[tuple] = []
-    lookups = 0
-    for _ in range(max(1, repeats)):
+    """Fleet replanning; the plans are fingerprinted outside the timed region."""
+
+    def replan_all() -> tuple[list, int]:
         predictor.reset_lookup_count()
-        start = time.perf_counter()
-        planned = replanner.replan_jobs(jobs)
-        times.append(time.perf_counter() - start)
-        lookups = predictor.lookup_count
-        fingerprints = [_plan_fingerprint(p) for p in planned]
-    return times, fingerprints, lookups
+        return replanner.replan_jobs(jobs), predictor.lookup_count
+
+    times, (planned, lookups) = timed(replan_all, repeats)
+    return times, [plan_fingerprint(p) for p in planned], lookups
 
 
 def run_benchmark(
@@ -116,21 +66,12 @@ def run_benchmark(
     ``repeats`` baseline time over best fleet time for the ``structural``
     phase (the pure replanning path).
     """
-    bundle = get_bundle(cluster, scale=scale, seed=seed)
-    predictor = bundle.predictor()
-    test_day = bundle.log.days[-1]
-    jobs = _fleet_jobs(bundle, instances)
+    predictor, test_day, jobs, phase_configs, planner = planning_fixture(
+        cluster, scale, seed, instances
+    )
     n_jobs = len(jobs)
 
-    strategy = SamplingStrategy(scheme="geometric")
-    phase_configs = {
-        "structural": PlannerConfig(),
-        "partitioned": PlannerConfig(partition_strategy=strategy),
-    }
-
     phases: dict[str, dict] = {}
-    all_identical = True
-    all_lookups_identical = True
     for phase, config in phase_configs.items():
         baseline_planner = QueryPlanner(
             CleoCostModel(predictor), CardinalityEstimator(), config
@@ -138,40 +79,37 @@ def run_benchmark(
         replanner = FleetReplanner(
             CleoCostModel(predictor), CardinalityEstimator(), config
         )
-        base_times, base_plans, base_lookups = _time_baseline(
+        base_times, base_plans, base_lookups = time_per_job(
             baseline_planner, jobs, predictor, repeats
         )
         fleet_times, fleet_plans, fleet_lookups = _time_fleet(
             replanner, jobs, predictor, repeats
         )
-        identical = base_plans == fleet_plans
-        lookups_identical = base_lookups == fleet_lookups
-        all_identical = all_identical and identical
-        all_lookups_identical = all_lookups_identical and lookups_identical
-        base_best, fleet_best = min(base_times), min(fleet_times)
         stats = replanner.stats()
         phases[phase] = {
             "baseline": {
-                "path": "batched QueryPlanner, one full search per instance",
-                "seconds": [round(t, 4) for t in base_times],
-                "seconds_best": round(base_best, 4),
-                "plans_per_second": round(n_jobs / base_best, 1),
+                **path_stats(
+                    base_times,
+                    path="batched QueryPlanner, one full search per instance",
+                    plans=n_jobs,
+                ),
                 "model_lookups": int(base_lookups),
             },
             "fleet": {
-                "path": "skeleton replay, cross-template pricing waves, "
-                "fleet-wide price_plans finale",
-                "seconds": [round(t, 4) for t in fleet_times],
-                "seconds_best": round(fleet_best, 4),
-                "plans_per_second": round(n_jobs / fleet_best, 1),
+                **path_stats(
+                    fleet_times,
+                    path="skeleton replay, cross-template pricing waves, "
+                    "fleet-wide price_plans finale",
+                    plans=n_jobs,
+                ),
                 "model_lookups": int(fleet_lookups),
                 "skeleton_builds": stats.skeleton_builds,
                 "skeleton_hits": stats.skeleton_hits,
                 "frontier_flushes": stats.frontier_flushes,
             },
-            "speedup": round(base_best / fleet_best, 2),
-            "plans_bitwise_identical": bool(identical),
-            "lookup_accounting_identical": bool(lookups_identical),
+            "speedup": speedup(base_times, fleet_times),
+            "plans_bitwise_identical": base_plans == fleet_plans,
+            "lookup_accounting_identical": base_lookups == fleet_lookups,
         }
 
     structural = phases["structural"]
@@ -181,35 +119,24 @@ def run_benchmark(
             "cluster": cluster,
             "scale": scale,
             "seed": seed,
-            "test_day": int(test_day),
+            "test_day": test_day,
             "job_count": n_jobs,
             "instances_per_job": instances,
         },
         "models_served": predictor.store.count(),
-        "planner": {
-            "partition_strategy": strategy.name,
-            "skip_coefficient": strategy.skip_coefficient,
-            "max_partitions": PlannerConfig().max_partitions,
-        },
+        "planner": planner,
         "prediction_cache": "disabled (exact per-prediction lookup accounting)",
         "phases": phases,
         "speedup": structural["speedup"],
         "speedup_partitioned": phases["partitioned"]["speedup"],
         "plans_per_second": structural["fleet"]["plans_per_second"],
-        "plans_bitwise_identical": bool(all_identical),
-        "lookup_accounting_identical": bool(all_lookups_identical),
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
+        "plans_bitwise_identical": all(
+            phase["plans_bitwise_identical"] for phase in phases.values()
+        ),
+        "lookup_accounting_identical": all(
+            phase["lookup_accounting_identical"] for phase in phases.values()
+        ),
     }
-
-
-def write_result(result: dict, path: str | Path) -> Path:
-    """Write the benchmark result as pretty JSON; returns the path."""
-    path = Path(path)
-    path.write_text(json.dumps(result, indent=2) + "\n")
-    return path
 
 
 def format_result(result: dict) -> str:

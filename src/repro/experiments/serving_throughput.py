@@ -29,16 +29,11 @@ single-process baseline (batch-size-invariant kernels + template-affine
 routing); the ``predictions_bitwise_identical`` flag asserts it on both
 the per-job batches and the plan totals.
 
-Run ``python scripts/bench_serving.py`` to emit ``BENCH_serving.json``, or
-``benchmarks/test_serving_throughput.py`` under pytest.
+Run it with ``repro bench serving`` (:mod:`repro.experiments.throughput`)
+to emit ``BENCH_serving.json``.
 """
 
 from __future__ import annotations
-
-import json
-import os
-import platform
-from pathlib import Path
 
 import numpy as np
 
@@ -58,7 +53,8 @@ from repro.serving.shard.router import ShardedCleoRouter
 DEFAULT_CONFIGS: tuple[tuple[int, int], ...] = ((1, 1), (1, 4), (2, 4), (4, 4))
 
 
-def _parity(result: LoadResult, baseline: LoadResult) -> bool:
+def replay_parity(result: LoadResult, baseline: LoadResult) -> bool:
+    """Two replays answered every batch and every plan total bit for bit."""
     return bool(
         len(result.predictions) == len(baseline.predictions)
         and all(
@@ -135,7 +131,7 @@ def run_benchmark(
                 "workers": workers,
                 **_measure(result, stats.cache.hit_rate),
                 "aggregate_cache_capacity": stats.cache.capacity,
-                "predictions_bitwise_identical": _parity(result, baseline),
+                "predictions_bitwise_identical": replay_parity(result, baseline),
             }
         )
 
@@ -187,19 +183,7 @@ def run_benchmark(
         "predictions_bitwise_identical": all(
             row["predictions_bitwise_identical"] for row in config_rows
         ),
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-        },
     }
-
-
-def write_result(result: dict, path: str | Path) -> Path:
-    """Write the benchmark result as pretty JSON; returns the path."""
-    path = Path(path)
-    path.write_text(json.dumps(result, indent=2) + "\n")
-    return path
 
 
 def format_result(result: dict) -> str:

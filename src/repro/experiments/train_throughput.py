@@ -9,22 +9,18 @@ reference path and once through the columnar ``FeatureTable`` path, and
 verifies that the two produce bitwise-identical predictions on the final
 day before reporting the speedup.
 
-Run it from the CLI (``python scripts/bench_train.py``) to emit
-``BENCH_train.json``, or through ``benchmarks/test_train_throughput.py``.
+Run it with ``repro bench train`` (:mod:`repro.experiments.throughput`) to
+emit ``BENCH_train.json``.
 """
 
 from __future__ import annotations
-
-import json
-import platform
-import time
-from pathlib import Path
 
 import numpy as np
 
 from repro.core.trainer import CleoTrainer
 from repro.execution.runtime_log import RunLog
 from repro.experiments.shared import cluster_spec, workload_config
+from repro.experiments.throughput import path_stats, speedup, timed
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.runner import WorkloadRunner
 
@@ -39,16 +35,6 @@ def build_workload(
     generator = WorkloadGenerator(workload_config(cluster, scale, seed))
     runner = WorkloadRunner(cluster=cluster_spec(cluster), seed=seed)
     return runner.run_days(generator, list(days))
-
-
-def _time_path(train, log: RunLog, repeats: int) -> tuple[list[float], object]:
-    times: list[float] = []
-    predictor = None
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        predictor = train(log)
-        times.append(time.perf_counter() - start)
-    return times, predictor
 
 
 def run_benchmark(
@@ -66,18 +52,15 @@ def run_benchmark(
     log = build_workload(scale=scale, days=days, seed=seed, cluster=cluster)
     trainer = CleoTrainer()
 
-    scalar_times, scalar_predictor = _time_path(trainer.train_reference, log, repeats)
-    columnar_times, columnar_predictor = _time_path(trainer.train, log, repeats)
+    scalar_times, scalar_predictor = timed(lambda: trainer.train_reference(log), repeats)
+    columnar_times, columnar_predictor = timed(lambda: trainer.train(log), repeats)
 
     test = log.filter(days=[log.days[-1]])
     records = list(test.operator_records())
-    assert scalar_predictor is not None and columnar_predictor is not None
     scalar_preds = np.array([scalar_predictor.predict_record(r) for r in records])
     columnar_preds = columnar_predictor.predict_records(records)
     identical = bool(np.array_equal(scalar_preds, columnar_preds))
 
-    scalar_best = min(scalar_times)
-    columnar_best = min(columnar_times)
     return {
         "benchmark": "train_throughput",
         "workload": {
@@ -89,30 +72,11 @@ def run_benchmark(
             "job_count": len(log),
         },
         "models_trained": columnar_predictor.store.count(),
-        "scalar_reference": {
-            "seconds": [round(t, 4) for t in scalar_times],
-            "seconds_best": round(scalar_best, 4),
-            "operators_per_second": round(log.operator_count / scalar_best, 1),
-        },
-        "columnar": {
-            "seconds": [round(t, 4) for t in columnar_times],
-            "seconds_best": round(columnar_best, 4),
-            "operators_per_second": round(log.operator_count / columnar_best, 1),
-        },
-        "speedup": round(scalar_best / columnar_best, 2),
+        "scalar_reference": path_stats(scalar_times, operators=log.operator_count),
+        "columnar": path_stats(columnar_times, operators=log.operator_count),
+        "speedup": speedup(scalar_times, columnar_times),
         "predictions_bitwise_identical": identical,
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
     }
-
-
-def write_result(result: dict, path: str | Path) -> Path:
-    """Write the benchmark result as pretty JSON; returns the path."""
-    path = Path(path)
-    path.write_text(json.dumps(result, indent=2) + "\n")
-    return path
 
 
 def format_result(result: dict) -> str:

@@ -17,21 +17,15 @@ mirroring ``train_throughput``'s methodology: the first repeat pays the
 one-time cache warm-up (hidden multipliers, template skeletons, shape
 statics), later repeats measure steady state.  Both timings are recorded.
 
-Run it from the CLI (``python scripts/bench_workload.py``) to emit
-``BENCH_workload.json``, or through ``benchmarks/test_workload_throughput.py``.
+Run it with ``repro bench workload`` (:mod:`repro.experiments.throughput`)
+to emit ``BENCH_workload.json``.
 """
 
 from __future__ import annotations
 
-import json
-import platform
-import time
-from pathlib import Path
-
-import numpy as np
-
 from repro.execution.runtime_log import RunLog
 from repro.experiments.shared import SCALES
+from repro.experiments.throughput import path_stats, speedup, timed
 from repro.workload.runner import multi_cluster_setup
 
 
@@ -40,16 +34,15 @@ def _time_path(
 ) -> tuple[list[float], dict[str, RunLog]]:
     """Time one execution path over persistent runners; returns all repeats."""
     pairs = multi_cluster_setup(scale=scale, seed=seed)
-    times: list[float] = []
-    logs: dict[str, RunLog] = {}
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        logs = {}
+
+    def run_all() -> dict[str, RunLog]:
+        logs: dict[str, RunLog] = {}
         for generator, runner in pairs:
             run = runner.run_days_reference if reference else runner.run_days
             logs[runner.cluster.name] = run(generator, list(days))
-        times.append(time.perf_counter() - start)
-    return times, logs
+        return logs
+
+    return timed(run_all, repeats)
 
 
 def _logs_identical(a: dict[str, RunLog], b: dict[str, RunLog]) -> bool:
@@ -79,18 +72,7 @@ def run_benchmark(
 
     job_count = sum(len(log) for log in bat_logs.values())
     operator_count = sum(log.operator_count for log in bat_logs.values())
-    ref_best = min(ref_times)
-    bat_best = min(bat_times)
-
-    def path_stats(times: list[float], best: float) -> dict:
-        return {
-            "seconds": [round(t, 4) for t in times],
-            "seconds_best": round(best, 4),
-            "seconds_first": round(times[0], 4),
-            "jobs_per_second": round(job_count / best, 1),
-            "operators_per_second": round(operator_count / best, 1),
-        }
-
+    counts = {"jobs": job_count, "operators": operator_count}
     return {
         "benchmark": "workload_throughput",
         "workload": {
@@ -101,23 +83,12 @@ def run_benchmark(
             "job_count": job_count,
             "operator_count": operator_count,
         },
-        "scalar_reference": path_stats(ref_times, ref_best),
-        "batched": path_stats(bat_times, bat_best),
-        "speedup": round(ref_best / bat_best, 2),
-        "speedup_first_run": round(ref_times[0] / bat_times[0], 2),
+        "scalar_reference": path_stats(ref_times, first=True, **counts),
+        "batched": path_stats(bat_times, first=True, **counts),
+        "speedup": speedup(ref_times, bat_times),
+        "speedup_first_run": speedup(ref_times[:1], bat_times[:1]),
         "runlogs_bitwise_identical": identical,
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
     }
-
-
-def write_result(result: dict, path: str | Path) -> Path:
-    """Write the benchmark result as pretty JSON; returns the path."""
-    path = Path(path)
-    path.write_text(json.dumps(result, indent=2) + "\n")
-    return path
 
 
 def format_result(result: dict) -> str:
