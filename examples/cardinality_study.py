@@ -45,7 +45,6 @@ def main() -> None:
         costs = []
         for job in test:
             plan = runner.plans[job.job_id]
-            estimator.reset()
             for op in plan.walk():
                 costs.append(default.operator_cost(op, estimator))
         return np.array(costs)

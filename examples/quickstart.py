@@ -70,7 +70,6 @@ def main() -> None:
     costs, actuals = [], []
     for job in test:
         plan = runner.plans[job.job_id]
-        estimator.reset()
         for op, record in zip(plan.walk(), job.operators):
             costs.append(default.operator_cost(op, estimator))
             actuals.append(record.actual_latency)

@@ -1,6 +1,6 @@
-"""hashseed-hazard: PYTHONHASHSEED-dependent behavior in ordering decisions.
+"""hashseed-hazard: process-dependent values in ordering and keying decisions.
 
-Two classes of hazard, both of which have already shipped bugs here:
+Three classes of hazard, all of which have already shipped bugs here:
 
 * builtin ``hash()`` — salted per process, so anything derived from it
   (routing positions, tie-breaks, cache keys that leak into output) differs
@@ -12,10 +12,14 @@ Two classes of hazard, both of which have already shipped bugs here:
   pick plan shapes.  PR 2's plan flips came from exactly this: a planner
   held two requirement pairs in a set and the iteration order decided cost
   ties.  ``sorted(...)`` over a set is the blessed escape hatch.
+* an ``id()`` key that outlives the call — a subscript, ``.get``, ``.setdefault``
+  or ``in`` on a ``self.<attr>`` mapping.  A freed object's id is recycled, so the
+  entry is served for another object (the estimator's memo did, until PR 18).
 
 The rule tracks simple local and ``self.<attr>`` dataflow: a name assigned
 only set-valued expressions is treated as a set wherever it is iterated in
-the same scope (that is the PR 2 bug shape).
+the same scope (that is the PR 2 bug shape), and a name assigned an
+expression containing ``id(...)`` carries it into every key built from it.
 """
 
 from __future__ import annotations
@@ -28,6 +32,11 @@ from repro.analysis.framework import Finding, ModuleContext, Rule
 #: Builtins that materialize their iterable argument in iteration order.
 _ORDER_MATERIALIZERS = ("list", "tuple", "iter", "enumerate", "reversed")
 
+_IDENTITY_KEY_MESSAGE = (
+    "id() keys a self.<attr> mapping that outlives the call, but a freed object's "
+    "id is recycled: keep the fact in a slot on the object"
+)
+
 
 def _is_set_literal(node: ast.AST) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
@@ -37,22 +46,44 @@ def _is_set_literal(node: ast.AST) -> bool:
     return False
 
 
+def _is_self_attr(node: ast.AST | None) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    )
+
+
+def _id_calls(node: ast.AST) -> list[ast.Call]:
+    calls = (n for n in ast.walk(node) if isinstance(n, ast.Call))
+    return [n for n in calls if isinstance(n.func, ast.Name) and n.func.id == "id"]
+
+
+def _lookup(node: ast.AST) -> tuple[ast.AST | None, ast.AST | None]:
+    """``(mapping, key)`` of a subscript, ``.get`` / ``.setdefault`` or ``in``."""
+    if isinstance(node, ast.Subscript):
+        return node.value, node.slice
+    if isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn)):
+        return node.comparators[0], node.left
+    func = getattr(node, "func", None)
+    if isinstance(func, ast.Attribute) and func.attr in ("get", "setdefault") and node.args:
+        return func.value, node.args[0]
+    return None, None
+
+
 class _SetNames:
-    """Names (locals and ``self.<attr>``) that only ever hold sets."""
+    """Names (locals, ``self.<attr>``) that only ever hold sets, or hold an ``id()``."""
 
     def __init__(self) -> None:
         self._set_assigned: set[str] = set()
         self._other_assigned: set[str] = set()
+        self._id_calls: dict[str, list[ast.Call]] = {}  # in a name's assigned values
 
     @staticmethod
     def _key(node: ast.AST) -> str | None:
         if isinstance(node, ast.Name):
             return node.id
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
+        if _is_self_attr(node):
             return f"self.{node.attr}"
         return None
 
@@ -60,6 +91,7 @@ class _SetNames:
         key = self._key(target)
         if key is None:
             return
+        self._id_calls.setdefault(key, []).extend(_id_calls(value))
         if _is_set_literal(value):
             self._set_assigned.add(key)
         else:
@@ -71,12 +103,20 @@ class _SetNames:
             return False
         return key in self._set_assigned and key not in self._other_assigned
 
+    def id_calls(self, expr: ast.AST) -> list[ast.Call]:
+        """``id(...)`` calls in ``expr`` or in what its names were assigned."""
+        found = _id_calls(expr)
+        for node in ast.walk(expr):
+            found.extend(self._id_calls.get(self._key(node) or "", ()))
+        return found
+
 
 class HashSeedHazardRule(Rule):
     name = "hashseed-hazard"
     description = (
         "builtin hash() or set-iteration feeding ordering decisions; both "
-        "vary with PYTHONHASHSEED (use stable_hash / sorted(...))"
+        "vary with PYTHONHASHSEED (use stable_hash / sorted(...)); or an id() "
+        "key in a self.<attr> mapping (ids are recycled: use a slot on the object)"
     )
     default_scope = (
         "repro.optimizer",
@@ -84,6 +124,7 @@ class HashSeedHazardRule(Rule):
         "repro.serving",
         "repro.execution",
         "repro.features",
+        "repro.cardinality",
     )
 
     def check_module(self, ctx: ModuleContext) -> Iterable[Finding]:
@@ -93,7 +134,11 @@ class HashSeedHazardRule(Rule):
         def is_set_expr(node: ast.AST) -> bool:
             return _is_set_literal(node) or names.is_set(node)
 
+        identity_keys: list[ast.Call] = []
         for node in ast.walk(ctx.tree):
+            mapping, key = _lookup(node)
+            if _is_self_attr(mapping):
+                identity_keys.extend(names.id_calls(key))
             if isinstance(node, ast.Call):
                 findings.extend(self._check_call(ctx, node, is_set_expr))
             elif isinstance(node, (ast.For, ast.AsyncFor)):
@@ -119,6 +164,8 @@ class HashSeedHazardRule(Rule):
                                 "keep an ordered container",
                             )
                         )
+        for call in dict.fromkeys(identity_keys):  # one key, several lookups
+            findings.append(ctx.finding(call, self.name, _IDENTITY_KEY_MESSAGE))
         return findings
 
     # ------------------------------------------------------------------ #

@@ -155,7 +155,6 @@ class JobPerformancePredictor:
 
     def predict(self, plan: PhysicalOp) -> JobPrediction:
         """Predicted stage timeline, latency, and CPU time for ``plan``."""
-        self.estimator.reset()
         graph = build_stage_graph(plan)
 
         ops = list(plan.walk())

@@ -79,7 +79,6 @@ def job_to_tasks(
     execution will take).
     """
     cost_model = as_cost_model(cost_model)
-    estimator.reset()
     graph = build_stage_graph(plan)
     tasks: list[TaskSpec] = []
     for stage in graph.stages:

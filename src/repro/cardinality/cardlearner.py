@@ -82,6 +82,8 @@ class CardLearner:
         self.base = base or CardinalityEstimator()
         self._samples: dict[str, _TemplateSamples] = {}
         self._models: dict[str, _PoissonModel] = {}
+        #: Marks the node entries of the current models; renewed by :meth:`fit`.
+        self._tag = object()
 
     # ------------------------------------------------------------------ #
     # Training
@@ -106,6 +108,7 @@ class CardLearner:
         Returns the number of trained models.
         """
         self._models.clear()
+        self._tag = object()
         for tag, bucket in self._samples.items():
             if len(bucket.targets) < self.min_samples:
                 continue
@@ -128,16 +131,12 @@ class CardLearner:
         model = self._models.get(op.template_tag)
         if model is None:
             return self.base.estimate(op)
-        input_estimate = sum(self.estimate(child) for child in op.children) or op.true_card
-        return max(0.0, model.predict(_features(input_estimate, op.base_card)))
+        cached = op._estimate
+        if cached is None or cached[0] is not self._tag:
+            input_estimate = sum(self.estimate(child) for child in op.children) or op.true_card
+            value = max(0.0, model.predict(_features(input_estimate, op.base_card)))
+            cached = (self._tag, value)
+            object.__setattr__(op, "_estimate", cached)
+        return cached[1]
 
-    def estimate_input(self, op: PhysicalOp) -> float:
-        if not op.children:
-            return self.estimate(op)
-        return float(sum(self.estimate(child) for child in op.children))
-
-    def error_factor(self, op: PhysicalOp) -> float:  # pragma: no cover - interface parity
-        return 1.0
-
-    def reset(self) -> None:
-        self.base.reset()
+    estimate_input = CardinalityEstimator.estimate_input  # it only calls self.estimate

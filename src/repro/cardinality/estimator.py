@@ -95,27 +95,25 @@ class CardinalityEstimator:
 
         est = CardinalityEstimator()
         estimated_rows = est.estimate(physical_op)
+
+    ``config`` is fixed at construction, so an estimate is a pure function of
+    the immutable subtree; it is cached on the node (``PhysicalOp._estimate``)
+    under this instance's tag, so a fresh estimator re-estimates its plan.
     """
 
     def __init__(self, config: EstimatorConfig | None = None) -> None:
         self.config = config or EstimatorConfig()
-        self._memo: dict[int, float] = {}
+        #: Tags this instance's node entries; a bare token, so plans pin no estimator.
+        self._tag = object()
         #: Error factors are template-level constants; memoized across plans
         #: (the same recurring template is misestimated identically every
-        #: day).  Keyed by (tag, id(op_type)) — enum members are singletons
-        #: and id() skips enum.__hash__ on this hot lookup.
+        #: day).  Keyed by (tag, id(op_type)): id() skips enum.__hash__ on
+        #: this hot lookup.
         self._error_memo: dict[tuple[str, int], float] = {}
-
-    def error_factor(self, op: PhysicalOp) -> float:
-        """Deterministic multiplicative error for this operator's template."""
-        logical = op.logical
-        if logical is None:
-            return 1.0
-        return self.error_factor_for(logical.template_tag, logical.op_type)
 
     def error_factor_for(self, template_tag: str, op_type: LogicalOpType) -> float:
         """Template-level error factor by (tag, logical type), memoized."""
-        key = (template_tag, id(op_type))
+        key = (template_tag, id(op_type))  # repro: allow(hashseed-hazard) -- enum members are immortal singletons: their ids are never recycled
         cached = self._error_memo.get(key)
         if cached is not None:
             return cached
@@ -129,14 +127,13 @@ class CardinalityEstimator:
         return value
 
     def estimate(self, op: PhysicalOp) -> float:
-        """Estimated output cardinality of ``op`` (recursive, memoized)."""
-        key = id(op)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        value = self._estimate_uncached(op)
-        self._memo[key] = value
-        return value
+        """Estimated output cardinality of ``op`` (recursive, cached on ``op``)."""
+        cached = op._estimate
+        if cached is None or cached[0] is not self._tag:
+            # Racing threads store equal values: no lock needed.
+            cached = (self._tag, self._estimate_uncached(op))
+            object.__setattr__(op, "_estimate", cached)
+        return cached[1]
 
     def _estimate_uncached(self, op: PhysicalOp) -> float:
         child_estimates = [self.estimate(child) for child in op.children]
@@ -193,7 +190,3 @@ class CardinalityEstimator:
         if not op.children:
             return self.estimate(op)
         return float(sum(self.estimate(child) for child in op.children))
-
-    def reset(self) -> None:
-        """Clear the memo (call between plans if operators are reused)."""
-        self._memo.clear()

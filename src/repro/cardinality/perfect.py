@@ -20,6 +20,3 @@ class PerfectCardinalityEstimator(CardinalityEstimator):
 
     def estimate(self, op: PhysicalOp) -> float:
         return op.true_card
-
-    def error_factor(self, op: PhysicalOp) -> float:
-        return 1.0

@@ -17,7 +17,6 @@ from repro.execution.ground_truth import GroundTruthModel, GroundTruthParams
 from repro.execution.hardware import ClusterSpec
 from repro.execution.runtime_log import JobRecord, OperatorRecord
 from repro.features.extract import feature_input_for
-from repro.features.featurizer import FeatureInput
 from repro.plan.physical import PhysicalOp
 from repro.plan.signatures import SignatureBundle
 from repro.plan.stages import build_stage_graph
@@ -74,14 +73,11 @@ class ExecutionSimulator:
 
         Args:
             estimator: the cardinality estimator whose *estimates* are logged
-                as features (defaults to a fresh default estimator).  The
-                actual latencies always use true cardinalities.
+                as features (default: a fresh one; reusing one across jobs is
+                fine).  The actual latencies always use true cardinalities.
             with_noise: disable for the deterministic oracle used in tests.
         """
         estimator = estimator or CardinalityEstimator()
-        # The estimate memo is keyed by object identity; clear it so reused
-        # estimators never serve entries from a previous (freed) plan.
-        estimator.reset()
         noise_rng = (
             self._rngs.child("noise", job_id, day) if with_noise else None
         )
@@ -103,7 +99,7 @@ class ExecutionSimulator:
                     op_type=op.op_type.value,
                     template_tag=op.template_tag,
                     signatures=bundle,
-                    features=self.feature_input(op, estimator),
+                    features=feature_input_for(op, estimator),
                     actual_latency=latency,
                     actual_output_card=op.true_card,
                     actual_input_card=op.input_card,
@@ -128,11 +124,6 @@ class ExecutionSimulator:
             operators=tuple(records),
         )
         return JobResult(record=record, stage_latencies=tuple(stage_latencies))
-
-    @staticmethod
-    def feature_input(op: PhysicalOp, estimator: CardinalityEstimator) -> FeatureInput:
-        """Compile-time features of ``op`` as the optimizer would see them."""
-        return feature_input_for(op, estimator)
 
     def _stage_critical_path(
         self, plan: PhysicalOp, latencies: dict[int, float]

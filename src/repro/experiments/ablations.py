@@ -63,7 +63,6 @@ def _profile_degeneracy(predictor, log, runner) -> float:
     covered = 0
     for job in log.filter(days=[3]).jobs[:40]:
         plan = runner.plans[job.job_id]
-        estimator.reset()
         for op in plan.walk():
             found = predictor.store.most_specific(SignatureBundle.of(op))
             if found is None:
@@ -92,7 +91,6 @@ def run_jitter_ablation(scale: str = "tiny", seed: int = 0) -> ExperimentResult:
         estimator = CardinalityEstimator(runner.estimator_config)
         for job in log.filter(days=[3]).jobs[:40]:
             plan = runner.plans[job.job_id]
-            estimator.reset()
             for op in plan.walk():
                 found = predictor.store.most_specific(SignatureBundle.of(op))
                 if found is None:

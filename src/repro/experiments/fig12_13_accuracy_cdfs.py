@@ -76,7 +76,6 @@ def run(scale: str = "small", seed: int = 0, adhoc_only: bool = False) -> Experi
         default_costs, default_acts = [], []
         for job in test:
             plan = bundle.runner.plans[job.job_id]
-            estimator.reset()
             for op, record in zip(plan.walk(), job.operators):
                 default_costs.append(model.operator_cost(op, estimator))
                 default_acts.append(record.actual_latency)

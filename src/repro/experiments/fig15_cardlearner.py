@@ -68,7 +68,6 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
     cleo_cl_costs = []
     for job in test:
         plan = bundle.runner.plans[job.job_id]
-        card_learner.reset()
         for op, record in zip(plan.walk(), job.operators):
             features = feature_input_for(op, card_learner)
             cleo_cl_costs.append(predictor.predict(features, record.signatures))

@@ -86,7 +86,6 @@ def run(scale: str = "small", seed: int = 0, n_stages: int = 200) -> ExperimentR
 
     for job in bundle.test_log():
         plan = bundle.runner.plans[job.job_id]
-        estimator.reset()
         graph = build_stage_graph(plan)
         for stage in graph.stages:
             if len(curves) >= n_stages:

@@ -65,7 +65,6 @@ def _measure_lookups(bundle, strategy) -> tuple[int, int, int]:
     for stage in graph.topological_order():
         if _stage_is_fixed(stage.operators):
             continue
-        estimator.reset()
         strategy.choose(
             stage.operators, model, estimator, MEASURED_MAX_PARTITIONS
         )

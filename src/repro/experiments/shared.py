@@ -132,7 +132,6 @@ class ClusterBundle:
         actuals: list[float] = []
         for job in self.test_log(days):
             plan = self.runner.plans[job.job_id]
-            estimator.reset()
             for op, record in zip(plan.walk(), job.operators):
                 costs.append(cost_model.operator_cost(op, estimator))
                 actuals.append(record.actual_latency)

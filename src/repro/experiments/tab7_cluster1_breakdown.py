@@ -49,7 +49,6 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
         costs, actuals = [], []
         for job in test:
             plan = bundle.runner.plans[job.job_id]
-            estimator.reset()
             for op, record in zip(plan.walk(), job.operators):
                 costs.append(model.operator_cost(op, estimator))
                 actuals.append(record.actual_latency)

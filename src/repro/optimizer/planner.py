@@ -11,7 +11,7 @@ estimator subclass can be served by, and the reference the skeleton replay's
 cached statistics are compared against.
 
 What it overrides: ``_mk`` / ``_with_partitions`` (a ``PhysicalOp`` per
-candidate, kept alive for the estimator's identity-keyed memo),
+candidate, which carries its own estimate and takes it along when dropped),
 ``_heuristic_partitions`` (:func:`default_partition_heuristic` over the
 estimator), ``_cost`` / ``_price`` (``operator_cost``; under a model that
 advertises ``supports_batched_pricing``, the deferred ledger flushed through
@@ -79,19 +79,13 @@ class QueryPlanner(CascadesSearch):
         #: Callers (e.g. the workload runner) vary this per job so allocation
         #: jitter differs across jobs while staying reproducible.
         self.jitter_salt: str = ""
-        self._keepalive: list[object] = []
 
     def plan(self, logical_root: LogicalOp) -> PlannedJob:
         """Optimize one logical plan end to end."""
-        self._keepalive = [logical_root]
         self._deferred = bool(
             getattr(self.cost_model, "supports_batched_pricing", False)
         )
-        # The estimator memoizes by object identity; stale entries from a
-        # previous (freed) plan must never leak into this optimization.
-        self.estimator.reset()
         _, (planned,) = self._plan_all([("", 0, logical_root, self.jitter_salt)])
-        self._keepalive.append(planned.plan)
         return planned
 
     # ------------------------------------------------------------------ #
@@ -113,7 +107,7 @@ class QueryPlanner(CascadesSearch):
         sort_keys=(),
         index=-1,
     ) -> PhysicalOp:
-        op = PhysicalOp(
+        return PhysicalOp(
             op_type,
             children,
             logical,
@@ -123,8 +117,6 @@ class QueryPlanner(CascadesSearch):
             exchange_mode,
             sort_keys,
         )
-        self._keepalive.append(op)
-        return op
 
     def _with_partitions(self, op: PhysicalOp, partition_count: int, children):
         return self._mk(

@@ -425,9 +425,6 @@ class CascadesSearch:
         strategy = self.config.partition_strategy
         out = []
         for win in wins:
-            # The estimator memoizes by object identity; entries of freed
-            # plans must never be served to this one.
-            self.estimator.reset()
             physical = materialize(win)
             if strategy is not None:
                 physical = optimize_partitions(

@@ -465,7 +465,7 @@ class SkeletonPlanner(CascadesSearch):
         # Inlined DefaultCostModel.operator_cost_from_stats — expression
         # order kept identical; the parity suite pins the equivalence.
         children = node.children
-        cpu, io, out, nlogn = self._coef_by_id[id(node.op_type)]
+        cpu, io, out, nlogn = self._coef_by_id[id(node.op_type)]  # repro: allow(hashseed-hazard) -- enum members are immortal singletons: their ids are never recycled
         partitions = float(node.partition_count)
         row_cap = self._row_cap
         rows_in = min(node.est_in, row_cap) / partitions

@@ -78,7 +78,8 @@ class PhysicalOp:
         exchange_mode: set only for EXCHANGE nodes.
         sort_keys: set for SORT / TOP_K / MERGE_JOIN enforcer context.
 
-    ``_summary`` caches :attr:`summary`; it is not part of the node's value
+    ``_summary`` caches :attr:`summary`, ``_estimate`` an estimator's ``(tag,
+    output cardinality)`` for this subtree; neither is part of the node's value
     (no ``__init__`` argument, ignored by equality, hash and ``repr``).
     """
 
@@ -91,6 +92,9 @@ class PhysicalOp:
     exchange_mode: ExchangeMode | None = None
     sort_keys: tuple[str, ...] = ()
     _summary: SubtreeSummary | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
+    _estimate: tuple[object, float] | None = field(
         default=None, init=False, compare=False, repr=False
     )
 

@@ -207,13 +207,3 @@ class SignatureBundle(HashCached):
     def of(cls, op: PhysicalOp) -> "SignatureBundle":
         """The operator's own bundle: an O(1) read once computed."""
         return signed(op).bundle
-
-
-def compute_signature_bundles(root: PhysicalOp) -> dict[int, SignatureBundle]:
-    """Every operator's bundle, as a map from ``id(op)``.
-
-    A view over the bundles the operators carry: the paper's "all signatures
-    can be computed simultaneously in the same recursion" is :func:`signed`,
-    which each operator runs at most once.
-    """
-    return {id(op): signed(op).bundle for op in root.walk()}

@@ -50,7 +50,7 @@ class StageGraph:
 
     def stage_for(self, op: PhysicalOp) -> Stage:
         try:
-            return self.stages[self.stage_of[id(op)]]
+            return self.stages[self.stage_of[id(op)]]  # repro: allow(hashseed-hazard) -- self.stages holds every keyed operator for as long as the map exists: no key's id can be recycled
         except KeyError:
             raise InvalidPlanError("operator is not part of this stage graph") from None
 

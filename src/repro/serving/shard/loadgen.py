@@ -240,10 +240,10 @@ def run_load(
 ) -> LoadResult:
     """Replay the load against a serving backend, timing every request.
 
-    Each plan request runs with a fresh cardinality estimator (optimizer
-    sessions do not share estimator state), so replies are identical across
-    epochs and backends; the first epoch's outputs are kept for bitwise
-    parity checks between sharded and single-process serving.
+    Each plan request runs with a fresh cardinality estimator — a modelling
+    choice (optimizer sessions share no estimator state), not a safety measure:
+    a shared one would reply the same.  The first epoch's outputs are kept for
+    bitwise parity checks between sharded and single-process serving.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")

@@ -22,3 +22,15 @@ class Planner:
 
     def flips(self):
         return [p for p in self.pairs]
+
+
+class Estimator:
+    def __init__(self):
+        self._memo = {}
+
+    def estimate(self, op):
+        key = id(op)
+        cached = self._memo.get(key)
+        if cached is None:
+            cached = self._memo[key] = len(op.children)
+        return cached

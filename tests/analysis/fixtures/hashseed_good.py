@@ -26,3 +26,16 @@ class Planner:
 
     def flips(self):
         return [p for p in self.pairs]
+
+
+class Estimator:
+    def estimate(self, op):
+        cached = op._estimate
+        if cached is None:
+            cached = len(op.children)
+            object.__setattr__(op, "_estimate", cached)
+        return cached
+
+    def stage_total(self, ops, latencies):
+        by_op = {id(op): latency for op, latency in zip(ops, latencies)}
+        return sum(by_op[id(op)] for op in ops)

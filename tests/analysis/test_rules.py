@@ -31,8 +31,9 @@ class TestHashSeedHazard:
         assert report.failed
         assert {f.rule for f in report.findings} == {"hashseed-hazard"}
         # hash(), for-over-set, list(set), join(set), min(set, key=),
-        # comprehension over a set-valued attribute.
-        assert len(report.findings) == 6
+        # comprehension over a set-valued attribute, id() keying self._memo.
+        assert len(report.findings) == 7
+        assert sum("id() keys" in f.message for f in report.findings) == 1
 
     def test_good_twin_is_clean(self):
         report = lint_fixture("hashseed_good.py")

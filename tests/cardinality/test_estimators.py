@@ -51,11 +51,6 @@ class TestDefaultEstimator:
         for op in physical_join_plan.walk():
             assert estimator.estimate(op) >= 0.0
 
-    def test_reset_clears_memo(self, physical_simple_plan, estimator):
-        value = estimator.estimate(physical_simple_plan)
-        estimator.reset()
-        assert estimator.estimate(physical_simple_plan) == value
-
     def test_seed_salt_changes_errors(self, physical_simple_plan):
         a = CardinalityEstimator(EstimatorConfig(seed_salt="a"))
         b = CardinalityEstimator(EstimatorConfig(seed_salt="b"))
@@ -69,7 +64,8 @@ class TestPerfectEstimator:
         perfect = PerfectCardinalityEstimator()
         for op in physical_join_plan.walk():
             assert perfect.estimate(op) == op.true_card
-            assert perfect.error_factor(op) == 1.0
+            if op.logical is not None:
+                assert perfect.error_factor_for(op.template_tag, op.logical.op_type) == 1.0
 
 
 class TestCardLearner:

@@ -124,7 +124,6 @@ class TestEncodings:
 
 class TestLiveExtraction:
     def test_matches_estimates(self, physical_simple_plan, estimator):
-        estimator.reset()
         for op in physical_simple_plan.walk():
             f = feature_input_for(op, estimator)
             assert f.output_card == pytest.approx(estimator.estimate(op))

@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.plan.signatures import (
     SignatureBundle,
     approx_signature,
-    compute_signature_bundles,
     input_signature,
     operator_signature,
     strict_signature,
@@ -84,18 +83,22 @@ class TestInputAndOperatorSignatures:
 
 class TestBundleComputation:
     def test_bundles_match_individual_functions(self, physical_join_plan):
-        bundles = compute_signature_bundles(physical_join_plan)
         for op in physical_join_plan.walk():
-            bundle = bundles[id(op)]
+            bundle = SignatureBundle.of(op)
             assert bundle.strict == strict_signature(op)
             assert bundle.approx == approx_signature(op)
             assert bundle.input == input_signature(op)
             assert bundle.operator == operator_signature(op)
 
     def test_bundle_of_equals_computed(self, physical_simple_plan):
-        bundles = compute_signature_bundles(physical_simple_plan)
-        assert bundles[id(physical_simple_plan)] == SignatureBundle.of(physical_simple_plan)
+        root = physical_simple_plan
+        assert SignatureBundle.of(root) == SignatureBundle(
+            strict_signature(root),
+            approx_signature(root),
+            input_signature(root),
+            operator_signature(root),
+        )
 
     def test_all_nodes_covered(self, physical_join_plan):
-        bundles = compute_signature_bundles(physical_join_plan)
+        bundles = [SignatureBundle.of(op) for op in physical_join_plan.walk()]
         assert len(bundles) == physical_join_plan.node_count

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cardinality.estimator import CardinalityEstimator
+from repro.cardinality.estimator import CardinalityEstimator, EstimatorConfig
+from repro.cardinality.perfect import PerfectCardinalityEstimator
 from repro.common.hashing import combine_hashes, combine_hashes_unordered, stable_hash
 from repro.core.cost_model import CleoCostModel
 from repro.cost.default_model import DefaultCostModel
@@ -34,7 +35,6 @@ from repro.plan.signatures import (
     _approx_hash,
     _own_hash,
     approx_signature,
-    compute_signature_bundles,
     input_signature_for,
     logical_frequencies,
     operator_signature_for,
@@ -258,8 +258,7 @@ class TestAgainstWalkOracle:
     def test_every_node_matches_the_oracle(self, plan):
         for op in plan.walk():
             assert_matches_oracle(op)
-        bundles = compute_signature_bundles(plan)
-        assert bundles == {id(op): oracle_bundle(op) for op in plan.walk()}
+            assert SignatureBundle.of(op) == oracle_bundle(op)
 
     @given(plan=physical_plans(), count=st.integers(1, 3000))
     @settings(max_examples=60, deadline=None)
@@ -277,16 +276,60 @@ class TestAgainstWalkOracle:
         assert fresh._summary is None
         plan.summary  # noqa: B018 - fill the cache on one side only
         signed(plan)
-        assert plan._summary is not None
+        CardinalityEstimator().estimate(plan)
+        assert plan._summary is not None and plan._estimate is not None
         assert plan == fresh and hash(plan) == hash(fresh)
         assert repr(plan) == repr(fresh) and "_summary" not in repr(plan)
+        assert "_estimate" not in repr(plan)
         assert replace(plan, partition_count=9)._summary is None
+        assert replace(plan, partition_count=9)._estimate is None
         with pytest.raises(TypeError):
             PhysicalOp(**{**_fields(plan), "_summary": plan.summary})
+        with pytest.raises(TypeError):
+            PhysicalOp(**{**_fields(plan), "_estimate": plan._estimate})
         for subject in (plan, fresh):
             clone = pickle.loads(pickle.dumps(subject))
             assert clone == plan and hash(clone) == hash(plan)
             assert_matches_oracle(clone)
+
+
+#: Estimators that must be able to share one plan's nodes.
+_ESTIMATORS = (
+    CardinalityEstimator,
+    lambda: CardinalityEstimator(EstimatorConfig(seed_salt="other")),
+    lambda: CardinalityEstimator(EstimatorConfig(sigma_scale=0.5)),
+    PerfectCardinalityEstimator,
+)
+
+
+def oracle_estimate(estimator: CardinalityEstimator, op: PhysicalOp) -> float:
+    """The estimate recursion with no cache at all: re-walks the subtree."""
+    if isinstance(estimator, PerfectCardinalityEstimator):
+        return op.true_card
+    children = [oracle_estimate(estimator, child) for child in op.children]
+    if op.logical is None:
+        return children[0]
+    return estimator.estimate_logical(op.logical, children)
+
+
+class TestEstimatesOnTheNode:
+    @given(plan=physical_plans(max_depth=4))
+    @settings(max_examples=60, deadline=None)
+    def test_interleaved_equals_alone_equals_fresh(self, plan):
+        """Estimates are cached on the node under the estimator's own tag:
+        several estimators reading one (DAG-shaped) plan operator by operator
+        each answer what a fresh instance computes from scratch."""
+        live = [make() for make in _ESTIMATORS]
+        ops = list(plan.walk())
+        interleaved = [[est.estimate(op) for est in live] for op in ops]
+        inputs = [[est.estimate_input(op) for est in live] for op in ops]
+        for column, make in enumerate(_ESTIMATORS):
+            alone, fresh = make(), make()
+            assert [alone.estimate(op) for op in ops] == [row[column] for row in interleaved]
+            assert [alone.estimate_input(op) for op in ops] == [row[column] for row in inputs]
+            assert [oracle_estimate(fresh, op) for op in ops] == [
+                row[column] for row in interleaved
+            ]
 
 
 def _fields(op: PhysicalOp) -> dict:
@@ -346,7 +389,6 @@ class TestPlannerOutput:
                 spec.template.template_id, spec.day, logical, spec.job_id
             )
             plan = materialize(win)
-            estimator.reset()
             pairs = list(zip(_walk_replay(win), plan.walk(), strict=True))
             for node, op in pairs:
                 ours, theirs = signed(node), signed(op)

@@ -236,7 +236,6 @@ class TestCostModelFacade:
         plan = tiny_bundle.runner.plans[job.job_id]
         estimator = tiny_bundle.fresh_estimator()
         model = service.cost_model()
-        estimator.reset()
         sequential = [model.operator_cost(op, estimator) for op in plan.walk()]
         total = model.plan_cost(plan, estimator)
         assert total == pytest.approx(sum(sequential))
