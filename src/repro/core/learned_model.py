@@ -28,6 +28,18 @@ from repro.ml.proximal import ElasticNetMSLE, fit_elastic_nets
 
 _MAX_PREDICT_SECONDS = 1e7  # clamp: a single operator below ~116 days
 
+#: include_context -> indices of the partition-dependent features (the
+#: ``1/P`` family and ``P``) in that layout; a fleet retrain builds ~1.25k
+#: models and every load restores as many, all reading these two tuples.
+_PARTITION_FEATURE_INDICES = {
+    include_context: tuple(
+        j
+        for j, name in enumerate(feature_names(include_context))
+        if name in INVERSE_P_FEATURES or name == "P"
+    )
+    for include_context in (False, True)
+}
+
 
 @dataclass(frozen=True)
 class ResourceProfile:
@@ -77,13 +89,8 @@ class LearnedCostModel:
         # grows with P); constraining their weights non-negative keeps the
         # model sane when partition exploration extrapolates far outside the
         # logged range of P.
-        names = feature_names(include_context)
         if self.config.constrain_partition_weights:
-            nonneg = tuple(
-                j
-                for j, name in enumerate(names)
-                if name in INVERSE_P_FEATURES or name == "P"
-            )
+            nonneg = _PARTITION_FEATURE_INDICES[bool(include_context)]
         else:
             nonneg = ()
         self._net = ElasticNetMSLE(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import check_fit_inputs, check_predict_input
-from repro.ml.tree import _NO_FEATURE, DecisionTreeRegressor
+from repro.ml.tree import _NO_FEATURE, DecisionTreeRegressor, SortedColumns
 
 
 #: Rows up to which the ``(1 + n_trees, n)`` stage stack of
@@ -163,6 +163,8 @@ class FastTreeRegressor:
         self.base_prediction_ = float(y.mean())
         current = np.full(n_samples, self.base_prediction_)
         self.trees_ = []
+        # Every stage bins a sample of the same matrix: sort it once.
+        columns = SortedColumns(features)
         for stage in range(self.n_estimators):
             residual = y - current
             if self.subsample < 1.0:
@@ -175,7 +177,8 @@ class FastTreeRegressor:
                 min_samples_leaf=self.min_samples_leaf,
                 seed=self.seed * 7_919 + stage,
             )
-            tree.fit(features[idx], residual[idx])
+            codes, edges = columns.bin(idx, tree.max_bins)
+            tree._fit_binned(codes, edges, residual[idx])
             update = tree.predict(features)
             current = current + self.learning_rate * update
             self.trees_.append(tree)

@@ -18,8 +18,9 @@ signature models; running one Python/numpy optimization loop per model is
 dispatch-bound.  :func:`fit_elastic_nets` therefore stacks many same-shaped
 fits into a single Adam loop over segmented arrays.  Every reduction is
 expressed with primitives whose result is independent of how fits are
-batched — per-row multiply-sums and ``np.add.reduceat`` segment sums, whose
-within-segment accumulation depends only on the segment's own slice — and
+batched — per-row multiply-sums and ``np.add.reduceat`` segment sums, where
+a segment's sum does not depend on its neighbours (see
+:func:`_segment_sum` for what that does and does not promise) — and
 single-model :meth:`ElasticNetMSLE.fit` runs the same core with one
 segment, so batched and one-at-a-time training produce bitwise-identical
 coefficients.
@@ -36,7 +37,17 @@ _P_FLOOR = 1e-6  # predictions are clamped here inside the log
 
 
 def _segment_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per-segment sums along axis 0 (sequential within each segment)."""
+    """Per-segment sums along axis 0; a segment's sum ignores its neighbours.
+
+    That independence — the same rows give the same bits whichever segments
+    surround them, one segment alone included — is the only property the
+    batched fit relies on, and ``tests/ml/test_proximal.py`` pins it.
+    Measured, ``np.add.reduceat`` over a 2-D stack is **not** bit-equal to
+    adding a segment's rows in order, nor to ``values[s:e].sum(axis=0)``.
+    Per-segment standardisation (``StandardScaler``: ``mean`` / ``std`` of
+    the slice) therefore cannot be folded into a ``reduceat`` pass without
+    moving every coefficient's bits.
+    """
     return np.add.reduceat(values, starts, axis=0)
 
 
@@ -97,7 +108,9 @@ def _adam_msle_batched(
         # MSLE term: loss and gradients, per segment.  The zero-slope region
         # below the floor still receives a push because pred is clamped,
         # keeping the optimization live there.
-        raw = (x * weights[seg_id]).sum(axis=1) + bias[seg_id]
+        # ``np.repeat`` copies whole rows: the values of ``weights[seg_id]``
+        # at a fraction of a fancy gather's cost.
+        raw = (x * np.repeat(weights, lengths, axis=0)).sum(axis=1) + bias[seg_id]
         pred = np.maximum(raw, _P_FLOOR)
         diff = np.log1p(pred) - y_log
         loss = _segment_sum(diff * diff, starts) / lengths_f

@@ -8,6 +8,7 @@ absolute numbers.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cardinality.estimator import CardinalityEstimator
@@ -16,6 +17,12 @@ from repro.data.schema import Column, DataType, TableDef
 from repro.data.statistics import ColumnStats, TableStats
 from repro.execution.hardware import ClusterSpec
 from repro.plan.builder import PlanBuilder
+
+
+def pytest_report_header(config) -> str:
+    """Names the numpy a run used: the golden tree digests and the binner's
+    quantile parity are bit-level claims about its arithmetic."""
+    return f"numpy: {np.__version__}"
 
 
 def make_test_catalog() -> Catalog:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ml.losses import mean_squared_log_error
-from repro.ml.proximal import ElasticNetMSLE
+from repro.ml.proximal import ElasticNetMSLE, _segment_sum
 
 
 def _cost_like_data(n=150, seed=0, noise=0.05):
@@ -112,3 +112,23 @@ class TestConvergence:
         x, y = _cost_like_data(n=30)
         model = ElasticNetMSLE(max_iter=17).fit(x, y)
         assert 1 <= model.n_iter_ <= 17
+
+
+class TestSegmentSum:
+    """What the batched Adam loop needs of ``np.add.reduceat`` — and no more."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        lengths=st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=12),
+        width=st.sampled_from([None, 1, 9]),
+    )
+    def test_a_segments_sum_ignores_its_neighbours(self, seed, lengths, width):
+        rng = np.random.default_rng(seed)
+        shape = (sum(lengths),) if width is None else (sum(lengths), width)
+        values = rng.normal(size=shape) * np.exp(3.0 * rng.normal(size=shape))
+        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        together = _segment_sum(values, starts)
+        for g, (start, length) in enumerate(zip(starts, lengths)):
+            alone = _segment_sum(values[start : start + length], np.zeros(1, dtype=np.int64))
+            assert np.array_equal(together[g], alone[0])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.gbm import FastTreeRegressor
-from repro.ml.tree import DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeRegressor, SortedColumns
 
 
 def _step_data(n=300, seed=0):
@@ -144,3 +144,154 @@ class TestFastTree:
         a = FastTreeRegressor(seed=3).fit(x, y).predict(x)
         b = FastTreeRegressor(seed=3).fit(x, y).predict(x)
         assert np.allclose(a, b)
+
+
+# --------------------------------------------------------------------- #
+# The sorted-once binner against the spelling it replaced
+# --------------------------------------------------------------------- #
+
+
+def _quantile_bins(sample: np.ndarray, max_bins: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The oracle: ``np.quantile`` / ``np.unique`` / ``np.searchsorted`` per fit."""
+    quantiles = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
+    all_cuts = np.quantile(sample, quantiles, axis=0)
+    codes = np.empty(sample.shape, dtype=np.int64)
+    edges = []
+    for j in range(sample.shape[1]):
+        cuts = np.unique(all_cuts[:, j])
+        codes[:, j] = np.searchsorted(cuts, sample[:, j], side="right")
+        edges.append(cuts)
+    return codes, edges
+
+
+_COLUMN_KINDS = {
+    "constant": lambda rng, n: np.full(n, rng.normal()),
+    "binary": lambda rng, n: (rng.random(n) < rng.random()).astype(float),
+    "few_valued": lambda rng, n: rng.integers(0, rng.integers(2, 9), size=n).astype(float),
+    "lognormal": lambda rng, n: rng.lognormal(0.0, 2.0, size=n),
+    "rounded": lambda rng, n: np.round(rng.normal(size=n), 1),  # ties, and -0.0
+    "signed_zeros": lambda rng, n: np.where(rng.random(n) < 0.5, 0.0, -0.0),
+    "zeros_among_values": lambda rng, n: np.where(
+        rng.random(n) < 0.3, rng.normal(size=n), np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    ),
+}
+
+
+def _bits(values: np.ndarray) -> bytes:
+    """The array's bytes with ``-0.0`` read as ``0.0``.
+
+    Which zero a column mixing both signs contributes as an order statistic
+    is up to ``np.partition``'s implementation (and ``np.unique`` keeps
+    whichever its sort puts first), so the sign of a zero cut is the one bit
+    the oracle itself does not define; ``x + 0.0`` is exact everywhere else.
+    """
+    return (values + 0.0).tobytes()
+
+
+class TestSortedColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=2, max_value=400),
+        kinds=st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=6),
+        share=st.sampled_from([1.0, 0.9, 0.5, 0.0]),
+        max_bins=st.sampled_from([64, 2, 7, 500]),
+    )
+    def test_bins_equal_the_quantile_spelling(self, seed, n, kinds, share, max_bins):
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([_COLUMN_KINDS[kind](rng, n) for kind in kinds])
+        rows = rng.choice(n, size=max(2, int(round(n * share))), replace=False)
+        codes, edges = SortedColumns(x).bin(rows, max_bins)
+        want_codes, want_edges = _quantile_bins(x[rows], max_bins)
+        assert np.array_equal(codes, want_codes)
+        assert len(edges) == len(want_edges)
+        for got, want in zip(edges, want_edges):
+            assert got.dtype == want.dtype and _bits(got) == _bits(want)
+
+    def test_every_stage_of_a_fit_reuses_one_sort(self, monkeypatch):
+        """A fit argsorts its matrix once and never calls ``np.quantile``."""
+        calls = {"argsort": 0}
+        real_argsort = np.argsort
+
+        def counting_argsort(*args, **kwargs):
+            calls["argsort"] += 1
+            return real_argsort(*args, **kwargs)
+
+        def no_quantile(*args, **kwargs):
+            raise AssertionError("np.quantile called during fit")
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        monkeypatch.setattr(np, "quantile", no_quantile)
+        x, y = _step_data()
+        FastTreeRegressor(n_estimators=6, log_target=False).fit(x, y)
+        assert calls["argsort"] == 1
+
+
+class TestStagewiseParity:
+    @pytest.mark.parametrize("subsample", [0.9, 0.5, 1.0])
+    def test_fit_equals_the_loop_of_tree_fits(self, subsample):
+        """``FastTreeRegressor.fit`` grows the trees the stage loop, spelled
+        with one ``DecisionTreeRegressor.fit`` on the gathered sample per
+        stage, grows — same draws, same residuals, same node arrays."""
+        rng = np.random.default_rng(21)
+        x = np.column_stack(
+            [
+                rng.lognormal(0.0, 1.5, size=350),
+                (rng.random(350) < 0.2).astype(float),
+                rng.integers(0, 12, size=350).astype(float),
+                rng.normal(size=350),
+            ]
+        )
+        targets = np.exp(0.5 * x[:, 3]) + x[:, 0] + 3.0 * x[:, 1]
+        model = FastTreeRegressor(n_estimators=8, subsample=subsample, seed=4).fit(x, targets)
+
+        y = np.log1p(targets)
+        draws = np.random.default_rng(model.seed)
+        assert model.base_prediction_ == float(y.mean())
+        current = np.full(len(y), model.base_prediction_)
+        for stage, fitted in enumerate(model.trees_):
+            residual = y - current
+            if subsample < 1.0:
+                take = max(2, int(round(len(y) * subsample)))
+                idx = draws.choice(len(y), size=take, replace=False)
+            else:
+                idx = np.arange(len(y))
+            tree = DecisionTreeRegressor(
+                max_depth=model.max_depth,
+                min_samples_leaf=model.min_samples_leaf,
+                seed=model.seed * 7_919 + stage,
+            ).fit(x[idx], residual[idx])
+            for got, want in zip(fitted.node_arrays(), tree.node_arrays()):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            current = current + model.learning_rate * tree.predict(x)
+
+
+class TestNothingFromFitStaysOnATree:
+    """``nightly_loop`` keeps every night's predictors alive: the sort, the
+    codes and the split-search layout must die with ``fit``."""
+
+    TREE_KEYS = {
+        "_arrays", "_nodes", "max_bins", "max_depth", "max_features",
+        "min_samples_leaf", "min_samples_split", "n_features_", "seed",
+    }  # fmt: skip
+    BOOSTER_KEYS = {
+        "_flat", "base_prediction_", "learning_rate", "log_target", "max_depth",
+        "min_samples_leaf", "n_estimators", "seed", "subsample", "trees_",
+    }  # fmt: skip
+
+    def _assert_lean(self, tree):
+        assert set(vars(tree)) == self.TREE_KEYS
+        for array in tree._arrays:
+            assert array.shape == (tree.node_count,)
+
+    def test_tree_attributes_are_the_parent_commits(self):
+        x, y = _step_data()
+        self._assert_lean(DecisionTreeRegressor(max_depth=6).fit(x, y))
+
+    def test_booster_and_forest_attributes_are_the_parent_commits(self):
+        x, y = _step_data()
+        booster = FastTreeRegressor(n_estimators=4, log_target=False).fit(x, y)
+        assert set(vars(booster)) == self.BOOSTER_KEYS
+        forest = RandomForestRegressor(n_estimators=4).fit(x, y)
+        for tree in booster.trees_ + forest.trees_:
+            self._assert_lean(tree)
