@@ -10,20 +10,21 @@ fleet) prices *rows* — ``(features, signatures)`` pairs — and knows nothing
 about operators.  This class is the only place a live operator or plan
 becomes rows (:func:`~repro.features.extract.feature_input_for` +
 :meth:`~repro.plan.signatures.SignatureBundle.of`, both O(1) reads of the
-operator's own :class:`~repro.plan.summary.SubtreeSummary`) and the only
-place a plan's costs fold to a total
-(:func:`~repro.serving.service.plan_totals`); every entry point calls the
-row primitives directly, so the call chain is ``CleoCostModel`` -> row tier
--> packed bank whichever backend serves.
+operator's own :class:`~repro.plan.summary.SubtreeSummary`), and a plan's
+costs fold to a total in :func:`~repro.serving.service.plan_totals`'s order
+(here, or where partition exploration reads the total off its grid); every
+entry point calls the row primitives directly, so the call chain is
+``CleoCostModel`` -> row tier -> packed bank whichever backend serves.
 
 Beyond the scalar :class:`~repro.cost.interface.CostModel` protocol, this
 adapter advertises **batched planning pricing** (``supports_batched_pricing``
 plus :meth:`CleoCostModel.price_operators` /
 :meth:`CleoCostModel.price_stage_sweep`): the planner prices whole candidate
-frontiers, and partition exploration prices a whole plan's partition
-sweeps as one P-grid, through the packed serving runtime in a constant
-number of numpy passes — bitwise identical values and per-prediction lookup accounting to
-the scalar ``operator_cost`` loop.
+frontiers, and partition exploration prices a whole wave of plans — every
+stage's sweep, the guard's probes and the rows the plan totals read — as one
+P-grid, through the packed serving runtime in a constant number of numpy
+passes — bitwise identical values and per-prediction lookup accounting to the
+scalar ``operator_cost`` loop.
 """
 
 from __future__ import annotations
@@ -172,26 +173,26 @@ class CleoCostModel:
         stages: Sequence[Sequence[PhysicalOp]],
         estimator: CardinalityEstimator,
         candidates: Sequence[Sequence[int]],
-    ) -> list[list[float]]:
-        """Each stage's total cost at each of its candidate counts, one pass.
+    ) -> list[list[list[float]]]:
+        """Every stage operator's cost at each of its stage's candidate
+        counts, one pass: ``out[i][j][k]`` prices ``stages[i][k]`` at
+        ``candidates[i][j]`` partitions.
 
-        ``candidates[i]`` are the partition counts to probe for
-        ``stages[i]``; the result aligns with both.  Replaces partition
-        exploration's per-candidate ``sum(operator_cost(op,
-        partition_override=p) for op in stage)`` loops with a P-grid: every
-        stage operator is featurized once (its *stem* row: only ``P``
-        varies across a sweep), the stems are tiled over the candidates, the
-        ``P`` column is written, and the whole ``(stages x candidates x
-        ops)`` grid is priced through the columnar ``predict_table`` entry —
-        boundary validation, quarantine-and-repair and the router's guard
-        ladder included.  Each total is then reduced with the exact
-        left-fold order the scalar ``sum`` uses, so totals (and therefore
-        every argmin/guard decision) are bitwise identical.
+        Replaces partition exploration's per-candidate ``operator_cost(op,
+        partition_override=p)`` loops with a P-grid: every stage operator is
+        featurized once (its *stem* row: only ``P`` varies across a sweep),
+        the stems are tiled over the candidates, the ``P`` column is written,
+        and the whole ``(stages x candidates x ops)`` grid is priced through
+        the columnar ``predict_table`` entry — boundary validation,
+        quarantine-and-repair and the router's guard ladder included.  The
+        values are the scalar loop's bit for bit, and the caller
+        (:func:`repro.optimizer.partition.explore_partitions`) reads stage
+        totals, the regression guard and the plan total off this one answer,
+        so a sweep's rows are probed once and never again.
 
-        Grid rows skip the prediction LRU by ``predict_table``'s contract (a
-        sweep's rows are probed once and never again), so lookup accounting
-        is the paper's analytic ``5 x ops x candidates`` whether or not the
-        service caches.
+        Grid rows therefore skip the prediction LRU (``predict_table``'s
+        contract), and lookup accounting is the paper's analytic ``5 x ops x
+        candidates`` whether or not the service caches.
         """
         ops = [op for stage in stages for op in stage]
         stems = FeatureTable.from_inputs(*self._rows(ops, estimator))
@@ -207,16 +208,10 @@ class CleoCostModel:
             stems.take(np.concatenate(rows)), partition_count=np.concatenate(counts)
         )
         values = iter(self.service.predict_table(grid).tolist())
-        totals: list[list[float]] = []
-        for stage, probes in zip(stages, candidates):
-            stage_totals = []
-            for _ in probes:
-                total = 0  # int start, exactly like the scalar sum()
-                for value in islice(values, len(stage)):
-                    total = total + value
-                stage_totals.append(total)
-            totals.append(stage_totals)
-        return totals
+        return [
+            [list(islice(values, len(stage))) for _ in probes]
+            for stage, probes in zip(stages, candidates)
+        ]
 
     def explain(
         self, op: PhysicalOp, estimator: CardinalityEstimator

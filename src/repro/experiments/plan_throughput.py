@@ -10,14 +10,14 @@ generated workload's test day with learned costs through both paths:
 
 * **scalar** — ``CleoCostModel(batched=False)``: the retained per-candidate
   ``operator_cost`` loop (one request materialization, one packed
-  single-row prediction per costed operator) and per-candidate
-  ``_stage_cost_at`` partition probes;
+  single-row prediction per costed operator), the partition grid included:
+  one ``operator_cost`` probe per ``(stage, candidate, operator)``;
 * **batched** — the default ``CleoCostModel``: the planner defers frontier
   costs into a pending ledger priced through
   :meth:`~repro.serving.service.CleoService.predict_inputs` in batched
-  passes, and partition exploration prices every stage's whole candidate
-  sweep as one columnar P-grid
-  (:meth:`~repro.core.cost_model.CleoCostModel.price_stage_sweep`).
+  passes, and the same partition grid — every stage's candidate sweep, the
+  guard's probes and the rows the plan total reads — is one columnar
+  :meth:`~repro.core.cost_model.CleoCostModel.price_stage_sweep` call.
 
 Two phases are timed: ``structural`` (the Cascades search alone) and
 ``partitioned`` (search + Section 5.2 partition exploration with geometric
@@ -131,7 +131,11 @@ def run_benchmark(
             "batched": path_stats(
                 batched_times,
                 path="deferred frontier ledger -> predict_inputs batches"
-                + (" + one P-grid per plan sweep" if phase == "partitioned" else ""),
+                + (
+                    " + one P-grid per plan (sweep, guard and plan total)"
+                    if phase == "partitioned"
+                    else ""
+                ),
                 plans=n_jobs,
             ),
             "speedup": speedup(scalar_times, batched_times),

@@ -14,15 +14,18 @@ such a fleet with learned costs through both paths:
   shape is analyzed once and replayed per instance over slotted nodes
   (skeleton memoization), every job's search — whatever its template —
   advances to its next suspension and each wave prices all their pending
-  ledger rows in one packed ``predict_inputs`` pass, and the whole fleet's
-  plan totals are reduced in a single ``price_plans`` call.
+  ledger rows in one packed ``predict_inputs`` pass, and the finale is
+  fleet-wide: one ``price_plans`` call for every plan total or, with a
+  partition strategy, one P-grid per 64 winners for their exploration,
+  guard and totals.
 
 The fleet is the canonical workload's test day with each job replicated
 into several live instances under distinct jitter salts.  Two phases are
 timed: ``structural`` (the Cascades search alone — the headline
 ``speedup``, the pure replanning path) and ``partitioned`` (search +
-Section 5.2 partition exploration, whose per-job exploration pass is
-identical code in both paths and therefore dilutes the replay's gain).
+Section 5.2 partition exploration: the same grid in both paths, priced per
+job by the baseline and per wave by the fleet, over plans both paths must
+materialize first — which dilutes the replay's gain).
 Before any timing is reported the two paths' plans are verified identical —
 operator shapes, partition counts, estimated costs (exact float equality),
 candidates considered — and, with the prediction cache disabled, identical
@@ -98,8 +101,12 @@ def run_benchmark(
             "fleet": {
                 **path_stats(
                     fleet_times,
-                    path="skeleton replay, cross-template pricing waves, "
-                    "fleet-wide price_plans finale",
+                    path="skeleton replay, cross-template pricing waves, fleet-wide "
+                    + (
+                        "P-grid finale (one per 64 plans)"
+                        if phase == "partitioned"
+                        else "price_plans finale"
+                    ),
                     plans=n_jobs,
                 ),
                 "model_lookups": int(fleet_lookups),

@@ -16,6 +16,7 @@ from repro.optimizer.partition import (
     PartitionStrategy,
     ResourceContext,
     SamplingStrategy,
+    explore_partitions,
     optimize_partitions,
 )
 from repro.optimizer.planner import PlannedJob, PlannerConfig, QueryPlanner
@@ -42,6 +43,7 @@ __all__ = [
     "SamplingStrategy",
     "SkeletonPlanner",
     "SkeletonPlannerStats",
+    "explore_partitions",
     "materialize",
     "optimize_partitions",
     "replan_jobs",

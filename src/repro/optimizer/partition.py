@@ -12,12 +12,17 @@ operator minimize the *stage total*:
 * the analytical strategy sums each operator's ``(theta_p, theta_c)``
   resource profile and minimizes ``sum(theta_p)/P + sum(theta_c)*P`` in
   closed form — at a small constant number of model lookups per operator.
+
+That information is gathered once: :func:`explore_partitions` prices ONE grid
+for a whole wave of finished plans and reads every stage's pick, the
+regression guard and each plan's total cost off it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import is_
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -104,38 +109,36 @@ class PartitionStrategy(Protocol):
         ...
 
 
-def _stage_cost_at(
-    stage_ops: list[PhysicalOp],
-    cost_model: CostModel,
-    estimator: CardinalityEstimator,
-    partitions: int,
-) -> float:
-    return sum(
-        cost_model.operator_cost(op, estimator, partition_override=partitions)
-        for op in stage_ops
-    )
-
-
-def _stage_costs_at(
+def _price_grid(
     stages: list[list[PhysicalOp]],
     cost_model: CostModel,
     estimator: CardinalityEstimator,
     candidates: list[list[int]],
-) -> list[list[float]]:
-    """Each stage's total at each of its candidate counts.
-
-    Learned cost models advertising ``supports_batched_pricing`` price the
-    whole ``(stages x candidates x ops)`` grid in one pass
-    (:meth:`~repro.core.cost_model.CleoCostModel.price_stage_sweep`),
-    bitwise identical to the scalar per-candidate :func:`_stage_cost_at`
-    loops this falls back to.
+) -> list[list[list[float]]]:
+    """The one grid pricer: ``out[i][j][k]`` prices ``stages[i][k]`` at
+    ``candidates[i][j]`` partitions — in one columnar pass where the model
+    advertises ``supports_batched_pricing``
+    (:meth:`~repro.core.cost_model.CleoCostModel.price_stage_sweep`), else one
+    ``operator_cost`` call per row: the same values, the same lookups.
     """
     if getattr(cost_model, "supports_batched_pricing", False):
         return cost_model.price_stage_sweep(stages, estimator, candidates)
     return [
-        [_stage_cost_at(ops, cost_model, estimator, p) for p in probes]
+        [
+            [cost_model.operator_cost(op, estimator, partition_override=p) for op in ops]
+            for p in probes
+        ]
         for ops, probes in zip(stages, candidates)
     ]
+
+
+def _stage_total(values: list[float]) -> float:
+    """A stage's cost: the int-0 left fold of its operators' costs, the
+    order (and the bits) of a scalar ``sum`` over the stage."""
+    total = 0
+    for value in values:
+        total = total + value
+    return total
 
 
 def _argmin(costs: list[float]) -> int:
@@ -150,15 +153,11 @@ def _choose_by_sweep(
     estimator: CardinalityEstimator,
     max_partitions: int,
 ) -> int:
-    """One stage's cheapest candidate, probed one scalar call at a time.
-
-    What non-batched cost models (and the parity oracle) run; batched models
-    skip it: :func:`optimize_partitions` prices every stage's candidates as
-    one grid and applies the same :func:`_argmin`.
-    """
+    """``choose`` of the sweeping strategies: one stage's cheapest candidate
+    (:func:`explore_partitions` reads the same pick off its wave-wide grid)."""
     candidates = strategy.candidates(max_partitions)
-    costs = [_stage_cost_at(stage_ops, cost_model, estimator, p) for p in candidates]
-    return candidates[_argmin(costs)]
+    (costs,) = _price_grid([stage_ops], cost_model, estimator, [candidates])
+    return candidates[_argmin([_stage_total(values) for values in costs])]
 
 
 @dataclass
@@ -193,14 +192,7 @@ class ExhaustiveStrategy:
     def candidates(self, max_partitions: int) -> list[int]:
         return list(range(1, max_partitions + 1))
 
-    def choose(
-        self,
-        stage_ops: list[PhysicalOp],
-        cost_model: CostModel,
-        estimator: CardinalityEstimator,
-        max_partitions: int,
-    ) -> int:
-        return _choose_by_sweep(self, stage_ops, cost_model, estimator, max_partitions)
+    choose = _choose_by_sweep
 
 
 @dataclass
@@ -234,14 +226,7 @@ class SamplingStrategy:
         picks = rng.integers(1, max_partitions + 1, size=self.n_samples)
         return sorted({1, *map(int, picks)})
 
-    def choose(
-        self,
-        stage_ops: list[PhysicalOp],
-        cost_model: CostModel,
-        estimator: CardinalityEstimator,
-        max_partitions: int,
-    ) -> int:
-        return _choose_by_sweep(self, stage_ops, cost_model, estimator, max_partitions)
+    choose = _choose_by_sweep
 
 
 @dataclass
@@ -320,6 +305,85 @@ def _stage_is_fixed(operators) -> bool:
     return False
 
 
+def _explore(
+    plans: list[PhysicalOp],
+    cost_model: CostModel,
+    estimator: CardinalityEstimator,
+    strategy: PartitionStrategy,
+    max_partitions: int,
+    guard: bool,
+) -> dict[int, tuple[int, float]]:
+    """:func:`explore_partitions` up to its decisions: ``id(op) -> (final
+    partition count, the operator's cost at it)`` for the whole wave."""
+    sweep = getattr(strategy, "candidates", None)
+    grid = sweep(max_partitions) if sweep is not None else None
+    stages = [stage for plan in plans for stage in build_stage_graph(plan).stages]
+    probes: list[list[int]] = []
+    picks: list[int] = []  # how many of a stage's probes are candidates
+    for stage in stages:
+        current = stage.partition_count
+        if _stage_is_fixed(stage.operators):
+            counts = [current]
+        elif grid is None:
+            counts = [strategy.choose(stage.operators, cost_model, estimator, max_partitions)]
+        else:
+            counts = grid
+        picks.append(len(counts))
+        probes.append(counts + [current] if guard and current not in counts else counts)
+    operators = [stage.operators for stage in stages]
+    priced = zip(stages, probes, picks, _price_grid(operators, cost_model, estimator, probes))
+    final: dict[int, tuple[int, float]] = {}
+    for stage, counts, n_picks, values in priced:
+        totals = [_stage_total(stage_values) for stage_values in values]
+        best = _argmin(totals[:n_picks])
+        if guard and counts[best] != stage.partition_count:
+            current = counts.index(stage.partition_count)
+            if totals[best] >= totals[current]:
+                best = current
+        for op, value in zip(stage.operators, values[best]):
+            final[id(op)] = (counts[best], value)
+    return final
+
+
+def explore_partitions(
+    plans: list[PhysicalOp],
+    cost_model: CostModel,
+    estimator: CardinalityEstimator,
+    strategy: PartitionStrategy,
+    max_partitions: int = 3000,
+    guard: bool = True,
+) -> list[tuple[PhysicalOp, float]]:
+    """Re-optimize every stage's partition count in a wave of finished plans:
+    per plan, the rebuilt plan and its total cost, from ONE pricing grid.
+
+    The grid (:func:`_price_grid`) holds, per stage of every plan's stage
+    graph, the counts a decision can read: a fixed stage's current count; an
+    explorable stage's candidates — the strategy's ``candidates`` sweep
+    (exhaustive, sampling), else its ``choose`` pick — plus, last, the current
+    count where the guard will compare against it and the candidates lack it.
+    A stage's pick is the first minimum over its candidates' totals, and a
+    plan's total is the ``0.0 + v`` left fold, in walk order, of each
+    operator's value at its stage's final count — bit for bit ``plan_cost`` of
+    the rebuilt plan, since a partition count touches no feature but ``P``.
+    Stages never read each other's choice (every row prices the original
+    operators), and stages formed by co-partitioned joins share one count by
+    construction (their exchanges live in the same stage).
+
+    With ``guard`` enabled, a stage keeps its current count unless the cost
+    model itself predicts the new count is cheaper — one of the paper's
+    regression-avoidance techniques (Section 6.7): never act on a learned
+    suggestion the learned costs do not endorse.
+    """
+    final = _explore(plans, cost_model, estimator, strategy, max_partitions, guard)
+    out = []
+    for plan in plans:
+        total = 0.0
+        for op in plan.walk():
+            total = total + final[id(op)][1]
+        out.append((_with_counts(plan, final), float(total)))
+    return out
+
+
 def optimize_partitions(
     plan: PhysicalOp,
     cost_model: CostModel,
@@ -328,90 +392,32 @@ def optimize_partitions(
     max_partitions: int = 3000,
     guard: bool = True,
 ) -> PhysicalOp:
-    """Re-optimize every stage's partition count in a finished plan.
+    """:func:`explore_partitions` of one plan, minus the total: the same
+    grid is priced, but nothing walks the plan (DAG-shaped caller input
+    stays linear)."""
+    final = _explore([plan], cost_model, estimator, strategy, max_partitions, guard)
+    return _with_counts(plan, final)
 
-    Explores every non-fixed stage of the stage graph and rebuilds the plan
-    with the new counts.  For a cost model with ``supports_batched_pricing``
-    and a strategy that probes a candidate list (``candidates``: exhaustive,
-    sampling), the plan's whole exploration is two columnar P-grids — one
-    ``price_stage_sweep`` call for every stage's candidates, one for every
-    stage's guard probes; otherwise each stage asks ``strategy.choose``.
-    Stages formed by co-partitioned joins share one count by construction
-    (their exchanges live in the same stage), preserving co-partitioning.
 
-    With ``guard`` enabled, a stage keeps its current count unless the cost
-    model itself predicts the new count is cheaper — one of the paper's
-    regression-avoidance techniques (Section 6.7): never act on a learned
-    suggestion the learned costs do not endorse.
-    """
-    graph = build_stage_graph(plan)
-    stages = graph.topological_order()
-    chosen = {stage.index: stage.partition_count for stage in stages}
-    # Stages never read each other's choice (every probe prices the original
-    # ``stage.operators``), so the whole plan is explored at once.
-    explore = [stage for stage in stages if not _stage_is_fixed(stage.operators)]
-    candidates = getattr(strategy, "candidates", None)
-    if (
-        explore
-        and candidates is not None
-        and getattr(cost_model, "supports_batched_pricing", False)
-    ):
-        grid = candidates(max_partitions)
-        totals = cost_model.price_stage_sweep(
-            [stage.operators for stage in explore], estimator, [grid] * len(explore)
-        )
-        picks = [grid[_argmin(costs)] for costs in totals]
-    else:
-        picks = [
-            strategy.choose(stage.operators, cost_model, estimator, max_partitions)
-            for stage in explore
-        ]
-    moves = [
-        (stage, pick)
-        for stage, pick in zip(explore, picks)
-        if pick != stage.partition_count
-    ]
-    if guard and moves:
-        # Every stage's (current, new) probe pair, one pass for learned models.
-        probes = _stage_costs_at(
-            [stage.operators for stage, _ in moves],
-            cost_model,
-            estimator,
-            [[stage.partition_count, pick] for stage, pick in moves],
-        )
-        moves = [
-            move for move, (current, new) in zip(moves, probes) if not new >= current
-        ]
-    for stage, pick in moves:
-        chosen[stage.index] = pick
-
+def _with_counts(plan: PhysicalOp, final: dict[int, tuple[int, float]]) -> PhysicalOp:
+    """``plan`` with every operator at ``final[id(op)][0]`` partitions."""
     rebuilt: dict[int, PhysicalOp] = {}
 
     def rebuild(op: PhysicalOp) -> PhysicalOp:
-        # Memoized by node id: plans with shared subexpressions (DAG-shaped
-        # caller input) keep each shared subtree as ONE rebuilt object —
-        # un-memoized recursion duplicated it per consumer, splitting the
-        # ``id(op)``-keyed stage identity and going exponential on deep
-        # sharing.
+        # Memoized by node id: a subtree shared by several parents (DAG-shaped
+        # caller input) stays ONE rebuilt object, visited once.
         done = rebuilt.get(id(op))
         if done is not None:
             return done
-        new_children = tuple(rebuild(child) for child in op.children)
-        stage_idx = graph.stage_of[id(op)]
-        new_count = chosen[stage_idx]
-        if new_children == op.children and new_count == op.partition_count:
+        children = tuple(rebuild(child) for child in op.children)
+        count = final[id(op)][0]
+        # A rebuilt child is a new object exactly when something below it
+        # changed, so children compare by identity: ``==`` on the frozen
+        # dataclass would re-compare each ancestor's whole subtree.
+        if count == op.partition_count and all(map(is_, children, op.children)):
             result = op
         else:
-            result = PhysicalOp(
-                op_type=op.op_type,
-                children=new_children,
-                logical=op.logical,
-                partition_count=new_count,
-                partitioning=op.partitioning,
-                sorting=op.sorting,
-                exchange_mode=op.exchange_mode,
-                sort_keys=op.sort_keys,
-            )
+            result = replace(op, children=children, partition_count=count)
         rebuilt[id(op)] = result
         return result
 

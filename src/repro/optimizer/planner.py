@@ -17,9 +17,9 @@ estimator), ``_cost`` / ``_price`` (``operator_cost``; under a model that
 advertises ``supports_batched_pricing``, the deferred ledger flushed through
 ``price_operators``), and ``_skeleton`` (built per call, never cached).
 Winners are shared between frames during the search and cloned into a tree
-once, at the end; the optional partition strategy then re-optimizes every
-stage's partition count, and the plan total goes through the model's
-``plan_cost``.
+once, at the end; the plan total then goes through the model's ``plan_cost``
+or, with a partition strategy, comes off the one grid that re-optimizes every
+stage's partition count (:func:`~repro.optimizer.partition.explore_partitions`).
 """
 
 from __future__ import annotations

@@ -18,7 +18,10 @@ driver prices the fleet in **waves across templates**:
   number of pricing calls per :meth:`FleetReplanner.replan_jobs` is the
   deepest job's flush depth (a few tens) and does not grow with the fleet;
 * the plan totals of the whole fleet go through one
-  :meth:`~repro.core.cost_model.CleoCostModel.price_plans` call.
+  :meth:`~repro.core.cost_model.CleoCostModel.price_plans` call — or, with
+  a partition strategy, the exploration, the guard and the totals of every
+  64 winners through one
+  :meth:`~repro.core.cost_model.CleoCostModel.price_stage_sweep` grid.
 
 Waves are exact.  A job's rows may be priced earlier than its solo search
 would price them (another job's suspension triggers the wave), but

@@ -68,7 +68,7 @@ from itertools import islice
 from repro.common.errors import OptimizationError
 from repro.common.hashing import stable_unit_float
 from repro.cost.interface import plan_cost
-from repro.optimizer.partition import _stage_is_fixed, optimize_partitions
+from repro.optimizer.partition import _stage_is_fixed, explore_partitions
 from repro.plan.logical import LogicalOp, LogicalOpType
 from repro.plan.physical import PARTITIONING_OPS, ExchangeMode, PhysOpType, PhysicalOp
 from repro.plan.properties import Partitioning, PartitionScheme, SortOrder
@@ -419,22 +419,28 @@ class CascadesSearch:
             offset += count
 
     def _finalize(self, wins: list) -> list[tuple[PhysicalOp, float]]:
-        """Per winner: the materialized plan (after the partition-strategy
-        pass, when one is configured — Section 5.2's exploration, run over
-        the chosen plan's stage graph) and its total cost."""
+        """Per winner: the materialized plan and its total cost.
+
+        With a partition strategy configured (Section 5.2's exploration, run
+        over the chosen plans' stage graphs) both come out of
+        :func:`~repro.optimizer.partition.explore_partitions` — one pricing
+        grid per ``_LIVE_SEARCH_LIMIT`` winners, which bounds the grid a
+        fleet can allocate (~220 rows a job under geometric sampling)."""
         strategy = self.config.partition_strategy
+        plans = [materialize(win) for win in wins]
+        if strategy is None:
+            return [
+                (plan, plan_cost(self.cost_model, plan, self.estimator)) for plan in plans
+            ]
         out = []
-        for win in wins:
-            physical = materialize(win)
-            if strategy is not None:
-                physical = optimize_partitions(
-                    physical,
-                    self.cost_model,
-                    self.estimator,
-                    strategy,
-                    max_partitions=self.config.max_partitions,
-                )
-            out.append((physical, plan_cost(self.cost_model, physical, self.estimator)))
+        for at in range(0, len(plans), self._LIVE_SEARCH_LIMIT):
+            out += explore_partitions(
+                plans[at : at + self._LIVE_SEARCH_LIMIT],
+                self.cost_model,
+                self.estimator,
+                strategy,
+                self.config.max_partitions,
+            )
         return out
 
     def _cost_deferred(self, node) -> _DeferredCost:

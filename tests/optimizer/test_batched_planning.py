@@ -19,7 +19,7 @@ from repro.optimizer.partition import (
     AnalyticalStrategy,
     ExhaustiveStrategy,
     SamplingStrategy,
-    _stage_cost_at,
+    _stage_total,
 )
 from repro.optimizer.planner import (
     PlannerConfig,
@@ -184,9 +184,15 @@ class TestStageSweepPricing:
         stages = [stage.operators for stage in graph.stages]
         # A different candidate list per stage: the grid is ragged.
         candidates = [[1, 2, 7, 33, 250][: 1 + i % 5] for i in range(len(stages))]
-        batched = model.price_stage_sweep(stages, estimator, candidates)
+        batched = [
+            [_stage_total(values) for values in stage]
+            for stage in model.price_stage_sweep(stages, estimator, candidates)
+        ]
         scalar = [
-            [_stage_cost_at(ops, model, estimator, p) for p in probes]
+            [
+                sum(model.operator_cost(op, estimator, partition_override=p) for op in ops)
+                for p in probes
+            ]
             for ops, probes in zip(stages, candidates)
         ]
         assert batched == scalar  # exact float equality, not approx

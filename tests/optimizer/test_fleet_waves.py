@@ -17,6 +17,7 @@ import pytest
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.common.errors import OptimizationError
 from repro.core.cost_model import CleoCostModel
+from repro.optimizer.partition import SamplingStrategy
 from repro.optimizer.planner import PlannerConfig, QueryPlanner
 from repro.optimizer.replan import FleetReplanner, ReplanJob
 from repro.optimizer.skeleton import SkeletonPlanner
@@ -175,6 +176,74 @@ class TestWaveCount:
         assert len(doubled) <= SkeletonPlanner._LIVE_SEARCH_LIMIT
         _fps, _keys, replanner = _replan(doubled, CleoCostModel(tiny_predictor))
         assert replanner.stats().frontier_flushes == flushes
+
+
+class TestPartitionedFinale:
+    """With a partition strategy, a wave's exploration, guard and plan totals
+    are one pricing call per ``_LIVE_SEARCH_LIMIT`` winners."""
+
+    CONFIG = PlannerConfig(partition_strategy=SamplingStrategy(scheme="geometric"))
+
+    @pytest.fixture(scope="class")
+    def jobs(self, tiny_bundle) -> list[ReplanJob]:
+        jobs = []
+        for day in tiny_bundle.log.days[-2:]:
+            catalog = tiny_bundle.generator.catalog_for_day(day)
+            jobs += [
+                ReplanJob(spec.job_id, spec.template.template_id, day, instantiate(spec, catalog))
+                for spec in tiny_bundle.generator.jobs_for_day(day)
+            ]
+        assert len(jobs) > SkeletonPlanner._LIVE_SEARCH_LIMIT
+        return jobs
+
+    def test_one_grid_per_64_jobs_equals_the_per_job_loop(self, jobs, tiny_predictor):
+        model = CleoCostModel(tiny_predictor)
+        planner = QueryPlanner(model, CardinalityEstimator(), self.CONFIG)
+        solo = SkeletonPlanner(model, CardinalityEstimator(), self.CONFIG)
+        tiny_predictor.reset_lookup_count()
+        expected, keys = [], []
+        for job in jobs:
+            planner.jitter_salt = job.salt
+            expected.append(_fingerprint(planner.plan(job.logical)))
+        lookups = tiny_predictor.lookup_count
+        for job in jobs:
+            solo.replan_job(job.template_id, job.day, job.logical, job.salt)
+            keys.append(solo.last_choice_key)
+
+        fleet = CleoCostModel(tiny_predictor)
+        replanner = FleetReplanner(fleet, CardinalityEstimator(), self.CONFIG)
+        tiny_predictor.reset_lookup_count()
+        planned = replanner.replan_jobs(jobs)
+        assert [_fingerprint(p) for p in planned] == expected
+        assert replanner.last_choice_keys == keys
+        assert tiny_predictor.lookup_count == lookups
+        finale_calls = fleet.service.stats().batches - replanner.stats().frontier_flushes
+        assert finale_calls == 2 == -(-len(jobs) // SkeletonPlanner._LIVE_SEARCH_LIMIT)
+
+    def test_a_compiled_job_is_one_table_call_and_no_plan_cost(self, jobs, tiny_predictor):
+        """Through the router: the finale is exactly one ``predict_table``;
+        no ``predict_batch`` (``plan_cost``) follows it."""
+        from repro.serving.shard import ShardedCleoRouter
+
+        with ShardedCleoRouter({"c": tiny_predictor}, n_shards=2) as router:
+            calls = dict.fromkeys(("predict_inputs", "predict_table", "predict_batch"), 0)
+
+            def counted(name, entry):
+                def call(*args):
+                    calls[name] += 1
+                    return entry(*args)
+
+                return call
+
+            for name in calls:
+                setattr(router, name, counted(name, getattr(router, name)))
+            planner = QueryPlanner(router.cost_model("c"), CardinalityEstimator(), self.CONFIG)
+            for job in jobs[:8]:
+                calls.update(dict.fromkeys(calls, 0))
+                planner.jitter_salt = job.salt
+                planner.plan(job.logical)
+                assert calls["predict_table"] == 1 and calls["predict_batch"] == 0
+                assert calls["predict_inputs"] > 0  # the search's flushes
 
 
 class TestErrorMidWave:

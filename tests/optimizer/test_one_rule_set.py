@@ -19,12 +19,6 @@ from pathlib import Path
 
 import repro.optimizer
 import repro.serving
-from repro.core.cost_model import CleoCostModel
-from repro.optimizer.planner import QueryPlanner
-from repro.optimizer.replan import FleetReplanner
-from repro.optimizer.skeleton import SkeletonPlanner
-from repro.serving.service import CleoService
-from repro.serving.shard.router import ShardedCleoRouter
 
 RULES = {
     "_optimize",
@@ -66,22 +60,47 @@ def test_planner_module_defines_no_rules():
 
 
 def test_tracer_targets_are_defined_on_the_classes_themselves():
-    for cls, names in (
-        (QueryPlanner, ["plan"]),
-        (SkeletonPlanner, ["plan_job"]),
-        (FleetReplanner, ["replan_jobs"]),
-        (
-            CleoCostModel,
-            ["price_operators", "price_inputs", "price_plans", "price_stage_sweep"],
-        ),
-        (CleoService, ["predict_inputs", "predict_batch"]),
-        (
-            ShardedCleoRouter,
-            ["__init__", "predict_inputs", "predict_batch", "predict_plan"],
-        ),
-    ):
-        for name in names:
-            assert callable(vars(cls)[name]), (cls.__name__, name)
+    """Every binding the tracer installs, read off the tracer itself: a
+    hand-kept copy of the list goes stale the first time a target is added."""
+    from bench.trace import _targets
+
+    targets = _targets()
+    assert len(targets) > 30
+    for target in targets:
+        assert target.attribute in vars(target.owner), (target.owner, target.attribute)
+        raw = vars(target.owner)[target.attribute]
+        assert callable(getattr(raw, "__func__", raw)), (target.owner, target.attribute)
+
+
+def _calls(path: Path, name: str) -> list[ast.Call]:
+    """Every call of ``name`` (bare or as an attribute) in one source file."""
+    return [
+        node
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_the_partitioned_finale_is_one_grid_and_no_plan_cost():
+    """One call site prices P-grids for the whole package, and the search
+    asks for a ``plan_cost`` only where no partition strategy is configured
+    (with one, the grid already holds every row a total reads)."""
+    root = Path(repro.optimizer.__file__).parent
+    sweeps = {
+        path.name: len(_calls(path, "price_stage_sweep")) for path in sorted(root.rglob("*.py"))
+    }
+    assert {name: n for name, n in sweeps.items() if n} == {"partition.py": 1}
+    tree = ast.parse((root / "search.py").read_text())
+    guarded = [
+        call
+        for branch in ast.walk(tree)
+        if isinstance(branch, ast.If) and ast.unparse(branch.test) == "strategy is None"
+        for statement in branch.body
+        for call in ast.walk(statement)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "plan_cost"
+    ]
+    assert len(guarded) == len(_calls(root / "search.py", "plan_cost")) == 1
 
 
 def test_serving_tier_defines_no_operator_level_entry_points():

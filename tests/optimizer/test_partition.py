@@ -156,11 +156,14 @@ class TestOptimizePartitions:
         sampled = SamplingStrategy(scheme="geometric", skip_coefficient=1.0).choose(
             stage.operators, cost_model, estimator, 64
         )
-        from repro.optimizer.partition import _stage_cost_at
 
-        assert _stage_cost_at(stage.operators, cost_model, estimator, exhaustive) <= (
-            _stage_cost_at(stage.operators, cost_model, estimator, sampled) + 1e-9
-        )
+        def stage_cost_at(partitions):
+            return sum(
+                cost_model.operator_cost(op, estimator, partition_override=partitions)
+                for op in stage.operators
+            )
+
+        assert stage_cost_at(exhaustive) <= stage_cost_at(sampled) + 1e-9
 
 
 class TestExpectedLookups:
@@ -256,6 +259,47 @@ class TestDagRebuild:
         for _ in range(40):
             assert probe.children[0] is probe.children[1]
             probe = probe.children[0]
+
+    def test_rebuild_compares_children_by_identity(self, builder, estimator, monkeypatch):
+        """A moved leaf stage rebuilds every ancestor; none of them may
+        deep-compare its subtree (``==`` on the frozen dataclass is O(depth)
+        per node, ``logical`` trees included)."""
+        from dataclasses import dataclass
+
+        from repro.plan.physical import PhysicalOp
+        from repro.plan.properties import Partitioning
+
+        def physical(op_type, children, logical, **extra):
+            return PhysicalOp(
+                op_type, children, logical, partition_count=4,
+                partitioning=Partitioning.any(), **extra,
+            )  # fmt: skip
+
+        logical = builder.scan("events_2024_01_01")
+        node = physical(PhysOpType.EXTRACT, (), logical)
+        for level in range(200):
+            if level == 100:
+                node = physical(
+                    PhysOpType.EXCHANGE, (node,), None, exchange_mode=ExchangeMode.HASH
+                )
+            logical = builder.filter(logical, "value", 0.99, tag=f"deep:{level}")
+            node = physical(PhysOpType.FILTER, (node,), logical)
+
+        @dataclass
+        class MoveLeafStage:
+            name: str = "move-leaf"
+
+            def choose(self, stage_ops, cost_model, estimator, max_partitions):
+                moved = any(op.op_type is PhysOpType.EXTRACT for op in stage_ops)
+                return stage_ops[0].partition_count + 3 * moved
+
+        entered = []
+        monkeypatch.setattr(PhysicalOp, "__eq__", lambda self, other: entered.append(1) or True)
+        optimized = optimize_partitions(
+            node, DefaultCostModel(), estimator, MoveLeafStage(), guard=False
+        )
+        counts = [op.partition_count for op in optimized.walk()]
+        assert counts == [7] * 101 + [4] * 101 and not entered
 
     def test_stage_graph_counts_shared_ops_once(self, physical_simple_plan):
         plan = self._shared_plan(physical_simple_plan)
