@@ -93,7 +93,7 @@ class QueryPlanner(CascadesSearch):
     # ------------------------------------------------------------------ #
 
     def _skeleton(self, template_id, day, bound):
-        return _build_skeleton(bound)
+        return _build_skeleton(bound, self.config)
 
     def _mk(
         self,

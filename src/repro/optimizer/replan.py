@@ -10,30 +10,29 @@ driver prices the fleet in **waves across templates**:
 * every job gets its own resumable search
   (:class:`~repro.optimizer.skeleton.SkeletonPlanner`, skeleton-memoized per
   ``(template_id, day)``), whatever its template;
-* a search runs until it *suspends*: a multi-candidate frame needs the job's
-  pending deferred-cost ledger priced before it can compare candidates;
+* a search runs until it *suspends*: frames that compare candidates need the
+  job's pending deferred-cost ledger priced first, sibling frames together;
 * each wave advances every open search to its next suspension and prices
   all their pending rows in ONE
-  :meth:`~repro.core.cost_model.CleoCostModel.price_inputs` call, so the
-  number of pricing calls per :meth:`FleetReplanner.replan_jobs` is the
-  deepest job's flush depth (a few tens) and does not grow with the fleet;
+  :meth:`~repro.core.cost_model.CleoCostModel.price_inputs` call, so a
+  :meth:`FleetReplanner.replan_jobs` makes one pricing call per level of its
+  deepest job's critical path (under ten), whatever the fleet size;
 * the plan totals of the whole fleet go through one
   :meth:`~repro.core.cost_model.CleoCostModel.price_plans` call — or, with
   a partition strategy, the exploration, the guard and the totals of every
   64 winners through one
   :meth:`~repro.core.cost_model.CleoCostModel.price_stage_sweep` grid.
 
-Waves are exact.  A job's rows may be priced earlier than its solo search
-would price them (another job's suspension triggers the wave), but
-predictions are batch-invariant and ledger indices are assigned when a
-candidate is costed, not when it is priced — so candidate generation,
-enforcement, tie-breaking and floating-point arithmetic are the solo
-search's.  Plans, costs, choice keys and (with the prediction cache
-disabled, the optimizer-experiment default) per-prediction lookup accounting
-are bitwise identical to a per-job
+Waves are exact.  A row may be priced earlier than a sequential search would
+price it (another job's, or a sibling frame's, suspension triggers the wave),
+but predictions are batch-invariant and ledger indices are assigned when a
+candidate is costed — so candidate generation, enforcement, tie-breaking and
+floating-point arithmetic are unchanged.  Plans, costs, choice keys and (with
+the prediction cache disabled, the optimizer-experiment default) lookup
+accounting are bitwise identical to a per-job
 :class:`~repro.optimizer.planner.QueryPlanner` loop, in any job order; with
-a shared prediction cache enabled, values are still identical but in-batch
-reuse accounting can differ (the PR-5 precedent for cross-plan batches).
+a shared prediction cache, values are still identical but in-batch reuse
+accounting can differ (the PR-5 precedent for cross-plan batches).
 
 Heuristic cost models and scalar learned serving (``batched=False``) never
 suspend: the same driver finishes each of their searches in its first wave.

@@ -46,16 +46,17 @@ model-lookup accounting are bitwise identical to scalar costing
 (``tests/optimizer/test_batched_planning.py``); only the number of
 vectorized model invocations differs.
 
-**One resumable search.**  The recursion is generators with that single
-suspension point.  Each job's mutable state lives in one :class:`_Search`
-the planner points at, so any number of searches — of any templates — can be
-open at once.  :meth:`CascadesSearch._search` is the only driver: it advances
-every open search to its next suspension, prices all their pending rows
-together, and repeats.  One job flushes at every suspension; a fleet
-(:class:`~repro.optimizer.replan.FleetReplanner`) makes as many pricing calls
-as its deepest job.  Pricing a row earlier than the solo search would is
-exact — predictions are batch-invariant and ledger indices are assigned when
-``_cost`` runs, not when the row is priced.  Scalar costing never suspends.
+**One resumable search.**  A frame (``_optimize``) is a generator; the rules
+are plain functions of its child frames' winners.  A frame starts all its
+child frames and suspends once for all of them, so a search suspends once per
+level of its critical path (a frame's level: its deepest child's, plus one if
+it compares candidates), not once per comparing frame.  Each job's state lives
+in one :class:`_Search`, so any number can be open at once;
+:meth:`CascadesSearch._search`, the only driver, advances every open search
+to its next suspension, prices all their pending rows in one call and repeats
+— as many calls as the deepest job has levels, whatever the fleet.  Pricing a
+row early is exact: predictions are batch-invariant, ledger indices are
+assigned when ``_cost`` runs.  Scalar costing never suspends.
 """
 
 from __future__ import annotations
@@ -203,6 +204,7 @@ class SkelNode:
     __slots__ = (
         "children",
         "op_type",
+        "inputs",
         # join
         "hash_left",
         "hash_right",
@@ -238,11 +240,12 @@ def _bind_logical(root: LogicalOp) -> list[LogicalOp]:
     return bound
 
 
-def _build_skeleton(bound: list[LogicalOp]) -> list[SkelNode]:
+def _build_skeleton(bound: list[LogicalOp], config) -> list[SkelNode]:
     """Extract the static search data of one bound logical plan.
 
     Requirement properties are interned by value, module constants included:
-    ``_optimize`` keys its memo on their identity.
+    ``_optimize`` keys its memo on their identity.  ``inputs`` are the child
+    frames ``(index, req_part, req_sort)`` a node's rule reads, in its order.
     """
     index_of = {id(logical): index for index, logical in enumerate(bound)}
     interned = {prop: prop for prop in (_ANY, _NO_SORT, _RANDOM, _SINGLETON)}
@@ -255,21 +258,47 @@ def _build_skeleton(bound: list[LogicalOp]) -> list[SkelNode]:
         sn = SkelNode()
         sn.children = tuple(index_of[id(child)] for child in logical.children)
         sn.op_type = kind = logical.op_type
+        # Filters and projections add the push-down of the frame's requirement.
+        inputs = [(child, _ANY, _NO_SORT) for child in sn.children]
         if kind is LogicalOpType.JOIN:
             left_key, right_key = logical.keys
+            left, right = sn.children
             sn.hash_left = intern(Partitioning.hash(left_key))
             sn.hash_right = intern(Partitioning.hash(right_key))
             sn.sort_left = intern(SortOrder.on(left_key))
             sn.sort_right = intern(SortOrder.on(right_key))
+            # Both build sides (commutativity) read the same two hash frames.
+            inputs = [(left, sn.hash_left, _NO_SORT), (right, sn.hash_right, _NO_SORT)]
+            if config.enable_merge_join:
+                inputs.append((left, sn.hash_left, sn.sort_left))
+                inputs.append((right, sn.hash_right, sn.sort_right))
         elif kind is LogicalOpType.AGGREGATE:
             keys = logical.keys
             sn.final_req = intern(Partitioning.hash(*keys)) if keys else _SINGLETON
             sn.sort_req = intern(SortOrder.on(*keys))
             sn.local_tag = f"{logical.template_tag}#local"
+            (child,) = sn.children
+            inputs = [(child, sn.final_req, _NO_SORT)]  # hash, stream, local
+            if keys and config.enable_stream_aggregate:
+                inputs.append((child, sn.final_req, sn.sort_req))
+            if config.enable_local_aggregate:
+                inputs.append((child, _ANY, _NO_SORT))
         elif kind in (LogicalOpType.SORT, LogicalOpType.TOP_K):
             sn.sort_order = intern(SortOrder.on(*logical.keys))
+            inputs = [(sn.children[0], _SINGLETON, _NO_SORT)]
+        sn.inputs = tuple(inputs)
         nodes.append(sn)
     return nodes
+
+
+def _flatten(section: list, out: list[int]) -> list[int]:
+    """The ints of a nested choice-key section (``_optimize``), in order."""
+    for item in section:
+        if item.__class__ is list:
+            _flatten(item, out)
+        else:
+            out.append(item)
+    return out
 
 
 class _Search:
@@ -302,8 +331,8 @@ class _Search:
         self.bound = bound
         self.salt = salt
         self.jitter_cache: dict[str, float] = {}
-        self.memo: dict[tuple[int, int, int], tuple[object, object]] = {}
-        self.choices: list[int] = []
+        self.memo: dict[tuple[int, int, int], tuple | None] = {}  # None: in search
+        self.choices: list = []
         self.pending: list = []
         self.priced: list[float] = []
         self.primed: list[float] = []  # per-index estimates, if the config primes
@@ -389,7 +418,7 @@ class CascadesSearch:
         """Bind one job instance to its template's static search data."""
         bound = _bind_logical(logical_root)
         job = _Search(self._skeleton(template_id, day, bound), bound, jitter_salt)
-        job.run = self._optimize(len(bound) - 1, _ANY, _NO_SORT)
+        job.run = self._optimize(len(bound) - 1, _ANY, _NO_SORT, job.choices)
         return job
 
     def _advance(self, job: _Search) -> bool:
@@ -399,6 +428,7 @@ class CascadesSearch:
             next(job.run)
         except StopIteration as done:
             job.win = done.value[0]
+            job.choices = _flatten(job.choices, [])
             # Only the winner, the choice key and the straggler ledger
             # outlive the search; the memo pins every frame's subplan.
             job.run = job.memo = job.jitter_cache = job.primed = None
@@ -454,25 +484,55 @@ class CascadesSearch:
     # Core recursion
     # ------------------------------------------------------------------ #
 
-    def _optimize(self, index: int, req_part: Partitioning, req_sort: SortOrder):
+    def _optimize(
+        self, index: int, req_part: Partitioning, req_sort: SortOrder, parent: list
+    ):
         """One search frame, as a generator returning ``(node, cost)``.
 
-        The search is resumable with exactly one suspension point, the bare
-        ``yield`` below: "this job's pending ledger must be priced before the
-        frame can compare its candidates".  Whoever drives the generator
-        (:meth:`_search`) flushes and resumes; scalar costing never suspends.
+        A bare ``yield`` is a suspension: "this job's pending ledger must be
+        priced before the search can go on".  A frame starts all its child
+        frames before it suspends, once for all of them, and resumes them
+        together; it suspends once more to compare its candidates, and waits
+        while a frame it needs is open in a sibling.  Whoever drives the
+        generator (:meth:`_search`) flushes and resumes.
         """
         # Requirement objects are interned (module constants + the skeleton's
         # precomputed properties), so identity keys are equivalent to value
         # keys — and skip frozen-dataclass hashing.
         job = self._job
         key = (index, id(req_part), id(req_sort))
-        cached = job.memo.get(key)
-        if cached is not None:
+        cached = job.memo.get(key, False)
+        if cached is not False:
             # Winners are shared between the frames that reuse them;
             # `materialize` gives every occurrence its own nodes at the end.
+            while cached is None:  # a sibling frame is still searching it
+                yield
+                cached = job.memo[key]
             return cached
-        candidates = yield from self._implementations(index, req_part, req_sort)
+        job.memo[key] = None
+        # Its section of the choice key: inside its first caller's, in call order.
+        parent.append(choices := [])
+        sn = job.nodes[index]
+        relaxed = req_part is _ANY and req_sort is _NO_SORT
+        inputs = sn.inputs
+        if not relaxed and sn.op_type in (LogicalOpType.FILTER, LogicalOpType.PROJECT):
+            # Push-down first, relaxed second: ties go to the first-seen
+            # candidate, so the ORDER is part of the plan (a set would iterate
+            # in salted-hash order and plans would vary with PYTHONHASHSEED).
+            inputs = [(sn.children[0], req_part, req_sort), *inputs]
+        if len(inputs) < 2 or not self._deferred:  # one child, or no suspensions
+            found = []
+            for request in inputs:
+                found.append((yield from self._optimize(*request, choices)))
+        else:
+            frames = [self._optimize(*request, choices) for request in inputs]
+            while frames:
+                # `next` is None from a suspended frame, the default from a finished one.
+                frames = [frame for frame in frames if next(frame, frame) is None]
+                if frames:
+                    yield
+            found = [job.memo[child, id(part), id(sort)] for child, part, sort in inputs]
+        candidates = self._implementations(index, found, choices)
         if not candidates:
             raise OptimizationError(
                 f"no implementation for {job.bound[index].op_type.value} under "
@@ -481,7 +541,7 @@ class CascadesSearch:
         job.candidates_considered += len(candidates)
         # Enforcement is a no-op under (ANY, unsorted): every delivered
         # partitioning satisfies ANY and every sort satisfies "none".
-        if not (req_part is _ANY and req_sort is _NO_SORT):
+        if not relaxed:
             for ordinal, candidate in enumerate(candidates):
                 candidates[ordinal] = self._enforce(candidate, req_part, req_sort)
         if self._deferred and len(candidates) > 1:
@@ -503,30 +563,31 @@ class CascadesSearch:
         # *existence* can vary per job (alignment failures), so it records how
         # many candidates were in play as well (packed with the winner
         # ordinal; counts are single-digit).
-        job.choices.append(best_ordinal * 16 + len(candidates))
+        choices.append(best_ordinal * 16 + len(candidates))
         job.memo[key] = best
         return best
 
-    def _implementations(self, index: int, req_part: Partitioning, req_sort: SortOrder):
+    def _implementations(self, index: int, found: list, choices: list) -> list:
+        """The candidates of one frame, from its child frames' winners."""
         kind = self._job.nodes[index].op_type
         if kind is LogicalOpType.GET:
             return self._impl_get(index)
         if kind in (LogicalOpType.FILTER, LogicalOpType.PROJECT):
-            return (yield from self._impl_passthrough(index, req_part, req_sort))
+            return self._impl_passthrough(index, found)
         if kind is LogicalOpType.PROCESS:
-            return (yield from self._impl_process(index))
+            return self._impl_process(index, found)
         if kind is LogicalOpType.JOIN:
-            return (yield from self._impl_join(index))
+            return self._impl_join(index, found, choices)
         if kind is LogicalOpType.AGGREGATE:
-            return (yield from self._impl_aggregate(index))
+            return self._impl_aggregate(index, found)
         if kind is LogicalOpType.SORT:
-            return (yield from self._impl_ordered(index, PhysOpType.SORT))
+            return self._impl_ordered(index, PhysOpType.SORT, found)
         if kind is LogicalOpType.TOP_K:
-            return (yield from self._impl_ordered(index, PhysOpType.TOP_K))
+            return self._impl_ordered(index, PhysOpType.TOP_K, found)
         if kind is LogicalOpType.UNION:
-            return (yield from self._impl_union(index))
+            return self._impl_union(index, found)
         if kind is LogicalOpType.OUTPUT:
-            return (yield from self._impl_output(index))
+            return self._impl_output(index, found)
         raise OptimizationError(f"unsupported logical operator {kind}")
 
     # ------------------------------------------------------------------ #
@@ -543,10 +604,9 @@ class CascadesSearch:
         )
         return [(op, self._cost(op))]
 
-    def _impl_passthrough(
-        self, index: int, req_part: Partitioning, req_sort: SortOrder
-    ):
-        """Filter/Project: push the requirement down, or enforce above."""
+    def _impl_passthrough(self, index: int, found: list):
+        """Filter/Project: one candidate per child frame — the requirement
+        pushed down, or the relaxed child with the requirement enforced above."""
         job = self._job
         sn = job.nodes[index]
         logical = job.bound[index]
@@ -555,20 +615,8 @@ class CascadesSearch:
             if sn.op_type is LogicalOpType.FILTER
             else PhysOpType.COMPUTE
         )
-        child_index = sn.children[0]
-        # Push-down first, relaxed second, in a deterministic ORDER: a set
-        # here would iterate in salted-hash order, and since `_optimize`
-        # breaks cost ties by first-seen candidate, plan shapes (and thus
-        # every simulated latency) would vary with PYTHONHASHSEED across
-        # processes.
-        requirement_pairs = [(req_part, req_sort)]
-        if (req_part, req_sort) != (_ANY, _NO_SORT):
-            requirement_pairs.append((_ANY, _NO_SORT))
         out: list[tuple[object, float]] = []
-        for child_part, child_sort in requirement_pairs:
-            child_node, child_cost = yield from self._optimize(
-                child_index, child_part, child_sort
-            )
+        for child_node, child_cost in found:
             op = self._mk(
                 phys_type,
                 (child_node,),
@@ -581,13 +629,10 @@ class CascadesSearch:
             out.append((op, child_cost + self._cost(op)))
         return out
 
-    def _impl_process(self, index: int):
+    def _impl_process(self, index: int, found: list):
         """UDF: order/partitioning guarantees do not survive custom code."""
         job = self._job
-        sn = job.nodes[index]
-        child_node, child_cost = yield from self._optimize(
-            sn.children[0], _ANY, _NO_SORT
-        )
+        ((child_node, child_cost),) = found
         op = self._mk(
             PhysOpType.PROCESS,
             (child_node,),
@@ -598,23 +643,21 @@ class CascadesSearch:
         )
         return [(op, child_cost + self._cost(op))]
 
-    def _impl_join(self, index: int):
+    def _impl_join(self, index: int, found: list, choices: list):
         job = self._job
         sn = job.nodes[index]
         logical = job.bound[index]
-        left, right = sn.children
-        sides = [(left, right, sn.hash_left, sn.hash_right)]
+        hash_left, hash_right, *merge = found
+        sides = [(hash_left, hash_right, sn.hash_left)]
         if self.config.enable_join_commute:
-            sides.append((right, left, sn.hash_right, sn.hash_left))
+            sides.append((hash_right, hash_left, sn.hash_right))
 
         # Candidate existence here is *numeric* (partition alignment can fail
         # on one side only), so the join contributes an existence mask to the
         # choice key — winner ordinals alone would be ambiguous.
         mask = 0
         out: list[tuple[object, float]] = []
-        for side, (probe, build, probe_req, build_req) in enumerate(sides):
-            probe_cand = yield from self._optimize(probe, probe_req, _NO_SORT)
-            build_cand = yield from self._optimize(build, build_req, _NO_SORT)
+        for side, (probe_cand, build_cand, probe_req) in enumerate(sides):
             aligned = self._align_partitions([probe_cand, build_cand])
             if aligned is not None:
                 mask |= 1 << side
@@ -629,10 +672,8 @@ class CascadesSearch:
                 )
                 out.append((op, probe_cost + build_cost + self._cost(op)))
 
-        if self.config.enable_merge_join:
-            left_cand = yield from self._optimize(left, sn.hash_left, sn.sort_left)
-            right_cand = yield from self._optimize(right, sn.hash_right, sn.sort_right)
-            aligned = self._align_partitions([left_cand, right_cand])
+        if merge:
+            aligned = self._align_partitions(merge)
             if aligned is not None:
                 mask |= 4
                 (left_node, left_cost), (right_node, right_cost) = aligned
@@ -646,23 +687,21 @@ class CascadesSearch:
                     index=index,
                 )
                 out.append((op, left_cost + right_cost + self._cost(op)))
-        job.choices.append(mask)
+        choices.append(mask)
         return out
 
-    def _impl_aggregate(self, index: int):
+    def _impl_aggregate(self, index: int, found: list):
         job = self._job
         sn = job.nodes[index]
         logical = job.bound[index]
         keys = logical.keys
-        child_index = sn.children[0]
         final_req = sn.final_req
         delivered = final_req if keys else _SINGLETON
+        found = iter(found)
         out: list[tuple[object, float]] = []
 
         # (a) Hash aggregate directly on repartitioned input.
-        child_node, child_cost = yield from self._optimize(
-            child_index, final_req, _NO_SORT
-        )
+        child_node, child_cost = next(found)
         hash_agg = self._mk(
             PhysOpType.HASH_AGGREGATE,
             (child_node,),
@@ -675,9 +714,7 @@ class CascadesSearch:
 
         # (b) Stream aggregate over sorted, repartitioned input.
         if keys and self.config.enable_stream_aggregate:
-            sorted_node, sorted_cost = yield from self._optimize(
-                child_index, final_req, sn.sort_req
-            )
+            sorted_node, sorted_cost = next(found)
             stream_agg = self._mk(
                 PhysOpType.STREAM_AGGREGATE,
                 (sorted_node,),
@@ -691,7 +728,7 @@ class CascadesSearch:
 
         # (c) Local pre-aggregation before the shuffle (the Q17 plan shape).
         if self.config.enable_local_aggregate:
-            any_node, any_cost = yield from self._optimize(child_index, _ANY, _NO_SORT)
+            any_node, any_cost = next(found)
             local_logical = self._local_aggregate_logical(
                 logical, sn.local_tag, any_node.partition_count
             )
@@ -717,14 +754,12 @@ class CascadesSearch:
             out.append((final, cost))
         return out
 
-    def _impl_ordered(self, index: int, phys_type: PhysOpType):
+    def _impl_ordered(self, index: int, phys_type: PhysOpType, found: list):
         """Sort / top-k: one globally ordered partition."""
         job = self._job
         sn = job.nodes[index]
         logical = job.bound[index]
-        child_node, child_cost = yield from self._optimize(
-            sn.children[0], _SINGLETON, _NO_SORT
-        )
+        ((child_node, child_cost),) = found
         op = self._mk(
             phys_type,
             (child_node,),
@@ -737,13 +772,8 @@ class CascadesSearch:
         )
         return [(op, child_cost + self._cost(op))]
 
-    def _impl_union(self, index: int):
-        job = self._job
-        sn = job.nodes[index]
-        logical = job.bound[index]
-        child_cands = []
-        for child in sn.children:
-            child_cands.append((yield from self._optimize(child, _ANY, _NO_SORT)))
+    def _impl_union(self, index: int, found: list):
+        logical = self._job.bound[index]
         # All inputs rebalanced to a common width (a union barrier).
         target = max(
             self._heuristic_partitions_for_volume(
@@ -753,7 +783,7 @@ class CascadesSearch:
         )
         exchanged = []
         cost = 0.0
-        for child_node, child_cost in child_cands:
+        for child_node, child_cost in found:
             exchange = self._mk(
                 PhysOpType.EXCHANGE,
                 (child_node,),
@@ -770,12 +800,9 @@ class CascadesSearch:
         )
         return [(op, cost + self._cost(op))]
 
-    def _impl_output(self, index: int):
+    def _impl_output(self, index: int, found: list):
         job = self._job
-        sn = job.nodes[index]
-        child_node, child_cost = yield from self._optimize(
-            sn.children[0], _ANY, _NO_SORT
-        )
+        ((child_node, child_cost),) = found
         op = self._mk(
             PhysOpType.OUTPUT,
             (child_node,),

@@ -168,10 +168,10 @@ class SkeletonPlannerStats:
     ``skeleton_hits``/``skeleton_builds`` split replays that reused a cached
     skeleton from ones that had to analyze the template structure;
     ``skeleton_evictions`` counts entries dropped by the clear-at-limit cap.
-    ``frontier_flushes`` counts pricing calls (one per wave that had rows
-    to price).  A search's memo needs no cap of its own: it is bounded by
-    one template's frame count and dropped when the winner is known, and
-    the number of searches open at once is bounded instead.
+    ``frontier_flushes`` counts pricing calls: one per wave that had rows to
+    price, i.e. per level of the deepest open search's critical path, plus
+    one for stragglers.  A search's memo needs no cap of its own: bounded by
+    one template's frame count, dropped when the winner is known.
     """
 
     jobs_replayed: int
@@ -260,11 +260,13 @@ class SkeletonPlanner(CascadesSearch):
         """Optimize one job instance through the memoized skeleton.
 
         Also records the job's *choice key* (see :attr:`last_choice_key`): the
-        ordinal of the winning candidate at every memo entry, in entry-creation
-        order.  Entry order is a pure function of the template structure, so
+        ordinal of the winning candidate at every memo entry, each frame's
+        after those of the frames it asked for first, in call order.  Which
+        frames a frame asks for is a pure function of the template structure
+        — not of the order an interleaved search completes them in — so
         ``(template_id, choices)`` uniquely identifies the resulting plan
-        shape — the batched execution engine keys its shape-statics cache on
-        it without fingerprinting the tree.
+        shape, and the batched execution engine keys its shape-statics cache
+        on it without fingerprinting the tree.
         """
         (job,) = self._search([(template_id, day, logical_root, jitter_salt)])
         self.last_choice_key = (template_id, tuple(job.choices))
@@ -313,7 +315,7 @@ class SkeletonPlanner(CascadesSearch):
             if len(self._skeletons) >= self._SKELETON_CACHE_LIMIT:
                 self._skeleton_evictions += len(self._skeletons)
                 self._skeletons.clear()
-            skeleton = self._skeletons[key] = _build_skeleton(bound)
+            skeleton = self._skeletons[key] = _build_skeleton(bound, self.config)
             self._skeleton_builds += 1
         else:
             self._skeleton_hits += 1

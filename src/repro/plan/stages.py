@@ -86,6 +86,7 @@ def build_stage_graph(root: PhysicalOp) -> StageGraph:
     """
     stages: list[Stage] = []
     stage_of: dict[int, int] = {}
+    merged_into: dict[int, int] = {}  # emptied stage -> the stage it joined
 
     def new_stage() -> Stage:
         stage = Stage(index=len(stages))
@@ -101,6 +102,10 @@ def build_stage_graph(root: PhysicalOp) -> StageGraph:
             # membership nor re-walk the subtree (exponential on sharing).
             return seen
         child_stage_indices = [visit(child) for child in op.children]
+        if len(child_stage_indices) > 1:
+            # Re-read once every child is visited: a later sibling's join may
+            # have merged (emptied) the stage an earlier one was first put in.
+            child_stage_indices = [stage_of[id(child)] for child in op.children]
 
         if op.is_partitioning:
             stage = new_stage()
@@ -128,6 +133,7 @@ def build_stage_graph(root: PhysicalOp) -> StageGraph:
                     stage.operators.append(moved)
                 stage.upstream |= other.upstream
                 other.operators = []
+                merged_into[other_idx] = primary
             if op.partition_count != stage.partition_count:
                 raise InvalidPlanError(
                     f"{op.op_type.value} partition count {op.partition_count} "
@@ -139,11 +145,15 @@ def build_stage_graph(root: PhysicalOp) -> StageGraph:
 
     visit(root)
 
-    # Drop stages emptied by join merges and compact indices.
+    # Drop stages emptied by join merges and compact indices.  An upstream
+    # edge recorded before its producer was merged follows the merge.
     alive = [s for s in stages if s.operators]
     remap = {old.index: new_idx for new_idx, old in enumerate(alive)}
+    for emptied in sorted(merged_into):  # ascending: each joined a lower index
+        remap[emptied] = remap[merged_into[emptied]]
     for stage in alive:
-        stage.upstream = {remap[u] for u in stage.upstream if stages[u].operators}
         stage.index = remap[stage.index]
+        stage.upstream = {remap[u] for u in stage.upstream}
+        stage.upstream.discard(stage.index)
     compact_of = {op_id: remap[idx] for op_id, idx in stage_of.items() if stages[idx].operators}
     return StageGraph(stages=alive, stage_of=compact_of)

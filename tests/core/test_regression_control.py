@@ -84,9 +84,17 @@ class TestModelQuarantine:
         assert store.get(ModelKind.OP_SUBGRAPH, signature) is None
 
     def test_report_counts(self, tiny_bundle):
+        import copy
+
+        # A copy: auditing the session-wide predictor's own store pruned it
+        # for every test that ran later.
         predictor = tiny_bundle.predictor()
-        report = ModelQuarantine().audit(predictor.store, tiny_bundle.test_log())
+        models = predictor.store.count()
+        store = copy.deepcopy(predictor.store)
+        report = ModelQuarantine().audit(store, tiny_bundle.test_log())
         assert report.inspected == tiny_bundle.test_log().operator_count
+        assert store.count() == models - report.total_removed
+        assert predictor.store.count() == models
 
     def test_audit_second_pass_is_idempotent(self, tiny_bundle):
         """Once the offenders are gone, a re-audit removes nothing more."""

@@ -5,7 +5,8 @@ template, advances every open search to its next suspension and prices all
 their pending ledger rows in one call.  These tests pin what that must not
 change — plans, costs, choice keys and lookup accounting against a per-job
 scalar ``QueryPlanner``, in any job order — and what it must change: the
-number of pricing calls follows the deepest job, not the fleet size.
+number of pricing calls follows the deepest job, not the fleet size (what a
+job's depth is: ``test_sibling_waves``).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.optimizer.planner import PlannerConfig, QueryPlanner
 from repro.optimizer.replan import FleetReplanner, ReplanJob
 from repro.optimizer.skeleton import SkeletonPlanner
 from repro.workload.templates import instantiate
+from tests.optimizer.test_sibling_waves import critical_path
 
 
 def _fingerprint(planned):
@@ -159,18 +161,14 @@ class TestWaveCount:
     def test_flushes_follow_the_deepest_job_not_the_fleet(
         self, distinct_jobs, tiny_predictor
     ):
-        deepest = 0
-        for job in distinct_jobs:
-            solo = SkeletonPlanner(
-                CleoCostModel(tiny_predictor), CardinalityEstimator(), PlannerConfig()
-            )
-            solo.replan_job(job.template_id, job.day, job.logical, job.salt)
-            deepest = max(deepest, solo.stats().frontier_flushes)
-        assert deepest > 1
+        """One wave per level of the deepest job's critical path, plus the
+        one in which that job finishes and its stragglers are priced."""
+        deepest = max(critical_path(job.logical) for job in distinct_jobs)
+        assert deepest > 3
 
         _fps, _keys, replanner = _replan(distinct_jobs, CleoCostModel(tiny_predictor))
         flushes = replanner.stats().frontier_flushes
-        assert 0 < flushes <= deepest + 1
+        assert flushes == deepest + 1
 
         doubled = distinct_jobs + distinct_jobs
         assert len(doubled) <= SkeletonPlanner._LIVE_SEARCH_LIMIT

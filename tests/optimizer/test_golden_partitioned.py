@@ -27,9 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro.cardinality.estimator import CardinalityEstimator
-from repro.core.config import CleoConfig
 from repro.core.cost_model import CleoCostModel
-from repro.core.trainer import CleoTrainer
 from repro.cost.interface import plan_cost
 from repro.optimizer.partition import (
     AnalyticalStrategy,
@@ -53,12 +51,6 @@ STRATEGIES = {
 }
 #: id -> (batched, stride over the day's jobs).
 PATHS = [pytest.param(True, 1, id="batched"), pytest.param(False, 3, id="scalar")]
-
-
-def train(bundle):
-    """The pinned predictor, trained here: the session-wide ``tiny_predictor``
-    is shared with tests that audit models out of its store."""
-    return CleoTrainer(CleoConfig()).train(bundle.log, individual_days=[1, 2], combined_days=[2])
 
 
 def _digest(plan, cost: float) -> str:
@@ -118,11 +110,6 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.fixture(scope="module")
-def predictor(tiny_bundle):
-    return train(tiny_bundle)
-
-
 def test_golden_covers_every_strategy_and_job(tiny_bundle, golden):
     assert sorted(golden) == sorted(STRATEGIES)
     n_jobs = len(_jobs(tiny_bundle, 1))
@@ -135,9 +122,9 @@ def test_golden_covers_every_strategy_and_job(tiny_bundle, golden):
 @pytest.mark.parametrize("batched,stride", PATHS)
 @pytest.mark.parametrize("name", STRATEGIES)
 def test_query_planner_reproduces_golden(
-    tiny_bundle, predictor, golden, name, batched, stride
+    tiny_bundle, tiny_predictor, golden, name, batched, stride
 ):
-    model = CleoCostModel(predictor, batched=batched)
+    model = CleoCostModel(tiny_predictor, batched=batched)
     got = planner_digests(tiny_bundle, model, name, stride)
     assert got == golden[name]["planned"][::stride]
 
@@ -145,9 +132,9 @@ def test_query_planner_reproduces_golden(
 @pytest.mark.parametrize("batched,stride", PATHS)
 @pytest.mark.parametrize("name", STRATEGIES)
 def test_fleet_replanner_reproduces_golden(
-    tiny_bundle, predictor, golden, name, batched, stride
+    tiny_bundle, tiny_predictor, golden, name, batched, stride
 ):
-    model = CleoCostModel(predictor, batched=batched)
+    model = CleoCostModel(tiny_predictor, batched=batched)
     got = fleet_digests(tiny_bundle, model, name, stride)
     assert got == golden[name]["planned"][::stride]
 
@@ -156,9 +143,9 @@ def test_fleet_replanner_reproduces_golden(
 @pytest.mark.parametrize("guard", [True, False], ids=["guard", "noguard"])
 @pytest.mark.parametrize("name", STRATEGIES)
 def test_optimize_partitions_reproduces_golden(
-    tiny_bundle, predictor, golden, name, guard, batched, stride
+    tiny_bundle, tiny_predictor, golden, name, guard, batched, stride
 ):
-    model = CleoCostModel(predictor, batched=batched)
+    model = CleoCostModel(tiny_predictor, batched=batched)
     row = "explored_guard" if guard else "explored_noguard"
     got = explored_digests(tiny_bundle, model, name, guard, stride)
     assert got == golden[name][row][::stride]
@@ -168,7 +155,7 @@ if __name__ == "__main__":
     from repro.experiments.shared import get_bundle
 
     tiny = get_bundle("cluster1", scale="tiny", seed=0)
-    reference = CleoCostModel(train(tiny))
+    reference = CleoCostModel(tiny.predictor())
     GOLDEN.write_text(
         json.dumps(
             {

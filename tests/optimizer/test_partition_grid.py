@@ -16,7 +16,7 @@ import copy
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cardinality.estimator import CardinalityEstimator
@@ -458,17 +458,12 @@ class TestWaveEqualsThreeStepFinale:
         for plan in plans:
             # Stages merged under a join must agree: one count for the whole
             # plan where the drawn ones do not survive ``build_stage_graph``.
-            for stage_counts in (counts, counts[:1]):
-                try:
-                    candidate = _restaged(plan, stage_counts, all_fixed)
-                    build_stage_graph(candidate)
-                except InvalidPlanError:
-                    # (Some shared-subtree shapes cannot be staged at all:
-                    # ROADMAP, known defects.)
-                    continue
-                restaged.append(candidate)
-                break
-        assume(restaged)
+            try:
+                candidate = _restaged(plan, counts, all_fixed)
+                build_stage_graph(candidate)
+            except InvalidPlanError:
+                candidate = _restaged(plan, counts[:1], all_fixed)
+            restaged.append(candidate)
         self._check(predictor, restaged, *strategy, guard)
 
     @given(

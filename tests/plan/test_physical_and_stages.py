@@ -161,3 +161,72 @@ class TestStageGraph:
             1 for op in physical_simple_plan.walk() if op.op_type is PhysOpType.EXTRACT
         )
         assert len(graph.stages) == exchanges + extracts
+
+
+class TestStageGraphOverSharedLeaves:
+    """DAG-shaped caller input: a later sibling's join merges (empties) the
+    stage an earlier sibling was first put in."""
+
+    @staticmethod
+    def _op(op_type, children, logical, exchange_mode=None):
+        return PhysicalOp(
+            op_type=op_type,
+            children=children,
+            logical=logical,
+            partition_count=4,
+            partitioning=Partitioning.random(),
+            exchange_mode=exchange_mode,
+        )
+
+    @pytest.fixture()
+    def leaves(self, builder):
+        users = builder.scan("users_2024_01_01")
+        events = builder.scan("events_2024_01_01")
+        a, b = _extract(users), _extract(events)
+        filter_a = self._op(
+            PhysOpType.FILTER, (a,), builder.filter(users, "country", 0.5, tag="s:fa")
+        )
+        filter_b = self._op(
+            PhysOpType.FILTER, (b,), builder.filter(events, "ts", 0.5, tag="s:fb")
+        )
+        joined = builder.join(
+            users, events, keys=("user_id", "user_id"), fanout=1.0, tag="s:j"
+        )
+        join = self._op(PhysOpType.HASH_JOIN, (a, b), joined)
+        union = builder.union(users, events, tag="s:u")
+        return filter_a, filter_b, join, union
+
+    def test_union_over_filters_and_their_join(self, leaves):
+        """UNION(FILTER(a), FILTER(b), JOIN(a, b)): was ``empty stage``."""
+        filter_a, filter_b, join, union = leaves
+        root = self._op(PhysOpType.UNION_ALL, (filter_a, filter_b, join), union)
+        graph = build_stage_graph(root)
+        assert len(graph) == 1
+        (stage,) = graph.stages
+        assert len(stage.operators) == 6 and stage.upstream == set()
+        for op in (root, filter_a, filter_b, join):
+            assert graph.stage_for(op) is stage
+
+    def test_exchange_keeps_its_producer_when_that_stage_is_merged_later(self, leaves):
+        """An exchange over FILTER(b) is staged before JOIN(a, b) merges b's
+        stage into a's: its upstream edge follows the merge (was dropped)."""
+        filter_a, filter_b, join, union = leaves
+
+        def exchange(child):
+            return self._op(PhysOpType.EXCHANGE, (child,), None, ExchangeMode.RANDOM)
+
+        over_b = exchange(filter_b)
+        root = self._op(
+            PhysOpType.UNION_ALL,
+            (exchange(filter_a), exchange(over_b), exchange(join)),
+            union,
+        )
+        graph = build_stage_graph(root)
+        producer = graph.stage_for(filter_b)
+        assert producer is graph.stage_for(join) is graph.stage_for(filter_a)
+        assert graph.stage_for(over_b).upstream == {producer.index}
+        seen: set[int] = set()
+        for stage in graph.topological_order():
+            assert stage.upstream <= seen
+            seen.add(stage.index)
+        assert len(seen) == len(graph) == 3
