@@ -11,6 +11,11 @@ cost-model use case on one trained workload —
 5. what-if analysis: materializing a common subexpression, input growth;
 6. machine-SKU advice (Section 5.2's "VM instance types" hook).
 
+Every application prices a plan's operators through the cost model
+(``CleoCostModel``) and rolls the learned seconds up with
+``repro.execution.trace`` — so a prediction and the executed trace it is
+compared against (step 4) are the same ``Timeline`` type.
+
 Run:  python examples/applications_tour.py
 """
 
@@ -103,6 +108,7 @@ def main() -> None:
     print()
 
     # -- 4. Query progress estimation -------------------------------------- #
+    # Predicted and executed timelines of one plan, stage for stage.
     print("== 4. progress estimation ==")
     trace = trace_job(runner.simulator, example_plan)
     estimator = ProgressEstimator(perf.predict(example_plan))
@@ -110,7 +116,7 @@ def main() -> None:
     baseline = evaluate_stage_count_baseline(trace)
     print(f"  work-weighted indicator: mean |error| {weighted.mean_abs_error:5.3f}")
     print(f"  stage-count baseline:    mean |error| {baseline.mean_abs_error:5.3f}")
-    halfway = trace.total_latency / 2
+    halfway = trace.latency_seconds / 2
     print(f"  at t={halfway:.0f}s: {100 * estimator.progress_at(trace, halfway):.0f}% done, "
           f"~{estimator.remaining_seconds(trace, halfway):.0f}s remaining\n")
 

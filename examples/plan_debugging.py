@@ -1,9 +1,11 @@
 """Plan debugging: visualize plans, stages, and execution timelines.
 
 Shows the debuggability tooling around the optimizer and simulator: ASCII
-plan trees, stage summaries, execution traces with critical-path analysis,
-and a before/after comparison of a default plan vs its Cleo replanning —
-the workflow an engineer uses to answer "why is the new plan faster?".
+plan trees, stage summaries, execution timelines with critical-path
+analysis (``trace_job``: the simulator's noise-free seconds under the one
+stage rule of ``repro.execution.trace``), and a before/after comparison of
+a default plan vs its Cleo replanning — the workflow an engineer uses to
+answer "why is the new plan faster?".
 
 Run:  python examples/plan_debugging.py
 """

@@ -51,10 +51,10 @@ def main() -> None:
         if strategy is None:
             planner = runner._planner  # the production default planner
         else:
-            cost_model = CleoCostModel(predictor)
-            cost_model.reset_lookup_count()
+            # A bare predictor's lookups are charged on the predictor itself.
+            predictor.reset_lookup_count()
             planner = QueryPlanner(
-                cost_model, estimator, PlannerConfig(partition_strategy=strategy)
+                CleoCostModel(predictor), estimator, PlannerConfig(partition_strategy=strategy)
             )
         total_latency = total_cpu = 0.0
         for job in jobs:
@@ -75,7 +75,7 @@ def main() -> None:
                 f"{100*(1-total_cpu/baseline_cpu):+.1f}% CPU vs default)"
             )
         if strategy is not None:
-            line += f"  [{planner.cost_model.lookup_count:,} model lookups]"
+            line += f"  [{predictor.lookup_count:,} model lookups]"
         print(line)
 
 

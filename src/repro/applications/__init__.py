@@ -5,10 +5,16 @@ selection that "are relevant in cloud environments, where accuracy of
 predicted costs is crucial": performance prediction, allocating resources
 to queries, estimating task runtimes for scheduling, estimating the
 progress of a query, and running what-if analysis for physical design
-selection.  This package implements each of them on top of the
-:class:`~repro.serving.service.CleoService` serving façade (operators are
-priced through its batched, cached path) — they are the paper's "future
-work" made concrete on this reproduction's substrate.
+selection.  This package implements each of them — the paper's "future
+work" made concrete on this reproduction's substrate — on two shared
+pieces: a plan's operators are priced in one
+:meth:`~repro.core.cost_model.CleoCostModel.price_operators` call (so
+featurization stays in the cost model), and the learned seconds are rolled
+up by :func:`repro.execution.trace.timeline` into the same
+:class:`~repro.execution.trace.Timeline` the simulator's ground-truth traces
+produce, under the one stage rule.  ``ext_applications`` measures
+prediction, scheduling and progress; allocation, what-if and SKU advice
+have no regression number yet.
 
 * :mod:`repro.applications.prediction` — job-level latency / CPU-hour
   prediction with empirical confidence intervals;
@@ -33,9 +39,7 @@ from repro.applications.allocation import (
 from repro.applications.prediction import (
     CalibrationReport,
     JobPerformancePredictor,
-    JobPrediction,
     PredictionInterval,
-    StageEstimate,
 )
 from repro.applications.progress import (
     ProgressEstimator,
@@ -72,7 +76,6 @@ __all__ = [
     "CalibrationReport",
     "ClusterScheduler",
     "JobPerformancePredictor",
-    "JobPrediction",
     "MachineSku",
     "MaterializationCandidate",
     "PredictionInterval",
@@ -84,7 +87,6 @@ __all__ = [
     "SkuAdvisor",
     "SkuEstimate",
     "SkuRecommendation",
-    "StageEstimate",
     "TaskSpec",
     "WhatIfAnalyzer",
     "WhatIfOutcome",

@@ -118,11 +118,6 @@ class ResourceAllocator:
         self.budget_growth = budget_growth
         self.performance = JobPerformancePredictor(self.service, self.estimator)
 
-    @property
-    def predictor(self) -> CleoPredictor:
-        """The currently served predictor (tracks service rollbacks)."""
-        return self.service.predictor
-
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #

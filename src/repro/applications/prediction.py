@@ -3,11 +3,13 @@
 The paper's evaluation scores Cleo on *operator* costs; a production
 deployment mostly consumes them aggregated to the job level: "Examples
 include performance prediction [39], allocating resources to queries [25]"
-(Section 6.7).  This module rolls per-operator predictions up the stage
-graph exactly like the execution substrate does — stage duration is the sum
-of its operators' exclusive costs plus the fixed stage-startup charge, job
-latency is the critical path over the stage DAG, and total processing time
-sums each operator's cost across its partitions.
+(Section 6.7).  This module prices a plan's operators in one
+:meth:`~repro.core.cost_model.CleoCostModel.price_operators` call and feeds
+the learned seconds into :func:`~repro.execution.trace.timeline` — the stage
+rule and :class:`~repro.execution.trace.Timeline` type the simulator's own
+traces use: stage duration is its operators' exclusive costs plus the fixed
+start-up charge, job latency the critical path over the stage DAG, and
+total processing time each stage's operator cost across its partitions.
 
 Point predictions come with empirical confidence intervals: the predictor
 is calibrated on a held-out :class:`~repro.execution.runtime_log.RunLog`
@@ -29,59 +31,11 @@ from repro.cardinality.estimator import CardinalityEstimator
 from repro.common.errors import ValidationError
 from repro.core.predictor import CleoPredictor
 from repro.execution.runtime_log import RunLog
-from repro.execution.simulator import STAGE_STARTUP_SECONDS
-from repro.features.extract import feature_input_for
+from repro.execution.trace import Timeline, timeline
 from repro.plan.physical import PhysicalOp
-from repro.plan.signatures import SignatureBundle
-from repro.plan.stages import build_stage_graph
-from repro.serving.service import CleoService, PredictionRequest
+from repro.serving.service import CleoService
 
 _EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class StageEstimate:
-    """Predicted timeline entry for one stage of a plan."""
-
-    index: int
-    partition_count: int
-    operator_types: tuple[str, ...]
-    predicted_seconds: float
-    predicted_cpu_seconds: float
-    start_seconds: float
-    finish_seconds: float
-    on_critical_path: bool
-
-
-@dataclass(frozen=True)
-class JobPrediction:
-    """Predicted end-to-end performance of one physical plan."""
-
-    stages: tuple[StageEstimate, ...]
-    latency_seconds: float
-    cpu_seconds: float
-
-    @property
-    def critical_path(self) -> tuple[StageEstimate, ...]:
-        return tuple(s for s in self.stages if s.on_critical_path)
-
-    def bottleneck(self) -> StageEstimate:
-        """The longest predicted stage on the critical path."""
-        return max(self.critical_path, key=lambda s: s.predicted_seconds)
-
-    def describe(self) -> str:
-        lines = [
-            f"predicted latency: {self.latency_seconds:.1f}s, "
-            f"cpu: {self.cpu_seconds / 3600.0:.2f}h, {len(self.stages)} stages"
-        ]
-        for stage in sorted(self.stages, key=lambda s: s.start_seconds):
-            marker = "*" if stage.on_critical_path else " "
-            lines.append(
-                f" {marker} stage {stage.index:>2} "
-                f"[{stage.start_seconds:8.1f} -> {stage.finish_seconds:8.1f}] "
-                f"P={stage.partition_count:<5} {','.join(stage.operator_types)}"
-            )
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -128,95 +82,34 @@ class JobPerformancePredictor:
     """Rolls learned operator costs up to job latency and CPU-hours.
 
     Args:
-        predictor: a :class:`~repro.serving.service.CleoService` (preferred:
-            plan operators are priced through its batched, cached path), a
-            trained :class:`CleoPredictor`, or any object with the scalar
-            ``predict(features, signatures)`` surface.
+        predictor: a :class:`~repro.serving.service.CleoService` (its caches
+            are shared) or bare trained models, which are wrapped in one.
         estimator: the cardinality estimator providing compile-time
             statistics; a fresh default estimator when omitted.
-        stage_startup_seconds: fixed per-stage scheduling charge, matching
-            the execution substrate's container-acquisition cost.
     """
 
     def __init__(
         self,
         predictor: CleoService | CleoPredictor,
         estimator: CardinalityEstimator | None = None,
-        stage_startup_seconds: float = STAGE_STARTUP_SECONDS,
     ) -> None:
-        self.predictor = predictor
+        self.service = CleoService.ensure(predictor)
+        self.cost_model = self.service.cost_model()
         self.estimator = estimator or CardinalityEstimator()
-        self.stage_startup_seconds = stage_startup_seconds
         self._log_ratios: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
     # Point prediction
     # ------------------------------------------------------------------ #
 
-    def predict(self, plan: PhysicalOp) -> JobPrediction:
+    def operator_seconds(self, plan: PhysicalOp) -> np.ndarray:
+        """Learned exclusive seconds of every operator, in walk order: one
+        :meth:`~repro.core.cost_model.CleoCostModel.price_operators` call."""
+        return self.cost_model.price_operators(list(plan.walk()), self.estimator)
+
+    def predict(self, plan: PhysicalOp) -> Timeline:
         """Predicted stage timeline, latency, and CPU time for ``plan``."""
-        graph = build_stage_graph(plan)
-
-        ops = list(plan.walk())
-        op_cost: dict[int, float] = {}
-        batch = getattr(self.predictor, "predict_batch", None)
-        if callable(batch):
-            requests = [
-                PredictionRequest(
-                    feature_input_for(op, self.estimator), SignatureBundle.of(op)
-                )
-                for op in ops
-            ]
-            for op, cost in zip(ops, batch(requests)):
-                op_cost[id(op)] = float(cost)
-        else:
-            for op in ops:
-                features = feature_input_for(op, self.estimator)
-                op_cost[id(op)] = self.predictor.predict(features, SignatureBundle.of(op))
-
-        durations: dict[int, float] = {}
-        cpu: dict[int, float] = {}
-        for stage in graph.stages:
-            total = sum(op_cost[id(op)] for op in stage.operators)
-            durations[stage.index] = self.stage_startup_seconds + total
-            cpu[stage.index] = total * stage.partition_count
-
-        start: dict[int, float] = {}
-        finish: dict[int, float] = {}
-        for stage in graph.topological_order():
-            start[stage.index] = max((finish[u] for u in stage.upstream), default=0.0)
-            finish[stage.index] = start[stage.index] + durations[stage.index]
-
-        critical: set[int] = set()
-        current = max(finish, key=lambda idx: finish[idx])
-        while True:
-            critical.add(current)
-            upstream = graph.stages[current].upstream
-            if not upstream:
-                break
-            current = max(upstream, key=lambda idx: finish[idx])
-
-        stages = tuple(
-            StageEstimate(
-                index=stage.index,
-                partition_count=stage.partition_count,
-                operator_types=tuple(op.op_type.value for op in stage.operators),
-                predicted_seconds=durations[stage.index],
-                predicted_cpu_seconds=cpu[stage.index],
-                start_seconds=start[stage.index],
-                finish_seconds=finish[stage.index],
-                on_critical_path=stage.index in critical,
-            )
-            for stage in graph.stages
-        )
-        return JobPrediction(
-            stages=stages,
-            latency_seconds=max(finish.values()),
-            cpu_seconds=float(sum(cpu.values())),
-        )
-
-    def predict_latency(self, plan: PhysicalOp) -> float:
-        return self.predict(plan).latency_seconds
+        return timeline(plan, self.operator_seconds(plan).tolist())
 
     # ------------------------------------------------------------------ #
     # Calibration and intervals
@@ -227,19 +120,20 @@ class JobPerformancePredictor:
 
         Collects ``log((actual + 1) / (predicted + 1))`` per operator record
         — the same log-ratio the MSLE training loss penalizes — and stores
-        the empirical distribution for interval construction.
+        the empirical distribution for interval construction.  The log's
+        cached table is priced in one ``predict_table`` call.
 
         Operator-level residuals transfer only approximately to job-level
         intervals (aggregation cancels some errors and critical-path
         structure adds others); when retained plans are available, prefer
         :meth:`calibrate_jobs`.
         """
-        ratios: list[float] = []
-        for record in log.operator_records():
-            predicted = self.predictor.predict_record(record)
-            ratios.append(
-                math.log((record.actual_latency + 1.0) / (predicted + 1.0))
-            )
+        table = log.to_table()
+        predicted = self.service.predict_table(table).tolist()
+        ratios = [
+            math.log((actual + 1.0) / (value + 1.0))
+            for actual, value in zip(table.latency.tolist(), predicted)
+        ]
         return self._store_ratios(ratios, "calibration log contains no operator records")
 
     def calibrate_jobs(
@@ -294,7 +188,7 @@ class JobPerformancePredictor:
             raise ValidationError("predict_interval requires calibrate() first")
         if not 0.0 < coverage < 1.0:
             raise ValidationError(f"coverage must be in (0, 1), got {coverage}")
-        point = self.predict_latency(plan)
+        point = self.predict(plan).latency_seconds
         tail = (1.0 - coverage) / 2.0
         lo = float(np.quantile(self._log_ratios, tail))
         hi = float(np.quantile(self._log_ratios, 1.0 - tail))
@@ -329,5 +223,5 @@ class JobPerformancePredictor:
             actual = actuals.get(job_id)
             if actual is None:
                 continue
-            out[job_id] = (self.predict_latency(plan), actual)
+            out[job_id] = (self.predict(plan).latency_seconds, actual)
         return out

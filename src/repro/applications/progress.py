@@ -8,10 +8,11 @@ ten-second stage and a ten-minute stage alike; weighting stages by their
 *predicted cost* tracks wall-clock reality much more closely when the
 predictions are good — which is exactly what the learned models provide.
 
-The estimator consumes the predicted stage timeline of
-:class:`~repro.applications.prediction.JobPrediction` and an executed
-:class:`~repro.execution.trace.JobTrace` of the same plan (stage indices
-align because both derive from the same stage graph).  At any wall-clock
+The estimator compares two :class:`~repro.execution.trace.Timeline` values
+of the same plan — the learned prediction
+(:meth:`~repro.applications.prediction.JobPerformancePredictor.predict`) and
+the executed trace (:func:`~repro.execution.trace.trace_job`); stage indices
+align because both derive from the same stage graph.  At any wall-clock
 instant, completed stages contribute their full predicted weight and
 running stages a prorated share.
 """
@@ -19,15 +20,15 @@ running stages a prorated share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from repro.applications.prediction import JobPrediction
 from repro.common.errors import ValidationError
-from repro.execution.trace import JobTrace
+from repro.execution.trace import Timeline
 
 
-def stage_count_progress(trace: JobTrace, wall_seconds: float) -> float:
+def stage_count_progress(trace: Timeline, wall_seconds: float) -> float:
     """Baseline indicator: fraction of stages finished by ``wall_seconds``."""
     if not trace.stages:
         return 1.0
@@ -51,12 +52,12 @@ class ProgressReport:
 class ProgressEstimator:
     """Work-weighted progress indicator for one executing job."""
 
-    def __init__(self, prediction: JobPrediction) -> None:
+    def __init__(self, prediction: Timeline) -> None:
         if not prediction.stages:
             raise ValidationError("prediction has no stages")
         self.prediction = prediction
         self._weight = {
-            stage.index: max(stage.predicted_seconds, 0.0)
+            stage.index: max(stage.seconds, 0.0)
             for stage in prediction.stages
         }
         self._total = sum(self._weight.values())
@@ -67,7 +68,7 @@ class ProgressEstimator:
     # Point queries
     # ------------------------------------------------------------------ #
 
-    def progress_at(self, trace: JobTrace, wall_seconds: float) -> float:
+    def progress_at(self, trace: Timeline, wall_seconds: float) -> float:
         """Estimated completed-work fraction at ``wall_seconds``.
 
         Stage indices of ``trace`` must match the prediction's (same plan);
@@ -80,13 +81,15 @@ class ProgressEstimator:
                 raise ValidationError(
                     f"trace stage {stage.index} is unknown to the prediction"
                 )
+            # The span as scheduled (``seconds`` may differ in the last bit).
+            span = stage.finish_seconds - stage.start_seconds
             if stage.finish_seconds <= wall_seconds:
                 done += weight
-            elif stage.start_seconds < wall_seconds and stage.duration > 0:
-                done += weight * (wall_seconds - stage.start_seconds) / stage.duration
+            elif stage.start_seconds < wall_seconds and span > 0:
+                done += weight * (wall_seconds - stage.start_seconds) / span
         return min(1.0, done / self._total)
 
-    def remaining_seconds(self, trace: JobTrace, wall_seconds: float) -> float:
+    def remaining_seconds(self, trace: Timeline, wall_seconds: float) -> float:
         """Predicted wall time left, assuming predicted pace continues.
 
         Scales the predicted total by the share of work still outstanding.
@@ -100,44 +103,41 @@ class ProgressEstimator:
     # Whole-trace evaluation
     # ------------------------------------------------------------------ #
 
-    def curve(self, trace: JobTrace, points: int = 50) -> list[tuple[float, float]]:
+    def curve(self, trace: Timeline, points: int = 50) -> list[tuple[float, float]]:
         """``(wall_fraction, estimated_progress)`` samples over the run."""
-        if points < 2:
-            raise ValidationError("curve needs at least two points")
-        total = trace.total_latency
-        out: list[tuple[float, float]] = []
-        for frac in np.linspace(0.0, 1.0, points):
-            out.append((float(frac), self.progress_at(trace, frac * total)))
-        return out
+        return _curve(self.progress_at, trace, points)
 
-    def evaluate(self, trace: JobTrace, points: int = 50) -> ProgressReport:
+    def evaluate(self, trace: Timeline, points: int = 50) -> ProgressReport:
         """Deviation of this indicator from ideal progress.
 
         The ideal indicator reports exactly the elapsed fraction of the
         job's (unknown ahead of time) total latency; a perfect predictor
         with uniform pacing would sit on that diagonal.
         """
-        errors = [
-            abs(estimated - frac) for frac, estimated in self.curve(trace, points)
-        ]
-        return ProgressReport(
-            samples=points,
-            mean_abs_error=float(np.mean(errors)),
-            max_abs_error=float(np.max(errors)),
-        )
+        return _deviation(self.curve(trace, points))
 
 
-def evaluate_stage_count_baseline(trace: JobTrace, points: int = 50) -> ProgressReport:
+def evaluate_stage_count_baseline(trace: Timeline, points: int = 50) -> ProgressReport:
     """The stage-count indicator's deviation from ideal, for comparison."""
+    return _deviation(_curve(stage_count_progress, trace, points))
+
+
+def _curve(
+    progress: Callable[[Timeline, float], float], trace: Timeline, points: int
+) -> list[tuple[float, float]]:
+    """``progress`` sampled at ``points`` evenly spaced fractions of the run."""
     if points < 2:
         raise ValidationError("curve needs at least two points")
-    total = trace.total_latency
-    errors = [
-        abs(stage_count_progress(trace, frac * total) - frac)
-        for frac in np.linspace(0.0, 1.0, points)
+    total = trace.latency_seconds
+    return [
+        (float(frac), progress(trace, frac * total)) for frac in np.linspace(0.0, 1.0, points)
     ]
+
+
+def _deviation(curve: list[tuple[float, float]]) -> ProgressReport:
+    errors = [abs(estimated - frac) for frac, estimated in curve]
     return ProgressReport(
-        samples=points,
+        samples=len(curve),
         mean_abs_error=float(np.mean(errors)),
         max_abs_error=float(np.max(errors)),
     )

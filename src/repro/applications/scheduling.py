@@ -8,7 +8,8 @@ reproduction's substrate:
 
 1. :func:`job_to_tasks` decomposes a planned job into stage tasks, each with
    a *predicted* runtime from a cost model (learned or default) and an
-   *actual* runtime from the execution simulator's ground truth;
+   *actual* runtime from the execution simulator's ground truth — both the
+   stage seconds of a :class:`~repro.execution.trace.Timeline`;
 2. :class:`ClusterScheduler` runs an event-driven simulation of a container
    pool executing those tasks under precedence constraints, making ordering
    decisions with the predicted runtimes but advancing time with the actual
@@ -31,9 +32,9 @@ from dataclasses import dataclass, field
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.common.errors import ValidationError
 from repro.cost.interface import CostModel
-from repro.execution.simulator import STAGE_STARTUP_SECONDS, ExecutionSimulator
+from repro.execution.simulator import ExecutionSimulator
+from repro.execution.trace import Timeline, timeline, trace_job
 from repro.plan.physical import PhysicalOp
-from repro.plan.stages import build_stage_graph
 from repro.serving.service import CleoService, as_cost_model
 
 
@@ -73,33 +74,31 @@ def job_to_tasks(
 ) -> list[TaskSpec]:
     """Decompose a physical plan into stage tasks with runtime estimates.
 
-    Estimated runtime: the cost model's summed exclusive operator costs plus
-    the stage startup charge (what the job manager would compute at submit
-    time).  Actual runtime: the simulator's noise-free ground truth (what
+    Estimated runtime: the stage seconds of the cost model's exclusive
+    operator costs (what the job manager would compute at submit time).
+    Actual runtime: those of the simulator's noise-free ground truth (what
     execution will take).
     """
     cost_model = as_cost_model(cost_model)
-    graph = build_stage_graph(plan)
-    tasks: list[TaskSpec] = []
-    for stage in graph.stages:
-        estimated = STAGE_STARTUP_SECONDS + sum(
-            cost_model.operator_cost(op, estimator) for op in stage.operators
+    estimated = timeline(
+        plan, [cost_model.operator_cost(op, estimator) for op in plan.walk()]
+    )
+    return _tasks(job_id, estimated, trace_job(simulator, plan))
+
+
+def _tasks(job_id: str, estimated: Timeline, actual: Timeline) -> list[TaskSpec]:
+    """One task per stage of two timelines of the same plan."""
+    return [
+        TaskSpec(
+            job_id=job_id,
+            stage_index=stage.index,
+            containers=stage.partition_count,
+            estimated_seconds=stage.seconds,
+            actual_seconds=executed.seconds,
+            upstream=stage.upstream,
         )
-        actual = STAGE_STARTUP_SECONDS + sum(
-            simulator.ground_truth.exclusive_latency(op, rng=None)
-            for op in stage.operators
-        )
-        tasks.append(
-            TaskSpec(
-                job_id=job_id,
-                stage_index=stage.index,
-                containers=stage.partition_count,
-                estimated_seconds=estimated,
-                actual_seconds=actual,
-                upstream=tuple(sorted(stage.upstream)),
-            )
-        )
-    return tasks
+        for stage, executed in zip(estimated.stages, actual.stages)
+    ]
 
 
 @dataclass(frozen=True)
@@ -281,30 +280,8 @@ class SchedulingStudy:
         return self.results
 
     def oracle(self, plans: dict[str, PhysicalOp]) -> ScheduleOutcome:
-        """Schedule with perfect runtime knowledge (the lower bound)."""
-        scheduler = ClusterScheduler(self.total_containers, self.policy)
-        jobs: dict[str, list[TaskSpec]] = {}
-        for job_id, plan in plans.items():
-            tasks = job_to_tasks(
-                plan, job_id, _OracleCostModel(self.simulator), self.estimator, self.simulator
-            )
-            jobs[job_id] = tasks
-        return scheduler.run(jobs)
-
-
-class _OracleCostModel:
-    """Prices operators at their true noise-free latency (study baseline)."""
-
-    def __init__(self, simulator: ExecutionSimulator) -> None:
-        self._simulator = simulator
-
-    def operator_cost(
-        self,
-        op: PhysicalOp,
-        estimator: CardinalityEstimator,
-        partition_override: int | None = None,
-    ) -> float:
-        priced = (
-            op if partition_override is None else op.with_partition_count(partition_override)
-        )
-        return self._simulator.ground_truth.exclusive_latency(priced, rng=None)
+        """Schedule with perfect runtime knowledge (the lower bound): each
+        job's actual stage seconds serve as its estimates too."""
+        traces = {job_id: trace_job(self.simulator, plan) for job_id, plan in plans.items()}
+        jobs = {job_id: _tasks(job_id, trace, trace) for job_id, trace in traces.items()}
+        return ClusterScheduler(self.total_containers, self.policy).run(jobs)

@@ -11,9 +11,9 @@ The scaling assumption is stated explicitly: compute time scales inversely
 with a SKU's relative speed factor, while the fixed per-stage scheduling
 charge does not — exactly the structure of this reproduction's ground
 truth (``latency = work / speed``), and a standard first-order model for
-real fleets.  Each SKU estimate therefore re-rolls the per-operator
-predictions through the stage DAG (so critical paths may shift), rather
-than naively scaling the job total.
+real fleets.  A plan's operators are priced once; each SKU estimate scales
+that cost vector and re-rolls it through the stage DAG (so critical paths
+may shift), rather than naively scaling the job total.
 
 Dollar cost is billed the serverless way the paper's Section 7 sketches:
 container-hours times the SKU's hourly price.
@@ -23,14 +23,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.applications.prediction import JobPerformancePredictor, JobPrediction
+import numpy as np
+
+from repro.applications.prediction import JobPerformancePredictor
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.common.errors import ValidationError
 from repro.core.predictor import CleoPredictor
-from repro.features.featurizer import FeatureInput
+from repro.execution.trace import Timeline, timeline
 from repro.plan.physical import PhysicalOp
-from repro.plan.signatures import SignatureBundle
-from repro.serving.service import CleoService, PredictionRequest
+from repro.serving.service import CleoService
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class SkuEstimate:
     """Predicted outcome of running one job on one SKU."""
 
     sku: MachineSku
-    prediction: JobPrediction
+    prediction: Timeline
 
     @property
     def latency_seconds(self) -> float:
@@ -116,36 +117,6 @@ class SkuRecommendation:
         return "\n".join(lines)
 
 
-class _ScaledScalarPredictor:
-    """Wraps a scalar predictor, scaling every operator cost by a speed ratio.
-
-    Implements the slice of the predictor interface that
-    :class:`JobPerformancePredictor` consumes from scalar-only predictors.
-    """
-
-    def __init__(self, inner, scale: float) -> None:
-        self._inner = inner
-        self._scale = scale
-
-    def predict(self, features: FeatureInput, signatures: SignatureBundle) -> float:
-        return self._inner.predict(features, signatures) * self._scale
-
-
-class _ScaledPredictor(_ScaledScalarPredictor):
-    """Scaled wrapper that also forwards the batched path, so the inner
-    service's grouping and caches are reused per SKU probe."""
-
-    def predict_batch(self, requests: list[PredictionRequest]):
-        return self._inner.predict_batch(requests) * self._scale
-
-
-def _scaled(inner, scale: float) -> _ScaledScalarPredictor:
-    """The widest scaled adapter the inner predictor supports."""
-    if callable(getattr(inner, "predict_batch", None)):
-        return _ScaledPredictor(inner, scale)
-    return _ScaledScalarPredictor(inner, scale)
-
-
 class SkuAdvisor:
     """Recommends machine SKUs using the learned cost models.
 
@@ -154,8 +125,9 @@ class SkuAdvisor:
         estimator: compile-time statistics source.
         reference_speed: the speed factor of the cluster the models were
             trained on (its logs priced operators at this speed).
-        stage_startup_seconds: per-stage scheduling charge, identical on
-            every SKU (container acquisition does not speed up with cores).
+
+    The per-stage start-up charge is identical on every SKU (container
+    acquisition does not speed up with cores).
     """
 
     def __init__(
@@ -163,40 +135,22 @@ class SkuAdvisor:
         predictor: CleoService | CleoPredictor,
         estimator: CardinalityEstimator | None = None,
         reference_speed: float = 1.0,
-        stage_startup_seconds: float | None = None,
     ) -> None:
         if reference_speed <= 0:
             raise ValidationError("reference_speed must be positive")
-        if isinstance(predictor, (CleoService, CleoPredictor)):
-            self.service: CleoService | None = CleoService.ensure(predictor)
-        else:  # duck-typed scalar predictor (adapters, tests)
-            self.service = None
-            self._scalar_predictor = predictor
-        self.estimator = estimator or CardinalityEstimator()
+        self.performance = JobPerformancePredictor(predictor, estimator)
         self.reference_speed = reference_speed
-        self.stage_startup_seconds = stage_startup_seconds
-
-    @property
-    def predictor(self):
-        """The currently served predictor (tracks service rollbacks)."""
-        if self.service is not None:
-            return self.service.predictor
-        return self._scalar_predictor
-
-    @property
-    def _serving(self):
-        return self.service if self.service is not None else self._scalar_predictor
 
     def estimate(self, plan: PhysicalOp, sku: MachineSku) -> SkuEstimate:
         """Predicted latency/CPU/cost of running ``plan`` on ``sku``."""
+        return self._estimate(plan, self.performance.operator_seconds(plan), sku)
+
+    def _estimate(
+        self, plan: PhysicalOp, costs: np.ndarray, sku: MachineSku
+    ) -> SkuEstimate:
+        """``plan`` on ``sku`` from its reference-speed operator ``costs``."""
         scale = self.reference_speed / sku.speed_factor
-        kwargs = {}
-        if self.stage_startup_seconds is not None:
-            kwargs["stage_startup_seconds"] = self.stage_startup_seconds
-        performance = JobPerformancePredictor(
-            _scaled(self._serving, scale), self.estimator, **kwargs
-        )
-        return SkuEstimate(sku=sku, prediction=performance.predict(plan))
+        return SkuEstimate(sku=sku, prediction=timeline(plan, (costs * scale).tolist()))
 
     def recommend(
         self,
@@ -213,7 +167,8 @@ class SkuAdvisor:
             raise ValidationError("at least one SKU is required")
         if deadline_seconds is not None and deadline_seconds <= 0:
             raise ValidationError("deadline_seconds must be positive")
-        estimates = tuple(self.estimate(plan, sku) for sku in skus)
+        costs = self.performance.operator_seconds(plan)
+        estimates = tuple(self._estimate(plan, costs, sku) for sku in skus)
         if deadline_seconds is None:
             chosen = min(estimates, key=lambda e: (e.dollar_cost, e.latency_seconds))
         else:

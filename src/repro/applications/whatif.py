@@ -29,11 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as dc_replace
 from typing import Callable
 
-from repro.applications.prediction import JobPerformancePredictor, JobPrediction
+from repro.applications.prediction import JobPerformancePredictor
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.common.errors import ValidationError
 from repro.common.hashing import combine_hashes, stable_hash
 from repro.core.predictor import CleoPredictor
+from repro.execution.trace import Timeline
 from repro.optimizer.planner import PlannerConfig, QueryPlanner
 from repro.plan.logical import LogicalOp, LogicalOpType, normalize_input_name
 from repro.serving.service import CleoService
@@ -222,8 +223,8 @@ class WhatIfOutcome:
     """Predicted effect of one hypothetical change on one job."""
 
     job_id: str
-    baseline: JobPrediction
-    variant: JobPrediction
+    baseline: Timeline
+    variant: Timeline
 
     @property
     def latency_delta_pct(self) -> float:
@@ -261,11 +262,6 @@ class WhatIfAnalyzer:
         self.estimator = estimator or CardinalityEstimator()
         self.planner_config = planner_config or PlannerConfig()
         self.performance = JobPerformancePredictor(self.service, self.estimator)
-
-    @property
-    def predictor(self) -> CleoPredictor:
-        """The currently served predictor (tracks service rollbacks)."""
-        return self.service.predictor
 
     # ------------------------------------------------------------------ #
     # Generic transform evaluation
@@ -339,7 +335,7 @@ class WhatIfAnalyzer:
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _plan_and_predict(self, logical: LogicalOp) -> JobPrediction:
+    def _plan_and_predict(self, logical: LogicalOp) -> Timeline:
         planner = QueryPlanner(
             self.service.cost_model(), self.estimator, self.planner_config
         )

@@ -63,6 +63,10 @@ class CleoCostModel:
     A bare predictor is wrapped in a service with the prediction cache
     *disabled*, so optimizer experiments keep their exact per-prediction
     model-lookup accounting; pass a service to share its caches instead.
+    Lookups are charged where the rows are priced, so read them there: on
+    the predictor behind a bare service (``predictor.lookup_count``), or
+    ``router.lookup_count`` for a sharded fleet, whose shards charge their
+    own predictor views.
 
     ``batched=False`` retains the scalar pricing path everywhere (one
     ``operator_cost`` round-trip per costed candidate) — the baseline
@@ -239,13 +243,6 @@ class CleoCostModel:
         if not self.batched:
             return [self.resource_profile(op, estimator) for op in ops]
         return self.service.resource_profiles(*self._rows(ops, estimator))
-
-    @property
-    def lookup_count(self) -> int:
-        return self.predictor.lookup_count
-
-    def reset_lookup_count(self) -> None:
-        self.predictor.reset_lookup_count()
 
     def clear_cache(self) -> None:
         self.service.clear_caches()

@@ -13,11 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.combined import (
-    CombinedModel,
-    build_meta_matrix,
-    build_meta_matrix_reference,
-)
+from repro.core.combined import CombinedModel, build_meta_matrix
 from repro.core.config import ModelKind
 from repro.core.learned_model import ResourceProfile
 from repro.core.model_store import ModelStore
@@ -73,9 +69,6 @@ class CleoPredictor:
     # Coverage
     # ------------------------------------------------------------------ #
 
-    def covers(self, kind: ModelKind, signatures: SignatureBundle) -> bool:
-        return self.store.covers(kind, signatures)
-
     def coverage_fraction(self, kind: ModelKind, records: list[OperatorRecord]) -> float:
         """Fraction of records whose signature has a model of ``kind``."""
         if not records:
@@ -121,25 +114,3 @@ class CleoPredictor:
         values, _, _ = predict_most_specific(self.store, table, self.fallback_cost)
         return values
 
-    def predict_records_reference(
-        self, records: list[OperatorRecord], table: FeatureTable | None = None
-    ) -> np.ndarray:
-        """The retained pre-packed serving path (benchmark/parity baseline).
-
-        Combined: grouped object-graph meta rows + tree-at-a-time ensemble
-        traversal.  Store-only: the per-record scalar fallback chain.  The
-        packed :meth:`predict_records` must match this bit for bit.
-        """
-        records = list(records)
-        if not records:
-            return np.empty(0, dtype=float)
-        if self.combined is not None and self.combined.is_fitted:
-            self.lookup_count += len(records) * self.LOOKUPS_PER_PREDICTION
-            if table is None:
-                table = FeatureTable.from_records(records)
-            elif len(table) != len(records):
-                raise ValueError("table and records must align")
-            return self.combined.predict_rows_reference(
-                build_meta_matrix_reference(self.store, table)
-            )
-        return np.array([self.predict_record(r) for r in records], dtype=float)

@@ -17,7 +17,7 @@ from repro.core.combined import predict_covered
 from repro.core.config import ModelKind
 from repro.core.model_store import ModelStore
 from repro.core.predictor import CleoPredictor
-from repro.execution.runtime_log import OperatorRecord, RunLog
+from repro.execution.runtime_log import RunLog
 
 
 @dataclass(frozen=True)
@@ -111,11 +111,3 @@ def evaluate_predictor_on_log(
     else:  # duck-typed record-level predictors
         predicted = predictor.predict_records(list(log.operator_records()))
     return _quality(name, predicted, table.latency, len(table))
-
-
-def evaluate_baseline_on_records(
-    records: list[OperatorRecord], costs: list[float], name: str = "default"
-) -> ModelQuality:
-    """Quality of an arbitrary cost series (e.g. the default cost model)."""
-    actual = [r.actual_latency for r in records]
-    return _quality(name, costs, actual, len(records))

@@ -36,7 +36,8 @@ import math
 import numpy as np
 
 from repro.execution.runtime_log import JobRecord, OperatorRecord
-from repro.execution.simulator import STAGE_STARTUP_SECONDS, ExecutionSimulator
+from repro.execution.simulator import ExecutionSimulator
+from repro.execution.trace import stage_finish_times, stage_seconds, stage_work
 from repro.features.featurizer import FeatureInput
 from repro.features.table import FeatureTable
 from repro.optimizer.skeleton import RNode, materialize
@@ -378,21 +379,15 @@ class BatchedExecutionEngine:
             statics = entry.statics
             offset = entry.offset
             n = statics.n
+            latency = latency_list[offset : offset + n]
 
-            # Stage critical path, replicating the scalar accumulation order.
-            stage_latency = []
-            for members in statics.stage_members:
-                total = 0
-                for i in members:
-                    total += latency_list[offset + i]
-                stage_latency.append(STAGE_STARTUP_SECONDS + total)
-            finish: dict[int, float] = {}
-            for idx in statics.stage_topo:
-                upstream_finish = max(
-                    (finish[u] for u in statics.stage_upstream[idx]), default=0.0
-                )
-                finish[idx] = upstream_finish + stage_latency[idx]
-            job_latency = max(finish.values()) if finish else 0.0
+            # The stage rule the scalar simulator calls, on the cached shape.
+            finish = stage_finish_times(
+                stage_seconds(stage_work(latency, statics.stage_members)),
+                statics.stage_upstream,
+                statics.stage_topo,
+            )
+            job_latency = max(finish, default=0.0)
 
             cpu_total = 0.0
             operator_records = []
@@ -425,7 +420,7 @@ class BatchedExecutionEngine:
                         statics.template_tags[i],
                         statics.bundles[i],
                         features,
-                        latency_list[row],
+                        latency[i],
                         self._true_card[row],
                         self._input_card[row],
                         cpu,

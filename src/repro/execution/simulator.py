@@ -4,7 +4,9 @@ Executes a physical plan against the hidden ground-truth latency model and
 produces (i) per-operator records for the training feedback loop and (ii)
 job-level outcomes (end-to-end latency over the stage critical path, total
 processing time across containers) used by the performance experiments
-(Figures 19-20).
+(Figures 19-20).  The stage rule — start-up charge, per-stage sums, the
+finish-time recurrence — is :mod:`repro.execution.trace`'s, called on the
+stage graph and the per-operator latencies this module already holds.
 """
 
 from __future__ import annotations
@@ -16,13 +18,11 @@ from repro.common.rng import RngFactory
 from repro.execution.ground_truth import GroundTruthModel, GroundTruthParams
 from repro.execution.hardware import ClusterSpec
 from repro.execution.runtime_log import JobRecord, OperatorRecord
+from repro.execution.trace import stage_finish_times, stage_seconds, stage_work
 from repro.features.extract import feature_input_for
 from repro.plan.physical import PhysicalOp
 from repro.plan.signatures import SignatureBundle
 from repro.plan.stages import build_stage_graph
-
-#: Fixed per-stage scheduling latency (container acquisition, setup waves).
-STAGE_STARTUP_SECONDS = 2.0
 
 
 @dataclass(frozen=True)
@@ -130,15 +130,15 @@ class ExecutionSimulator:
     ) -> tuple[list[float], float]:
         """Per-stage latency and end-to-end latency (critical path)."""
         graph = build_stage_graph(plan)
-        stage_latency = [
-            STAGE_STARTUP_SECONDS + sum(latencies[id(op)] for op in stage.operators)
-            for stage in graph.stages
-        ]
-        finish: dict[int, float] = {}
-        for stage in graph.topological_order():
-            upstream_finish = max((finish[u] for u in stage.upstream), default=0.0)
-            finish[stage.index] = upstream_finish + stage_latency[stage.index]
-        return stage_latency, max(finish.values()) if finish else 0.0
+        seconds = stage_seconds(
+            stage_work(latencies, (map(id, stage.operators) for stage in graph.stages))
+        )
+        finish = stage_finish_times(
+            seconds,
+            [stage.upstream for stage in graph.stages],
+            [stage.index for stage in graph.topological_order()],
+        )
+        return seconds, max(finish, default=0.0)
 
     def expected_job_latency(self, plan: PhysicalOp) -> float:
         """Noise-free end-to-end latency: the oracle for plan comparisons."""

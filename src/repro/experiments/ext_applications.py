@@ -89,12 +89,11 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
 
     # ---- 2. Scheduling with estimated task runtimes --------------------- #
     study_jobs = {job.job_id: plans[job.job_id] for job in test_jobs[:N_STUDY_JOBS]}
+    traces = {
+        job_id: trace_job(bundle.runner.simulator, plan) for job_id, plan in study_jobs.items()
+    }
     # Pool sized to force contention: ~15% of the summed gang demand.
-    demand = sum(
-        stage_p
-        for plan in study_jobs.values()
-        for stage_p in _stage_partitions(plan)
-    )
+    demand = sum(s.partition_count for trace in traces.values() for s in trace.stages)
     pool = max(8, int(0.15 * demand / max(len(study_jobs), 1)))
     study = SchedulingStudy(
         simulator=bundle.runner.simulator,
@@ -125,7 +124,7 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
     weighted_errors = []
     baseline_errors = []
     for job_id, plan in study_jobs.items():
-        trace = trace_job(bundle.runner.simulator, plan)
+        trace = traces[job_id]
         estimator = ProgressEstimator(perf.predict(plan))
         weighted_errors.append(estimator.evaluate(trace).mean_abs_error)
         baseline_errors.append(evaluate_stage_count_baseline(trace).mean_abs_error)
@@ -154,9 +153,3 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
             "stage-count progress tracking."
         ),
     )
-
-
-def _stage_partitions(plan) -> list[int]:
-    from repro.plan.stages import build_stage_graph
-
-    return [stage.partition_count for stage in build_stage_graph(plan).stages]

@@ -73,7 +73,6 @@ from repro.optimizer.partition import _stage_is_fixed, explore_partitions
 from repro.plan.logical import LogicalOp, LogicalOpType
 from repro.plan.physical import PARTITIONING_OPS, ExchangeMode, PhysOpType, PhysicalOp
 from repro.plan.properties import Partitioning, PartitionScheme, SortOrder
-from repro.plan.stages import build_stage_graph
 
 _ANY = Partitioning.any()
 _NO_SORT = SortOrder.none()
@@ -89,12 +88,6 @@ class PlannedJob:
     estimated_cost: float
     optimize_seconds: float
     candidates_considered: int = 0
-
-    @property
-    def partition_counts(self) -> dict[int, int]:
-        """Stage index -> partition count of the final plan."""
-        graph = build_stage_graph(self.plan)
-        return {stage.index: stage.partition_count for stage in graph.stages}
 
 
 class _DeferredCost:

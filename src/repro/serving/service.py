@@ -202,10 +202,6 @@ class ServiceStats:
         return self.cache.hits
 
     @property
-    def cache_misses(self) -> int:
-        return self.cache.misses
-
-    @property
     def hit_rate(self) -> float:
         return self.cache.hit_rate
 
@@ -393,9 +389,6 @@ class CleoService:
             if is_fallback:
                 self._fallbacks += 1
         return value
-
-    def predict_record(self, record: OperatorRecord) -> float:
-        return self.predict(record.features, record.signatures)
 
     def resource_profiles(
         self,

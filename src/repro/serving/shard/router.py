@@ -764,12 +764,6 @@ class ShardedCleoRouter:
         for health, snapshot in zip(self._health, snapshots):
             health.restore(snapshot)
 
-    def stats_for(self, cluster: str) -> ServiceStats:
-        self._check_cluster(cluster)
-        return ServiceStats.aggregate(
-            shard[cluster].stats() for shard in self._shards
-        )
-
     def shard_stats(self) -> list[ServiceStats]:
         """Per-shard aggregated counters (load-balance introspection)."""
         return [
@@ -850,10 +844,6 @@ class ClusterClient:
     def prediction_cache_enabled(self) -> bool:
         return self.router._shards[0][self.cluster].prediction_cache_enabled
 
-    @property
-    def lookup_count(self) -> int:
-        return self.router.lookup_count
-
     def predict(self, features: FeatureInput, signatures: SignatureBundle) -> float:
         return self.router.predict(self.cluster, features, signatures)
 
@@ -892,6 +882,3 @@ class ClusterClient:
 
     def clear_caches(self) -> None:
         self.router.clear_caches()
-
-    def describe(self) -> str:
-        return f"ClusterClient({self.cluster!r} via {self.router.describe()})"

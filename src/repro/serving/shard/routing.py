@@ -77,10 +77,5 @@ class HashRing:
         """Owning shard of one ``(cluster, template)`` pair."""
         return self.shard_for_key(route_key(cluster, template_signature))
 
-    def load_spread(self, keys: np.ndarray) -> dict[int, int]:
-        """Keys per shard (introspection for balance checks)."""
-        shards = self.shards_for_keys(keys)
-        return {int(s): int(c) for s, c in zip(*np.unique(shards, return_counts=True))}
-
     def describe(self) -> str:
         return f"HashRing({self.n_shards} shards x {self.replicas} replicas)"

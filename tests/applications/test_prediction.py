@@ -11,6 +11,7 @@ from repro.applications.prediction import (
 )
 from repro.common.errors import ValidationError
 from repro.common.stats import pearson
+from repro.execution.trace import STAGE_STARTUP_SECONDS
 from repro.plan.stages import build_stage_graph
 from repro.serving.service import CleoService
 
@@ -38,8 +39,8 @@ class TestJobPrediction:
 
     def test_latency_bounded_by_stage_durations(self, perf, any_plan):
         prediction = perf.predict(any_plan)
-        longest = max(s.predicted_seconds for s in prediction.stages)
-        total = sum(s.predicted_seconds for s in prediction.stages)
+        longest = max(s.seconds for s in prediction.stages)
+        total = sum(s.seconds for s in prediction.stages)
         assert longest <= prediction.latency_seconds <= total + 1e-9
 
     def test_critical_path_is_nonempty_and_flagged(self, perf, any_plan):
@@ -51,14 +52,14 @@ class TestJobPrediction:
 
     def test_critical_path_durations_sum_to_latency(self, perf, any_plan):
         prediction = perf.predict(any_plan)
-        total = sum(s.predicted_seconds for s in prediction.critical_path)
+        total = sum(s.seconds for s in prediction.critical_path)
         assert total == pytest.approx(prediction.latency_seconds, rel=1e-9)
 
     def test_cpu_charges_partitions(self, perf, any_plan):
         prediction = perf.predict(any_plan)
         for stage in prediction.stages:
-            operators_cost = stage.predicted_seconds - perf.stage_startup_seconds
-            assert stage.predicted_cpu_seconds == pytest.approx(
+            operators_cost = stage.seconds - STAGE_STARTUP_SECONDS
+            assert stage.cpu_seconds == pytest.approx(
                 operators_cost * stage.partition_count, rel=1e-9
             )
 
@@ -74,7 +75,7 @@ class TestJobPrediction:
     def test_describe_mentions_every_stage(self, perf, any_plan):
         prediction = perf.predict(any_plan)
         text = prediction.describe()
-        assert "predicted latency" in text
+        assert "latency" in text
         assert text.count("stage ") == len(prediction.stages)
 
     def test_deterministic(self, perf, any_plan):

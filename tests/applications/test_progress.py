@@ -5,62 +5,45 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.applications.prediction import (
-    JobPerformancePredictor,
-    JobPrediction,
-    StageEstimate,
-)
+from repro.applications.prediction import JobPerformancePredictor
 from repro.applications.progress import (
     ProgressEstimator,
     evaluate_stage_count_baseline,
     stage_count_progress,
 )
 from repro.common.errors import ValidationError
-from repro.execution.trace import JobTrace, StageTrace, trace_job
+from repro.execution.trace import StageTiming, Timeline, trace_job
 
 
-def make_stage_estimate(index: int, seconds: float, start: float = 0.0) -> StageEstimate:
-    return StageEstimate(
+def make_stage(index: int, start: float, finish: float) -> StageTiming:
+    return StageTiming(
         index=index,
         partition_count=1,
         operator_types=("Extract",),
-        predicted_seconds=seconds,
-        predicted_cpu_seconds=seconds,
-        start_seconds=start,
-        finish_seconds=start + seconds,
-        on_critical_path=True,
-    )
-
-
-def make_stage_trace(index: int, start: float, finish: float) -> StageTrace:
-    return StageTrace(
-        index=index,
-        partition_count=1,
-        operator_types=("Extract",),
+        upstream=(),
+        seconds=finish - start,
+        cpu_seconds=finish - start,
         start_seconds=start,
         finish_seconds=finish,
         on_critical_path=True,
     )
 
 
+def make_timeline(*stages: StageTiming) -> Timeline:
+    latency = max((s.finish_seconds for s in stages), default=0.0)
+    return Timeline(stages=stages, latency_seconds=latency, cpu_seconds=latency)
+
+
 @pytest.fixture()
-def skewed_prediction() -> JobPrediction:
+def skewed_prediction() -> Timeline:
     """Two sequential stages: 90s of predicted work then 10s."""
-    stages = (
-        make_stage_estimate(0, 90.0, start=0.0),
-        make_stage_estimate(1, 10.0, start=90.0),
-    )
-    return JobPrediction(stages=stages, latency_seconds=100.0, cpu_seconds=100.0)
+    return make_timeline(make_stage(0, 0.0, 90.0), make_stage(1, 90.0, 100.0))
 
 
 @pytest.fixture()
-def matching_trace() -> JobTrace:
+def matching_trace() -> Timeline:
     """The corresponding actual execution: 90s then 10s."""
-    stages = (
-        make_stage_trace(0, 0.0, 90.0),
-        make_stage_trace(1, 90.0, 100.0),
-    )
-    return JobTrace(stages=stages, total_latency=100.0)
+    return make_timeline(make_stage(0, 0.0, 90.0), make_stage(1, 90.0, 100.0))
 
 
 class TestProgressEstimator:
@@ -109,14 +92,12 @@ class TestProgressEstimator:
 
     def test_unknown_stage_rejected(self, skewed_prediction):
         estimator = ProgressEstimator(skewed_prediction)
-        alien = JobTrace(
-            stages=(make_stage_trace(7, 0.0, 10.0),), total_latency=10.0
-        )
+        alien = make_timeline(make_stage(7, 0.0, 10.0))
         with pytest.raises(ValidationError):
             estimator.progress_at(alien, 5.0)
 
     def test_empty_prediction_rejected(self):
-        empty = JobPrediction(stages=(), latency_seconds=0.0, cpu_seconds=0.0)
+        empty = make_timeline()
         with pytest.raises(ValidationError):
             ProgressEstimator(empty)
 
@@ -132,7 +113,7 @@ class TestStageCountBaseline:
         assert stage_count_progress(matching_trace, 100.0) == pytest.approx(1.0)
 
     def test_empty_trace_is_complete(self):
-        assert stage_count_progress(JobTrace(stages=(), total_latency=0.0), 0.0) == 1.0
+        assert stage_count_progress(make_timeline(), 0.0) == 1.0
 
     def test_baseline_report_points_validated(self, matching_trace):
         with pytest.raises(ValidationError):

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.applications.prediction import JobPrediction, StageEstimate
 from repro.applications.progress import ProgressEstimator, stage_count_progress
 from repro.applications.scheduling import ClusterScheduler, TaskSpec
 from repro.applications.whatif import scale_tables, subtree_key
-from repro.execution.trace import JobTrace, StageTrace
+from repro.execution.trace import StageTiming, Timeline
 from repro.plan.builder import PlanBuilder
 from tests.conftest import make_test_catalog
 
@@ -113,7 +112,7 @@ class TestSchedulerProperties:
 
 
 @st.composite
-def traced_predictions(draw) -> tuple[JobPrediction, JobTrace]:
+def traced_predictions(draw) -> tuple[Timeline, Timeline]:
     """A random sequential stage timeline plus predicted weights."""
     n = draw(st.integers(min_value=1, max_value=6))
     starts = [0.0]
@@ -121,35 +120,29 @@ def traced_predictions(draw) -> tuple[JobPrediction, JobTrace]:
     for duration in actual[:-1]:
         starts.append(starts[-1] + duration)
     predicted = [draw(_durations) for _ in range(n)]
-    stages = tuple(
-        StageEstimate(
+
+    def stage(i: int, seconds: float, start: float) -> StageTiming:
+        return StageTiming(
             index=i,
             partition_count=1,
             operator_types=("Extract",),
-            predicted_seconds=predicted[i],
-            predicted_cpu_seconds=predicted[i],
-            start_seconds=0.0,
-            finish_seconds=predicted[i],
+            upstream=(),
+            seconds=seconds,
+            cpu_seconds=seconds,
+            start_seconds=start,
+            finish_seconds=start + seconds,
             on_critical_path=True,
         )
-        for i in range(n)
+
+    prediction = Timeline(
+        stages=tuple(stage(i, predicted[i], 0.0) for i in range(n)),
+        latency_seconds=sum(predicted),
+        cpu_seconds=sum(predicted),
     )
-    prediction = JobPrediction(
-        stages=stages, latency_seconds=sum(predicted), cpu_seconds=sum(predicted)
-    )
-    trace = JobTrace(
-        stages=tuple(
-            StageTrace(
-                index=i,
-                partition_count=1,
-                operator_types=("Extract",),
-                start_seconds=starts[i],
-                finish_seconds=starts[i] + actual[i],
-                on_critical_path=True,
-            )
-            for i in range(n)
-        ),
-        total_latency=starts[-1] + actual[-1],
+    trace = Timeline(
+        stages=tuple(stage(i, actual[i], starts[i]) for i in range(n)),
+        latency_seconds=starts[-1] + actual[-1],
+        cpu_seconds=sum(actual),
     )
     return prediction, trace
 
@@ -160,7 +153,7 @@ class TestProgressProperties:
     def test_progress_is_monotone_and_bounded(self, data):
         prediction, trace = data
         estimator = ProgressEstimator(prediction)
-        total = trace.total_latency
+        total = trace.latency_seconds
         previous = -1.0
         for k in range(11):
             value = estimator.progress_at(trace, total * k / 10)
@@ -174,7 +167,7 @@ class TestProgressProperties:
     def test_stage_count_progress_bounded(self, data):
         _, trace = data
         for k in range(11):
-            value = stage_count_progress(trace, trace.total_latency * k / 10)
+            value = stage_count_progress(trace, trace.latency_seconds * k / 10)
             assert 0.0 <= value <= 1.0
 
 

@@ -76,7 +76,7 @@ class TestJobToTasks:
             assert t.stage_index not in t.upstream
 
     def test_runtimes_include_startup(self, tiny_bundle, tiny_predictor):
-        from repro.execution.simulator import STAGE_STARTUP_SECONDS
+        from repro.execution.trace import STAGE_STARTUP_SECONDS
 
         job = next(iter(tiny_bundle.test_log()))
         plan = tiny_bundle.runner.plans[job.job_id]

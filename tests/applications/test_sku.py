@@ -7,20 +7,12 @@ import pytest
 from repro.applications.prediction import JobPerformancePredictor
 from repro.applications.sku import MachineSku, SkuAdvisor, SkuEstimate
 from repro.common.errors import ValidationError
+from repro.execution.trace import STAGE_STARTUP_SECONDS, Timeline
+from repro.plan.stages import build_stage_graph
 
 STANDARD = MachineSku(name="standard", speed_factor=1.0, price_per_container_hour=0.10)
 FAST = MachineSku(name="fast", speed_factor=2.0, price_per_container_hour=0.25)
 SLOW_CHEAP = MachineSku(name="slow", speed_factor=0.5, price_per_container_hour=0.04)
-
-
-class _ConstantPredictor:
-    """Predicts the same exclusive cost for every operator."""
-
-    def __init__(self, cost: float) -> None:
-        self.cost = cost
-
-    def predict(self, features, signatures) -> float:
-        return self.cost
 
 
 @pytest.fixture()
@@ -61,28 +53,21 @@ class TestScalingSemantics:
         assert fast.latency_seconds <= standard.latency_seconds
         assert fast.cpu_seconds <= standard.cpu_seconds
 
-    def test_startup_charge_does_not_scale(self, any_plan, tiny_bundle):
-        """With constant per-op cost c, latency(speed s) must equal the
-        critical path of stages priced startup + n_ops * c / s."""
-        from repro.plan.stages import build_stage_graph
-
-        cost = 10.0
-        advisor = SkuAdvisor(
-            _ConstantPredictor(cost),
-            tiny_bundle.fresh_estimator(),
-            stage_startup_seconds=2.0,
-        )
-        estimate = advisor.estimate(any_plan, FAST)
-        graph = build_stage_graph(any_plan)
-        durations = {
-            stage.index: 2.0 + len(stage.operators) * cost / FAST.speed_factor
-            for stage in graph.stages
-        }
+    def test_startup_charge_does_not_scale(self, advisor, any_plan):
+        """Only operator work scales with speed: each stage on a SKU twice as
+        fast is the start-up charge plus half the reference work, and the
+        job latency is the critical path of those stages."""
+        standard = advisor.estimate(any_plan, STANDARD).prediction
+        fast = advisor.estimate(any_plan, FAST).prediction
+        for reference, scaled in zip(standard.stages, fast.stages):
+            assert scaled.seconds - STAGE_STARTUP_SECONDS == pytest.approx(
+                (reference.seconds - STAGE_STARTUP_SECONDS) / FAST.speed_factor
+            )
         finish: dict[int, float] = {}
-        for stage in graph.topological_order():
+        for stage in build_stage_graph(any_plan).topological_order():
             start = max((finish[u] for u in stage.upstream), default=0.0)
-            finish[stage.index] = start + durations[stage.index]
-        assert estimate.latency_seconds == pytest.approx(max(finish.values()))
+            finish[stage.index] = start + fast.stages[stage.index].seconds
+        assert fast.latency_seconds == pytest.approx(max(finish.values()))
 
     def test_matches_simulator_across_speed_factors(self, tiny_bundle):
         """The advisor's scaling law is the simulator's: same cluster at
@@ -108,8 +93,6 @@ class TestScalingSemantics:
             )
         )
         fast_sim = ExecutionSimulator(fast_cluster)
-        from repro.execution.simulator import STAGE_STARTUP_SECONDS
-        from repro.plan.stages import build_stage_graph
 
         n_stages_startup = STAGE_STARTUP_SECONDS  # charged per stage
         base_latency = base_sim.expected_job_latency(plan)
@@ -204,13 +187,9 @@ class TestParetoProperties:
 
     @staticmethod
     def _estimate(name: str, latency: float, cpu: float, price: float) -> SkuEstimate:
-        from repro.applications.prediction import JobPrediction
-
         return SkuEstimate(
             sku=MachineSku(name=name, speed_factor=1.0, price_per_container_hour=price),
-            prediction=JobPrediction(
-                stages=(), latency_seconds=latency, cpu_seconds=cpu
-            ),
+            prediction=Timeline(stages=(), latency_seconds=latency, cpu_seconds=cpu),
         )
 
     def test_frontier_properties(self):

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.execution.runtime_log import RunLog
-from repro.execution.simulator import STAGE_STARTUP_SECONDS, ExecutionSimulator
+from repro.execution.simulator import ExecutionSimulator
+from repro.execution.trace import STAGE_STARTUP_SECONDS
 from repro.plan.stages import build_stage_graph
 
 

@@ -17,7 +17,7 @@ def simulator(cluster):
 class TestTraceJob:
     def test_total_matches_simulator(self, simulator, physical_join_plan):
         trace = trace_job(simulator, physical_join_plan)
-        assert trace.total_latency == pytest.approx(
+        assert trace.latency_seconds == pytest.approx(
             simulator.expected_job_latency(physical_join_plan)
         )
 
@@ -45,13 +45,13 @@ class TestTraceJob:
 
     def test_critical_path_duration_equals_total(self, simulator, physical_join_plan):
         trace = trace_job(simulator, physical_join_plan)
-        critical_duration = sum(s.duration for s in trace.critical_path)
-        assert critical_duration == pytest.approx(trace.total_latency)
+        critical_duration = sum(s.seconds for s in trace.critical_path)
+        assert critical_duration == pytest.approx(trace.latency_seconds)
 
     def test_bottleneck_is_longest_critical_stage(self, simulator, physical_join_plan):
         trace = trace_job(simulator, physical_join_plan)
         bottleneck = trace.bottleneck()
-        assert bottleneck.duration == max(s.duration for s in trace.critical_path)
+        assert bottleneck.seconds == max(s.seconds for s in trace.critical_path)
 
     def test_describe_mentions_all_stages(self, simulator, physical_simple_plan):
         trace = trace_job(simulator, physical_simple_plan)
