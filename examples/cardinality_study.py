@@ -14,9 +14,9 @@ import numpy as np
 
 from repro.cardinality import CardinalityEstimator, CardLearner, PerfectCardinalityEstimator
 from repro.common.stats import median_error_pct, pearson
-from repro.core import CleoTrainer
 from repro.cost import DefaultCostModel
 from repro.execution.hardware import ClusterSpec
+from repro.serving import CleoService
 from repro.workload import ClusterWorkloadConfig, WorkloadGenerator, WorkloadRunner
 
 
@@ -29,7 +29,7 @@ def main() -> None:
     )
     runner = WorkloadRunner(cluster=cluster, seed=11, keep_plans=True)
     log = runner.run_days(generator, days=range(1, 4))
-    predictor = CleoTrainer().train(log, individual_days=[1, 2], combined_days=[2])
+    service = CleoService.train(log, individual_days=[1, 2], combined_days=[2])
 
     # CardLearner trains on the executed plans of the training days.
     card_learner = CardLearner(base=CardinalityEstimator())
@@ -49,7 +49,7 @@ def main() -> None:
                 costs.append(default.operator_cost(op, estimator))
         return np.array(costs)
 
-    cleo_costs = predictor.predict_records(list(test.operator_records()))
+    cleo_costs = service.predict_records(test.operator_records())
 
     rows = [
         ("default cost model", default_costs(CardinalityEstimator())),

@@ -36,7 +36,7 @@ from repro.analysis.framework import (
     run_analysis,
 )
 from repro.analysis.reporters import render_json, render_text
-from repro.analysis.rules import ALL_RULES, rule_registry
+from repro.analysis.rules import ALL_RULES
 
 __all__ = [
     "ALL_RULES",
@@ -52,6 +52,5 @@ __all__ = [
     "apply_baseline",
     "render_json",
     "render_text",
-    "rule_registry",
     "run_analysis",
 ]

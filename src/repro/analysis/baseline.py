@@ -72,9 +72,6 @@ class Baseline:
             json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
 
-    def is_empty(self) -> bool:
-        return not self.counts
-
 
 def apply_baseline(report: AnalysisReport, baseline: Baseline) -> AnalysisReport:
     """Split the report's findings into actionable vs baselined.

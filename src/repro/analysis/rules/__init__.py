@@ -24,10 +24,6 @@ ALL_RULES: tuple[Rule, ...] = (
 )
 
 
-def rule_registry() -> dict[str, Rule]:
-    return {rule.name: rule for rule in ALL_RULES}
-
-
 __all__ = [
     "ALL_RULES",
     "FloatReductionRule",
@@ -35,5 +31,4 @@ __all__ = [
     "LockDisciplineRule",
     "ReferenceParityRule",
     "WallClockRngRule",
-    "rule_registry",
 ]

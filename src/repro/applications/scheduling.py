@@ -75,15 +75,19 @@ def job_to_tasks(
     """Decompose a physical plan into stage tasks with runtime estimates.
 
     Estimated runtime: the stage seconds of the cost model's exclusive
-    operator costs (what the job manager would compute at submit time).
-    Actual runtime: those of the simulator's noise-free ground truth (what
-    execution will take).
+    operator costs (what the job manager would compute at submit time) —
+    one ``price_operators`` call per plan under a model that advertises
+    ``supports_batched_pricing``, an ``operator_cost`` per operator
+    otherwise.  Actual runtime: those of the simulator's noise-free ground
+    truth (what execution will take).
     """
     cost_model = as_cost_model(cost_model)
-    estimated = timeline(
-        plan, [cost_model.operator_cost(op, estimator) for op in plan.walk()]
-    )
-    return _tasks(job_id, estimated, trace_job(simulator, plan))
+    ops = list(plan.walk())
+    if getattr(cost_model, "supports_batched_pricing", False):
+        costs = cost_model.price_operators(ops, estimator).tolist()
+    else:
+        costs = [cost_model.operator_cost(op, estimator) for op in ops]
+    return _tasks(job_id, timeline(plan, costs), trace_job(simulator, plan))
 
 
 def _tasks(job_id: str, estimated: Timeline, actual: Timeline) -> list[TaskSpec]:

@@ -204,7 +204,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for kind, quality in evaluate_store_on_log(service.store, log).items():
         print(f"  {quality.name:<22} {quality.pearson:6.2f} "
               f"{quality.median_error_pct:10.1f}% {quality.coverage_pct:8.1f}%")
-    combined = evaluate_predictor_on_log(service, log)
+    combined = evaluate_predictor_on_log(service.predictor, log)
     print(f"  {'combined':<22} {combined.pearson:6.2f} "
           f"{combined.median_error_pct:10.1f}% {100.0:8.1f}%")
     return 0

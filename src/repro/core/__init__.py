@@ -11,8 +11,8 @@ The package implements the full Section 3-5 pipeline:
   that corrects and combines the individual predictions;
 * :class:`~repro.core.trainer.CleoTrainer` — the periodic training pipeline
   over run logs (the feedback loop);
-* :class:`~repro.core.predictor.CleoPredictor` — prediction with the
-  specificity-ordered fallback chain;
+* :class:`~repro.core.predictor.CleoPredictor` — the model bank behind the
+  specificity-ordered fallback chain (the serving tier prices with it);
 * :class:`~repro.core.cost_model.CleoCostModel` — the optimizer-facing cost
   model (implements the same protocol as the default model).
 

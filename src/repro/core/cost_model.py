@@ -14,17 +14,20 @@ operator's own :class:`~repro.plan.summary.SubtreeSummary`), and a plan's
 costs fold to a total in :func:`~repro.serving.service.plan_totals`'s order
 (here, or where partition exploration reads the total off its grid); every
 entry point calls the row primitives directly, so the call chain is
-``CleoCostModel`` -> row tier -> packed bank whichever backend serves.
+``CleoCostModel`` -> row tier -> packed bank whichever backend serves.  The
+row tier has no scalar twin: :meth:`CleoCostModel.operator_cost` is a
+one-row ``predict_inputs`` call, and :meth:`CleoCostModel.explain` names the
+tier behind that one-row price (so through a router it walks the ladder).
 
-Beyond the scalar :class:`~repro.cost.interface.CostModel` protocol, this
-adapter advertises **batched planning pricing** (``supports_batched_pricing``
-plus :meth:`CleoCostModel.price_operators` /
+Beyond the one-operator :class:`~repro.cost.interface.CostModel` protocol,
+this adapter advertises **batched planning pricing**
+(``supports_batched_pricing`` plus :meth:`CleoCostModel.price_operators` /
 :meth:`CleoCostModel.price_stage_sweep`): the planner prices whole candidate
 frontiers, and partition exploration prices a whole wave of plans — every
 stage's sweep, the guard's probes and the rows the plan totals read — as one
 P-grid, through the packed serving runtime in a constant number of numpy
-passes — bitwise identical values and per-prediction lookup accounting to the
-scalar ``operator_cost`` loop.
+passes — bitwise identical values and per-prediction lookup accounting to an
+``operator_cost`` loop.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import repro.serving.service as serving
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.common.errors import FeatureValidationError
 from repro.core.learned_model import ResourceProfile
-from repro.core.predictor import CleoPredictor
+from repro.core.predictor import CleoPredictor, explain_cost
 from repro.cost.interface import CostExplanation
 from repro.features.extract import feature_input_for
 from repro.features.featurizer import FeatureInput
@@ -68,9 +71,10 @@ class CleoCostModel:
     ``router.lookup_count`` for a sharded fleet, whose shards charge their
     own predictor views.
 
-    ``batched=False`` retains the scalar pricing path everywhere (one
-    ``operator_cost`` round-trip per costed candidate) — the baseline
-    the plan-throughput benchmark and the parity suite compare against.
+    ``batched=False`` retains the reference *schedule* everywhere: no
+    deferral, no grid, one ``operator_cost`` round-trip (a one-row batch)
+    per costed candidate — the baseline the plan-throughput benchmark and
+    the parity suite compare against.
     """
 
     def __init__(self, predictor, service=None, batched: bool = True) -> None:
@@ -93,9 +97,9 @@ class CleoCostModel:
 
         The replay featurizes straight from its cached per-node statistics
         (``repro.optimizer.skeleton``) and prices through
-        :meth:`price_input` / :meth:`price_inputs` / :meth:`price_plans`,
-        so both the scalar (``batched=False``) and the deferred-ledger
-        replay stay bitwise identical to the full ``QueryPlanner`` search.
+        :meth:`price_inputs` / :meth:`price_plans`, so both the one-row
+        (``batched=False``) and the deferred-ledger replay stay bitwise
+        identical to the full ``QueryPlanner`` search.
         """
         return True
 
@@ -121,7 +125,8 @@ class CleoCostModel:
         partition_override: int | None = None,
     ) -> float:
         features = feature_input_for(op, estimator, partition_override)
-        return self.service.predict(features, SignatureBundle.of(op))
+        bundle = SignatureBundle.of(op)
+        return float(self.service.predict_inputs([features], [bundle])[0])
 
     def plan_cost(self, root: PhysicalOp, estimator: CardinalityEstimator) -> float:
         """Total plan cost: one batched call, folded in walk order."""
@@ -139,23 +144,14 @@ class CleoCostModel:
         """
         return self.service.predict_inputs(*self._rows(ops, estimator))
 
-    def price_input(self, features, bundle) -> float:
-        """Exclusive cost of one already-featurized operator.
-
-        The skeleton replay's scalar costing hook (``batched=False``): the
-        replay computes the features and signature bundle itself, so this is
-        one service round-trip with the same accounting as
-        :meth:`operator_cost`.
-        """
-        return self.service.predict(features, bundle)
-
     def price_inputs(self, inputs, bundles) -> np.ndarray:
         """Exclusive costs of already-featurized operators, one batched call.
 
-        The skeleton replay's frontier-flush hook: same values and
-        per-prediction lookup accounting as :meth:`price_operators`, minus
-        the :class:`PhysicalOp` featurization (the replay derives features
-        from its cached per-node statistics).
+        The skeleton replay's frontier-flush hook (and, one row per call,
+        its ``batched=False`` costing): same values and per-prediction
+        lookup accounting as :meth:`price_operators`, minus the
+        :class:`PhysicalOp` featurization (the replay derives features from
+        its cached per-node statistics).
         """
         return self.service.predict_inputs(inputs, bundles)
 
@@ -189,7 +185,7 @@ class CleoCostModel:
         and the whole ``(stages x candidates x ops)`` grid is priced through
         the columnar ``predict_table`` entry — boundary validation,
         quarantine-and-repair and the router's guard ladder included.  The
-        values are the scalar loop's bit for bit, and the caller
+        values are the per-candidate loop's bit for bit, and the caller
         (:func:`repro.optimizer.partition.explore_partitions`) reads stage
         totals, the regression guard and the plan total off this one answer,
         so a sweep's rows are probed once and never again.
@@ -220,28 +216,15 @@ class CleoCostModel:
     def explain(
         self, op: PhysicalOp, estimator: CardinalityEstimator
     ) -> CostExplanation:
-        features = feature_input_for(op, estimator)
-        return self.service.explain(features, SignatureBundle.of(op))
-
-    def resource_profile(
-        self, op: PhysicalOp, estimator: CardinalityEstimator
-    ) -> ResourceProfile | None:
-        """(theta_p, theta_c, theta_0) for the partition-exploration step."""
-        features = feature_input_for(op, estimator)
-        return self.predictor.resource_profile(features, SignatureBundle.of(op))
+        """:meth:`operator_cost` plus the model tier that answered it."""
+        cost = self.operator_cost(op, estimator)
+        return explain_cost(self.predictor, SignatureBundle.of(op), cost)
 
     def resource_profiles(
         self, ops: Sequence[PhysicalOp], estimator: CardinalityEstimator
     ) -> list[ResourceProfile | None]:
-        """Profiles for a whole stage in one packed pass.
-
-        The analytical partition strategy's batched entry: bitwise identical
-        thetas and lookup accounting to a per-op :meth:`resource_profile`
-        loop.  ``batched=False`` retains that scalar loop (the parity
-        baseline).
-        """
-        if not self.batched:
-            return [self.resource_profile(op, estimator) for op in ops]
+        """(theta_p, theta_c, theta_0) per operator, for partition
+        exploration's analytical strategy, in one packed pass."""
         return self.service.resource_profiles(*self._rows(ops, estimator))
 
     def clear_cache(self) -> None:

@@ -29,13 +29,13 @@ ModelStore.packed_bank`: the store bumps a version counter on every
 reads stale coefficients.  Kinds containing an unfitted model are left
 unpacked and transparently served by the retained object-graph reference
 path (which raises on actual use of the unfitted model, exactly like the
-scalar chain).
+object-graph chain).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,9 +45,7 @@ from repro.core.model_store import SIGNATURE_FIELDS, ModelStore
 from repro.features.featurizer import INVERSE_P_FEATURES, feature_names
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.features.featurizer import FeatureInput
     from repro.features.table import FeatureTable
-    from repro.plan.signatures import SignatureBundle
 
 
 def match_sorted(
@@ -311,39 +309,31 @@ def predict_most_specific(
 
 
 def resource_profiles_most_specific(
-    store: ModelStore,
-    inputs: "Sequence[FeatureInput]",
-    bundles: "Sequence[SignatureBundle]",
+    store: ModelStore, table: "FeatureTable"
 ) -> tuple[list[ResourceProfile | None], int]:
     """Batched Section-5.3 resource profiles via the packed bank.
 
-    For every operator, the most specific covering individual model's
+    For every table row, the most specific covering individual model's
     ``(theta_p, theta_c, theta_0)`` — or ``None`` where nothing covers it —
-    bitwise identical to the scalar ``store.most_specific(bundle) ->
+    bitwise identical to the object-graph ``store.most_specific(bundle) ->
     model.resource_profile(features)`` chain, but with the raw-space
-    coefficient reads vectorized over all rows of a kind (the last per-op
-    Python loop the analytical partition strategy used to run).
+    coefficient reads vectorized over all rows of a kind.
 
     Returns ``(profiles, n_covered)``; callers charge ``n_covered`` rows of
-    lookup accounting (the scalar path charges five lookups per *covered*
-    profile and none for uncovered operators).
+    lookup accounting (five lookups per *covered* profile and none for
+    uncovered operators).
     """
-    from repro.features.table import FeatureTable
-
-    if len(inputs) != len(bundles):
-        raise ValueError("inputs and bundles must align")
     bank = store.packed_bank()
-    n = len(inputs)
+    n = len(table)
     profiles: list[ResourceProfile | None] = [None] * n
     if n == 0:
         return profiles, 0
-    # Every theta read evaluates the features at P=1 (the scalar path's
-    # `with_partition_count(1.0)`); feature_vector is a 1-row expand_columns,
-    # so these matrix rows are bitwise identical to the scalar vectors.
-    table = FeatureTable.from_inputs(
-        [features.with_partition_count(1.0) for features in inputs], bundles
-    )
-    full_matrix = table.feature_matrix(include_context=True)
+    # Every theta read evaluates the features at P=1 (the object-graph
+    # path's `with_partition_count(1.0)`); feature_vector is a 1-row
+    # expand_columns, so these matrix rows are bitwise identical to its
+    # vectors.
+    at_one = replace(table, partition_count=np.ones(n, dtype=float))
+    full_matrix = at_one.feature_matrix(include_context=True)
     remaining = np.ones(n, dtype=bool)
     n_covered = 0
     for kind in SPECIFICITY_ORDER:
@@ -370,11 +360,11 @@ def resource_profiles_most_specific(
                 )
         else:
             # Unpackable kind: per-row object-graph reads (an unfitted model
-            # raises here, exactly like the scalar chain).
+            # raises here, exactly like the object-graph chain).
             for row in idx:
                 model = store.get(kind, int(column[row]))
                 assert model is not None
-                profiles[row] = model.resource_profile(inputs[row])
+                profiles[row] = model.resource_profile(table.input_at(row))
         n_covered += len(idx)
         remaining[idx] = False
     return profiles, n_covered

@@ -1,26 +1,26 @@
-"""Cleo's prediction front-end with the specificity fallback chain.
+"""Cleo's model bank: the model store, the combined meta-model, the fallback.
 
-The combined model is the primary predictor (it covers every operator since
-the operator model always contributes a meta-feature).  When the combined
-model is absent — e.g. when experimenting with individual models only — the
+The bank prices nothing itself.  Every price, one row or a million, is a
+call into the serving tier's table core
+(:meth:`~repro.serving.service.CleoService.predict_table` and the entry
+points built on it), which walks the specificity chain this module
+describes: the combined model is the primary predictor (it covers every
+operator since the operator model always contributes a meta-feature); when
+it is absent — e.g. when experimenting with individual models only — the
 most specific covering individual model answers, and a trained global mean
-is the final fallback, so the predictor is total over any workload.
+is the final fallback, so pricing is total over any workload.
+:func:`explain_cost` names the tier of that chain behind a price.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.core.combined import CombinedModel, build_meta_matrix
+from repro.core.combined import CombinedModel
 from repro.core.config import ModelKind
-from repro.core.learned_model import ResourceProfile
-from repro.core.model_store import ModelStore
-from repro.core.packed import predict_most_specific
+from repro.core.model_store import ModelStore, signature_for
+from repro.cost.interface import CostExplanation
 from repro.execution.runtime_log import OperatorRecord
-from repro.features.featurizer import FeatureInput
-from repro.features.table import FeatureTable
 from repro.plan.signatures import SignatureBundle
 
 
@@ -37,37 +37,6 @@ class CleoPredictor:
     #: model (1) — the paper's "each sample leads to five learned cost model
     #: predictions" accounting (Section 6.5).
     LOOKUPS_PER_PREDICTION = 5
-
-    def predict(self, features: FeatureInput, signatures: SignatureBundle) -> float:
-        """Predicted exclusive cost (seconds) of one operator instance."""
-        self.lookup_count += self.LOOKUPS_PER_PREDICTION
-        if self.combined is not None and self.combined.is_fitted:
-            return self.combined.predict_one(features, signatures)
-        best = self.store.most_specific(signatures)
-        if best is not None:
-            return best[1].predict_one(features)
-        return self.fallback_cost
-
-    def predict_record(self, record: OperatorRecord) -> float:
-        return self.predict(record.features, record.signatures)
-
-    # ------------------------------------------------------------------ #
-    # Resource profiles (Section 5.3)
-    # ------------------------------------------------------------------ #
-
-    def resource_profile(
-        self, features: FeatureInput, signatures: SignatureBundle
-    ) -> ResourceProfile | None:
-        """The most specific covering model's (theta_p, theta_c, theta_0)."""
-        best = self.store.most_specific(signatures)
-        if best is None:
-            return None
-        self.lookup_count += self.LOOKUPS_PER_PREDICTION
-        return best[1].resource_profile(features)
-
-    # ------------------------------------------------------------------ #
-    # Coverage
-    # ------------------------------------------------------------------ #
 
     def coverage_fraction(self, kind: ModelKind, records: list[OperatorRecord]) -> float:
         """Fraction of records whose signature has a model of ``kind``."""
@@ -87,30 +56,49 @@ class CleoPredictor:
     def memory_bytes(self) -> int:
         return self.store.memory_bytes
 
-    def predict_records(
-        self, records: list[OperatorRecord], table: FeatureTable | None = None
-    ) -> np.ndarray:
-        """Batched predictions for logged operators, in record order.
 
-        Both branches run on the packed inference bank: the combined path
-        through the packed meta-row builder + flat tree ensemble, the
-        store-only path through the packed fallback chain
-        (:func:`~repro.core.packed.predict_most_specific`) — each bitwise
-        identical to per-record :meth:`predict_record`, with the same
-        lookup accounting.  Callers that already materialized the records'
-        columns (``log.to_table()``) can pass ``table`` to skip re-packing
-        them.
-        """
-        records = list(records)
-        if not records:
-            return np.empty(0, dtype=float)
-        if table is None:
-            table = FeatureTable.from_records(records)
-        elif len(table) != len(records):
-            raise ValueError("table and records must align")
-        self.lookup_count += len(records) * self.LOOKUPS_PER_PREDICTION
-        if self.combined is not None and self.combined.is_fitted:
-            return self.combined.predict_rows(build_meta_matrix(self.store, table))
-        values, _, _ = predict_most_specific(self.store, table, self.fallback_cost)
-        return values
+def explain_cost(
+    predictor: CleoPredictor, signatures: SignatureBundle, cost: float
+) -> CostExplanation:
+    """Which tier of ``predictor``'s chain a ``cost`` came from, and why.
 
+    The one explanation rule: the serving tier that priced the row passes
+    its answer in, so an explanation never re-prices anything.
+    """
+    best = predictor.store.most_specific(signatures)
+    kind = best[0] if best is not None else None
+    signature = signature_for(kind, signatures) if kind is not None else None
+    narrower = (
+        None
+        if kind is None or kind is ModelKind.OP_SUBGRAPH
+        else f"no model more specific than {kind.value} covers this signature"
+    )
+    if predictor.combined is not None and predictor.combined.is_fitted:
+        if kind is None:
+            narrower = (
+                "no individual model covers this operator; the combined "
+                "model imputed every meta-feature"
+            )
+        return CostExplanation(
+            source="combined",
+            model_kind=kind.value if kind is not None else None,
+            signature=signature,
+            cost=cost,
+            fallback_reason=narrower,
+        )
+    if kind is not None:
+        return CostExplanation(
+            source=kind.value,
+            model_kind=kind.value,
+            signature=signature,
+            cost=cost,
+            fallback_reason=narrower,
+        )
+    return CostExplanation(
+        source="fallback",
+        model_kind=None,
+        signature=None,
+        cost=cost,
+        fallback_reason="no trained model covers this operator; "
+        "serving the trained global mean",
+    )

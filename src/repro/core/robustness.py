@@ -12,12 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Bound as a module, not by name: ``serving.service`` imports ``repro.core``,
+# whose package init imports this file, so names resolve at call time.
+import repro.serving.service as serving
 from repro.common.stats import median_error_pct, pearson, percentile_error_pct
 from repro.core.combined import predict_covered
 from repro.core.config import ModelKind
 from repro.core.model_store import ModelStore
 from repro.core.predictor import CleoPredictor
 from repro.execution.runtime_log import RunLog
+from repro.features.table import FeatureTable
 
 
 @dataclass(frozen=True)
@@ -98,16 +102,26 @@ def evaluate_store_on_log(
     return out
 
 
+def score_table(predictor: CleoPredictor, table: FeatureTable) -> np.ndarray:
+    """The combined model's price of every row of ``table``, as scored.
+
+    The one evaluation policy: the serving tier's table core with the cache
+    and the boundary checks off, so an evaluation scores the models as they
+    are, garbage included, and never quarantines one.
+    """
+    service = serving.CleoService(
+        predictor,
+        prediction_cache_size=0,
+        validate_inputs=False,
+        validate_outputs=False,
+    )
+    return service.predict_table(table)
+
+
 def evaluate_predictor_on_log(
     predictor: CleoPredictor, log: RunLog, name: str = "combined"
 ) -> ModelQuality:
-    """Combined-model accuracy over every record (always 100% coverage)."""
+    """Combined-model accuracy over every record (always 100% coverage),
+    priced by :func:`score_table`."""
     table = log.to_table()
-    predict_table = getattr(predictor, "predict_table", None)
-    if predict_table is not None:  # a CleoService: table-native packed path
-        predicted = predict_table(table)
-    elif isinstance(predictor, CleoPredictor):
-        predicted = predictor.predict_records(list(log.operator_records()), table=table)
-    else:  # duck-typed record-level predictors
-        predicted = predictor.predict_records(list(log.operator_records()))
-    return _quality(name, predicted, table.latency, len(table))
+    return _quality(name, score_table(predictor, table), table.latency, len(table))

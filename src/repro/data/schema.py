@@ -89,7 +89,3 @@ class TableDef:
 
     def has_column(self, name: str) -> bool:
         return any(c.name == name for c in self.columns)
-
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import CleoConfig
-from repro.core.robustness import evaluate_predictor_on_log
+from repro.core.robustness import evaluate_predictor_on_log, score_table
 from repro.core.trainer import CleoTrainer
 from repro.execution.hardware import ClusterSpec
 from repro.experiments.harness import ExperimentResult
@@ -404,9 +404,7 @@ def run_specialization_ablation(scale: str = "tiny", seed: int = 0) -> Experimen
             "n_models": predictor.store.count(ModelKind.OPERATOR),
         }
     )
-    combined_predicted = predictor.predict_records(
-        test_records, table=bundle.test_table()
-    )
+    combined_predicted = score_table(predictor, bundle.test_table())
     rows.append(
         {
             "model": "full collection + combined",

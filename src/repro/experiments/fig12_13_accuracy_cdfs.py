@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.common.stats import Cdf, error_ratio
 from repro.core.config import ModelKind
-from repro.core.robustness import store_predictions_by_kind
+from repro.core.robustness import score_table, store_predictions_by_kind
 from repro.cost.default_model import DefaultCostModel
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.shared import get_all_cluster_bundles
@@ -59,7 +59,7 @@ def run(scale: str = "small", seed: int = 0, adhoc_only: bool = False) -> Experi
                     }
                 )
 
-        combined = predictor.predict_records(records, table=table)
+        combined = score_table(predictor, table)
         ratios = error_ratio(combined, actuals)
         series[f"cdf_{name}_combined"] = list(Cdf.of(ratios).fractions)
         rows.append(

@@ -13,9 +13,12 @@ import numpy as np
 
 from repro.cardinality.cardlearner import CardLearner
 from repro.common.stats import Cdf, error_ratio, median_error_pct, pearson
+from repro.core.robustness import score_table
 from repro.cost.default_model import DefaultCostModel
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.shared import get_bundle
+from repro.features.extract import feature_input_for
+from repro.features.table import FeatureTable
 
 PAPER = {
     "default": {"median_error_pct": 236.0},
@@ -57,21 +60,19 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
     costs_cl, _ = bundle.baseline_costs(default_model, estimator=card_learner)
     evaluate("default+cardlearner", costs_cl, actuals)
 
-    records = list(test.operator_records())
-    cleo_costs = predictor.predict_records(records, table=test.to_table())
+    cleo_costs = score_table(predictor, test.to_table())
     evaluate("cleo", cleo_costs, actuals)
 
     # Cleo consuming CardLearner's cardinalities: re-featurize test operators
     # with the learned estimates before predicting.
-    from repro.features.extract import feature_input_for
-
-    cleo_cl_costs = []
+    inputs, bundles = [], []
     for job in test:
         plan = bundle.runner.plans[job.job_id]
         for op, record in zip(plan.walk(), job.operators):
-            features = feature_input_for(op, card_learner)
-            cleo_cl_costs.append(predictor.predict(features, record.signatures))
-    evaluate("cleo+cardlearner", np.asarray(cleo_cl_costs), actuals)
+            inputs.append(feature_input_for(op, card_learner))
+            bundles.append(record.signatures)
+    cleo_cl_costs = score_table(predictor, FeatureTable.from_inputs(inputs, bundles))
+    evaluate("cleo+cardlearner", cleo_cl_costs, actuals)
 
     return ExperimentResult(
         experiment_id="fig15",

@@ -14,6 +14,7 @@ import numpy as np
 from repro.core.config import ModelKind
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.shared import get_bundle
+from repro.core.robustness import score_table
 
 #: Error-ratio bands (predicted/actual): the figure's color scale.
 BANDS = ((0.0, 0.5), (0.5, 0.8), (0.8, 1.25), (1.25, 2.0), (2.0, float("inf")))
@@ -61,12 +62,8 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
         )
         series[f"bands_{kind.value}"] = [round(bands[n], 4) for n in BAND_NAMES]
 
-    combined_ratios = np.asarray(
-        [
-            (predictor.predict_record(r) + 1e-9) / (r.actual_latency + 1e-9)
-            for r in records
-        ]
-    )
+    table = bundle.test_table()
+    combined_ratios = (score_table(predictor, table) + 1e-9) / (table.latency + 1e-9)
     bands = _band_fractions(combined_ratios)
     rows.append(
         {

@@ -168,7 +168,3 @@ def get_all_cluster_bundles(
         spec.name: get_bundle(spec.name, scale=scale, days=days, seed=seed)
         for spec in DEFAULT_CLUSTERS
     }
-
-
-def clear_bundle_cache() -> None:
-    _BUNDLES.clear()

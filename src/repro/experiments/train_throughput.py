@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.robustness import score_table
 from repro.core.trainer import CleoTrainer
 from repro.execution.runtime_log import RunLog
 from repro.experiments.shared import cluster_spec, workload_config
@@ -55,10 +56,9 @@ def run_benchmark(
     scalar_times, scalar_predictor = timed(lambda: trainer.train_reference(log), repeats)
     columnar_times, columnar_predictor = timed(lambda: trainer.train(log), repeats)
 
-    test = log.filter(days=[log.days[-1]])
-    records = list(test.operator_records())
-    scalar_preds = np.array([scalar_predictor.predict_record(r) for r in records])
-    columnar_preds = columnar_predictor.predict_records(records)
+    table = log.filter(days=[log.days[-1]]).to_table()
+    scalar_preds = score_table(scalar_predictor, table)
+    columnar_preds = score_table(columnar_predictor, table)
     identical = bool(np.array_equal(scalar_preds, columnar_preds))
 
     return {

@@ -4,9 +4,10 @@ Every experiment and every training run starts from a generated
 :class:`~repro.execution.runtime_log.RunLog`, and "How Good are Learned
 Cost Models, Really?" (Heinrich et al., 2025) identifies training-data
 generation as *the* bottleneck of evaluating learned cost models at all.
-This benchmark times ``run_multi_cluster_workload`` end to end — planning,
-ground-truth simulation, feature extraction, log assembly — twice: once
-through the retained per-job scalar reference
+This benchmark times a Figure 9-shaped workload (every
+:func:`~repro.workload.runner.multi_cluster_setup` cluster over several
+days) end to end — planning, ground-truth simulation, feature extraction,
+log assembly — twice: once through the retained per-job scalar reference
 (:meth:`WorkloadRunner.run_days_reference`) and once through the batched
 engine (skeleton planner + vectorized ground truth + columnar ingest), and
 verifies the two produce bitwise-identical run logs before reporting the

@@ -192,6 +192,12 @@ class FeatureTable:
             self.__dict__[key] = cached
         return cached
 
+    def input_at(self, row: int) -> FeatureInput:
+        """One row's features as a :class:`FeatureInput` (the exact values)."""
+        return FeatureInput(
+            **{name: float(getattr(self, name)[row]) for name in COLUMN_NAMES}
+        )
+
     def signature_column(self, name: str) -> np.ndarray:
         """One signature column ("strict"/"approx"/"input"/"operator")."""
         if name not in self.signatures:

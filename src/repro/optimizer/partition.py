@@ -264,8 +264,7 @@ class AnalyticalStrategy:
                 " (CleoCostModel)"
             )
         context = ResourceContext()
-        # One call for the whole stage; a batched=False cost model answers it
-        # with its retained per-op loop, bitwise identically.
+        # One call for the whole stage, whatever the cost model's schedule.
         for profile in cost_model.resource_profiles(stage_ops, estimator):
             if profile is not None:
                 context.attach(profile)

@@ -495,11 +495,13 @@ class SkeletonPlanner(CascadesSearch):
         )
 
     def _cost_scalar(self, node: RNode) -> float:
-        # Learned model, scalar serving path (batched=False): one service
-        # round-trip per candidate, like QueryPlanner's operator_cost calls.
-        return self.cost_model.price_input(
-            _replay_feature_input(node), signed(node).bundle
+        # Learned model, reference schedule (batched=False): one one-row
+        # service round-trip per candidate, like QueryPlanner's
+        # operator_cost calls.
+        values = self.cost_model.price_inputs(
+            [_replay_feature_input(node)], [signed(node).bundle]
         )
+        return float(values[0])
 
     def _heuristic_partitions(self, op: RNode) -> int:
         # default_partition_heuristic on the replay node's cached estimates.

@@ -64,7 +64,7 @@ class InjectedTimeoutError(ShardTimeoutError):
 class FaultPolicy:
     """One reproducible chaos scenario.
 
-    Rates are per shard call (one sub-batch, retry, or scalar request) and
+    Rates are per shard call (one sub-batch, one-row request, or retry) and
     mutually exclusive: a single unit draw is carved into ``error`` /
     ``timeout`` / ``corrupt`` / ``latency`` bands, so the rates must sum to
     at most 1.  ``shards`` limits the blast radius to the listed shard

@@ -8,11 +8,13 @@ object that owns training, persistence, versioned deployment, and the hot
 prediction path, so no consumer ever assembles ``ModelStore`` +
 ``CombinedModel`` + ``CleoPredictor`` by hand again.
 
-The service prices **rows** — ``(features, signatures)`` pairs, scalar,
-batched or columnar — and never sees an operator: turning operators and
-plans into rows is :class:`~repro.core.cost_model.CleoCostModel`'s job.  The
-one exception is the load replays' whole-plan *request*:
-:meth:`CleoService.predict_plan` is :func:`price_plan`, i.e.
+The service prices **rows** — ``(features, signatures)`` pairs, batched or
+columnar — and never sees an operator: turning operators and plans into rows
+is :class:`~repro.core.cost_model.CleoCostModel`'s job.  There is no scalar
+twin: a single price is a one-row :meth:`CleoService.predict_inputs` call,
+and an explanation (:meth:`CleoService.explain`) names the tier behind that
+one-row price.  The one exception to rows is the load replays' whole-plan
+*request*: :meth:`CleoService.predict_plan` is :func:`price_plan`, i.e.
 :func:`plan_requests` and :func:`plan_totals` around one batch.
 
 Serving-grade mechanics:
@@ -26,8 +28,8 @@ Serving-grade mechanics:
   and every other batched entry point ends in its core:
   :meth:`CleoService.predict_batch` packs the requests the cache could not
   answer into a table and prices that.  All paths are *bitwise identical*
-  to one-at-a-time prediction: every underlying regressor computes
-  per-row, batch-size-invariant reductions.
+  to one-row prediction: every underlying regressor computes per-row,
+  batch-size-invariant reductions.
 * **Prediction cache** — a bounded, signature-keyed LRU in front of the
   models turns the recurring-job workload's repeated (features, signatures)
   pairs into O(1) hits: a batch is one locked probe and one locked insert,
@@ -56,7 +58,7 @@ from repro.core.packed import predict_most_specific, resource_profiles_most_spec
 from repro.core.learned_model import _MAX_PREDICT_SECONDS, ResourceProfile
 from repro.core.lifecycle import ModelRegistry, ModelVersion
 from repro.core.model_store import ModelStore, signature_for
-from repro.core.predictor import CleoPredictor
+from repro.core.predictor import CleoPredictor, explain_cost
 from repro.core.regression_control import ModelQuarantine
 from repro.core.trainer import CleoTrainer
 from repro.cost.interface import CostExplanation, CostModel
@@ -165,14 +167,11 @@ class ServiceStats:
     ``individual_model_calls`` counts vectorized individual-model
     invocations — exactly one per covering ``(kind, signature)`` group per
     batch — and ``combined_model_calls`` counts meta-ensemble matrix calls
-    (at most one per batch).  Scalar (non-batched) predictions are tracked
-    separately and never inflate the vectorized-call counters.
+    (at most one per batch).  A one-row price is a batch like any other.
     """
 
     predictions: int
     batches: int
-    batched_predictions: int
-    scalar_predictions: int
     cache: CacheStats
     individual_model_calls: int
     combined_model_calls: int
@@ -212,8 +211,6 @@ class ServiceStats:
         return cls(
             predictions=sum(p.predictions for p in parts),
             batches=sum(p.batches for p in parts),
-            batched_predictions=sum(p.batched_predictions for p in parts),
-            scalar_predictions=sum(p.scalar_predictions for p in parts),
             cache=CacheStats.aggregate(p.cache for p in parts),
             individual_model_calls=sum(p.individual_model_calls for p in parts),
             combined_model_calls=sum(p.combined_model_calls for p in parts),
@@ -229,7 +226,7 @@ class ServiceStats:
     def describe(self) -> str:
         text = (
             f"{self.predictions} predictions "
-            f"({self.batches} batches, {self.scalar_predictions} scalar), "
+            f"({self.batches} batches), "
             f"cache {self.cache.hits}/{self.cache.requests} hits "
             f"({100.0 * self.cache.hit_rate:.1f}%) "
             f"+ {self.in_batch_reuses} in-batch reuses, "
@@ -288,8 +285,7 @@ class CleoService:
         # aggregated ServiceStats.  Never held across model computation.
         self._stats_lock = threading.Lock()
         self._batches = 0
-        self._batched_predictions = 0
-        self._scalar_predictions = 0
+        self._predictions = 0
         self._individual_calls = 0
         self._combined_calls = 0
         self._fallbacks = 0
@@ -366,29 +362,8 @@ class CleoService:
         return version
 
     # ------------------------------------------------------------------ #
-    # Scalar prediction (CleoPredictor-compatible surface)
+    # Resource profiles (Section 5.3)
     # ------------------------------------------------------------------ #
-
-    def predict(self, features: FeatureInput, signatures: SignatureBundle) -> float:
-        """Predicted exclusive cost (seconds) of one operator instance."""
-        key = (features, signatures)
-        cached = self._prediction_cache.get(key)
-        if cached is not None:
-            with self._stats_lock:
-                self._scalar_predictions += 1
-            return cached
-        if self._validate_inputs:
-            self._check_features(features)
-        value = self.predictor.predict(features, signatures)
-        if self._validate_outputs and not _value_ok(value):
-            value = float(self._repair_rows([features], [signatures])[0])
-        is_fallback = self._is_fallback(signatures)
-        self._prediction_cache.put(key, value)
-        with self._stats_lock:
-            self._scalar_predictions += 1
-            if is_fallback:
-                self._fallbacks += 1
-        return value
 
     def resource_profiles(
         self,
@@ -397,14 +372,16 @@ class CleoService:
     ) -> list[ResourceProfile | None]:
         """Batched Section-5.3 resource profiles, via the packed bank.
 
-        Bitwise identical to a per-operator
-        :meth:`CleoPredictor.resource_profile` loop (``None`` where no
-        individual model covers the operator), with the
-        same lookup accounting: five lookups per covered profile, none for
-        uncovered operators.
+        The most specific covering model's ``(theta_p, theta_c, theta_0)``
+        per row, ``None`` where no individual model covers the operator.
+        The rows are packed once and pass :meth:`predict_table`'s input
+        check before any lookup is charged; then five lookups per covered
+        profile, none for uncovered operators.
         """
+        table = FeatureTable.from_inputs(inputs, bundles)
+        self._check_table(table)
         profiles, n_covered = resource_profiles_most_specific(
-            self.predictor.store, inputs, bundles
+            self.predictor.store, table
         )
         with self._stats_lock:
             self.predictor.lookup_count += (
@@ -424,9 +401,9 @@ class CleoService:
         the same core :meth:`predict_table` runs, and inserted under one more
         lock acquisition.  A request identical to an earlier miss of the same
         batch reuses its value (``in_batch_reuses``).  Results are bitwise
-        identical to calling :meth:`predict` per request.  (For whole-table
-        workloads prefer :meth:`predict_table`, which skips the per-request
-        layer entirely.)
+        identical to pricing each request as a one-row batch.  (For
+        whole-table workloads prefer :meth:`predict_table`, which skips the
+        per-request layer entirely.)
         """
         return self._predict_batch(requests, reference=False)
 
@@ -462,16 +439,16 @@ class CleoService:
             self._check_table(table)
 
         # Lookup accounting (and the fallback counter) charges every request
-        # not served from the LRU, so a cache-disabled service matches the
-        # scalar path's "five learned predictions per sample" bookkeeping
-        # exactly (Section 6.5).  With the cache *enabled* the paths can
-        # legitimately differ by `in_batch_reuses`: a sequential replay
-        # turns in-batch duplicates into LRU hits (uncharged), while the
-        # batch computes them once and reuses the value without a cache
+        # not served from the LRU, so a cache-disabled service keeps the
+        # "five learned predictions per sample" bookkeeping exactly (Section
+        # 6.5).  With the cache *enabled* one batch and a one-row-at-a-time
+        # replay of it can legitimately differ by `in_batch_reuses`: the
+        # replay turns in-batch duplicates into LRU hits (uncharged), while
+        # the batch computes them once and reuses the value without a cache
         # round-trip (charged per request).
         with self._stats_lock:
             self._batches += 1
-            self._batched_predictions += len(requests)
+            self._predictions += len(requests)
             self._batch_reuses += uncached - len(missing)
             self.predictor.lookup_count += (
                 uncached * CleoPredictor.LOOKUPS_PER_PREDICTION
@@ -520,7 +497,7 @@ class CleoService:
         n = len(table)
         with self._stats_lock:
             self._batches += 1
-            self._batched_predictions += n
+            self._predictions += n
             self._predictor.lookup_count += n * CleoPredictor.LOOKUPS_PER_PREDICTION
         if n == 0:
             return np.empty(0, dtype=float)
@@ -537,7 +514,7 @@ class CleoService:
         Every batched entry point ends here — :meth:`predict_table` with its
         rows, :meth:`predict_batch` with its distinct cache misses, where
         ``request_counts[i]`` is how many requests row ``i`` answers so the
-        per-request fallback counter matches the scalar path.  ``reference``
+        fallback counter charges per request.  ``reference``
         routes the combined model through the retained object-graph meta
         builder and tree-at-a-time ensemble (the pre-packed pipeline).
         """
@@ -573,15 +550,15 @@ class CleoService:
     ) -> np.ndarray:
         """Batched predictions for parallel (features, signatures) sequences.
 
-        The optimizer's frontier/sweep pricing entry.  With the prediction
-        LRU enabled it routes through :meth:`predict_batch` (cache hits and
-        in-batch dedup still pay off for recurring operators); with caching
-        disabled it packs the sequences into a table and calls
-        :meth:`predict_table` directly — no requests, no keys hashed — whose
-        lookup and fallback accounting matches a cache-disabled
-        :meth:`predict_batch` — and the scalar :meth:`predict` loop —
-        exactly.  Either way the rows are priced by the one table core, so
-        values are bitwise identical.
+        The optimizer's pricing entry, a single price included (one row).
+        With the prediction LRU enabled it routes through
+        :meth:`predict_batch` (cache hits and in-batch dedup still pay off
+        for recurring operators); with caching disabled it packs the
+        sequences into a table and calls :meth:`predict_table` directly — no
+        requests, no keys hashed — whose lookup and fallback accounting
+        matches a cache-disabled :meth:`predict_batch` exactly.  Either way
+        the rows are priced by the one table core, so values are bitwise
+        identical.
         """
         if len(inputs) != len(bundles):
             raise FeatureValidationError("inputs and bundles must align")
@@ -594,15 +571,6 @@ class CleoService:
     # ------------------------------------------------------------------ #
     # Boundary validation and repair
     # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _check_features(features: FeatureInput) -> None:
-        for name in COLUMN_NAMES:
-            if not math.isfinite(getattr(features, name)):
-                raise FeatureValidationError(
-                    f"non-finite feature {name}={getattr(features, name)!r} "
-                    "in serving request"
-                )
 
     def _check_table(self, table: FeatureTable) -> None:
         """Reject a table carrying non-finite feature values."""
@@ -617,12 +585,7 @@ class CleoService:
     def _repaired_table(self, table: FeatureTable, values: np.ndarray) -> np.ndarray:
         """Rebuild the requests of non-finite / negative rows and repair them."""
         idx = np.flatnonzero(~(np.isfinite(values) & (values >= 0.0)))
-        inputs = [
-            FeatureInput(
-                **{name: float(getattr(table, name)[i]) for name in COLUMN_NAMES}
-            )
-            for i in idx
-        ]
+        inputs = [table.input_at(i) for i in idx]
         bundles = [
             SignatureBundle(
                 strict=int(table.signatures["strict"][i]),
@@ -721,63 +684,13 @@ class CleoService:
     def explain(
         self, features: FeatureInput, signatures: SignatureBundle
     ) -> CostExplanation:
-        """The prediction plus which model tier produced it and why."""
-        cost = self.predict(features, signatures)
-        predictor = self.predictor
-        best = predictor.store.most_specific(signatures)
-        kind = best[0] if best is not None else None
-        signature = signature_for(kind, signatures) if kind is not None else None
-
-        if predictor.combined is not None and predictor.combined.is_fitted:
-            reason = None
-            if kind is None:
-                reason = (
-                    "no individual model covers this operator; the combined "
-                    "model imputed every meta-feature"
-                )
-            elif kind is not ModelKind.OP_SUBGRAPH:
-                reason = (
-                    "no model more specific than "
-                    f"{kind.value} covers this signature"
-                )
-            return CostExplanation(
-                source="combined",
-                model_kind=kind.value if kind is not None else None,
-                signature=signature,
-                cost=cost,
-                fallback_reason=reason,
-            )
-        if kind is not None:
-            reason = (
-                None
-                if kind is ModelKind.OP_SUBGRAPH
-                else f"no model more specific than {kind.value} covers this signature"
-            )
-            return CostExplanation(
-                source=kind.value,
-                model_kind=kind.value,
-                signature=signature,
-                cost=cost,
-                fallback_reason=reason,
-            )
-        return CostExplanation(
-            source="fallback",
-            model_kind=None,
-            signature=None,
-            cost=cost,
-            fallback_reason="no trained model covers this operator; "
-            "serving the trained global mean",
-        )
+        """The one-row price plus which model tier produced it and why."""
+        cost = float(self.predict_inputs([features], [signatures])[0])
+        return explain_cost(self.predictor, signatures, cost)
 
     # ------------------------------------------------------------------ #
     # Introspection and stats
     # ------------------------------------------------------------------ #
-
-    def _is_fallback(self, signatures: SignatureBundle) -> bool:
-        predictor = self.predictor
-        if predictor.combined is not None and predictor.combined.is_fitted:
-            return False
-        return predictor.store.most_specific(signatures) is None
 
     @property
     def prediction_cache_enabled(self) -> bool:
@@ -805,10 +718,8 @@ class CleoService:
         """An atomic snapshot of the serving counters."""
         with self._stats_lock:
             return ServiceStats(
-                predictions=self._batched_predictions + self._scalar_predictions,
+                predictions=self._predictions,
                 batches=self._batches,
-                batched_predictions=self._batched_predictions,
-                scalar_predictions=self._scalar_predictions,
                 cache=self._prediction_cache.stats(),
                 individual_model_calls=self._individual_calls,
                 combined_model_calls=self._combined_calls,
@@ -822,8 +733,7 @@ class CleoService:
         """Zero every counter (cache contents are kept)."""
         with self._stats_lock:
             self._batches = 0
-            self._batched_predictions = 0
-            self._scalar_predictions = 0
+            self._predictions = 0
             self._individual_calls = 0
             self._combined_calls = 0
             self._fallbacks = 0

@@ -26,8 +26,10 @@ the paper's optimizer-facing deployment does (Section 5.1), but scaled out:
   test asserts as ``predictions_bitwise_identical``.
 
 Like the service, the router speaks only rows (plus ``predict_plan``, the
-load replays' whole-plan request); :class:`ClusterClient` binds one cluster
-so a :class:`~repro.core.cost_model.CleoCostModel` prices through the fleet.
+load replays' whole-plan request), and a single price is a one-row batch:
+every entry point walks the one fan-out and the degradation ladder.
+:class:`ClusterClient` binds one cluster so a
+:class:`~repro.core.cost_model.CleoCostModel` prices through the fleet.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from repro.common.errors import (
 from repro.core.learned_model import _MAX_PREDICT_SECONDS, ResourceProfile
 from repro.core.predictor import CleoPredictor
 from repro.cost.default_model import DefaultCostModel
-from repro.cost.interface import CostExplanation, CostModel
+from repro.cost.interface import CostModel
 from repro.features.featurizer import FeatureInput
 from repro.features.table import FeatureTable
 from repro.plan.physical import PhysicalOp, PhysOpType
@@ -481,29 +483,6 @@ class ShardedCleoRouter:
     # Prediction entry points (cluster-scoped)
     # ------------------------------------------------------------------ #
 
-    def predict(
-        self, cluster: str, features: FeatureInput, signatures: SignatureBundle
-    ) -> float:
-        """One operator instance, served by its owning shard."""
-        shard = self.shard_for(cluster, signatures.approx)
-        if self._resilience is None and self._injector is None:
-            return self._shards[shard][cluster].predict(features, signatures)
-
-        def compute(s: int) -> np.ndarray:
-            return np.array(
-                [self._shards[s][cluster].predict(features, signatures)],
-                dtype=float,
-            )
-
-        values = self._guarded(
-            cluster,
-            shard,
-            compute,
-            (1, signatures.approx),
-            lambda: self._heuristic_inputs([features]),
-        )
-        return float(values[0])
-
     def predict_batch(
         self, cluster: str, requests: Sequence[PredictionRequest]
     ) -> np.ndarray:
@@ -631,12 +610,6 @@ class ShardedCleoRouter:
             for i, value in zip(idx, profiles):
                 out[i] = value
         return out
-
-    def explain(
-        self, cluster: str, features: FeatureInput, signatures: SignatureBundle
-    ) -> CostExplanation:
-        shard = self.shard_for(cluster, signatures.approx)
-        return self._shards[shard][cluster].explain(features, signatures)
 
     def _group_rows(
         self, cluster: str, approx: Sequence[int]
@@ -840,13 +813,6 @@ class ClusterClient:
         """The cluster's base (unsharded) predictor view."""
         return self.router._base[self.cluster]
 
-    @property
-    def prediction_cache_enabled(self) -> bool:
-        return self.router._shards[0][self.cluster].prediction_cache_enabled
-
-    def predict(self, features: FeatureInput, signatures: SignatureBundle) -> float:
-        return self.router.predict(self.cluster, features, signatures)
-
     def predict_batch(self, requests: Sequence[PredictionRequest]) -> np.ndarray:
         return self.router.predict_batch(self.cluster, requests)
 
@@ -860,20 +826,12 @@ class ClusterClient:
     def predict_table(self, table: FeatureTable) -> np.ndarray:
         return self.router.predict_table(self.cluster, table)
 
-    def predict_plan(self, root: PhysicalOp, estimator: CardinalityEstimator) -> float:
-        return self.router.predict_plan(self.cluster, root, estimator)
-
     def resource_profiles(
         self,
         inputs: Sequence[FeatureInput],
         bundles: Sequence[SignatureBundle],
     ) -> list[ResourceProfile | None]:
         return self.router.resource_profiles(self.cluster, inputs, bundles)
-
-    def explain(
-        self, features: FeatureInput, signatures: SignatureBundle
-    ) -> CostExplanation:
-        return self.router.explain(self.cluster, features, signatures)
 
     def cost_model(self) -> CostModel:
         from repro.core.cost_model import CleoCostModel

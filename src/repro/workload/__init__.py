@@ -9,7 +9,7 @@ fragments.
 """
 
 from repro.workload.generator import ClusterWorkloadConfig, WorkloadGenerator
-from repro.workload.runner import WorkloadRunner, run_multi_cluster_workload
+from repro.workload.runner import WorkloadRunner
 from repro.workload.templates import FragmentSpec, JobSpec, TemplateSpec
 
 __all__ = [
@@ -19,5 +19,4 @@ __all__ = [
     "TemplateSpec",
     "WorkloadGenerator",
     "WorkloadRunner",
-    "run_multi_cluster_workload",
 ]

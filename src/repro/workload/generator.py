@@ -298,6 +298,3 @@ class WorkloadGenerator:
                 )
             )
         return jobs
-
-    def recurring_template_count(self) -> int:
-        return len(self.templates)

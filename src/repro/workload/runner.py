@@ -192,9 +192,11 @@ def multi_cluster_setup(
 ) -> list[tuple[WorkloadGenerator, WorkloadRunner]]:
     """The Figure 9-shaped per-cluster (generator, runner) pairs.
 
-    Factored out of :func:`run_multi_cluster_workload` so the workload
-    benchmark can reuse the exact same configuration with persistent
-    runners (warm skeleton/shape caches across repeats).
+    ``scale`` shrinks or grows the per-cluster template counts uniformly so
+    tests and benchmarks can dial cost.  Cluster 1 is the largest and
+    cluster 4 the smallest, matching the paper's load spread.  The workload
+    benchmark runs every pair over persistent runners (warm skeleton/shape
+    caches across repeats).
     """
     relative_size = {"cluster1": 1.0, "cluster2": 0.75, "cluster3": 0.55, "cluster4": 0.35}
     pairs: list[tuple[WorkloadGenerator, WorkloadRunner]] = []
@@ -212,25 +214,3 @@ def multi_cluster_setup(
             (WorkloadGenerator(config), WorkloadRunner(cluster=cluster, seed=seed + i))
         )
     return pairs
-
-
-def run_multi_cluster_workload(
-    days: range | list[int],
-    clusters: tuple[ClusterSpec, ...] = DEFAULT_CLUSTERS,
-    scale: float = 1.0,
-    seed: int = 0,
-    reference: bool = False,
-) -> dict[str, RunLog]:
-    """Run a Figure 9-shaped workload: several clusters, several days.
-
-    ``scale`` shrinks or grows the per-cluster template counts uniformly so
-    tests and benchmarks can dial cost.  Cluster 1 is the largest and
-    cluster 4 the smallest, matching the paper's load spread.  With
-    ``reference=True`` the retained scalar path runs instead of the batched
-    engine (same log, bit for bit).
-    """
-    logs: dict[str, RunLog] = {}
-    for generator, runner in multi_cluster_setup(clusters, scale=scale, seed=seed):
-        run = runner.run_days_reference if reference else runner.run_days
-        logs[runner.cluster.name] = run(generator, days)
-    return logs

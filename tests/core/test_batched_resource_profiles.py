@@ -15,6 +15,7 @@ import pytest
 from repro.core.config import SPECIFICITY_ORDER
 from repro.core.packed import resource_profiles_most_specific
 from repro.core.predictor import CleoPredictor
+from repro.features.table import FeatureTable
 from repro.serving import CleoService, PredictionRequest
 
 
@@ -43,7 +44,7 @@ class TestBatchedResourceProfiles:
     def test_bitwise_identical_to_per_model_path(self, tiny_predictor, rows):
         inputs, bundles = rows
         batched, n_covered = resource_profiles_most_specific(
-            tiny_predictor.store, inputs, bundles
+            tiny_predictor.store, FeatureTable.from_inputs(inputs, bundles)
         )
         scalar = _scalar_profiles(tiny_predictor.store, inputs, bundles)
         assert len(batched) == len(scalar) == len(inputs)
@@ -81,7 +82,7 @@ class TestBatchedResourceProfiles:
         )
 
     def test_cost_model_routes_batched(self, tiny_bundle, tiny_predictor):
-        """CleoCostModel.resource_profiles == per-op resource_profile calls."""
+        """A stage's profiles in one call == one operator per call."""
         from repro.core.cost_model import CleoCostModel
 
         estimator = tiny_bundle.fresh_estimator()
@@ -91,5 +92,5 @@ class TestBatchedResourceProfiles:
         scalar_model = CleoCostModel(tiny_predictor, batched=False)
         assert batched_model.supports_batched_pricing
         batched = batched_model.resource_profiles(ops, estimator)
-        scalar = [scalar_model.resource_profile(op, estimator) for op in ops]
+        scalar = [scalar_model.resource_profiles([op], estimator)[0] for op in ops]
         assert batched == scalar

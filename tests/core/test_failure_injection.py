@@ -24,6 +24,7 @@ from repro.core.robustness import evaluate_predictor_on_log
 from repro.core.trainer import CleoTrainer
 from repro.execution.runtime_log import JobRecord, RunLog
 from repro.features.featurizer import FeatureInput
+from repro.serving import CleoService
 
 
 def corrupt_log(log: RunLog, factor: float, every: int = 1) -> RunLog:
@@ -98,15 +99,15 @@ class TestDegenerateWorkloads:
         assert predictor.store.count(ModelKind.OP_SUBGRAPH) <= predictor.store.count(
             ModelKind.OPERATOR
         ) + len(job.operators)
-        for record in job.operators:
-            assert math.isfinite(predictor.predict_record(record))
+        service = CleoService(predictor, prediction_cache_size=0)
+        assert np.isfinite(service.predict_records(job.operators)).all()
 
     def test_empty_store_predictor_uses_fallback(self, tiny_bundle):
         from repro.core.model_store import ModelStore
 
         predictor = CleoPredictor(store=ModelStore(), fallback_cost=7.5)
         record = next(tiny_bundle.log.operator_records())
-        assert predictor.predict_record(record) == 7.5
+        assert CleoService(predictor).predict_records([record])[0] == 7.5
 
 
 class TestExtremeFeatures:
@@ -127,7 +128,11 @@ class TestExtremeFeatures:
             avg_row_bytes=64.0,
             partition_count=float(partitions),
         )
-        value = tiny_predictor.predict(features, record.signatures)
+        # Output repair off: the models' own answer must be finite.
+        service = CleoService(
+            tiny_predictor, prediction_cache_size=0, validate_outputs=False
+        )
+        value = service.predict_inputs([features], [record.signatures])[0]
         assert math.isfinite(value)
         assert value >= 0.0
 

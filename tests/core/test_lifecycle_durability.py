@@ -16,6 +16,7 @@ import pytest
 from repro.common.chaos import CRASH_POINTS, CrashPolicy, PipelineChaos
 from repro.common.errors import InjectedCrashError
 from repro.core.lifecycle import LifecycleManager, RetrainPolicy
+from repro.serving import CleoService
 
 
 POLICY = RetrainPolicy(window_days=2, frequency_days=1)
@@ -77,10 +78,10 @@ class TestDurableState:
         assert resumed.drift_pending == manager.drift_pending
         assert resumed.rolling_median_error == manager.rolling_median_error
         # The resumed registry serves bitwise-identically.
-        record = next(tiny_bundle.test_log().operator_records())
-        assert resumed.registry.active().predictor.predict_record(
-            record
-        ) == manager.registry.active().predictor.predict_record(record)
+        records = list(tiny_bundle.test_log().operator_records())[:1]
+        served = CleoService(resumed.registry.active().predictor).predict_records(records)
+        expected = CleoService(manager.registry.active().predictor).predict_records(records)
+        assert served.tobytes() == expected.tobytes()
 
     def test_resumed_manager_continues_identically(self, tmp_path):
         from repro.experiments.shared import get_bundle

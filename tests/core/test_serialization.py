@@ -11,6 +11,7 @@ from repro.core.serialization import (
     store_from_dict,
     store_to_dict,
 )
+from repro.serving import CleoService
 
 
 class TestStoreRoundTrip:
@@ -65,8 +66,8 @@ class TestPredictorRoundTrip:
         save_predictor(tiny_predictor, path)
         loaded = load_predictor(path)
         records = list(tiny_bundle.test_log().operator_records())[:60]
-        original = tiny_predictor.predict_records(records)
-        restored = loaded.predict_records(records)
+        original = CleoService(tiny_predictor, prediction_cache_size=0).predict_records(records)
+        restored = CleoService(loaded, prediction_cache_size=0).predict_records(records)
         assert np.allclose(original, restored, rtol=1e-9)
 
     def test_loaded_predictor_has_combined(self, tiny_predictor, tmp_path):
@@ -123,9 +124,11 @@ class TestRegistryRoundTrip:
         path = tmp_path / "registry.json"
         save_registry(registry, path)
         restored = load_registry(path)
-        record = next(tiny_bundle.test_log().operator_records())
-        assert restored.active().predictor.predict_record(record) == pytest.approx(
-            registry.active().predictor.predict_record(record), rel=1e-9
+        records = [next(tiny_bundle.test_log().operator_records())]
+        assert CleoService(restored.active().predictor).predict_records(
+            records
+        ) == pytest.approx(
+            CleoService(registry.active().predictor).predict_records(records), rel=1e-9
         )
 
     def test_version_check(self, registry, tmp_path):

@@ -11,6 +11,12 @@ from repro.core.model_store import ModelStore, signature_for
 from repro.core.predictor import CleoPredictor
 from repro.core.robustness import evaluate_predictor_on_log, evaluate_store_on_log
 from repro.core.trainer import CleoTrainer
+from repro.serving import CleoService
+
+
+def _served(predictor, records):
+    """Records priced by a cache-off service over ``predictor``."""
+    return CleoService(predictor, prediction_cache_size=0).predict_records(records)
 
 
 class TestConfig:
@@ -99,27 +105,27 @@ class TestCombinedModel:
         assert set(flags.tolist()) <= {0.0, 1.0}
 
     def test_predictions_nonnegative(self, tiny_bundle, tiny_predictor):
-        for record in list(tiny_bundle.test_log().operator_records())[:100]:
-            assert tiny_predictor.predict_record(record) >= 0.0
+        records = list(tiny_bundle.test_log().operator_records())[:100]
+        assert (_served(tiny_predictor, records) >= 0.0).all()
 
 
 class TestPredictor:
     def test_full_coverage(self, tiny_bundle, tiny_predictor):
         records = list(tiny_bundle.test_log().operator_records())
-        predictions = tiny_predictor.predict_records(records)
+        predictions = _served(tiny_predictor, records)
         assert len(predictions) == len(records)
         assert np.isfinite(predictions).all()
 
     def test_lookup_accounting(self, tiny_bundle, tiny_predictor):
         tiny_predictor.reset_lookup_count()
         record = next(tiny_bundle.test_log().operator_records())
-        tiny_predictor.predict_record(record)
+        _served(tiny_predictor, [record])
         assert tiny_predictor.lookup_count == CleoPredictor.LOOKUPS_PER_PREDICTION
 
     def test_fallback_without_combined(self, tiny_bundle, tiny_predictor):
         bare = CleoPredictor(store=tiny_predictor.store, combined=None)
         record = next(tiny_bundle.test_log().operator_records())
-        assert bare.predict_record(record) >= 0.0
+        assert _served(bare, [record])[0] >= 0.0
 
     def test_coverage_fraction_bounds(self, tiny_bundle, tiny_predictor):
         records = list(tiny_bundle.test_log().operator_records())

@@ -19,6 +19,7 @@ from repro.core.combined import (
 from repro.core.config import CleoConfig, ModelKind
 from repro.core.trainer import CleoTrainer
 from repro.ml.proximal import ElasticNetMSLE, fit_elastic_nets
+from repro.serving import CleoService
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +48,11 @@ class TestTrainerParity:
     def test_predictions_bitwise_identical(self, tiny_bundle, parity_predictors):
         columnar, reference = parity_predictors
         records = list(tiny_bundle.test_log().operator_records())
-        batched = columnar.predict_records(records)
-        scalar = np.array([reference.predict_record(r) for r in records])
+        batched = CleoService(columnar, prediction_cache_size=0).predict_records(records)
+        one_row = CleoService(reference, prediction_cache_size=0)
+        scalar = np.concatenate(
+            [one_row.predict_inputs([r.features], [r.signatures]) for r in records]
+        )
         assert np.array_equal(batched, scalar)
 
     def test_train_raises_on_empty_log(self):

@@ -135,7 +135,7 @@ class TestWaveParity:
         with ShardedCleoRouter(
             {"cluster1": tiny_predictor}, n_shards=2, prediction_cache_size=4096
         ) as router:
-            assert router.client("cluster1").prediction_cache_enabled
+            assert router.service_for("cluster1", 0).prediction_cache_enabled
             cold, _keys, _ = _replan(distinct_jobs, router.cost_model("cluster1"))
             warm, _keys, _ = _replan(distinct_jobs, router.cost_model("cluster1"))
             assert router.stats().hit_rate > 0.0

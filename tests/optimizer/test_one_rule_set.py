@@ -105,7 +105,8 @@ def test_the_partitioned_finale_is_one_grid_and_no_plan_cost():
 
 def test_serving_tier_defines_no_operator_level_entry_points():
     counts = _definitions(repro.serving)
-    gone = ("predict_operator", "predict_plan_batch", "explain_operator", "bundle_for")
+    # ``predict`` too: a single price is a one-row batch, not a scalar twin.
+    gone = ("predict_operator", "predict_plan_batch", "explain_operator", "bundle_for", "predict")
     assert {name: counts[name] for name in gone} == dict.fromkeys(gone, 0)
     # Featurization happens once in the package, inside ``plan_requests``.
     root = Path(repro.serving.__file__).parent

@@ -125,11 +125,12 @@ class TestGridEqualsScalarOracle:
         expected, _ = oracle(strategy, max_partitions, guard)
         service = CleoService(tiny_predictor)
         assert service.prediction_cache_enabled
-        got = _explore(
-            service.cost_model(), _plans(tiny_bundle), strategy, max_partitions, guard
-        )
+        plans = _plans(tiny_bundle)
+        got = _explore(service.cost_model(), plans, strategy, max_partitions, guard)
         assert got == expected
-        assert service.stats().scalar_predictions == 0
+        # Per plan: the exploration's one grid and the rebuilt plan's
+        # ``plan_cost`` — never an operator at a time.
+        assert service.stats().batches == 2 * len(plans)
 
     @pytest.mark.parametrize("n_shards", [1, 3])
     @pytest.mark.parametrize("guard", [True, False], ids=["guard", "noguard"])
@@ -175,8 +176,7 @@ class TestGridEqualsScalarOracle:
             )
             after = service.stats()
             assert after.batches - before.batches == 1
-            assert after.batched_predictions - before.batched_predictions == rows
-            assert after.scalar_predictions == 0
+            assert after.predictions - before.predictions == rows
         assert widened == guard  # some current count really was off the grid
 
 

@@ -313,12 +313,12 @@ class TestZeroFaultParity:
         assert hardened_stats.breaker_opens == 0
         assert hardened_stats.degraded_predictions == 0
 
-    def test_scalar_parity(self, tiny_predictor, requests, baseline):
+    def test_one_row_parity(self, tiny_predictor, requests, baseline):
         with make_router(tiny_predictor, n_shards=3) as router:
             for request in requests[:40]:
-                assert router.predict(
-                    "cluster1", request.features, request.signatures
-                ) == baseline.predict(request.features, request.signatures)
+                row = ([request.features], [request.signatures])
+                ours = router.predict_inputs("cluster1", *row)
+                assert ours.tobytes() == baseline.predict_inputs(*row).tobytes()
 
     def test_noop_injector_is_still_bitwise(
         self, tiny_predictor, requests, baseline
@@ -406,7 +406,7 @@ class TestDegradationLadder:
         assert np.array_equal(values, floor)
         assert stats.degraded_predictions == len(requests)
 
-    def test_scalar_predict_walks_the_ladder(
+    def test_one_row_price_walks_the_ladder(
         self, tiny_predictor, requests, baseline
     ):
         injector = FaultInjector(
@@ -416,12 +416,9 @@ class TestDegradationLadder:
             tiny_predictor, n_shards=3, fault_injector=injector
         ) as router:
             for request in requests[:40]:
-                value = router.predict(
-                    "cluster1", request.features, request.signatures
-                )
-                assert value == baseline.predict(
-                    request.features, request.signatures
-                )
+                row = ([request.features], [request.signatures])
+                value = router.predict_inputs("cluster1", *row)
+                assert value.tobytes() == baseline.predict_inputs(*row).tobytes()
 
     def test_predict_table_survives_chaos(self, tiny_predictor, requests, baseline):
         from repro.features.table import FeatureTable
@@ -594,7 +591,7 @@ class TestHedging:
         15% latency rate actually produces spiking owners to hedge past
         (one 400-row batch would only draw three sub-batch tokens)."""
         return [
-            router.predict("cluster1", r.features, r.signatures)
+            float(router.predict_inputs("cluster1", [r.features], [r.signatures])[0])
             for r in requests
         ]
 
@@ -604,9 +601,7 @@ class TestHedging:
         """Hedging changes *when* an answer arrives, never *what* it is:
         the ring successor prices from the same read-only model bank."""
         subset = requests[:200]
-        expected = [
-            baseline.predict(r.features, r.signatures) for r in subset
-        ]
+        expected = baseline.predict_batch(subset).tolist()
         with make_router(
             tiny_predictor,
             n_shards=3,

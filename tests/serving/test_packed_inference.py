@@ -88,19 +88,25 @@ def _random_store(
     return store
 
 
+def _object_graph(store, inputs, bundles, fallback_cost):
+    """The object-graph oracle: each row's most specific covering model,
+    one row at a time, else the fallback cost."""
+    values = []
+    for features, bundle in zip(inputs, bundles):
+        best = store.most_specific(bundle)
+        values.append(best[1].predict_one(features) if best is not None else fallback_cost)
+    return np.array(values)
+
+
 class TestRandomizedParity:
-    """Property-style: packed == object graph == scalar, bit for bit."""
+    """Property-style: packed == object graph == one row, bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_store_only_fallback_chain(self, seed):
         rng = np.random.default_rng(seed)
         inputs, bundles, table = _random_workload(rng, 90)
         store = _random_store(rng, coverage=0.25)
-        predictor = CleoPredictor(store=store, fallback_cost=2.75)
-
-        scalar = np.array(
-            [predictor.predict(f, b) for f, b in zip(inputs, bundles)]
-        )
+        scalar = _object_graph(store, inputs, bundles, 2.75)
         packed, _, n_fallbacks = predict_most_specific(store, table, 2.75)
         assert np.array_equal(scalar, packed)
         uncovered = sum(1 for b in bundles if store.most_specific(b) is None)
@@ -137,9 +143,7 @@ class TestRandomizedParity:
         reference = combined.predict_rows_reference(
             build_meta_matrix_reference(store, table)
         )
-        scalar = np.array(
-            [predictor.predict(f, b) for f, b in zip(inputs, bundles)]
-        )
+        scalar = np.array([combined.predict_one(f, b) for f, b in zip(inputs, bundles)])
         assert np.array_equal(packed, reference)
         assert np.array_equal(packed, scalar)
 
@@ -156,10 +160,7 @@ class TestRandomizedParity:
             LearnedCostModel(include_context=True),
         )
         assert store.packed_bank().kinds[ModelKind.OPERATOR] is None
-        predictor = CleoPredictor(store=store, fallback_cost=1.5)
-        scalar = np.array(
-            [predictor.predict(f, b) for f, b in zip(inputs, bundles)]
-        )
+        scalar = _object_graph(store, inputs, bundles, 1.5)
         packed, _, _ = predict_most_specific(store, table, 1.5)
         assert np.array_equal(scalar, packed)
 
@@ -191,7 +192,7 @@ class TestStatsAccounting:
             "combined": stats.combined_model_calls,
             "fallbacks": stats.fallback_predictions,
             "lookups": service.predictor.lookup_count - before,
-            "predictions": stats.batched_predictions,
+            "predictions": stats.predictions,
         }
 
     def test_store_only_accounting_matches_batch_path(self):
@@ -300,20 +301,25 @@ class TestRoundTrip:
 
 
 class TestPredictorRecordsStoreOnly:
-    """Satellite: the store-only predict_records loop is packed now."""
+    """Store-only ``predict_records`` runs the packed chain."""
 
     def test_bitwise_parity_with_scalar_loop(self, tiny_predictor, tiny_bundle):
         records = list(tiny_bundle.test_log().operator_records())
         store_only = CleoPredictor(store=tiny_predictor.store, fallback_cost=1.0)
-        grouped = store_only.predict_records(records)
-        scalar = np.array([store_only.predict_record(r) for r in records])
+        grouped = CleoService(store_only, prediction_cache_size=0).predict_records(records)
+        scalar = _object_graph(
+            store_only.store,
+            [r.features for r in records],
+            [r.signatures for r in records],
+            1.0,
+        )
         assert np.array_equal(grouped, scalar)
 
     def test_lookup_accounting_matches_scalar_loop(self, tiny_predictor, tiny_bundle):
         records = list(tiny_bundle.test_log().operator_records())
         store_only = CleoPredictor(store=tiny_predictor.store)
         store_only.reset_lookup_count()
-        store_only.predict_records(records)
+        CleoService(store_only, prediction_cache_size=0).predict_records(records)
         assert store_only.lookup_count == (
             len(records) * CleoPredictor.LOOKUPS_PER_PREDICTION
         )

@@ -125,21 +125,23 @@ class TestKeysHashedOnce:
 # Counters through the router, pinned to the parent commit's values
 # ------------------------------------------------------------------ #
 
-#: (predictions, batches, batched, scalar, cache hits, misses, evictions,
-#: size, individual calls, combined calls, fallbacks, in-batch reuses)
+#: (predictions, batches, cache hits, misses, evictions, size, individual
+#: calls, combined calls, fallbacks, in-batch reuses), recorded on the commit
+#: that still had a scalar path, with the replay's single prices issued as
+#: one-row ``predict_inputs`` calls.
 PINNED = {
     1: {
-        "fleet": (1405, 50, 1400, 5, 643, 648, 584, 64, 1128, 26, 0, 14),
-        "shards": [(1405, 50, 1400, 5, 643, 648, 584, 64, 1128, 26, 0, 14)],
+        "fleet": (1405, 55, 643, 648, 584, 64, 1140, 30, 0, 14),
+        "shards": [(1405, 55, 643, 648, 584, 64, 1140, 30, 0, 14)],
         "health_calls": [55],
         "lookups": 3810,
     },
     3: {
-        "fleet": (1405, 148, 1400, 5, 657, 639, 447, 192, 1322, 77, 0, 9),
+        "fleet": (1405, 153, 657, 639, 447, 192, 1334, 81, 0, 9),
         "shards": [
-            (351, 48, 350, 1, 151, 173, 109, 64, 309, 25, 0, 0),
-            (435, 50, 434, 1, 201, 199, 135, 64, 419, 26, 0, 6),
-            (619, 50, 616, 3, 305, 267, 203, 64, 594, 26, 0, 3),
+            (351, 49, 151, 173, 109, 64, 311, 26, 0, 0),
+            (435, 51, 201, 199, 135, 64, 423, 27, 0, 6),
+            (619, 53, 305, 267, 203, 64, 600, 28, 0, 3),
         ],
         "health_calls": [49, 51, 53],
         "lookups": 3740,
@@ -158,8 +160,6 @@ def counters(stats) -> tuple:
     return (
         stats.predictions,
         stats.batches,
-        stats.batched_predictions,
-        stats.scalar_predictions,
         stats.cache.hits,
         stats.cache.misses,
         stats.cache.evictions,
@@ -194,9 +194,9 @@ def pristine_predictor(tiny_bundle):
 
 
 def replay(router: ShardedCleoRouter, records, requests) -> None:
-    """Every batched entry point plus the scalar one; each 25-request chunk
-    twice back to back, so the second pass hits what the first inserted
-    while the 64-entry shard caches keep evicting."""
+    """Every batched entry point plus five single prices; each 25-request
+    chunk twice back to back, so the second pass hits what the first
+    inserted while the 64-entry shard caches keep evicting."""
     for start in range(0, 600, 25):
         for _ in range(2):
             router.predict_batch("cluster1", requests[start : start + 25])
@@ -206,7 +206,7 @@ def replay(router: ShardedCleoRouter, records, requests) -> None:
     )
     router.predict_table("cluster1", FeatureTable.from_records(records[:100]))
     for request in requests[:5]:
-        router.predict("cluster1", request.features, request.signatures)
+        router.predict_inputs("cluster1", [request.features], [request.signatures])
 
 
 class TestZeroFaultCountersUnchanged:

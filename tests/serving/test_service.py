@@ -16,6 +16,7 @@ from repro.core.predictor import CleoPredictor
 from repro.plan.signatures import SignatureBundle
 from repro.serving import CleoService, LRUCache, PredictionRequest
 from repro.serving.service import as_cost_model
+from tests.serving.test_packed_inference import _object_graph
 
 
 @pytest.fixture(scope="module")
@@ -57,18 +58,21 @@ class TestLRUCache:
         assert len(cache) == 0
 
 
+def _one_row_each(service, records) -> np.ndarray:
+    """Every record priced as its own one-row batch."""
+    return np.concatenate(
+        [service.predict_inputs([r.features], [r.signatures]) for r in records]
+    )
+
+
 class TestBatchedPrediction:
     def test_batch_bitwise_identical_to_sequential(self, service, workload_records):
-        """Acceptance: 1k+ operators, batched == sequential, bit for bit."""
+        """Acceptance: 1k+ operators, batched == one row at a time, bit for
+        bit (the rows priced by a cache-off twin, so no answer is replayed)."""
         requests = [PredictionRequest.for_record(r) for r in workload_records]
         batched = service.predict_batch(requests)
-        sequential = np.array(
-            [
-                service.predictor.predict(r.features, r.signatures)
-                for r in workload_records
-            ]
-        )
-        assert np.array_equal(batched, sequential)
+        one_row = CleoService(service.predictor, prediction_cache_size=0)
+        assert np.array_equal(batched, _one_row_each(one_row, workload_records))
 
     def test_one_vectorized_call_per_model_group(self, service, workload_records):
         """Acceptance: at most one vectorized call per (kind, signature)
@@ -89,7 +93,7 @@ class TestBatchedPrediction:
         assert stats.individual_model_calls == expected_groups
         assert stats.combined_model_calls == 1
         assert stats.model_calls <= expected_groups + 1
-        assert stats.batched_predictions == len(requests)
+        assert stats.predictions == len(requests)
 
     def test_cache_hits_counted_and_models_not_recalled(self, service, workload_records):
         requests = [PredictionRequest.for_record(r) for r in workload_records[:200]]
@@ -101,12 +105,12 @@ class TestBatchedPrediction:
         assert stats.model_calls == calls_after_first  # no new model work
         assert stats.cache_hits >= len({r.key for r in requests})
 
-    def test_scalar_predict_uses_cache(self, service, workload_records):
+    def test_one_row_price_uses_cache(self, service, workload_records):
         record = workload_records[0]
-        first = service.predict(record.features, record.signatures)
+        first = _one_row_each(service, [record])
         lookups_after_first = service.predictor.lookup_count
-        second = service.predict(record.features, record.signatures)
-        assert first == second
+        second = _one_row_each(service, [record])
+        assert first.tobytes() == second.tobytes()
         assert service.predictor.lookup_count == lookups_after_first
         assert service.stats().cache_hits >= 1
 
@@ -116,8 +120,11 @@ class TestBatchedPrediction:
         service = CleoService(store_only)
         requests = [PredictionRequest.for_record(r) for r in workload_records[:500]]
         batched = service.predict_batch(requests)
-        sequential = np.array(
-            [store_only.predict(r.features, r.signatures) for r in workload_records[:500]]
+        sequential = _object_graph(
+            store_only.store,
+            [r.features for r in workload_records[:500]],
+            [r.signatures for r in workload_records[:500]],
+            store_only.fallback_cost,
         )
         assert np.array_equal(batched, sequential)
         assert service.stats().combined_model_calls == 0
@@ -149,9 +156,9 @@ class TestBatchedPrediction:
     ):
         service = CleoService(tiny_predictor)
         record = workload_records[0]
-        with_combined = service.predict(record.features, record.signatures)
+        with_combined = _one_row_each(service, [record])[0]
         service.predictor = CleoPredictor(store=tiny_predictor.store)
-        fresh = service.predict(record.features, record.signatures)
+        fresh = _one_row_each(service, [record])[0]
         assert fresh == tiny_predictor.store.most_specific(record.signatures)[
             1
         ].predict_one(record.features)
@@ -163,7 +170,7 @@ class TestExplain:
         record = workload_records[0]
         explanation = service.explain(record.features, record.signatures)
         assert explanation.source == "combined"
-        assert explanation.cost == service.predict(record.features, record.signatures)
+        assert explanation.cost == _one_row_each(service, [record])[0]
 
     def test_individual_tier_reports_most_specific_kind(
         self, tiny_predictor, workload_records
@@ -209,7 +216,7 @@ class TestLifecycle:
         )
         assert trained.model_count > 0
         record = next(tiny_bundle.log.operator_records())
-        assert trained.predict(record.features, record.signatures) >= 0.0
+        assert _one_row_each(trained, [record])[0] >= 0.0
 
     def test_deploy_and_rollback(self, tiny_predictor, tiny_bundle):
         service = CleoService(tiny_predictor)

@@ -220,7 +220,7 @@ from repro.core.serialization import (
     quarantine_from_dict,
 )
 from repro.experiments.shared import get_bundle
-from repro.serving import PredictionRequest
+from repro.serving import CleoService, PredictionRequest
 from repro.serving.shard import ShardedCleoRouter
 from repro.serving.shard.health import ResilienceConfig
 
@@ -233,9 +233,7 @@ manager = LifecycleManager.resume(
     state / "lifecycle.json",
     policy=RetrainPolicy(window_days=2, frequency_days=1),
 )
-served = [
-    manager.registry.active().predictor.predict_record(r) for r in records
-]
+served = CleoService(manager.registry.active().predictor).predict_records(records).tolist()
 lines.append(repr((manager.registry.version_count, served)))
 
 predictor = bundle.predictor()

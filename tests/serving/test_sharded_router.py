@@ -20,6 +20,7 @@ import pytest
 
 from repro.common.hashing import stable_hash
 from repro.core.predictor import CleoPredictor
+from repro.features.extract import feature_input_for
 from repro.features.table import FeatureTable
 from repro.plan.stages import build_stage_graph
 from repro.serving import CleoService, PredictionRequest
@@ -239,12 +240,12 @@ class TestParity:
         with make_router(tiny_predictor, n_shards=shards, n_workers=workers) as router:
             assert np.array_equal(router.predict_table("cluster1", table), expected)
 
-    def test_scalar_predict(self, tiny_predictor, requests, baseline):
+    def test_one_row_predict(self, tiny_predictor, requests, baseline):
         with make_router(tiny_predictor, n_shards=4) as router:
             for request in requests[:50]:
-                assert router.predict(
-                    "cluster1", request.features, request.signatures
-                ) == baseline.predict(request.features, request.signatures)
+                row = ([request.features], [request.signatures])
+                ours = router.predict_inputs("cluster1", *row)
+                assert ours.tobytes() == baseline.predict_inputs(*row).tobytes()
 
     def test_duplicates_dedup_within_their_shard(self, tiny_predictor, requests, baseline):
         doubled = list(requests[:100]) * 2
@@ -258,8 +259,11 @@ class TestParity:
     def test_resource_profiles(self, tiny_predictor, requests, baseline):
         inputs = [r.features for r in requests[:200]]
         bundles = [r.signatures for r in requests[:200]]
+        # The object-graph oracle: the most specific covering model's own
+        # profile read, one row at a time.
+        store = baseline.predictor.store
         expected = [
-            baseline.predictor.resource_profile(f, s)
+            best[1].resource_profile(f) if (best := store.most_specific(s)) else None
             for f, s in zip(inputs, bundles)
         ]
         with make_router(tiny_predictor, n_shards=3, n_workers=2) as router:
@@ -268,11 +272,10 @@ class TestParity:
     def test_predict_plan(self, tiny_bundle, tiny_predictor, baseline):
         plans = list(tiny_bundle.runner.plans.values())[:10]
         with make_router(tiny_predictor, n_shards=4, n_workers=2) as router:
-            client = router.client("cluster1")
             for root in plans:
                 expected = baseline.predict_plan(root, tiny_bundle.fresh_estimator())
-                assert client.predict_plan(
-                    root, tiny_bundle.fresh_estimator()
+                assert router.predict_plan(
+                    "cluster1", root, tiny_bundle.fresh_estimator()
                 ) == expected
 
     def test_cost_model_prices_batched(self, tiny_predictor):
@@ -280,13 +283,27 @@ class TestParity:
             model = router.cost_model("cluster1")
             assert model.supports_batched_pricing
 
-    def test_explain_matches_service(self, tiny_predictor, requests, baseline):
+    def test_explain_matches_service(self, tiny_bundle, tiny_predictor, baseline):
+        estimator = tiny_bundle.fresh_estimator()
+        ops = list(next(iter(tiny_bundle.runner.plans.values())).walk())
         with make_router(tiny_predictor, n_shards=4) as router:
-            for request in requests[:10]:
-                ours = router.explain("cluster1", request.features, request.signatures)
-                theirs = baseline.explain(request.features, request.signatures)
-                assert (ours.cost, ours.source) == (theirs.cost, theirs.source)
+            ours = [router.cost_model("cluster1").explain(op, estimator) for op in ops]
+        assert ours == [baseline.cost_model().explain(op, estimator) for op in ops]
 
+    def test_explain_walks_the_ladder(self, tiny_bundle, tiny_predictor):
+        """An explanation reports the cost the fleet actually served: with
+        every shard failing, the heuristic floor, not a shard's learned
+        answer."""
+        estimator = tiny_bundle.fresh_estimator()
+        op = next(next(iter(tiny_bundle.runner.plans.values())).walk())
+        injector = FaultInjector(FaultPolicy(name="killall", error_rate=1.0))
+        with make_router(tiny_predictor, n_shards=2, fault_injector=injector) as router:
+            model = router.cost_model("cluster1")
+            explanation = model.explain(op, estimator)
+            floor = router._bounded(
+                router._heuristic_inputs([feature_input_for(op, estimator)])
+            )
+        assert explanation.cost == floor[0]
 
     def test_every_entry_point_degrades_to_the_one_floor(
         self, tiny_predictor, requests
@@ -305,7 +322,12 @@ class TestParity:
                 router.predict_table(
                     "cluster1", FeatureTable.from_inputs(inputs, bundles)
                 ),
-                [router.predict("cluster1", f, s) for f, s in zip(inputs, bundles)],
+                np.concatenate(
+                    [
+                        router.predict_inputs("cluster1", [f], [s])
+                        for f, s in zip(inputs, bundles)
+                    ]
+                ),
             ]
         for values in answers:
             assert np.array_equal(values, floor)
@@ -331,7 +353,7 @@ def _pricing_transcript(model, bundle) -> list:
             model.plan_cost(plan, estimator),
             model.price_operators(ops, estimator).tolist(),
             model.price_stage_sweep(stages, estimator, [[1, 4, 64]] * len(stages)),
-            [model.resource_profile(op, estimator) for op in ops],
+            [model.resource_profiles([op], estimator)[0] for op in ops],
             model.resource_profiles(ops, estimator),
             [model.explain(op, estimator) for op in ops],
         ]
@@ -374,8 +396,6 @@ class TestCostModelBackendParity:
         # vectorized model calls); what is charged per request cannot move.
         for counter in (
             "predictions",
-            "batched_predictions",
-            "scalar_predictions",
             "fallback_predictions",
             "in_batch_reuses",
             "cache",
@@ -424,9 +444,9 @@ class TestStatsAndLifecycle:
         with make_router(tiny_predictor, n_shards=4) as router:
             router.predict_batch("cluster1", requests)
             stats = router.stats()
-            assert stats.batched_predictions == len(requests)
+            assert stats.predictions == len(requests)
             per_shard = router.shard_stats()
-            assert sum(s.batched_predictions for s in per_shard) == len(requests)
+            assert sum(s.predictions for s in per_shard) == len(requests)
             assert sum(s.batches for s in per_shard) == stats.batches
             assert stats.cache.requests == sum(
                 s.cache.requests for s in per_shard
@@ -436,18 +456,18 @@ class TestStatsAndLifecycle:
         baseline.predict_batch(requests[:100])
         one = baseline.stats()
         double = ServiceStats.aggregate([one, one])
-        assert double.batched_predictions == 2 * one.batched_predictions
+        assert double.predictions == 2 * one.predictions
         assert double.cache.hits == 2 * one.cache.hits
         assert double.cache.capacity == 2 * one.cache.capacity
 
     def test_reset_and_clear(self, tiny_predictor, requests):
         with make_router(tiny_predictor, n_shards=2) as router:
             router.predict_batch("cluster1", requests[:100])
-            assert router.stats().batched_predictions == 100
+            assert router.stats().predictions == 100
             assert router.lookup_count > 0
             router.reset_stats()
             router.clear_caches()
-            assert router.stats().batched_predictions == 0
+            assert router.stats().predictions == 0
             assert router.stats().cache.size == 0
 
     def test_close_is_idempotent(self, tiny_predictor):
@@ -473,4 +493,4 @@ class TestStatsAndLifecycle:
             for t in threads:
                 t.join()
             assert not errors
-            assert router.stats().batched_predictions == 8 * 5 * 80
+            assert router.stats().predictions == 8 * 5 * 80

@@ -26,6 +26,7 @@ import pytest
 from repro.common.errors import FeatureValidationError, ValidationError
 from repro.core.model_store import signature_for
 from repro.core.predictor import CleoPredictor
+from repro.core.robustness import score_table
 from repro.features.table import FeatureTable
 from repro.serving import CleoService, PredictionRequest
 from repro.serving.shard import ShardedCleoRouter
@@ -91,14 +92,36 @@ class TestInputValidation:
         assert issubclass(FeatureValidationError, ValueError)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_scalar_predict_rejects_non_finite_features(
+    def test_one_row_price_rejects_non_finite_features(
         self, tiny_predictor, requests, bad
     ):
         service = CleoService(tiny_predictor)
         request = requests[0]
         poisoned = replace(request.features, input_card=bad)
         with pytest.raises(FeatureValidationError):
-            service.predict(poisoned, request.signatures)
+            service.predict_inputs([poisoned], [request.signatures])
+
+    def test_resource_profiles_reject_non_finite_features(
+        self, tiny_predictor, requests
+    ):
+        """A covered row with a NaN base cardinality is refused before any
+        lookup is charged, on a service and through a router; it used to come
+        back as a profile with ``theta_0 = nan``."""
+        row = next(
+            r for r in requests if tiny_predictor.store.most_specific(r.signatures)
+        )
+        inputs = [row.features, replace(row.features, base_card=float("nan"))]
+        bundles = [row.signatures, row.signatures]
+        service = CleoService(tiny_predictor)
+        before = service.lookup_count
+        with pytest.raises(FeatureValidationError):
+            service.resource_profiles(inputs, bundles)
+        assert service.lookup_count == before
+        with ShardedCleoRouter({"cluster1": tiny_predictor}, n_shards=2) as router:
+            before = router.lookup_count
+            with pytest.raises(FeatureValidationError):
+                router.resource_profiles("cluster1", inputs, bundles)
+            assert router.lookup_count == before
 
     def test_batch_rejects_non_finite_features(self, tiny_predictor, requests):
         service = CleoService(tiny_predictor)
@@ -150,7 +173,7 @@ class TestInputValidation:
         poisoned = replace(request.features, input_card=float("nan"))
         # No raise: the request is priced (garbage in, *bounded* garbage
         # out — output validation still guards the result).
-        value = service.predict(poisoned, request.signatures)
+        value = service.predict_inputs([poisoned], [request.signatures])[0]
         assert math.isfinite(value)
 
     def test_router_propagates_validation_errors(self, tiny_predictor, requests):
@@ -184,15 +207,24 @@ class TestOutputValidationAndQuarantine:
         leaky = CleoService(
             service.predictor, validate_inputs=False, validate_outputs=False
         )
-        value = leaky.predict(records[0].features, records[0].signatures)
+        value = leaky.predict_inputs([records[0].features], [records[0].signatures])[0]
         assert not math.isfinite(value)
 
-    def test_scalar_repair_quarantines_the_offender(
+    def test_scoring_never_repairs_or_quarantines(self, corrupt_service, records):
+        """An evaluation scores the models as they are: the poisoned row
+        comes back as NaN and the offender stays in the store."""
+        _, store, kind, signature = corrupt_service
+        predictor = CleoPredictor(store=store, combined=None)
+        values = score_table(predictor, FeatureTable.from_records(records))
+        assert not math.isfinite(values[0])
+        assert store.get(kind, signature) is not None
+
+    def test_one_row_repair_quarantines_the_offender(
         self, corrupt_service, records
     ):
         service, store, kind, signature = corrupt_service
         assert store.get(kind, signature) is not None
-        value = service.predict(records[0].features, records[0].signatures)
+        value = service.predict_inputs([records[0].features], [records[0].signatures])[0]
         assert math.isfinite(value) and value >= 0.0
         assert store.get(kind, signature) is None
         stats = service.stats()

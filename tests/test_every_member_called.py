@@ -1,14 +1,14 @@
-"""Guard: no public function or method of the pricing path goes uncalled.
+"""Guard: no public function or method of ``repro`` goes uncalled.
 
-Every public function and method defined under ``repro.serving``,
-``repro.core``, ``repro.execution`` and ``repro.applications`` must be
-referenced by name somewhere in ``src/``, ``tests/``, ``bench/``,
+Every public function and method defined anywhere under ``src/repro`` must
+be referenced by name somewhere in ``src/``, ``tests/``, ``bench/``,
 ``scripts/``, ``examples/`` or ``benchmarks/`` — outside its own body.  A
 reference is a name, an attribute or an identifier-shaped string (the bench
 tracer binds its targets by string); imports and ``__all__`` lists do not
 count, since re-exporting a function is not using it.  The check is by name,
 so it cannot see a member shadowed by a same-named one elsewhere; it catches
 the members nobody calls at all, which is how dead surface accumulates.
+Members reached only through a computed name are listed in ``DISPATCHED``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TREES = ("src", "tests", "bench", "scripts", "examples", "benchmarks")
-PACKAGES = ("serving", "core", "execution", "applications")
+#: Members called through a name built at run time, by module.
+DISPATCHED = {
+    # TpchQuerySet.query reaches every builder as getattr(builder, f"q{number}").
+    "workload/tpch_queries.py": {f"q{number}" for number in range(1, 23)},
+}
 
 
 def _scan(tree: ast.AST) -> tuple[list[tuple[str, ast.AST]], list[tuple[str, set[int]]]]:
@@ -63,8 +67,12 @@ def uncalled_members(root: Path = ROOT) -> list[str]:
             for name, inside in referenced:
                 callers.setdefault(name, []).append(inside)
             parts = path.relative_to(root).parts
-            if parts[:2] == ("src", "repro") and parts[2] in PACKAGES:
-                definitions.extend(("/".join(parts[2:]), name, node) for name, node in defined)
+            if parts[:2] == ("src", "repro"):
+                module = "/".join(parts[2:])
+                dispatched = DISPATCHED.get(module, set())
+                definitions.extend(
+                    (module, name, node) for name, node in defined if name not in dispatched
+                )
     return sorted(
         f"{module}::{name}"
         for module, name, node in definitions
@@ -72,5 +80,5 @@ def uncalled_members(root: Path = ROOT) -> list[str]:
     )
 
 
-def test_every_public_pricing_path_member_has_a_caller():
+def test_every_public_member_has_a_caller():
     assert uncalled_members() == []
