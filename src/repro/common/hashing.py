@@ -15,20 +15,6 @@ from collections.abc import Iterable
 _MASK64 = (1 << 64) - 1
 
 
-class HashCached:
-    """Base of frozen slotted dataclasses that hash their fields once.
-
-    A ``@dataclass(slots=True)`` cannot declare an extra slot itself, so the
-    slot lives here; each subclass writes its own ``__hash__`` over its fields
-    and parks the result in ``_hash``.  The slot is not a dataclass field:
-    ``replace()``, ``copy`` and pickle all rebuild from the fields alone, so
-    every new object recomputes its own.  Only for classes whose fields are
-    floats and ints — those hashes are not salted by ``PYTHONHASHSEED``.
-    """
-
-    __slots__ = ("_hash",)
-
-
 def stable_hash(*parts: object) -> int:
     """Return a stable 64-bit hash of the string forms of ``parts``.
 

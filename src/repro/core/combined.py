@@ -189,27 +189,25 @@ def meta_matrix_and_calls(
     its per-batch feature expansion: without a ``full_matrix`` the derived
     matrix is recomputed rather than read from the table's memo.
 
-    Columns are written straight into one preallocated ``(n, 15)`` output —
-    the copies move exact values, so assembly order cannot affect bits.
+    Each tier writes its coverage and predictions into one ``(n, 4)`` block;
+    flags, imputation and the extras are then whole-block passes over it
+    and the feature rows.  The copies move exact values and each divide is
+    the one the scalar row made, so assembly order cannot affect bits.
     """
     n = len(table)
     if full_matrix is None:
         full_matrix = (
-            expand_columns(table, include_context=True)
+            expand_columns(table.features, include_context=True)
             if reference
             else table.feature_matrix(include_context=True)
         )
     bank = None if reference else store.packed_bank()
     kinds = len(_KIND_ORDER)
-    out = np.empty((n, len(META_FEATURE_NAMES)), dtype=float)
-    flags = out[:, kinds : 2 * kinds]
+    masks = np.empty((n, kinds), dtype=bool)
+    predictions = np.empty((n, kinds), dtype=float)
 
     calls = 0
     answered: np.ndarray | None = None  # (kind, packed parameter row) -> answered
-    covered: list[tuple[np.ndarray, np.ndarray]] = []
-    # The most general available prediction — the last covered kind in
-    # specificity order, 0.0 when none covers — imputes the missing ones.
-    impute = np.zeros(n, dtype=float)
     for k, kind in enumerate(_KIND_ORDER):
         packed = bank.kinds[kind] if bank is not None else None
         if packed is None:
@@ -221,22 +219,26 @@ def meta_matrix_and_calls(
                 if answered is None:
                     answered = bank.answered_ledger()
                 answered[k, model_idx] = True
-        flags[:, k] = mask
-        impute = np.where(mask, values, impute)
-        covered.append((mask, values))
+        masks[:, k] = mask
+        predictions[:, k] = values
     if answered is not None:
         calls += int(np.count_nonzero(answered))
-    for k, (mask, values) in enumerate(covered):
-        out[:, k] = np.where(mask, values, impute)
 
+    out = np.empty((n, len(META_FEATURE_NAMES)), dtype=float)
+    # The most general available prediction — the last covered kind in
+    # specificity order — imputes the missing ones.  Uncovered predictions
+    # are 0.0, so a row no kind covers imputes 0.0.
+    last = kinds - 1 - np.argmax(masks[:, ::-1], axis=1)
+    impute = predictions[np.arange(n), last]
+    out[:, :kinds] = np.where(masks, predictions, impute[:, None])
+    out[:, kinds : 2 * kinds] = masks
+
+    # Extras: I, B, C, then each over P, then P (feature columns 0-2 and 4).
+    features = table.features
     extras = out[:, 2 * kinds :]
-    extras[:, 0] = table.input_card
-    extras[:, 1] = table.base_card
-    extras[:, 2] = table.output_card
-    np.divide(table.input_card, table.partition_count, out=extras[:, 3])
-    np.divide(table.base_card, table.partition_count, out=extras[:, 4])
-    np.divide(table.output_card, table.partition_count, out=extras[:, 5])
-    extras[:, 6] = table.partition_count
+    extras[:, :3] = features[:, :3]
+    np.divide(features[:, :3], features[:, 4:5], out=extras[:, 3:6])
+    extras[:, 6] = features[:, 4]
     return out, calls
 
 

@@ -32,7 +32,6 @@ passes — bitwise identical values and per-prediction lookup accounting to an
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import islice
 from typing import Sequence
 
@@ -204,8 +203,8 @@ class CleoCostModel:
             rows.append(np.tile(stage_rows, len(probes)))
             counts.append(np.repeat(np.asarray(probes, dtype=float), len(stage)))
             offset += len(stage)
-        grid = replace(
-            stems.take(np.concatenate(rows)), partition_count=np.concatenate(counts)
+        grid = stems.take(np.concatenate(rows)).with_partition_count(
+            np.concatenate(counts)
         )
         values = iter(self.service.predict_table(grid).tolist())
         return [

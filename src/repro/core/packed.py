@@ -34,7 +34,7 @@ object-graph chain).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -332,7 +332,7 @@ def resource_profiles_most_specific(
     # path's `with_partition_count(1.0)`); feature_vector is a 1-row
     # expand_columns, so these matrix rows are bitwise identical to its
     # vectors.
-    at_one = replace(table, partition_count=np.ones(n, dtype=float))
+    at_one = table.with_partition_count(np.ones(n, dtype=float))
     full_matrix = at_one.feature_matrix(include_context=True)
     remaining = np.ones(n, dtype=bool)
     n_covered = 0

@@ -8,7 +8,7 @@ generalization rather than their training fit.
 
 The hot path is **columnar**: the run log is materialized once into a
 :class:`~repro.features.table.FeatureTable`, the full derived feature
-matrix is expanded with one vectorized pass per feature expression, groups
+matrix is expanded in one fused pass over the table's rows, groups
 are formed with ``argsort``/``unique`` over the signature columns, all of a
 kind's per-signature elastic nets are fitted in one batched Adam loop, and
 the combined model's meta rows are built through the same grouped

@@ -468,22 +468,29 @@ class BatchedExecutionEngine:
             day.extend([entry.day] * statics.n)
             is_adhoc.extend([entry.is_adhoc] * statics.n)
             cluster.extend([cluster_name] * statics.n)
+        # Columns in COLUMN_NAMES / SIGNATURE_NAMES order.
+        feature_columns = (
+            self._est_in,
+            self._base_card,
+            self._est_out,
+            self._row_bytes,
+            self._partitions,
+            input_enc,
+            params_enc,
+            logical_count,
+            depth,
+        )
+        n = len(self._est_in)
+        features = np.empty((n, len(feature_columns)), dtype=float)
+        for j, column in enumerate(feature_columns):
+            features[:, j] = np.array(column, dtype=float)
+        signature_columns = (sig_strict, sig_approx, sig_input, sig_operator)
+        signatures = np.empty((n, len(signature_columns)), dtype=np.uint64)
+        for j, column in enumerate(signature_columns):
+            signatures[:, j] = np.array(column, dtype=np.uint64)
         return FeatureTable(
-            input_card=np.array(self._est_in),
-            base_card=np.array(self._base_card),
-            output_card=np.array(self._est_out),
-            avg_row_bytes=np.array(self._row_bytes),
-            partition_count=np.array(self._partitions, dtype=float),
-            input_enc=np.array(input_enc),
-            params_enc=np.array(params_enc),
-            logical_count=np.array(logical_count),
-            depth=np.array(depth),
-            signatures={
-                "strict": np.array(sig_strict, dtype=np.uint64),
-                "approx": np.array(sig_approx, dtype=np.uint64),
-                "input": np.array(sig_input, dtype=np.uint64),
-                "operator": np.array(sig_operator, dtype=np.uint64),
-            },
+            features=features,
+            signatures=signatures,
             latency=latency,
             day=np.array(day, dtype=np.int64),
             cluster=tuple(cluster),

@@ -3,9 +3,9 @@
 One :class:`FeatureInput` captures the raw statistics of an operator
 instance; :func:`feature_vector` expands it into the ~30-dimensional derived
 feature vector shared by all learned models.  :class:`FeatureTable` is the
-columnar (struct-of-arrays) form that the training and evaluation pipelines
-expand in bulk — one vectorized pass per registry expression instead of one
-Python call per operator.
+columnar form (one ``(n, 9)`` feature array) that training, evaluation and
+serving expand in bulk — one fused pass over all rows instead of one Python
+call per operator.
 """
 
 from repro.features.featurizer import (

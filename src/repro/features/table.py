@@ -1,19 +1,23 @@
 """Columnar feature storage: the struct-of-arrays behind the fast paths.
 
-A :class:`FeatureTable` holds one column per :class:`FeatureInput` attribute
-(I/B/C/L/P/IN/PM/CL/D) plus, when built from a run log, the four model
-signatures, actual latencies, day, cluster, and ad-hoc flags — everything
-the training and evaluation pipelines consume, materialized in one pass
-over the records.
+A :class:`FeatureTable` holds every row's nine :class:`FeatureInput`
+attributes (I/B/C/L/P/IN/PM/CL/D) in one ``(n, 9)`` float64 array, plus,
+when built from a run log, the four model signatures (one ``(n, 4)`` uint64
+array), actual latencies, day, cluster, and ad-hoc flags — everything the
+training and evaluation pipelines consume, materialized in one pass over
+the records.
 
 Downstream layers operate on whole columns:
 
-* :meth:`FeatureTable.feature_matrix` expands the derived feature matrix
-  with one vectorized pass per registry expression (bitwise identical to
-  per-row :func:`~repro.features.featurizer.feature_vector` expansion);
+* :meth:`FeatureTable.feature_matrix` expands the derived feature matrix in
+  a handful of 2-D passes (:func:`~repro.features.featurizer.expand_columns`,
+  bitwise identical to per-row
+  :func:`~repro.features.featurizer.feature_vector` expansion);
 * :meth:`FeatureTable.signature_column` exposes the signature arrays that
   the trainer groups with ``argsort``/``unique`` instead of per-record
   dict appends;
+* :meth:`FeatureTable.row_keys` turns every row into its prediction-cache
+  key in one pass;
 * ``latency`` / ``day`` / ``is_adhoc`` feed training targets and splits.
 
 Tables are immutable by convention: :class:`~repro.execution.runtime_log.
@@ -22,12 +26,19 @@ RunLog` caches one per materialization and invalidates on mutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass, field, replace
+from itertools import chain
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.features.featurizer import COLUMN_NAMES, FeatureInput, expand_columns
+from repro.features.featurizer import (
+    COLUMN_NAMES,
+    FeatureInput,
+    expand_columns,
+    feature_rows,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.execution.runtime_log import OperatorRecord
@@ -42,39 +53,74 @@ SIGNATURE_NAMES: tuple[str, ...] = ("strict", "approx", "input", "operator")
 #: telemetry corruption (a unit bug, a stuck clock), not a slow operator.
 MAX_SANE_LATENCY_S = 1e7
 
+_SIGNATURE_ROW = attrgetter(*SIGNATURE_NAMES)
+_SIGNATURE_INDEX = {name: j for j, name in enumerate(SIGNATURE_NAMES)}
+_P = COLUMN_NAMES.index("partition_count")
+
+#: One row's cache key: its nine features' float64 bits, then its four
+#: signatures' uint64 bits (13 x 8 = 104 bytes, native byte order).
+_ROW_KEY = np.dtype((np.void, 8 * (len(COLUMN_NAMES) + len(SIGNATURE_NAMES))))
+
 
 def _empty_f8() -> np.ndarray:
     return np.empty(0, dtype=float)
+
+
+def signature_rows(bundles: "Iterable[SignatureBundle]") -> np.ndarray:
+    """The ``(n, 4)`` uint64 array of some bundles, columns in
+    :data:`SIGNATURE_NAMES` order."""
+    values = np.fromiter(chain.from_iterable(map(_SIGNATURE_ROW, bundles)), np.uint64)
+    return values.reshape(-1, len(SIGNATURE_NAMES))
+
+
+class _Column:
+    """One named feature column: a view into the table's ``features``."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.index = COLUMN_NAMES.index(name)
+
+    def __get__(self, table: "FeatureTable | None", owner: type | None = None):
+        if table is None:
+            return self
+        return table.features[:, self.index]
 
 
 @dataclass(frozen=True)
 class FeatureTable:
     """Struct-of-arrays over operator instances.
 
-    Feature columns are always present (possibly empty); signature and
-    outcome columns are empty when the table was built from bare
-    :class:`FeatureInput` objects rather than logged records.
+    ``features`` is the only feature storage: ``input_card`` ... ``depth``
+    are views of its columns, so a write through one lands in the array
+    that expansion, validation, row keys and gathers all read.  Signature
+    and outcome columns are absent (``None`` / empty) when the table was
+    built from bare :class:`FeatureInput` objects rather than logged
+    records.
     """
 
-    input_card: np.ndarray
-    base_card: np.ndarray
-    output_card: np.ndarray
-    avg_row_bytes: np.ndarray
-    partition_count: np.ndarray
-    input_enc: np.ndarray
-    params_enc: np.ndarray
-    logical_count: np.ndarray
-    depth: np.ndarray
-    #: Signature columns keyed by SIGNATURE_NAMES (uint64), empty when absent.
-    signatures: dict[str, np.ndarray]
+    #: ``(n, 9)`` float64, one row per operator, columns in
+    #: :data:`~repro.features.featurizer.COLUMN_NAMES` order.
+    features: np.ndarray
+    #: ``(n, 4)`` uint64, columns in :data:`SIGNATURE_NAMES` order; ``None``
+    #: when absent.
+    signatures: np.ndarray | None = None
     #: Actual exclusive latencies (the learning target), empty when absent.
-    latency: np.ndarray
-    day: np.ndarray
-    cluster: tuple[str, ...]
-    is_adhoc: np.ndarray
+    latency: np.ndarray = field(default_factory=_empty_f8)
+    day: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    cluster: tuple[str, ...] = ()
+    is_adhoc: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
+
+    input_card = _Column()
+    base_card = _Column()
+    output_card = _Column()
+    avg_row_bytes = _Column()
+    partition_count = _Column()
+    input_enc = _Column()
+    params_enc = _Column()
+    logical_count = _Column()
+    depth = _Column()
 
     def __len__(self) -> int:
-        return len(self.input_card)
+        return len(self.features)
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -86,93 +132,56 @@ class FeatureTable:
         inputs: Sequence[FeatureInput],
         bundles: "Sequence[SignatureBundle] | None" = None,
     ) -> "FeatureTable":
-        """Pack feature inputs (and optionally their signatures) into columns."""
-        inputs = list(inputs)
-        columns = {
-            name: np.array([getattr(f, name) for f in inputs], dtype=float)
-            for name in COLUMN_NAMES
-        }
-        signatures: dict[str, np.ndarray] = {}
+        """Pack feature inputs (and optionally their signatures): one array
+        each."""
+        features = feature_rows(inputs)
+        signatures = None
         if bundles is not None:
-            bundles = list(bundles)
-            if len(bundles) != len(inputs):
+            signatures = signature_rows(bundles)
+            if len(signatures) != len(features):
                 raise ValueError("inputs and bundles must align")
-            for name in SIGNATURE_NAMES:
-                signatures[name] = np.array(
-                    [getattr(b, name) for b in bundles], dtype=np.uint64
-                )
-        return cls(
-            **columns,
-            signatures=signatures,
-            latency=_empty_f8(),
-            day=np.empty(0, dtype=np.int64),
-            cluster=(),
-            is_adhoc=np.empty(0, dtype=bool),
-        )
+        return cls(features, signatures)
 
     @classmethod
     def from_records(cls, records: "Sequence[OperatorRecord]") -> "FeatureTable":
         """Materialize every column from operator records in one pass."""
         records = list(records)
         n = len(records)
-        feature_cols = {name: np.empty(n, dtype=float) for name in COLUMN_NAMES}
-        signatures = {name: np.empty(n, dtype=np.uint64) for name in SIGNATURE_NAMES}
-        latency = np.empty(n, dtype=float)
-        day = np.empty(n, dtype=np.int64)
-        is_adhoc = np.empty(n, dtype=bool)
-        cluster: list[str] = []
-        for i, record in enumerate(records):
-            f = record.features
-            feature_cols["input_card"][i] = f.input_card
-            feature_cols["base_card"][i] = f.base_card
-            feature_cols["output_card"][i] = f.output_card
-            feature_cols["avg_row_bytes"][i] = f.avg_row_bytes
-            feature_cols["partition_count"][i] = f.partition_count
-            feature_cols["input_enc"][i] = f.input_enc
-            feature_cols["params_enc"][i] = f.params_enc
-            feature_cols["logical_count"][i] = f.logical_count
-            feature_cols["depth"][i] = f.depth
-            s = record.signatures
-            signatures["strict"][i] = s.strict
-            signatures["approx"][i] = s.approx
-            signatures["input"][i] = s.input
-            signatures["operator"][i] = s.operator
-            latency[i] = record.actual_latency
-            day[i] = record.day
-            is_adhoc[i] = record.is_adhoc
-            cluster.append(record.cluster)
         return cls(
-            **feature_cols,
-            signatures=signatures,
-            latency=latency,
-            day=day,
-            cluster=tuple(cluster),
-            is_adhoc=is_adhoc,
+            features=feature_rows(r.features for r in records),
+            signatures=signature_rows(r.signatures for r in records),
+            latency=np.fromiter((r.actual_latency for r in records), float, n),
+            day=np.fromiter((r.day for r in records), np.int64, n),
+            cluster=tuple(r.cluster for r in records),
+            is_adhoc=np.fromiter((r.is_adhoc for r in records), bool, n),
         )
 
     def take(self, indices: np.ndarray) -> "FeatureTable":
         """A new table holding the given rows, in the given order.
 
-        Used by the sharded serving tier to split one request table into
-        per-shard sub-tables: every column (features, signatures, outcomes)
-        is gathered with one fancy index, so sub-table rows are the exact
-        arrays of the parent rows.  Matrix memoization is per table, so the
-        sub-table expands its own feature matrix on first use.
+        The serving tier cuts cache misses and per-shard sub-tables out of
+        a request table this way: features and signatures are one gather
+        each, so sub-table rows are the exact values of the parent rows.
+        Matrix memoization is per table, so the sub-table expands its own
+        feature matrix on first use.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        feature_cols = {
-            name: getattr(self, name)[indices] for name in COLUMN_NAMES
-        }
         return FeatureTable(
-            **feature_cols,
-            signatures={
-                name: column[indices] for name, column in self.signatures.items()
-            },
+            features=self.features[indices],
+            signatures=None if self.signatures is None else self.signatures[indices],
             latency=self.latency[indices] if len(self.latency) else self.latency,
             day=self.day[indices] if len(self.day) else self.day,
             cluster=tuple(self.cluster[i] for i in indices) if self.cluster else (),
             is_adhoc=self.is_adhoc[indices] if len(self.is_adhoc) else self.is_adhoc,
         )
+
+    def with_partition_count(self, partition_count: np.ndarray) -> "FeatureTable":
+        """A copy whose ``P`` column is ``partition_count`` and every other
+        column is unchanged: partition exploration's P-grids, and the P=1
+        rows resource profiles read."""
+        features = self.features.copy()
+        features[:, _P] = partition_count
+        return replace(self, features=features)
 
     # ------------------------------------------------------------------ #
     # Columnar views
@@ -188,27 +197,42 @@ class FeatureTable:
         key = "_matrix_context" if include_context else "_matrix_basic"
         cached = self.__dict__.get(key)
         if cached is None:
-            cached = expand_columns(self, include_context)
+            cached = expand_columns(self.features, include_context)
             self.__dict__[key] = cached
         return cached
 
+    def row_keys(self) -> list[bytes]:
+        """Every row's prediction-cache key, in row order, in one pass.
+
+        A key is the row's bits: its nine features as float64, then its four
+        signatures as uint64 — 104 bytes.  Two rows share a key exactly when
+        they are bitwise equal, so ``-0.0`` and ``0.0`` rows are distinct
+        entries, just as cache-off pricing treats them as distinct inputs.
+        This is the one definition of the layout
+        (:attr:`~repro.serving.service.PredictionRequest.key` is a row of a
+        table of requests).  Keys are ``bytes``: they cache their own hash,
+        and the garbage collector does not track them.
+        """
+        if self.signatures is None:
+            raise ValueError("row keys need signature columns (built from bare inputs?)")
+        words = np.concatenate((self.features.view(np.uint64), self.signatures), axis=1)
+        return words.view(_ROW_KEY).ravel().tolist()
+
     def input_at(self, row: int) -> FeatureInput:
         """One row's features as a :class:`FeatureInput` (the exact values)."""
-        return FeatureInput(
-            **{name: float(getattr(self, name)[row]) for name in COLUMN_NAMES}
-        )
+        return FeatureInput(*self.features[row].tolist())
 
     def signature_column(self, name: str) -> np.ndarray:
         """One signature column ("strict"/"approx"/"input"/"operator")."""
-        if name not in self.signatures:
+        if self.signatures is None:
             raise KeyError(
                 f"table has no {name!r} signature column (built from bare inputs?)"
             )
-        return self.signatures[name]
+        return self.signatures[:, _SIGNATURE_INDEX[name]]
 
     @property
     def has_signatures(self) -> bool:
-        return bool(self.signatures)
+        return self.signatures is not None
 
     def group_by_signature(
         self, name: str
@@ -247,14 +271,10 @@ class FeatureTable:
         duplicate = np.zeros(n, dtype=bool)
         if n < 2:
             return duplicate
-        same = np.ones(n - 1, dtype=bool)
-        for name in COLUMN_NAMES:
-            bits = np.ascontiguousarray(
-                getattr(self, name), dtype=np.float64
-            ).view(np.uint64)
-            same &= bits[1:] == bits[:-1]
-        for column in self.signatures.values():
-            same &= column[1:] == column[:-1]
+        bits = self.features.view(np.uint64)
+        same = (bits[1:] == bits[:-1]).all(axis=1)
+        if self.signatures is not None:
+            same &= (self.signatures[1:] == self.signatures[:-1]).all(axis=1)
         if len(self.latency):
             bits = np.ascontiguousarray(self.latency, dtype=np.float64).view(
                 np.uint64
@@ -280,9 +300,7 @@ class FeatureTable:
         sanitized path bitwise-identical to the unsanitized one.
         """
         n = len(self)
-        feature_ok = np.ones(n, dtype=bool)
-        for name in COLUMN_NAMES:
-            feature_ok &= np.isfinite(getattr(self, name))
+        feature_ok = np.isfinite(self.features).all(axis=1)
         if len(self.latency):
             with np.errstate(invalid="ignore"):
                 latency_ok = (

@@ -199,24 +199,26 @@ class FastTreeRegressor:
         accumulated in stage order, exactly like the sequential loop: one
         axis-0 reduction over the ``(1 + n_trees, n)`` stack of the base and
         the shrunken stages adds row after row into the output — a serving
-        batch of a few rows pays three numpy calls, not one per stage.  The
-        explicit loop stays for a single sample (there the reduced axis is
-        contiguous and numpy would sum it pairwise instead) and for tables
-        so long that the stack falls out of cache, where it is the faster
-        way to the same bits.
+        batch of a few rows pays a handful of numpy calls, not one per
+        stage.  A single sample is stacked as two identical columns: with
+        one, the reduced axis would be contiguous and numpy would sum it
+        pairwise instead.  The explicit loop stays for tables so long that
+        the stack falls out of cache, where it is the faster way to the same
+        bits.
         """
         features = check_predict_input(features, bool(self.trees_))
         leaves = self._flat_forest().leaf_values(features)
         n_trees, n = leaves.shape
-        if n == 1 or n > _STACK_MAX_ROWS:
+        if n > _STACK_MAX_ROWS:
             out = np.full(n, self.base_prediction_)
             for stage in range(n_trees):
                 out += self.learning_rate * leaves[stage]
             return self._inverse(out)
-        stack = np.empty((n_trees + 1, n))
+        stack = np.empty((n_trees + 1, max(n, 2)))
         stack[0] = self.base_prediction_
-        np.multiply(leaves, self.learning_rate, out=stack[1:])
-        return self._inverse(np.add.reduce(stack, axis=0))
+        np.multiply(leaves, self.learning_rate, out=stack[1:, :n])
+        stack[1:, n:] = stack[1:, :1]
+        return self._inverse(np.add.reduce(stack, axis=0)[:n])
 
     def predict_reference(self, features: np.ndarray) -> np.ndarray:
         """The retained tree-at-a-time path (benchmark/parity reference)."""

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.common.hashing import (
-    HashCached,
     combine_hashes,
     combine_hashes_unordered,
     stable_hash,
@@ -183,25 +182,13 @@ def operator_signature_for(op_type_value: str) -> int:
 
 
 @dataclass(frozen=True, slots=True)
-class SignatureBundle(HashCached):
-    """All four model keys for one operator, computed in one recursion.
-
-    The other half of every prediction-cache key: hashed once per object,
-    like :class:`~repro.features.featurizer.FeatureInput`.
-    """
+class SignatureBundle:
+    """All four model keys for one operator, computed in one recursion."""
 
     strict: int
     approx: int
     input: int
     operator: int
-
-    def __hash__(self) -> int:
-        value = getattr(self, "_hash", None)
-        if value is None:
-            # repro: allow(hashseed-hazard) -- four ints: their hashes are not salted, and the cached value is never persisted, ordered on or compared across processes
-            value = hash((self.strict, self.approx, self.input, self.operator))
-            object.__setattr__(self, "_hash", value)
-        return value
 
     @classmethod
     def of(cls, op: PhysicalOp) -> "SignatureBundle":

@@ -73,7 +73,12 @@ class LRUCache:
     acquisition per batch, with hits, misses, evictions and recency order
     exactly those of the equivalent one-key-at-a-time ``get``/``put`` replay.
     Keys are hashed a few times per probe (lookup, recency refresh, insert),
-    so hot keys should hash cheaply — the prediction keys cache theirs.
+    so hot keys should hash cheaply.  The serving layer's keys are ``bytes``
+    (each row's bits, see :meth:`~repro.features.table.FeatureTable.
+    row_keys`): they cache their own hash, compare by bit equality (a
+    ``-0.0`` row and a ``0.0`` row are two entries, as cache-off pricing
+    treats them as two inputs), and are not tracked by the garbage
+    collector, so a full cache adds nothing to a collection's walk.
     """
 
     _MISSING = object()

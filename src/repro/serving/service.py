@@ -24,17 +24,18 @@ Serving-grade mechanics:
   ``np.searchsorted`` over sorted arrays and all rows of a model kind are
   priced in one gather + row multiply-sum pass (the combined model's trees
   traverse as one flat ensemble).  :meth:`CleoService.predict_table` is the
-  one columnar primitive — no per-request objects, no cache-key hashing —
-  and every other batched entry point ends in its core:
-  :meth:`CleoService.predict_batch` packs the requests the cache could not
-  answer into a table and prices that.  All paths are *bitwise identical*
+  one columnar primitive — no per-request objects, no cache keys — and
+  every other batched entry point ends in its core:
+  :meth:`CleoService.predict_batch` and :meth:`CleoService.predict_inputs`
+  pack the rows the cache could not answer into a table and price that.  All paths are *bitwise identical*
   to one-row prediction: every underlying regressor computes per-row,
   batch-size-invariant reductions.
-* **Prediction cache** — a bounded, signature-keyed LRU in front of the
-  models turns the recurring-job workload's repeated (features, signatures)
-  pairs into O(1) hits: a batch is one locked probe and one locked insert,
-  over keys that keep their hash; hit/miss counters surface via
-  :meth:`stats`.
+* **Prediction cache** — a bounded LRU in front of the models turns the
+  recurring-job workload's repeated (features, signatures) rows into O(1)
+  hits: a batch is one locked probe and one locked insert, over keys that
+  are each row's 104 bytes (:meth:`~repro.features.table.FeatureTable.
+  row_keys`, made for a whole table in one pass); hit/miss counters
+  surface via :meth:`stats`.
 * **Lifecycle** — :meth:`train` / :meth:`load` / :meth:`save` /
   :meth:`deploy` wrap the trainer, the JSON model-file format, and the
   versioned :class:`~repro.core.lifecycle.ModelRegistry`.
@@ -44,9 +45,9 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -121,6 +122,8 @@ class PredictionRequest:
 
     features: FeatureInput
     signatures: SignatureBundle
+    #: The row key, once computed (see :attr:`key`).
+    _key: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def for_record(cls, record: OperatorRecord) -> "PredictionRequest":
@@ -128,15 +131,41 @@ class PredictionRequest:
         return cls(features=record.features, signatures=record.signatures)
 
     @property
-    def key(self) -> tuple[FeatureInput, SignatureBundle]:
-        """The prediction-cache key: a plain ``(features, signatures)`` tuple.
+    def key(self) -> bytes:
+        """The prediction-cache key: this row's
+        :meth:`~repro.features.table.FeatureTable.row_keys` bytes.
 
-        Both components are frozen and keep their field-wise hash once
-        computed, so hashing the key — in-batch dedup, LRU probe, recency
-        refresh, insert, and every later replay of the same request — costs
-        two slot reads, not thirteen float and int hashes.
+        Computed once per request and kept, so every later probe — a replay
+        of a recurring job included — reuses it; :func:`request_keys` keys a
+        whole batch in one table pass.
         """
-        return (self.features, self.signatures)
+        if self._key is None:
+            request_keys([self])
+        return self._key
+
+
+def request_keys(requests: Sequence[PredictionRequest]) -> list[bytes]:
+    """Every request's :attr:`~PredictionRequest.key`, in order; the requests
+    not keyed yet are keyed together, as the rows of one table."""
+    fresh = [request for request in requests if request._key is None]
+    if fresh:
+        table = FeatureTable.from_inputs(
+            [request.features for request in fresh],
+            [request.signatures for request in fresh],
+        )
+        for request, key in zip(fresh, table.row_keys()):
+            object.__setattr__(request, "_key", key)
+    return [request._key for request in requests]
+
+
+def _request_rows(
+    requests: Sequence[PredictionRequest],
+) -> Callable[[list[int]], FeatureTable]:
+    """The rows of some of ``requests``, packed on demand (cache misses)."""
+    return lambda positions: FeatureTable.from_inputs(
+        [requests[i].features for i in positions],
+        [requests[i].signatures for i in positions],
+    )
 
 
 def plan_requests(
@@ -396,16 +425,17 @@ class CleoService:
     def predict_batch(self, requests: Sequence[PredictionRequest]) -> np.ndarray:
         """Price a batch of operators in one pass over its requests.
 
-        One locked probe of the prediction LRU answers the hits and names
-        the distinct misses; those are packed into a table once, priced by
-        the same core :meth:`predict_table` runs, and inserted under one more
-        lock acquisition.  A request identical to an earlier miss of the same
-        batch reuses its value (``in_batch_reuses``).  Results are bitwise
-        identical to pricing each request as a one-row batch.  (For
-        whole-table workloads prefer :meth:`predict_table`, which skips the
-        per-request layer entirely.)
+        The requests' row keys (computed once per request) go through the
+        cached core: one locked probe of the prediction LRU answers the hits
+        and names the distinct misses, which are packed into a table once,
+        priced by the core :meth:`predict_table` runs, and inserted under
+        one more lock acquisition.  A request identical to an earlier miss
+        of the same batch reuses its value (``in_batch_reuses``).  Results
+        are bitwise identical to pricing each request as a one-row batch.
+        (For whole-table workloads prefer :meth:`predict_table`, which skips
+        the cache entirely.)
         """
-        return self._predict_batch(requests, reference=False)
+        return self._price_cached(request_keys(requests), _request_rows(requests))
 
     def predict_records_reference(self, records: Iterable[OperatorRecord]) -> np.ndarray:
         """The retained pre-packed serving pipeline (benchmark baseline).
@@ -419,20 +449,30 @@ class CleoService:
         :meth:`predict_records` must match it bit for bit.
         """
         requests = [PredictionRequest.for_record(r) for r in records]
-        return self._predict_batch(requests, reference=True)
+        return self._price_cached(
+            request_keys(requests), _request_rows(requests), reference=True
+        )
 
-    def _predict_batch(
-        self, requests: Sequence[PredictionRequest], reference: bool
+    def _price_cached(
+        self,
+        keys: Sequence[bytes],
+        rows: Callable[[list[int]], FeatureTable],
+        reference: bool = False,
     ) -> np.ndarray:
+        """The cached core every LRU-backed entry point runs.
+
+        ``keys[i]`` is row ``i``'s :meth:`~repro.features.table.FeatureTable.
+        row_keys` key and ``rows(positions)`` packs the rows at
+        ``positions`` into a table.  One probe, in-batch dedup, lookup and
+        fallback accounting, pricing of the distinct misses, one insert.
+        """
         cache = self._prediction_cache
-        values, missing = cache.get_many([request.key for request in requests])
+        values, missing = cache.get_many(keys)
         counts = [len(positions) for positions in missing.values()]
         uncached = sum(counts)
         table = None
         if missing:
-            table = FeatureTable.from_inputs(
-                [key[0] for key in missing], [key[1] for key in missing]
-            )
+            table = rows([positions[0] for positions in missing.values()])
             # Only first-seen uncached keys pay the check (cached entries
             # passed it before insertion), and a bad one raises before
             # anything is counted, priced or inserted.
@@ -448,7 +488,7 @@ class CleoService:
         # round-trip (charged per request).
         with self._stats_lock:
             self._batches += 1
-            self._predictions += len(requests)
+            self._predictions += len(keys)
             self._batch_reuses += uncached - len(missing)
             self.predictor.lookup_count += (
                 uncached * CleoPredictor.LOOKUPS_PER_PREDICTION
@@ -551,22 +591,25 @@ class CleoService:
         """Batched predictions for parallel (features, signatures) sequences.
 
         The optimizer's pricing entry, a single price included (one row).
-        With the prediction LRU enabled it routes through
-        :meth:`predict_batch` (cache hits and in-batch dedup still pay off
-        for recurring operators); with caching disabled it packs the
-        sequences into a table and calls :meth:`predict_table` directly — no
-        requests, no keys hashed — whose lookup and fallback accounting
-        matches a cache-disabled :meth:`predict_batch` exactly.  Either way
-        the rows are priced by the one table core, so values are bitwise
-        identical.
+        The sequences are packed into one table.  With the prediction LRU
+        enabled its row keys go through the cached core
+        :meth:`predict_batch` runs (cache hits and in-batch dedup still pay
+        off for recurring operators) and the misses are cut out of it with
+        one gather; with caching disabled it goes to :meth:`predict_table`,
+        whose lookup and fallback accounting matches a cache-disabled
+        :meth:`predict_batch` exactly.  Either way the rows are priced by
+        the one table core, so values are bitwise identical.
         """
         if len(inputs) != len(bundles):
             raise FeatureValidationError("inputs and bundles must align")
-        if self.prediction_cache_enabled:
-            return self.predict_batch(
-                [PredictionRequest(f, b) for f, b in zip(inputs, bundles)]
-            )
-        return self.predict_table(FeatureTable.from_inputs(inputs, bundles))
+        table = FeatureTable.from_inputs(inputs, bundles)
+        if not self.prediction_cache_enabled:
+            return self.predict_table(table)
+        n = len(table)
+        return self._price_cached(
+            table.row_keys(),
+            lambda positions: table if len(positions) == n else table.take(positions),
+        )
 
     # ------------------------------------------------------------------ #
     # Boundary validation and repair
@@ -576,25 +619,18 @@ class CleoService:
         """Reject a table carrying non-finite feature values."""
         if not self._validate_inputs:
             return
-        for name in COLUMN_NAMES:
-            if not np.isfinite(getattr(table, name)).all():
-                raise FeatureValidationError(
-                    f"non-finite values in feature column {name!r}"
-                )
+        finite = np.isfinite(table.features)
+        if not finite.all():
+            column = int(np.argmin(finite.all(axis=0)))
+            raise FeatureValidationError(
+                f"non-finite values in feature column {COLUMN_NAMES[column]!r}"
+            )
 
     def _repaired_table(self, table: FeatureTable, values: np.ndarray) -> np.ndarray:
         """Rebuild the requests of non-finite / negative rows and repair them."""
         idx = np.flatnonzero(~(np.isfinite(values) & (values >= 0.0)))
         inputs = [table.input_at(i) for i in idx]
-        bundles = [
-            SignatureBundle(
-                strict=int(table.signatures["strict"][i]),
-                approx=int(table.signatures["approx"][i]),
-                input=int(table.signatures["input"][i]),
-                operator=int(table.signatures["operator"][i]),
-            )
-            for i in idx
-        ]
+        bundles = [SignatureBundle(*row) for row in table.signatures[idx].tolist()]
         out = values.copy()
         out[idx] = self._repair_rows(inputs, bundles)
         return out

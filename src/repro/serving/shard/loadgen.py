@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.core.predictor import CleoPredictor
-from repro.serving.service import CleoService, PredictionRequest
+from repro.serving.service import CleoService, PredictionRequest, request_keys
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.plan.physical import PhysicalOp
@@ -154,7 +154,7 @@ def build_load(
             requests = tuple(
                 PredictionRequest.for_record(record) for record in job.operators
             )
-            seen.update(request.key for request in requests)
+            seen.update(request_keys(requests))
             n_predictions += len(requests)
             step: list[PredictJob | PlanJob] = [
                 PredictJob(cluster=cluster, job_id=job.job_id, requests=requests)

@@ -10,6 +10,7 @@ accounting the paper's Figure 8c tracks.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.config import SPECIFICITY_ORDER
@@ -60,6 +61,21 @@ class TestBatchedResourceProfiles:
                 )
         assert n_covered == sum(1 for p in scalar if p is not None)
         assert n_covered > 0, "tiny bundle should cover some operators"
+
+    def test_profiles_read_p_one_rows_of_any_table(self, tiny_predictor, rows):
+        """The P=1 rows are a copy with its own P column: a table at any P
+        prices the oracle's profiles bit for bit and keeps its own P."""
+        inputs, bundles = rows
+        table = FeatureTable.from_inputs(inputs, bundles)
+        at_seven = table.with_partition_count(np.full(len(table), 7.0))
+        assert (table.partition_count != 1.0).any()
+        logged = table.partition_count.copy()
+        for source in (table, at_seven):
+            batched, _ = resource_profiles_most_specific(tiny_predictor.store, source)
+            assert batched == _scalar_profiles(tiny_predictor.store, inputs, bundles)
+        assert np.array_equal(table.partition_count, logged)
+        assert (at_seven.partition_count == 7.0).all()
+        assert np.array_equal(at_seven.input_card, table.input_card)
 
     def test_service_charges_five_lookups_per_covered_row(
         self, tiny_predictor, rows

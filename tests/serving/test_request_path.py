@@ -1,11 +1,10 @@
-"""The request path end to end: keys hashed once, counters exactly the parent's.
+"""The request path end to end: keys made once, counters exactly the parent's.
 
 Three things the one-pass sub-batch rests on:
 
-* a prediction-cache key keeps its field-wise hash for the life of its
-  ``FeatureInput`` / ``SignatureBundle``, still equals and hashes like a
-  plain ``(features, signatures)`` tuple, and every copy (``replace``,
-  ``with_partition_count``, pickle) recomputes its own;
+* a prediction-cache key is the request's row bytes — the same bytes a
+  table row of it gets from ``FeatureTable.row_keys`` — computed once per
+  request, and every copy (``replace``, pickle) carries its own;
 * through the sharded router on the zero-fault path — default
   ``ResilienceConfig``, no injector — one replay of a request stream
   leaves every service, cache, shard and health counter exactly where the
@@ -15,13 +14,12 @@ Three things the one-pass sub-batch rests on:
 
 from __future__ import annotations
 
+import gc
 import pickle
 from dataclasses import replace
 
 import pytest
 
-import repro.features.featurizer as featurizer
-import repro.plan.signatures as signatures
 from repro.common.errors import FeatureValidationError
 from repro.core.config import CleoConfig
 from repro.core.trainer import CleoTrainer
@@ -30,6 +28,7 @@ from repro.features.table import FeatureTable
 from repro.plan.signatures import SignatureBundle
 from repro.serving import CleoService, PredictionRequest
 from repro.serving.cache import LRUCache
+from repro.serving.service import request_keys
 from repro.serving.shard import ShardedCleoRouter
 from repro.serving.shard.health import BreakerState
 
@@ -63,62 +62,38 @@ class TestKeysHashedOnce:
         cache.put(second.key, 2.5)
         assert len(cache) == 1 and cache.get(first.key) == 2.5
 
-    def test_key_is_a_plain_tuple(self):
+    def test_key_is_the_row_bytes(self):
+        """One layout: a request's key is its row's key in any table."""
         request = PredictionRequest(make_features(), make_bundle())
-        features, bundle = request.key  # unpacks
-        assert type(request.key) is tuple
-        assert request.key == (features, bundle)
-        assert hash(request.key) == hash((make_features(), make_bundle()))
+        assert type(request.key) is bytes and len(request.key) == 104
+        assert not gc.is_tracked(request.key)
+        assert request.key is request.key  # computed once, then kept
+        other = PredictionRequest(make_features(3.0), make_bundle())
+        table = FeatureTable.from_inputs(
+            [other.features, request.features, other.features],
+            [other.signatures, request.signatures, other.signatures],
+        )
+        assert table.row_keys() == [other.key, request.key, other.key]
+        assert request_keys([other, request]) == [other.key, request.key]
+        assert request.key != other.key
 
-    def test_hash_is_the_field_tuple_hash(self):
-        """Same value the generated dataclass ``__hash__`` returned, so
-        nothing that ever depended on it can have moved."""
-        f, b = make_features(), make_bundle()
-        assert hash(f) == hash((1.5e6, 2.5e7, 3.5e4, 64.0, 8.0, 0.25, 0.5, 3.0, 2.0))
-        assert hash(b) == hash((b.strict, b.approx, b.input, b.operator))
+    def test_keys_compare_bits(self):
+        """``-0.0`` and ``0.0`` rows are two keys, a NaN row equals itself."""
+        zero = PredictionRequest(replace(make_features(), params_enc=0.0), make_bundle())
+        negative = PredictionRequest(replace(make_features(), params_enc=-0.0), make_bundle())
+        assert zero == negative and zero.key != negative.key
+        nan = replace(make_features(), output_card=float("nan"))
+        assert PredictionRequest(nan, make_bundle()).key == PredictionRequest(
+            nan, make_bundle()
+        ).key
 
-    def test_copies_recompute_their_own_hash(self):
-        original = make_features()
-        hash(original)  # the original's is cached now
-        copies = {
-            "replace": (replace(original, depth=5.0), replace(make_features(), depth=5.0)),
-            "with_partition_count": (original.with_partition_count(32), make_features(32.0)),
-            "pickle": (pickle.loads(pickle.dumps(original)), make_features()),
-        }
-        for how, (copy, fresh) in copies.items():
-            assert copy == fresh and hash(copy) == hash(fresh), how
-        assert hash(original.with_partition_count(32)) != hash(original)
-        bundle = make_bundle()
-        hash(bundle)
-        assert hash(pickle.loads(pickle.dumps(bundle))) == hash(make_bundle())
-        assert hash(replace(bundle, input=18)) == hash(replace(make_bundle(), input=18))
-        request = PredictionRequest(original, bundle)
-        assert hash(pickle.loads(pickle.dumps(request)).key) == hash(request.key)
-
-    def test_hashing_a_request_twice_hashes_its_fields_once(self, monkeypatch):
-        calls = {"features": 0, "signatures": 0}
-
-        def counting(name):
-            def field_hash(fields):
-                calls[name] += 1
-                return hash(fields)
-
-            return field_hash
-
-        # The field-wise hash is the one builtin ``hash(...)`` call inside
-        # each ``__hash__``; shadow it at module level to count it.
-        monkeypatch.setattr(featurizer, "hash", counting("features"), raising=False)
-        monkeypatch.setattr(signatures, "hash", counting("signatures"), raising=False)
-        request = PredictionRequest(make_features(), make_bundle())
-        cache = LRUCache(4)
-        hash(request.key)
-        hash(request.key)
-        cache.get_many([request.key, request.key])
-        cache.put_many([(request.key, 1.0)])
-        cache.get_many([request.key])
-        assert calls == {"features": 1, "signatures": 1}
-        hash(PredictionRequest(make_features(), make_bundle()).key)  # a new object
-        assert calls == {"features": 2, "signatures": 2}
+    def test_copies_carry_their_own_key(self):
+        original = PredictionRequest(make_features(), make_bundle())
+        key = original.key
+        assert pickle.loads(pickle.dumps(original)).key == key
+        moved = replace(original, features=make_features(32.0))
+        assert moved.key == PredictionRequest(make_features(32.0), make_bundle()).key
+        assert moved.key != key
 
 
 # ------------------------------------------------------------------ #

@@ -78,11 +78,11 @@ class TestBatchedPrediction:
         """Acceptance: at most one vectorized call per (kind, signature)
         group (plus one combined-model matrix call), via ``stats()``."""
         requests = [PredictionRequest.for_record(r) for r in workload_records]
-        unique = {r.key for r in requests}
+        unique = {r.key: r.signatures for r in requests}
         expected_groups = len(
             {
                 (kind, signature_for(kind, signatures))
-                for _, signatures in unique
+                for signatures in unique.values()
                 for kind in ModelKind
                 if service.store.lookup(kind, signatures) is not None
             }

@@ -88,7 +88,10 @@ def test_columnar_table_matches_from_records_rebuild():
         assert a.dtype == b.dtype, column
         assert np.array_equal(a, b), column
     for name in ("strict", "approx", "input", "operator"):
-        assert np.array_equal(adopted.signatures[name], rebuilt.signatures[name])
+        assert np.array_equal(
+            adopted.signature_column(name), rebuilt.signature_column(name)
+        )
+    assert adopted.features.flags.c_contiguous and adopted.signatures.flags.c_contiguous
     assert adopted.cluster == rebuilt.cluster
 
 
