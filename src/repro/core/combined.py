@@ -7,21 +7,21 @@ outputs a corrected cost.  It characterizes where each individual model is
 reliable, covers every operator (the operator model always predicts), and
 degrades gracefully where specialized models are missing.
 
-Meta rows are built **columnar**: :func:`build_meta_matrix` fills the
-prediction columns with one vectorized model call per covering
-``(kind, signature)`` group over a :class:`~repro.features.table.
-FeatureTable`, then imputes and appends the extras with array ops.  The
-scalar :func:`build_meta_row` is a one-row call into the same code, so the
-two can never drift.
+Meta rows are built **columnar**: :func:`build_meta_matrix` fills all
+four prediction columns of a :class:`~repro.features.table.FeatureTable`
+from one pass over the store's tier index (:func:`covered_tiers`: one
+signature resolution, then gathers and one row multiply-sum over every
+covered ``(row, kind)`` pair at once), then imputes and appends the extras with array ops.
+The scalar :func:`build_meta_row` is a one-row call into the same code, so
+the two can never drift.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import CleoConfig, ModelKind
+from repro.core.config import SPECIFICITY_ORDER, CleoConfig, ModelKind
 from repro.core.model_store import SIGNATURE_FIELDS, ModelStore
-from repro.core.packed import PackedKindModels
 from repro.features.featurizer import FeatureInput, expand_columns, feature_names
 from repro.features.table import FeatureTable
 from repro.ml.base import Regressor
@@ -49,66 +49,58 @@ META_FEATURE_NAMES: tuple[str, ...] = (
     "P",
 )
 
-_KIND_ORDER: tuple[ModelKind, ...] = (
-    ModelKind.OP_SUBGRAPH,
-    ModelKind.OP_SUBGRAPH_APPROX,
-    ModelKind.OP_INPUT,
-    ModelKind.OPERATOR,
-)
-
-
 def predict_covered(
     store: ModelStore,
     table: FeatureTable,
     kind: ModelKind,
     full_matrix: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One kind's vectorized predictions over a table's covered rows.
+    """One kind's ``(mask, predictions)``: its column of :func:`covered_tiers`.
 
-    Served by the store's **packed inference bank** (:mod:`repro.core.
-    packed`): signatures resolve against one sorted array with
-    ``np.searchsorted`` and every covered row is priced in a single gather +
-    row multiply-sum pass — bitwise identical to the retained
-    :func:`predict_covered_reference` grouped object-graph loop, which
-    transparently takes over for kinds the bank could not pack (an unfitted
-    model).  Returns ``(mask, predictions)`` in row order;
     ``predictions[i]`` is 0.0 (and meaningless) where ``mask[i]`` is False.
-    This is the one covered-prediction primitive shared by meta-row
-    construction, the robustness evaluators, and the serving layer — keep
-    it that way.
+    Bitwise identical to the retained :func:`predict_covered_reference`.
+    """
+    masks, predictions, _ = covered_tiers(store, table, full_matrix)
+    k = SPECIFICITY_ORDER.index(kind)
+    return masks[:, k], predictions[:, k]
+
+
+def covered_tiers(
+    store: ModelStore, table: FeatureTable, full_matrix: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Every tier's ``(n, 4)`` coverage and predictions, plus model calls.
+
+    The one covered-prediction primitive shared by meta-row construction,
+    the robustness evaluators and the serving layer.  The store's **tier
+    index** (:mod:`repro.core.packed`) resolves all four signature columns
+    in one ``np.searchsorted`` and prices every covered ``(row, kind)`` pair
+    in one gather + row multiply-sum pass over all kinds — bitwise identical
+    to the retained per-kind :func:`predict_covered_reference` groups, which
+    take over for a kind the bank could not pack (an unfitted model).  Columns
+    follow :data:`~repro.core.config.SPECIFICITY_ORDER`; uncovered
+    predictions are 0.0.  The call count is one per distinct covering
+    ``(kind, signature)`` model, read once from one ledger.
 
     ``full_matrix`` may pass a precomputed ``table.feature_matrix(
     include_context=True)`` to avoid a second expansion.
     """
     if full_matrix is None:
         full_matrix = table.feature_matrix(include_context=True)
-    packed = store.packed_bank().kinds[kind]
-    if packed is None:
-        return _covered_reference(store, table, kind, full_matrix)[:2]
-    return _covered_packed(packed, table, full_matrix)[:2]
-
-
-def _covered_packed(
-    packed: PackedKindModels, table: FeatureTable, full_matrix: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """``(mask, predictions, answering parameter rows)`` of one packed kind;
-    the third is ``None`` when the kind covers no row."""
-    n = len(table)
-    mask, position = packed.match(table.signature_column(SIGNATURE_FIELDS[packed.kind]))
-    covered = np.count_nonzero(mask)
-    if covered == n and n:
-        # Fully covered (the operator kind, usually): price in place with no
-        # row gather or scatter at all.
-        return mask, packed.predict_rows(full_matrix[:, : packed.width], position), position
-    values = np.zeros(n, dtype=float)
-    if not covered:
-        return mask, values, None
-    indices = np.flatnonzero(mask)
-    model_idx = position[indices]
-    values[indices] = packed.predict_rows(
-        full_matrix[indices, : packed.width], model_idx
-    )
-    return mask, values, model_idx
+    bank = store.packed_bank()
+    slot = bank.resolve(table.signatures)
+    masks = slot >= 0
+    predictions = np.zeros(slot.shape, dtype=float)
+    pairs = masks.ravel().nonzero()[0]
+    models = slot.ravel()[pairs]
+    predictions.ravel()[pairs] = bank.price(full_matrix, pairs // len(SPECIFICITY_ORDER), models)
+    calls = bank.answered(models)
+    for k, (kind, packed) in enumerate(bank.kinds.items()):
+        if packed is None:
+            masks[:, k], predictions[:, k], kind_calls = _covered_reference(
+                store, table, kind, full_matrix
+            )
+            calls += kind_calls
+    return masks, predictions, calls
 
 
 def predict_covered_reference(
@@ -182,53 +174,38 @@ def meta_matrix_and_calls(
     """The meta rows plus how many individual models answered.
 
     The count is the serving layer's vectorized-call accounting: one per
-    distinct covering ``(kind, signature)`` model, made once per batch from
-    the packed parameter rows that priced it (not one scratch array and one
-    callback loop per kind).  ``reference`` takes the retained object-graph
-    path for every kind and is faithful to the pre-packed pipeline including
-    its per-batch feature expansion: without a ``full_matrix`` the derived
-    matrix is recomputed rather than read from the table's memo.
+    distinct covering ``(kind, signature)`` model (:func:`covered_tiers`).
+    ``reference`` takes the retained object-graph path for every kind and
+    is faithful to the pre-packed pipeline including its per-batch feature
+    expansion: without a ``full_matrix`` the derived matrix is recomputed
+    rather than read from the table's memo.
 
-    Each tier writes its coverage and predictions into one ``(n, 4)`` block;
-    flags, imputation and the extras are then whole-block passes over it
-    and the feature rows.  The copies move exact values and each divide is
-    the one the scalar row made, so assembly order cannot affect bits.
+    Coverage and predictions arrive as one ``(n, 4)`` block; flags,
+    imputation and the extras are then whole-block passes over it and the
+    feature rows.  The copies move exact values and each divide is the one
+    the scalar row made, so assembly order cannot affect bits.
     """
     n = len(table)
-    if full_matrix is None:
-        full_matrix = (
-            expand_columns(table.features, include_context=True)
-            if reference
-            else table.feature_matrix(include_context=True)
-        )
-    bank = None if reference else store.packed_bank()
-    kinds = len(_KIND_ORDER)
-    masks = np.empty((n, kinds), dtype=bool)
-    predictions = np.empty((n, kinds), dtype=float)
-
-    calls = 0
-    answered: np.ndarray | None = None  # (kind, packed parameter row) -> answered
-    for k, kind in enumerate(_KIND_ORDER):
-        packed = bank.kinds[kind] if bank is not None else None
-        if packed is None:
-            mask, values, kind_calls = _covered_reference(store, table, kind, full_matrix)
+    kinds = len(SPECIFICITY_ORDER)
+    if not reference:
+        masks, predictions, calls = covered_tiers(store, table, full_matrix)
+    else:
+        if full_matrix is None:
+            full_matrix = expand_columns(table.features, include_context=True)
+        masks = np.empty((n, kinds), dtype=bool)
+        predictions = np.empty((n, kinds), dtype=float)
+        calls = 0
+        for k, kind in enumerate(SPECIFICITY_ORDER):
+            masks[:, k], predictions[:, k], kind_calls = _covered_reference(
+                store, table, kind, full_matrix
+            )
             calls += kind_calls
-        else:
-            mask, values, model_idx = _covered_packed(packed, table, full_matrix)
-            if model_idx is not None:
-                if answered is None:
-                    answered = bank.answered_ledger()
-                answered[k, model_idx] = True
-        masks[:, k] = mask
-        predictions[:, k] = values
-    if answered is not None:
-        calls += int(np.count_nonzero(answered))
 
     out = np.empty((n, len(META_FEATURE_NAMES)), dtype=float)
     # The most general available prediction — the last covered kind in
     # specificity order — imputes the missing ones.  Uncovered predictions
     # are 0.0, so a row no kind covers imputes 0.0.
-    last = kinds - 1 - np.argmax(masks[:, ::-1], axis=1)
+    last = kinds - 1 - masks[:, ::-1].argmax(axis=1)
     impute = predictions[np.arange(n), last]
     out[:, :kinds] = np.where(masks, predictions, impute[:, None])
     out[:, kinds : 2 * kinds] = masks

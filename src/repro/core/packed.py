@@ -1,244 +1,275 @@
-"""Packed inference runtime: the model bank compiled into contiguous arrays.
+"""Packed inference runtime: the model bank compiled into one tier index.
 
 The paper's serving story is that "all models relevant for a cluster are
 loaded upfront by the optimizer, into a hash map" and consulted millions of
 times per optimization pass (Section 5.1), five learned lookups per costed
-operator (Section 6.5).  The object graph behind that hash map —
-one :class:`~repro.core.learned_model.LearnedCostModel` per ``(kind,
+operator (Section 6.5), and the combined model reads all four individual
+predictions of every row.  The object graph behind that hash map — one
+:class:`~repro.core.learned_model.LearnedCostModel` per ``(kind,
 signature)``, each wrapping its own scaler and elastic net — prices a batch
 with one tiny vectorized call *per covering group*, which leaves the hot
-path dominated by Python/numpy dispatch (hundreds of micro-calls per batch).
+path dominated by Python/numpy dispatch.
 
-This module compiles that object graph **once** into flat arrays so a whole
-batch is priced in a constant number of numpy passes:
+This module compiles that object graph **once** into a **tier index**:
 
-* per model kind, the signatures of every trained model in one **sorted
-  array** and their elastic-net parameters (scaler mean/scale, standardized
-  coefficients, intercept, target scale) stacked into **contiguous
-  matrices**;
-* signature resolution becomes one ``np.searchsorted`` over the sorted
-  array instead of one dict lookup per row;
-* pricing becomes one gather of each covered row's model parameters plus a
-  batch-invariant row multiply-sum — bitwise identical to routing every row
-  through its model's ``predict_matrix``, because the per-row reduction
-  depends only on the row's own feature width.
+* ``union``, the sorted set of every signature any kind holds, and a
+  ``(len(union), 4)`` slot matrix giving each kind's global parameter row
+  for it (or :data:`NOT_COVERED` / :data:`UNPACKED`), so a table's ``(n, 4)``
+  signature block resolves against all four kinds in ONE
+  ``np.searchsorted``;
+* one parameter block shared by all kinds — scaler mean and scale,
+  standardized coefficients, intercept, target scale, and the raw-space
+  coefficients and intercept of Section 5.3 — one column per model, so
+  every covered ``(row, kind)`` pair is priced in one pass (a gather of the
+  rows, of each parameter plane and of the scalars, then one row
+  multiply-sum), bitwise identical to routing the row through its model's
+  ``predict_matrix``.
+
+The block is as wide as the context layout (31 features).  The op-subgraph
+kind's models are 29 wide; their two trailing terms are written as ``-0.0``
+after the multiply.  Adding ``-0.0`` changes no value, and 29 and 31 share
+numpy's 8-wide pairwise-sum blocks, so the pads land in the sequential tail
+and each row sums exactly as its own model's length-29 reduction does.
 
 Compilation is **lazy** and owned by :meth:`~repro.core.model_store.
 ModelStore.packed_bank`: the store bumps a version counter on every
 ``add``/``remove`` and the bank recompiles on next use, so serving never
-reads stale coefficients.  Kinds containing an unfitted model are left
-unpacked and transparently served by the retained object-graph reference
-path (which raises on actual use of the unfitted model, exactly like the
-object-graph chain).
+reads stale coefficients.  A kind containing an unfitted model is left
+unpacked (:data:`UNPACKED` slots) and served, in its place in specificity
+order, by the retained object-graph reference path (which raises on actual
+use of the unfitted model, exactly like the object-graph chain).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from repro.core.config import SPECIFICITY_ORDER, ModelKind
-from repro.core.learned_model import _MAX_PREDICT_SECONDS, ResourceProfile
+from repro.core.learned_model import _MAX_PREDICT_SECONDS, LearnedCostModel, ResourceProfile
 from repro.core.model_store import SIGNATURE_FIELDS, ModelStore
 from repro.features.featurizer import INVERSE_P_FEATURES, feature_names
+from repro.features.table import SIGNATURE_NAMES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.features.table import FeatureTable
 
+# A table's signature columns are the tiers, most specific first.
+assert tuple(SIGNATURE_FIELDS[kind] for kind in SPECIFICITY_ORDER) == SIGNATURE_NAMES
 
-def match_sorted(
-    signatures: np.ndarray, column: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Resolve a signature column against one sorted signature array.
+#: Slot values: the kind holds no model for the signature / holds one the
+#: bank could not pack (served by the object-graph reference path).
+NOT_COVERED = -1
+UNPACKED = -2
 
-    Returns ``(mask, position)``: ``mask[i]`` is True where some signature
-    equals ``column[i]`` and ``position[i]`` is its index in ``signatures``
-    (clamped, meaningless where ``mask`` is False).  The single resolution
-    primitive shared by model matching and coverage checks.
-    """
-    if signatures.size == 0:
-        zeros = np.zeros(len(column), dtype=np.int64)
-        return np.zeros(len(column), dtype=bool), zeros
-    position = signatures.searchsorted(column)
-    position = np.minimum(position, signatures.size - 1)
-    return signatures[position] == column, position
-
-
-@dataclass(frozen=True)
-class PackedKindModels:
-    """One kind's trained elastic nets as contiguous parameter arrays.
-
-    Model ``g`` (the ``g``-th smallest signature) owns row ``g`` of every
-    array.  ``predict_rows`` replays :meth:`~repro.ml.proximal.
-    ElasticNetMSLE.predict` exactly — standardize, row multiply-sum, target
-    rescale, clamp — with the parameters gathered per row, so mixed-model
-    batches price bitwise identically to per-model calls.
-    """
-
-    kind: ModelKind
-    signatures: np.ndarray  # (m,) uint64, sorted ascending
-    #: (m, 3, d) stack of (scaler mean, scaler scale, standardized coef) so
-    #: the hot path gathers each row's parameters with ONE fancy index.
-    fused: np.ndarray
-    intercept: np.ndarray  # (m,)
-    y_scale: np.ndarray  # (m,) target scales
-    width: int  # d: the kind's feature width
-    #: Raw-space weights/intercepts (`coefficients_raw` replayed at compile
-    #: time), backing the batched resource-profile extraction of Section 5.3.
-    raw_coef: np.ndarray  # (m, d)
-    raw_intercept: np.ndarray  # (m,)
-    #: Feature-column split for theta extraction: ascending indices of the
-    #: 1/P-family features (-> theta_p), the bare "P" feature (-> theta_c),
-    #: and everything else (-> theta_0).
-    inverse_p_columns: tuple[int, ...]
-    partition_columns: tuple[int, ...]
-    other_columns: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return int(self.signatures.size)
-
-    def match(self, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(mask, parameter row)`` for each entry of a signature column."""
-        return match_sorted(self.signatures, column)
-
-    def predict_rows(self, rows: np.ndarray, model_idx: np.ndarray) -> np.ndarray:
-        """Price feature rows, row ``i`` through model ``model_idx[i]``.
-
-        ``rows`` must already be sliced to this kind's feature width.  The
-        op sequence replays :meth:`~repro.ml.proximal.ElasticNetMSLE.
-        predict` exactly — standardize, multiply by the coefficients, row
-        pairwise-sum (length ``d``, so batch-size invariant), intercept,
-        target rescale, clamp — for bitwise parity with per-model calls.
-        """
-        params = self.fused[model_idx]  # (k, 3, d): one gather for all three
-        buf = rows - params[:, 0, :]
-        buf /= params[:, 1, :]
-        buf *= params[:, 2, :]
-        raw = (buf.sum(axis=1) + self.intercept[model_idx]) * self.y_scale[model_idx]
-        return np.minimum(np.maximum(raw, 0.0), _MAX_PREDICT_SECONDS)
-
-    def resource_rows(
-        self, at_one_rows: np.ndarray, model_idx: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(theta_p, theta_c, theta_0)`` per row, from the raw-space fit.
-
-        ``at_one_rows`` are the rows' feature vectors evaluated at P=1
-        (sliced to this kind's width); row ``i`` reads model
-        ``model_idx[i]``.  The accumulation replays
-        :meth:`~repro.core.learned_model.LearnedCostModel.resource_profile`
-        exactly — per accumulator, terms fold in ascending feature-column
-        order — so every theta is bitwise identical to the scalar loop.
-        """
-        raw = self.raw_coef[model_idx]  # (k, d): one gather
-        k = len(model_idx)
-        theta_p = np.zeros(k, dtype=float)
-        theta_c = np.zeros(k, dtype=float)
-        theta_0 = self.raw_intercept[model_idx].copy()
-        for j in self.inverse_p_columns:
-            theta_p += raw[:, j] * at_one_rows[:, j]
-        for j in self.partition_columns:
-            theta_c += raw[:, j]
-        for j in self.other_columns:
-            theta_0 += raw[:, j] * at_one_rows[:, j]
-        return theta_p, theta_c, theta_0
+_NAMES = feature_names(include_context=True)
+_W = len(_NAMES)  # the block's width: the context layout
+#: The op-subgraph kind's width; its columns are a prefix of the block's.
+_NARROW = len(feature_names(include_context=False))
+#: The parameter block's per-feature planes and per-model scalars.
+_MEAN, _SCALE, _COEF, _RAW = range(4)
+_INTERCEPT, _Y_SCALE, _RAW_INTERCEPT = range(3)
+#: Theta accumulators' feature columns, ascending: the 1/P family
+#: (theta_p), the bare "P" (theta_c), everything else (theta_0).
+_INVERSE_P = [j for j, name in enumerate(_NAMES) if name in INVERSE_P_FEATURES]
+_PARTITION = [j for j, name in enumerate(_NAMES) if name == "P"]
+_OTHER = [j for j, name in enumerate(_NAMES) if name not in INVERSE_P_FEATURES and name != "P"]
+#: (row, kind) pairs priced per pass, at least: a larger table's pass takes
+#: as many pairs as the table has rows, so its scratch (rows and one
+#: parameter plane) is smaller than one kind's parameter gather over the
+#: whole table.
+_MIN_BLOCK = 256
+_TIERS = np.arange(len(SPECIFICITY_ORDER))
 
 
 @dataclass(frozen=True)
 class PackedModelBank:
-    """Every kind's packed parameters plus signature coverage arrays.
+    """The tier index: every kind's signatures and parameters in one place.
 
-    ``coverage[kind]`` always holds the sorted signatures of *all* models of
-    the kind (the store's covering set); ``kinds[kind]`` is the packed
-    parameter block, or ``None`` when the kind could not be packed (an
-    unfitted or mis-shaped model) and must be served by the reference path.
+    ``kinds[kind]`` (in specificity order) is the kind's range of global
+    parameter rows, or ``None`` when the kind could not be packed (an
+    unfitted or mis-shaped model) and must be served by the reference
+    path.  The op-subgraph kind owns the first rows, so a row below
+    ``narrow`` is a 29-wide model.
     """
 
-    coverage: dict[ModelKind, np.ndarray]
-    kinds: dict[ModelKind, "PackedKindModels | None"]
-    #: The largest packed kind's model count (the ledger's row width).
-    max_models: int
-
-    def answered_ledger(self) -> np.ndarray:
-        """An all-False ``(kind, parameter row)`` scratch for call accounting.
-
-        A pricing pass marks ``ledger[k, model_idx] = True`` for the rows of
-        each packed kind that answered and reads the number of distinct
-        models once, with ``np.count_nonzero`` — the serving layer's
-        vectorized-call count for the whole batch.
-        """
-        return np.zeros((len(self.kinds), self.max_models), dtype=bool)
+    #: (u,) every signature's bits read as int64 (a cheaper search than
+    #: uint64; any total order serves), sorted, ending in the largest int64
+    #: so that every signature's insertion point is a valid index.
+    union: np.ndarray
+    slots: np.ndarray  # (u, 4) int64 global parameter rows, tiers in order
+    #: (4, m, 31) mean / scale / coef / raw-coef planes (each pricing
+    #: operand contiguous after a gather) and (3, m) intercept / y_scale /
+    #: raw-intercept scalars: model ``g``'s parameters are column ``g``.
+    planes: np.ndarray
+    scalars: np.ndarray
+    kinds: dict[ModelKind, "range | None"]
+    narrow: int
 
     @classmethod
     def compile(cls, store: ModelStore) -> "PackedModelBank":
-        """Extract every model's parameters into contiguous arrays."""
-        coverage: dict[ModelKind, np.ndarray] = {}
-        kinds: dict[ModelKind, PackedKindModels | None] = {}
-        for kind in ModelKind:
-            by_sig = store.models[kind]
-            signatures = np.sort(
-                np.fromiter(by_sig.keys(), dtype=np.uint64, count=len(by_sig))
-            )
-            coverage[kind] = signatures
-            width = len(feature_names(kind.uses_context_features))
-            models = [by_sig[int(s)] for s in signatures]
+        """Index every model's signature and extract its parameters."""
+        by_tier = [
+            np.fromiter(store.models[kind], np.uint64, len(store.models[kind])).view(np.int64)
+            for kind in SPECIFICITY_ORDER
+        ]
+        union = np.sort(np.concatenate([*by_tier, [np.iinfo(np.int64).max]]))
+        union = union[np.append(True, union[1:] != union[:-1])]  # distinct
+        slots = np.full((len(union), len(SPECIFICITY_ORDER)), NOT_COVERED, dtype=np.int64)
+        planes, scalars = [np.empty((4, 0, _W))], [np.empty((3, 0))]
+        kinds: dict[ModelKind, range | None] = {}
+        start = 0
+        for k, (kind, signatures) in enumerate(zip(SPECIFICITY_ORDER, by_tier)):
+            at = union.searchsorted(signatures)
+            models = list(store.models[kind].values())
             if any(
                 not m.is_fitted or m.include_context != kind.uses_context_features
                 for m in models
             ):
                 kinds[kind] = None  # served by the object-graph reference path
+                slots[at, k] = UNPACKED
                 continue
-            params = [m.packed_parameters() for m in models]
-            m = len(models)
-            fused = np.empty((m, 3, width), dtype=float)
-            for g, (mean, scale, coef, _, _) in enumerate(params):
-                fused[g, 0] = mean
-                fused[g, 1] = scale
-                fused[g, 2] = coef
-            intercept = np.array([p[3] for p in params], dtype=float)
-            y_scale = np.array([p[4] for p in params], dtype=float)
-            # Raw-space parameters, replaying ElasticNetMSLE.coefficients_raw
-            # op for op (divide then rescale; inner multiply-divide-sum) so
-            # batched resource profiles match the scalar reads bitwise.  The
-            # axis-1 sum over a (m, d) product uses the same pairwise
-            # reduction as each model's own length-d sum.
-            raw_coef = fused[:, 2, :] / fused[:, 1, :] * y_scale[:, None]
-            raw_intercept = (
-                intercept - (fused[:, 2, :] * fused[:, 0, :] / fused[:, 1, :]).sum(axis=1)
-            ) * y_scale
-            names = feature_names(kind.uses_context_features)
-            kinds[kind] = PackedKindModels(
-                kind=kind,
-                signatures=signatures,
-                fused=fused,
-                intercept=intercept,
-                y_scale=y_scale,
-                width=width,
-                raw_coef=raw_coef,
-                raw_intercept=raw_intercept,
-                inverse_p_columns=tuple(
-                    j for j, name in enumerate(names) if name in INVERSE_P_FEATURES
-                ),
-                partition_columns=tuple(
-                    j for j, name in enumerate(names) if name == "P"
-                ),
-                other_columns=tuple(
-                    j
-                    for j, name in enumerate(names)
-                    if name not in INVERSE_P_FEATURES and name != "P"
-                ),
+            kinds[kind] = range(start, start + len(models))
+            slots[at, k] = kinds[kind]
+            start += len(models)
+            kind_planes, kind_scalars = _kind_block(
+                models, len(feature_names(kind.uses_context_features))
             )
-        max_models = max((len(p) for p in kinds.values() if p is not None), default=0)
-        return cls(coverage=coverage, kinds=kinds, max_models=max_models)
+            planes.append(kind_planes)
+            scalars.append(kind_scalars)
+        return cls(
+            union=union,
+            slots=slots,
+            planes=np.concatenate(planes, axis=1),
+            scalars=np.concatenate(scalars, axis=1),
+            kinds=kinds,
+            narrow=len(kinds[SPECIFICITY_ORDER[0]] or ()),
+        )
 
-    def covered(self, kind: ModelKind, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Coverage ``(mask, position)`` for a signature column of ``kind``.
+    def resolve(self, signatures: np.ndarray) -> np.ndarray:
+        """Every row's slot in every tier, from its ``(n, 4)`` signatures:
+        one ``searchsorted`` against the union."""
+        signatures = signatures.view(np.int64)
+        at = self.union.searchsorted(signatures)
+        slot = self.slots[at, _TIERS]
+        slot[self.union[at] != signatures] = NOT_COVERED
+        return slot
 
-        Works for unpacked kinds too — coverage only needs the signature
-        array, not the parameters.
+    def most_specific(self, signatures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(slot, tier)`` of every row's first covering tier in
+        :data:`SPECIFICITY_ORDER`; ``slot`` is :data:`NOT_COVERED` where no
+        tier covers the row."""
+        slot = self.resolve(signatures)
+        tier = (slot != NOT_COVERED).argmax(axis=1)
+        return slot[np.arange(len(slot)), tier], tier
+
+    def price(self, matrix: np.ndarray, rows: np.ndarray, models: np.ndarray) -> np.ndarray:
+        """Price ``matrix[rows[i]]`` through the model in parameter row
+        ``models[i]``.
+
+        Replays :meth:`~repro.ml.proximal.ElasticNetMSLE.predict` op for op
+        — standardize, multiply by the coefficients, row pairwise-sum
+        (length 31, the narrow kind's pads ``-0.0``), intercept, target
+        rescale, clamp — so mixed-model batches price bitwise identically
+        to per-model calls.  Blocks of ``len(matrix)`` pairs (at least
+        :data:`_MIN_BLOCK`) gather the rows, then each parameter plane in
+        turn, into one two-slot scratch array (``mode="clip"`` lets ``take``
+        write into it directly; every index is valid).
         """
-        return match_sorted(self.coverage[kind], column)
+        block = max(len(matrix), _MIN_BLOCK)
+        out = np.empty(len(models), dtype=float)
+        scratch = np.empty((2, min(len(models), block), _W), dtype=float)
+        for lo in range(0, len(models), block):
+            g = models[lo : lo + block]
+            buf, param = scratch[:, : len(g)]
+            matrix.take(rows[lo : lo + block], axis=0, out=buf, mode="clip")
+            for plane, op in ((_MEAN, np.subtract), (_SCALE, np.divide), (_COEF, np.multiply)):
+                self.planes[plane].take(g, axis=0, out=param, mode="clip")
+                op(buf, param, out=buf)
+            intercept, y_scale = self.scalars[:_RAW_INTERCEPT].take(g, axis=1)
+            buf[g < self.narrow, _NARROW:] = -0.0
+            out[lo : lo + block] = (np.add.reduce(buf, axis=1) + intercept) * y_scale
+        np.maximum(out, 0.0, out=out)
+        return np.minimum(out, _MAX_PREDICT_SECONDS, out=out)
+
+    def thetas(
+        self, at_one: np.ndarray, models: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(theta_p, theta_c, theta_0)`` per row, from the raw-space fit.
+
+        ``at_one`` holds the rows' feature vectors evaluated at P=1; row
+        ``i`` reads parameter row ``models[i]``.  Each accumulator folds its
+        terms in ascending feature-column order, replaying
+        :meth:`~repro.core.learned_model.LearnedCostModel.resource_profile`
+        bit for bit (the narrow kind's two pad terms are ``-0.0``).
+        """
+        raw = self.planes[_RAW][models]
+        terms = raw * at_one
+        terms[models < self.narrow, _NARROW:] = -0.0
+        theta_p = np.zeros(len(models), dtype=float)
+        theta_c = np.zeros(len(models), dtype=float)
+        theta_0 = self.scalars[_RAW_INTERCEPT][models]
+        for j in _INVERSE_P:
+            theta_p += terms[:, j]
+        for j in _PARTITION:
+            theta_c += raw[:, j]
+        for j in _OTHER:
+            theta_0 += terms[:, j]
+        return theta_p, theta_c, theta_0
+
+    def answered(self, models: np.ndarray) -> int:
+        """How many distinct models ``models`` names: one ledger over the
+        global parameter rows (the serving layer's call accounting)."""
+        ledger = np.zeros(self.scalars.shape[1], dtype=bool)
+        ledger[models] = True
+        return int(np.count_nonzero(ledger))
+
+
+def _kind_block(
+    models: list[LearnedCostModel], width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One kind's ``(planes, scalars)`` columns of the parameter block, its
+    pads mean 0, scale 1 and coefficient 0 (pricing overwrites their
+    terms)."""
+    planes = np.zeros((4, len(models), _W), dtype=float)
+    planes[_SCALE] = 1.0
+    scalars = np.empty((3, len(models)), dtype=float)
+    for g, model in enumerate(models):
+        mean, scale, coef, intercept, y_scale = model.packed_parameters()
+        planes[_MEAN, g, :width] = mean
+        planes[_SCALE, g, :width] = scale
+        planes[_COEF, g, :width] = coef
+        scalars[_INTERCEPT, g] = intercept
+        scalars[_Y_SCALE, g] = y_scale
+    mean, scale, coef = planes[:_RAW, :, :width]
+    y_scale = scalars[_Y_SCALE]
+    # Raw-space parameters, replaying ElasticNetMSLE.coefficients_raw op for
+    # op at the kind's own width (divide then rescale; inner
+    # multiply-divide-sum), so batched resource profiles match the scalar
+    # reads bitwise.
+    planes[_RAW, :, :width] = coef / scale * y_scale[:, None]
+    scalars[_RAW_INTERCEPT] = (
+        scalars[_INTERCEPT] - (coef * mean / scale).sum(axis=1)
+    ) * y_scale
+    return planes, scalars
+
+
+def _unpacked_groups(
+    store: ModelStore, table: "FeatureTable", rows: np.ndarray, tier: np.ndarray
+) -> Iterator[tuple[ModelKind, LearnedCostModel, np.ndarray]]:
+    """``(kind, model, rows)`` per covering model of the given rows, each
+    served by tier ``tier[row]`` of an unpacked kind (an unfitted model
+    raises on use, as the object-graph chain would)."""
+    for k in sorted(set(tier[rows].tolist())):
+        kind = SPECIFICITY_ORDER[k]
+        in_kind = rows[tier[rows] == k]
+        column = table.signatures[in_kind, k]
+        for signature in sorted(set(column.tolist())):
+            model = store.get(kind, signature)
+            assert model is not None
+            yield kind, model, in_kind[column == signature]
 
 
 def predict_most_specific(
@@ -248,13 +279,13 @@ def predict_most_specific(
     full_matrix: np.ndarray | None = None,
     weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, int]:
-    """Fallback-chain predictions for every table row, via the packed bank.
+    """Fallback-chain predictions for every table row, via the tier index.
 
     Each row is priced by its most specific covering individual model
     (:data:`~repro.core.config.SPECIFICITY_ORDER`), or ``fallback_cost``
     when nothing covers it — bitwise identical to the scalar
     ``store.most_specific(bundle) -> predict_one(features)`` chain, but each
-    row is priced exactly once with gathered packed parameters.
+    row is resolved and priced exactly once.
 
     Returns ``(values, n_model_groups, n_fallbacks)`` where
     ``n_model_groups`` counts the distinct ``(kind, signature)`` models that
@@ -263,61 +294,34 @@ def predict_most_specific(
     ``weights[i]`` when given (how many requests a deduplicated row answers).
     """
     bank = store.packed_bank()
-    n = len(table)
     if full_matrix is None:
         full_matrix = table.feature_matrix(include_context=True)
-    values = np.full(n, float(fallback_cost), dtype=float)
-    remaining = np.ones(n, dtype=bool)
-    n_groups = 0
-    answered = bank.answered_ledger()
-    for k, kind in enumerate(SPECIFICITY_ORDER):
-        if not remaining.any():
-            break
-        if bank.coverage[kind].size == 0:
-            continue
-        column = table.signature_column(SIGNATURE_FIELDS[kind])
-        mask, position = bank.covered(kind, column)
-        mask &= remaining
-        if not mask.any():
-            continue
-        idx = np.flatnonzero(mask)
-        packed = bank.kinds[kind]
-        if packed is not None:
-            model_idx = position[idx]
-            values[idx] = packed.predict_rows(full_matrix[idx, : packed.width], model_idx)
-            answered[k, model_idx] = True
-        else:
-            # Reference pricing for an unpackable kind: grouped object-graph
-            # calls (an unfitted model raises here, as the scalar path would).
-            width = len(feature_names(kind.uses_context_features))
-            sigs = column[idx]
-            order = np.argsort(sigs, kind="stable")
-            ordered = idx[order]
-            uniques, starts, counts = np.unique(
-                sigs[order], return_index=True, return_counts=True
-            )
-            for signature, start, count in zip(uniques, starts, counts):
-                rows = ordered[start : start + count]
-                model = store.get(kind, int(signature))
-                assert model is not None
-                values[rows] = model.predict_matrix(full_matrix[rows, :width])
-                n_groups += 1
-        remaining[idx] = False
-    n_groups += int(np.count_nonzero(answered))
-    n_fallbacks = remaining if weights is None else weights[remaining]
+    slot, tier = bank.most_specific(table.signatures)
+    values = np.full(len(table), float(fallback_cost), dtype=float)
+    rows = np.flatnonzero(slot >= 0)
+    models = slot[rows]
+    values[rows] = bank.price(full_matrix, rows, models)
+    n_groups = bank.answered(models)
+    unpacked = np.flatnonzero(slot == UNPACKED)
+    for kind, model, group in _unpacked_groups(store, table, unpacked, tier):
+        width = len(feature_names(kind.uses_context_features))
+        values[group] = model.predict_matrix(full_matrix[group, :width])
+        n_groups += 1
+    fallbacks = slot == NOT_COVERED
+    n_fallbacks = fallbacks if weights is None else weights[fallbacks]
     return values, n_groups, int(n_fallbacks.sum())
 
 
 def resource_profiles_most_specific(
     store: ModelStore, table: "FeatureTable"
 ) -> tuple[list[ResourceProfile | None], int]:
-    """Batched Section-5.3 resource profiles via the packed bank.
+    """Batched Section-5.3 resource profiles via the tier index.
 
     For every table row, the most specific covering individual model's
     ``(theta_p, theta_c, theta_0)`` — or ``None`` where nothing covers it —
     bitwise identical to the object-graph ``store.most_specific(bundle) ->
-    model.resource_profile(features)`` chain, but with the raw-space
-    coefficient reads vectorized over all rows of a kind.
+    model.resource_profile(features)`` chain, with the raw-space
+    coefficient reads vectorized over all rows at once.
 
     Returns ``(profiles, n_covered)``; callers charge ``n_covered`` rows of
     lookup accounting (five lookups per *covered* profile and none for
@@ -326,45 +330,18 @@ def resource_profiles_most_specific(
     bank = store.packed_bank()
     n = len(table)
     profiles: list[ResourceProfile | None] = [None] * n
-    if n == 0:
-        return profiles, 0
-    # Every theta read evaluates the features at P=1 (the object-graph
-    # path's `with_partition_count(1.0)`); feature_vector is a 1-row
-    # expand_columns, so these matrix rows are bitwise identical to its
-    # vectors.
-    at_one = table.with_partition_count(np.ones(n, dtype=float))
-    full_matrix = at_one.feature_matrix(include_context=True)
-    remaining = np.ones(n, dtype=bool)
-    n_covered = 0
-    for kind in SPECIFICITY_ORDER:
-        if not remaining.any():
-            break
-        if bank.coverage[kind].size == 0:
-            continue
-        column = table.signature_column(SIGNATURE_FIELDS[kind])
-        mask, position = bank.covered(kind, column)
-        mask &= remaining
-        if not mask.any():
-            continue
-        idx = np.flatnonzero(mask)
-        packed = bank.kinds[kind]
-        if packed is not None:
-            theta_p, theta_c, theta_0 = packed.resource_rows(
-                full_matrix[idx, : packed.width], position[idx]
-            )
-            for r, row in enumerate(idx):
-                profiles[row] = ResourceProfile(
-                    theta_p=float(theta_p[r]),
-                    theta_c=float(theta_c[r]),
-                    theta_0=float(theta_0[r]),
-                )
-        else:
-            # Unpackable kind: per-row object-graph reads (an unfitted model
-            # raises here, exactly like the object-graph chain).
-            for row in idx:
-                model = store.get(kind, int(column[row]))
-                assert model is not None
-                profiles[row] = model.resource_profile(table.input_at(row))
-        n_covered += len(idx)
-        remaining[idx] = False
-    return profiles, n_covered
+    slot, tier = bank.most_specific(table.signatures)
+    rows = np.flatnonzero(slot >= 0)
+    if len(rows):
+        # Every theta read evaluates the features at P=1 (the object-graph
+        # path's `with_partition_count(1.0)`); feature_vector is a 1-row
+        # expand_columns, so these matrix rows are bitwise identical to its
+        # vectors.
+        at_one = table.with_partition_count(np.ones(n)).feature_matrix(include_context=True)
+        thetas = bank.thetas(at_one[rows], slot[rows])
+        for row, theta_p, theta_c, theta_0 in zip(rows.tolist(), *(t.tolist() for t in thetas)):
+            profiles[row] = ResourceProfile(theta_p=theta_p, theta_c=theta_c, theta_0=theta_0)
+    for _, model, group in _unpacked_groups(store, table, np.flatnonzero(slot == UNPACKED), tier):
+        for row in group.tolist():
+            profiles[row] = model.resource_profile(table.input_at(row))
+    return profiles, int(np.count_nonzero(slot != NOT_COVERED))

@@ -16,8 +16,8 @@ import numpy as np
 # whose package init imports this file, so names resolve at call time.
 import repro.serving.service as serving
 from repro.common.stats import median_error_pct, pearson, percentile_error_pct
-from repro.core.combined import predict_covered
-from repro.core.config import ModelKind
+from repro.core.combined import covered_tiers
+from repro.core.config import SPECIFICITY_ORDER, ModelKind
 from repro.core.model_store import ModelStore
 from repro.core.predictor import CleoPredictor
 from repro.execution.runtime_log import RunLog
@@ -72,16 +72,14 @@ def store_predictions_by_kind(
 ) -> dict[ModelKind, tuple[np.ndarray, np.ndarray]]:
     """Per-kind ``(covered mask, predictions)`` aligned with record order.
 
-    Predictions are computed columnar: groups are formed with array ops over
-    the log's feature table and each covering ``(kind, signature)`` group is
-    priced with one vectorized model call.  ``predictions[i]`` is only
-    meaningful where ``mask[i]`` is True.
+    One :func:`~repro.core.combined.covered_tiers` pass over the log's
+    feature table resolves and prices every kind at once; each kind's entry
+    is its column.  ``predictions[i]`` is only meaningful where ``mask[i]``
+    is True.
     """
-    table = log.to_table()
-    full_matrix = table.feature_matrix(include_context=True)
-    return {
-        kind: predict_covered(store, table, kind, full_matrix) for kind in kinds
-    }
+    masks, predictions, _ = covered_tiers(store, log.to_table())
+    columns = {kind: k for k, kind in enumerate(SPECIFICITY_ORDER)}
+    return {kind: (masks[:, columns[kind]], predictions[:, columns[kind]]) for kind in kinds}
 
 
 def evaluate_store_on_log(

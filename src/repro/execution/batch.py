@@ -176,6 +176,11 @@ class BatchedExecutionEngine:
         records, table = engine.finish()
     """
 
+    #: Clear-at-limit cap on the shape-statics cache, like the skeleton
+    #: planner's: ad-hoc templates mint new choice keys every day, and a
+    #: cleared entry is rebuilt to the same statics.
+    _SHAPE_CACHE_LIMIT = 1 << 12
+
     def __init__(self, simulator: ExecutionSimulator) -> None:
         self.simulator = simulator
         self.ground_truth = simulator.ground_truth
@@ -196,6 +201,8 @@ class BatchedExecutionEngine:
         """
         statics = self._shape_cache.get(choice_key)
         if statics is None:
+            if len(self._shape_cache) >= self._SHAPE_CACHE_LIMIT:
+                self._shape_cache.clear()
             statics = build_shape_statics(plan or materialize(win), self.simulator)
             self._shape_cache[choice_key] = statics
         return statics

@@ -116,6 +116,11 @@ class GroundTruthModel:
     provided RNG so whole workloads replay identically under one seed.
     """
 
+    #: Clear-at-limit cap on the per-template multiplier cache, like the
+    #: signature-hash caches: ad-hoc templates mint new strict signatures
+    #: every day, and a cleared multiplier is recomputed to the same bits.
+    _MULTIPLIER_CACHE_LIMIT = 1 << 16
+
     def __init__(self, cluster: ClusterSpec, params: GroundTruthParams | None = None) -> None:
         self.cluster = cluster
         self.params = params or GroundTruthParams()
@@ -165,6 +170,8 @@ class GroundTruthModel:
         # top of the random context factor.
         if any(child.is_blocking for child in op.children):
             m *= 1.15
+        if len(self._multiplier_cache) >= self._MULTIPLIER_CACHE_LIMIT:
+            self._multiplier_cache.clear()
         self._multiplier_cache[cache_key] = m
         return m
 

@@ -42,7 +42,7 @@ def run(scale: str = "small", seed: int = 0, adhoc_only: bool = False) -> Experi
         table = test.to_table()
         actuals = table.latency
 
-        # Columnar path: one grouped vectorized prediction pass per kind
+        # Columnar path: one pass over the tier index prices every kind
         # instead of a per-record model lookup + predict loop.
         by_kind = store_predictions_by_kind(predictor.store, test)
         for kind in ModelKind:

@@ -20,11 +20,12 @@ one-row price.  The one exception to rows is the load replays' whole-plan
 Serving-grade mechanics:
 
 * **Packed inference** — prediction runs on the store's compiled
-  :class:`~repro.core.packed.PackedModelBank`: signatures resolve with one
-  ``np.searchsorted`` over sorted arrays and all rows of a model kind are
-  priced in one gather + row multiply-sum pass (the combined model's trees
-  traverse as one flat ensemble).  :meth:`CleoService.predict_table` is the
-  one columnar primitive — no per-request objects, no cache keys — and
+  :class:`~repro.core.packed.PackedModelBank`: a table's four signature
+  columns resolve with one ``np.searchsorted`` over every kind's signatures
+  and all covered ``(row, kind)`` pairs are priced in one gather + row
+  multiply-sum pass over all kinds (the combined model's trees traverse as
+  one flat ensemble).  :meth:`CleoService.predict_table` is the one
+  columnar primitive — no per-request objects, no cache keys — and
   every other batched entry point ends in its core:
   :meth:`CleoService.predict_batch` and :meth:`CleoService.predict_inputs`
   pack the rows the cache could not answer into a table and price that.  All paths are *bitwise identical*
