@@ -175,6 +175,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _load_service(path: str):
     """Load a model file, or return None after printing a clean error."""
+    from repro.common.errors import ModelFileError
     from repro.serving import CleoService
 
     try:
@@ -183,9 +184,7 @@ def _load_service(path: str):
         print(f"model file not found: {path}", file=sys.stderr)
     except OSError as exc:  # directory, permission denied, ...
         print(f"cannot read model file: {path} ({exc})", file=sys.stderr)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        # Malformed payloads surface as assorted lookup/shape errors deep in
-        # deserialization; all of them mean "this is not a model file".
+    except ModelFileError as exc:
         print(f"not a valid model file: {path} ({exc})", file=sys.stderr)
     return None
 

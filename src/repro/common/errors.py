@@ -52,6 +52,18 @@ class DataQualityError(ValidationError):
     """
 
 
+class ModelFileError(CleoError, ValueError):
+    """A model file (or a payload embedding one: registry, lifecycle state)
+    cannot be written or restored: wrong format version, malformed JSON,
+    a column of the wrong size, duplicate signatures, non-finite
+    parameters, a broken tree, or an unfitted model on save.
+
+    Raised before any model is built, so a failed load never leaves a
+    half-restored store or registry behind.  Also a ``ValueError`` so
+    callers that guarded loads with ``except ValueError`` keep working.
+    """
+
+
 class InjectedCrashError(CleoError):
     """A deterministic mid-pipeline crash produced by chaos injection.
 

@@ -219,6 +219,74 @@ class LearnedCostModel:
         return (width + 1) * 8 + 64
 
 
+@dataclass(frozen=True)
+class ParameterColumns:
+    """One model kind's fitted parameters as columns: row ``g`` is model
+    ``g``'s.
+
+    The one parameter layout of the repository: the packed inference bank
+    (:mod:`repro.core.packed`) widens these columns into its planes, and the
+    model file (:mod:`repro.core.serialization`) writes them as raw bytes
+    and rebuilds its models from them.
+    """
+
+    mean: np.ndarray  # (count, width) scaler mean
+    scale: np.ndarray  # (count, width) scaler scale
+    coef: np.ndarray  # (count, width) standardized coefficients
+    intercept: np.ndarray  # (count,)
+    y_scale: np.ndarray  # (count,) target scale
+    n_samples: np.ndarray  # (count,) int64 training rows
+
+    @classmethod
+    def of(cls, models: list[LearnedCostModel], width: int) -> "ParameterColumns":
+        """Stack fitted models of one ``width`` (each row a bitwise copy of
+        its model's :meth:`~LearnedCostModel.packed_parameters`)."""
+        params = [model.packed_parameters() for model in models]
+        mean, scale, coef, intercept, y_scale = (
+            np.array([p[i] for p in params], dtype=float) for i in range(5)
+        )
+        shape = (len(models), width)
+        return cls(
+            mean=mean.reshape(shape),
+            scale=scale.reshape(shape),
+            coef=coef.reshape(shape),
+            intercept=intercept,
+            y_scale=y_scale,
+            n_samples=np.array([model.n_samples for model in models], dtype=np.int64),
+        )
+
+    def models(
+        self,
+        include_context: bool,
+        nonneg_indices: tuple[int, ...],
+        config: CleoConfig | None = None,
+    ) -> list[LearnedCostModel]:
+        """Inverse of :meth:`of`: one fitted model per row, whose arrays are
+        row views of these columns (nothing is copied)."""
+        config = config or CleoConfig()
+        models = []
+        for mean, scale, coef, intercept, y_scale, n_samples in zip(
+            self.mean,
+            self.scale,
+            self.coef,
+            self.intercept.tolist(),
+            self.y_scale.tolist(),
+            self.n_samples.tolist(),
+        ):
+            model = LearnedCostModel(include_context=include_context, config=config)
+            net = model._net
+            net.coef_ = coef
+            net.intercept_ = intercept
+            net._y_scale = y_scale
+            net.nonneg_indices = nonneg_indices
+            net._scaler.mean_ = mean
+            net._scaler.scale_ = scale
+            model.n_samples = n_samples
+            model._fitted = True
+            models.append(model)
+        return models
+
+
 def fit_models_batched(
     models: list[LearnedCostModel],
     matrix: np.ndarray,

@@ -24,7 +24,6 @@ ablation benchmark sweeps.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -253,9 +252,9 @@ class LifecycleManager:
         )
         path = Path(state_path)
         if path.exists():
-            from repro.core.serialization import lifecycle_state_apply
+            from repro.core.serialization import lifecycle_state_apply, read_json
 
-            lifecycle_state_apply(manager, json.loads(path.read_text()), config)
+            lifecycle_state_apply(manager, read_json(path), config)
         return manager
 
     @property

@@ -48,7 +48,12 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from repro.core.config import SPECIFICITY_ORDER, ModelKind
-from repro.core.learned_model import _MAX_PREDICT_SECONDS, LearnedCostModel, ResourceProfile
+from repro.core.learned_model import (
+    _MAX_PREDICT_SECONDS,
+    LearnedCostModel,
+    ParameterColumns,
+    ResourceProfile,
+)
 from repro.core.model_store import SIGNATURE_FIELDS, ModelStore
 from repro.features.featurizer import INVERSE_P_FEATURES, feature_names
 from repro.features.table import SIGNATURE_NAMES
@@ -230,19 +235,19 @@ class PackedModelBank:
 def _kind_block(
     models: list[LearnedCostModel], width: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One kind's ``(planes, scalars)`` columns of the parameter block, its
-    pads mean 0, scale 1 and coefficient 0 (pricing overwrites their
-    terms)."""
+    """One kind's ``(planes, scalars)`` columns of the parameter block: its
+    :class:`~repro.core.learned_model.ParameterColumns` (the layout the
+    model file writes) widened to the block, the pads mean 0, scale 1 and
+    coefficient 0 (pricing overwrites their terms)."""
+    columns = ParameterColumns.of(models, width)
     planes = np.zeros((4, len(models), _W), dtype=float)
     planes[_SCALE] = 1.0
+    planes[_MEAN, :, :width] = columns.mean
+    planes[_SCALE, :, :width] = columns.scale
+    planes[_COEF, :, :width] = columns.coef
     scalars = np.empty((3, len(models)), dtype=float)
-    for g, model in enumerate(models):
-        mean, scale, coef, intercept, y_scale = model.packed_parameters()
-        planes[_MEAN, g, :width] = mean
-        planes[_SCALE, g, :width] = scale
-        planes[_COEF, g, :width] = coef
-        scalars[_INTERCEPT, g] = intercept
-        scalars[_Y_SCALE, g] = y_scale
+    scalars[_INTERCEPT] = columns.intercept
+    scalars[_Y_SCALE] = columns.y_scale
     mean, scale, coef = planes[:_RAW, :, :width]
     y_scale = scalars[_Y_SCALE]
     # Raw-space parameters, replaying ElasticNetMSLE.coefficients_raw op for

@@ -1,17 +1,74 @@
-"""Tests for model serialization (the feedback-loop text-file transport)."""
+"""Tests for model serialization (the feedback-loop text-file transport).
+
+Model files carry every parameter's exact bits, so every round trip here
+is compared bit for bit, never approximately.
+"""
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.common.errors import ModelFileError
+from repro.core.combined import build_meta_matrix
+from repro.core.config import SPECIFICITY_ORDER, ModelKind
+from repro.core.learned_model import LearnedCostModel, ParameterColumns
+from repro.core.model_store import ModelStore
+from repro.core.packed import predict_most_specific
+from repro.core.predictor import CleoPredictor
 from repro.core.serialization import (
     load_predictor,
+    predictor_from_dict,
+    predictor_to_dict,
     save_predictor,
     store_from_dict,
     store_to_dict,
 )
+from repro.features.featurizer import feature_names
 from repro.serving import CleoService
+from tests.serving.test_packed_inference import _random_workload
+
+
+def _bits(values) -> bytes:
+    """The IEEE-754 bytes of ``values`` (so -0.0 != 0.0 and NaN == NaN)."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _profile_bits(profiles) -> list:
+    return [
+        None if p is None else _bits([p.theta_p, p.theta_c, p.theta_0]) for p in profiles
+    ]
+
+
+def _served(predictor: CleoPredictor, table) -> bytes:
+    return _bits(CleoService(predictor, prediction_cache_size=0).predict_table(table))
+
+
+@pytest.fixture(scope="module")
+def held_out(tiny_bundle):
+    """The whole held-out day: its table and its operator records."""
+    log = tiny_bundle.test_log()
+    return log.to_table(), list(log.operator_records())
+
+
+def _column_bits(store: ModelStore) -> dict:
+    """Every kind's signatures (in store order) and parameter-column bytes."""
+    out = {}
+    for kind, by_sig in store.models.items():
+        width = len(feature_names(kind.uses_context_features))
+        columns = ParameterColumns.of(list(by_sig.values()), width)
+        out[kind] = (
+            list(by_sig),
+            [model._net.nonneg_indices for model in by_sig.values()],
+            *(getattr(columns, name).tobytes() for name in columns.__dataclass_fields__),
+        )
+    return out
 
 
 class TestStoreRoundTrip:
@@ -20,31 +77,38 @@ class TestStoreRoundTrip:
         restored = store_from_dict(payload)
         assert restored.count() == tiny_predictor.store.count()
 
-    def test_individual_predictions_exact(self, tiny_bundle, tiny_predictor):
+    def test_parameters_bitwise(self, tiny_predictor):
         restored = store_from_dict(store_to_dict(tiny_predictor.store))
-        records = list(tiny_bundle.test_log().operator_records())[:40]
-        for record in records:
+        assert _column_bits(restored) == _column_bits(tiny_predictor.store)
+
+    def test_individual_predictions_exact(self, held_out, tiny_predictor):
+        restored = store_from_dict(store_to_dict(tiny_predictor.store))
+        table, records = held_out
+        for store in (tiny_predictor.store, restored):
+            assert predict_most_specific(store, table, 1.0)[1] > 0
+        assert _bits(predict_most_specific(restored, table, 1.0)[0]) == _bits(
+            predict_most_specific(tiny_predictor.store, table, 1.0)[0]
+        )
+        for record in records[:40]:
             original = tiny_predictor.store.most_specific(record.signatures)
             loaded = restored.most_specific(record.signatures)
             assert (original is None) == (loaded is None)
             if original is None or loaded is None:
                 continue
             assert original[0] is loaded[0]  # same model kind chosen
-            assert original[1].predict_one(record.features) == pytest.approx(
-                loaded[1].predict_one(record.features), rel=1e-12
+            assert _bits(loaded[1].predict_one(record.features)) == _bits(
+                original[1].predict_one(record.features)
             )
 
-    def test_resource_profiles_exact(self, tiny_bundle, tiny_predictor):
-        restored = store_from_dict(store_to_dict(tiny_predictor.store))
-        record = next(tiny_bundle.test_log().operator_records())
-        original = tiny_predictor.store.most_specific(record.signatures)
-        loaded = restored.most_specific(record.signatures)
-        if original is None:
-            pytest.skip("record not covered")
-        p1 = original[1].resource_profile(record.features)
-        p2 = loaded[1].resource_profile(record.features)
-        assert p1.theta_p == pytest.approx(p2.theta_p)
-        assert p1.theta_c == pytest.approx(p2.theta_c)
+    def test_resource_profiles_exact(self, held_out, tiny_predictor):
+        restored = predictor_from_dict(predictor_to_dict(tiny_predictor))
+        _, records = held_out
+        inputs = [record.features for record in records]
+        bundles = [record.signatures for record in records]
+        original = CleoService(tiny_predictor).resource_profiles(inputs, bundles)
+        loaded = CleoService(restored).resource_profiles(inputs, bundles)
+        assert any(profile is not None for profile in original)
+        assert _profile_bits(loaded) == _profile_bits(original)
 
     def test_version_check(self, tiny_predictor):
         payload = store_to_dict(tiny_predictor.store)
@@ -53,22 +117,97 @@ class TestStoreRoundTrip:
             store_from_dict(payload)
 
     def test_unfitted_model_rejected(self):
-        from repro.core.learned_model import LearnedCostModel
-        from repro.core.serialization import _learned_model_to_dict
+        store = ModelStore()
+        store.add(ModelKind.OPERATOR, 7, LearnedCostModel(include_context=True))
+        with pytest.raises(ModelFileError, match="unfitted"):
+            store_to_dict(store)
 
-        with pytest.raises(ValueError):
-            _learned_model_to_dict(LearnedCostModel(include_context=False))
+    def test_loaded_models_share_one_block_per_kind(self, tiny_predictor):
+        restored = store_from_dict(store_to_dict(tiny_predictor.store))
+        for by_sig in restored.models.values():
+            coefs = [model._net.coef_ for model in by_sig.values()]
+            if coefs:
+                block = coefs[0].base
+                assert block is not None and block.flags.writeable
+                assert all(coef.base is block for coef in coefs)
+
+
+#: Bit patterns a parameter column must carry through a file unchanged.
+_SPECIAL = [-0.0, 0.0, 5e-324, 2.5e-310, -2.5e-310, 1e300, -1e300, 1.5, -3.25]
+_POSITIVE = [5e-324, 2.5e-310, 1e300, 1.0, 0.75]
+#: Rows whose signatures hit the small end of the stores' alphabet.
+_, _, _TABLE = _random_workload(np.random.default_rng(0), 60)
+
+
+@st.composite
+def _stores(draw) -> ModelStore:
+    """``_random_store``-style stores (a random subset of each kind's
+    signature alphabet, plus signatures with the top bit set) whose
+    parameters include -0.0, subnormals and 1e300."""
+
+    def column(values, shape):
+        size = int(np.prod(shape))
+        return np.array(
+            draw(st.lists(st.sampled_from(values), min_size=size, max_size=size))
+        ).reshape(shape)
+
+    store = ModelStore()
+    for kind in SPECIFICITY_ORDER:
+        signatures = draw(
+            st.lists(
+                st.integers(0, 11) | st.integers(2**63, 2**64 - 1), max_size=8, unique=True
+            )
+        )
+        width = len(feature_names(kind.uses_context_features))
+        n = len(signatures)
+        columns = ParameterColumns(
+            mean=column(_SPECIAL, (n, width)),
+            scale=column(_POSITIVE, (n, width)),
+            coef=column(_SPECIAL, (n, width)),
+            intercept=column(_SPECIAL, (n,)),
+            y_scale=column(_POSITIVE, (n,)),
+            n_samples=column(range(10**6), (n,)).astype(np.int64),
+        )
+        nonneg = tuple(draw(st.lists(st.integers(0, width - 1), max_size=3, unique=True)))
+        for signature, model in zip(
+            signatures, columns.models(kind.uses_context_features, nonneg)
+        ):
+            store.add(kind, signature, model)
+    return store
+
+
+class TestSpecialValuesRoundTrip:
+    @settings(max_examples=40, deadline=None)
+    @given(store=_stores())
+    def test_every_bit_survives_a_file(self, store, tmp_path_factory):
+        path = tmp_path_factory.mktemp("models") / "cleo_models.json"
+        save_predictor(CleoPredictor(store=store), path)
+        restored = load_predictor(path).store
+        assert _column_bits(restored) == _column_bits(store)
+        with np.errstate(all="ignore"):  # 1e300 over a subnormal scale
+            priced = [predict_most_specific(s, _TABLE, 2.5) for s in (store, restored)]
+        assert _bits(priced[1][0]) == _bits(priced[0][0])
+        assert priced[1][1:] == priced[0][1:]
 
 
 class TestPredictorRoundTrip:
-    def test_file_roundtrip_predictions_match(self, tiny_bundle, tiny_predictor, tmp_path):
+    def test_file_roundtrip_predictions_match(self, held_out, tiny_predictor, tmp_path):
         path = tmp_path / "cleo_models.json"
         save_predictor(tiny_predictor, path)
         loaded = load_predictor(path)
-        records = list(tiny_bundle.test_log().operator_records())[:60]
-        original = CleoService(tiny_predictor, prediction_cache_size=0).predict_records(records)
-        restored = CleoService(loaded, prediction_cache_size=0).predict_records(records)
-        assert np.allclose(original, restored, rtol=1e-9)
+        table, _ = held_out
+        assert _served(loaded, table) == _served(tiny_predictor, table)
+
+    def test_combined_predictions_bitwise(self, held_out, tiny_predictor):
+        loaded = predictor_from_dict(predictor_to_dict(tiny_predictor))
+        table, _ = held_out
+        rows = build_meta_matrix(tiny_predictor.store, table)
+        assert _bits(loaded.combined.predict_rows(rows)) == _bits(
+            tiny_predictor.combined.predict_rows(rows)
+        )
+        assert _bits(loaded.combined.regressor.predict_reference(rows)) == _bits(
+            tiny_predictor.combined.regressor.predict_reference(rows)
+        )
 
     def test_loaded_predictor_has_combined(self, tiny_predictor, tmp_path):
         path = tmp_path / "cleo_models.json"
@@ -77,12 +216,23 @@ class TestPredictorRoundTrip:
         assert loaded.combined is not None and loaded.combined.is_fitted
 
     def test_file_is_json_text(self, tiny_predictor, tmp_path):
-        import json
-
         path = tmp_path / "cleo_models.json"
         save_predictor(tiny_predictor, path)
         payload = json.loads(path.read_text())
         assert "models" in payload and "combined" in payload
+        assert payload["format_version"] == 2
+
+
+class TestModelFileBytes:
+    def test_tiny_model_file_is_pinned(self, tiny_predictor, tmp_path):
+        """The tiny predictor's model file hashes to the checked-in digest:
+        the v2 layout and the file's byte determinism (CI re-runs this
+        under a second hash seed).  A deliberate format change re-records
+        ``tiny_model_file.sha256``."""
+        path = tmp_path / "cleo_models.json"
+        save_predictor(tiny_predictor, path)
+        pinned = Path(__file__).with_name("tiny_model_file.sha256").read_text().split()[0]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned
 
 
 class TestRegistryRoundTrip:
@@ -118,22 +268,19 @@ class TestRegistryRoundTrip:
         assert restored.version_count == 2
         assert restored.active().version == 1
 
-    def test_restored_predictions_match(self, registry, tiny_bundle, tmp_path):
+    def test_restored_predictions_match(self, registry, held_out, tmp_path):
         from repro.core.serialization import load_registry, save_registry
 
         path = tmp_path / "registry.json"
         save_registry(registry, path)
         restored = load_registry(path)
-        records = [next(tiny_bundle.test_log().operator_records())]
-        assert CleoService(restored.active().predictor).predict_records(
-            records
-        ) == pytest.approx(
-            CleoService(registry.active().predictor).predict_records(records), rel=1e-9
-        )
+        table, _ = held_out
+        for version in (1, 2):
+            assert _served(restored.get(version).predictor, table) == _served(
+                registry.get(version).predictor, table
+            )
 
     def test_version_check(self, registry, tmp_path):
-        import json
-
         from repro.core.serialization import load_registry, registry_to_dict
 
         payload = registry_to_dict(registry)
@@ -142,6 +289,25 @@ class TestRegistryRoundTrip:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
             load_registry(path)
+
+
+class TestLifecycleRoundTrip:
+    def test_lifecycle_state_bitwise(self, tiny_bundle, held_out, tmp_path):
+        from repro.core.lifecycle import LifecycleManager, RetrainPolicy
+
+        policy = RetrainPolicy(window_days=2, frequency_days=1)
+        state_path = tmp_path / "state.json"
+        manager = LifecycleManager(policy=policy, state_path=state_path)
+        for day in tiny_bundle.log.days[2:]:
+            manager.step(tiny_bundle.log, day)
+        resumed = LifecycleManager.resume(state_path, policy=policy)
+        table, _ = held_out
+        assert resumed.registry.version_count == manager.registry.version_count
+        for version in manager.registry.history():
+            assert _served(resumed.registry.get(version.version).predictor, table) == (
+                _served(version.predictor, table)
+            )
+        assert _bits(list(resumed._error_window)) == _bits(list(manager._error_window))
 
 
 class TestAtomicSave:
@@ -168,6 +334,44 @@ class TestAtomicSave:
             save_json_atomic({"bad": object()}, path)
         assert json.loads(path.read_text()) == {"a": 1}
         assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+
+    @pytest.mark.parametrize("save", ["save_predictor", "save_registry"])
+    def test_failed_model_write_leaves_old_file(self, save, tiny_predictor, tmp_path, monkeypatch):
+        """A model file is replaced whole or not at all: neither a payload
+        that fails to encode nor a crash before the rename tears it."""
+        from repro.core import serialization
+        from repro.core.lifecycle import ModelRegistry
+
+        def target(predictor):
+            if save == "save_predictor":
+                return predictor
+            registry = ModelRegistry()
+            registry.publish(predictor, day=3, window=(1, 2))
+            return registry
+
+        smaller = predictor_from_dict(predictor_to_dict(tiny_predictor))
+        operators = smaller.store.models[ModelKind.OPERATOR]
+        smaller.store.remove(ModelKind.OPERATOR, next(iter(operators)))
+        path = tmp_path / "cleo_models.json"
+        getattr(serialization, save)(target(smaller), path)
+        before = path.read_bytes()
+
+        to_dict = "predictor_to_dict" if save == "save_predictor" else "registry_to_dict"
+        with monkeypatch.context() as patch:
+            patch.setattr(serialization, to_dict, lambda _: {"format_version": 2, "bad": object()})
+            with pytest.raises(TypeError):
+                getattr(serialization, save)(target(tiny_predictor), path)
+        with monkeypatch.context() as patch:
+
+            def crash(*_):
+                raise OSError("killed before the rename")
+
+            patch.setattr(serialization.os, "replace", crash)
+            with pytest.raises(OSError, match="killed"):
+                getattr(serialization, save)(target(tiny_predictor), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cleo_models.json"]
 
 
 class TestQuarantineRoundTrip:

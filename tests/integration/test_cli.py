@@ -66,6 +66,16 @@ class TestTrainEvaluateRoundTrip:
         assert "combined" in out
         assert "op_subgraph" in out
 
+    def test_evaluate_rejects_a_truncated_model_file(self, tiny_predictor, tmp_path, capsys):
+        from repro.core.serialization import save_predictor
+
+        model_path = tmp_path / "models.json"
+        save_predictor(tiny_predictor, model_path)
+        model_path.write_bytes(model_path.read_bytes()[:1000])
+        code = main(["evaluate", "--model", str(model_path), *SMALL, "--day", "3"])
+        assert code == 2
+        assert "not a valid model file" in capsys.readouterr().err
+
     def test_train_rejects_too_few_days(self, tmp_path, capsys):
         code = main(["train", "--days", "2", *SMALL, "--out", str(tmp_path / "m.json")])
         assert code == 2
