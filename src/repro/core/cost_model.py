@@ -6,14 +6,16 @@ Inputs (step 10 of Figure 8a) — the paper's "minimally invasive" goal.
 
 The serving tier (:class:`~repro.serving.service.CleoService`, or a
 :class:`~repro.serving.shard.router.ClusterClient` bound to a sharded
-fleet) prices *rows* — ``(features, signatures)`` pairs — and knows nothing
-about operators.  This class is the only place a live operator or plan
-becomes rows (:func:`~repro.features.extract.feature_input_for` +
-:meth:`~repro.plan.signatures.SignatureBundle.of`, both O(1) reads of the
-operator's own :class:`~repro.plan.summary.SubtreeSummary`), and a plan's
-costs fold to a total in :func:`~repro.serving.service.plan_totals`'s order
-(here, or where partition exploration reads the total off its grid); every
-entry point calls the row primitives directly, so the call chain is
+fleet) prices *rows* — signature-bearing
+:class:`~repro.features.table.FeatureTable` s — and knows nothing about
+operators.  This class is the only place a live operator or plan becomes
+rows: :meth:`CleoCostModel._rows` packs operators straight into one table
+(:func:`~repro.features.extract.operator_row` +
+:func:`~repro.plan.signatures.signed`, both O(1) reads of the operator's own
+:class:`~repro.plan.summary.SubtreeSummary`; no per-row object), and a
+plan's costs fold to a total in :func:`~repro.serving.service.plan_totals`'s
+order (here, or where partition exploration reads the total off its grid);
+every entry point calls the row primitives directly, so the call chain is
 ``CleoCostModel`` -> row tier -> packed bank whichever backend serves.  The
 row tier has no scalar twin: :meth:`CleoCostModel.operator_cost` is a
 one-row ``predict_inputs`` call, and :meth:`CleoCostModel.explain` names the
@@ -45,11 +47,10 @@ from repro.common.errors import FeatureValidationError
 from repro.core.learned_model import ResourceProfile
 from repro.core.predictor import CleoPredictor, explain_cost
 from repro.cost.interface import CostExplanation
-from repro.features.extract import feature_input_for
-from repro.features.featurizer import FeatureInput
+from repro.features.extract import operator_row
 from repro.features.table import FeatureTable
 from repro.plan.physical import PhysicalOp
-from repro.plan.signatures import SignatureBundle
+from repro.plan.signatures import signed
 
 
 class CleoCostModel:
@@ -94,8 +95,8 @@ class CleoCostModel:
     def supports_replay_costing(self) -> bool:
         """The skeleton replay can price for this model (learned hook surface).
 
-        The replay featurizes straight from its cached per-node statistics
-        (``repro.optimizer.skeleton``) and prices through
+        The replay packs its rows straight from its cached per-node
+        statistics (``repro.optimizer.skeleton``) and prices them through
         :meth:`price_inputs` / :meth:`price_plans`, so both the one-row
         (``batched=False``) and the deferred-ledger replay stay bitwise
         identical to the full ``QueryPlanner`` search.
@@ -109,12 +110,14 @@ class CleoCostModel:
 
     @staticmethod
     def _rows(
-        ops: Sequence[PhysicalOp], estimator: CardinalityEstimator
-    ) -> tuple[list[FeatureInput], list[SignatureBundle]]:
-        """Live operators as the aligned row sequences the service prices."""
-        return (
-            [feature_input_for(op, estimator) for op in ops],
-            [SignatureBundle.of(op) for op in ops],
+        ops: Sequence[PhysicalOp],
+        estimator: CardinalityEstimator,
+        partition_override: int | None = None,
+    ) -> FeatureTable:
+        """Live operators as the one table the service prices."""
+        return FeatureTable.from_rows(
+            [operator_row(op, estimator, partition_override) for op in ops],
+            [signed(op).bundle for op in ops],
         )
 
     def operator_cost(
@@ -123,9 +126,8 @@ class CleoCostModel:
         estimator: CardinalityEstimator,
         partition_override: int | None = None,
     ) -> float:
-        features = feature_input_for(op, estimator, partition_override)
-        bundle = SignatureBundle.of(op)
-        return float(self.service.predict_inputs([features], [bundle])[0])
+        table = self._rows([op], estimator, partition_override)
+        return float(self.service.predict_inputs(table)[0])
 
     def plan_cost(self, root: PhysicalOp, estimator: CardinalityEstimator) -> float:
         """Total plan cost: one batched call, folded in walk order."""
@@ -141,30 +143,30 @@ class CleoCostModel:
         lookup and fallback accounting (see
         :meth:`~repro.serving.service.CleoService.predict_inputs`).
         """
-        return self.service.predict_inputs(*self._rows(ops, estimator))
+        return self.service.predict_inputs(self._rows(ops, estimator))
 
-    def price_inputs(self, inputs, bundles) -> np.ndarray:
+    def price_inputs(self, table: FeatureTable) -> np.ndarray:
         """Exclusive costs of already-featurized operators, one batched call.
 
         The skeleton replay's frontier-flush hook (and, one row per call,
         its ``batched=False`` costing): same values and per-prediction
         lookup accounting as :meth:`price_operators`, minus the
-        :class:`PhysicalOp` featurization (the replay derives features from
+        :class:`PhysicalOp` featurization (the replay packs ``table`` from
         its cached per-node statistics).
         """
-        return self.service.predict_inputs(inputs, bundles)
+        return self.service.predict_inputs(table)
 
-    def price_plans(self, inputs, bundles, lengths: Sequence[int]) -> list[float]:
+    def price_plans(self, table: FeatureTable, lengths: Sequence[int]) -> list[float]:
         """Total costs of several plans, one packed pass.
 
-        ``inputs``/``bundles`` concatenate every plan's operators in walk
-        order; ``lengths`` delimits the plans.  Each total is reduced with
-        the exact left-fold order :meth:`plan_cost` uses, so fleet replanning
+        ``table`` concatenates every plan's operators in walk order;
+        ``lengths`` delimits the plans.  Each total is reduced with the
+        exact left-fold order :meth:`plan_cost` uses, so fleet replanning
         reports costs bitwise identical to a per-plan loop.
         """
-        if sum(lengths) != len(inputs):
-            raise FeatureValidationError("lengths must partition the request sequence")
-        values = self.service.predict_inputs(inputs, bundles)
+        if sum(lengths) != len(table):
+            raise FeatureValidationError("lengths must partition the table's rows")
+        values = self.service.predict_inputs(table)
         return serving.plan_totals(values, lengths)
 
     def price_stage_sweep(
@@ -194,7 +196,7 @@ class CleoCostModel:
         candidates`` whether or not the service caches.
         """
         ops = [op for stage in stages for op in stage]
-        stems = FeatureTable.from_inputs(*self._rows(ops, estimator))
+        stems = self._rows(ops, estimator)
         rows: list[np.ndarray] = []
         counts: list[np.ndarray] = []
         offset = 0
@@ -217,14 +219,14 @@ class CleoCostModel:
     ) -> CostExplanation:
         """:meth:`operator_cost` plus the model tier that answered it."""
         cost = self.operator_cost(op, estimator)
-        return explain_cost(self.predictor, SignatureBundle.of(op), cost)
+        return explain_cost(self.predictor, signed(op).bundle, cost)
 
     def resource_profiles(
         self, ops: Sequence[PhysicalOp], estimator: CardinalityEstimator
     ) -> list[ResourceProfile | None]:
         """(theta_p, theta_c, theta_0) per operator, for partition
         exploration's analytical strategy, in one packed pass."""
-        return self.service.resource_profiles(*self._rows(ops, estimator))
+        return self.service.resource_profiles(self._rows(ops, estimator))
 
     def clear_cache(self) -> None:
         self.service.clear_caches()

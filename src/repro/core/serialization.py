@@ -118,26 +118,20 @@ def read_json(path: str | Path) -> Any:
         raise ModelFileError(f"{path} is not JSON: {exc}") from None
 
 
-def _check_format(payload: dict[str, Any]) -> dict[str, Any]:
-    if payload.get("format_version") != STATE_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported format version {payload.get('format_version')!r}"
-        )
-    return payload
-
-
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise ModelFileError(message)
 
 
-def _envelope(payload: Any) -> dict[str, Any]:
-    """A model payload's top level, version-checked."""
-    _require(isinstance(payload, dict), "a model payload must be a JSON object")
+def _envelope(
+    payload: Any, expected: int = FORMAT_VERSION, what: str = "model"
+) -> dict[str, Any]:
+    """A model (or reliability-state) payload's top level, version-checked."""
+    _require(isinstance(payload, dict), f"a {what} payload must be a JSON object")
     version = payload.get("format_version")
     _require(
-        version == FORMAT_VERSION,
-        f"unsupported model format version {version!r} (expected {FORMAT_VERSION})",
+        version == expected,
+        f"unsupported {what} format version {version!r} (expected {expected})",
     )
     return payload
 
@@ -547,17 +541,40 @@ def quarantine_to_dict(quarantine: "ModelQuarantine") -> dict[str, Any]:
 
 def quarantine_from_dict(payload: dict[str, Any]) -> "ModelQuarantine":
     """Inverse of :func:`quarantine_to_dict`; replay the ledger with
-    :meth:`~repro.core.regression_control.ModelQuarantine.replay`."""
+    :meth:`~repro.core.regression_control.ModelQuarantine.replay`.
+
+    The whole payload is checked first — the version, both policy knobs,
+    and every ledger entry's :class:`ModelKind` and 64-bit signature — and
+    any defect raises :class:`~repro.common.errors.ModelFileError`."""
     from repro.core.regression_control import ModelQuarantine  # local: cycle
 
-    _check_format(payload)
+    payload = _envelope(payload, STATE_FORMAT_VERSION, "state")
+    tolerance = payload.get("tolerance_factor")
+    _require(
+        type(tolerance) in (int, float) and math.isfinite(tolerance),
+        "the quarantine's tolerance factor is not a finite number",
+    )
+    min_observations = _count(payload, "min_observations")
+    kinds = {kind.value: kind for kind in ModelKind}
+    ledger = []
+    for entry in _field(payload, "ledger", list):
+        _require(
+            type(entry) is list and len(entry) == 2 and entry[0] in kinds,
+            f"quarantine ledger entry {entry!r} does not name a model kind",
+        )
+        signature = entry[1]
+        _require(
+            type(signature) is str
+            and signature.isascii()
+            and signature.isdigit()
+            and int(signature) < 1 << 64,
+            f"quarantine ledger entry {entry!r} does not hold a 64-bit signature",
+        )
+        ledger.append((kinds[entry[0]], int(signature)))
     quarantine = ModelQuarantine(
-        tolerance_factor=float(payload["tolerance_factor"]),
-        min_observations=int(payload["min_observations"]),
+        tolerance_factor=float(tolerance), min_observations=min_observations
     )
-    quarantine.restore_ledger(
-        [(ModelKind(kind), int(signature)) for kind, signature in payload["ledger"]]
-    )
+    quarantine.restore_ledger(ledger)
     return quarantine
 
 
@@ -572,11 +589,20 @@ def health_state_to_dict(snapshots: "list[dict[str, Any]]") -> dict[str, Any]:
 
 
 def health_state_from_dict(payload: dict[str, Any]) -> "list[dict[str, Any]]":
-    """The per-shard snapshots a router restores breakers from."""
-    _check_format(payload)
-    shards = list(payload["shards"])
-    if len(shards) != int(payload["n_shards"]):
-        raise ValueError("health state is torn: shard count mismatch")
+    """The per-shard snapshots a router restores breakers from.
+
+    Checks the envelope — version, shard count, one snapshot object per
+    shard — and raises :class:`~repro.common.errors.ModelFileError` on any
+    defect; each snapshot's own fields are
+    :meth:`~repro.serving.shard.health.ShardHealth.check_snapshot`'s."""
+    payload = _envelope(payload, STATE_FORMAT_VERSION, "state")
+    n_shards = _count(payload, "n_shards")
+    shards = _field(payload, "shards", list)
+    _require(len(shards) == n_shards, "health state is torn: shard count mismatch")
+    _require(
+        all(isinstance(snapshot, dict) for snapshot in shards),
+        "a breaker snapshot must be a JSON object",
+    )
     return shards
 
 

@@ -1,8 +1,11 @@
-"""Feature extraction from live physical operators.
+"""Feature extraction from live plan nodes.
 
-Bridges the plan layer and the featurizer: build the :class:`FeatureInput`
-of an operator as the optimizer sees it at costing time (estimated
-cardinalities, current partition count).
+Bridges the plan layer and the featurizer: an operator's nine raw features
+as the optimizer sees them at costing time (estimated cardinalities, current
+partition count).  :func:`feature_row` is the one definition of that row;
+pricing paths pack many of them into one
+:meth:`~repro.features.table.FeatureTable.from_rows` table, and
+:func:`feature_input_for` wraps one in a :class:`FeatureInput`.
 """
 
 from __future__ import annotations
@@ -11,33 +14,62 @@ from repro.cardinality.estimator import CardinalityEstimator
 from repro.features.featurizer import FeatureInput
 from repro.plan.physical import PhysicalOp
 
+_encode_inputs = FeatureInput.encode_inputs
+_encode_params = FeatureInput.encode_params
+
+
+def feature_row(
+    node, input_card: float, output_card: float, partition_count: int
+) -> tuple[float, ...]:
+    """One operator's raw features, in
+    :data:`~repro.features.featurizer.COLUMN_NAMES` order.
+
+    ``node`` is any plan node carrying a
+    :class:`~repro.plan.summary.SubtreeSummary` (a :class:`PhysicalOp`, or
+    the skeleton planner's ``RNode``); the cardinalities are its estimates,
+    wherever the caller keeps them.  O(1) in the size of the plan: the
+    subtree statistics (``B``, ``IN``, ``CL``, ``D``) are reads of the
+    node's own summary, and only ``P`` depends on the partition count.
+    """
+    summary = node.summary
+    logical = node.logical
+    return (
+        input_card,
+        summary.base_card,
+        output_card,
+        node.row_bytes,
+        float(partition_count),
+        _encode_inputs(summary.inputs),
+        _encode_params(logical.params if logical is not None else ()),
+        float(summary.n_logical),
+        float(summary.depth),
+    )
+
+
+def operator_row(
+    op: PhysicalOp,
+    estimator: CardinalityEstimator,
+    partition_override: int | None = None,
+) -> tuple[float, ...]:
+    """:func:`feature_row` of a live operator under ``estimator``.
+
+    Cardinalities are the *estimated* ones — the same statistics the default
+    cost model consumes, which is the paper's fairness convention — while
+    ``partition_override`` lets partition exploration re-featurize the
+    operator at a candidate partition count without rebuilding the plan.
+    """
+    return feature_row(
+        op,
+        estimator.estimate_input(op),
+        estimator.estimate(op),
+        partition_override or op.partition_count,
+    )
+
 
 def feature_input_for(
     op: PhysicalOp,
     estimator: CardinalityEstimator,
     partition_override: int | None = None,
 ) -> FeatureInput:
-    """Compile-time features of one operator instance.
-
-    Cardinalities are the *estimated* ones — the same statistics the default
-    cost model consumes, which is the paper's fairness convention — while
-    ``partition_override`` lets partition exploration re-featurize the
-    operator at a candidate partition count without rebuilding the plan.
-
-    O(1) in the size of the plan: the subtree statistics (``B``, ``IN``,
-    ``CL``, ``D``) are reads of the operator's own
-    :class:`~repro.plan.summary.SubtreeSummary`, and only ``P`` depends on
-    the partition count.
-    """
-    summary = op.summary
-    return FeatureInput(
-        input_card=estimator.estimate_input(op),
-        base_card=summary.base_card,
-        output_card=estimator.estimate(op),
-        avg_row_bytes=op.row_bytes,
-        partition_count=float(partition_override or op.partition_count),
-        input_enc=FeatureInput.encode_inputs(summary.inputs),
-        params_enc=FeatureInput.encode_params(op.params),
-        logical_count=float(summary.n_logical),
-        depth=float(summary.depth),
-    )
+    """Compile-time features of one operator instance (:func:`operator_row`)."""
+    return FeatureInput(*operator_row(op, estimator, partition_override))

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from repro.common.errors import FeatureValidationError
 from repro.features.featurizer import (
     COLUMN_NAMES,
     FeatureInput,
@@ -53,7 +53,6 @@ SIGNATURE_NAMES: tuple[str, ...] = ("strict", "approx", "input", "operator")
 #: telemetry corruption (a unit bug, a stuck clock), not a slow operator.
 MAX_SANE_LATENCY_S = 1e7
 
-_SIGNATURE_ROW = attrgetter(*SIGNATURE_NAMES)
 _SIGNATURE_INDEX = {name: j for j, name in enumerate(SIGNATURE_NAMES)}
 _P = COLUMN_NAMES.index("partition_count")
 
@@ -68,8 +67,8 @@ def _empty_f8() -> np.ndarray:
 
 def signature_rows(bundles: "Iterable[SignatureBundle]") -> np.ndarray:
     """The ``(n, 4)`` uint64 array of some bundles, columns in
-    :data:`SIGNATURE_NAMES` order."""
-    values = np.fromiter(chain.from_iterable(map(_SIGNATURE_ROW, bundles)), np.uint64)
+    :data:`SIGNATURE_NAMES` order (a bundle is that row, as a tuple)."""
+    values = np.fromiter(chain.from_iterable(bundles), np.uint64)
     return values.reshape(-1, len(SIGNATURE_NAMES))
 
 
@@ -139,7 +138,25 @@ class FeatureTable:
         if bundles is not None:
             signatures = signature_rows(bundles)
             if len(signatures) != len(features):
-                raise ValueError("inputs and bundles must align")
+                raise FeatureValidationError("inputs and bundles must align")
+        return cls(features, signatures)
+
+    @classmethod
+    def from_rows(
+        cls,
+        rows: Sequence[tuple[float, ...]],
+        bundles: "Iterable[SignatureBundle]",
+    ) -> "FeatureTable":
+        """A signature-bearing table from raw feature rows (nine values
+        each, in :data:`~repro.features.featurizer.COLUMN_NAMES` order, see
+        :func:`~repro.features.extract.feature_row`) and their bundles: one
+        array each, no :class:`FeatureInput` per row."""
+        width = len(COLUMN_NAMES)
+        features = np.fromiter(chain.from_iterable(rows), float, len(rows) * width)
+        features = features.reshape(len(rows), width)
+        signatures = signature_rows(bundles)
+        if len(signatures) != len(features):
+            raise FeatureValidationError("rows and bundles must align")
         return cls(features, signatures)
 
     @classmethod

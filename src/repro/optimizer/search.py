@@ -41,8 +41,9 @@ recording the exact float arithmetic the scalar search would have executed.
 A frame with a single candidate keeps the expression unresolved (its parent
 frontier prices it); a frame that must compare candidates suspends, the
 driver prices every pending row in one ``_price`` call, and the expressions
-are resolved by replaying their recorded arithmetic.  Plan choices, costs and
-model-lookup accounting are bitwise identical to scalar costing
+are resolved by replaying their recorded arithmetic, each node once per
+search (it keeps its value).  Plan choices, costs and model-lookup
+accounting are bitwise identical to scalar costing
 (``tests/optimizer/test_batched_planning.py``); only the number of
 vectorized model invocations differs.
 
@@ -99,9 +100,10 @@ class _DeferredCost:
     operand order preserved by the reflected operators.  Resolving after
     the batch therefore replays bit-identical floating point: deferred
     costing can never flip a cost tie scalar costing would not flip.
+    ``value`` is the resolved cost, once :func:`_resolve_cost` reached it.
     """
 
-    __slots__ = ("kind", "a", "b")
+    __slots__ = ("kind", "a", "b", "value")
 
     LEAF = 0
     ADD = 1
@@ -111,6 +113,7 @@ class _DeferredCost:
         self.kind = kind
         self.a = a
         self.b = b
+        self.value = None
 
     def __add__(self, other):
         return _DeferredCost(_DeferredCost.ADD, self, other)
@@ -130,36 +133,31 @@ def _resolve_cost(cost, priced: list[float]) -> float:
 
     Iterative post-order walk with an explicit stack: wide frontiers (a
     union of thousands of branches accumulating ``cost += ...``) build
-    expressions deeper than the interpreter recursion limit.  Shared
-    subexpressions (memo-reused deferred costs) are evaluated once per
-    call; the arithmetic per node is identical to a recursive evaluation.
+    expressions deeper than the interpreter recursion limit.  Resolved nodes
+    keep their value, so a subexpression shared within one expression or
+    across the frames comparing it (ledger entries never change once priced)
+    is evaluated once; the arithmetic per node is a recursive evaluation's.
     """
-    if not isinstance(cost, _DeferredCost):
+    if cost.__class__ is not _DeferredCost:
         return cost
-    values: dict[int, float] = {}
-    stack: list[tuple[_DeferredCost, bool]] = [(cost, False)]
+    stack = [cost]
     while stack:
-        node, expanded = stack.pop()
-        node_id = id(node)
-        if node_id in values:
+        node = stack.pop()
+        if node.value is not None:
             continue
-        kind = node.kind
-        if kind == _DeferredCost.LEAF:
-            values[node_id] = priced[node.a]
-        elif expanded:
-            a, b = node.a, node.b
-            a_value = values[id(a)] if isinstance(a, _DeferredCost) else a
-            b_value = values[id(b)] if isinstance(b, _DeferredCost) else b
-            values[node_id] = (
-                a_value + b_value if kind == _DeferredCost.ADD else a_value - b_value
-            )
-        else:
-            stack.append((node, True))
-            if isinstance(node.b, _DeferredCost):
-                stack.append((node.b, False))
-            if isinstance(node.a, _DeferredCost):
-                stack.append((node.a, False))
-    return values[id(cost)]
+        if node.kind == _DeferredCost.LEAF:
+            node.value = priced[node.a]
+            continue
+        a, b = node.a, node.b
+        pending = [x for x in (b, a) if x.__class__ is _DeferredCost and x.value is None]
+        if pending:
+            stack.append(node)
+            stack += pending
+            continue
+        a = a.value if a.__class__ is _DeferredCost else a
+        b = b.value if b.__class__ is _DeferredCost else b
+        node.value = a + b if node.kind == _DeferredCost.ADD else a - b
+    return cost.value
 
 
 def jitter_factor(salt: str, key: str, sigma: float) -> float:
@@ -177,18 +175,27 @@ def materialize(node) -> PhysicalOp:
     (a logical DAG such as TPC-H Q17's lineitem branch, or one subplan
     winning under two requirements); physical plans must be trees — the
     stage graph and simulator count each operator once — so every
-    occurrence of a shared subtree becomes its own nodes here.
+    occurrence of a shared subtree becomes its own nodes here.  Each takes
+    over the winner's :class:`~repro.plan.summary.SubtreeSummary`
+    (signatures included) and a ``PhysicalOp`` winner's estimate: pure
+    functions of the shared subtree, so later reads stay O(1).
     """
-    return PhysicalOp(
-        op_type=node.op_type,
-        children=tuple(materialize(child) for child in node.children),
-        logical=node.logical,
-        partition_count=node.partition_count,
-        partitioning=node.partitioning,
-        sorting=node.sorting,
-        exchange_mode=node.exchange_mode,
-        sort_keys=node.sort_keys,
+    op = PhysicalOp(
+        node.op_type,
+        tuple(materialize(child) for child in node.children),
+        node.logical,
+        node.partition_count,
+        node.partitioning,
+        node.sorting,
+        node.exchange_mode,
+        node.sort_keys,
     )
+    if node.__class__ is PhysicalOp:
+        object.__setattr__(op, "_summary", node._summary)
+        object.__setattr__(op, "_estimate", node._estimate)
+    else:
+        object.__setattr__(op, "_summary", getattr(node, "summary", None))
+    return op
 
 
 class SkelNode:

@@ -23,10 +23,10 @@ of that core which makes one job's search cheap:
   ``operator_cost_from_stats``, e.g.
   :class:`~repro.cost.tuned_model.TunedCostModel`), *learned* (models exposing
   the packed pricing hooks, :class:`~repro.core.cost_model.CleoCostModel`:
-  features come straight from each node's
-  :class:`~repro.plan.summary.SubtreeSummary`, the routine
-  :class:`PhysicalOp` runs; with ``supports_batched_pricing`` the core's
-  deferred ledger is flushed through ``price_inputs``, ``_price``).
+  each pricing call is ONE feature table of its nodes' cached estimates and
+  :class:`~repro.plan.summary.SubtreeSummary` reads, :func:`feature_row`
+  as for a :class:`PhysicalOp`; with ``supports_batched_pricing`` the
+  core's deferred ledger is flushed through ``price_inputs``, ``_price``).
 
 The decisions themselves are re-run per job — instance wobble can genuinely
 flip cost ties (build-side choice, local pre-aggregation, push-down vs
@@ -52,7 +52,8 @@ from dataclasses import dataclass
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.common.errors import OptimizationError
 from repro.cost.default_model import DefaultCostModel
-from repro.features.featurizer import FeatureInput
+from repro.features.extract import feature_row
+from repro.features.table import FeatureTable
 from repro.optimizer.planner import PlannedJob, PlannerConfig
 from repro.optimizer.search import (
     _NO_SORT,
@@ -142,22 +143,11 @@ def _walk_replay(node: RNode):
     yield node
 
 
-def _replay_feature_input(node: RNode) -> FeatureInput:
-    """``feature_input_for`` from the replay node's cached statistics."""
-    summary = node.summary
-    logical = node.logical
-    return FeatureInput(
-        input_card=node.est_in,
-        base_card=summary.base_card,
-        output_card=node.est_out,
-        avg_row_bytes=node.row_bytes,
-        partition_count=float(node.partition_count),
-        input_enc=FeatureInput.encode_inputs(summary.inputs),
-        params_enc=FeatureInput.encode_params(
-            logical.params if logical is not None else ()
-        ),
-        logical_count=float(summary.n_logical),
-        depth=float(summary.depth),
+def _replay_table(nodes: list[RNode]) -> FeatureTable:
+    """The rows of some replay nodes, from their cached statistics."""
+    return FeatureTable.from_rows(
+        [feature_row(n, n.est_in, n.est_out, n.partition_count) for n in nodes],
+        [signed(n).bundle for n in nodes],
     )
 
 
@@ -167,7 +157,8 @@ class SkeletonPlannerStats:
 
     ``skeleton_hits``/``skeleton_builds`` split replays that reused a cached
     skeleton from ones that had to analyze the template structure;
-    ``skeleton_evictions`` counts entries dropped by the clear-at-limit cap.
+    ``skeleton_evictions`` counts entries dropped by the clear-at-limit cap
+    or by :meth:`SkeletonPlanner.keep_days`.
     ``frontier_flushes`` counts pricing calls: one per wave that had rows to
     price, i.e. per level of the deepest open search's critical path, plus
     one for stragglers.  A search's memo needs no cap of its own: bounded by
@@ -299,6 +290,14 @@ class SkeletonPlanner(CascadesSearch):
             frontier_flushes=self._frontier_flushes,
         )
 
+    def keep_days(self, days) -> None:
+        """Drop the skeletons of days not in ``days`` (keyed per day, they
+        can never hit again)."""
+        stale = [key for key in self._skeletons if key[1] not in days]
+        for key in stale:
+            del self._skeletons[key]
+        self._skeleton_evictions += len(stale)
+
     # ------------------------------------------------------------------ #
     # What this configuration supplies to the search core
     # ------------------------------------------------------------------ #
@@ -343,10 +342,7 @@ class SkeletonPlanner(CascadesSearch):
 
     def _price(self, nodes: list[RNode]):
         self._frontier_flushes += 1
-        return self.cost_model.price_inputs(
-            [_replay_feature_input(node) for node in nodes],
-            [signed(node).bundle for node in nodes],
-        )
+        return self.cost_model.price_inputs(_replay_table(nodes))
 
     def _finalize(self, wins: list[RNode]) -> list[tuple[PhysicalOp, float]]:
         """The core's finale, minus the re-featurization: without a partition
@@ -358,8 +354,7 @@ class SkeletonPlanner(CascadesSearch):
             # CleoService.predict_plan's exact left-fold order (price_plans).
             walks = [list(_walk_replay(win)) for win in wins]
             totals = self.cost_model.price_plans(
-                [_replay_feature_input(node) for nodes in walks for node in nodes],
-                [signed(node).bundle for nodes in walks for node in nodes],
+                _replay_table([node for nodes in walks for node in nodes]),
                 [len(nodes) for nodes in walks],
             )
             return [(materialize(win), float(t)) for win, t in zip(wins, totals)]
@@ -498,10 +493,7 @@ class SkeletonPlanner(CascadesSearch):
         # Learned model, reference schedule (batched=False): one one-row
         # service round-trip per candidate, like QueryPlanner's
         # operator_cost calls.
-        values = self.cost_model.price_inputs(
-            [_replay_feature_input(node)], [signed(node).bundle]
-        )
-        return float(values[0])
+        return float(self.cost_model.price_inputs(_replay_table([node]))[0])
 
     def _heuristic_partitions(self, op: RNode) -> int:
         # default_partition_heuristic on the replay node's cached estimates.

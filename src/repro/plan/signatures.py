@@ -21,8 +21,7 @@ each operator is hashed at most once however many callers ask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.common.hashing import (
     combine_hashes,
@@ -127,10 +126,10 @@ def signed(node) -> "SubtreeSummary":
     own = 0 if logical is None else _FREQ_UNIT[logical.op_type.value]
     summary.freq_incl = freq_below + own
     summary.bundle = SignatureBundle(
-        strict=strict,
-        approx=_approx_hash(op_value, _freq_hash(freq_below), summary.inputs),
-        input=input_signature_for(op_value, summary.inputs),
-        operator=operator_signature_for(op_value),
+        strict,
+        _approx_hash(op_value, _freq_hash(freq_below), summary.inputs),
+        input_signature_for(op_value, summary.inputs),
+        operator_signature_for(op_value),
     )
     return summary
 
@@ -181,9 +180,12 @@ def operator_signature_for(op_type_value: str) -> int:
     return cached
 
 
-@dataclass(frozen=True, slots=True)
-class SignatureBundle:
-    """All four model keys for one operator, computed in one recursion."""
+class SignatureBundle(NamedTuple):
+    """All four model keys for one operator, computed in one recursion.
+
+    A named tuple: one allocation per bundle, immutable, and already the
+    row a feature table's signature columns are packed from.
+    """
 
     strict: int
     approx: int

@@ -8,10 +8,12 @@ object that owns training, persistence, versioned deployment, and the hot
 prediction path, so no consumer ever assembles ``ModelStore`` +
 ``CombinedModel`` + ``CleoPredictor`` by hand again.
 
-The service prices **rows** — ``(features, signatures)`` pairs, batched or
-columnar — and never sees an operator: turning operators and plans into rows
-is :class:`~repro.core.cost_model.CleoCostModel`'s job.  There is no scalar
-twin: a single price is a one-row :meth:`CleoService.predict_inputs` call,
+The service prices **rows** — request batches, or signature-bearing
+:class:`~repro.features.table.FeatureTable` s — and never sees an operator:
+turning operators and plans into rows is
+:class:`~repro.core.cost_model.CleoCostModel`'s job, and the optimizer hands
+over one table per pricing call.  There is no scalar twin: a single price is
+a one-row :meth:`CleoService.predict_inputs` call,
 and an explanation (:meth:`CleoService.explain`) names the tier behind that
 one-row price.  The one exception to rows is the load replays' whole-plan
 *request*: :meth:`CleoService.predict_plan` is :func:`price_plan`, i.e.
@@ -106,6 +108,13 @@ def plan_totals(values: np.ndarray, lengths: Sequence[int]) -> list[float]:
         totals.append(total)
         offset += n
     return totals
+
+
+def _require_signatures(table: FeatureTable) -> None:
+    """Pricing keys rows by their signatures: a bare-feature table is the
+    caller's bug."""
+    if not table.has_signatures:
+        raise FeatureValidationError("pricing requires a table with signature columns")
 
 
 def values_ok(values: np.ndarray) -> bool:
@@ -395,20 +404,16 @@ class CleoService:
     # Resource profiles (Section 5.3)
     # ------------------------------------------------------------------ #
 
-    def resource_profiles(
-        self,
-        inputs: Sequence[FeatureInput],
-        bundles: Sequence[SignatureBundle],
-    ) -> list[ResourceProfile | None]:
+    def resource_profiles(self, table: FeatureTable) -> list[ResourceProfile | None]:
         """Batched Section-5.3 resource profiles, via the packed bank.
 
         The most specific covering model's ``(theta_p, theta_c, theta_0)``
-        per row, ``None`` where no individual model covers the operator.
-        The rows are packed once and pass :meth:`predict_table`'s input
-        check before any lookup is charged; then five lookups per covered
-        profile, none for uncovered operators.
+        per row of a signature-bearing table, ``None`` where no individual
+        model covers the operator.  The rows pass :meth:`predict_table`'s
+        input check before any lookup is charged; then five lookups per
+        covered profile, none for uncovered operators.
         """
-        table = FeatureTable.from_inputs(inputs, bundles)
+        _require_signatures(table)
         self._check_table(table)
         profiles, n_covered = resource_profiles_most_specific(
             self.predictor.store, table
@@ -530,10 +535,7 @@ class CleoService:
         model-call, and fallback accounting match a **cache-disabled**
         :meth:`predict_batch` exactly.
         """
-        if not table.has_signatures:
-            raise FeatureValidationError(
-                "predict_table requires a table with signature columns"
-            )
+        _require_signatures(table)
         self._check_table(table)
         n = len(table)
         with self._stats_lock:
@@ -584,28 +586,23 @@ class CleoService:
             values = self._repaired_table(table, values)
         return values
 
-    def predict_inputs(
-        self,
-        inputs: Sequence[FeatureInput],
-        bundles: Sequence[SignatureBundle],
-    ) -> np.ndarray:
-        """Batched predictions for parallel (features, signatures) sequences.
+    def predict_inputs(self, table: FeatureTable) -> np.ndarray:
+        """Batched predictions for a signature-bearing table, through the LRU.
 
-        The optimizer's pricing entry, a single price included (one row).
-        The sequences are packed into one table.  With the prediction LRU
-        enabled its row keys go through the cached core
-        :meth:`predict_batch` runs (cache hits and in-batch dedup still pay
-        off for recurring operators) and the misses are cut out of it with
-        one gather; with caching disabled it goes to :meth:`predict_table`,
-        whose lookup and fallback accounting matches a cache-disabled
-        :meth:`predict_batch` exactly.  Either way the rows are priced by
-        the one table core, so values are bitwise identical.
+        The optimizer's pricing entry, a single price included (one row):
+        :class:`~repro.core.cost_model.CleoCostModel` and the skeleton
+        replay pack each pricing call's rows into ``table`` straight from
+        their plan nodes.  With the prediction LRU enabled its row keys go
+        through the cached core :meth:`predict_batch` runs (cache hits and
+        in-batch dedup still pay off for recurring operators) and the misses
+        are cut out of it with one gather; with caching disabled it goes to
+        :meth:`predict_table`, whose lookup and fallback accounting matches
+        a cache-disabled :meth:`predict_batch` exactly.  Either way the rows
+        are priced by the one table core, so values are bitwise identical.
         """
-        if len(inputs) != len(bundles):
-            raise FeatureValidationError("inputs and bundles must align")
-        table = FeatureTable.from_inputs(inputs, bundles)
         if not self.prediction_cache_enabled:
             return self.predict_table(table)
+        _require_signatures(table)
         n = len(table)
         return self._price_cached(
             table.row_keys(),
@@ -722,7 +719,8 @@ class CleoService:
         self, features: FeatureInput, signatures: SignatureBundle
     ) -> CostExplanation:
         """The one-row price plus which model tier produced it and why."""
-        cost = float(self.predict_inputs([features], [signatures])[0])
+        table = FeatureTable.from_inputs([features], [signatures])
+        cost = float(self.predict_inputs(table)[0])
         return explain_cost(self.predictor, signatures, cost)
 
     # ------------------------------------------------------------------ #

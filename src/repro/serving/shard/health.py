@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from threading import Lock
 
-from repro.common.errors import ValidationError
+from repro.common.errors import ModelFileError, ValidationError
 
 
 class BreakerState(str, Enum):
@@ -76,6 +76,20 @@ class ResilienceConfig:
 
 #: The router's default posture: resilience on, no fault injection.
 DEFAULT_RESILIENCE = ResilienceConfig()
+
+#: A breaker snapshot's counters (:meth:`ShardHealth.snapshot`): all
+#: non-negative ints.
+_SNAPSHOT_COUNTS = (
+    "calls",
+    "failures",
+    "timeouts",
+    "consecutive_failures",
+    "breaker_opens",
+    "breaker_closes",
+    "rejected",
+    "cooldown_remaining",
+)
+_STATES = {state.value for state in BreakerState}
 
 
 @dataclass(frozen=True)
@@ -246,29 +260,51 @@ class ShardHealth:
                 "cooldown_remaining": self._cooldown_remaining,
             }
 
+    def check_snapshot(self, payload: object) -> None:
+        """Raise :class:`~repro.common.errors.ModelFileError` unless
+        ``payload`` is a whole, well-typed :meth:`snapshot` of this shard.
+
+        Restoring reads nothing it has not checked here, so a malformed
+        snapshot is refused before any field is assigned.
+        """
+
+        def require(ok: bool, what: str) -> None:
+            if not ok:
+                raise ModelFileError(f"breaker snapshot for shard {self.shard}: {what}")
+
+        require(isinstance(payload, dict), "not a JSON object")
+        for name in ("shard", *_SNAPSHOT_COUNTS):
+            value = payload.get(name)
+            require(type(value) is int and value >= 0, f"{name!r} is not a count")
+        require(payload["shard"] == self.shard, f"it is shard {payload['shard']}'s")
+        state = payload.get("state")
+        require(type(state) is str and state in _STATES, f"unknown state {state!r}")
+        window = payload.get("window")
+        require(
+            type(window) is list and all(type(ok) is bool for ok in window),
+            "the outcome window is not a list of booleans",
+        )
+
     def restore(self, payload: dict) -> None:
         """Resume from a :meth:`snapshot` taken before a restart.
 
         Breaker state, cooldown countdown, outcome window, and counters
         all come back; a HALF_OPEN probe that died with the old process is
         *not* restored as in-flight, so the restarted shard re-admits
-        exactly one fresh probe instead of deadlocking half-open.
+        exactly one fresh probe instead of deadlocking half-open.  The
+        snapshot is checked whole first (:meth:`check_snapshot`): a
+        malformed one leaves the breaker as it was.
         """
-        if int(payload["shard"]) != self.shard:
-            raise ValidationError(
-                f"snapshot is for shard {payload['shard']}, not {self.shard}"
-            )
+        self.check_snapshot(payload)
         with self._lock:
             self._state = BreakerState(payload["state"])
-            self._window = deque(
-                (bool(ok) for ok in payload["window"]), maxlen=self.config.window
-            )
-            self._calls = int(payload["calls"])
-            self._failures = int(payload["failures"])
-            self._timeouts = int(payload["timeouts"])
-            self._consecutive = int(payload["consecutive_failures"])
-            self._opens = int(payload["breaker_opens"])
-            self._closes = int(payload["breaker_closes"])
-            self._rejected = int(payload["rejected"])
-            self._cooldown_remaining = int(payload["cooldown_remaining"])
+            self._window = deque(payload["window"], maxlen=self.config.window)
+            self._calls = payload["calls"]
+            self._failures = payload["failures"]
+            self._timeouts = payload["timeouts"]
+            self._consecutive = payload["consecutive_failures"]
+            self._opens = payload["breaker_opens"]
+            self._closes = payload["breaker_closes"]
+            self._rejected = payload["rejected"]
+            self._cooldown_remaining = payload["cooldown_remaining"]
             self._probe_in_flight = False

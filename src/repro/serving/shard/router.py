@@ -46,6 +46,7 @@ import numpy as np
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.common.errors import (
     FeatureValidationError,
+    ModelFileError,
     ShardError,
     ShardTimeoutError,
 )
@@ -56,7 +57,6 @@ from repro.cost.interface import CostModel
 from repro.features.featurizer import FeatureInput
 from repro.features.table import FeatureTable
 from repro.plan.physical import PhysicalOp, PhysOpType
-from repro.plan.signatures import SignatureBundle
 from repro.core.serialization import health_state_from_dict, health_state_to_dict
 from repro.serving.faults import FaultInjector, FaultKind
 from repro.serving.service import (
@@ -64,6 +64,7 @@ from repro.serving.service import (
     CleoService,
     PredictionRequest,
     ServiceStats,
+    _require_signatures,
     price_plan,
     values_ok,
 )
@@ -503,32 +504,26 @@ class ShardedCleoRouter:
             lambda sub: self._heuristic_inputs([r.features for r in sub]),
         )
 
-    def predict_inputs(
-        self,
-        cluster: str,
-        inputs: Sequence[FeatureInput],
-        bundles: Sequence[SignatureBundle],
-    ) -> np.ndarray:
-        """Parallel (features, signatures) sequences, sharded and merged."""
-        if len(inputs) != len(bundles):
-            raise FeatureValidationError("inputs and bundles must align")
-        approx = [bundle.approx for bundle in bundles]
-        return self._sharded(
-            cluster,
-            approx,
-            self._group_rows(cluster, approx),
-            lambda idx: ([inputs[i] for i in idx], [bundles[i] for i in idx]),
-            lambda service, sub: service.predict_inputs(*sub),
-            lambda sub: self._heuristic_inputs(sub[0]),
+    def predict_inputs(self, cluster: str, table: FeatureTable) -> np.ndarray:
+        """A signature-bearing table through each shard's cached entry
+        (:meth:`~repro.serving.service.CleoService.predict_inputs`), split
+        by owning shard and merged in input order.
+
+        The optimizer's flushes are a dozen rows or so: they route with one
+        read of the route memo per row (:meth:`_group_rows`) and each shard's
+        rows are one gather of the table.
+        """
+        _require_signatures(table)
+        approx = table.signature_column("approx").tolist()
+        groups = self._group_rows(cluster, approx)
+        return self._sharded_table(
+            cluster, table, approx, groups, lambda shard, sub: shard.predict_inputs(sub)
         )
 
     def predict_table(self, cluster: str, table: FeatureTable) -> np.ndarray:
         """A whole signature-bearing table, split by shard with array ops."""
         self._check_cluster(cluster)
-        if not table.has_signatures:
-            raise FeatureValidationError(
-                "predict_table requires a table with signature columns"
-            )
+        _require_signatures(table)
         n = len(table)
         if n == 0:
             return self._shards[0][cluster].predict_table(table)
@@ -539,12 +534,28 @@ class ShardedCleoRouter:
             groups = [(int(shards[0]), np.arange(n, dtype=np.int64))]
         else:
             groups = [(int(s), np.flatnonzero(owners == s)) for s in shards]
+        return self._sharded_table(
+            cluster, table, approx, groups, lambda shard, sub: shard.predict_table(sub)
+        )
+
+    def _sharded_table(
+        self,
+        cluster: str,
+        table: FeatureTable,
+        approx: "Sequence[int] | np.ndarray",
+        groups: "list[tuple[int, list[int] | np.ndarray]]",
+        call: Callable[[CleoService, FeatureTable], np.ndarray],
+    ) -> np.ndarray:
+        """:meth:`_sharded` over one table: a shard's sub-batch is its rows'
+        gather (the table itself when it owns them all), and the floor reads
+        the table's columns."""
+        n = len(table)
         return self._sharded(
             cluster,
             approx,
             groups,
             lambda idx: table if len(idx) == n else table.take(idx),
-            lambda service, sub: service.predict_table(sub),
+            call,
             lambda sub: self._heuristic_floor(zip(*_FLOOR_STATS(sub))),
         )
 
@@ -588,21 +599,18 @@ class ShardedCleoRouter:
         return out
 
     def resource_profiles(
-        self,
-        cluster: str,
-        inputs: Sequence[FeatureInput],
-        bundles: Sequence[SignatureBundle],
+        self, cluster: str, table: FeatureTable
     ) -> list[ResourceProfile | None]:
-        """Batched Section-5.3 profiles, sharded and merged in input order."""
-        if len(inputs) != len(bundles):
-            raise FeatureValidationError("inputs and bundles must align")
-        groups = self._group_rows(cluster, [bundle.approx for bundle in bundles])
-        out: list[ResourceProfile | None] = [None] * len(inputs)
+        """Batched Section-5.3 profiles of a table's rows, sharded and
+        merged in input order."""
+        _require_signatures(table)
+        n = len(table)
+        groups = self._group_rows(cluster, table.signature_column("approx").tolist())
+        out: list[ResourceProfile | None] = [None] * n
 
         def profile(shard: int, idx: list[int]) -> list[ResourceProfile | None]:
-            return self._shards[shard][cluster].resource_profiles(
-                [inputs[i] for i in idx], [bundles[i] for i in idx]
-            )
+            sub = table if len(idx) == n else table.take(idx)
+            return self._shards[shard][cluster].resource_profiles(sub)
 
         tasks = [(lambda s=shard, i=idx: profile(s, i)) for shard, idx in groups]
         shards = [shard for shard, _ in groups]
@@ -725,15 +733,23 @@ class ShardedCleoRouter:
         return health_state_to_dict([h.snapshot() for h in self._health])
 
     def restore_health(self, payload: dict) -> None:
-        """Resume breaker state exported by :meth:`export_health`."""
+        """Resume breaker state exported by :meth:`export_health`.
+
+        All or nothing: the envelope and every shard's snapshot are checked
+        before any breaker is touched, so a malformed or foreign state
+        raises :class:`~repro.common.errors.ModelFileError` (a
+        ``ValueError``) and leaves every breaker as it was.
+        """
         if self._health is None:
             raise ValueError("resilience is disabled; there is no health state")
         snapshots = health_state_from_dict(payload)
         if len(snapshots) != len(self._health):
-            raise ValueError(
+            raise ModelFileError(
                 f"health state has {len(snapshots)} shards, router has "
                 f"{len(self._health)}"
             )
+        for health, snapshot in zip(self._health, snapshots):
+            health.check_snapshot(snapshot)
         for health, snapshot in zip(self._health, snapshots):
             health.restore(snapshot)
 
@@ -816,22 +832,14 @@ class ClusterClient:
     def predict_batch(self, requests: Sequence[PredictionRequest]) -> np.ndarray:
         return self.router.predict_batch(self.cluster, requests)
 
-    def predict_inputs(
-        self,
-        inputs: Sequence[FeatureInput],
-        bundles: Sequence[SignatureBundle],
-    ) -> np.ndarray:
-        return self.router.predict_inputs(self.cluster, inputs, bundles)
+    def predict_inputs(self, table: FeatureTable) -> np.ndarray:
+        return self.router.predict_inputs(self.cluster, table)
 
     def predict_table(self, table: FeatureTable) -> np.ndarray:
         return self.router.predict_table(self.cluster, table)
 
-    def resource_profiles(
-        self,
-        inputs: Sequence[FeatureInput],
-        bundles: Sequence[SignatureBundle],
-    ) -> list[ResourceProfile | None]:
-        return self.router.resource_profiles(self.cluster, inputs, bundles)
+    def resource_profiles(self, table: FeatureTable) -> list[ResourceProfile | None]:
+        return self.router.resource_profiles(self.cluster, table)
 
     def cost_model(self) -> CostModel:
         from repro.core.cost_model import CleoCostModel

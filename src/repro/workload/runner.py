@@ -157,6 +157,11 @@ class WorkloadRunner:
             self._engine = BatchedExecutionEngine(self.simulator)
             self._batched_generator = generator
         skeleton_planner = self._skeleton_planner
+        # Skeletons are cached per (template, day): earlier calls' days can
+        # never hit again, so they are dropped rather than kept until the
+        # cache's clear-at-limit cap.
+        days = list(days)
+        skeleton_planner.keep_days(days)
         engine = self._engine
         assert engine is not None
         engine.begin()

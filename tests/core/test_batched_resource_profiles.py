@@ -89,7 +89,7 @@ class TestBatchedResourceProfiles:
             )
         )
         before = service.predictor.lookup_count
-        profiles = service.resource_profiles(inputs, bundles)
+        profiles = service.resource_profiles(FeatureTable.from_inputs(inputs, bundles))
         covered = sum(1 for p in profiles if p is not None)
         assert covered > 0
         assert (

@@ -24,6 +24,7 @@ from repro.core.robustness import evaluate_predictor_on_log
 from repro.core.trainer import CleoTrainer
 from repro.execution.runtime_log import JobRecord, RunLog
 from repro.features.featurizer import FeatureInput
+from repro.features.table import FeatureTable
 from repro.serving import CleoService
 
 
@@ -132,7 +133,8 @@ class TestExtremeFeatures:
         service = CleoService(
             tiny_predictor, prediction_cache_size=0, validate_outputs=False
         )
-        value = service.predict_inputs([features], [record.signatures])[0]
+        table = FeatureTable.from_inputs([features], [record.signatures])
+        value = service.predict_inputs(table)[0]
         assert math.isfinite(value)
         assert value >= 0.0
 

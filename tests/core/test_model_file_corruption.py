@@ -1,10 +1,13 @@
-"""Corruption suite for model files.
+"""Corruption suite for model files and reliability state.
 
 Every defect a model file can carry — torn bytes, bad JSON, a foreign
 format version, a column of the wrong size, duplicate signatures,
 non-finite or non-positive parameters, a broken tree — must fail with the
 typed :class:`~repro.common.errors.ModelFileError` before any model is
 built, and a corrupt lifecycle state must leave no half-restored registry.
+The same holds for the breaker and quarantine state: a malformed snapshot
+anywhere in it restores no breaker at all, and a malformed ledger entry
+builds no quarantine.
 """
 
 from __future__ import annotations
@@ -18,15 +21,20 @@ import pytest
 from repro.common.errors import ModelFileError
 from repro.core.config import ModelKind
 from repro.core.lifecycle import LifecycleManager, RetrainPolicy
+from repro.core.regression_control import ModelQuarantine
 from repro.core.serialization import (
     lifecycle_state_apply,
     lifecycle_state_to_dict,
     load_predictor,
     predictor_from_dict,
     predictor_to_dict,
+    quarantine_from_dict,
+    quarantine_to_dict,
     save_json_atomic,
     save_predictor,
 )
+from repro.serving.shard import ShardedCleoRouter
+from repro.serving.shard.health import BreakerState, ResilienceConfig, ShardHealth
 
 KIND = ModelKind.OP_INPUT.value
 POLICY = RetrainPolicy(window_days=2, frequency_days=1)
@@ -272,3 +280,167 @@ class TestLifecycleState:
         state["registry"]["active_version"] = 3
         with pytest.raises(ModelFileError, match="active version"):
             lifecycle_state_apply(LifecycleManager(policy=POLICY), state)
+
+
+RESILIENCE = ResilienceConfig(failure_threshold=2, cooldown_calls=8, window=8)
+
+
+def _router(tiny_predictor) -> ShardedCleoRouter:
+    return ShardedCleoRouter(
+        {"cluster1": tiny_predictor}, n_shards=2, resilience=RESILIENCE
+    )
+
+
+class TestBreakerState:
+    """A restore is all or nothing: the live router's breakers (shard 0
+    OPEN mid-cooldown, shard 1 CLOSED with a mixed window) must read the
+    same after any rejected payload, though the payload's own first
+    snapshot is valid and different."""
+
+    @pytest.fixture()
+    def live(self, tiny_predictor):
+        with _router(tiny_predictor) as router:
+            health = router._health
+            health[0].record_failure()
+            health[0].record_failure()
+            health[0].allow()
+            health[1].record_failure()
+            health[1].record_success()
+            assert health[0].state is BreakerState.OPEN
+            yield router
+
+    @pytest.fixture()
+    def payload(self, tiny_predictor) -> dict:
+        """A valid state of another router: shard 0 CLOSED, shard 1 OPEN."""
+        with _router(tiny_predictor) as donor:
+            donor._health[0].record_success()
+            for _ in range(2):
+                donor._health[1].record_failure(timeout=True)
+            return json.loads(json.dumps(donor.export_health()))
+
+    def _rejected(self, router, payload) -> None:
+        before = router.export_health()
+        with pytest.raises(ModelFileError):
+            router.restore_health(payload)
+        assert router.export_health() == before
+
+    def test_the_valid_payload_restores(self, live, payload):
+        live.restore_health(payload)
+        assert live.export_health() == payload
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("calls", "3"),
+            ("calls", True),
+            ("calls", -1),
+            ("calls", 2.0),
+            ("cooldown_remaining", None),
+            ("state", "melted"),
+            ("state", ["open"]),
+            ("window", [True, "no"]),
+            ("window", "TTF"),
+            ("shard", 0),
+        ],
+    )
+    def test_bad_second_snapshot_restores_no_shard(self, live, payload, field, value):
+        payload["shards"][1][field] = value
+        self._rejected(live, payload)
+
+    @pytest.mark.parametrize("field", ["rejected", "state", "window", "shard"])
+    def test_missing_field(self, live, payload, field):
+        del payload["shards"][1][field]
+        self._rejected(live, payload)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("format_version", 2),
+            ("format_version", "1"),
+            ("n_shards", "2"),
+            ("n_shards", 3),
+            ("n_shards", -1),
+            ("shards", {"0": {}}),
+        ],
+    )
+    def test_bad_envelope(self, live, payload, field, value):
+        payload[field] = value
+        self._rejected(live, payload)
+
+    def test_snapshot_not_an_object(self, live, payload):
+        payload["shards"][1] = ["closed"]
+        self._rejected(live, payload)
+
+    def test_not_an_object(self, live):
+        self._rejected(live, [])
+
+    def test_other_shard_count(self, live, payload):
+        payload["shards"].pop()
+        payload["n_shards"] = 1
+        self._rejected(live, payload)
+
+    def test_one_breaker_restores_nothing_from_a_bad_snapshot(self, payload):
+        health = ShardHealth(1, RESILIENCE)
+        health.record_failure()
+        before = health.snapshot()
+        snapshot = payload["shards"][1]
+        snapshot["cooldown_remaining"] = "soon"
+        with pytest.raises(ModelFileError):
+            health.restore(snapshot)
+        assert health.snapshot() == before
+
+
+class TestQuarantineState:
+    @pytest.fixture()
+    def payload(self) -> dict:
+        quarantine = ModelQuarantine(tolerance_factor=3.0, min_observations=7)
+        quarantine.record(ModelKind.OP_SUBGRAPH, 2**64 - 1)
+        quarantine.record(ModelKind.OPERATOR, 456)
+        return json.loads(json.dumps(quarantine_to_dict(quarantine)))
+
+    def test_the_valid_payload_restores(self, payload):
+        restored = quarantine_from_dict(payload)
+        assert restored.ledger() == (
+            (ModelKind.OP_SUBGRAPH, 2**64 - 1),
+            (ModelKind.OPERATOR, 456),
+        )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("format_version", 2),
+            ("tolerance_factor", "4"),
+            ("tolerance_factor", float("nan")),
+            ("min_observations", -1),
+            ("min_observations", 2.5),
+            ("min_observations", True),
+            ("ledger", {"operator": "456"}),
+        ],
+    )
+    def test_bad_policy(self, payload, field, value):
+        payload[field] = value
+        with pytest.raises(ModelFileError):
+            quarantine_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            ["melted", "1"],
+            ["operator"],
+            ["operator", "1", "2"],
+            "operator:1",
+            ["operator", 456],
+            ["operator", "-5"],
+            ["operator", "0x1f"],
+            ["operator", str(2**64)],
+            ["operator", "\u00b2"],
+        ],
+    )
+    def test_bad_ledger_entry(self, payload, entry):
+        payload["ledger"].append(entry)
+        with pytest.raises(ModelFileError):
+            quarantine_from_dict(payload)
+
+    def test_not_an_object(self):
+        with pytest.raises(ModelFileError):
+            quarantine_from_dict([])

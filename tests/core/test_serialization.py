@@ -31,6 +31,7 @@ from repro.core.serialization import (
     store_to_dict,
 )
 from repro.features.featurizer import feature_names
+from repro.features.table import FeatureTable
 from repro.serving import CleoService
 from tests.serving.test_packed_inference import _random_workload
 
@@ -105,8 +106,9 @@ class TestStoreRoundTrip:
         _, records = held_out
         inputs = [record.features for record in records]
         bundles = [record.signatures for record in records]
-        original = CleoService(tiny_predictor).resource_profiles(inputs, bundles)
-        loaded = CleoService(restored).resource_profiles(inputs, bundles)
+        table = FeatureTable.from_inputs(inputs, bundles)
+        original = CleoService(tiny_predictor).resource_profiles(table)
+        loaded = CleoService(restored).resource_profiles(table)
         assert any(profile is not None for profile in original)
         assert _profile_bits(loaded) == _profile_bits(original)
 

@@ -18,6 +18,7 @@ from repro.core.combined import (
 )
 from repro.core.config import CleoConfig, ModelKind
 from repro.core.trainer import CleoTrainer
+from repro.features.table import FeatureTable
 from repro.ml.proximal import ElasticNetMSLE, fit_elastic_nets
 from repro.serving import CleoService
 
@@ -51,7 +52,10 @@ class TestTrainerParity:
         batched = CleoService(columnar, prediction_cache_size=0).predict_records(records)
         one_row = CleoService(reference, prediction_cache_size=0)
         scalar = np.concatenate(
-            [one_row.predict_inputs([r.features], [r.signatures]) for r in records]
+            [
+                one_row.predict_inputs(FeatureTable.from_records([r]))
+                for r in records
+            ]
         )
         assert np.array_equal(batched, scalar)
 

@@ -10,8 +10,13 @@ randomized ad-hoc plans, and for every partition strategy family.
 
 from __future__ import annotations
 
+import struct
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.core.cost_model import CleoCostModel
@@ -211,6 +216,31 @@ class TestStageSweepPricing:
         assert list(batched) == scalar
 
 
+def _resolve_without_memo(cost, priced: list[float]) -> float:
+    """The resolution walk with no memo across calls: every call re-walks
+    its expression, evaluating a node shared within it once."""
+    if not isinstance(cost, _DeferredCost):
+        return cost
+    values: dict[int, float] = {}
+    stack = [(cost, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in values:
+            continue
+        if node.kind == _DeferredCost.LEAF:
+            values[id(node)] = priced[node.a]
+        elif expanded:
+            a = values[id(node.a)] if isinstance(node.a, _DeferredCost) else node.a
+            b = values[id(node.b)] if isinstance(node.b, _DeferredCost) else node.b
+            values[id(node)] = a + b if node.kind == _DeferredCost.ADD else a - b
+        else:
+            stack.append((node, True))
+            for operand in (node.b, node.a):
+                if isinstance(operand, _DeferredCost):
+                    stack.append((operand, False))
+    return values[id(cost)]
+
+
 class TestDeferredCostArithmetic:
     def test_replay_preserves_operand_order(self):
         priced = [0.1, 0.2, 0.7]
@@ -224,6 +254,49 @@ class TestDeferredCostArithmetic:
         delta = 0.0 + (leaf(2) - leaf(0))
         assert _resolve_cost(delta, priced) == 0.0 + (0.7 - 0.1)
         assert _resolve_cost(1.25, priced) == 1.25
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_shared_nodes_resolve_once_and_match_the_unmemoized_walk(self, data):
+        """Random deferred-cost DAGs (each interior node reads earlier nodes,
+        ledger leaves or floats, so subexpressions are shared within and
+        across expressions), resolved one after another the way comparing
+        frames resolve them: every answer equals, bit for bit, the walk that
+        memoizes nothing across calls, and no node is evaluated twice —
+        once resolved, a node's operands are poisoned, and resolving any
+        later expression through it still succeeds."""
+        values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+        priced = data.draw(st.lists(values, min_size=1, max_size=8), label="ledger")
+        nodes = [_DeferredCost(_DeferredCost.LEAF, i) for i in range(len(priced))]
+        for _ in range(data.draw(st.integers(1, 40), label="interior")):
+            node = data.draw(st.sampled_from(nodes))
+            other = data.draw(st.one_of(st.sampled_from(nodes), values))
+            a, b = (node, other) if data.draw(st.booleans()) else (other, node)
+            add = data.draw(st.booleans())
+            nodes.append(a + b if add else a - b)
+        roots = data.draw(
+            st.lists(st.sampled_from(nodes), min_size=1, max_size=10), label="roots"
+        )
+        expected = [_resolve_without_memo(root, priced) for root in roots]
+        poison = object()
+        for root, want in zip(roots, expected):
+            got = _resolve_cost(root, priced)
+            assert struct.pack("<d", got) == struct.pack("<d", want)
+            assert root.value is got  # kept: the next frame reads it back
+            for node in nodes:
+                if node.value is not None:
+                    node.a = node.b = poison
+
+    def test_resolution_stays_iterative(self):
+        """A chain far deeper than the recursion limit resolves."""
+        priced = [0.1]
+        cost = 0.0
+        for _ in range(3 * sys.getrecursionlimit()):
+            cost += _DeferredCost(_DeferredCost.LEAF, 0)
+        expected = 0.0
+        for _ in range(3 * sys.getrecursionlimit()):
+            expected += 0.1
+        assert _resolve_cost(cost, priced) == expected
 
     def test_wide_frontier_resolves_without_recursion_error(
         self, builder, tiny_predictor

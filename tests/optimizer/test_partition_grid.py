@@ -28,6 +28,7 @@ from repro.core.trainer import CleoTrainer
 from repro.cost.default_model import DefaultCostModel
 from repro.cost.interface import plan_cost
 from repro.features.extract import feature_input_for
+from repro.features.table import FeatureTable
 from repro.optimizer.partition import (
     AnalyticalStrategy,
     DefaultHeuristicStrategy,
@@ -293,8 +294,10 @@ class TestEdges:
         expected = []
         for p in probes:
             values = reference.predict_inputs(
-                [feature_input_for(op, estimator, p) for op in ops],
-                [SignatureBundle.of(op) for op in ops],
+                FeatureTable.from_inputs(
+                    [feature_input_for(op, estimator, p) for op in ops],
+                    [SignatureBundle.of(op) for op in ops],
+                )
             )
             expected.append(sum(float(v) for v in values))
         assert totals == expected

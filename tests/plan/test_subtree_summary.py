@@ -429,3 +429,104 @@ class TestPlannerOutput:
             assert size == frames  # the monkeypatch counts one frame per node
             # plan_cost walks the final plan once; nothing else may walk.
             assert budget <= 2 * size, (spec.job_id, budget, size)
+
+
+# --------------------------------------------------------------------- #
+# Winners keep their summaries: materialize carries, never recomputes
+# --------------------------------------------------------------------- #
+
+
+def _fresh(op: PhysicalOp) -> PhysicalOp:
+    """The same tree rebuilt from its fields alone: nothing computed yet."""
+    return PhysicalOp(
+        op.op_type,
+        tuple(_fresh(child) for child in op.children),
+        op.logical,
+        op.partition_count,
+        op.partitioning,
+        op.sorting,
+        op.exchange_mode,
+        op.sort_keys,
+    )
+
+
+def assert_carried(plan: PhysicalOp, estimator: CardinalityEstimator | None) -> None:
+    """Every operator of a materialized ``plan`` holds the summary (bundle
+    included) it was handed, equal field by field to what a fresh copy of
+    the tree computes for itself; with ``estimator``, its carried estimate
+    too."""
+    fresh_estimator = type(estimator)() if estimator is not None else None
+    fresh_plan = _fresh(plan)
+    for op, fresh in zip(plan.walk(), fresh_plan.walk(), strict=True):
+        carried = op._summary
+        assert carried is not None and carried.bundle is not None
+        expected = signed(fresh)
+        for name in type(carried).__slots__:
+            assert getattr(carried, name) == getattr(expected, name), name
+        assert type(carried.base_card) is float
+        assert_matches_oracle(op)
+        if estimator is not None:
+            tag, value = op._estimate
+            assert tag is estimator._tag
+            assert value == oracle_estimate(fresh_estimator, fresh)
+            assert value == fresh_estimator.estimate(fresh)
+
+
+def _search_win(planner, template_id: str, logical: LogicalOp, salt: str):
+    """The winning search node of one job, before anything materializes it."""
+    (job,) = planner._search([(template_id, 1, logical, salt)])
+    return job.win
+
+
+def _tpch_jobs():
+    from repro.data.tpch import tpch_catalog
+    from repro.workload.tpch_queries import TpchQuerySet
+
+    queries = TpchQuerySet(tpch_catalog(1000.0), seed=0)
+    return [(f"q{query.query_id}", query.plan) for query in queries.all_queries(run=0)]
+
+
+class TestWinnersKeepTheirSummaries:
+    @given(plan=physical_plans())
+    @settings(max_examples=80, deadline=None)
+    def test_materialized_dag_carries_summary_and_estimate(self, plan):
+        """A ``PhysicalOp`` winner — DAG-shaped, shared subtrees included —
+        hands every copy its summary and its estimate."""
+        estimator = CardinalityEstimator()
+        for op in plan.walk():
+            signed(op)
+            estimator.estimate(op)
+        tree = materialize(plan)
+        assert sum(1 for _ in tree.walk()) == sum(1 for _ in plan.walk())
+        assert_carried(tree, estimator)
+
+    @pytest.mark.parametrize("planner_type", [QueryPlanner, SkeletonPlanner])
+    def test_planner_winners_carry_exact_summaries(
+        self, tiny_bundle, tiny_predictor, planner_type
+    ):
+        """Both planners' winners under a learned model, TPC-H Q1-Q22 (Q17's
+        shared lineitem branch included) and the tiny workload's jobs: the
+        materialized plan's summaries — and, for ``QueryPlanner``'s
+        ``PhysicalOp`` winners, its estimates — are the recomputation's."""
+        estimator = CardinalityEstimator()
+        planner = planner_type(CleoCostModel(tiny_predictor), estimator)
+        jobs = _tpch_jobs() + [
+            (spec.template.template_id, logical) for spec, logical in _jobs(tiny_bundle, 12)
+        ]
+        for template_id, logical in jobs:
+            win = _search_win(planner, template_id, logical, template_id)
+            assert_carried(
+                materialize(win), estimator if planner_type is QueryPlanner else None
+            )
+
+    def test_heuristic_replay_winners_carry_nothing(self, tiny_bundle):
+        """Heuristic backends give ``RNode``s no summary; their plans compute
+        their own on first read."""
+        planner = SkeletonPlanner(DefaultCostModel(), CardinalityEstimator())
+        for spec, logical in _jobs(tiny_bundle, 4):
+            plan = materialize(
+                _search_win(planner, spec.template.template_id, logical, spec.job_id)
+            )
+            assert all(op._summary is None for op in plan.walk())
+            for op in plan.walk():
+                assert_matches_oracle(op)

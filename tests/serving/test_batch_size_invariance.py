@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core.combined import CombinedModel, build_meta_matrix
 from repro.core.config import CleoConfig
 from repro.core.predictor import CleoPredictor
+from repro.features.table import FeatureTable
 from repro.serving import CleoService
 from repro.serving.shard import ShardedCleoRouter
 from tests.serving.test_packed_inference import _random_store, _random_workload
@@ -64,7 +65,8 @@ def test_pieces_price_like_the_whole(banks, seed, combined, n_rows, data):
     assert priced.tobytes() == whole.tobytes()
 
     row = data.draw(st.integers(0, n_rows - 1), label="row")
-    one = service.predict_inputs([inputs[row]], [bundles[row]])
+    one_row = FeatureTable.from_inputs([inputs[row]], [bundles[row]])
+    one = service.predict_inputs(one_row)
     assert one.tobytes() == whole[row : row + 1].tobytes()
 
     for n_shards in (1, 3):
@@ -74,5 +76,5 @@ def test_pieces_price_like_the_whole(banks, seed, combined, n_rows, data):
             assert router.predict_table("c", table).tobytes() == whole.tobytes()
             routed = np.concatenate([router.predict_table("c", piece) for piece in pieces])
             assert routed.tobytes() == whole.tobytes()
-            one = router.predict_inputs("c", [inputs[row]], [bundles[row]])
+            one = router.predict_inputs("c", one_row)
             assert one.tobytes() == whole[row : row + 1].tobytes()

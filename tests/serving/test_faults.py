@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ShardError, ValidationError
+from repro.features.table import FeatureTable
 from repro.serving import CleoService, PredictionRequest
 from repro.serving.faults import (
     SCENARIOS,
@@ -316,9 +317,9 @@ class TestZeroFaultParity:
     def test_one_row_parity(self, tiny_predictor, requests, baseline):
         with make_router(tiny_predictor, n_shards=3) as router:
             for request in requests[:40]:
-                row = ([request.features], [request.signatures])
-                ours = router.predict_inputs("cluster1", *row)
-                assert ours.tobytes() == baseline.predict_inputs(*row).tobytes()
+                row = FeatureTable.from_inputs([request.features], [request.signatures])
+                ours = router.predict_inputs("cluster1", row)
+                assert ours.tobytes() == baseline.predict_inputs(row).tobytes()
 
     def test_noop_injector_is_still_bitwise(
         self, tiny_predictor, requests, baseline
@@ -416,13 +417,11 @@ class TestDegradationLadder:
             tiny_predictor, n_shards=3, fault_injector=injector
         ) as router:
             for request in requests[:40]:
-                row = ([request.features], [request.signatures])
-                value = router.predict_inputs("cluster1", *row)
-                assert value.tobytes() == baseline.predict_inputs(*row).tobytes()
+                row = FeatureTable.from_inputs([request.features], [request.signatures])
+                value = router.predict_inputs("cluster1", row)
+                assert value.tobytes() == baseline.predict_inputs(row).tobytes()
 
     def test_predict_table_survives_chaos(self, tiny_predictor, requests, baseline):
-        from repro.features.table import FeatureTable
-
         table = FeatureTable.from_inputs(
             [r.features for r in requests], [r.signatures for r in requests]
         )
@@ -591,7 +590,11 @@ class TestHedging:
         15% latency rate actually produces spiking owners to hedge past
         (one 400-row batch would only draw three sub-batch tokens)."""
         return [
-            float(router.predict_inputs("cluster1", [r.features], [r.signatures])[0])
+            float(
+                router.predict_inputs(
+                    "cluster1", FeatureTable.from_inputs([r.features], [r.signatures])
+                )[0]
+            )
             for r in requests
         ]
 

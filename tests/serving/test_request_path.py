@@ -177,11 +177,14 @@ def replay(router: ShardedCleoRouter, records, requests) -> None:
             router.predict_batch("cluster1", requests[start : start + 25])
     tail = requests[600:700]
     router.predict_inputs(
-        "cluster1", [r.features for r in tail], [r.signatures for r in tail]
+        "cluster1",
+        FeatureTable.from_inputs([r.features for r in tail], [r.signatures for r in tail]),
     )
     router.predict_table("cluster1", FeatureTable.from_records(records[:100]))
     for request in requests[:5]:
-        router.predict_inputs("cluster1", [request.features], [request.signatures])
+        router.predict_inputs(
+            "cluster1", FeatureTable.from_inputs([request.features], [request.signatures])
+        )
 
 
 class TestZeroFaultCountersUnchanged:

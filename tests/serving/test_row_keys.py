@@ -75,9 +75,10 @@ def test_service_cache_on_equals_cache_off(tiny_predictor, pool, batch):
     features, bundles = _rows(pool, batch)
     off = CleoService(tiny_predictor, prediction_cache_size=0)
     on = CleoService(tiny_predictor, prediction_cache_size=4096)
-    expected = _bits(off.predict_inputs(features, bundles))
-    assert _bits(on.predict_inputs(features, bundles)) == expected  # misses
-    assert _bits(on.predict_inputs(features, bundles)) == expected  # hits
+    table = FeatureTable.from_inputs(features, bundles)
+    expected = _bits(off.predict_inputs(table))
+    assert _bits(on.predict_inputs(table)) == expected  # misses
+    assert _bits(on.predict_inputs(table)) == expected  # hits
     requests = [PredictionRequest(f, b) for f, b in zip(features, bundles)]
     assert _bits(on.predict_batch(requests)) == expected
     assert on.stats().cache.size == _distinct(features, bundles)
@@ -101,8 +102,9 @@ def test_two_shard_router_cache_on_equals_cache_off(routers, pool, batch):
     and re-inserts all answer the cache-off bits."""
     on, off = routers
     features, bundles = _rows(pool, batch)
-    expected = _bits(off.predict_inputs("c", features, bundles))
-    assert _bits(on.predict_inputs("c", features, bundles)) == expected
+    table = FeatureTable.from_inputs(features, bundles)
+    expected = _bits(off.predict_inputs("c", table))
+    assert _bits(on.predict_inputs("c", table)) == expected
     requests = [PredictionRequest(f, b) for f, b in zip(features, bundles)]
     assert _bits(on.predict_batch("c", requests)) == expected
     for shard in range(on.n_shards):
@@ -115,7 +117,8 @@ def test_signed_zeros_are_two_entries(tiny_predictor, pool):
     negative = replace(inputs[0], params_enc=-0.0)
     assert zero == negative  # equal as values ...
     service = CleoService(tiny_predictor, prediction_cache_size=16)
-    service.predict_inputs([zero, negative, zero], [bundles[0]] * 3)
+    table = FeatureTable.from_inputs([zero, negative, zero], [bundles[0]] * 3)
+    service.predict_inputs(table)
     stats = service.stats()
     assert stats.cache.size == 2 and stats.cache.misses == 2  # ... not as keys
     assert stats.in_batch_reuses == 1

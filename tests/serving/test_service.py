@@ -13,6 +13,7 @@ import pytest
 from repro.core.config import SPECIFICITY_ORDER, ModelKind
 from repro.core.model_store import ModelStore, signature_for
 from repro.core.predictor import CleoPredictor
+from repro.features.table import FeatureTable
 from repro.plan.signatures import SignatureBundle
 from repro.serving import CleoService, LRUCache, PredictionRequest
 from repro.serving.service import as_cost_model
@@ -61,7 +62,10 @@ class TestLRUCache:
 def _one_row_each(service, records) -> np.ndarray:
     """Every record priced as its own one-row batch."""
     return np.concatenate(
-        [service.predict_inputs([r.features], [r.signatures]) for r in records]
+        [
+            service.predict_inputs(FeatureTable.from_inputs([r.features], [r.signatures]))
+            for r in records
+        ]
     )
 
 

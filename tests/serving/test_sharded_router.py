@@ -152,8 +152,6 @@ class TestRouting:
         starts over at its limit instead of growing with every template
         ever routed, stays correct across the reset, and goes with
         ``clear_caches()``."""
-        from dataclasses import replace
-
         from repro.serving.shard import router as router_module
 
         limit = 32
@@ -161,7 +159,9 @@ class TestRouting:
         adhoc = [
             PredictionRequest(
                 requests[i % len(requests)].features,
-                replace(requests[i % len(requests)].signatures, approx=10_000_019 * (i + 1)),
+                requests[i % len(requests)].signatures._replace(
+                    approx=10_000_019 * (i + 1)
+                ),
             )
             for i in range(10 * limit)
         ]
@@ -223,13 +223,12 @@ class TestParity:
 
     @pytest.mark.parametrize("shards,workers", CONFIGS)
     def test_predict_inputs(self, tiny_predictor, requests, baseline, shards, workers):
-        inputs = [r.features for r in requests]
-        bundles = [r.signatures for r in requests]
-        expected = baseline.predict_inputs(inputs, bundles)
+        table = FeatureTable.from_inputs(
+            [r.features for r in requests], [r.signatures for r in requests]
+        )
+        expected = baseline.predict_inputs(table)
         with make_router(tiny_predictor, n_shards=shards, n_workers=workers) as router:
-            assert np.array_equal(
-                router.predict_inputs("cluster1", inputs, bundles), expected
-            )
+            assert np.array_equal(router.predict_inputs("cluster1", table), expected)
 
     @pytest.mark.parametrize("shards,workers", CONFIGS)
     def test_predict_table(self, tiny_predictor, requests, baseline, shards, workers):
@@ -243,9 +242,9 @@ class TestParity:
     def test_one_row_predict(self, tiny_predictor, requests, baseline):
         with make_router(tiny_predictor, n_shards=4) as router:
             for request in requests[:50]:
-                row = ([request.features], [request.signatures])
-                ours = router.predict_inputs("cluster1", *row)
-                assert ours.tobytes() == baseline.predict_inputs(*row).tobytes()
+                row = FeatureTable.from_inputs([request.features], [request.signatures])
+                ours = router.predict_inputs("cluster1", row)
+                assert ours.tobytes() == baseline.predict_inputs(row).tobytes()
 
     def test_duplicates_dedup_within_their_shard(self, tiny_predictor, requests, baseline):
         doubled = list(requests[:100]) * 2
@@ -267,7 +266,8 @@ class TestParity:
             for f, s in zip(inputs, bundles)
         ]
         with make_router(tiny_predictor, n_shards=3, n_workers=2) as router:
-            assert router.resource_profiles("cluster1", inputs, bundles) == expected
+            table = FeatureTable.from_inputs(inputs, bundles)
+            assert router.resource_profiles("cluster1", table) == expected
 
     def test_predict_plan(self, tiny_bundle, tiny_predictor, baseline):
         plans = list(tiny_bundle.runner.plans.values())[:10]
@@ -316,15 +316,16 @@ class TestParity:
             tiny_predictor, n_shards=2, fault_injector=injector
         ) as router:
             floor = router._bounded(router._heuristic_inputs(inputs))
+            table = FeatureTable.from_inputs(inputs, bundles)
             answers = [
                 router.predict_batch("cluster1", requests[:120]),
-                router.predict_inputs("cluster1", inputs, bundles),
-                router.predict_table(
-                    "cluster1", FeatureTable.from_inputs(inputs, bundles)
-                ),
+                router.predict_inputs("cluster1", table),
+                router.predict_table("cluster1", table),
                 np.concatenate(
                     [
-                        router.predict_inputs("cluster1", [f], [s])
+                        router.predict_inputs(
+                            "cluster1", FeatureTable.from_inputs([f], [s])
+                        )
                         for f, s in zip(inputs, bundles)
                     ]
                 ),
@@ -361,7 +362,7 @@ def _pricing_transcript(model, bundle) -> list:
         inputs += [request.features for request in requests]
         bundles += [request.signatures for request in requests]
         lengths.append(len(requests))
-    transcript.append(model.price_plans(inputs, bundles, lengths))
+    transcript.append(model.price_plans(FeatureTable.from_inputs(inputs, bundles), lengths))
     return transcript
 
 

@@ -70,7 +70,14 @@ def _store(
     if unpackable is not None:
         unfitted = LearnedCostModel(include_context=unpackable.uses_context_features)
         store.add(unpackable, _UNUSED, unfitted)
-    holders = [sum(int(word) in store.models[kind] for kind in ModelKind) for word in _WORDS]
+    # The word two kinds hold is generated, not left to the draw: the first
+    # two non-empty kinds in specificity order both hold word 1 (above
+    # 2**63, and inside every kind's signature alphabet).
+    shared = int(_WORDS[1])
+    for kind in [kind for kind in SPECIFICITY_ORDER if kind is not empty][:2]:
+        if shared not in store.models[kind]:
+            store.add(kind, shared, _fitted_model(rng, kind))
+    holders =[sum(int(word) in store.models[kind] for kind in ModelKind) for word in _WORDS]
     assert max(holders) >= 2, "some word must name a model in two kinds"
     return store
 

@@ -99,7 +99,9 @@ class TestInputValidation:
         request = requests[0]
         poisoned = replace(request.features, input_card=bad)
         with pytest.raises(FeatureValidationError):
-            service.predict_inputs([poisoned], [request.signatures])
+            service.predict_inputs(
+                FeatureTable.from_inputs([poisoned], [request.signatures])
+            )
 
     def test_resource_profiles_reject_non_finite_features(
         self, tiny_predictor, requests
@@ -110,17 +112,19 @@ class TestInputValidation:
         row = next(
             r for r in requests if tiny_predictor.store.most_specific(r.signatures)
         )
-        inputs = [row.features, replace(row.features, base_card=float("nan"))]
-        bundles = [row.signatures, row.signatures]
+        table = FeatureTable.from_inputs(
+            [row.features, replace(row.features, base_card=float("nan"))],
+            [row.signatures, row.signatures],
+        )
         service = CleoService(tiny_predictor)
         before = service.lookup_count
         with pytest.raises(FeatureValidationError):
-            service.resource_profiles(inputs, bundles)
+            service.resource_profiles(table)
         assert service.lookup_count == before
         with ShardedCleoRouter({"cluster1": tiny_predictor}, n_shards=2) as router:
             before = router.lookup_count
             with pytest.raises(FeatureValidationError):
-                router.resource_profiles("cluster1", inputs, bundles)
+                router.resource_profiles("cluster1", table)
             assert router.lookup_count == before
 
     def test_batch_rejects_non_finite_features(self, tiny_predictor, requests):
@@ -152,9 +156,24 @@ class TestInputValidation:
         service = CleoService(tiny_predictor)
         with pytest.raises(FeatureValidationError):
             service.predict_inputs(
-                [r.features for r in requests[:4]],
-                [r.signatures for r in requests[:3]],
+                FeatureTable.from_inputs(
+                    [r.features for r in requests[:4]],
+                    [r.signatures for r in requests[:3]],
+                )
             )
+
+    def test_inputs_and_profiles_require_signatures(self, tiny_predictor, requests):
+        service = CleoService(tiny_predictor)
+        bare = FeatureTable.from_inputs([r.features for r in requests[:5]])
+        with ShardedCleoRouter({"cluster1": tiny_predictor}, n_shards=2) as router:
+            for price in (
+                service.predict_inputs,
+                service.resource_profiles,
+                router.client("cluster1").predict_inputs,
+                router.client("cluster1").resource_profiles,
+            ):
+                with pytest.raises(FeatureValidationError):
+                    price(bare)
 
     @pytest.mark.parametrize(
         "n_bundles, lengths", [(3, [4]), (4, [3])], ids=["misaligned", "lengths"]
@@ -165,7 +184,8 @@ class TestInputValidation:
         inputs = [r.features for r in requests[:4]]
         bundles = [r.signatures for r in requests[:n_bundles]]
         with pytest.raises(FeatureValidationError):
-            cost_model.price_plans(inputs, bundles, lengths=lengths)
+            table = FeatureTable.from_inputs(inputs, bundles)
+            cost_model.price_plans(table, lengths=lengths)
 
     def test_validation_can_be_disabled(self, tiny_predictor, requests):
         service = CleoService(tiny_predictor, validate_inputs=False)
@@ -173,7 +193,9 @@ class TestInputValidation:
         poisoned = replace(request.features, input_card=float("nan"))
         # No raise: the request is priced (garbage in, *bounded* garbage
         # out — output validation still guards the result).
-        value = service.predict_inputs([poisoned], [request.signatures])[0]
+        value = service.predict_inputs(
+            FeatureTable.from_inputs([poisoned], [request.signatures])
+        )[0]
         assert math.isfinite(value)
 
     def test_router_propagates_validation_errors(self, tiny_predictor, requests):
@@ -188,8 +210,10 @@ class TestInputValidation:
             with pytest.raises(FeatureValidationError):
                 router.predict_inputs(
                     "cluster1",
-                    [r.features for r in requests[:2]],
-                    [r.signatures for r in requests[:3]],
+                    FeatureTable.from_inputs(
+                        [r.features for r in requests[:2]],
+                        [r.signatures for r in requests[:3]],
+                    ),
                 )
             stats = router.stats()
         assert stats.degraded_predictions == 0
@@ -207,7 +231,7 @@ class TestOutputValidationAndQuarantine:
         leaky = CleoService(
             service.predictor, validate_inputs=False, validate_outputs=False
         )
-        value = leaky.predict_inputs([records[0].features], [records[0].signatures])[0]
+        value = leaky.predict_inputs(FeatureTable.from_records(records[:1]))[0]
         assert not math.isfinite(value)
 
     def test_scoring_never_repairs_or_quarantines(self, corrupt_service, records):
@@ -224,7 +248,7 @@ class TestOutputValidationAndQuarantine:
     ):
         service, store, kind, signature = corrupt_service
         assert store.get(kind, signature) is not None
-        value = service.predict_inputs([records[0].features], [records[0].signatures])[0]
+        value = service.predict_inputs(FeatureTable.from_records(records[:1]))[0]
         assert math.isfinite(value) and value >= 0.0
         assert store.get(kind, signature) is None
         stats = service.stats()

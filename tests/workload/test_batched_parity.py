@@ -240,3 +240,22 @@ def test_stock_config_reports_batched_path():
         reference = runner.run_days_reference(generator, [1])
     assert runner.last_run_used_batched is True
     assert len(reference) == len(log)
+
+
+def test_day_by_day_calls_keep_one_days_skeletons():
+    """A runner driven one day at a time (a nightly loop) keeps only the
+    current day's skeletons: they are cached per ``(template, day)``, so an
+    earlier day's can never hit again, and each call drops them (counted as
+    evictions).  The logs stay the reference's, bit for bit."""
+    cluster = DEFAULT_CLUSTERS[0]
+    generator = WorkloadGenerator(_config(cluster.name, seed=5))
+    runner = WorkloadRunner(cluster=cluster, seed=5)
+    reference = WorkloadRunner(cluster=cluster, seed=5)
+    for day in range(1, 8):
+        log = runner.run_days(generator, [day])
+        planner = runner._skeleton_planner
+        stats = planner.stats()
+        assert {key_day for _, key_day in planner._skeletons} == {day}
+        assert stats.skeletons_cached <= len(generator.jobs_for_day(day))
+        assert stats.skeleton_evictions == stats.skeleton_builds - stats.skeletons_cached
+        assert log.jobs == reference.run_days_reference(generator, [day]).jobs
