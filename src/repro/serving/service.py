@@ -38,7 +38,14 @@ Serving-grade mechanics:
   hits: a batch is one locked probe and one locked insert, over keys that
   are each row's 104 bytes (:meth:`~repro.features.table.FeatureTable.
   row_keys`, made for a whole table in one pass); hit/miss counters
-  surface via :meth:`stats`.
+  surface via :meth:`stats`.  The cached core is two halves around one
+  pricing pass — a *probe* half (LRU probe, input check, accounting) and a
+  *fill* half (output validation and repair, LRU insert) — so the sharded
+  router can price the misses of several shards' services in one pass
+  while each keeps its own LRU and counters (:meth:`CleoService.
+  _price_cached`).  An LRU serves only entries priced against the store's
+  current ``version``: a quarantine by any service sharing the store
+  empties every one of their LRUs on its next probe.
 * **Lifecycle** — :meth:`train` / :meth:`load` / :meth:`save` /
   :meth:`deploy` wrap the trainer, the JSON model-file format, and the
   versioned :class:`~repro.core.lifecycle.ModelRegistry`.
@@ -314,6 +321,8 @@ class CleoService:
         self.config = config or CleoConfig()
         self._prediction_cache = LRUCache(prediction_cache_size)
         self._predictor = predictor
+        #: ``store.version`` the LRU's entries were priced against.
+        self._cache_version = predictor.store.version
         self.registry = ModelRegistry()
         self._validate_inputs = bool(validate_inputs)
         self._validate_outputs = bool(validate_outputs)
@@ -418,11 +427,13 @@ class CleoService:
         profiles, n_covered = resource_profiles_most_specific(
             self.predictor.store, table
         )
-        with self._stats_lock:
-            self.predictor.lookup_count += (
-                n_covered * CleoPredictor.LOOKUPS_PER_PREDICTION
-            )
+        self._charge_lookups(n_covered)
         return profiles
+
+    def _charge_lookups(self, rows: int) -> None:
+        """Charge ``rows`` rows of lookup accounting (five lookups each)."""
+        with self._stats_lock:
+            self.predictor.lookup_count += rows * CleoPredictor.LOOKUPS_PER_PREDICTION
 
     # ------------------------------------------------------------------ #
     # Batched prediction
@@ -469,13 +480,21 @@ class CleoService:
 
         ``keys[i]`` is row ``i``'s :meth:`~repro.features.table.FeatureTable.
         row_keys` key and ``rows(positions)`` packs the rows at
-        ``positions`` into a table.  One probe, in-batch dedup, lookup and
-        fallback accounting, pricing of the distinct misses, one insert.
+        ``positions`` into a table.  Two halves around one
+        :meth:`_price_table` pass over the distinct misses:
+
+        * the **probe** half — :meth:`_probe` (one locked LRU probe), the
+          input check on the first-seen misses, then :meth:`_charge`
+          (predictions, batches, in-batch reuses, lookups);
+        * the **fill** half — :meth:`_validated` on the priced misses, then
+          :meth:`_fill` (one locked insert, and the scatter into the
+          answer).
+
+        The sharded router runs the same halves itself when one call spans
+        several owning shards: every owner probes and fills its own LRU, and
+        the misses of all of them are priced in one pass.
         """
-        cache = self._prediction_cache
-        values, missing = cache.get_many(keys)
-        counts = [len(positions) for positions in missing.values()]
-        uncached = sum(counts)
+        values, missing = self._probe(keys)
         table = None
         if missing:
             table = rows([positions[0] for positions in missing.values()])
@@ -483,26 +502,71 @@ class CleoService:
             # passed it before insertion), and a bad one raises before
             # anything is counted, priced or inserted.
             self._check_table(table)
+        counts = self._charge(len(keys), missing)
+        priced = None
+        if table is not None:
+            priced = self._validated(
+                self._price_table(table, counts, reference), lambda: table
+            )
+        return self._fill(values, missing, priced)
 
-        # Lookup accounting (and the fallback counter) charges every request
-        # not served from the LRU, so a cache-disabled service keeps the
-        # "five learned predictions per sample" bookkeeping exactly (Section
-        # 6.5).  With the cache *enabled* one batch and a one-row-at-a-time
-        # replay of it can legitimately differ by `in_batch_reuses`: the
-        # replay turns in-batch duplicates into LRU hits (uncharged), while
-        # the batch computes them once and reuses the value without a cache
-        # round-trip (charged per request).
+    def _probe(self, keys: Sequence[bytes]) -> tuple[list, dict[bytes, list[int]]]:
+        """One locked probe of the prediction LRU: ``(values, missing)`` as
+        :meth:`~repro.serving.cache.LRUCache.get_many` returns them.
+
+        The LRU only serves entries priced against the store as it is now:
+        every ``ModelStore.add`` / ``remove`` moves ``store.version``, and a
+        probe that sees it moved drops every entry first.  Services sharing
+        one store (the router's shards) thus all stop serving a model that
+        any of them quarantined.
+        """
+        version = self._predictor.store.version
+        if version != self._cache_version:
+            self._prediction_cache.clear()
+            self._cache_version = version
+        return self._prediction_cache.get_many(keys)
+
+    def _charge(self, n_requests: int, missing: dict[bytes, list[int]]) -> list[int]:
+        """The probe half's accounting; returns how many requests each
+        distinct miss answers (the fallback counter's weights).
+
+        Lookup accounting (and the fallback counter) charges every request
+        not served from the LRU, so a cache-disabled service keeps the "five
+        learned predictions per sample" bookkeeping exactly (Section 6.5).
+        With the cache *enabled* one batch and a one-row-at-a-time replay of
+        it can legitimately differ by ``in_batch_reuses``: the replay turns
+        in-batch duplicates into LRU hits (uncharged), while the batch
+        computes them once and reuses the value without a cache round-trip
+        (charged per request).
+        """
+        counts = [len(positions) for positions in missing.values()]
+        uncached = sum(counts)
         with self._stats_lock:
             self._batches += 1
-            self._predictions += len(keys)
+            self._predictions += n_requests
             self._batch_reuses += uncached - len(missing)
             self.predictor.lookup_count += (
                 uncached * CleoPredictor.LOOKUPS_PER_PREDICTION
             )
+        return counts
 
-        if table is not None:
-            priced = self._price_table(table, counts, reference).tolist()
-            cache.put_many(zip(missing, priced))
+    def _fill(
+        self,
+        values: list,
+        missing: dict[bytes, list[int]],
+        priced: np.ndarray | None,
+    ) -> np.ndarray:
+        """The fill half: insert the priced misses (``priced[j]`` answers
+        the ``j``-th key of ``missing``) and scatter them into the answer.
+
+        Nothing is inserted when the store moved since :meth:`_probe` (a
+        repair quarantined a model mid-call): those values were priced
+        against a store that no longer exists.
+        """
+        if missing:
+            priced = priced.tolist()
+            if self._cache_version == self._predictor.store.version:
+                self._prediction_cache.put_many(zip(missing, priced))
             for positions, value in zip(missing.values(), priced):
                 for i in positions:
                     values[i] = value
@@ -537,14 +601,18 @@ class CleoService:
         """
         _require_signatures(table)
         self._check_table(table)
-        n = len(table)
+        self._charge_rows(len(table))
+        if not len(table):
+            return np.empty(0, dtype=float)
+        return self._validated(self._price_table(table), lambda: table)
+
+    def _charge_rows(self, n: int) -> None:
+        """:meth:`predict_table`'s accounting: one batch of ``n`` rows, each
+        charged its lookups."""
         with self._stats_lock:
             self._batches += 1
             self._predictions += n
             self._predictor.lookup_count += n * CleoPredictor.LOOKUPS_PER_PREDICTION
-        if n == 0:
-            return np.empty(0, dtype=float)
-        return self._price_table(table)
 
     def _price_table(
         self,
@@ -552,14 +620,15 @@ class CleoService:
         request_counts: Sequence[int] | None = None,
         reference: bool = False,
     ) -> np.ndarray:
-        """The table core: model pricing, call accounting, output validation.
+        """The table core: model pricing and model-call accounting.
 
         Every batched entry point ends here — :meth:`predict_table` with its
         rows, :meth:`predict_batch` with its distinct cache misses, where
         ``request_counts[i]`` is how many requests row ``i`` answers so the
-        fallback counter charges per request.  ``reference``
-        routes the combined model through the retained object-graph meta
-        builder and tree-at-a-time ensemble (the pre-packed pipeline).
+        fallback counter charges per request — and hands the answer to
+        :meth:`_validated`.  ``reference`` routes the combined model through
+        the retained object-graph meta builder and tree-at-a-time ensemble
+        (the pre-packed pipeline).
         """
         predictor = self._predictor
         combined = predictor.combined
@@ -582,8 +651,15 @@ class CleoService:
             self._individual_calls += calls
             self._combined_calls += use_combined
             self._fallbacks += fallbacks
+        return values
+
+    def _validated(
+        self, values: np.ndarray, rows: Callable[[], FeatureTable]
+    ) -> np.ndarray:
+        """Output validation: ``values`` when every one is serveable, else
+        the rows of ``rows()`` repaired (quarantine and re-price)."""
         if self._validate_outputs and not values_ok(values):
-            values = self._repaired_table(table, values)
+            values = self._repaired_table(rows(), values)
         return values
 
     def predict_inputs(self, table: FeatureTable) -> np.ndarray:
@@ -689,9 +765,9 @@ class CleoService:
                 if not _value_ok(value):
                     value = _BOUNDED_DEFAULT_COST
                 out[i] = min(value, _MAX_PREDICT_SECONDS)
-        if removed:
-            # Drop predictions the quarantined models may have produced.
-            self._prediction_cache.clear()
+        # A removal moved ``store.version``: this service's LRU, and that of
+        # every service sharing the store, drops its entries on its next
+        # probe (see ``_probe``).
         with self._stats_lock:
             self._quarantined += removed
             self._degraded += len(inputs)

@@ -17,13 +17,23 @@ the paper's optimizer-facing deployment does (Section 5.1), but scaled out:
   routing.HashRing`; every operator of a template lands on the same shard,
   so per-shard LRUs stay disjoint and in-batch deduplication keeps working
   (identical requests always share a shard).
-* **Fan-out** — batch entry points split their rows by owning shard, run
-  the per-shard sub-batches on a thread pool (``n_workers``), and merge
-  results back **in input order**.  Every per-row computation in the packed
-  runtime is batch-size invariant, so the merged predictions are bitwise
-  identical to one single-process :class:`~repro.serving.service.
-  CleoService` pricing the whole batch — the property the serving load
-  test asserts as ``predictions_bitwise_identical``.
+* **Fan-out** — batch entry points split their rows by owning shard and
+  merge answers back **in input order**.  A call several shards own takes
+  the *fused first rung* when no fault injector is configured and every
+  owner's breaker is CLOSED: each owner probes its own LRU, the union of
+  every owner's distinct misses is input-checked once and priced in **one
+  pass** over the shared bank (model calls charged to the first owner with
+  a miss), and each owner then runs its service's output validation and
+  repair on its slice, the router's answer check, its LRU fill and one
+  health record.  LRUs, counters, breakers, quarantine ledgers and ladders
+  stay per shard, and each owner's counters are those of the per-shard
+  path.  Otherwise — an injector, one owning shard, or an owner's breaker
+  not CLOSED — each owner's rows go through its own service's entry point,
+  on a thread pool when ``n_workers > 1``.  Every per-row computation in
+  the packed runtime is batch-size invariant, so the merged predictions
+  are bitwise identical to one single-process :class:`~repro.serving.
+  service.CleoService` pricing the whole batch — the property the serving
+  load test asserts as ``predictions_bitwise_identical``.
 
 Like the service, the router speaks only rows (plus ``predict_plan``, the
 load replays' whole-plan request), and a single price is a one-row batch:
@@ -51,6 +61,7 @@ from repro.common.errors import (
     ShardTimeoutError,
 )
 from repro.core.learned_model import _MAX_PREDICT_SECONDS, ResourceProfile
+from repro.core.packed import resource_profiles_most_specific
 from repro.core.predictor import CleoPredictor
 from repro.cost.default_model import DefaultCostModel
 from repro.cost.interface import CostModel
@@ -64,12 +75,15 @@ from repro.serving.service import (
     CleoService,
     PredictionRequest,
     ServiceStats,
+    _request_rows,
     _require_signatures,
     price_plan,
+    request_keys,
     values_ok,
 )
 from repro.serving.shard.health import (
     DEFAULT_RESILIENCE,
+    BreakerState,
     ResilienceConfig,
     ShardHealth,
     ShardHealthStats,
@@ -86,6 +100,9 @@ _BOUNDED_DEFAULT_COST = 1.0
 #: approximate signature per query and must not grow the router forever.
 _ROUTE_MEMO_LIMIT = 1 << 16
 
+#: An owner's slice of a shared pass that priced none of its rows.
+_NOTHING = np.empty(0, dtype=float)
+
 #: What the heuristic floor reads, off one row or (as columns) a whole table.
 _FLOOR_STATS = attrgetter(
     "input_card", "output_card", "avg_row_bytes", "partition_count"
@@ -99,8 +116,9 @@ class ShardedCleoRouter:
         predictors: ``cluster name -> CleoPredictor`` (or ``CleoService``,
             whose predictor is adopted) — the model bank of each cluster.
         n_shards: number of service shards.
-        n_workers: thread-pool width for shard fan-out; ``1`` runs shards
-            inline (still sharded caches, no threads).
+        n_workers: thread-pool width for the per-shard fan-out; ``1`` runs
+            shards inline (still sharded caches, no threads).  A call the
+            fused first rung takes runs inline whatever the width.
         replicas: virtual nodes per shard on the hash ring.
         prediction_cache_size: **per-shard** prediction-LRU capacity (each
             shard node brings its own cache memory; total capacity grows
@@ -345,6 +363,7 @@ class ShardedCleoRouter:
         compute: Callable[[int], np.ndarray],
         token: tuple[int, int],
         heuristic: Callable[[], np.ndarray],
+        first: int = 0,
     ) -> np.ndarray:
         """Walk the degradation ladder for one sub-batch.
 
@@ -355,7 +374,9 @@ class ShardedCleoRouter:
         bounded default.  Input validation errors are the caller's bug, not
         a shard failure, and re-raise immediately.  With no fault the first
         rung answers: one breaker read, the shard call, two reductions over
-        its answer, one health record.
+        its answer, one health record.  ``first=1`` starts at the first
+        retry: the owner's own rung already failed inside a fused call
+        (:meth:`_fused_cached`).
         """
         resilience = self._resilience
         if resilience is None:
@@ -380,8 +401,8 @@ class ShardedCleoRouter:
                     self._hedge_wins += 1
                 return values
         n_shards = self.ring.n_shards
-        for attempt in range(min(resilience.max_retries, n_shards - 1) + 1):
-            if attempt > 0 and time.perf_counter() > deadline:
+        for attempt in range(first, min(resilience.max_retries, n_shards - 1) + 1):
+            if attempt > first and time.perf_counter() > deadline:
                 break
             target = (shard + attempt) % n_shards
             values = self._attempt(cluster, target, attempt, compute, token)
@@ -502,6 +523,9 @@ class ShardedCleoRouter:
             lambda idx: [requests[i] for i in idx],
             lambda service, sub: service.predict_batch(sub),
             lambda sub: self._heuristic_inputs([r.features for r in sub]),
+            lambda groups: self._fused_cached(
+                cluster, groups, request_keys(requests), _request_rows(requests)
+            ),
         )
 
     def predict_inputs(self, cluster: str, table: FeatureTable) -> np.ndarray:
@@ -510,14 +534,28 @@ class ShardedCleoRouter:
         by owning shard and merged in input order.
 
         The optimizer's flushes are a dozen rows or so: they route with one
-        read of the route memo per row (:meth:`_group_rows`) and each shard's
-        rows are one gather of the table.
+        read of the route memo per row (:meth:`_group_rows`); a fused call
+        keys the table once and gathers the union of the owners' misses
+        once, and the per-shard path cuts each shard's rows with one gather.
         """
         _require_signatures(table)
         approx = table.signature_column("approx").tolist()
         groups = self._group_rows(cluster, approx)
+        cached = self._shards[0][cluster].prediction_cache_enabled
+
+        def fused(groups: list) -> "list[np.ndarray | None]":
+            if cached:
+                return self._fused_cached(cluster, groups, table.row_keys(), table.take)
+            # A cache-less service prices this table as predict_table does.
+            return self._fused_table(cluster, table, groups)
+
         return self._sharded_table(
-            cluster, table, approx, groups, lambda shard, sub: shard.predict_inputs(sub)
+            cluster,
+            table,
+            approx,
+            groups,
+            lambda shard, sub: shard.predict_inputs(sub),
+            fused,
         )
 
     def predict_table(self, cluster: str, table: FeatureTable) -> np.ndarray:
@@ -535,7 +573,12 @@ class ShardedCleoRouter:
         else:
             groups = [(int(s), np.flatnonzero(owners == s)) for s in shards]
         return self._sharded_table(
-            cluster, table, approx, groups, lambda shard, sub: shard.predict_table(sub)
+            cluster,
+            table,
+            approx,
+            groups,
+            lambda shard, sub: shard.predict_table(sub),
+            lambda groups: self._fused_table(cluster, table, groups),
         )
 
     def _sharded_table(
@@ -545,6 +588,7 @@ class ShardedCleoRouter:
         approx: "Sequence[int] | np.ndarray",
         groups: "list[tuple[int, list[int] | np.ndarray]]",
         call: Callable[[CleoService, FeatureTable], np.ndarray],
+        fused: "Callable[[list], list[np.ndarray | None]]",
     ) -> np.ndarray:
         """:meth:`_sharded` over one table: a shard's sub-batch is its rows'
         gather (the table itself when it owns them all), and the floor reads
@@ -557,6 +601,7 @@ class ShardedCleoRouter:
             lambda idx: table if len(idx) == n else table.take(idx),
             call,
             lambda sub: self._heuristic_floor(zip(*_FLOOR_STATS(sub))),
+            fused,
         )
 
     def _sharded(
@@ -567,6 +612,7 @@ class ShardedCleoRouter:
         take: Callable[["list[int] | np.ndarray"], _T],
         call: Callable[[CleoService, _T], np.ndarray],
         floor: Callable[[_T], np.ndarray],
+        fused: "Callable[[list], list[np.ndarray | None]]",
     ) -> np.ndarray:
         """The one fan-out every batched entry point runs.
 
@@ -577,9 +623,16 @@ class ShardedCleoRouter:
         sub-batch walks the degradation ladder under the fault token
         ``(rows, first row's template)`` and answers merge back in input
         order.
+
+        When :meth:`_fusable` admits the call, ``fused(groups)`` answers
+        every owner's first rung in one pass over the shared bank instead
+        (``None`` for an owner whose rung failed); such an owner walks the
+        rest of the ladder from its first retry.
         """
 
-        def price(shard: int, idx: "list[int] | np.ndarray") -> np.ndarray:
+        def price(
+            shard: int, idx: "list[int] | np.ndarray", first: int = 0
+        ) -> np.ndarray:
             sub = take(idx)
             return self._guarded(
                 cluster,
@@ -587,10 +640,17 @@ class ShardedCleoRouter:
                 lambda s: call(self._shards[s][cluster], sub),
                 (len(idx), int(approx[idx[0]])),
                 lambda: floor(sub),
+                first,
             )
 
-        tasks = [(lambda s=shard, i=idx: price(s, i)) for shard, idx in groups]
-        answers = self._fan_out(tasks, [shard for shard, _ in groups])
+        if self._fusable(groups):
+            answers = fused(groups)
+            for pos, (shard, idx) in enumerate(groups):
+                if answers[pos] is None:
+                    answers[pos] = price(shard, idx, 1)
+        else:
+            tasks = [(lambda s=shard, i=idx: price(s, i)) for shard, idx in groups]
+            answers = self._fan_out(tasks, [shard for shard, _ in groups])
         if len(groups) == 1:
             return answers[0]  # one shard owns every row, already in order
         out = np.empty(len(approx), dtype=float)
@@ -602,10 +662,26 @@ class ShardedCleoRouter:
         self, cluster: str, table: FeatureTable
     ) -> list[ResourceProfile | None]:
         """Batched Section-5.3 profiles of a table's rows, sharded and
-        merged in input order."""
+        merged in input order.
+
+        A call :meth:`_fusable` admits reads the shared bank once and
+        charges each owner the lookups of its own covered rows.
+        """
         _require_signatures(table)
         n = len(table)
         groups = self._group_rows(cluster, table.signature_column("approx").tolist())
+        if self._fusable(groups):
+            services = [self._shards[shard][cluster] for shard, _ in groups]
+            services[0]._check_table(table)
+            try:
+                profiles, _ = resource_profiles_most_specific(
+                    services[0].predictor.store, table
+                )
+            except Exception as exc:
+                raise self._fan_out_error(exc, [groups[0][0]], 0) from exc
+            for (_, idx), service in zip(groups, services):
+                service._charge_lookups(sum(profiles[i] is not None for i in idx))
+            return profiles
         out: list[ResourceProfile | None] = [None] * n
 
         def profile(shard: int, idx: list[int]) -> list[ResourceProfile | None]:
@@ -618,6 +694,164 @@ class ShardedCleoRouter:
             for i, value in zip(idx, profiles):
                 out[i] = value
         return out
+
+    # ------------------------------------------------------------------ #
+    # The fused first rung: several owners, one pass over the shared bank
+    # ------------------------------------------------------------------ #
+
+    def _fusable(self, groups: "list[tuple[int, object]]") -> bool:
+        """Whether one call's owners take the fused first rung.
+
+        Only state the router observes decides it: no fault injector (each
+        shard call is then a chaos site of its own), two or more owning
+        shards, and every owner's breaker CLOSED — the state in which
+        :meth:`ShardHealth.allow` admits a call without mutating anything.
+        """
+        if self._injector is not None or len(groups) < 2:
+            return False
+        health = self._health
+        return health is None or all(
+            health[shard].state is BreakerState.CLOSED for shard, _ in groups
+        )
+
+    def _rung_failed(self, shard: int, exc: Exception) -> None:
+        """An owner's fused first rung raised ``exc``.
+
+        Input validation errors are the caller's bug and re-raise.  The
+        fail-fast router raises a :class:`ShardError` naming the shard; the
+        hardened one records the failure and lets the owner walk its ladder
+        from the first retry.
+        """
+        if isinstance(exc, FeatureValidationError):
+            raise exc
+        if self._health is None:
+            if isinstance(exc, ShardError):
+                raise exc
+            raise self._fan_out_error(exc, [shard], 0) from exc
+        self._health[shard].record_failure(timeout=isinstance(exc, ShardTimeoutError))
+
+    def _settle(
+        self,
+        shard: int,
+        service: CleoService,
+        values: np.ndarray,
+        rows: Callable[[], FeatureTable],
+        fill: Callable[[np.ndarray], np.ndarray] | None = None,
+    ) -> np.ndarray | None:
+        """Finish one owner's fused rung on ``values``, its slice of the
+        shared pass: the owner's output validation and repair (over
+        ``rows()``), the router's own check, the owner's ``fill`` and one
+        health record.  ``None`` when the rung failed."""
+        try:
+            values = service._validated(values, rows)
+            resilience = self._resilience
+            if resilience is not None and resilience.validate_outputs:
+                if not values_ok(values):
+                    self._health[shard].record_failure()
+                    return None
+            if fill is not None:
+                values = fill(values)
+        except Exception as exc:
+            self._rung_failed(shard, exc)
+            return None
+        if self._health is not None:
+            self._health[shard].record_success()
+        return values
+
+    def _fused_cached(
+        self,
+        cluster: str,
+        groups: "list[tuple[int, list[int]]]",
+        keys: Sequence[bytes],
+        rows: Callable[[list[int]], FeatureTable],
+    ) -> "list[np.ndarray | None]":
+        """The cached entry points' fused first rung.
+
+        Every owner probes its own LRU over its rows' ``keys``; the first
+        occurrences of every owner's distinct misses (owners in shard
+        order) are packed with ``rows(positions)`` into one table, checked
+        once, and priced in one :meth:`CleoService._price_table` pass whose
+        model calls are charged to the first owner with a miss.  Each
+        owner's accounting, repair and LRU fill run through its own service
+        on its slice, so its counters are those of the per-shard path.
+        """
+        services = [self._shards[shard][cluster] for shard, _ in groups]
+        probes: list[tuple[list, dict] | None] = []
+        for (shard, idx), service in zip(groups, services):
+            try:
+                probes.append(service._probe([keys[i] for i in idx]))
+            except Exception as exc:
+                self._rung_failed(shard, exc)
+                probes.append(None)
+        firsts: list[int] = []
+        ends: list[int] = []
+        for (_, idx), probe in zip(groups, probes):
+            if probe is not None:
+                firsts.extend(idx[positions[0]] for positions in probe[1].values())
+            ends.append(len(firsts))
+        table = rows(firsts) if firsts else None
+        if table is not None:
+            services[0]._check_table(table)
+        counts: list[int] = []
+        payer = None
+        for service, probe in zip(services, probes):
+            if probe is not None:
+                counts.extend(service._charge(len(probe[0]), probe[1]))
+                if payer is None and probe[1]:
+                    payer = service
+        priced = None
+        if table is not None:
+            try:
+                priced = payer._price_table(table, counts)
+            except Exception as exc:
+                # Every owner fed the shared pass: every owner's rung failed.
+                for (shard, _), probe in zip(groups, probes):
+                    if probe is not None:
+                        self._rung_failed(shard, exc)
+                return [None] * len(groups)
+        answers: list[np.ndarray | None] = []
+        start = 0
+        for (shard, _), service, probe, end in zip(groups, services, probes, ends):
+            if probe is None:
+                answers.append(None)
+            else:
+                lo = start  # this owner's misses are rows [lo, end) of the pass
+                answers.append(
+                    self._settle(
+                        shard,
+                        service,
+                        priced[lo:end] if end > lo else _NOTHING,
+                        lambda: table.take(np.arange(lo, end)),
+                        lambda values: service._fill(*probe, values),
+                    )
+                )
+            start = end
+        return answers
+
+    def _fused_table(
+        self,
+        cluster: str,
+        table: FeatureTable,
+        groups: "list[tuple[int, list[int] | np.ndarray]]",
+    ) -> "list[np.ndarray | None]":
+        """The cache-less entry points' fused first rung: the table is
+        checked once, each owner is charged its rows' batch, predictions and
+        lookups, the table is priced in one pass (model calls charged to
+        the first owner), and each owner validates its rows' answers."""
+        services = [self._shards[shard][cluster] for shard, _ in groups]
+        services[0]._check_table(table)
+        for (_, idx), service in zip(groups, services):
+            service._charge_rows(len(idx))
+        try:
+            priced = services[0]._price_table(table)
+        except Exception as exc:
+            for shard, _ in groups:
+                self._rung_failed(shard, exc)
+            return [None] * len(groups)
+        return [
+            self._settle(shard, service, priced[idx], lambda: table.take(idx))
+            for (shard, idx), service in zip(groups, services)
+        ]
 
     def _group_rows(
         self, cluster: str, approx: Sequence[int]

@@ -514,49 +514,76 @@ class TestDegradationLadder:
 
 
 class TestFanOutFailure:
+    """A call spanning several owners takes the fused first rung, whose
+    per-shard steps are the owner's own LRU probe and fill: the fakes break
+    the owner's probe."""
+
     @pytest.fixture()
     def boom(self):
         def _raise(*args, **kwargs):
+            _raise.calls += 1
             raise RuntimeError("boom")
 
+        _raise.calls = 0
         return _raise
 
     def _owner(self, router, requests):
-        return router.shard_for("cluster1", requests[0].signatures.approx)
+        owner = router.shard_for("cluster1", requests[0].signatures.approx)
+        owners = {router.shard_for("cluster1", r.signatures.approx) for r in requests}
+        assert len(owners) > 1  # the call is fused
+        return owner
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_failure_names_the_shard(
-        self, tiny_predictor, requests, boom, monkeypatch, workers
-    ):
-        with make_router(
-            tiny_predictor, n_shards=4, n_workers=workers, resilience=None
-        ) as router:
+    def _failure_is_named(self, predictor, requests, boom, monkeypatch, step, **kwargs):
+        with make_router(predictor, n_shards=4, resilience=None, **kwargs) as router:
             shard = self._owner(router, requests)
-            monkeypatch.setattr(
-                router.service_for("cluster1", shard), "predict_batch", boom
-            )
+            monkeypatch.setattr(router.service_for("cluster1", shard), step, boom)
             with pytest.raises(ShardError) as err:
                 router.predict_batch("cluster1", requests)
             assert err.value.shard == shard
             assert "fan-out" in str(err.value)
             assert err.value.__cause__ is not None
+            assert boom.calls == 1
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_failure_names_the_shard(
+        self, tiny_predictor, requests, boom, monkeypatch, workers
+    ):
+        self._failure_is_named(
+            tiny_predictor, requests, boom, monkeypatch, "_probe", n_workers=workers
+        )
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_per_shard_failure_names_the_shard(
+        self, tiny_predictor, requests, boom, monkeypatch, workers
+    ):
+        """With an injector configured (one that injects nothing) the call
+        takes the per-shard fan-out, on the pool when ``workers > 1``, and
+        the owner's own entry point fails."""
+        self._failure_is_named(
+            tiny_predictor,
+            requests,
+            boom,
+            monkeypatch,
+            "predict_batch",
+            n_workers=workers,
+            fault_injector=FaultInjector(SCENARIOS["baseline"]),
+        )
 
     def test_pool_failure_leaves_the_router_usable(
         self, tiny_predictor, requests, baseline, boom, monkeypatch
     ):
-        """After a failed fan-out every straggler was awaited; the next
-        call on the same pool still merges bitwise-correct results."""
+        """After a failed call the next one on the same router still merges
+        bitwise-correct results."""
         expected = baseline.predict_batch(requests)
         with make_router(
             tiny_predictor, n_shards=4, n_workers=2, resilience=None
         ) as router:
             shard = self._owner(router, requests)
             service = router.service_for("cluster1", shard)
-            original = service.predict_batch
-            monkeypatch.setattr(service, "predict_batch", boom)
+            monkeypatch.setattr(service, "_probe", boom)
             with pytest.raises(ShardError):
                 router.predict_batch("cluster1", requests)
-            monkeypatch.setattr(service, "predict_batch", original)
+            monkeypatch.undo()
             assert np.array_equal(
                 router.predict_batch("cluster1", requests), expected
             )
@@ -569,11 +596,45 @@ class TestFanOutFailure:
         expected = baseline.predict_batch(requests)
         with make_router(tiny_predictor, n_shards=4, n_workers=2) as router:
             shard = self._owner(router, requests)
-            monkeypatch.setattr(
-                router.service_for("cluster1", shard), "predict_batch", boom
+            monkeypatch.setattr(router.service_for("cluster1", shard), "_probe", boom)
+            values = router.predict_batch("cluster1", requests)
+            health = router.resilience_stats()
+            stats = router.stats()
+        assert boom.calls == 1  # the fake was reached, and only by the owner
+        assert np.array_equal(values, expected)
+        assert health[shard].failures == 1
+        assert stats.retries == 1
+
+    def test_a_failed_shared_pass_walks_every_owner_down_its_ladder(
+        self, tiny_predictor, requests, baseline, monkeypatch
+    ):
+        """The one pass over the shared bank raises once: every owner that
+        fed it records one failure and answers from its first retry, bit
+        for bit."""
+        expected = baseline.predict_batch(requests)
+        price_table = CleoService._price_table
+        raised = []
+
+        def flaky(service, *args, **kwargs):
+            if not raised:
+                raised.append(service)
+                raise RuntimeError("shared pass down")
+            return price_table(service, *args, **kwargs)
+
+        monkeypatch.setattr(CleoService, "_price_table", flaky)
+        with make_router(tiny_predictor, n_shards=4) as router:
+            owners = sorted(
+                {router.shard_for("cluster1", r.signatures.approx) for r in requests}
             )
             values = router.predict_batch("cluster1", requests)
+            health = router.resilience_stats()
+            stats = router.stats()
+        assert len(raised) == 1 and len(owners) > 1
         assert np.array_equal(values, expected)
+        assert stats.retries == len(owners)
+        for h in health:
+            assert h.failures == (1 if h.shard in owners else 0)
+            assert h.state is BreakerState.CLOSED
 
 
 # ------------------------------------------------------------------ #

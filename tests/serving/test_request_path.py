@@ -103,7 +103,10 @@ class TestKeysHashedOnce:
 #: (predictions, batches, cache hits, misses, evictions, size, individual
 #: calls, combined calls, fallbacks, in-batch reuses), recorded on the commit
 #: that still had a scalar path, with the replay's single prices issued as
-#: one-row ``predict_inputs`` calls.
+#: one-row ``predict_inputs`` calls.  The 3-shard model-call columns were
+#: re-recorded when a call spanning several owners began pricing their
+#: misses in one pass charged to the first owner with a miss (every other
+#: column kept its value).
 PINNED = {
     1: {
         "fleet": (1405, 55, 643, 648, 584, 64, 1140, 30, 0, 14),
@@ -112,11 +115,11 @@ PINNED = {
         "lookups": 3810,
     },
     3: {
-        "fleet": (1405, 153, 657, 639, 447, 192, 1334, 81, 0, 9),
+        "fleet": (1405, 153, 657, 639, 447, 192, 1119, 30, 0, 9),
         "shards": [
-            (351, 49, 151, 173, 109, 64, 311, 26, 0, 0),
-            (435, 51, 201, 199, 135, 64, 423, 27, 0, 6),
-            (619, 53, 305, 267, 203, 64, 600, 28, 0, 3),
+            (351, 49, 151, 173, 109, 64, 1075, 26, 0, 0),
+            (435, 51, 201, 199, 135, 64, 38, 2, 0, 6),
+            (619, 53, 305, 267, 203, 64, 6, 2, 0, 3),
         ],
         "health_calls": [49, 51, 53],
         "lookups": 3740,
