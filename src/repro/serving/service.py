@@ -38,14 +38,17 @@ Serving-grade mechanics:
   hits: a batch is one locked probe and one locked insert, over keys that
   are each row's 104 bytes (:meth:`~repro.features.table.FeatureTable.
   row_keys`, made for a whole table in one pass); hit/miss counters
-  surface via :meth:`stats`.  The cached core is two halves around one
-  pricing pass — a *probe* half (LRU probe, input check, accounting) and a
-  *fill* half (output validation and repair, LRU insert) — so the sharded
-  router can price the misses of several shards' services in one pass
-  while each keeps its own LRU and counters (:meth:`CleoService.
-  _price_cached`).  An LRU serves only entries priced against the store's
-  current ``version``: a quarantine by any service sharing the store
-  empties every one of their LRUs on its next probe.
+  surface via :meth:`stats`.  The pricing cores (:func:`_cached_core`,
+  :func:`_table_core`, :func:`_profile_core`) take a list of *owners* —
+  ``(service, row indices)`` over one batch — and return one answer per
+  owner: each owner probes its own LRU, the union of first-seen misses is
+  checked once and priced in one bank pass, and each owner's accounting,
+  repair and LRU fill run through its own service.  A service's entry
+  points call them with one owner (itself); the sharded router calls them
+  with every owning shard's service at once.  An LRU serves only entries
+  priced against the store's current ``version``: a quarantine by any
+  service sharing the store empties every one of their LRUs on its next
+  probe.
 * **Lifecycle** — :meth:`train` / :meth:`load` / :meth:`save` /
   :meth:`deploy` wrap the trainer, the JSON model-file format, and the
   versioned :class:`~repro.core.lifecycle.ModelRegistry`.
@@ -57,7 +60,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -84,6 +87,8 @@ from repro.serving.cache import CacheStats, LRUCache
 #: Default prediction-cache capacity: comfortably holds a few optimization
 #: passes of a production-shaped recurring workload.
 DEFAULT_PREDICTION_CACHE = 65_536
+
+_T = TypeVar("_T")
 
 #: The answer of last resort when even the repair path produced garbage.
 _BOUNDED_DEFAULT_COST = 1.0
@@ -182,6 +187,17 @@ def _request_rows(
     return lambda positions: FeatureTable.from_inputs(
         [requests[i].features for i in positions],
         [requests[i].signatures for i in positions],
+    )
+
+
+def _table_rows(table: FeatureTable) -> Callable[[list[int]], FeatureTable]:
+    """The rows of ``table`` at some positions: the table itself when they
+    are all of its rows in order, else one gather."""
+    n = len(table)
+    return lambda positions: (
+        table
+        if len(positions) == n and positions == list(range(n))
+        else table.take(positions)
     )
 
 
@@ -423,12 +439,7 @@ class CleoService:
         covered profile, none for uncovered operators.
         """
         _require_signatures(table)
-        self._check_table(table)
-        profiles, n_covered = resource_profiles_most_specific(
-            self.predictor.store, table
-        )
-        self._charge_lookups(n_covered)
-        return profiles
+        return _only(_profile_core([(self, np.arange(len(table)))], table))
 
     def _charge_lookups(self, rows: int) -> None:
         """Charge ``rows`` rows of lookup accounting (five lookups each)."""
@@ -476,39 +487,9 @@ class CleoService:
         rows: Callable[[list[int]], FeatureTable],
         reference: bool = False,
     ) -> np.ndarray:
-        """The cached core every LRU-backed entry point runs.
-
-        ``keys[i]`` is row ``i``'s :meth:`~repro.features.table.FeatureTable.
-        row_keys` key and ``rows(positions)`` packs the rows at
-        ``positions`` into a table.  Two halves around one
-        :meth:`_price_table` pass over the distinct misses:
-
-        * the **probe** half — :meth:`_probe` (one locked LRU probe), the
-          input check on the first-seen misses, then :meth:`_charge`
-          (predictions, batches, in-batch reuses, lookups);
-        * the **fill** half — :meth:`_validated` on the priced misses, then
-          :meth:`_fill` (one locked insert, and the scatter into the
-          answer).
-
-        The sharded router runs the same halves itself when one call spans
-        several owning shards: every owner probes and fills its own LRU, and
-        the misses of all of them are priced in one pass.
-        """
-        values, missing = self._probe(keys)
-        table = None
-        if missing:
-            table = rows([positions[0] for positions in missing.values()])
-            # Only first-seen uncached keys pay the check (cached entries
-            # passed it before insertion), and a bad one raises before
-            # anything is counted, priced or inserted.
-            self._check_table(table)
-        counts = self._charge(len(keys), missing)
-        priced = None
-        if table is not None:
-            priced = self._validated(
-                self._price_table(table, counts, reference), lambda: table
-            )
-        return self._fill(values, missing, priced)
+        """:func:`_cached_core` with this service as the one owner of every
+        row: the LRU-backed entry points' body."""
+        return _only(_cached_core([(self, range(len(keys)))], keys, rows, reference))
 
     def _probe(self, keys: Sequence[bytes]) -> tuple[list, dict[bytes, list[int]]]:
         """One locked probe of the prediction LRU: ``(values, missing)`` as
@@ -527,8 +508,8 @@ class CleoService:
         return self._prediction_cache.get_many(keys)
 
     def _charge(self, n_requests: int, missing: dict[bytes, list[int]]) -> list[int]:
-        """The probe half's accounting; returns how many requests each
-        distinct miss answers (the fallback counter's weights).
+        """One owner's accounting in :func:`_cached_core`; returns how many
+        requests each distinct miss answers (the fallback counter's weights).
 
         Lookup accounting (and the fallback counter) charges every request
         not served from the LRU, so a cache-disabled service keeps the "five
@@ -554,9 +535,9 @@ class CleoService:
         self,
         values: list,
         missing: dict[bytes, list[int]],
-        priced: np.ndarray | None,
+        priced: np.ndarray,
     ) -> np.ndarray:
-        """The fill half: insert the priced misses (``priced[j]`` answers
+        """One owner's LRU fill: insert the priced misses (``priced[j]`` answers
         the ``j``-th key of ``missing``) and scatter them into the answer.
 
         Nothing is inserted when the store moved since :meth:`_probe` (a
@@ -600,11 +581,7 @@ class CleoService:
         :meth:`predict_batch` exactly.
         """
         _require_signatures(table)
-        self._check_table(table)
-        self._charge_rows(len(table))
-        if not len(table):
-            return np.empty(0, dtype=float)
-        return self._validated(self._price_table(table), lambda: table)
+        return _only(_table_core([(self, np.arange(len(table)))], table))
 
     def _charge_rows(self, n: int) -> None:
         """:meth:`predict_table`'s accounting: one batch of ``n`` rows, each
@@ -620,10 +597,10 @@ class CleoService:
         request_counts: Sequence[int] | None = None,
         reference: bool = False,
     ) -> np.ndarray:
-        """The table core: model pricing and model-call accounting.
+        """The bank pass: model pricing and model-call accounting.
 
-        Every batched entry point ends here — :meth:`predict_table` with its
-        rows, :meth:`predict_batch` with its distinct cache misses, where
+        Every batched entry point ends here — :func:`_table_core` with its
+        rows, :func:`_cached_core` with its distinct cache misses, where
         ``request_counts[i]`` is how many requests row ``i`` answers so the
         fallback counter charges per request — and hands the answer to
         :meth:`_validated`.  ``reference`` routes the combined model through
@@ -679,11 +656,7 @@ class CleoService:
         if not self.prediction_cache_enabled:
             return self.predict_table(table)
         _require_signatures(table)
-        n = len(table)
-        return self._price_cached(
-            table.row_keys(),
-            lambda positions: table if len(positions) == n else table.take(positions),
-        )
+        return self._price_cached(table.row_keys(), _table_rows(table))
 
     # ------------------------------------------------------------------ #
     # Boundary validation and repair
@@ -863,6 +836,168 @@ class CleoService:
             f"{self.memory_bytes / 1024:.0f} KiB, "
             f"cache {self._prediction_cache.capacity})"
         )
+
+
+# ---------------------------------------------------------------------- #
+# The pricing cores: one bank pass, for one owner or many
+# ---------------------------------------------------------------------- #
+
+#: An owner's slice of a bank pass that priced none of its rows.
+_NOTHING = np.empty(0, dtype=float)
+
+#: A core call's owners: each a service and the batch positions of its rows.
+_Owners = Sequence[tuple[CleoService, "Sequence[int] | np.ndarray"]]
+
+
+def _attempt(step: Callable[..., _T], *args: object) -> "_T | Exception":
+    """``step(*args)``, or the exception it raised: one owner's failure.
+
+    A :class:`~repro.common.errors.FeatureValidationError` is the caller's
+    bug, not an owner's, and propagates.
+    """
+    try:
+        return step(*args)
+    except FeatureValidationError:
+        raise
+    except Exception as exc:
+        return exc
+
+
+def _only(answers: "list[_T | Exception]") -> _T:
+    """A one-owner core call's answer: its values, or what its part raised."""
+    (answer,) = answers
+    if isinstance(answer, Exception):
+        raise answer
+    return answer
+
+
+def _cached_core(
+    owners: _Owners,
+    keys: Sequence[bytes],
+    rows: Callable[[list[int]], FeatureTable],
+    reference: bool = False,
+) -> "list[np.ndarray | Exception]":
+    """The cached core: one answer per owner, each owner's rows priced
+    through its own LRU.
+
+    ``keys[i]`` is batch row ``i``'s :meth:`~repro.features.table.
+    FeatureTable.row_keys` key and ``rows(positions)`` packs the batch rows
+    at ``positions`` into a table.  In order:
+
+    1. every owner probes its own LRU (:meth:`CleoService._probe`);
+    2. the first occurrences of every owner's distinct misses (owners in
+       order) are packed into one table and input-checked once, each owner
+       is charged (:meth:`CleoService._charge`), and the table is priced in
+       one :meth:`CleoService._price_table` pass whose model calls are
+       charged to the first owner with a miss;
+    3. every owner validates and repairs its slice of the pass and fills its
+       own LRU (:meth:`CleoService._validated`, :meth:`CleoService._fill`).
+
+    A probe, repair or fill that raises fails only its owner; a pass that
+    raises fails every owner that probed.
+    """
+    answers = [
+        _attempt(service._probe, [keys[i] for i in idx]) for service, idx in owners
+    ]
+    live = [j for j, probe in enumerate(answers) if not isinstance(probe, Exception)]
+    firsts: list[int] = []
+    bounds: list[tuple[int, int]] = []
+    for j in live:
+        start, idx = len(firsts), owners[j][1]
+        firsts.extend(idx[positions[0]] for positions in answers[j][1].values())
+        bounds.append((start, len(firsts)))
+    table = rows(firsts) if firsts else None
+    if table is not None:
+        # Only first-seen uncached keys pay the check (cached entries passed
+        # it before insertion).  A bad one raises before anything is priced,
+        # inserted or charged, but after the probes counted their misses.
+        owners[0][0]._check_table(table)
+    counts: list[int] = []
+    for j in live:
+        counts.extend(owners[j][0]._charge(len(answers[j][0]), answers[j][1]))
+    priced = _NOTHING
+    if table is not None:
+        payer = next(owners[j][0] for j, (lo, hi) in zip(live, bounds) if hi > lo)
+        priced = _attempt(payer._price_table, table, counts, reference)
+
+    def settle(service: CleoService, probe: tuple, lo: int, hi: int) -> np.ndarray:
+        values = service._validated(
+            priced[lo:hi], lambda: table.take(np.arange(lo, hi))
+        )
+        return service._fill(*probe, values)
+
+    for j, (lo, hi) in zip(live, bounds):
+        if isinstance(priced, Exception):
+            answers[j] = priced
+        else:
+            answers[j] = _attempt(settle, owners[j][0], answers[j], lo, hi)
+    return answers
+
+
+def _gathered(
+    owners: _Owners, table: FeatureTable
+) -> "tuple[FeatureTable, list[Sequence[int] | np.ndarray]]":
+    """The rows ``owners`` own as one table, and each owner's rows in it.
+
+    ``table`` itself when they own all of it (a service's own call, a
+    router's first rung), else one gather of their rows in owner order (a
+    ladder rung, where one shard prices its own rows).
+    """
+    sizes = [len(idx) for _, idx in owners]
+    if sum(sizes) == len(table):
+        return table, [idx for _, idx in owners]
+    ends = np.cumsum(sizes)
+    positions = np.concatenate([np.asarray(idx, dtype=np.int64) for _, idx in owners])
+    return table.take(positions), [
+        np.arange(end - size, end) for size, end in zip(sizes, ends)
+    ]
+
+
+def _table_core(owners: _Owners, table: FeatureTable) -> "list[np.ndarray | Exception]":
+    """The table core: one answer per owner, its rows priced with no LRU.
+
+    The owned rows are input-checked once, each owner is charged its rows'
+    batch, predictions and lookups (:meth:`CleoService._charge_rows`), one
+    :meth:`CleoService._price_table` pass prices them (model calls charged
+    to the first owner), and each owner validates and repairs its rows'
+    answers.  Failures split as in :func:`_cached_core`.
+    """
+    if not owners:
+        return []
+    table, slots = _gathered(owners, table)
+    payer = owners[0][0]
+    payer._check_table(table)
+    for service, idx in owners:
+        service._charge_rows(len(idx))
+    priced = _attempt(payer._price_table, table) if len(table) else _NOTHING
+    if isinstance(priced, Exception):
+        return [priced] * len(owners)
+    return [
+        _attempt(service._validated, priced[slot], lambda: table.take(slot))
+        for (service, _), slot in zip(owners, slots)
+    ]
+
+
+def _profile_core(
+    owners: _Owners, table: FeatureTable
+) -> "list[list[ResourceProfile | None] | Exception]":
+    """The profile core: one answer per owner, its rows' Section-5.3
+    profiles from one input check and one read of the shared bank; each
+    owner is charged the lookups of its own covered rows."""
+    if not owners:
+        return []
+    table, slots = _gathered(owners, table)
+    reader = owners[0][0]
+    reader._check_table(table)
+    read = _attempt(resource_profiles_most_specific, reader.predictor.store, table)
+    if isinstance(read, Exception):
+        return [read] * len(owners)
+    answers: list = []
+    for (service, _), slot in zip(owners, slots):
+        own = [read[0][i] for i in slot]
+        service._charge_lookups(sum(profile is not None for profile in own))
+        answers.append(own)
+    return answers
 
 
 def as_cost_model(model: "CostModel | CleoService") -> CostModel:

@@ -18,22 +18,24 @@ the paper's optimizer-facing deployment does (Section 5.1), but scaled out:
   so per-shard LRUs stay disjoint and in-batch deduplication keeps working
   (identical requests always share a shard).
 * **Fan-out** — batch entry points split their rows by owning shard and
-  merge answers back **in input order**.  A call several shards own takes
-  the *fused first rung* when no fault injector is configured and every
-  owner's breaker is CLOSED: each owner probes its own LRU, the union of
-  every owner's distinct misses is input-checked once and priced in **one
-  pass** over the shared bank (model calls charged to the first owner with
-  a miss), and each owner then runs its service's output validation and
-  repair on its slice, the router's answer check, its LRU fill and one
-  health record.  LRUs, counters, breakers, quarantine ledgers and ladders
-  stay per shard, and each owner's counters are those of the per-shard
-  path.  Otherwise — an injector, one owning shard, or an owner's breaker
-  not CLOSED — each owner's rows go through its own service's entry point,
-  on a thread pool when ``n_workers > 1``.  Every per-row computation in
-  the packed runtime is batch-size invariant, so the merged predictions
-  are bitwise identical to one single-process :class:`~repro.serving.
-  service.CleoService` pricing the whole batch — the property the serving
-  load test asserts as ``predictions_bitwise_identical``.
+  merge answers back **in input order**.  Every shard call is a call into
+  the service module's pricing cores with ``(service, row indices)``
+  owners: each owner probes its own LRU, the union of their distinct
+  misses is input-checked once and priced in one pass over the shared
+  bank, and each owner's accounting, output repair and LRU fill run
+  through its own service.  A call with no fault injector whose owners'
+  breakers are all CLOSED runs its *first rung* as one core call with
+  every owner; each owner's answer then makes one health record, and an
+  owner that failed walks its degradation ladder from the first retry.  Under an injector, or with an owner's breaker not
+  CLOSED, each owner walks its own ladder, every rung a one-owner core
+  call (on a thread pool when ``n_workers > 1``).  LRUs, counters,
+  breakers, quarantine ledgers and ladders stay per shard, and each
+  owner's counters are those a standalone service fed only its rows would
+  show.  Every per-row computation in the packed runtime is batch-size
+  invariant, so the merged predictions are bitwise identical to one
+  single-process :class:`~repro.serving.service.CleoService` pricing the
+  whole batch — the property the serving load test asserts as
+  ``predictions_bitwise_identical``.
 
 Like the service, the router speaks only rows (plus ``predict_plan``, the
 load replays' whole-plan request), and a single price is a one-row batch:
@@ -61,7 +63,6 @@ from repro.common.errors import (
     ShardTimeoutError,
 )
 from repro.core.learned_model import _MAX_PREDICT_SECONDS, ResourceProfile
-from repro.core.packed import resource_profiles_most_specific
 from repro.core.predictor import CleoPredictor
 from repro.cost.default_model import DefaultCostModel
 from repro.cost.interface import CostModel
@@ -75,8 +76,13 @@ from repro.serving.service import (
     CleoService,
     PredictionRequest,
     ServiceStats,
+    _cached_core,
+    _only,
+    _profile_core,
     _request_rows,
     _require_signatures,
+    _table_core,
+    _table_rows,
     price_plan,
     request_keys,
     values_ok,
@@ -100,9 +106,6 @@ _BOUNDED_DEFAULT_COST = 1.0
 #: approximate signature per query and must not grow the router forever.
 _ROUTE_MEMO_LIMIT = 1 << 16
 
-#: An owner's slice of a shared pass that priced none of its rows.
-_NOTHING = np.empty(0, dtype=float)
-
 #: What the heuristic floor reads, off one row or (as columns) a whole table.
 _FLOOR_STATS = attrgetter(
     "input_card", "output_card", "avg_row_bytes", "partition_count"
@@ -116,9 +119,11 @@ class ShardedCleoRouter:
         predictors: ``cluster name -> CleoPredictor`` (or ``CleoService``,
             whose predictor is adopted) — the model bank of each cluster.
         n_shards: number of service shards.
-        n_workers: thread-pool width for the per-shard fan-out; ``1`` runs
-            shards inline (still sharded caches, no threads).  A call the
-            fused first rung takes runs inline whatever the width.
+        n_workers: thread-pool width for the per-owner ladders of a call
+            under a fault injector or a breaker that is not CLOSED; ``1``
+            runs them inline (still sharded caches, no threads).  Every
+            other call prices all its owners in one inline core call,
+            whatever the width.
         replicas: virtual nodes per shard on the hash ring.
         prediction_cache_size: **per-shard** prediction-LRU capacity (each
             shard node brings its own cache memory; total capacity grows
@@ -135,7 +140,9 @@ class ShardedCleoRouter:
     shards whose circuit breaker is open, within ``deadline_s``), then a
     heuristic :class:`~repro.cost.default_model.DefaultCostModel` floor,
     then a bounded default.  Shard answers are validated (finite,
-    non-negative) before being accepted.  With no faults injected the
+    non-negative) before being accepted: on a ladder rung by the router
+    (``validate_outputs``), on the first rung every owner shares by the
+    owner's own output validation.  With no faults injected the
     ladder's first rung always answers, so outputs and ``ServiceStats``
     stay bitwise/counter-identical to the fail-fast router.
     """
@@ -375,8 +382,8 @@ class ShardedCleoRouter:
         a shard failure, and re-raise immediately.  With no fault the first
         rung answers: one breaker read, the shard call, two reductions over
         its answer, one health record.  ``first=1`` starts at the first
-        retry: the owner's own rung already failed inside a fused call
-        (:meth:`_fused_cached`).
+        retry: the owner's own rung already failed on the first rung every
+        owner shared (:meth:`_sharded`).
         """
         resilience = self._resilience
         if resilience is None:
@@ -510,146 +517,110 @@ class ShardedCleoRouter:
     ) -> np.ndarray:
         """A request batch, split by owning shard and merged in input order.
 
-        Identical requests share a template, hence a shard, so the
-        per-shard in-batch deduplication of
-        :meth:`~repro.serving.service.CleoService.predict_batch` sees every
-        duplicate pair a single service would.
+        Identical requests share a template, hence a shard, so each owner's
+        in-batch deduplication sees every duplicate pair a single service
+        would.
         """
         approx = [request.signatures.approx for request in requests]
+        keys, rows = request_keys(requests), _request_rows(requests)
         return self._sharded(
             cluster,
             approx,
             self._group_rows(cluster, approx),
-            lambda idx: [requests[i] for i in idx],
-            lambda service, sub: service.predict_batch(sub),
-            lambda sub: self._heuristic_inputs([r.features for r in sub]),
-            lambda groups: self._fused_cached(
-                cluster, groups, request_keys(requests), _request_rows(requests)
-            ),
+            lambda owners: _cached_core(owners, keys, rows),
+            lambda idx: self._heuristic_inputs([requests[i].features for i in idx]),
         )
 
     def predict_inputs(self, cluster: str, table: FeatureTable) -> np.ndarray:
-        """A signature-bearing table through each shard's cached entry
-        (:meth:`~repro.serving.service.CleoService.predict_inputs`), split
-        by owning shard and merged in input order.
+        """A signature-bearing table through each owning shard's LRU (the
+        cached core :meth:`~repro.serving.service.CleoService.predict_inputs`
+        runs), merged in input order.
 
         The optimizer's flushes are a dozen rows or so: they route with one
-        read of the route memo per row (:meth:`_group_rows`); a fused call
-        keys the table once and gathers the union of the owners' misses
-        once, and the per-shard path cuts each shard's rows with one gather.
+        read of the route memo per row (:meth:`_group_rows`), the table is
+        keyed once, and the owners' misses are cut out of it with one
+        gather.  With caching disabled the rows go through the table core,
+        as a cache-less service's ``predict_inputs`` does.
         """
         _require_signatures(table)
         approx = table.signature_column("approx").tolist()
         groups = self._group_rows(cluster, approx)
-        cached = self._shards[0][cluster].prediction_cache_enabled
-
-        def fused(groups: list) -> "list[np.ndarray | None]":
-            if cached:
-                return self._fused_cached(cluster, groups, table.row_keys(), table.take)
-            # A cache-less service prices this table as predict_table does.
-            return self._fused_table(cluster, table, groups)
-
-        return self._sharded_table(
-            cluster,
-            table,
-            approx,
-            groups,
-            lambda shard, sub: shard.predict_inputs(sub),
-            fused,
+        floor = self._table_floor(table)
+        if not self._shards[0][cluster].prediction_cache_enabled:
+            return self._sharded(
+                cluster, approx, groups, lambda owners: _table_core(owners, table), floor
+            )
+        keys, rows = table.row_keys(), _table_rows(table)
+        return self._sharded(
+            cluster, approx, groups, lambda owners: _cached_core(owners, keys, rows), floor
         )
 
     def predict_table(self, cluster: str, table: FeatureTable) -> np.ndarray:
         """A whole signature-bearing table, split by shard with array ops."""
         self._check_cluster(cluster)
         _require_signatures(table)
-        n = len(table)
-        if n == 0:
-            return self._shards[0][cluster].predict_table(table)
         approx = table.signature_column("approx")
-        owners = self._shards_for_column(cluster, approx)
-        shards = np.unique(owners)
-        if len(shards) == 1:
-            groups = [(int(shards[0]), np.arange(n, dtype=np.int64))]
-        else:
-            groups = [(int(s), np.flatnonzero(owners == s)) for s in shards]
-        return self._sharded_table(
-            cluster,
-            table,
-            approx,
-            groups,
-            lambda shard, sub: shard.predict_table(sub),
-            lambda groups: self._fused_table(cluster, table, groups),
-        )
-
-    def _sharded_table(
-        self,
-        cluster: str,
-        table: FeatureTable,
-        approx: "Sequence[int] | np.ndarray",
-        groups: "list[tuple[int, list[int] | np.ndarray]]",
-        call: Callable[[CleoService, FeatureTable], np.ndarray],
-        fused: "Callable[[list], list[np.ndarray | None]]",
-    ) -> np.ndarray:
-        """:meth:`_sharded` over one table: a shard's sub-batch is its rows'
-        gather (the table itself when it owns them all), and the floor reads
-        the table's columns."""
-        n = len(table)
+        row_shards = self._shards_for_column(cluster, approx)
         return self._sharded(
             cluster,
             approx,
-            groups,
-            lambda idx: table if len(idx) == n else table.take(idx),
-            call,
-            lambda sub: self._heuristic_floor(zip(*_FLOOR_STATS(sub))),
-            fused,
+            [(int(s), np.flatnonzero(row_shards == s)) for s in np.unique(row_shards)],
+            lambda owners: _table_core(owners, table),
+            self._table_floor(table),
         )
+
+    def _table_floor(self, table: FeatureTable) -> Callable[[np.ndarray], np.ndarray]:
+        """The heuristic floor of some of ``table``'s rows, from its columns."""
+        return lambda idx: self._heuristic_floor(zip(*_FLOOR_STATS(table.take(idx))))
 
     def _sharded(
         self,
         cluster: str,
         approx: "Sequence[int] | np.ndarray",
         groups: "list[tuple[int, list[int] | np.ndarray]]",
-        take: Callable[["list[int] | np.ndarray"], _T],
-        call: Callable[[CleoService, _T], np.ndarray],
-        floor: Callable[[_T], np.ndarray],
-        fused: "Callable[[list], list[np.ndarray | None]]",
+        price: "Callable[[list], list[np.ndarray | Exception]]",
+        floor: "Callable[[list[int] | np.ndarray], np.ndarray]",
     ) -> np.ndarray:
         """The one fan-out every batched entry point runs.
 
         ``groups`` holds each owning shard's row indices (shards ascending,
-        rows in input order) over the ``approx`` column; ``take(idx)`` cuts
-        that shard's sub-batch, ``call(service, sub)`` prices it on one
-        shard's service and ``floor(sub)`` is its heuristic floor.  Every
-        sub-batch walks the degradation ladder under the fault token
-        ``(rows, first row's template)`` and answers merge back in input
-        order.
+        rows in input order) over the ``approx`` column.  ``price(owners)``
+        is a service-module pricing core over ``(service, row indices)``
+        owners — one answer per owner, its values or the exception its part
+        raised — and ``floor(idx)`` is the heuristic floor of some rows.
 
-        When :meth:`_fusable` admits the call, ``fused(groups)`` answers
-        every owner's first rung in one pass over the shared bank instead
-        (``None`` for an owner whose rung failed); such an owner walks the
-        rest of the ladder from its first retry.
+        When :meth:`_fusable` admits the call, its first rung is one
+        ``price`` call with every owner; each owner's answer is settled by
+        :meth:`_settle`, and an owner whose rung failed walks the rest of
+        the ladder from its first retry.  Otherwise every owner walks its
+        own ladder under the fault token ``(rows, first row's template)``.
+        Every ladder rung is a one-owner ``price`` call on the rung's
+        shard.  Answers merge back in input order; a call with no rows has
+        no owner and charges no shard.
         """
+        shards = self._shards
 
-        def price(
-            shard: int, idx: "list[int] | np.ndarray", first: int = 0
-        ) -> np.ndarray:
-            sub = take(idx)
+        def ladder(shard: int, idx: "list[int] | np.ndarray", first: int = 0):
             return self._guarded(
                 cluster,
                 shard,
-                lambda s: call(self._shards[s][cluster], sub),
+                lambda s: _only(price([(shards[s][cluster], idx)])),
                 (len(idx), int(approx[idx[0]])),
-                lambda: floor(sub),
+                lambda: floor(idx),
                 first,
             )
 
         if self._fusable(groups):
-            answers = fused(groups)
+            answers = price([(shards[shard][cluster], idx) for shard, idx in groups])
+            answers = [
+                self._settle(shard, answer)
+                for (shard, _), answer in zip(groups, answers)
+            ]
             for pos, (shard, idx) in enumerate(groups):
                 if answers[pos] is None:
-                    answers[pos] = price(shard, idx, 1)
+                    answers[pos] = ladder(shard, idx, 1)
         else:
-            tasks = [(lambda s=shard, i=idx: price(s, i)) for shard, idx in groups]
+            tasks = [(lambda s=shard, i=idx: ladder(s, i)) for shard, idx in groups]
             answers = self._fan_out(tasks, [shard for shard, _ in groups])
         if len(groups) == 1:
             return answers[0]  # one shard owns every row, already in order
@@ -662,196 +633,64 @@ class ShardedCleoRouter:
         self, cluster: str, table: FeatureTable
     ) -> list[ResourceProfile | None]:
         """Batched Section-5.3 profiles of a table's rows, sharded and
-        merged in input order.
-
-        A call :meth:`_fusable` admits reads the shared bank once and
-        charges each owner the lookups of its own covered rows.
-        """
+        merged in input order: one read of the shared bank, each owner
+        charged the lookups of its own covered rows (the profile core)."""
         _require_signatures(table)
-        n = len(table)
         groups = self._group_rows(cluster, table.signature_column("approx").tolist())
-        if self._fusable(groups):
-            services = [self._shards[shard][cluster] for shard, _ in groups]
-            services[0]._check_table(table)
-            try:
-                profiles, _ = resource_profiles_most_specific(
-                    services[0].predictor.store, table
-                )
-            except Exception as exc:
-                raise self._fan_out_error(exc, [groups[0][0]], 0) from exc
-            for (_, idx), service in zip(groups, services):
-                service._charge_lookups(sum(profiles[i] is not None for i in idx))
-            return profiles
-        out: list[ResourceProfile | None] = [None] * n
-
-        def profile(shard: int, idx: list[int]) -> list[ResourceProfile | None]:
-            sub = table if len(idx) == n else table.take(idx)
-            return self._shards[shard][cluster].resource_profiles(sub)
-
-        tasks = [(lambda s=shard, i=idx: profile(s, i)) for shard, idx in groups]
-        shards = [shard for shard, _ in groups]
-        for (_, idx), profiles in zip(groups, self._fan_out(tasks, shards)):
-            for i, value in zip(idx, profiles):
-                out[i] = value
+        answers = _profile_core(
+            [(self._shards[shard][cluster], idx) for shard, idx in groups], table
+        )
+        out: list[ResourceProfile | None] = [None] * len(table)
+        for (shard, idx), answer in zip(groups, answers):
+            if isinstance(answer, Exception):
+                raise self._fan_out_error(answer, [shard], 0) from answer
+            for i, profile in zip(idx, answer):
+                out[i] = profile
         return out
 
     # ------------------------------------------------------------------ #
-    # The fused first rung: several owners, one pass over the shared bank
+    # The first rung every owner shares
     # ------------------------------------------------------------------ #
 
     def _fusable(self, groups: "list[tuple[int, object]]") -> bool:
-        """Whether one call's owners take the fused first rung.
+        """Whether one call's owners share one first-rung core call.
 
         Only state the router observes decides it: no fault injector (each
-        shard call is then a chaos site of its own), two or more owning
-        shards, and every owner's breaker CLOSED — the state in which
-        :meth:`ShardHealth.allow` admits a call without mutating anything.
+        shard call is then a chaos site of its own) and every owner's
+        breaker CLOSED — the state in which :meth:`ShardHealth.allow`
+        admits a call without mutating anything.
         """
-        if self._injector is not None or len(groups) < 2:
+        if self._injector is not None:
             return False
         health = self._health
         return health is None or all(
             health[shard].state is BreakerState.CLOSED for shard, _ in groups
         )
 
-    def _rung_failed(self, shard: int, exc: Exception) -> None:
-        """An owner's fused first rung raised ``exc``.
-
-        Input validation errors are the caller's bug and re-raise.  The
-        fail-fast router raises a :class:`ShardError` naming the shard; the
-        hardened one records the failure and lets the owner walk its ladder
-        from the first retry.
-        """
-        if isinstance(exc, FeatureValidationError):
-            raise exc
-        if self._health is None:
-            if isinstance(exc, ShardError):
-                raise exc
-            raise self._fan_out_error(exc, [shard], 0) from exc
-        self._health[shard].record_failure(timeout=isinstance(exc, ShardTimeoutError))
-
     def _settle(
-        self,
-        shard: int,
-        service: CleoService,
-        values: np.ndarray,
-        rows: Callable[[], FeatureTable],
-        fill: Callable[[np.ndarray], np.ndarray] | None = None,
+        self, shard: int, answer: "np.ndarray | Exception"
     ) -> np.ndarray | None:
-        """Finish one owner's fused rung on ``values``, its slice of the
-        shared pass: the owner's output validation and repair (over
-        ``rows()``), the router's own check, the owner's ``fill`` and one
-        health record.  ``None`` when the rung failed."""
-        try:
-            values = service._validated(values, rows)
-            resilience = self._resilience
-            if resilience is not None and resilience.validate_outputs:
-                if not values_ok(values):
-                    self._health[shard].record_failure()
-                    return None
-            if fill is not None:
-                values = fill(values)
-        except Exception as exc:
-            self._rung_failed(shard, exc)
-            return None
-        if self._health is not None:
-            self._health[shard].record_success()
-        return values
+        """One owner's first-rung ``answer`` and its one health record;
+        ``None`` when the rung failed.
 
-    def _fused_cached(
-        self,
-        cluster: str,
-        groups: "list[tuple[int, list[int]]]",
-        keys: Sequence[bytes],
-        rows: Callable[[list[int]], FeatureTable],
-    ) -> "list[np.ndarray | None]":
-        """The cached entry points' fused first rung.
-
-        Every owner probes its own LRU over its rows' ``keys``; the first
-        occurrences of every owner's distinct misses (owners in shard
-        order) are packed with ``rows(positions)`` into one table, checked
-        once, and priced in one :meth:`CleoService._price_table` pass whose
-        model calls are charged to the first owner with a miss.  Each
-        owner's accounting, repair and LRU fill run through its own service
-        on its slice, so its counters are those of the per-shard path.
+        The fail-fast router raises a failure as a :class:`ShardError`
+        naming the shard; the hardened one records it, and the owner walks
+        its ladder from the first retry.  Values need no answer check here:
+        each one passed its owner's output validation (on in every service
+        the router builds) before the core returned or cached it, and no
+        injector sits between the core and this rung.
         """
-        services = [self._shards[shard][cluster] for shard, _ in groups]
-        probes: list[tuple[list, dict] | None] = []
-        for (shard, idx), service in zip(groups, services):
-            try:
-                probes.append(service._probe([keys[i] for i in idx]))
-            except Exception as exc:
-                self._rung_failed(shard, exc)
-                probes.append(None)
-        firsts: list[int] = []
-        ends: list[int] = []
-        for (_, idx), probe in zip(groups, probes):
-            if probe is not None:
-                firsts.extend(idx[positions[0]] for positions in probe[1].values())
-            ends.append(len(firsts))
-        table = rows(firsts) if firsts else None
-        if table is not None:
-            services[0]._check_table(table)
-        counts: list[int] = []
-        payer = None
-        for service, probe in zip(services, probes):
-            if probe is not None:
-                counts.extend(service._charge(len(probe[0]), probe[1]))
-                if payer is None and probe[1]:
-                    payer = service
-        priced = None
-        if table is not None:
-            try:
-                priced = payer._price_table(table, counts)
-            except Exception as exc:
-                # Every owner fed the shared pass: every owner's rung failed.
-                for (shard, _), probe in zip(groups, probes):
-                    if probe is not None:
-                        self._rung_failed(shard, exc)
-                return [None] * len(groups)
-        answers: list[np.ndarray | None] = []
-        start = 0
-        for (shard, _), service, probe, end in zip(groups, services, probes, ends):
-            if probe is None:
-                answers.append(None)
-            else:
-                lo = start  # this owner's misses are rows [lo, end) of the pass
-                answers.append(
-                    self._settle(
-                        shard,
-                        service,
-                        priced[lo:end] if end > lo else _NOTHING,
-                        lambda: table.take(np.arange(lo, end)),
-                        lambda values: service._fill(*probe, values),
-                    )
-                )
-            start = end
-        return answers
-
-    def _fused_table(
-        self,
-        cluster: str,
-        table: FeatureTable,
-        groups: "list[tuple[int, list[int] | np.ndarray]]",
-    ) -> "list[np.ndarray | None]":
-        """The cache-less entry points' fused first rung: the table is
-        checked once, each owner is charged its rows' batch, predictions and
-        lookups, the table is priced in one pass (model calls charged to
-        the first owner), and each owner validates its rows' answers."""
-        services = [self._shards[shard][cluster] for shard, _ in groups]
-        services[0]._check_table(table)
-        for (_, idx), service in zip(groups, services):
-            service._charge_rows(len(idx))
-        try:
-            priced = services[0]._price_table(table)
-        except Exception as exc:
-            for shard, _ in groups:
-                self._rung_failed(shard, exc)
-            return [None] * len(groups)
-        return [
-            self._settle(shard, service, priced[idx], lambda: table.take(idx))
-            for (shard, idx), service in zip(groups, services)
-        ]
+        health = self._health
+        if isinstance(answer, Exception):
+            if health is None:
+                if isinstance(answer, ShardError):
+                    raise answer
+                raise self._fan_out_error(answer, [shard], 0) from answer
+            health[shard].record_failure(timeout=isinstance(answer, ShardTimeoutError))
+            return None
+        if health is not None:
+            health[shard].record_success()
+        return answer
 
     def _group_rows(
         self, cluster: str, approx: Sequence[int]

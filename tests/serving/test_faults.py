@@ -514,9 +514,10 @@ class TestDegradationLadder:
 
 
 class TestFanOutFailure:
-    """A call spanning several owners takes the fused first rung, whose
-    per-shard steps are the owner's own LRU probe and fill: the fakes break
-    the owner's probe."""
+    """Every shard call is a call into the service module's pricing cores,
+    whose per-owner steps are the owner's own LRU probe and fill: the fakes
+    break the owner's probe.  Each test runs on a batch several shards own
+    and on one a single shard owns (every request of one template)."""
 
     @pytest.fixture()
     def boom(self):
@@ -527,18 +528,26 @@ class TestFanOutFailure:
         _raise.calls = 0
         return _raise
 
-    def _owner(self, router, requests):
-        owner = router.shard_for("cluster1", requests[0].signatures.approx)
-        owners = {router.shard_for("cluster1", r.signatures.approx) for r in requests}
-        assert len(owners) > 1  # the call is fused
+    @pytest.fixture(params=[False, True], ids=["several-owners", "one-owner"])
+    def batch(self, request, requests):
+        if not request.param:
+            return requests
+        template = requests[0].signatures.approx
+        return [r for r in requests if r.signatures.approx == template]
+
+    def _owner(self, router, batch):
+        owner = router.shard_for("cluster1", batch[0].signatures.approx)
+        owners = {router.shard_for("cluster1", r.signatures.approx) for r in batch}
+        one_template = len({r.signatures.approx for r in batch}) == 1
+        assert (len(owners) == 1) == one_template
         return owner
 
-    def _failure_is_named(self, predictor, requests, boom, monkeypatch, step, **kwargs):
+    def _failure_is_named(self, predictor, batch, boom, monkeypatch, **kwargs):
         with make_router(predictor, n_shards=4, resilience=None, **kwargs) as router:
-            shard = self._owner(router, requests)
-            monkeypatch.setattr(router.service_for("cluster1", shard), step, boom)
+            shard = self._owner(router, batch)
+            monkeypatch.setattr(router.service_for("cluster1", shard), "_probe", boom)
             with pytest.raises(ShardError) as err:
-                router.predict_batch("cluster1", requests)
+                router.predict_batch("cluster1", batch)
             assert err.value.shard == shard
             assert "fan-out" in str(err.value)
             assert err.value.__cause__ is not None
@@ -546,58 +555,55 @@ class TestFanOutFailure:
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_failure_names_the_shard(
-        self, tiny_predictor, requests, boom, monkeypatch, workers
+        self, tiny_predictor, batch, boom, monkeypatch, workers
     ):
         self._failure_is_named(
-            tiny_predictor, requests, boom, monkeypatch, "_probe", n_workers=workers
+            tiny_predictor, batch, boom, monkeypatch, n_workers=workers
         )
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_per_shard_failure_names_the_shard(
-        self, tiny_predictor, requests, boom, monkeypatch, workers
+        self, tiny_predictor, batch, boom, monkeypatch, workers
     ):
-        """With an injector configured (one that injects nothing) the call
-        takes the per-shard fan-out, on the pool when ``workers > 1``, and
-        the owner's own entry point fails."""
+        """With an injector configured (one that injects nothing) every
+        owner walks its own ladder, on the pool when ``workers > 1``, and
+        the owner's one-owner core call fails."""
         self._failure_is_named(
             tiny_predictor,
-            requests,
+            batch,
             boom,
             monkeypatch,
-            "predict_batch",
             n_workers=workers,
             fault_injector=FaultInjector(SCENARIOS["baseline"]),
         )
 
     def test_pool_failure_leaves_the_router_usable(
-        self, tiny_predictor, requests, baseline, boom, monkeypatch
+        self, tiny_predictor, batch, baseline, boom, monkeypatch
     ):
         """After a failed call the next one on the same router still merges
         bitwise-correct results."""
-        expected = baseline.predict_batch(requests)
+        expected = baseline.predict_batch(batch)
         with make_router(
             tiny_predictor, n_shards=4, n_workers=2, resilience=None
         ) as router:
-            shard = self._owner(router, requests)
+            shard = self._owner(router, batch)
             service = router.service_for("cluster1", shard)
             monkeypatch.setattr(service, "_probe", boom)
             with pytest.raises(ShardError):
-                router.predict_batch("cluster1", requests)
+                router.predict_batch("cluster1", batch)
             monkeypatch.undo()
-            assert np.array_equal(
-                router.predict_batch("cluster1", requests), expected
-            )
+            assert np.array_equal(router.predict_batch("cluster1", batch), expected)
 
     def test_ladder_contains_what_fan_out_would_propagate(
-        self, tiny_predictor, requests, baseline, boom, monkeypatch
+        self, tiny_predictor, batch, baseline, boom, monkeypatch
     ):
         """The same dead shard that aborts the fail-fast router is absorbed
         by the hardened router's ladder."""
-        expected = baseline.predict_batch(requests)
+        expected = baseline.predict_batch(batch)
         with make_router(tiny_predictor, n_shards=4, n_workers=2) as router:
-            shard = self._owner(router, requests)
+            shard = self._owner(router, batch)
             monkeypatch.setattr(router.service_for("cluster1", shard), "_probe", boom)
-            values = router.predict_batch("cluster1", requests)
+            values = router.predict_batch("cluster1", batch)
             health = router.resilience_stats()
             stats = router.stats()
         assert boom.calls == 1  # the fake was reached, and only by the owner
@@ -606,12 +612,12 @@ class TestFanOutFailure:
         assert stats.retries == 1
 
     def test_a_failed_shared_pass_walks_every_owner_down_its_ladder(
-        self, tiny_predictor, requests, baseline, monkeypatch
+        self, tiny_predictor, batch, baseline, monkeypatch
     ):
         """The one pass over the shared bank raises once: every owner that
         fed it records one failure and answers from its first retry, bit
         for bit."""
-        expected = baseline.predict_batch(requests)
+        expected = baseline.predict_batch(batch)
         price_table = CleoService._price_table
         raised = []
 
@@ -623,13 +629,14 @@ class TestFanOutFailure:
 
         monkeypatch.setattr(CleoService, "_price_table", flaky)
         with make_router(tiny_predictor, n_shards=4) as router:
+            self._owner(router, batch)
             owners = sorted(
-                {router.shard_for("cluster1", r.signatures.approx) for r in requests}
+                {router.shard_for("cluster1", r.signatures.approx) for r in batch}
             )
-            values = router.predict_batch("cluster1", requests)
+            values = router.predict_batch("cluster1", batch)
             health = router.resilience_stats()
             stats = router.stats()
-        assert len(raised) == 1 and len(owners) > 1
+        assert len(raised) == 1
         assert np.array_equal(values, expected)
         assert stats.retries == len(owners)
         for h in health:

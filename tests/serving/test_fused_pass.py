@@ -1,11 +1,12 @@
 """One router call, one pass over the shared bank.
 
-A zero-fault call that spans several owning shards prices the cache misses
-of all of them together, while each shard keeps its own LRU, counters and
-breaker.  These tests hold that fused pass to independent oracles — a
-cache-less :class:`CleoService` for the values and, per shard, a standalone
-service fed only that shard's rows for the counters — and pin the quarantine
-semantics of services that share one store.
+A zero-fault call prices the cache misses of all its owning shards
+together, while each shard keeps its own LRU, counters and breaker; under a
+fault injector every owner prices its own rows on its own ladder through
+the same pricing core.  These tests hold both paths to independent oracles
+— a cache-less :class:`CleoService` for the values and, per shard, a
+standalone service fed only that shard's rows for the counters — and pin
+the quarantine semantics of services that share one store.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.core.predictor import CleoPredictor
 from repro.features.featurizer import feature_vector
 from repro.features.table import FeatureTable
 from repro.serving import CleoService, PredictionRequest
+from repro.serving.faults import SCENARIOS, FaultInjector
 from repro.serving.shard import ShardedCleoRouter
 
 CLUSTER = "cluster1"
@@ -101,6 +103,11 @@ calls = st.lists(
 
 
 class TestFusedPassAgainstOracles:
+    """``injected`` configures a :class:`FaultInjector` that injects nothing:
+    every owner then walks its own ladder, each rung a one-owner core call,
+    and must meet the same oracles."""
+
+    @pytest.mark.parametrize("injected", [False, True], ids=["shared", "per-owner"])
     @settings(max_examples=60, deadline=None)
     @given(
         n_shards=st.integers(1, 4),
@@ -109,7 +116,7 @@ class TestFusedPassAgainstOracles:
         script=calls,
     )
     def test_values_and_every_shards_counters(
-        self, pool, predictors, n_shards, cache_size, store_only, script
+        self, pool, predictors, injected, n_shards, cache_size, store_only, script
     ):
         predictor = predictors[store_only]
         oracle = CleoService(_view(predictor), prediction_cache_size=0)
@@ -117,6 +124,7 @@ class TestFusedPassAgainstOracles:
             {CLUSTER: predictor},
             n_shards=n_shards,
             prediction_cache_size=cache_size,
+            fault_injector=FaultInjector(SCENARIOS["baseline"]) if injected else None,
         ) as router:
             alone = [
                 CleoService(_view(predictor), prediction_cache_size=cache_size)
@@ -147,6 +155,27 @@ class TestFusedPassAgainstOracles:
             assert all(h.failures == 0 for h in health)
             stats = router.stats()
             assert (stats.retries, stats.degraded_predictions) == (0, 0)
+
+
+class TestEmptyCall:
+    @pytest.mark.parametrize("cache_size", [0, 1024])
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_no_rows_no_owner_no_charge(self, predictors, entry, n_shards, cache_size):
+        """A call with no rows has no owner: it charges no shard and
+        records no health call."""
+        with ShardedCleoRouter(
+            {CLUSTER: predictors[0]},
+            n_shards=n_shards,
+            prediction_cache_size=cache_size,
+        ) as router:
+            got = _call(router, entry, [], CLUSTER)
+            stats = router.stats()
+            health = router.resilience_stats()
+        assert len(got) == 0
+        assert (stats.batches, stats.predictions) == (0, 0)
+        assert router.lookup_count == 0
+        assert [h.calls for h in health] == [0] * n_shards
 
 
 # ------------------------------------------------------------------ #
