@@ -16,8 +16,9 @@ with a self-contained AST lint pass:
   (:mod:`repro.analysis.baseline`);
 * deterministic text and JSON reporters (:mod:`repro.analysis.reporters`)
   whose output is byte-identical across PYTHONHASHSEED values;
-* five repo-specific rules (:mod:`repro.analysis.rules`): hashseed-hazard,
-  wallclock-rng, float-reduction, lock-discipline, reference-parity.
+* six repo-specific rules (:mod:`repro.analysis.rules`): hashseed-hazard,
+  wallclock-rng, float-reduction, lock-discipline, reference-parity,
+  closure-cycle.
 
 Run it as ``repro lint`` (or ``python scripts/lint.py``); CI fails on any
 non-baselined finding.

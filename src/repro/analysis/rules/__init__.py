@@ -1,4 +1,4 @@
-"""The five repo-specific determinism/concurrency rules.
+"""The six repo-specific determinism/concurrency/memory rules.
 
 Each rule is scoped by default to the modules where its invariant is
 load-bearing (see the ``default_scope`` on each class); self-tests run them
@@ -8,6 +8,7 @@ unscoped over fixtures.
 from __future__ import annotations
 
 from repro.analysis.framework import Rule
+from repro.analysis.rules.closurecycle import ClosureCycleRule
 from repro.analysis.rules.floatred import FloatReductionRule
 from repro.analysis.rules.hashseed import HashSeedHazardRule
 from repro.analysis.rules.locks import LockDisciplineRule
@@ -16,6 +17,7 @@ from repro.analysis.rules.wallclock import WallClockRngRule
 
 #: Registry order is alphabetical by rule name; the runner re-sorts anyway.
 ALL_RULES: tuple[Rule, ...] = (
+    ClosureCycleRule(),
     FloatReductionRule(),
     HashSeedHazardRule(),
     LockDisciplineRule(),
@@ -26,6 +28,7 @@ ALL_RULES: tuple[Rule, ...] = (
 
 __all__ = [
     "ALL_RULES",
+    "ClosureCycleRule",
     "FloatReductionRule",
     "HashSeedHazardRule",
     "LockDisciplineRule",

@@ -257,21 +257,27 @@ class LockDisciplineRule(Rule):
         method: ast.FunctionDef | ast.AsyncFunctionDef,
         out: list[_Mutation],
     ) -> None:
-        def walk(node: ast.AST, locked: bool) -> None:
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                inside = locked or any(
-                    _is_lock_expr(item.context_expr) for item in node.items
-                )
-                for stmt in node.body:
-                    walk(stmt, inside)
-                return
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not method:
-                return  # nested defs get their own pass
-            for target in _mutation_targets(node):
-                attr = _self_attr(target)
-                if attr is not None:
-                    out.append(_Mutation(attr, method.name, target, locked))
-            for child in ast.iter_child_nodes(node):
-                walk(child, locked)
+        _walk_mutations(method, False, method, out)
 
-        walk(method, locked=False)
+
+def _walk_mutations(
+    node: ast.AST,
+    locked: bool,
+    method: ast.FunctionDef | ast.AsyncFunctionDef,
+    out: list[_Mutation],
+) -> None:
+    """Append the ``self.<attr>`` mutations under ``node`` to ``out``,
+    marking those inside a ``with <lock>:`` block."""
+    if isinstance(node, (ast.With, ast.AsyncWith)):
+        inside = locked or any(_is_lock_expr(item.context_expr) for item in node.items)
+        for stmt in node.body:
+            _walk_mutations(stmt, inside, method, out)
+        return
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not method:
+        return  # nested defs get their own pass
+    for target in _mutation_targets(node):
+        attr = _self_attr(target)
+        if attr is not None:
+            out.append(_Mutation(attr, method.name, target, locked))
+    for child in ast.iter_child_nodes(node):
+        _walk_mutations(child, locked, method, out)

@@ -137,32 +137,39 @@ def replace_subtree(
     subexpression's result would deliver.  Matching is outermost-first: a
     matched subtree's interior is not searched again.
     """
-    replaced = 0
-
-    def rebuild(node: LogicalOp) -> LogicalOp:
-        nonlocal replaced
-        if match(node):
-            replaced += 1
-            return LogicalOp(
-                op_type=LogicalOpType.GET,
-                children=(),
-                template_tag=f"get:{normalize_input_name(view_name)}",
-                true_card=node.true_card,
-                row_bytes=node.row_bytes,
-                normalized_inputs=frozenset({normalize_input_name(view_name)}),
-                table=view_name,
-            )
-        if not node.children:
-            return node
-        children = tuple(rebuild(child) for child in node.children)
-        if all(new is old for new, old in zip(children, node.children)):
-            return node
-        return dc_replace(node, children=children)
-
-    result = rebuild(root)
+    result, replaced = _replace_matches(root, match, view_name)
     if replaced == 0:
         raise ValidationError("no subtree matched the predicate")
     return result
+
+
+def _replace_matches(
+    node: LogicalOp, match: Callable[[LogicalOp], bool], view_name: str
+) -> tuple[LogicalOp, int]:
+    """:func:`replace_subtree` below ``node``: the rebuilt node and how many
+    subtrees were replaced."""
+    if match(node):
+        view = LogicalOp(
+            op_type=LogicalOpType.GET,
+            children=(),
+            template_tag=f"get:{normalize_input_name(view_name)}",
+            true_card=node.true_card,
+            row_bytes=node.row_bytes,
+            normalized_inputs=frozenset({normalize_input_name(view_name)}),
+            table=view_name,
+        )
+        return view, 1
+    if not node.children:
+        return node, 0
+    children = []
+    replaced = 0
+    for child in node.children:
+        new, count = _replace_matches(child, match, view_name)
+        children.append(new)
+        replaced += count
+    if all(new is old for new, old in zip(children, node.children)):
+        return node, replaced
+    return dc_replace(node, children=tuple(children)), replaced
 
 
 def scale_tables(root: LogicalOp, factors: dict[str, float]) -> LogicalOp:
@@ -177,40 +184,41 @@ def scale_tables(root: LogicalOp, factors: dict[str, float]) -> LogicalOp:
     for table, factor in factors.items():
         if factor <= 0:
             raise ValidationError(f"growth factor for {table} must be positive")
+    return _rescaled(root, factors)
 
-    def rebuild(node: LogicalOp) -> LogicalOp:
-        children = tuple(rebuild(child) for child in node.children)
-        kind = node.op_type
-        if kind is LogicalOpType.GET:
-            factor = factors.get(node.table or "", 1.0)
-            if factor == 1.0:
-                return node
-            return dc_replace(node, true_card=node.true_card * factor)
 
-        child_cards = [child.true_card for child in children]
-        if kind in (LogicalOpType.FILTER, LogicalOpType.PROCESS):
-            card = child_cards[0] * node.sel_true
-        elif kind in (LogicalOpType.PROJECT, LogicalOpType.SORT, LogicalOpType.OUTPUT):
-            card = child_cards[0]
-        elif kind is LogicalOpType.JOIN:
-            card = max(child_cards) * node.sel_true
-        elif kind is LogicalOpType.AGGREGATE:
-            groups = node.group_count if node.group_count is not None else node.true_card
-            card = min(child_cards[0], float(groups)) if child_cards[0] > 0 else 0.0
-            card = max(card, 1.0 if child_cards[0] > 0 else 0.0)
-        elif kind is LogicalOpType.TOP_K:
-            card = min(float(node.limit or node.true_card), child_cards[0])
-        elif kind is LogicalOpType.UNION:
-            card = float(sum(child_cards))
-        else:  # pragma: no cover - exhaustive over LogicalOpType
-            raise ValidationError(f"cannot recompute cardinality for {kind}")
-        if all(new is old for new, old in zip(children, node.children)) and (
-            card == node.true_card
-        ):
+def _rescaled(node: LogicalOp, factors: dict[str, float]) -> LogicalOp:
+    """:func:`scale_tables` below ``node``."""
+    children = tuple(_rescaled(child, factors) for child in node.children)
+    kind = node.op_type
+    if kind is LogicalOpType.GET:
+        factor = factors.get(node.table or "", 1.0)
+        if factor == 1.0:
             return node
-        return dc_replace(node, children=children, true_card=card)
+        return dc_replace(node, true_card=node.true_card * factor)
 
-    return rebuild(root)
+    child_cards = [child.true_card for child in children]
+    if kind in (LogicalOpType.FILTER, LogicalOpType.PROCESS):
+        card = child_cards[0] * node.sel_true
+    elif kind in (LogicalOpType.PROJECT, LogicalOpType.SORT, LogicalOpType.OUTPUT):
+        card = child_cards[0]
+    elif kind is LogicalOpType.JOIN:
+        card = max(child_cards) * node.sel_true
+    elif kind is LogicalOpType.AGGREGATE:
+        groups = node.group_count if node.group_count is not None else node.true_card
+        card = min(child_cards[0], float(groups)) if child_cards[0] > 0 else 0.0
+        card = max(card, 1.0 if child_cards[0] > 0 else 0.0)
+    elif kind is LogicalOpType.TOP_K:
+        card = min(float(node.limit or node.true_card), child_cards[0])
+    elif kind is LogicalOpType.UNION:
+        card = float(sum(child_cards))
+    else:  # pragma: no cover - exhaustive over LogicalOpType
+        raise ValidationError(f"cannot recompute cardinality for {kind}")
+    if all(new is old for new, old in zip(children, node.children)) and (
+        card == node.true_card
+    ):
+        return node
+    return dc_replace(node, children=children, true_card=card)
 
 
 # --------------------------------------------------------------------- #

@@ -31,9 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as dataclass_replace
 from threading import Lock
 
+import numpy as np
+
 from repro.common.errors import InjectedCrashError, ValidationError
 from repro.common.hashing import stable_unit_float
-from repro.execution.runtime_log import JobRecord, OperatorRecord, RunLog
+from repro.execution.runtime_log import JobRecord, OperatorRows, RunLog, block_runs
 
 #: Salt prefixes so pipeline-chaos draws never collide with serving faults.
 _POISON_SALT = "cleo-chaos-poison"
@@ -122,8 +124,8 @@ POISON_SCENARIOS: dict[str, PoisonPolicy] = {
 class RunLogPoisoner:
     """Applies a :class:`PoisonPolicy` to a run log, row by row.
 
-    The poisoned log is a *new* :class:`RunLog` (records are frozen; the
-    input log is never mutated): NaN and outlier rows replace the record's
+    The poisoned log is a *new* :class:`RunLog` over new row blocks (the
+    input log is never mutated): NaN and outlier rows replace the row's
     ``actual_latency``, duplicate rows append an exact copy immediately
     after the original (the at-least-once double-write shape — adjacency
     is what the trainer's excision rule keys on), and dropped rows are
@@ -158,35 +160,46 @@ class RunLogPoisoner:
         return None
 
     def poison(self, log: RunLog) -> tuple[RunLog, dict[str, int]]:
-        """A poisoned copy of ``log`` plus per-kind injection counts."""
+        """A poisoned copy of ``log`` plus per-kind injection counts.
+
+        Each run of consecutive jobs that share a row block becomes one new
+        block: a single ``take`` of the surviving rows (duplicates taken
+        twice), then the NaN and outlier latencies written into its copy.
+        """
         counts = {kind: 0 for kind in POISON_KINDS}
         jobs: list[JobRecord] = []
-        for job in log.jobs:
-            operators: list[OperatorRecord] = []
-            for op_index, record in enumerate(job.operators):
-                kind = self.decide(job.day, job.job_id, op_index)
-                if kind is None:
-                    operators.append(record)
-                    continue
-                counts[kind] += 1
-                if kind == "nan":
-                    operators.append(
-                        dataclass_replace(record, actual_latency=float("nan"))
-                    )
-                elif kind == "outlier":
-                    operators.append(
-                        dataclass_replace(
-                            record,
-                            actual_latency=record.actual_latency
-                            * self.policy.outlier_factor,
-                        )
-                    )
-                elif kind == "duplicate":
-                    operators.append(record)
-                    operators.append(record)
-                else:  # drop
-                    pass
-            jobs.append(dataclass_replace(job, operators=tuple(operators)))
+        for block, run in block_runs(log.jobs):
+            rows: list[int] = []
+            nan_at: list[int] = []
+            outlier_at: list[int] = []
+            spans: list[tuple[int, int]] = []
+            for job in run:
+                first = len(rows)
+                operators = job.operators
+                for op_index, row in enumerate(range(operators.start, operators.stop)):
+                    kind = self.decide(job.day, job.job_id, op_index)
+                    if kind is None:
+                        rows.append(row)
+                        continue
+                    counts[kind] += 1
+                    if kind == "nan":
+                        nan_at.append(len(rows))
+                    elif kind == "outlier":
+                        outlier_at.append(len(rows))
+                    elif kind == "duplicate":
+                        rows.append(row)
+                    else:  # drop
+                        continue
+                    rows.append(row)
+                spans.append((first, len(rows)))
+            poisoned = block.take(np.array(rows, dtype=np.int64))
+            latency = poisoned.table.latency
+            latency[outlier_at] = latency[outlier_at] * self.policy.outlier_factor
+            latency[nan_at] = float("nan")
+            jobs.extend(
+                dataclass_replace(job, operators=OperatorRows(poisoned, start, stop))
+                for job, (start, stop) in zip(run, spans)
+            )
         counts["total"] = sum(counts.values())
         return RunLog(jobs=jobs), counts
 

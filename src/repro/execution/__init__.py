@@ -11,7 +11,13 @@ can see, all of which are learnable per template.
 
 from repro.execution.ground_truth import GroundTruthModel, GroundTruthParams
 from repro.execution.hardware import ClusterSpec
-from repro.execution.runtime_log import JobRecord, OperatorRecord, RunLog
+from repro.execution.runtime_log import (
+    JobRecord,
+    OperatorBlock,
+    OperatorRecord,
+    OperatorRows,
+    RunLog,
+)
 from repro.execution.simulator import ExecutionSimulator, JobResult
 
 __all__ = [
@@ -21,6 +27,8 @@ __all__ = [
     "GroundTruthParams",
     "JobRecord",
     "JobResult",
+    "OperatorBlock",
     "OperatorRecord",
+    "OperatorRows",
     "RunLog",
 ]

@@ -22,7 +22,10 @@ instead, in two layers:
   matches the scalar path's interleaved, outcome-dependent ``_noise`` calls
   exactly; transcendental terms (``log2`` for sorts, ``log1p`` for skew) go
   through the same ``math.*`` calls as the scalar path because numpy's SIMD
-  variants are not guaranteed bit-identical.
+  variants are not guaranteed bit-identical.  The run's rows leave as one
+  :class:`~repro.execution.runtime_log.OperatorBlock` (the feature table
+  plus outcome columns); each job record's ``operators`` is a slice of it,
+  and no per-operator object is built.
 
 The result is bitwise-identical to per-job ``ExecutionSimulator.run_job``
 runs: same operator latencies, features, signatures, and job records
@@ -35,7 +38,7 @@ import math
 
 import numpy as np
 
-from repro.execution.runtime_log import JobRecord, OperatorRecord
+from repro.execution.runtime_log import JobRecord, OperatorBlock, OperatorRows
 from repro.execution.simulator import ExecutionSimulator
 from repro.execution.trace import stage_finish_times, stage_seconds, stage_work
 from repro.features.featurizer import FeatureInput
@@ -47,13 +50,18 @@ from repro.plan.stages import build_stage_graph
 
 
 class ShapeStatics:
-    """Everything about a plan shape that no job instance can change."""
+    """Everything about a plan shape that no job instance can change.
+
+    Per-operator fields are tuples of numbers and strings (index-aligned
+    with the shape's post-order walk), which the cyclic collector stops
+    tracking once it has seen them: a cache of thousands of shapes costs a
+    full collection nothing.
+    """
 
     __slots__ = (
         "n",
         "op_type_values",
         "template_tags",
-        "bundles",
         "multipliers",
         "skew_u",
         "input_enc",
@@ -89,20 +97,19 @@ def build_shape_statics(plan: PhysicalOp, simulator: ExecutionSimulator) -> Shap
 
     s = ShapeStatics()
     s.n = len(ops)
-    s.op_type_values = [op.op_type.value for op in ops]
-    s.template_tags = [op.template_tag for op in ops]
-    s.bundles = [SignatureBundle.of(op) for op in ops]
-    s.multipliers = [ground_truth.hidden_multiplier(op) for op in ops]
-    s.skew_u = [
+    s.op_type_values = tuple(op.op_type.value for op in ops)
+    s.template_tags = tuple(op.template_tag for op in ops)
+    s.multipliers = tuple(ground_truth.hidden_multiplier(op) for op in ops)
+    s.skew_u = tuple(
         ground_truth.skew_unit(frozenset(op.normalized_inputs)) for op in ops
-    ]
-    s.input_enc = [FeatureInput.encode_inputs(op.normalized_inputs) for op in ops]
+    )
+    s.input_enc = tuple(FeatureInput.encode_inputs(op.normalized_inputs) for op in ops)
 
     coefficients = ground_truth.params.coefficients
-    s.coef_cpu = [coefficients[op.op_type].cpu for op in ops]
-    s.coef_io = [coefficients[op.op_type].io for op in ops]
-    s.coef_out = [coefficients[op.op_type].out for op in ops]
-    s.coef_setup = [coefficients[op.op_type].setup for op in ops]
+    s.coef_cpu = tuple(coefficients[op.op_type].cpu for op in ops)
+    s.coef_io = tuple(coefficients[op.op_type].io for op in ops)
+    s.coef_out = tuple(coefficients[op.op_type].out for op in ops)
+    s.coef_setup = tuple(coefficients[op.op_type].setup for op in ops)
     s.nlogn_indices = tuple(
         i for i, op in enumerate(ops) if coefficients[op.op_type].nlogn
     )
@@ -120,8 +127,8 @@ def build_shape_statics(plan: PhysicalOp, simulator: ExecutionSimulator) -> Shap
     )
     # CL / D are reads of each operator's summary; the leaf *index* sets are
     # built bottom-up (post-order guarantees the children's entries exist).
-    s.logical_count = [float(op.summary.n_logical) for op in ops]
-    s.depth = [float(op.summary.depth) for op in ops]
+    s.logical_count = tuple(float(op.summary.n_logical) for op in ops)
+    s.depth = tuple(float(op.summary.depth) for op in ops)
     leaf_sets: list[tuple[int, ...]] = []
     for i, children in enumerate(s.child_indices):
         leaf_sets.append(
@@ -140,10 +147,13 @@ def build_shape_statics(plan: PhysicalOp, simulator: ExecutionSimulator) -> Shap
     s.stage_upstream = tuple(tuple(stage.upstream) for stage in graph.stages)
     s.stage_topo = tuple(stage.index for stage in graph.topological_order())
 
-    s.sig_strict = [b.strict for b in s.bundles]
-    s.sig_approx = [b.approx for b in s.bundles]
-    s.sig_input = [b.input for b in s.bundles]
-    s.sig_operator = [b.operator for b in s.bundles]
+    # The four signature columns; a materialized record rebuilds its
+    # SignatureBundle from them.
+    bundles = [SignatureBundle.of(op) for op in ops]
+    s.sig_strict = tuple(b.strict for b in bundles)
+    s.sig_approx = tuple(b.approx for b in bundles)
+    s.sig_input = tuple(b.input for b in bundles)
+    s.sig_operator = tuple(b.operator for b in bundles)
     return s
 
 
@@ -173,7 +183,7 @@ class BatchedExecutionEngine:
         for job ...:
             statics = engine.statics_for(win)
             engine.add_job(win, statics, job_id, template_id, day, adhoc)
-        records, table = engine.finish()
+        records = engine.finish()
     """
 
     #: Clear-at-limit cap on the shape-statics cache, like the skeleton
@@ -319,10 +329,11 @@ class BatchedExecutionEngine:
     # Vectorized execution
     # ------------------------------------------------------------------ #
 
-    def finish(self) -> tuple[list[JobRecord], FeatureTable]:
-        """Execute every accumulated job; returns records + columnar table."""
+    def finish(self) -> list[JobRecord]:
+        """Execute every accumulated job; returns their records, whose
+        operators are slices of one :class:`OperatorBlock`."""
         if not self._jobs:
-            return [], FeatureTable.from_records([])
+            return []
         ground_truth = self.ground_truth
         params = ground_truth.params
         n_rows = len(self._true_card)
@@ -370,70 +381,30 @@ class BatchedExecutionEngine:
         latency = np.maximum(latency, params.min_latency)
         cpu_seconds = latency * partitions / skew
 
-        latency_list = latency.tolist()
-        cpu_list = cpu_seconds.tolist()
-        records = self._build_records(latency_list, cpu_list)
-        table = self._build_table(latency)
+        block = self._block(latency, cpu_seconds, true_card, input_card)
+        records = self._job_records(block, latency.tolist(), cpu_seconds.tolist())
         self.begin()
-        return records, table
+        return records
 
-    def _build_records(
-        self, latency_list: list[float], cpu_list: list[float]
+    def _job_records(
+        self, block: OperatorBlock, latency_list: list[float], cpu_list: list[float]
     ) -> list[JobRecord]:
         cluster_name = self.cluster.name
         records: list[JobRecord] = []
         for entry in self._jobs:
             statics = entry.statics
             offset = entry.offset
-            n = statics.n
-            latency = latency_list[offset : offset + n]
-
+            end = offset + statics.n
             # The stage rule the scalar simulator calls, on the cached shape.
             finish = stage_finish_times(
-                stage_seconds(stage_work(latency, statics.stage_members)),
+                stage_seconds(stage_work(latency_list[offset:end], statics.stage_members)),
                 statics.stage_upstream,
                 statics.stage_topo,
             )
-            job_latency = max(finish, default=0.0)
-
+            # Left to right from zero, like run_job's running total.
             cpu_total = 0.0
-            operator_records = []
-            job_id = entry.job_id
-            day = entry.day
-            adhoc = entry.is_adhoc
-            for i in range(n):
-                row = offset + i
-                # Positional construction (field order) — this loop builds
-                # every operator record of the workload.
-                features = FeatureInput(
-                    self._est_in[row],
-                    self._base_card[row],
-                    self._est_out[row],
-                    self._row_bytes[row],
-                    float(self._partitions[row]),
-                    statics.input_enc[i],
-                    entry.params_enc[i],
-                    statics.logical_count[i],
-                    statics.depth[i],
-                )
-                cpu = cpu_list[row]
+            for cpu in cpu_list[offset:end]:
                 cpu_total += cpu
-                operator_records.append(
-                    OperatorRecord(
-                        job_id,
-                        cluster_name,
-                        day,
-                        statics.op_type_values[i],
-                        statics.template_tags[i],
-                        statics.bundles[i],
-                        features,
-                        latency[i],
-                        self._true_card[row],
-                        self._input_card[row],
-                        cpu,
-                        adhoc,
-                    )
-                )
             records.append(
                 JobRecord(
                     job_id=entry.job_id,
@@ -441,15 +412,22 @@ class BatchedExecutionEngine:
                     cluster=cluster_name,
                     day=entry.day,
                     is_adhoc=entry.is_adhoc,
-                    latency_seconds=job_latency,
+                    latency_seconds=max(finish, default=0.0),
                     cpu_seconds=cpu_total,
                     input_bytes=entry.input_bytes,
-                    operators=tuple(operator_records),
+                    operators=OperatorRows(block, offset, end),
                 )
             )
         return records
 
-    def _build_table(self, latency: np.ndarray) -> FeatureTable:
+    def _block(
+        self,
+        latency: np.ndarray,
+        cpu_seconds: np.ndarray,
+        true_card: np.ndarray,
+        input_card: np.ndarray,
+    ) -> OperatorBlock:
+        """The run's operator rows as one block."""
         input_enc: list[float] = []
         logical_count: list[float] = []
         depth: list[float] = []
@@ -460,10 +438,12 @@ class BatchedExecutionEngine:
         sig_operator: list[int] = []
         day: list[int] = []
         is_adhoc: list[bool] = []
-        cluster: list[str] = []
-        cluster_name = self.cluster.name
+        job_id: list[str] = []
+        op_type: list[str] = []
+        template_tag: list[str] = []
         for entry in self._jobs:
             statics = entry.statics
+            n = statics.n
             input_enc.extend(statics.input_enc)
             logical_count.extend(statics.logical_count)
             depth.extend(statics.depth)
@@ -472,9 +452,11 @@ class BatchedExecutionEngine:
             sig_approx.extend(statics.sig_approx)
             sig_input.extend(statics.sig_input)
             sig_operator.extend(statics.sig_operator)
-            day.extend([entry.day] * statics.n)
-            is_adhoc.extend([entry.is_adhoc] * statics.n)
-            cluster.extend([cluster_name] * statics.n)
+            day.extend([entry.day] * n)
+            is_adhoc.extend([entry.is_adhoc] * n)
+            job_id.extend([entry.job_id] * n)
+            op_type.extend(statics.op_type_values)
+            template_tag.extend(statics.template_tags)
         # Columns in COLUMN_NAMES / SIGNATURE_NAMES order.
         feature_columns = (
             self._est_in,
@@ -495,13 +477,22 @@ class BatchedExecutionEngine:
         signatures = np.empty((n, len(signature_columns)), dtype=np.uint64)
         for j, column in enumerate(signature_columns):
             signatures[:, j] = np.array(column, dtype=np.uint64)
-        return FeatureTable(
+        table = FeatureTable(
             features=features,
             signatures=signatures,
             latency=latency,
             day=np.array(day, dtype=np.int64),
-            cluster=tuple(cluster),
+            cluster=(self.cluster.name,) * n,
             is_adhoc=np.array(is_adhoc, dtype=bool),
+        )
+        return OperatorBlock(
+            table=table,
+            job_id=tuple(job_id),
+            op_type=tuple(op_type),
+            template_tag=tuple(template_tag),
+            actual_output_card=true_card,
+            actual_input_card=input_card,
+            cpu_seconds=cpu_seconds,
         )
 
 

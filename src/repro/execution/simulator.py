@@ -1,7 +1,8 @@
 """The distributed execution simulator.
 
 Executes a physical plan against the hidden ground-truth latency model and
-produces (i) per-operator records for the training feedback loop and (ii)
+produces (i) per-operator rows for the training feedback loop (one
+:class:`~repro.execution.runtime_log.OperatorBlock` per job) and (ii)
 job-level outcomes (end-to-end latency over the stage critical path, total
 processing time across containers) used by the performance experiments
 (Figures 19-20).  The stage rule — start-up charge, per-stage sums, the
@@ -13,13 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.common.rng import RngFactory
 from repro.execution.ground_truth import GroundTruthModel, GroundTruthParams
 from repro.execution.hardware import ClusterSpec
-from repro.execution.runtime_log import JobRecord, OperatorRecord
+from repro.execution.runtime_log import JobRecord, OperatorBlock, OperatorRows
 from repro.execution.trace import stage_finish_times, stage_seconds, stage_work
-from repro.features.extract import feature_input_for
+from repro.features.extract import operator_row
+from repro.features.table import FeatureTable
 from repro.plan.physical import PhysicalOp
 from repro.plan.signatures import SignatureBundle
 from repro.plan.stages import build_stage_graph
@@ -82,31 +86,47 @@ class ExecutionSimulator:
             self._rngs.child("noise", job_id, day) if with_noise else None
         )
 
-        records: list[OperatorRecord] = []
+        rows: list[tuple[float, ...]] = []
+        bundles: list[SignatureBundle] = []
+        op_types: list[str] = []
+        template_tags: list[str] = []
+        op_latencies: list[float] = []
+        output_cards: list[float] = []
+        input_cards: list[float] = []
+        cpus: list[float] = []
         latencies: dict[int, float] = {}
         cpu_total = 0.0
         for op in plan.walk():
-            bundle = SignatureBundle.of(op)
+            bundles.append(SignatureBundle.of(op))
             latency = self.ground_truth.exclusive_latency(op, rng=noise_rng)
             cpu = self.ground_truth.cpu_seconds(op, latency)
             cpu_total += cpu
             latencies[id(op)] = latency
-            records.append(
-                OperatorRecord(
-                    job_id=job_id,
-                    cluster=self.cluster.name,
-                    day=day,
-                    op_type=op.op_type.value,
-                    template_tag=op.template_tag,
-                    signatures=bundle,
-                    features=feature_input_for(op, estimator),
-                    actual_latency=latency,
-                    actual_output_card=op.true_card,
-                    actual_input_card=op.input_card,
-                    cpu_seconds=cpu,
-                    is_adhoc=is_adhoc,
-                )
-            )
+            op_types.append(op.op_type.value)
+            template_tags.append(op.template_tag)
+            rows.append(operator_row(op, estimator))
+            op_latencies.append(latency)
+            output_cards.append(op.true_card)
+            input_cards.append(op.input_card)
+            cpus.append(cpu)
+        n = len(rows)
+        features = FeatureTable.from_rows(rows, bundles)
+        block = OperatorBlock(
+            table=FeatureTable(
+                features=features.features,
+                signatures=features.signatures,
+                latency=np.array(op_latencies, dtype=float),
+                day=np.full(n, day, dtype=np.int64),
+                cluster=(self.cluster.name,) * n,
+                is_adhoc=np.full(n, is_adhoc, dtype=bool),
+            ),
+            job_id=(job_id,) * n,
+            op_type=tuple(op_types),
+            template_tag=tuple(template_tags),
+            actual_output_card=np.array(output_cards, dtype=float),
+            actual_input_card=np.array(input_cards, dtype=float),
+            cpu_seconds=np.array(cpus, dtype=float),
+        )
 
         stage_latencies, job_latency = self._stage_critical_path(plan, latencies)
         input_bytes = sum(
@@ -121,7 +141,7 @@ class ExecutionSimulator:
             latency_seconds=job_latency,
             cpu_seconds=cpu_total,
             input_bytes=input_bytes,
-            operators=tuple(records),
+            operators=OperatorRows(block, 0, n),
         )
         return JobResult(record=record, stage_latencies=tuple(stage_latencies))
 

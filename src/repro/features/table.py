@@ -20,8 +20,10 @@ Downstream layers operate on whole columns:
   key in one pass;
 * ``latency`` / ``day`` / ``is_adhoc`` feed training targets and splits.
 
-Tables are immutable by convention: :class:`~repro.execution.runtime_log.
-RunLog` caches one per materialization and invalidates on mutation.
+Tables are immutable by convention: a run log's
+:class:`~repro.execution.runtime_log.OperatorBlock` holds one, and
+:meth:`~repro.execution.runtime_log.RunLog.to_table` may hand it (or the
+table it gathered) out again.
 """
 
 from __future__ import annotations

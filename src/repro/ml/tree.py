@@ -322,10 +322,13 @@ class DecisionTreeRegressor:
         if self._arrays is None:
             return 0
         feat, _, left, right, _ = self._arrays
-
-        def depth_of(i: int) -> int:
+        depth = 0
+        stack = [(0, 1)]
+        while stack:
+            i, level = stack.pop()
             if feat[i] == _NO_FEATURE:
-                return 1
-            return 1 + max(depth_of(int(left[i])), depth_of(int(right[i])))
-
-        return depth_of(0)
+                depth = max(depth, level)
+            else:
+                stack.append((int(left[i]), level + 1))
+                stack.append((int(right[i]), level + 1))
+        return depth

@@ -400,27 +400,32 @@ def optimize_partitions(
 
 def _with_counts(plan: PhysicalOp, final: dict[int, tuple[int, float]]) -> PhysicalOp:
     """``plan`` with every operator at ``final[id(op)][0]`` partitions."""
-    rebuilt: dict[int, PhysicalOp] = {}
+    return _rebuild_counts(plan, final, {})
 
-    def rebuild(op: PhysicalOp) -> PhysicalOp:
-        # Memoized by node id: a subtree shared by several parents (DAG-shaped
-        # caller input) stays ONE rebuilt object, visited once.
-        done = rebuilt.get(id(op))
-        if done is not None:
-            return done
-        children = tuple(rebuild(child) for child in op.children)
-        count = final[id(op)][0]
-        # A rebuilt child is a new object exactly when something below it
-        # changed, so children compare by identity: ``==`` on the frozen
-        # dataclass would re-compare each ancestor's whole subtree.
-        if count == op.partition_count and all(map(is_, children, op.children)):
-            result = op
-        else:
-            result = replace(op, children=children, partition_count=count)
-        rebuilt[id(op)] = result
-        return result
 
-    return rebuild(plan)
+def _rebuild_counts(
+    op: PhysicalOp,
+    final: dict[int, tuple[int, float]],
+    rebuilt: dict[int, PhysicalOp],
+) -> PhysicalOp:
+    """:func:`_with_counts` below ``op`` (module level: a recursive closure
+    would be a reference cycle)."""
+    # Memoized by node id: a subtree shared by several parents (DAG-shaped
+    # caller input) stays ONE rebuilt object, visited once.
+    done = rebuilt.get(id(op))
+    if done is not None:
+        return done
+    children = tuple(_rebuild_counts(child, final, rebuilt) for child in op.children)
+    count = final[id(op)][0]
+    # A rebuilt child is a new object exactly when something below it
+    # changed, so children compare by identity: ``==`` on the frozen
+    # dataclass would re-compare each ancestor's whole subtree.
+    if count == op.partition_count and all(map(is_, children, op.children)):
+        result = op
+    else:
+        result = replace(op, children=children, partition_count=count)
+    rebuilt[id(op)] = result
+    return result
 
 
 def expected_lookups(

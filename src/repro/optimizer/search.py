@@ -226,18 +226,19 @@ def _bind_logical(root: LogicalOp) -> list[LogicalOp]:
     gets one position, hence one memo entry per requirement.
     """
     bound: list[LogicalOp] = []
-    seen: set[int] = set()
-
-    def visit(logical: LogicalOp) -> None:
-        if id(logical) in seen:
-            return
-        for child in logical.children:
-            visit(child)
-        seen.add(id(logical))
-        bound.append(logical)
-
-    visit(root)
+    _bind(root, set(), bound)
     return bound
+
+
+def _bind(logical: LogicalOp, seen: set[int], bound: list[LogicalOp]) -> None:
+    """:func:`_bind_logical`'s post-order walk (module level: a recursive
+    closure would be a reference cycle)."""
+    if id(logical) in seen:
+        return
+    for child in logical.children:
+        _bind(child, seen, bound)
+    seen.add(id(logical))
+    bound.append(logical)
 
 
 def _build_skeleton(bound: list[LogicalOp], config) -> list[SkelNode]:
@@ -881,32 +882,36 @@ class CascadesSearch:
     def _with_root_stage_partitions(self, candidate, new_count: int):
         """Rebuild the candidate's root stage at ``new_count`` partitions."""
         root, cost = candidate
+        # The root stage, pre-order: down to (and including) the
+        # partitioning operators that start it.
         stage_ops: list = []
-
-        def collect(op) -> None:
+        pending = [root]
+        while pending:
+            op = pending.pop()
             stage_ops.append(op)
-            if op.op_type in PARTITIONING_OPS:
-                return
-            for child in op.children:
-                collect(child)
-
-        collect(root)
+            if op.op_type not in PARTITIONING_OPS:
+                pending.extend(reversed(op.children))
         if _stage_is_fixed(stage_ops):
             return None
-        in_stage = {id(op) for op in stage_ops}
-        cost_delta = 0.0
+        delta = [0.0]
+        new_root = self._rebuild_stage(
+            root, {id(op) for op in stage_ops}, new_count, delta
+        )
+        return (new_root, cost + delta[0])
 
-        def rebuild(op):
-            nonlocal cost_delta
-            if id(op) not in in_stage:
-                return op
-            new_children = tuple(rebuild(child) for child in op.children)
-            replaced = self._with_partitions(op, new_count, new_children)
-            cost_delta += self._cost(replaced) - self._cost(op)
-            return replaced
-
-        new_root = rebuild(root)
-        return (new_root, cost + cost_delta)
+    def _rebuild_stage(self, op, in_stage: set[int], new_count: int, delta: list):
+        """``op`` with its root-stage operators (``in_stage``) rebuilt at
+        ``new_count`` partitions, post-order; ``delta[0]`` accumulates the
+        cost change in that order."""
+        if id(op) not in in_stage:
+            return op
+        new_children = tuple(
+            self._rebuild_stage(child, in_stage, new_count, delta)
+            for child in op.children
+        )
+        replaced = self._with_partitions(op, new_count, new_children)
+        delta[0] += self._cost(replaced) - self._cost(op)
+        return replaced
 
     # ------------------------------------------------------------------ #
     # Partition heuristics and jitter

@@ -213,7 +213,11 @@ class SkeletonPlanner(CascadesSearch):
             self._deferred = bool(
                 getattr(cost_model, "supports_batched_pricing", False)
             )
-            self._cost = self._cost_deferred if self._deferred else self._cost_scalar
+            self._coster = (
+                type(self)._cost_deferred
+                if self._deferred
+                else type(self)._cost_scalar
+            )
         elif isinstance(cost_model, DefaultCostModel):
             # Cost-model constants, prefetched once.  id()-keyed coefficient
             # lookup skips enum.__hash__ (a Python-level call) on the hottest
@@ -225,9 +229,9 @@ class SkeletonPlanner(CascadesSearch):
             self._coef_by_id = {
                 id(op_type): coef for op_type, coef in cost_model.coefficients.items()
             }
-            self._cost = self._cost_inlined
+            self._coster = type(self)._cost_inlined
         elif hasattr(cost_model, "operator_cost_from_stats"):
-            self._cost = self._cost_stats
+            self._coster = type(self)._cost_stats
         else:  # pragma: no cover - supports_replay_costing implies a backend
             raise OptimizationError(
                 f"{type(cost_model).__name__} advertises replay costing but "
@@ -457,6 +461,11 @@ class SkeletonPlanner(CascadesSearch):
         if self._learned:
             node.summary = op.summary
         return node
+
+    def _cost(self, node: RNode):
+        # The backend picked at construction, kept as a plain function: a
+        # bound method stored on ``self`` would make the planner a cycle.
+        return self._coster(self, node)
 
     def _cost_inlined(self, node: RNode) -> float:
         # Inlined DefaultCostModel.operator_cost_from_stats — expression

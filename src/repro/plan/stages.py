@@ -58,20 +58,26 @@ class StageGraph:
         return len(self.stages)
 
     def topological_order(self) -> list[Stage]:
-        """Stages ordered so that producers precede consumers."""
+        """Stages ordered so that producers precede consumers (a depth-first
+        post-order over upstream edges, lowest index first)."""
+        stages = self.stages
         order: list[Stage] = []
         seen: set[int] = set()
-
-        def visit(idx: int) -> None:
-            if idx in seen:
-                return
-            seen.add(idx)
-            for upstream_idx in sorted(self.stages[idx].upstream):
-                visit(upstream_idx)
-            order.append(self.stages[idx])
-
-        for idx in range(len(self.stages)):
-            visit(idx)
+        for start in range(len(stages)):
+            if start in seen:
+                continue
+            seen.add(start)
+            stack = [(start, iter(sorted(stages[start].upstream)))]
+            while stack:
+                idx, upstream = stack[-1]
+                for up in upstream:
+                    if up not in seen:
+                        seen.add(up)
+                        stack.append((up, iter(sorted(stages[up].upstream))))
+                        break
+                else:
+                    stack.pop()
+                    order.append(stages[idx])
         return order
 
 
@@ -88,62 +94,7 @@ def build_stage_graph(root: PhysicalOp) -> StageGraph:
     stage_of: dict[int, int] = {}
     merged_into: dict[int, int] = {}  # emptied stage -> the stage it joined
 
-    def new_stage() -> Stage:
-        stage = Stage(index=len(stages))
-        stages.append(stage)
-        return stage
-
-    def visit(op: PhysicalOp) -> int:
-        """Return the stage index that ``op`` belongs to."""
-        seen = stage_of.get(id(op))
-        if seen is not None:
-            # Shared subexpression (DAG-shaped caller input): the operator
-            # already has a stage; revisiting must neither duplicate its
-            # membership nor re-walk the subtree (exponential on sharing).
-            return seen
-        child_stage_indices = [visit(child) for child in op.children]
-        if len(child_stage_indices) > 1:
-            # Re-read once every child is visited: a later sibling's join may
-            # have merged (emptied) the stage an earlier one was first put in.
-            child_stage_indices = [stage_of[id(child)] for child in op.children]
-
-        if op.is_partitioning:
-            stage = new_stage()
-            stage.upstream.update(child_stage_indices)
-        else:
-            # Continue in the children's stage; joins merge both sides.
-            distinct = sorted(set(child_stage_indices))
-            if not distinct:
-                raise InvalidPlanError(
-                    f"{op.op_type.value} has no children and is not a "
-                    "partitioning operator"
-                )
-            primary = distinct[0]
-            stage = stages[primary]
-            for other_idx in distinct[1:]:
-                other = stages[other_idx]
-                if other.partition_count != stage.partition_count:
-                    raise InvalidPlanError(
-                        "cannot merge stages with partition counts "
-                        f"{stage.partition_count} and {other.partition_count} "
-                        f"under {op.op_type.value}"
-                    )
-                for moved in other.operators:
-                    stage_of[id(moved)] = primary
-                    stage.operators.append(moved)
-                stage.upstream |= other.upstream
-                other.operators = []
-                merged_into[other_idx] = primary
-            if op.partition_count != stage.partition_count:
-                raise InvalidPlanError(
-                    f"{op.op_type.value} partition count {op.partition_count} "
-                    f"differs from its stage's {stage.partition_count}"
-                )
-        stage.operators.append(op)
-        stage_of[id(op)] = stage.index
-        return stage.index
-
-    visit(root)
+    _assign_stage(root, stages, stage_of, merged_into)
 
     # Drop stages emptied by join merges and compact indices.  An upstream
     # edge recorded before its producer was merged follows the merge.
@@ -157,3 +108,66 @@ def build_stage_graph(root: PhysicalOp) -> StageGraph:
         stage.upstream.discard(stage.index)
     compact_of = {op_id: remap[idx] for op_id, idx in stage_of.items() if stages[idx].operators}
     return StageGraph(stages=alive, stage_of=compact_of)
+
+
+def _assign_stage(
+    op: PhysicalOp,
+    stages: list[Stage],
+    stage_of: dict[int, int],
+    merged_into: dict[int, int],
+) -> int:
+    """Put ``op``'s subtree into stages; returns the stage index of ``op``.
+
+    A module-level function with its state passed in: a nested recursive
+    closure would be a reference cycle, freed only by the cyclic collector.
+    """
+    seen = stage_of.get(id(op))
+    if seen is not None:
+        # Shared subexpression (DAG-shaped caller input): the operator
+        # already has a stage; revisiting must neither duplicate its
+        # membership nor re-walk the subtree (exponential on sharing).
+        return seen
+    child_stage_indices = [
+        _assign_stage(child, stages, stage_of, merged_into) for child in op.children
+    ]
+    if len(child_stage_indices) > 1:
+        # Re-read once every child is visited: a later sibling's join may
+        # have merged (emptied) the stage an earlier one was first put in.
+        child_stage_indices = [stage_of[id(child)] for child in op.children]
+
+    if op.is_partitioning:
+        stage = Stage(index=len(stages))
+        stages.append(stage)
+        stage.upstream.update(child_stage_indices)
+    else:
+        # Continue in the children's stage; joins merge both sides.
+        distinct = sorted(set(child_stage_indices))
+        if not distinct:
+            raise InvalidPlanError(
+                f"{op.op_type.value} has no children and is not a "
+                "partitioning operator"
+            )
+        primary = distinct[0]
+        stage = stages[primary]
+        for other_idx in distinct[1:]:
+            other = stages[other_idx]
+            if other.partition_count != stage.partition_count:
+                raise InvalidPlanError(
+                    "cannot merge stages with partition counts "
+                    f"{stage.partition_count} and {other.partition_count} "
+                    f"under {op.op_type.value}"
+                )
+            for moved in other.operators:
+                stage_of[id(moved)] = primary
+                stage.operators.append(moved)
+            stage.upstream |= other.upstream
+            other.operators = []
+            merged_into[other_idx] = primary
+        if op.partition_count != stage.partition_count:
+            raise InvalidPlanError(
+                f"{op.op_type.value} partition count {op.partition_count} "
+                f"differs from its stage's {stage.partition_count}"
+            )
+    stage.operators.append(op)
+    stage_of[id(op)] = stage.index
+    return stage.index

@@ -15,21 +15,29 @@ from repro.plan.stages import build_stage_graph
 def render_tree(plan: PhysicalOp, show_cards: bool = True) -> str:
     """Box-drawing ASCII rendering of a physical plan."""
     lines: list[str] = []
-
-    def visit(op: PhysicalOp, prefix: str, is_last: bool, is_root: bool) -> None:
-        connector = "" if is_root else ("└─ " if is_last else "├─ ")
-        label = f"{op.op_type.value}[P={op.partition_count}]"
-        if show_cards:
-            label += f" rows={op.true_card:,.0f}"
-        if op.sorting.is_sorted:
-            label += f" {op.sorting.describe()}"
-        lines.append(prefix + connector + label)
-        child_prefix = prefix + ("" if is_root else ("   " if is_last else "│  "))
-        for i, child in enumerate(op.children):
-            visit(child, child_prefix, i == len(op.children) - 1, False)
-
-    visit(plan, "", True, True)
+    _render(plan, "", True, True, show_cards, lines)
     return "\n".join(lines)
+
+
+def _render(
+    op: PhysicalOp,
+    prefix: str,
+    is_last: bool,
+    is_root: bool,
+    show_cards: bool,
+    lines: list[str],
+) -> None:
+    """Append ``op``'s subtree to ``lines`` (:func:`render_tree`)."""
+    connector = "" if is_root else ("└─ " if is_last else "├─ ")
+    label = f"{op.op_type.value}[P={op.partition_count}]"
+    if show_cards:
+        label += f" rows={op.true_card:,.0f}"
+    if op.sorting.is_sorted:
+        label += f" {op.sorting.describe()}"
+    lines.append(prefix + connector + label)
+    child_prefix = prefix + ("" if is_root else ("   " if is_last else "│  "))
+    for i, child in enumerate(op.children):
+        _render(child, child_prefix, i == len(op.children) - 1, False, show_cards, lines)
 
 
 def render_stages(plan: PhysicalOp) -> str:

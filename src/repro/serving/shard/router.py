@@ -196,7 +196,6 @@ class ShardedCleoRouter:
         #: cluster name -> approximate signature -> owning shard (bounded memo).
         self._routes: dict[str, dict[int, int]] = {c: {} for c in self._base}
         self._route_lock = Lock()
-        self._clients: dict[str, ClusterClient] = {}
         self._resilience = resilience
         self._injector = fault_injector
         self._health: list[ShardHealth] | None = (
@@ -718,12 +717,9 @@ class ShardedCleoRouter:
     # ------------------------------------------------------------------ #
 
     def client(self, cluster: str | None = None) -> "ClusterClient":
-        """A CleoService-shaped view of this router bound to one cluster."""
-        cluster = self._default_cluster(cluster)
-        client = self._clients.get(cluster)
-        if client is None:
-            client = self._clients[cluster] = ClusterClient(self, cluster)
-        return client
+        """A CleoService-shaped view of this router bound to one cluster
+        (a fresh view per call: a cached one would make the router a cycle)."""
+        return ClusterClient(self, self._default_cluster(cluster))
 
     def predict_plan(
         self, cluster: str, root: PhysicalOp, estimator: CardinalityEstimator

@@ -10,14 +10,14 @@ Two execution paths produce bit-identical logs:
 * :meth:`WorkloadRunner.run_days` — the batched engine: planning replayed
   over a per-``(template_id, day)`` skeleton cache
   (:class:`~repro.optimizer.skeleton.SkeletonPlanner`), ground truth and
-  features vectorized per job, rows ingested straight into the columnar
-  :class:`~repro.features.table.FeatureTable`
+  features vectorized per job, rows kept as one columnar
+  :class:`~repro.execution.runtime_log.OperatorBlock` per call
   (:class:`~repro.execution.batch.BatchedExecutionEngine`).  Falls back to
   the scalar path for non-stock configurations (cost models without
   ``supports_replay_costing``, partition strategies).
 * :meth:`WorkloadRunner.run_days_reference` — the retained scalar path:
   one :meth:`run_job` per job through planner and simulator, appending one
-  record at a time.  It backs the parity tests and the
+  job record (a block of its own) at a time.  It backs the parity tests and the
   ``BENCH_workload.json`` baseline.
 """
 
@@ -186,8 +186,7 @@ class WorkloadRunner:
                 )
                 if plan is not None:
                     self.plans[job.job_id] = plan
-        records, table = engine.finish()
-        return RunLog.from_columnar(records, table)
+        return RunLog(jobs=engine.finish())
 
 
 def multi_cluster_setup(

@@ -22,6 +22,7 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 LINT = REPO_ROOT / "scripts" / "lint.py"
 
 BAD_FIXTURES = [
+    "closurecycle_bad.py",
     "hashseed_bad.py",
     "wallclock_bad.py",
     "floatred_bad.py",
@@ -75,6 +76,7 @@ class TestCliExitCodes:
 
     def test_each_good_twin_passes(self):
         for name in [
+            "closurecycle_good.py",
             "hashseed_good.py",
             "wallclock_good.py",
             "floatred_good.py",

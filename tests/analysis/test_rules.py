@@ -109,6 +109,30 @@ class TestLockDiscipline:
         assert report.findings == []
 
 
+class TestClosureCycle:
+    def test_bad_fixture_flags_every_cycle(self):
+        report = lint_fixture("closurecycle_bad.py")
+        assert report.failed
+        assert {f.rule for f in report.findings} == {"closure-cycle"}
+        messages = [f.message for f in report.findings]
+        # visit, ping, pong, depth_of
+        closures = [m for m in messages if "nested function" in m]
+        assert len(closures) == 4
+        assert any("'depth_of' in 'depth'" in m for m in closures)
+        # self._cost_fast, self._cost_slow, self._inherited (from Base)
+        bound = [m for m in messages if "bound method" in m]
+        assert len(bound) == 3
+        assert any("self._inherited" in m for m in bound)
+        assert len(report.findings) == 7
+
+    def test_good_twin_is_clean(self):
+        """Iterative walks, module-level recursion, a non-recursive nested
+        helper, a stored plain function, and stored properties, class and
+        static methods and call results."""
+        report = lint_fixture("closurecycle_good.py")
+        assert report.findings == []
+
+
 class TestReferenceParity:
     def test_orphaned_reference_is_flagged(self):
         report = lint_fixture("refparity/src", tests="refparity/tests_bad")
