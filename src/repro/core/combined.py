@@ -71,15 +71,16 @@ def covered_tiers(
     """Every tier's ``(n, 4)`` coverage and predictions, plus model calls.
 
     The one covered-prediction primitive shared by meta-row construction,
-    the robustness evaluators and the serving layer.  The store's **tier
-    index** (:mod:`repro.core.packed`) resolves all four signature columns
-    in one ``np.searchsorted`` and prices every covered ``(row, kind)`` pair
-    in one gather + row multiply-sum pass over all kinds — bitwise identical
-    to the retained per-kind :func:`predict_covered_reference` groups, which
-    take over for a kind the bank could not pack (an unfitted model).  Columns
-    follow :data:`~repro.core.config.SPECIFICITY_ORDER`; uncovered
-    predictions are 0.0.  The call count is one per distinct covering
-    ``(kind, signature)`` model, read once from one ledger.
+    the robustness evaluators, the quarantine audit and the serving layer.
+    The store's **tier index** (:mod:`repro.core.packed`), which holds every
+    model the store does, resolves all four signature columns in one
+    ``np.searchsorted`` and prices every covered ``(row, kind)`` pair in one
+    gather + row multiply-sum pass over all kinds — bitwise identical to the
+    per-kind object-graph groups of :func:`predict_covered_reference`, the
+    reference the tests hold it to.  Columns follow
+    :data:`~repro.core.config.SPECIFICITY_ORDER`; uncovered predictions are
+    0.0.  The call count is one per distinct covering ``(kind, signature)``
+    model, read once from one ledger.
 
     ``full_matrix`` may pass a precomputed ``table.feature_matrix(
     include_context=True)`` to avoid a second expansion.
@@ -93,14 +94,7 @@ def covered_tiers(
     pairs = masks.ravel().nonzero()[0]
     models = slot.ravel()[pairs]
     predictions.ravel()[pairs] = bank.price(full_matrix, pairs // len(SPECIFICITY_ORDER), models)
-    calls = bank.answered(models)
-    for k, (kind, packed) in enumerate(bank.kinds.items()):
-        if packed is None:
-            masks[:, k], predictions[:, k], kind_calls = _covered_reference(
-                store, table, kind, full_matrix
-            )
-            calls += kind_calls
-    return masks, predictions, calls
+    return masks, predictions, bank.answered(models)
 
 
 def predict_covered_reference(

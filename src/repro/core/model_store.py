@@ -10,8 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.common.errors import ModelNotTrainedError, ValidationError
 from repro.core.config import SPECIFICITY_ORDER, ModelKind
 from repro.core.learned_model import LearnedCostModel
+from repro.features.featurizer import feature_names
 from repro.plan.signatures import SignatureBundle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (import cycle guard)
@@ -53,6 +55,19 @@ class ModelStore:
     _memory_bytes: int | None = field(default=None, repr=False, compare=False)
 
     def add(self, kind: ModelKind, signature: int, model: LearnedCostModel) -> None:
+        """Hold ``model`` as ``kind``'s model for ``signature``.
+
+        Only a model the packed bank can price is held: an unfitted one is
+        a :class:`~repro.common.errors.ModelNotTrainedError` and one whose
+        feature layout is not its kind's a
+        :class:`~repro.common.errors.ValidationError`.  A refused model
+        leaves the store and its ``version`` as they were.
+        """
+        if not model.is_fitted:
+            raise ModelNotTrainedError(f"cannot hold an unfitted {kind.value} model")
+        if model.include_context != kind.uses_context_features:
+            width = len(feature_names(kind.uses_context_features))
+            raise ValidationError(f"a {kind.value} model must be {width} features wide")
         self.models[kind][signature] = model
         self._invalidate()
 

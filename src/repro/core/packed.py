@@ -14,9 +14,8 @@ This module compiles that object graph **once** into a **tier index**:
 
 * ``union``, the sorted set of every signature any kind holds, and a
   ``(len(union), 4)`` slot matrix giving each kind's global parameter row
-  for it (or :data:`NOT_COVERED` / :data:`UNPACKED`), so a table's ``(n, 4)``
-  signature block resolves against all four kinds in ONE
-  ``np.searchsorted``;
+  for it (or :data:`NOT_COVERED`), so a table's ``(n, 4)`` signature block
+  resolves against all four kinds in ONE ``np.searchsorted``;
 * one parameter block shared by all kinds — scaler mean and scale,
   standardized coefficients, intercept, target scale, and the raw-space
   coefficients and intercept of Section 5.3 — one column per model, so
@@ -34,20 +33,23 @@ and each row sums exactly as its own model's length-29 reduction does.
 Compilation is **lazy** and owned by :meth:`~repro.core.model_store.
 ModelStore.packed_bank`: the store bumps a version counter on every
 ``add``/``remove`` and the bank recompiles on next use, so serving never
-reads stale coefficients.  A kind containing an unfitted model is left
-unpacked (:data:`UNPACKED` slots) and served, in its place in specificity
-order, by the retained object-graph reference path (which raises on actual
-use of the unfitted model, exactly like the object-graph chain).
+reads stale coefficients.  Every model the store holds packs: its
+:meth:`~repro.core.model_store.ModelStore.add` refuses an unfitted model
+and one whose width is not its kind's.  The object graph
+(:meth:`~repro.core.learned_model.LearnedCostModel.predict_one`,
+:meth:`~repro.core.learned_model.LearnedCostModel.resource_profile`) is
+the per-row reference the tests hold this module to; no product code
+prices through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.config import SPECIFICITY_ORDER, ModelKind
+from repro.core.config import SPECIFICITY_ORDER
 from repro.core.learned_model import (
     _MAX_PREDICT_SECONDS,
     LearnedCostModel,
@@ -64,10 +66,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # A table's signature columns are the tiers, most specific first.
 assert tuple(SIGNATURE_FIELDS[kind] for kind in SPECIFICITY_ORDER) == SIGNATURE_NAMES
 
-#: Slot values: the kind holds no model for the signature / holds one the
-#: bank could not pack (served by the object-graph reference path).
+#: Slot value: the kind holds no model for the signature.
 NOT_COVERED = -1
-UNPACKED = -2
 
 _NAMES = feature_names(include_context=True)
 _W = len(_NAMES)  # the block's width: the context layout
@@ -93,10 +93,8 @@ _TIERS = np.arange(len(SPECIFICITY_ORDER))
 class PackedModelBank:
     """The tier index: every kind's signatures and parameters in one place.
 
-    ``kinds[kind]`` (in specificity order) is the kind's range of global
-    parameter rows, or ``None`` when the kind could not be packed (an
-    unfitted or mis-shaped model) and must be served by the reference
-    path.  The op-subgraph kind owns the first rows, so a row below
+    Each kind owns a run of global parameter rows, in specificity order:
+    the op-subgraph kind owns the first ``narrow`` rows, so a row below
     ``narrow`` is a 29-wide model.
     """
 
@@ -110,7 +108,6 @@ class PackedModelBank:
     #: raw-intercept scalars: model ``g``'s parameters are column ``g``.
     planes: np.ndarray
     scalars: np.ndarray
-    kinds: dict[ModelKind, "range | None"]
     narrow: int
 
     @classmethod
@@ -124,20 +121,10 @@ class PackedModelBank:
         union = union[np.append(True, union[1:] != union[:-1])]  # distinct
         slots = np.full((len(union), len(SPECIFICITY_ORDER)), NOT_COVERED, dtype=np.int64)
         planes, scalars = [np.empty((4, 0, _W))], [np.empty((3, 0))]
-        kinds: dict[ModelKind, range | None] = {}
         start = 0
         for k, (kind, signatures) in enumerate(zip(SPECIFICITY_ORDER, by_tier)):
-            at = union.searchsorted(signatures)
             models = list(store.models[kind].values())
-            if any(
-                not m.is_fitted or m.include_context != kind.uses_context_features
-                for m in models
-            ):
-                kinds[kind] = None  # served by the object-graph reference path
-                slots[at, k] = UNPACKED
-                continue
-            kinds[kind] = range(start, start + len(models))
-            slots[at, k] = kinds[kind]
+            slots[union.searchsorted(signatures), k] = np.arange(start, start + len(models))
             start += len(models)
             kind_planes, kind_scalars = _kind_block(
                 models, len(feature_names(kind.uses_context_features))
@@ -149,8 +136,7 @@ class PackedModelBank:
             slots=slots,
             planes=np.concatenate(planes, axis=1),
             scalars=np.concatenate(scalars, axis=1),
-            kinds=kinds,
-            narrow=len(kinds[SPECIFICITY_ORDER[0]] or ()),
+            narrow=len(by_tier[0]),
         )
 
     def resolve(self, signatures: np.ndarray) -> np.ndarray:
@@ -162,13 +148,12 @@ class PackedModelBank:
         slot[self.union[at] != signatures] = NOT_COVERED
         return slot
 
-    def most_specific(self, signatures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(slot, tier)`` of every row's first covering tier in
-        :data:`SPECIFICITY_ORDER`; ``slot`` is :data:`NOT_COVERED` where no
-        tier covers the row."""
+    def most_specific(self, signatures: np.ndarray) -> np.ndarray:
+        """Every row's slot in its first covering tier in
+        :data:`SPECIFICITY_ORDER`, or :data:`NOT_COVERED` where no tier
+        covers the row."""
         slot = self.resolve(signatures)
-        tier = (slot != NOT_COVERED).argmax(axis=1)
-        return slot[np.arange(len(slot)), tier], tier
+        return slot[np.arange(len(slot)), (slot != NOT_COVERED).argmax(axis=1)]
 
     def price(self, matrix: np.ndarray, rows: np.ndarray, models: np.ndarray) -> np.ndarray:
         """Price ``matrix[rows[i]]`` through the model in parameter row
@@ -261,22 +246,6 @@ def _kind_block(
     return planes, scalars
 
 
-def _unpacked_groups(
-    store: ModelStore, table: "FeatureTable", rows: np.ndarray, tier: np.ndarray
-) -> Iterator[tuple[ModelKind, LearnedCostModel, np.ndarray]]:
-    """``(kind, model, rows)`` per covering model of the given rows, each
-    served by tier ``tier[row]`` of an unpacked kind (an unfitted model
-    raises on use, as the object-graph chain would)."""
-    for k in sorted(set(tier[rows].tolist())):
-        kind = SPECIFICITY_ORDER[k]
-        in_kind = rows[tier[rows] == k]
-        column = table.signatures[in_kind, k]
-        for signature in sorted(set(column.tolist())):
-            model = store.get(kind, signature)
-            assert model is not None
-            yield kind, model, in_kind[column == signature]
-
-
 def predict_most_specific(
     store: ModelStore,
     table: "FeatureTable",
@@ -301,20 +270,14 @@ def predict_most_specific(
     bank = store.packed_bank()
     if full_matrix is None:
         full_matrix = table.feature_matrix(include_context=True)
-    slot, tier = bank.most_specific(table.signatures)
+    slot = bank.most_specific(table.signatures)
     values = np.full(len(table), float(fallback_cost), dtype=float)
     rows = np.flatnonzero(slot >= 0)
     models = slot[rows]
     values[rows] = bank.price(full_matrix, rows, models)
-    n_groups = bank.answered(models)
-    unpacked = np.flatnonzero(slot == UNPACKED)
-    for kind, model, group in _unpacked_groups(store, table, unpacked, tier):
-        width = len(feature_names(kind.uses_context_features))
-        values[group] = model.predict_matrix(full_matrix[group, :width])
-        n_groups += 1
     fallbacks = slot == NOT_COVERED
     n_fallbacks = fallbacks if weights is None else weights[fallbacks]
-    return values, n_groups, int(n_fallbacks.sum())
+    return values, bank.answered(models), int(n_fallbacks.sum())
 
 
 def resource_profiles_most_specific(
@@ -335,7 +298,7 @@ def resource_profiles_most_specific(
     bank = store.packed_bank()
     n = len(table)
     profiles: list[ResourceProfile | None] = [None] * n
-    slot, tier = bank.most_specific(table.signatures)
+    slot = bank.most_specific(table.signatures)
     rows = np.flatnonzero(slot >= 0)
     if len(rows):
         # Every theta read evaluates the features at P=1 (the object-graph
@@ -346,7 +309,4 @@ def resource_profiles_most_specific(
         thetas = bank.thetas(at_one[rows], slot[rows])
         for row, theta_p, theta_c, theta_0 in zip(rows.tolist(), *(t.tolist() for t in thetas)):
             profiles[row] = ResourceProfile(theta_p=theta_p, theta_c=theta_c, theta_0=theta_0)
-    for _, model, group in _unpacked_groups(store, table, np.flatnonzero(slot == UNPACKED), tier):
-        for row in group.tolist():
-            profiles[row] = model.resource_profile(table.input_at(row))
-    return profiles, int(np.count_nonzero(slot != NOT_COVERED))
+    return profiles, len(rows)

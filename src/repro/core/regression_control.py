@@ -22,8 +22,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.cardinality.estimator import CardinalityEstimator
-from repro.core.config import ModelKind
-from repro.core.model_store import ModelStore, signature_for
+from repro.core.combined import covered_tiers
+from repro.core.config import SPECIFICITY_ORDER, ModelKind
+from repro.core.model_store import ModelStore
 from repro.core.predictor import CleoPredictor
 from repro.cost.interface import CostModel, plan_cost
 from repro.execution.runtime_log import RunLog
@@ -151,25 +152,32 @@ class ModelQuarantine:
         return removed
 
     def audit(self, store: ModelStore, log: RunLog) -> QuarantineReport:
-        """Remove persistently wrong models, returning what was dropped."""
-        ratios: dict[tuple[ModelKind, int], list[float]] = {}
-        inspected = 0
-        for record in log.operator_records():
-            inspected += 1
-            for kind in ModelKind:
-                signature = signature_for(kind, record.signatures)
-                model = store.get(kind, signature)
-                if model is None:
-                    continue
-                predicted = model.predict_one(record.features)
-                ratio = abs(
-                    np.log((predicted + 1e-3) / (record.actual_latency + 1e-3))
-                )
-                ratios.setdefault((kind, signature), []).append(float(ratio))
+        """Remove persistently wrong models, returning what was dropped.
 
-        report = QuarantineReport(inspected=inspected)
+        One :func:`~repro.core.combined.covered_tiers` pass prices every
+        covered ``(record, kind)`` pair of the log.  Only the rows the
+        trainer's data-quality gate keeps
+        (:meth:`~repro.features.table.FeatureTable.sanitize_mask`) are
+        scored: a NaN latency would make its model's median NaN, and a NaN
+        median never exceeds the threshold.  Models are judged, and removed,
+        in the order their first scored ``(record, kind)`` pair appears.
+        """
+        table = log.to_table()
+        masks, predictions, _ = covered_tiers(store, table)
+        keep, _ = table.sanitize_mask()
+        at, tier = np.nonzero(masks & keep[:, None])
+        ratios = np.abs(
+            np.log((predictions[at, tier] + 1e-3) / (table.latency[at] + 1e-3))
+        )
+        by_model: dict[tuple[ModelKind, int], list[float]] = {}
+        for k, signature, ratio in zip(
+            tier.tolist(), table.signatures[at, tier].tolist(), ratios.tolist()
+        ):
+            by_model.setdefault((SPECIFICITY_ORDER[k], signature), []).append(ratio)
+
+        report = QuarantineReport(inspected=len(table))
         threshold = float(np.log(self.tolerance_factor))
-        for (kind, signature), values in ratios.items():
+        for (kind, signature), values in by_model.items():
             if len(values) < self.min_observations:
                 continue
             if float(np.median(values)) > threshold:

@@ -196,10 +196,6 @@ class _KindBlock:
 def _kind_to_dict(kind: ModelKind, by_sig: dict[int, LearnedCostModel]) -> dict[str, Any]:
     models = list(by_sig.values())
     width = len(feature_names(kind.uses_context_features))
-    if not all(model.is_fitted for model in models):
-        raise ModelFileError("cannot serialize an unfitted model")
-    if any(model.include_context != kind.uses_context_features for model in models):
-        raise ModelFileError(f"every {kind.value} model must use the {width}-feature layout")
     nonneg = {model._net.nonneg_indices for model in models} or {()}
     if len(nonneg) != 1:
         raise ModelFileError(f"{kind.value} models disagree on their non-negative features")

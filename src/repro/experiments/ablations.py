@@ -29,12 +29,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import CleoConfig
+from repro.core.packed import resource_profiles_most_specific
 from repro.core.robustness import evaluate_predictor_on_log, score_table
 from repro.core.trainer import CleoTrainer
 from repro.execution.hardware import ClusterSpec
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.shared import workload_config
 from repro.features.extract import feature_input_for
+from repro.features.table import FeatureTable
 from repro.optimizer.planner import PlannerConfig
 from repro.plan.signatures import SignatureBundle
 from repro.workload.generator import WorkloadGenerator
@@ -54,24 +56,30 @@ def _run_workload(scale: str, seed: int, jitter: float, noise_sigma: float = 0.1
     return generator, runner, log
 
 
-def _profile_degeneracy(predictor, log, runner) -> float:
-    """Fraction of covered operators with a degenerate resource profile."""
+def _covered_profiles(predictor, log, runner) -> list:
+    """``(operator, resource profile)`` of every covered operator of the
+    first 40 day-3 plans, in plan-walk order, from one tier-index read."""
     from repro.cardinality.estimator import CardinalityEstimator
 
     estimator = CardinalityEstimator(runner.estimator_config)
-    degenerate = 0
-    covered = 0
-    for job in log.filter(days=[3]).jobs[:40]:
-        plan = runner.plans[job.job_id]
-        for op in plan.walk():
-            found = predictor.store.most_specific(SignatureBundle.of(op))
-            if found is None:
-                continue
-            covered += 1
-            profile = found[1].resource_profile(feature_input_for(op, estimator))
-            if profile.theta_p < 0 or profile.theta_c < 0:
-                degenerate += 1
-    return degenerate / max(covered, 1)
+    ops = [
+        op for job in log.filter(days=[3]).jobs[:40] for op in runner.plans[job.job_id].walk()
+    ]
+    table = FeatureTable.from_inputs(
+        [feature_input_for(op, estimator) for op in ops],
+        [SignatureBundle.of(op) for op in ops],
+    )
+    profiles, _ = resource_profiles_most_specific(predictor.store, table)
+    return [(op, profile) for op, profile in zip(ops, profiles) if profile is not None]
+
+
+def _profile_degeneracy(predictor, log, runner) -> float:
+    """Fraction of covered operators with a degenerate resource profile."""
+    covered = _covered_profiles(predictor, log, runner)
+    degenerate = sum(
+        profile.theta_p < 0 or profile.theta_c < 0 for _, profile in covered
+    )
+    return degenerate / max(len(covered), 1)
 
 
 def run_jitter_ablation(scale: str = "tiny", seed: int = 0) -> ExperimentResult:
@@ -84,26 +92,16 @@ def run_jitter_ablation(scale: str = "tiny", seed: int = 0) -> ExperimentResult:
         # How often does the learned stage optimum differ from "keep P"?
         # Without training-time P variation, theta_c collapses to ~0 and the
         # profiles cannot justify any change.
-        moved = 0
-        total = 0
-        from repro.cardinality.estimator import CardinalityEstimator
-
-        estimator = CardinalityEstimator(runner.estimator_config)
-        for job in log.filter(days=[3]).jobs[:40]:
-            plan = runner.plans[job.job_id]
-            for op in plan.walk():
-                found = predictor.store.most_specific(SignatureBundle.of(op))
-                if found is None:
-                    continue
-                profile = found[1].resource_profile(feature_input_for(op, estimator))
-                total += 1
-                optimum = profile.optimal_partitions(3000)
-                if abs(optimum - op.partition_count) > max(2, 0.25 * op.partition_count):
-                    moved += 1
+        covered = _covered_profiles(predictor, log, runner)
+        moved = sum(
+            abs(profile.optimal_partitions(3000) - op.partition_count)
+            > max(2, 0.25 * op.partition_count)
+            for op, profile in covered
+        )
         rows.append(
             {
                 "training_jitter": jitter,
-                "profiles_with_p_signal_pct": round(100.0 * moved / max(total, 1), 1),
+                "profiles_with_p_signal_pct": round(100.0 * moved / max(len(covered), 1), 1),
                 "theta_c_zero_pct": round(
                     100.0 * _theta_c_zero_fraction(predictor), 1
                 ),

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import ModelKind
+from repro.core.packed import predict_most_specific, resource_profiles_most_specific
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.shared import get_bundle
 from repro.features.extract import feature_input_for
-from repro.features.featurizer import feature_matrix
+from repro.features.table import FeatureTable
 from repro.optimizer.partition import ResourceContext
+from repro.plan.signatures import SignatureBundle
 from repro.plan.stages import build_stage_graph
 
 PAPER = {
@@ -32,28 +33,24 @@ MAX_P = 3000
 SAMPLE_COUNTS = (2, 4, 8, 16, 32, 64, 128)
 
 
-def _stage_cost_curves(predictor, stage_ops, estimator, max_p: int) -> np.ndarray | None:
+def _stage_cost_curves(store, stage: FeatureTable, profiles: list, max_p: int) -> np.ndarray:
     """Predicted stage cost for every partition count in [1, max_p].
 
-    Uses each operator's most specific individual model (the same models the
-    analytical strategy reads), vectorized over the full P sweep.
+    Each operator's row is tiled over the full P sweep and priced by its
+    most specific individual model (the same models the analytical strategy
+    reads, whose ``profiles`` name the covered operators) in one tier-index
+    pass; the covered operators' curves are summed operator by operator.
     """
-    partitions = np.arange(1, max_p + 1)
+    n = len(stage)
+    grid = stage.take(np.repeat(np.arange(n), max_p)).with_partition_count(
+        np.tile(np.arange(1.0, max_p + 1), n)
+    )
+    values = predict_most_specific(store, grid, 0.0)[0].reshape(n, max_p)
     total = np.zeros(max_p)
-    from repro.plan.signatures import SignatureBundle
-
-    any_model = False
-    for op in stage_ops:
-        bundle = SignatureBundle.of(op)
-        found = predictor.store.most_specific(bundle)
-        if found is None:
-            continue
-        any_model = True
-        _, model = found
-        base = feature_input_for(op, estimator)
-        inputs = [base.with_partition_count(float(p)) for p in partitions]
-        total += model.predict_many(inputs)
-    return total if any_model else None
+    for curve, profile in zip(values, profiles):
+        if profile is not None:
+            total += curve
+    return total
 
 
 def _geometric_skip_for(n_samples: int, max_p: int) -> float:
@@ -82,23 +79,25 @@ def run(scale: str = "small", seed: int = 0, n_stages: int = 200) -> ExperimentR
     # Collect candidate stages from executed plans.
     curves: list[np.ndarray] = []
     contexts: list[ResourceContext] = []
-    from repro.plan.signatures import SignatureBundle
-
     for job in bundle.test_log():
         plan = bundle.runner.plans[job.job_id]
         graph = build_stage_graph(plan)
         for stage in graph.stages:
             if len(curves) >= n_stages:
                 break
-            curve = _stage_cost_curves(predictor, stage.operators, estimator, MAX_P)
-            if curve is None:
+            ops = stage.operators
+            rows = FeatureTable.from_inputs(
+                [feature_input_for(op, estimator) for op in ops],
+                [SignatureBundle.of(op) for op in ops],
+            )
+            profiles, n_covered = resource_profiles_most_specific(predictor.store, rows)
+            if not n_covered:
                 continue
+            curves.append(_stage_cost_curves(predictor.store, rows, profiles, MAX_P))
             context = ResourceContext()
-            for op in stage.operators:
-                found = predictor.store.most_specific(SignatureBundle.of(op))
-                if found is not None:
-                    context.attach(found[1].resource_profile(feature_input_for(op, estimator)))
-            curves.append(curve)
+            for profile in profiles:
+                if profile is not None:
+                    context.attach(profile)
             contexts.append(context)
         if len(curves) >= n_stages:
             break

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import ModelKind
+from repro.core.robustness import score_table, store_predictions_by_kind
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.shared import get_bundle
-from repro.core.robustness import score_table
 
 #: Error-ratio bands (predicted/actual): the figure's color scale.
 BANDS = ((0.0, 0.5), (0.5, 0.8), (0.8, 1.25), (1.25, 2.0), (2.0, float("inf")))
@@ -38,31 +37,24 @@ def _band_fractions(ratios: np.ndarray) -> dict[str, float]:
 def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
     bundle = get_bundle("cluster1", scale=scale, seed=seed)
     predictor = bundle.predictor()
-    records = list(bundle.test_log().operator_records())
+    log = bundle.test_log()
+    table = log.to_table()
 
     rows = []
     series: dict[str, list] = {}
-    for kind in ModelKind:
-        ratios = []
-        for record in records:
-            model = predictor.store.lookup(kind, record.signatures)
-            if model is None:
-                continue
-            predicted = model.predict_one(record.features)
-            ratios.append((predicted + 1e-9) / (record.actual_latency + 1e-9))
-        ratios_arr = np.asarray(ratios)
-        bands = _band_fractions(ratios_arr)
+    for kind, (mask, predicted) in store_predictions_by_kind(predictor.store, log).items():
+        ratios = (predicted[mask] + 1e-9) / (table.latency[mask] + 1e-9)
+        bands = _band_fractions(ratios)
         rows.append(
             {
                 "model": kind.value,
-                "coverage_pct": round(100.0 * len(ratios) / len(records), 1),
+                "coverage_pct": round(100.0 * len(ratios) / len(table), 1),
                 "within_0.8_1.25x_pct": round(100.0 * bands["0.8-1.25x"], 1),
                 "worse_than_2x_pct": round(100.0 * bands[">2x"], 1),
             }
         )
         series[f"bands_{kind.value}"] = [round(bands[n], 4) for n in BAND_NAMES]
 
-    table = bundle.test_table()
     combined_ratios = (score_table(predictor, table) + 1e-9) / (table.latency + 1e-9)
     bands = _band_fractions(combined_ratios)
     rows.append(
@@ -82,5 +74,5 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
         rows=rows,
         series=series,
         paper=PAPER,
-        notes=f"{len(records)} operator instances from the test day.",
+        notes=f"{len(table)} operator instances from the test day.",
     )

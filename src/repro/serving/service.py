@@ -66,12 +66,12 @@ import numpy as np
 
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.common.errors import FeatureValidationError
-from repro.core.combined import meta_matrix_and_calls
-from repro.core.config import SPECIFICITY_ORDER, CleoConfig, ModelKind
+from repro.core.combined import build_meta_matrix, covered_tiers, meta_matrix_and_calls
+from repro.core.config import SPECIFICITY_ORDER, CleoConfig
 from repro.core.packed import predict_most_specific, resource_profiles_most_specific
 from repro.core.learned_model import _MAX_PREDICT_SECONDS, ResourceProfile
 from repro.core.lifecycle import ModelRegistry, ModelVersion
-from repro.core.model_store import ModelStore, signature_for
+from repro.core.model_store import ModelStore
 from repro.core.predictor import CleoPredictor, explain_cost
 from repro.core.regression_control import ModelQuarantine
 from repro.core.trainer import CleoTrainer
@@ -90,7 +90,8 @@ DEFAULT_PREDICTION_CACHE = 65_536
 
 _T = TypeVar("_T")
 
-#: The answer of last resort when even the repair path produced garbage.
+#: The answer of last resort when even the repair path (or, in the sharded
+#: router, the heuristic floor) produced garbage.
 _BOUNDED_DEFAULT_COST = 1.0
 
 #: Serializes quarantine-and-reprice across services sharing a store: a
@@ -99,9 +100,9 @@ _BOUNDED_DEFAULT_COST = 1.0
 _REPAIR_LOCK = threading.Lock()
 
 
-def _value_ok(value: float) -> bool:
-    """A serveable prediction: finite and non-negative."""
-    return math.isfinite(value) and value >= 0.0
+def _serveable(values: np.ndarray) -> np.ndarray:
+    """Which predictions are serveable: finite and non-negative."""
+    return np.isfinite(values) & (values >= 0.0)
 
 
 def plan_totals(values: np.ndarray, lengths: Sequence[int]) -> list[float]:
@@ -674,76 +675,53 @@ class CleoService:
             )
 
     def _repaired_table(self, table: FeatureTable, values: np.ndarray) -> np.ndarray:
-        """Rebuild the requests of non-finite / negative rows and repair them."""
-        idx = np.flatnonzero(~(np.isfinite(values) & (values >= 0.0)))
-        inputs = [table.input_at(i) for i in idx]
-        bundles = [SignatureBundle(*row) for row in table.signatures[idx].tolist()]
-        out = values.copy()
-        out[idx] = self._repair_rows(inputs, bundles)
-        return out
-
-    def _repair_rows(
-        self,
-        inputs: "list[FeatureInput]",
-        bundles: "list[SignatureBundle]",
-    ) -> np.ndarray:
         """Quarantine the models behind corrupt predictions and re-price.
 
-        Every ``(row, model kind)`` pair is probed — a model can be finite
-        on one row and NaN on another, so first-bad-occurrence shortcuts
-        would leave corruption in the bank.  Offenders are removed through
-        :class:`ModelQuarantine` (``ModelStore.remove`` bumps the version,
+        Every covered ``(row, model kind)`` pair of the non-finite / negative
+        rows is priced in one :func:`~repro.core.combined.covered_tiers` pass
+        — a model can be finite on one row and NaN on another, so
+        first-bad-occurrence shortcuts would leave corruption in the bank.
+        Offenders are removed through :class:`ModelQuarantine` in row-major,
+        specificity order (``ModelStore.remove`` bumps the version,
         recompiling the packed bank lazily), then the rows are re-priced
         down the remaining chain: combined model, most-specific survivor,
         global fallback, bounded default.
         """
+        bad = np.flatnonzero(~_serveable(values))
+        rows = table.take(bad)
         predictor = self.predictor
         store = predictor.store
+        combined = predictor.combined
         with _REPAIR_LOCK:
-            offenders: dict[tuple[ModelKind, int], None] = {}
-            for features, bundle in zip(inputs, bundles):
-                for kind in SPECIFICITY_ORDER:
-                    signature = signature_for(kind, bundle)
-                    if (kind, signature) in offenders:
-                        continue
-                    model = store.get(kind, signature)
-                    if model is None:
-                        continue
-                    # repro: allow(lock-discipline) -- repair is deliberately serialized: probing must see a stable store so two threads cannot double-quarantine; it only runs on corrupt batches, where latency is irrelevant
-                    if not _value_ok(model.predict_one(features)):
-                        offenders[(kind, signature)] = None
-            removed = sum(
-                1
-                for kind, signature in offenders
-                if self._model_quarantine.quarantine(store, kind, signature)
+            masks, predictions, _ = covered_tiers(store, rows)
+            at, tier = np.nonzero(masks & ~_serveable(predictions))
+            offenders = dict.fromkeys(
+                zip(
+                    [SPECIFICITY_ORDER[k] for k in tier.tolist()],
+                    rows.signatures[at, tier].tolist(),
+                )
             )
-            combined = predictor.combined
-            out = np.empty(len(inputs), dtype=float)
-            for i, (features, bundle) in enumerate(zip(inputs, bundles)):
-                value: float | None = None
-                if combined is not None and combined.is_fitted:
-                    # repro: allow(lock-discipline) -- re-pricing stays under _REPAIR_LOCK so it prices against the post-quarantine store, not a store another thread is still repairing
-                    candidate = float(combined.predict_one(features, bundle))
-                    if _value_ok(candidate):
-                        value = candidate
-                if value is None:
-                    best = store.most_specific(bundle)
-                    if best is not None:
-                        # repro: allow(lock-discipline) -- same repair-path reasoning: the fallback chain must read the store the quarantine pass just produced
-                        candidate = float(best[1].predict_one(features))
-                        if _value_ok(candidate):
-                            value = candidate
-                if value is None or not _value_ok(value):
-                    value = float(predictor.fallback_cost)
-                if not _value_ok(value):
-                    value = _BOUNDED_DEFAULT_COST
-                out[i] = min(value, _MAX_PREDICT_SECONDS)
+            removed = sum(
+                self._model_quarantine.quarantine(store, kind, signature)
+                for kind, signature in offenders
+            )
+            # Every offender is gone, so each row's most specific survivor
+            # prices it serveably: the chain's only garbage is a bad fallback.
+            # repro: allow(lock-discipline) -- re-pricing stays under _REPAIR_LOCK so it prices against the post-quarantine store, not a store another thread is still repairing; it only runs on corrupt batches
+            repaired, _, _ = predict_most_specific(store, rows, predictor.fallback_cost)
+            if combined is not None and combined.is_fitted:
+                # repro: allow(lock-discipline) -- same repair-path reasoning: the combined model must read the store the quarantine pass just produced
+                priced = combined.predict_rows(build_meta_matrix(store, rows))
+                repaired = np.where(_serveable(priced), priced, repaired)
+        repaired = np.where(_serveable(repaired), repaired, _BOUNDED_DEFAULT_COST)
         # A removal moved ``store.version``: this service's LRU, and that of
         # every service sharing the store, drops its entries on its next
         # probe (see ``_probe``).
         with self._stats_lock:
             self._quarantined += removed
-            self._degraded += len(inputs)
+            self._degraded += len(bad)
+        out = values.copy()
+        out[bad] = np.minimum(repaired, _MAX_PREDICT_SECONDS)
         return out
 
     # ------------------------------------------------------------------ #

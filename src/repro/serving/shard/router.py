@@ -73,6 +73,7 @@ from repro.core.serialization import health_state_from_dict, health_state_to_dic
 from repro.serving.faults import FaultInjector, FaultKind
 from repro.serving.service import (
     DEFAULT_PREDICTION_CACHE,
+    _BOUNDED_DEFAULT_COST,
     CleoService,
     PredictionRequest,
     ServiceStats,
@@ -97,9 +98,6 @@ from repro.serving.shard.health import (
 from repro.serving.shard.routing import DEFAULT_REPLICAS, HashRing, route_key
 
 _T = TypeVar("_T")
-
-#: The ladder's last rung when even the heuristic produced garbage.
-_BOUNDED_DEFAULT_COST = 1.0
 
 #: Templates memoized per cluster before the route memo starts over (entries
 #: are pure recomputations of the ring lookup): ad-hoc traffic mints a new

@@ -18,7 +18,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.common.errors import ModelFileError
+from repro.common.errors import ModelFileError, ModelNotTrainedError
 from repro.core.config import ModelKind
 from repro.core.lifecycle import LifecycleManager, RetrainPolicy
 from repro.core.regression_control import ModelQuarantine
@@ -217,14 +217,24 @@ class TestCombinedBlock:
 
 class TestSave:
     def test_unfitted_model_is_not_saved(self, tiny_predictor, tmp_path):
+        """An unfitted model is refused at ``add``, so the saved file holds
+        exactly the models the predictor held before."""
         from repro.core.learned_model import LearnedCostModel
 
         predictor = predictor_from_dict(predictor_to_dict(tiny_predictor))
-        predictor.store.add(ModelKind.OPERATOR, 10**9, LearnedCostModel(include_context=True))
+        models, version = predictor.store.count(), predictor.store.version
+        with pytest.raises(ModelNotTrainedError, match="unfitted"):
+            predictor.store.add(
+                ModelKind.OPERATOR, 10**9, LearnedCostModel(include_context=True)
+            )
+        assert predictor.store.get(ModelKind.OPERATOR, 10**9) is None
+        assert (predictor.store.count(), predictor.store.version) == (models, version)
         path = tmp_path / "cleo_models.json"
-        with pytest.raises(ModelFileError, match="unfitted"):
-            save_predictor(predictor, path)
-        assert not path.exists()
+        save_predictor(predictor, path)
+        restored = load_predictor(path).store
+        assert {kind: set(by_sig) for kind, by_sig in restored.models.items()} == {
+            kind: set(by_sig) for kind, by_sig in tiny_predictor.store.models.items()
+        }
 
 
 class TestLifecycleState:

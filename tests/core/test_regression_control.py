@@ -122,6 +122,29 @@ class TestModelQuarantine:
         assert second.total_removed == 0
         assert second.inspected == first.inspected
 
+    def test_nan_latency_does_not_shield_a_wrong_model(self):
+        """A NaN latency made its models' median NaN, and a NaN median never
+        exceeds the threshold: five NaN rows let one wrong op-input model
+        escape.  The audit scores only the rows the trainer's data-quality
+        gate keeps, so it removes what it removes from the clean log."""
+        import copy
+
+        from repro.common.chaos import PoisonPolicy, RunLogPoisoner
+        from repro.experiments.shared import get_bundle
+
+        bundle = get_bundle("cluster4", scale="tiny", seed=0)
+        store = bundle.predictor().store
+        clean = ModelQuarantine(1.5, 5)
+        clean.audit(copy.deepcopy(store), bundle.test_log())
+        policy = PoisonPolicy(name="nan-only", nan_rate=0.02, seed=3)
+        poisoned, counts = RunLogPoisoner(policy).poison(bundle.test_log())
+        assert counts["nan"] == counts["total"] > 0
+        audit = ModelQuarantine(1.5, 5)
+        report = audit.audit(copy.deepcopy(store), poisoned)
+        assert len(clean.ledger()) == 12
+        assert audit.ledger() == clean.ledger()
+        assert report.inspected == poisoned.operator_count
+
     def test_boundary_quarantine_is_idempotent(self, tiny_bundle):
         """The serving-boundary entry removes once and reports repeats."""
         import copy

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import ModelFileError
+from repro.common.errors import ModelFileError, ModelNotTrainedError
 from repro.core.combined import build_meta_matrix
 from repro.core.config import SPECIFICITY_ORDER, ModelKind
 from repro.core.learned_model import LearnedCostModel, ParameterColumns
@@ -119,10 +119,13 @@ class TestStoreRoundTrip:
             store_from_dict(payload)
 
     def test_unfitted_model_rejected(self):
+        """No store holds an unfitted model, so none reaches a model file:
+        the store refuses it at ``add`` and serializes as it was."""
         store = ModelStore()
-        store.add(ModelKind.OPERATOR, 7, LearnedCostModel(include_context=True))
-        with pytest.raises(ModelFileError, match="unfitted"):
-            store_to_dict(store)
+        with pytest.raises(ModelNotTrainedError, match="unfitted"):
+            store.add(ModelKind.OPERATOR, 7, LearnedCostModel(include_context=True))
+        assert (store.count(), store.version) == (0, 0)
+        assert store_from_dict(store_to_dict(store)).count() == 0
 
     def test_loaded_models_share_one_block_per_kind(self, tiny_predictor):
         restored = store_from_dict(store_to_dict(tiny_predictor.store))

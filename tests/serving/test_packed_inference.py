@@ -3,9 +3,9 @@
 The load-bearing guarantee: pricing through the compiled
 ``PackedModelBank`` / flat tree ensemble is *bitwise identical* to the
 object-graph reference path and to one-at-a-time prediction, across
-randomized stores and tables (including rows no model covers and kinds the
-bank cannot pack), with the serving layer's model-call / fallback / lookup
-accounting preserved.
+randomized stores and tables (including rows no model covers), with the
+serving layer's model-call / fallback / lookup accounting preserved.  A
+model the bank cannot pack never enters a store.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.common.errors import ModelNotTrainedError, ValidationError
 from repro.core.combined import (
     CombinedModel,
     build_meta_matrix,
@@ -147,19 +148,20 @@ class TestRandomizedParity:
         assert np.array_equal(packed, reference)
         assert np.array_equal(packed, scalar)
 
-    def test_unpackable_kind_falls_back_to_reference(self):
-        """An unfitted model leaves its kind unpacked but served correctly."""
+    def test_unpackable_model_is_refused_at_add(self):
+        """The store holds only what the bank can pack: an unfitted model
+        and one of the wrong width are refused, typed, before anything
+        changes, so the bank still matches the object graph."""
         rng = np.random.default_rng(7)
         inputs, bundles, table = _random_workload(rng, 60)
         store = _random_store(rng, coverage=0.5)
-        # An unfitted model under a signature outside the table's alphabet:
-        # the kind cannot pack, the reference loop serves it.
-        store.add(
-            ModelKind.OPERATOR,
-            10_000,
-            LearnedCostModel(include_context=True),
-        )
-        assert store.packed_bank().kinds[ModelKind.OPERATOR] is None
+        models, version = store.count(), store.version
+        with pytest.raises(ModelNotTrainedError):
+            store.add(ModelKind.OPERATOR, 10_000, LearnedCostModel(include_context=True))
+        with pytest.raises(ValidationError):
+            store.add(ModelKind.OPERATOR, 10_000, _fitted_model(rng, ModelKind.OP_SUBGRAPH))
+        assert store.get(ModelKind.OPERATOR, 10_000) is None
+        assert (store.count(), store.version) == (models, version)
         scalar = _object_graph(store, inputs, bundles, 1.5)
         packed, _, _ = predict_most_specific(store, table, 1.5)
         assert np.array_equal(scalar, packed)

@@ -9,7 +9,8 @@ profiles, and the per-kind predictions the robustness evaluators read.
 
 The generated cases include tables of 0, 1 and 5 000 rows, signature words
 above 2**63 (the index searches their bits as int64), a word that two kinds
-hold, a kind with no models, a kind the bank cannot pack, and an
+hold, a kind with no models, a model the bank cannot pack (which the store
+refuses, typed, leaving itself unchanged), and an
 op-subgraph model with all-zero coefficients scored on rows whose context
 features (CL, D) are negative: the op-subgraph kind is 29 wide inside the
 31-wide block, and its two pad terms must not flip the sign of a zero.
@@ -25,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.errors import ModelNotTrainedError, ValidationError
 from repro.core.combined import build_meta_matrix_reference, meta_matrix_and_calls
 from repro.core.combined import predict_covered_reference
 from repro.core.config import SPECIFICITY_ORDER, ModelKind
@@ -43,7 +45,7 @@ from tests.serving.test_packed_inference import _SIG_CARDINALITY, _fitted_model,
 _WORDS = np.random.default_rng(2024).integers(0, 2**63, size=12, dtype=np.uint64)
 _WORDS[1::2] |= np.uint64(1 << 63)
 _WORDS[-3:] = (2**63 - 1, 0, 2**64 - 1)
-#: A word no table holds: keys the unpackable kind's unfitted model.
+#: A word no table holds: keys the models the store refuses.
 _UNUSED = 12345
 _FALLBACK = 3.25
 
@@ -68,8 +70,21 @@ def _store(
         zero._net._scaler.mean_ = np.full_like(zero._net._scaler.mean_, -1e30)
         store.add(ModelKind.OP_SUBGRAPH, int(_WORDS[0]), zero)
     if unpackable is not None:
+        # An unfitted model, and a fitted one of the other width: refused at
+        # the door, nothing added and the version unchanged.
+        models, version = store.count(), store.version
         unfitted = LearnedCostModel(include_context=unpackable.uses_context_features)
-        store.add(unpackable, _UNUSED, unfitted)
+        with pytest.raises(ModelNotTrainedError):
+            store.add(unpackable, _UNUSED, unfitted)
+        other = next(
+            kind
+            for kind in ModelKind
+            if kind.uses_context_features != unpackable.uses_context_features
+        )
+        with pytest.raises(ValidationError):
+            store.add(unpackable, _UNUSED, _fitted_model(np.random.default_rng(0), other))
+        assert store.get(unpackable, _UNUSED) is None
+        assert (store.count(), store.version) == (models, version)
     # The word two kinds hold is generated, not left to the draw: the first
     # two non-empty kinds in specificity order both hold word 1 (above
     # 2**63, and inside every kind's signature alphabet).
@@ -159,8 +174,6 @@ kinds_or_none = st.sampled_from((None, *SPECIFICITY_ORDER))
 @settings(max_examples=40, deadline=None)
 def test_tier_index_matches_the_object_graph(seed, n, empty, unpackable, zero_intercept):
     store = _store(seed, empty, unpackable, zero_intercept)
-    if unpackable is not None:
-        assert store.packed_bank().kinds[unpackable] is None
     _check(store, *_rows(seed + 1, n))
 
 

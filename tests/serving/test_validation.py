@@ -24,10 +24,13 @@ import numpy as np
 import pytest
 
 from repro.common.errors import FeatureValidationError, ValidationError
+from repro.core.config import SPECIFICITY_ORDER, ModelKind
 from repro.core.model_store import signature_for
 from repro.core.predictor import CleoPredictor
+from repro.core.regression_control import ModelQuarantine
 from repro.core.robustness import score_table
 from repro.features.table import FeatureTable
+from repro.plan.signatures import SignatureBundle
 from repro.serving import CleoService, PredictionRequest
 from repro.serving.shard import ShardedCleoRouter
 
@@ -330,3 +333,142 @@ class TestOutputValidationAndQuarantine:
         assert stats.degraded_predictions == 1
         # No model actually misbehaved, so nothing was quarantined.
         assert stats.quarantined_models == 0
+
+
+# ------------------------------------------------------------------ #
+# Repair parity: the columnar repair against the per-row chain
+# ------------------------------------------------------------------ #
+
+
+def _serveable(value: float) -> bool:
+    return math.isfinite(value) and value >= 0.0
+
+
+class _NanMetaModel:
+    """The trained ensemble, except that it answers NaN on rows with a NaN
+    meta-feature (as a linear meta model would) and on rows whose input
+    cardinality (meta column 8) exceeds ``limit``: NaN is row-local."""
+
+    def __init__(self, regressor, limit: float) -> None:
+        self.regressor = regressor
+        self.limit = limit
+
+    def predict(self, rows: np.ndarray) -> np.ndarray:
+        out = np.array(self.regressor.predict(rows), dtype=float)
+        out[np.isnan(rows).any(axis=1) | (rows[:, 8] > self.limit)] = np.nan
+        return out
+
+
+def _repair_scenario(tiny_bundle, records, with_combined: bool, fallback: float):
+    """A predictor whose models of two kinds carry non-finite coefficients,
+    optionally with a combined model that yields NaN on some rows.
+
+    A less specific kind's model (NaN coefficients) goes bad on an earlier
+    row than an op-subgraph model (+inf coefficients), so the ledger's
+    row-major order is not its specificity order.
+    """
+    predictor = copy.deepcopy(tiny_bundle.predictor())
+    store = predictor.store
+    first_row: dict = {}
+    for i, record in enumerate(records):
+        for kind in SPECIFICITY_ORDER:
+            key = (kind, signature_for(kind, record.signatures))
+            if store.get(*key) is not None:
+                first_row.setdefault(key, i)
+    at, kind = next(
+        (i, found[0])
+        for i, record in enumerate(records)
+        if (found := store.most_specific(record.signatures)) is not None
+        and found[0] is not ModelKind.OP_SUBGRAPH
+    )
+    general = (kind, signature_for(kind, records[at].signatures))
+    specific = next(
+        key for key, i in first_row.items() if key[0] is ModelKind.OP_SUBGRAPH and i > at
+    )
+    for key, bad in ((general, np.nan), (specific, np.inf)):
+        model = store.get(*key)
+        model._net.coef_ = np.full_like(model._net.coef_, bad)
+        store.add(*key, model)
+    combined = None
+    if with_combined:
+        combined = predictor.combined
+        limit = float(np.quantile([r.features.input_card for r in records], 0.9))
+        combined.regressor = _NanMetaModel(combined.regressor, limit)
+    return CleoPredictor(store=store, combined=combined, fallback_cost=fallback)
+
+
+def _per_row_chain(predictor, records):
+    """The per-row ``predict_one`` reference: price each row down the
+    chain, then, for the unserveable rows, probe every ``(row, kind)``
+    pair, quarantine the offenders in row-major, specificity order, and
+    re-price those rows down the chain one at a time."""
+    store, combined = predictor.store, predictor.combined
+
+    def chain(record):
+        value = math.nan
+        if combined is not None:
+            value = float(combined.predict_one(record.features, record.signatures))
+        if not _serveable(value):
+            best = store.most_specific(record.signatures)
+            value = math.nan if best is None else best[1].predict_one(record.features)
+        if not _serveable(value):
+            value = float(predictor.fallback_cost)
+        return value
+
+    first = []
+    for record in records:
+        if combined is not None:
+            first.append(float(combined.predict_one(record.features, record.signatures)))
+        else:
+            best = store.most_specific(record.signatures)
+            first.append(
+                predictor.fallback_cost
+                if best is None
+                else best[1].predict_one(record.features)
+            )
+    bad = [i for i, value in enumerate(first) if not _serveable(value)]
+    quarantine = ModelQuarantine()
+    offenders = {}
+    for i in bad:
+        for kind in SPECIFICITY_ORDER:
+            signature = signature_for(kind, records[i].signatures)
+            model = store.get(kind, signature)
+            if model is not None and not _serveable(model.predict_one(records[i].features)):
+                offenders.setdefault((kind, signature))
+    for kind, signature in offenders:
+        quarantine.quarantine(store, kind, signature)
+    values = list(first)
+    for i in bad:
+        value = chain(records[i])
+        values[i] = min(value if _serveable(value) else 1.0, 1e7)
+    return np.array(values), quarantine.ledger(), len(bad)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestRepairParity:
+    @pytest.mark.parametrize("with_combined", [False, True])
+    @pytest.mark.parametrize("fallback", [2.5, math.nan])
+    def test_columnar_repair_matches_the_per_row_chain(
+        self, tiny_bundle, records, with_combined, fallback
+    ):
+        # The last row no model covers: with a NaN fallback it ends on the
+        # bounded default.
+        rows = [*records, replace(records[0], signatures=SignatureBundle(1, 2, 3, 4))]
+        served = _repair_scenario(tiny_bundle, rows, with_combined, fallback)
+        oracle = _repair_scenario(tiny_bundle, rows, with_combined, fallback)
+        expected, ledger, degraded = _per_row_chain(oracle, rows)
+        assert degraded > 0
+        order = [SPECIFICITY_ORDER.index(kind) for kind, _ in ledger]
+        assert len(set(order)) >= 2 and order != sorted(order)
+        assert (expected[-1] == 1.0) == (math.isnan(fallback) and not with_combined)
+
+        service = CleoService(served, prediction_cache_size=0)
+        values = service.predict_table(FeatureTable.from_records(rows))
+        assert values.tobytes() == expected.tobytes()
+        stats = service.stats()
+        assert stats.quarantined_models == len(ledger)
+        assert stats.degraded_predictions == degraded
+        assert service._model_quarantine.ledger() == ledger
+        assert {kind: set(m) for kind, m in served.store.models.items()} == {
+            kind: set(m) for kind, m in oracle.store.models.items()
+        }
