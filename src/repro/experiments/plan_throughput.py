@@ -8,10 +8,11 @@ loop was the last scalar hot path — one Python ``operator_cost``
 round-trip per candidate.  This benchmark times re-planning the canonical
 generated workload's test day with learned costs through both paths:
 
-* **scalar** — ``CleoCostModel(batched=False)``: the retained per-candidate
-  ``operator_cost`` loop (one request materialization, one packed
-  single-row prediction per costed operator), the partition grid included:
-  one ``operator_cost`` probe per ``(stage, candidate, operator)``;
+* **scalar** — ``CleoCostModel(batched=False)``: one packed single-row
+  prediction per costed candidate (the compile runs the skeleton replay, so
+  each is a one-row ``price_inputs`` from the node's cached statistics), the
+  partition grid included: one ``operator_cost`` probe per
+  ``(stage, candidate, operator)``;
 * **batched** — the default ``CleoCostModel``: the planner defers frontier
   costs into a pending ledger priced through
   :meth:`~repro.serving.service.CleoService.predict_inputs` in batched
@@ -126,7 +127,7 @@ def run_benchmark(
         )
         phases[phase] = {
             "scalar": path_stats(
-                scalar_times, path="per-candidate operator_cost loop", plans=n_jobs
+                scalar_times, path="per-candidate one-row pricing loop", plans=n_jobs
             ),
             "batched": path_stats(
                 batched_times,

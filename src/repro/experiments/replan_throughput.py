@@ -7,14 +7,16 @@ fleet-shaped task: thousands of instances of a few hundred templates, each
 instance differing only in its numbers.  This benchmark times replanning
 such a fleet with learned costs through both paths:
 
-* **baseline** — the batched ``QueryPlanner`` loop (PR 5's fastest per-job
-  configuration): every instance runs the full Cascades search with
-  deferred frontier pricing, one job at a time;
+* **baseline** — the batched ``QueryPlanner`` loop, one compile at a time:
+  each instance runs the replay search over a skeleton analyzed afresh for
+  it (a compile has no template id to memoize on), with deferred frontier
+  pricing and its own plan-total finale;
 * **fleet** — :func:`repro.optimizer.replan.replan_jobs`: each template
   shape is analyzed once and replayed per instance over slotted nodes
   (skeleton memoization), every job's search — whatever its template —
-  advances to its next suspension and each wave prices all their pending
-  ledger rows in one packed ``predict_inputs`` pass, and the finale is
+  advances to its next suspension and each wave prices the still-open
+  searches' pending ledger rows in one packed ``predict_inputs`` pass, and
+  the finale is
   fleet-wide: one ``price_plans`` call for every plan total or, with a
   partition strategy, one P-grid per 64 winners for their exploration,
   guard and totals.

@@ -1,14 +1,15 @@
-"""``QueryPlanner``: the Cascades search over real :class:`PhysicalOp` nodes.
+"""``QueryPlanner``: one compile, under any cost model and estimator.
 
-The rules live in :mod:`repro.optimizer.search`; this is the configuration
-of that core which builds frozen :class:`PhysicalOp` candidates, reads
-estimates from the :class:`CardinalityEstimator` it is given, and prices each
-candidate with ``cost_model.operator_cost(op, estimator)`` — the default
-heuristic model, Cleo's learned models served via
-:class:`~repro.serving.service.CleoService`, or anything duck-typed with that
+Whenever :func:`~repro.optimizer.skeleton.supports_replay` holds (the stock
+estimator with the default, tuned or learned models: every product caller),
+``plan`` runs the skeleton replay, its skeleton built per call.  Otherwise it
+runs this module's configuration of :mod:`repro.optimizer.search`: frozen
+:class:`PhysicalOp` candidates, estimates from the
+:class:`CardinalityEstimator` it is given, each candidate priced with
+``cost_model.operator_cost(op, estimator)`` — anything duck-typed with that
 one method.  That makes it the construction an opaque cost model or an
-estimator subclass can be served by, and the reference the skeleton replay's
-cached statistics are compared against.
+estimator subclass can be served by, and the reference the replay is pinned
+against (tests reach it with an estimator subclass).
 
 What it overrides: ``_mk`` / ``_with_partitions`` (a ``PhysicalOp`` per
 candidate, which carries its own estimate and takes it along when dropped),
@@ -67,7 +68,7 @@ class PlannerConfig:
 
 
 class QueryPlanner(CascadesSearch):
-    """Optimizes logical plans into physical plans under a cost model."""
+    """Optimizes logical plans under a cost model, through the replay where it can."""
 
     def __init__(
         self,
@@ -79,9 +80,15 @@ class QueryPlanner(CascadesSearch):
         #: Callers (e.g. the workload runner) vary this per job so allocation
         #: jitter differs across jobs while staying reproducible.
         self.jitter_salt: str = ""
+        # Imported here: skeleton imports this module.
+        from repro.optimizer.skeleton import _CompileReplay, supports_replay
+        replay = supports_replay(cost_model, estimator)
+        self._replay = _CompileReplay(cost_model, estimator, self.config) if replay else None
 
     def plan(self, logical_root: LogicalOp) -> PlannedJob:
         """Optimize one logical plan end to end."""
+        if self._replay is not None:
+            return self._replay.replan_job("", 0, logical_root, self.jitter_salt)
         self._deferred = bool(
             getattr(self.cost_model, "supports_batched_pricing", False)
         )

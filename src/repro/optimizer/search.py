@@ -42,10 +42,11 @@ A frame with a single candidate keeps the expression unresolved (its parent
 frontier prices it); a frame that must compare candidates suspends, the
 driver prices every pending row in one ``_price`` call, and the expressions
 are resolved by replaying their recorded arithmetic, each node once per
-search (it keeps its value).  Plan choices, costs and model-lookup
-accounting are bitwise identical to scalar costing
-(``tests/optimizer/test_batched_planning.py``); only the number of
-vectorized model invocations differs.
+search (it keeps its value).  Rows still pending when a search finishes
+(stragglers) are read by no comparison: dropped unpriced, counted in
+``_rows_unread``.  Plan choices and costs are bitwise identical to scalar
+costing; cache-off scalar lookups are deferred lookups plus five per unread
+row (``tests/optimizer/test_batched_planning.py``).
 
 **One resumable search.**  A frame (``_optimize``) is a generator; the rules
 are plain functions of its child frames' winners.  A frame starts all its
@@ -54,10 +55,10 @@ level of its critical path (a frame's level: its deepest child's, plus one if
 it compares candidates), not once per comparing frame.  Each job's state lives
 in one :class:`_Search`, so any number can be open at once;
 :meth:`CascadesSearch._search`, the only driver, advances every open search
-to its next suspension, prices all their pending rows in one call and repeats
-— as many calls as the deepest job has levels, whatever the fleet.  Pricing a
-row early is exact: predictions are batch-invariant, ledger indices are
-assigned when ``_cost`` runs.  Scalar costing never suspends.
+to its next suspension, prices the pending rows of those still open in one
+call and repeats — as many calls as the deepest job has levels, whatever the
+fleet.  Pricing a row early is exact: predictions are batch-invariant, ledger
+indices are assigned when ``_cost`` runs.  Scalar costing never suspends.
 """
 
 from __future__ import annotations
@@ -204,6 +205,7 @@ class SkelNode:
     __slots__ = (
         "children",
         "op_type",
+        "keys",
         "inputs",
         # join
         "hash_left",
@@ -259,6 +261,7 @@ def _build_skeleton(bound: list[LogicalOp], config) -> list[SkelNode]:
         sn = SkelNode()
         sn.children = tuple(index_of[id(child)] for child in logical.children)
         sn.op_type = kind = logical.op_type
+        sn.keys = logical.keys
         # Filters and projections add the push-down of the frame's requirement.
         inputs = [(child, _ANY, _NO_SORT) for child in sn.children]
         if kind is LogicalOpType.JOIN:
@@ -362,6 +365,8 @@ class CascadesSearch:
         self.config = config
         self._mb_bytes = config.exchange_partition_mb * 1024 * 1024
         self._deferred = False
+        #: Ledger rows dropped unpriced when their search finished.
+        self._rows_unread = 0
         # The search being advanced (see _Search); swapped by _advance.
         self._job: _Search | None = None
 
@@ -390,8 +395,8 @@ class CascadesSearch:
         """Search every ``(template_id, day, logical_root, jitter_salt)``
         request to its winner; the finished searches align with the input.
 
-        Each wave advances every open search to its next suspension and
-        prices all their pending ledger rows in ONE ``_price`` call, so the
+        Each wave advances every open search to its next suspension and prices
+        the still-open ones' pending ledger rows in ONE ``_price`` call, so the
         number of pricing calls is the deepest job's flush depth, not a
         multiple of the job count (why that is exact: module docstring).  A
         lone request degenerates to the solo search, flushing at every
@@ -406,10 +411,8 @@ class CascadesSearch:
             opened += fresh
             wave = live + fresh
             live = [job for job in wave if self._advance(job)]
-            # Finished searches flush their stragglers here too: operators
-            # whose costs never had to decide a comparison are still priced
-            # exactly once, so lookup accounting matches scalar costing.
-            self._flush(wave)
+            # Only live searches flush (``_advance`` drops stragglers).
+            self._flush(live)
             if not live and len(fresh) < room:  # nothing open, nothing left
                 return opened
 
@@ -430,8 +433,10 @@ class CascadesSearch:
         except StopIteration as done:
             job.win = done.value[0]
             job.choices = _flatten(job.choices, [])
-            # Only the winner, the choice key and the straggler ledger
-            # outlive the search; the memo pins every frame's subplan.
+            # Only the winner and the choice key outlive the search (the memo
+            # pins every frame's subplan); pending rows are stragglers.
+            self._rows_unread += len(job.pending)
+            job.pending.clear()
             job.run = job.memo = job.jitter_cache = job.primed = None
             return False
         return True

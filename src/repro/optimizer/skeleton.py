@@ -63,7 +63,7 @@ from repro.optimizer.search import (
     _Search,
     materialize,
 )
-from repro.plan.logical import LogicalOp
+from repro.plan.logical import LogicalOp, LogicalOpType
 from repro.plan.physical import ExchangeMode, PhysOpType, PhysicalOp
 from repro.plan.properties import Partitioning, SortOrder
 from repro.plan.signatures import signed
@@ -132,6 +132,26 @@ def supports_fast_path(
     return supports_replay(cost_model, estimator) and config.partition_strategy is None
 
 
+def _same_structure(skeleton: list[SkelNode], bound: list[LogicalOp]) -> bool:
+    """Whether ``skeleton`` holds what :func:`_build_skeleton` reads off each
+    position of ``bound``: op type, child positions, keys, an aggregate's tag."""
+    if len(skeleton) != len(bound):
+        return False
+    for sn, node in zip(skeleton, bound):
+        if (
+            sn.op_type is not node.op_type
+            or sn.keys != node.keys
+            or len(sn.children) != len(node.children)
+            or (sn.op_type is LogicalOpType.AGGREGATE
+                and sn.local_tag != f"{node.template_tag}#local")
+        ):
+            return False
+        for index, child in zip(sn.children, node.children):
+            if bound[index] is not child:  # positions hold distinct nodes
+                return False
+    return True
+
+
 def _walk_replay(node: RNode):
     """Yield the replay tree children-before-parents, like ``PhysicalOp.walk``.
 
@@ -160,9 +180,10 @@ class SkeletonPlannerStats:
     ``skeleton_evictions`` counts entries dropped by the clear-at-limit cap
     or by :meth:`SkeletonPlanner.keep_days`.
     ``frontier_flushes`` counts pricing calls: one per wave that had rows to
-    price, i.e. per level of the deepest open search's critical path, plus
-    one for stragglers.  A search's memo needs no cap of its own: bounded by
-    one template's frame count, dropped when the winner is known.
+    price, i.e. per level of the deepest open search's critical path;
+    ``rows_unread`` the stragglers' ledger rows, dropped unpriced.  A search's
+    memo needs no cap of its own: bounded by one template's frame count,
+    dropped when the winner is known.
     """
 
     jobs_replayed: int
@@ -171,6 +192,7 @@ class SkeletonPlannerStats:
     skeleton_evictions: int
     skeletons_cached: int
     frontier_flushes: int
+    rows_unread: int
 
 
 class SkeletonPlanner(CascadesSearch):
@@ -270,12 +292,12 @@ class SkeletonPlanner(CascadesSearch):
     def replan_job(
         self, template_id: str, day: int, logical_root: LogicalOp, jitter_salt: str
     ) -> PlannedJob:
-        """Full :meth:`QueryPlanner.plan` replacement for one recurring job.
+        """One job end to end (:meth:`QueryPlanner.plan` for a stock pair).
 
         Beyond :meth:`plan_job` it materializes the winner, runs the
         partition-strategy pass when one is configured, and reports the total
         plan cost — everything :class:`~repro.optimizer.planner.PlannedJob`
-        carries — bitwise identical to the reference planner.
+        carries — bitwise identical to the ``PhysicalOp`` configuration.
         """
         (job,), (planned,) = self._plan_all(
             [(template_id, day, logical_root, jitter_salt)]
@@ -292,6 +314,7 @@ class SkeletonPlanner(CascadesSearch):
             skeleton_evictions=self._skeleton_evictions,
             skeletons_cached=len(self._skeletons),
             frontier_flushes=self._frontier_flushes,
+            rows_unread=self._rows_unread,
         )
 
     def keep_days(self, days) -> None:
@@ -309,17 +332,21 @@ class SkeletonPlanner(CascadesSearch):
     def _skeleton(
         self, template_id: str, day: int, bound: list[LogicalOp]
     ) -> list[SkelNode]:
-        """The template's static search data, memoized per ``(template_id, day)``."""
+        """The template's static search data, memoized per ``(template_id, day)``;
+        a hit of another structure raises (it would plan another query)."""
         key = (template_id, day)
         skeleton = self._skeletons.get(key)
-        if skeleton is None or len(skeleton) != len(bound):
-            # A length mismatch should be impossible (template structure is
-            # instance-independent); rebuilding keeps the path correct anyway.
+        if skeleton is None:
             if len(self._skeletons) >= self._SKELETON_CACHE_LIMIT:
                 self._skeleton_evictions += len(self._skeletons)
                 self._skeletons.clear()
             skeleton = self._skeletons[key] = _build_skeleton(bound, self.config)
             self._skeleton_builds += 1
+        elif not _same_structure(skeleton, bound):
+            raise OptimizationError(
+                f"template {template_id!r} day {day}: the job's logical structure "
+                "differs from the skeleton cached under that key"
+            )
         else:
             self._skeleton_hits += 1
         return skeleton
@@ -511,6 +538,13 @@ class SkeletonPlanner(CascadesSearch):
         partitions = int(math.ceil(rows * width / self._mb_bytes))
         base = max(1, min(partitions, self.config.default_partition_cap))
         return min(self._jittered(base, op.template_tag), self.config.max_partitions)
+
+
+class _CompileReplay(SkeletonPlanner):
+    """:meth:`QueryPlanner.plan`'s replay: no template id, so no skeleton cache."""
+
+    def _skeleton(self, template_id, day, bound):
+        return _build_skeleton(bound, self.config)
 
 
 __all__ = [

@@ -2,10 +2,15 @@
 
 The batched path must be *bitwise* identical to the scalar planner: same
 plan shapes, same partition counts, same estimated costs, same candidate
-counts, and the same per-prediction model-lookup accounting — batching may
-only change how many vectorized model invocations happen, never what they
-compute.  These tests pin that contract over the trained tiny bundle, over
-randomized ad-hoc plans, and for every partition strategy family.
+counts — batching may only change how many vectorized model invocations
+happen, never what they compute.  Per-prediction model-lookup accounting
+differs by exactly the stragglers: ledger rows still pending when a search
+finishes are read by no comparison and dropped unpriced, so cache-off scalar
+lookups equal batched lookups plus ``LOOKUPS_PER_PREDICTION`` per unread
+row.  These tests pin that contract over the trained tiny bundle, over
+randomized ad-hoc plans, and for every partition strategy family; and that a
+stock compile runs the replay, bit for bit the ``PhysicalOp``
+configuration's plan.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from hypothesis import strategies as st
 
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.core.cost_model import CleoCostModel
+from repro.core.predictor import CleoPredictor
+from repro.cost.default_model import DefaultCostModel
 from repro.optimizer.partition import (
     AnalyticalStrategy,
     ExhaustiveStrategy,
@@ -34,6 +41,7 @@ from repro.optimizer.planner import (
 )
 from repro.plan.stages import build_stage_graph
 from repro.workload.templates import instantiate
+from tests.optimizer.test_golden_rules import OperatorPathEstimator, digest
 
 
 def _fingerprint(planned):
@@ -62,6 +70,25 @@ def _plan_all(planner, jobs, predictor):
     return fingerprints, predictor.lookup_count
 
 
+def _assert_scalar_is_batched_plus_unread(scalar, batched, scalar_lookups, batched_lookups):
+    """Scalar costing prices every ledger row; batched costing all but the
+    stragglers its replay dropped unread (at least one per search)."""
+    assert scalar._replay.stats().rows_unread == 0
+    unread = batched._replay.stats().rows_unread
+    assert unread >= batched._replay.stats().jobs_replayed
+    assert scalar_lookups == batched_lookups + unread * CleoPredictor.LOOKUPS_PER_PREDICTION
+
+
+def _assert_one_flush_per_level(batched, jobs):
+    """A search flushes once per level of its critical path, none for its
+    stragglers."""
+    # Imported here: test_sibling_waves imports this module.
+    from tests.optimizer.test_sibling_waves import critical_path
+
+    expected = sum(critical_path(logical) for _job_id, logical in jobs)
+    assert batched._replay.stats().frontier_flushes == expected
+
+
 class TestFrontierPricingParity:
     def test_structural_plans_and_lookups_identical(self, tiny_bundle, tiny_predictor):
         jobs = _test_jobs(tiny_bundle)
@@ -75,7 +102,8 @@ class TestFrontierPricingParity:
         scalar_fps, scalar_lookups = _plan_all(scalar, jobs, tiny_predictor)
         batched_fps, batched_lookups = _plan_all(batched, jobs, tiny_predictor)
         assert scalar_fps == batched_fps
-        assert scalar_lookups == batched_lookups
+        _assert_scalar_is_batched_plus_unread(scalar, batched, scalar_lookups, batched_lookups)
+        _assert_one_flush_per_level(batched, jobs)
 
     @pytest.mark.parametrize(
         "strategy,max_partitions",
@@ -103,7 +131,8 @@ class TestFrontierPricingParity:
         scalar_fps, scalar_lookups = _plan_all(scalar, jobs, tiny_predictor)
         batched_fps, batched_lookups = _plan_all(batched, jobs, tiny_predictor)
         assert scalar_fps == batched_fps
-        assert scalar_lookups == batched_lookups
+        _assert_scalar_is_batched_plus_unread(scalar, batched, scalar_lookups, batched_lookups)
+        _assert_one_flush_per_level(batched, jobs)
 
     def test_randomized_adhoc_plans_identical(self, builder, tiny_predictor):
         """Parity across randomized plan shapes, not just recurring templates."""
@@ -332,15 +361,26 @@ class TestDeferredCostArithmetic:
         )
 
     def test_planner_leaves_no_pending_ops(self, tiny_bundle, tiny_predictor):
-        """Every deferred operator is priced exactly once per plan."""
+        """Every deferred row is priced once, or dropped unread when its search
+        finishes: none is left pending, and per plan the scalar path's lookups
+        are the batched path's plus the unread rows'."""
         jobs = _test_jobs(tiny_bundle, limit=3)
+        scalar = QueryPlanner(
+            CleoCostModel(tiny_predictor, batched=False),
+            CardinalityEstimator(),
+            PlannerConfig(),
+        )
         planner = QueryPlanner(
             CleoCostModel(tiny_predictor), CardinalityEstimator(), PlannerConfig()
         )
-        for job_id, logical in jobs:
-            planner.jitter_salt = job_id
-            planner.plan(logical)
-            assert planner._job.pending == []
+        for job in jobs:
+            unread = planner._replay.stats().rows_unread
+            _, lookups = _plan_all(planner, [job], tiny_predictor)
+            assert planner._replay._job.pending == []
+            unread = planner._replay.stats().rows_unread - unread
+            assert unread > 0
+            _, scalar_lookups = _plan_all(scalar, [job], tiny_predictor)
+            assert scalar_lookups == lookups + unread * CleoPredictor.LOOKUPS_PER_PREDICTION
 
 
 class TestApplicationRouting:
@@ -365,3 +405,42 @@ class TestApplicationRouting:
         assert outcome.baseline.latency_seconds > 0
         after = service.stats()
         assert 0 < after.batches - before.batches < after.predictions - before.predictions
+
+
+_STRATEGIES = {
+    "no-strategy": None,
+    "geometric": SamplingStrategy(scheme="geometric"),
+    "analytical": AnalyticalStrategy(),  # resource profiles: learned models only
+}
+
+
+class TestCompileRunsTheReplay:
+    @pytest.mark.parametrize(
+        "model,strategy",
+        [
+            pytest.param(model, _STRATEGIES[name], id=f"{model}-{name}")
+            for model in ("cleo", "cleo-scalar", "default")
+            for name in _STRATEGIES
+            if model != "default" or name != "analytical"
+        ],
+    )
+    def test_stock_compile_equals_the_operator_path(
+        self, tiny_bundle, tiny_predictor, strategy, model
+    ):
+        """A stock pair compiles through the replay, bit for bit the
+        ``PhysicalOp`` configuration: plan, cost and ``candidates_considered``
+        on every tiny job."""
+        factory = {
+            "cleo": lambda: CleoCostModel(tiny_predictor),
+            "cleo-scalar": lambda: CleoCostModel(tiny_predictor, batched=False),
+            "default": DefaultCostModel,
+        }[model]
+        config = PlannerConfig(partition_strategy=strategy, partition_jitter=0.35)
+        compiled = QueryPlanner(factory(), CardinalityEstimator(), config)
+        reference = QueryPlanner(factory(), OperatorPathEstimator(), config)
+        assert compiled._replay is not None and reference._replay is None
+        jobs = _test_jobs(tiny_bundle)
+        for job_id, logical in jobs:
+            compiled.jitter_salt = reference.jitter_salt = job_id
+            assert digest(compiled.plan(logical)) == digest(reference.plan(logical)), job_id
+        assert compiled._replay.stats().jobs_replayed == len(jobs)

@@ -2,11 +2,13 @@
 
 ``FleetReplanner.replan_jobs`` opens one search per job, whatever its
 template, advances every open search to its next suspension and prices all
-their pending ledger rows in one call.  These tests pin what that must not
-change — plans, costs, choice keys and lookup accounting against a per-job
-scalar ``QueryPlanner``, in any job order — and what it must change: the
-number of pricing calls follows the deepest job, not the fleet size (what a
-job's depth is: ``test_sibling_waves``).
+the still-open ones' pending ledger rows in one call; a finished search's
+stragglers are dropped unread.  These tests pin what that must not change —
+plans, costs, choice keys, and lookup accounting against a per-job scalar
+``QueryPlanner`` on the ``PhysicalOp`` configuration (minus the unread rows),
+in any job order — and what it must change: the number of pricing calls
+follows the deepest job, not the fleet size (what a job's depth is:
+``test_sibling_waves``).
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ import pytest
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.common.errors import OptimizationError
 from repro.core.cost_model import CleoCostModel
+from repro.core.predictor import CleoPredictor
 from repro.optimizer.partition import SamplingStrategy
 from repro.optimizer.planner import PlannerConfig, QueryPlanner
 from repro.optimizer.replan import FleetReplanner, ReplanJob
 from repro.optimizer.skeleton import SkeletonPlanner
 from repro.workload.templates import instantiate
+from tests.optimizer.test_golden_rules import OperatorPathEstimator
 from tests.optimizer.test_sibling_waves import critical_path
 
 
@@ -53,11 +57,12 @@ def distinct_jobs(tiny_bundle) -> list[ReplanJob]:
 
 @pytest.fixture(scope="module")
 def scalar_reference(distinct_jobs, tiny_predictor):
-    """Per-job ``QueryPlanner`` on the scalar serving path: fingerprints by
-    job id, and the model lookups the whole loop made."""
+    """Per-job ``QueryPlanner`` (``PhysicalOp`` configuration) on the scalar
+    serving path: fingerprints by job id, and the model lookups the whole
+    loop made — every ledger row priced."""
     planner = QueryPlanner(
         CleoCostModel(tiny_predictor, batched=False),
-        CardinalityEstimator(),
+        OperatorPathEstimator(),
         PlannerConfig(),
     )
     tiny_predictor.reset_lookup_count()
@@ -75,6 +80,11 @@ def _replan(jobs, model):
     fingerprints = {job.job_id: _fingerprint(p) for job, p in zip(jobs, planned)}
     keys = {job.job_id: key for job, key in zip(jobs, replanner.last_choice_keys)}
     return fingerprints, keys, replanner
+
+
+def _unpriced(replanner) -> int:
+    """The model lookups of the rows ``replanner`` dropped unread."""
+    return replanner.stats().rows_unread * CleoPredictor.LOOKUPS_PER_PREDICTION
 
 
 def _alignment_failure(builder):
@@ -99,12 +109,13 @@ class TestWaveParity:
     ):
         reference, reference_lookups = scalar_reference
         tiny_predictor.reset_lookup_count()
-        fingerprints, _keys, _replanner = _replan(
+        fingerprints, _keys, replanner = _replan(
             distinct_jobs, CleoCostModel(tiny_predictor)
         )
         assert fingerprints == reference
-        # Cache disabled: every ledger row is priced exactly once.
-        assert tiny_predictor.lookup_count == reference_lookups
+        # Cache disabled: every ledger row is priced once or dropped unread.
+        assert _unpriced(replanner) > 0
+        assert tiny_predictor.lookup_count + _unpriced(replanner) == reference_lookups
 
     def test_job_order_changes_nothing(self, distinct_jobs, tiny_predictor):
         fingerprints, keys, _ = _replan(distinct_jobs, CleoCostModel(tiny_predictor))
@@ -154,21 +165,21 @@ class TestWaveParity:
         assert {
             job.job_id: _fingerprint(p) for job, p in zip(distinct_jobs, planned)
         } == reference
-        assert tiny_predictor.lookup_count == reference_lookups
+        assert tiny_predictor.lookup_count + _unpriced(replanner) == reference_lookups
 
 
 class TestWaveCount:
     def test_flushes_follow_the_deepest_job_not_the_fleet(
         self, distinct_jobs, tiny_predictor
     ):
-        """One wave per level of the deepest job's critical path, plus the
-        one in which that job finishes and its stragglers are priced."""
+        """One wave per level of the deepest job's critical path: the wave in
+        which it finishes prices nothing, its stragglers are dropped."""
         deepest = max(critical_path(job.logical) for job in distinct_jobs)
         assert deepest > 3
 
         _fps, _keys, replanner = _replan(distinct_jobs, CleoCostModel(tiny_predictor))
         flushes = replanner.stats().frontier_flushes
-        assert flushes == deepest + 1
+        assert flushes == deepest
 
         doubled = distinct_jobs + distinct_jobs
         assert len(doubled) <= SkeletonPlanner._LIVE_SEARCH_LIMIT
@@ -196,7 +207,7 @@ class TestPartitionedFinale:
 
     def test_one_grid_per_64_jobs_equals_the_per_job_loop(self, jobs, tiny_predictor):
         model = CleoCostModel(tiny_predictor)
-        planner = QueryPlanner(model, CardinalityEstimator(), self.CONFIG)
+        planner = QueryPlanner(model, OperatorPathEstimator(), self.CONFIG)
         solo = SkeletonPlanner(model, CardinalityEstimator(), self.CONFIG)
         tiny_predictor.reset_lookup_count()
         expected, keys = [], []
@@ -219,8 +230,10 @@ class TestPartitionedFinale:
         assert finale_calls == 2 == -(-len(jobs) // SkeletonPlanner._LIVE_SEARCH_LIMIT)
 
     def test_a_compiled_job_is_one_table_call_and_no_plan_cost(self, jobs, tiny_predictor):
-        """Through the router: the finale is exactly one ``predict_table``;
-        no ``predict_batch`` (``plan_cost``) follows it."""
+        """Through the router: one ``predict_inputs`` per level of the
+        search's critical path (no straggler flush), then a finale of
+        exactly one ``predict_table``; no ``predict_batch`` (``plan_cost``)
+        follows it."""
         from repro.serving.shard import ShardedCleoRouter
 
         with ShardedCleoRouter({"c": tiny_predictor}, n_shards=2) as router:
@@ -241,7 +254,7 @@ class TestPartitionedFinale:
                 planner.jitter_salt = job.salt
                 planner.plan(job.logical)
                 assert calls["predict_table"] == 1 and calls["predict_batch"] == 0
-                assert calls["predict_inputs"] > 0  # the search's flushes
+                assert calls["predict_inputs"] == critical_path(job.logical)
 
 
 class TestErrorMidWave:

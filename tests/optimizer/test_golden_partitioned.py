@@ -7,7 +7,10 @@ longer witnesses the old bits.  Per partition strategy and ``tiny`` seed-0
 test-day job, one digest — sha256 over ``(operator type, partition count)`` in
 walk order, and ``float.hex`` of the estimated cost:
 
-* ``planned`` — the full resource-aware compile; ``QueryPlanner`` and
+* ``planned`` — the full resource-aware compile; ``QueryPlanner`` on the
+  ``PhysicalOp`` configuration (an
+  :class:`~tests.optimizer.test_golden_rules.OperatorPathEstimator`; a stock
+  pair compiles through the replay, like ``FleetReplanner``) and
   ``FleetReplanner``, batched and ``batched=False``, must all reproduce it;
 * ``explored_guard`` / ``explored_noguard`` — ``optimize_partitions`` over
   the day's default plans followed by ``plan_cost``, batched and scalar.
@@ -38,6 +41,7 @@ from repro.optimizer.partition import (
 from repro.optimizer.planner import PlannerConfig, QueryPlanner
 from repro.optimizer.replan import FleetReplanner, ReplanJob
 from repro.workload.templates import instantiate
+from tests.optimizer.test_golden_rules import OperatorPathEstimator
 
 GOLDEN = Path(__file__).with_name("golden_partitioned.json")
 
@@ -73,7 +77,7 @@ def _config(name: str) -> PlannerConfig:
 
 
 def planner_digests(bundle, model, name: str, stride: int = 1) -> list[str]:
-    planner = QueryPlanner(model, CardinalityEstimator(), _config(name))
+    planner = QueryPlanner(model, OperatorPathEstimator(), _config(name))
     out = []
     for job in _jobs(bundle, stride):
         planner.jitter_salt = job.salt

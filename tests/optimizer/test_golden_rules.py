@@ -6,9 +6,11 @@ Recorded on the commit *before* the two searches were merged into
 the rules branch on, one digest per job — the plan fingerprint (operator
 type, partition count, partitioning, sorting, exchange mode, recursively),
 ``float.hex`` of the estimated cost, and ``candidates_considered``.  Both
-configurations of the search core must reproduce them: ``QueryPlanner`` on
-every row, ``SkeletonPlanner`` on every row it ``supports_replay``.  (The file
-holds ``QueryPlanner``'s digests.  At that commit the skeleton reproduced all
+configurations of the search core must reproduce them: the ``PhysicalOp``
+configuration on every row (``QueryPlanner`` handed an
+:class:`OperatorPathEstimator`, since a stock pair runs the replay), and
+``SkeletonPlanner`` on every row it ``supports_replay``.  (The file holds
+``QueryPlanner``'s digests.  At that commit the skeleton reproduced all
 of them but TPC-H Q17's candidate counts — it gave the query's shared
 subexpression two memo entries; it now reads the reference's.)
 
@@ -38,6 +40,19 @@ from repro.workload.templates import instantiate
 from repro.workload.tpch_queries import TpchQuerySet
 
 GOLDEN = Path(__file__).with_name("golden_rules.json")
+
+
+class OperatorPathEstimator(CardinalityEstimator):
+    """The stock estimator under a type ``supports_replay`` rejects: a
+    ``QueryPlanner`` given it runs the ``PhysicalOp`` configuration, the
+    independent reference every replay parity test compares against."""
+
+
+def operator_path(estimator: CardinalityEstimator) -> CardinalityEstimator:
+    """``estimator``, moved onto the ``PhysicalOp`` configuration if stock."""
+    if type(estimator) is CardinalityEstimator:
+        return OperatorPathEstimator(estimator.config)
+    return estimator
 
 
 class OpaqueModel:
@@ -129,7 +144,8 @@ def digest(planned) -> str:
 
 def reference_digests(row: str, jobs) -> dict[str, str]:
     model, estimator, config = ROWS[row]
-    planner = QueryPlanner(model(), estimator(), config)
+    planner = QueryPlanner(model(), operator_path(estimator()), config)
+    assert planner._replay is None
     out = {}
     for key, _template_id, _day, logical, salt in jobs:
         planner.jitter_salt = salt

@@ -8,7 +8,9 @@ construction, estimates, costing — must be unobservable in the result.  For
 generated logical plans (shared subexpressions, key-less aggregates and
 multi-way unions included), salts and rule toggles, both return equal plan
 fingerprints, bit-equal costs, equal ``candidates_considered`` and equal
-model-lookup counts, and every plan is a tree.
+model-lookup counts, and every plan is a tree.  ``QueryPlanner`` is handed
+an :class:`~tests.optimizer.test_golden_rules.OperatorPathEstimator`: with a
+stock pair its ``plan`` would run the replay itself.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ from hypothesis import strategies as st
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.common.errors import OptimizationError
 from repro.core.cost_model import CleoCostModel
+from repro.core.predictor import CleoPredictor
 from repro.cost.default_model import DefaultCostModel
 from repro.cost.tuned_model import TunedCostModel
 from repro.optimizer.planner import PlannerConfig, QueryPlanner
 from repro.optimizer.replan import FleetReplanner, ReplanJob
 from repro.optimizer.skeleton import SkeletonPlanner
 from repro.plan.logical import LogicalOp, LogicalOpType
-from tests.optimizer.test_golden_rules import digest
+from tests.optimizer.test_golden_rules import OperatorPathEstimator, digest
 from tests.plan.test_subtree_summary import _CARDS, _TABLES
 
 _COLUMNS = ("a", "b", "c")
@@ -143,19 +146,29 @@ def _outcome(plan_one):
 
 
 def _both(model_factory, logical, config, salts, lookups=lambda: 0):
-    """Per salt, ``(QueryPlanner outcome, lookups, SkeletonPlanner outcome,
-    lookups)``.  One planner of each kind serves every salt, so the second
-    replay runs over the cached skeleton."""
-    reference = QueryPlanner(model_factory(), CardinalityEstimator(), config)
+    """Per salt, ``(QueryPlanner outcome, lookups, unread rows,
+    SkeletonPlanner outcome, lookups, unread rows)``.  One planner of each
+    kind serves every salt, so the second replay runs over the cached
+    skeleton."""
+    reference = QueryPlanner(model_factory(), OperatorPathEstimator(), config)
     replay = SkeletonPlanner(model_factory(), CardinalityEstimator(), config)
     rows = []
     for salt in salts:
         reference.jitter_salt = salt
-        before = lookups()
+        before, unread = lookups(), reference._rows_unread
         expected = _outcome(lambda: reference.plan(logical))
-        middle = lookups()
+        middle, replay_unread = lookups(), replay._rows_unread
         got = _outcome(lambda salt=salt: replay.replan_job("t", 1, logical, salt))
-        rows.append((expected, middle - before, got, lookups() - middle))
+        rows.append(
+            (
+                expected,
+                middle - before,
+                reference._rows_unread - unread,
+                got,
+                lookups() - middle,
+                replay._rows_unread - replay_unread,
+            )
+        )
     return rows
 
 
@@ -163,7 +176,7 @@ def _both(model_factory, logical, config, salts, lookups=lambda: 0):
 @settings(max_examples=150, deadline=None)
 def test_heuristic_models_agree(logical, config, salts):
     for model in (DefaultCostModel, TunedCostModel):
-        for expected, _, got, _ in _both(model, logical, config, salts):
+        for expected, _, _, got, _, _ in _both(model, logical, config, salts):
             assert got == expected
 
 
@@ -180,15 +193,19 @@ def test_learned_model_agrees_scalar_and_deferred(learned, logical, config, salt
             salts,
             lookups=lambda: predictor.lookup_count,
         )
-        for expected, expected_lookups, got, got_lookups in rows:
+        for expected, expected_lookups, expected_unread, got, got_lookups, unread in rows:
             assert got == expected
             assert got_lookups == expected_lookups
+            assert unread == expected_unread
         outcomes[batched] = rows
-    # Deferred costing replays scalar costing's arithmetic and accounting (a
-    # search that fails leaves its unflushed ledger rows unpriced).
+    # Deferred costing replays scalar costing's arithmetic; its accounting is
+    # scalar costing's minus the stragglers a finished search drops unread (a
+    # search that fails leaves its unflushed ledger rows unpriced, uncounted).
     for scalar, deferred in zip(outcomes[False], outcomes[True]):
         assert deferred[0] == scalar[0]
-        assert deferred[1] == scalar[1] or isinstance(scalar[0], tuple)
+        assert scalar[2] == 0
+        unread = deferred[2] * CleoPredictor.LOOKUPS_PER_PREDICTION
+        assert deferred[1] + unread == scalar[1] or isinstance(scalar[0], tuple)
 
 
 @given(plans=st.lists(logical_plans(max_depth=3), min_size=2, max_size=5))
@@ -196,7 +213,7 @@ def test_learned_model_agrees_scalar_and_deferred(learned, logical, config, salt
 def test_fleet_waves_agree_with_solo_searches(learned, plans):
     """Several open searches priced together equal one search at a time."""
     config = PlannerConfig(partition_jitter=0.35)
-    solo = QueryPlanner(CleoCostModel(learned.predictor), CardinalityEstimator(), config)
+    solo = QueryPlanner(CleoCostModel(learned.predictor), OperatorPathEstimator(), config)
     expected = []
     for i, logical in enumerate(plans):
         solo.jitter_salt = f"j{i}"

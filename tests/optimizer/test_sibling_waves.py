@@ -2,9 +2,10 @@
 
 A frame that searches several child frames starts them all and suspends once
 for all of them, so a deferred search flushes once per level of its critical
-path — computed here from the logical plan alone — plus once for stragglers,
-however many comparing frames it has.  What that must not change: plans,
-costs, candidate counts, cache-off lookups, and the choice key, which is read
+path — computed here from the logical plan alone — however many comparing
+frames it has; the rows still pending when it finishes (stragglers) are
+dropped unread.  What that must not change: plans, costs, candidate counts,
+cache-off lookups (up to the unread rows), and the choice key, which is read
 off the frames in call order and so cannot depend on who completes first.
 """
 
@@ -15,6 +16,7 @@ import pytest
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.common.errors import OptimizationError
 from repro.core.cost_model import CleoCostModel
+from repro.core.predictor import CleoPredictor
 from repro.optimizer.partition import SamplingStrategy
 from repro.optimizer.planner import PlannerConfig, QueryPlanner
 from repro.optimizer.replan import FleetReplanner, ReplanJob
@@ -22,6 +24,7 @@ from repro.optimizer.skeleton import SkeletonPlanner
 from repro.plan.logical import LogicalOp, LogicalOpType
 from repro.workload.templates import instantiate
 from tests.optimizer.test_batched_planning import _fingerprint
+from tests.optimizer.test_golden_rules import OperatorPathEstimator
 
 _RELAXING = (LogicalOpType.PROCESS, LogicalOpType.OUTPUT, LogicalOpType.UNION)
 
@@ -99,7 +102,7 @@ class TestChoiceKeyIsScheduleIndependent:
 
 
 class TestFlushesFollowTheCriticalPath:
-    def test_every_job_flushes_once_per_level_plus_stragglers(
+    def test_every_job_flushes_once_per_level(
         self, test_day_jobs, tiny_predictor
     ):
         depths = set()
@@ -107,7 +110,8 @@ class TestFlushesFollowTheCriticalPath:
             depth = critical_path(job.logical)
             planner = _solo(CleoCostModel(tiny_predictor))
             _replan(planner, job)
-            assert planner.stats().frontier_flushes == depth + 1, job.template_id
+            assert planner.stats().frontier_flushes == depth, job.template_id
+            assert planner.stats().rows_unread > 0
             depths.add(depth)
         assert len(depths) > 2 and max(depths) > 3
 
@@ -116,7 +120,7 @@ class TestFlushesFollowTheCriticalPath:
         for job in test_day_jobs[:8]:
             model = CleoCostModel(tiny_predictor)
             _replan(_solo(model, config), job)
-            assert model.service.stats().batches == critical_path(job.logical) + 2
+            assert model.service.stats().batches == critical_path(job.logical) + 1
 
     def test_a_join_flushes_once_for_both_sides(self, builder, tiny_predictor):
         """Each input is a filter under a hash requirement: two candidates,
@@ -128,12 +132,12 @@ class TestFlushesFollowTheCriticalPath:
         assert critical_path(root) == 2  # the filters, then the join
         planner = _solo(CleoCostModel(tiny_predictor))
         planned = planner.replan_job("s-join", 1, root, "s-join")
-        assert planner.stats().frontier_flushes == 3
+        assert planner.stats().frontier_flushes == 2
         *inputs, mask, join, output = planner.last_choice_key[1]
         assert (mask, join % 16, output) == (7, 3, 1)  # all three joins in play
         assert [packed % 16 for packed in inputs].count(2) == 4  # the filter frames
         scalar = QueryPlanner(
-            CleoCostModel(tiny_predictor, batched=False), CardinalityEstimator()
+            CleoCostModel(tiny_predictor, batched=False), OperatorPathEstimator()
         )
         scalar.jitter_salt = "s-join"
         assert _fingerprint(planned) == _fingerprint(scalar.plan(root))
@@ -154,7 +158,7 @@ class TestFlushesFollowTheCriticalPath:
         assert critical_path(root) == 2  # filter under the aggregate, aggregate
         planner = _solo(CleoCostModel(tiny_predictor))
         planner.replan_job(f"s-union-{n_inputs}", 1, root, "s-union")
-        assert planner.stats().frontier_flushes == 3
+        assert planner.stats().frontier_flushes == 2
 
 
 class TestSharedSubexpression:
@@ -176,13 +180,18 @@ class TestSharedSubexpression:
         deferred = _solo(CleoCostModel(tiny_predictor))
         tiny_predictor.reset_lookup_count()
         planned = deferred.replan_job("s-q17", 1, root, "s-q17")
-        assert tiny_predictor.lookup_count == lookups
+        unread = deferred.stats().rows_unread
+        assert unread > 0 and scalar.stats().rows_unread == 0
+        assert (
+            tiny_predictor.lookup_count + unread * CleoPredictor.LOOKUPS_PER_PREDICTION
+            == lookups
+        )
         assert _fingerprint(planned) == _fingerprint(expected)
         assert planned.candidates_considered == expected.candidates_considered
         assert deferred.last_choice_key == scalar.last_choice_key
-        assert deferred.stats().frontier_flushes == critical_path(root) + 1
+        assert deferred.stats().frontier_flushes == critical_path(root)
 
-        reference = QueryPlanner(scalar_model, CardinalityEstimator())
+        reference = QueryPlanner(scalar_model, OperatorPathEstimator())
         reference.jitter_salt = "s-q17"
         assert _fingerprint(reference.plan(root)) == _fingerprint(expected)
 

@@ -18,6 +18,7 @@ import pytest
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.common.errors import OptimizationError
 from repro.core.cost_model import CleoCostModel
+from repro.cost.default_model import DefaultCostModel
 from repro.optimizer.partition import (
     AnalyticalStrategy,
     ExhaustiveStrategy,
@@ -27,6 +28,7 @@ from repro.optimizer.planner import PlannerConfig, QueryPlanner
 from repro.optimizer.replan import FleetReplanner, ReplanJob, replan_jobs
 from repro.optimizer.skeleton import SkeletonPlanner, supports_fast_path
 from repro.workload.templates import instantiate
+from tests.optimizer.test_golden_rules import OperatorPathEstimator, digest
 
 
 def _fingerprint(planned):
@@ -58,7 +60,8 @@ def _specs(bundle, limit=None, instances=1):
     return out
 
 def _reference(jobs, model, config, predictor):
-    planner = QueryPlanner(model, CardinalityEstimator(), config)
+    """The ``PhysicalOp`` configuration, job by job."""
+    planner = QueryPlanner(model, OperatorPathEstimator(), config)
     predictor.reset_lookup_count()
     fps = []
     for _template_id, _day, logical, salt in jobs:
@@ -146,7 +149,7 @@ class TestReplayParity:
         rng = np.random.default_rng(19)
         config = PlannerConfig(partition_jitter=0.35)
         reference = QueryPlanner(
-            CleoCostModel(tiny_predictor), CardinalityEstimator(), config
+            CleoCostModel(tiny_predictor), OperatorPathEstimator(), config
         )
         replay = SkeletonPlanner(
             CleoCostModel(tiny_predictor), CardinalityEstimator(), config
@@ -299,6 +302,48 @@ class TestPlannerTelemetryAndGates:
         assert stats.skeletons_cached == groups
         assert stats.skeleton_evictions == 0
         assert stats.frontier_flushes > 0
+
+    def test_a_cache_hit_of_another_structure_raises(self, builder):
+        """Under one ``(template_id, day)``, a job whose structure is not the
+        cached skeleton's — same node count, other operators or other keys,
+        or another size — fails typed instead of replaying over the wrong
+        skeleton (which planned the first job's query at the second's cost).
+        A compile has no key to collide on: it plans each query right."""
+        events = builder.filter(builder.scan("events_2024_01_01"), "value", 0.1, tag="t:f")
+        by_user = builder.output(
+            builder.aggregate(events, keys=("user_id",), group_count=50_000, tag="t:agg"),
+            name="report",
+        )
+        by_value = builder.output(
+            builder.aggregate(events, keys=("value",), group_count=50_000, tag="t:agg"),
+            name="report",
+        )
+        joined = builder.output(
+            builder.join(
+                builder.scan("users_2024_01_01"),
+                builder.scan("events_2024_01_01"),
+                keys=("user_id", "user_id"),
+                tag="t:j",
+            ),
+            name="o",
+        )
+        longer = builder.output(builder.sort(by_user.children[0], keys=("user_id",)))
+        planner = SkeletonPlanner(DefaultCostModel(), CardinalityEstimator(), PlannerConfig())
+        planner.replan_job("T", 1, by_user, "s")
+        for other in (joined, by_value, longer):
+            with pytest.raises(OptimizationError, match="template 'T' day 1"):
+                planner.replan_job("T", 1, other, "s")
+        assert planner.stats().skeleton_builds == 1
+        planner.replan_job("T", 2, joined, "s")  # another key builds its own
+
+        compiled = QueryPlanner(DefaultCostModel(), CardinalityEstimator(), PlannerConfig())
+        reference = QueryPlanner(DefaultCostModel(), OperatorPathEstimator(), PlannerConfig())
+        compiled.jitter_salt = reference.jitter_salt = "s"
+        for logical in (by_user, joined, by_value, longer):
+            assert digest(compiled.plan(logical)) == digest(reference.plan(logical))
+        assert [op.op_type.value for op in compiled.plan(joined).plan.walk()] == [
+            "Extract", "Exchange", "Extract", "Exchange", "HashJoin", "Output"
+        ]
 
     def test_skeleton_cache_clears_at_limit(self, builder, tiny_predictor):
         planner = SkeletonPlanner(

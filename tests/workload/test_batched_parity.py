@@ -4,7 +4,9 @@ The batched engine (skeleton planner + vectorized ground truth + columnar
 RunLog ingest) must produce *exactly* the log the scalar reference produces
 — same operator latencies, features, signatures, and job records, down to
 the last float bit.  Anything less silently shifts every downstream
-benchmark and trained model.
+benchmark and trained model.  The reference runs plan on the ``PhysicalOp``
+configuration (:func:`_on_operator_path`), so the replay is compared with an
+independent search, not with itself.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import pytest
 
 from repro.execution.hardware import DEFAULT_CLUSTERS
 from repro.features.table import FeatureTable
+from repro.optimizer.planner import QueryPlanner
 from repro.workload.generator import ClusterWorkloadConfig, WorkloadGenerator
 from repro.workload.runner import WorkloadRunner
+from tests.optimizer.test_golden_rules import operator_path
 
 
 def _config(cluster_name: str, seed: int) -> ClusterWorkloadConfig:
@@ -29,9 +33,22 @@ def _config(cluster_name: str, seed: int) -> ClusterWorkloadConfig:
     )
 
 
+def _on_operator_path(runner: WorkloadRunner) -> WorkloadRunner:
+    """``runner``, its scalar path planning on the ``PhysicalOp``
+    configuration: with a stock pair ``QueryPlanner.plan`` runs the replay
+    the batched engine runs."""
+    planner = runner._planner
+    runner._planner = QueryPlanner(
+        planner.cost_model, operator_path(planner.estimator), planner.config
+    )
+    return runner
+
+
 def _run(cluster, seed: int, days, reference: bool, **runner_kwargs):
     generator = WorkloadGenerator(_config(cluster.name, seed))
     runner = WorkloadRunner(cluster=cluster, seed=seed, **runner_kwargs)
+    if reference:
+        _on_operator_path(runner)
     run = runner.run_days_reference if reference else runner.run_days
     return runner, run(generator, days)
 
@@ -131,7 +148,7 @@ def test_runner_reuse_with_different_generator_stays_correct():
         )
 
     gen_a, gen_b = generators()
-    scalar_runner = WorkloadRunner(cluster=cluster, seed=1)
+    scalar_runner = _on_operator_path(WorkloadRunner(cluster=cluster, seed=1))
     scalar_runner.run_days_reference(gen_a, [1])
     scalar_log = scalar_runner.run_days_reference(gen_b, [1])
 
@@ -250,7 +267,7 @@ def test_day_by_day_calls_keep_one_days_skeletons():
     cluster = DEFAULT_CLUSTERS[0]
     generator = WorkloadGenerator(_config(cluster.name, seed=5))
     runner = WorkloadRunner(cluster=cluster, seed=5)
-    reference = WorkloadRunner(cluster=cluster, seed=5)
+    reference = _on_operator_path(WorkloadRunner(cluster=cluster, seed=5))
     for day in range(1, 8):
         log = runner.run_days(generator, [day])
         planner = runner._skeleton_planner
