@@ -4,9 +4,10 @@ The package implements the full Section 3-5 pipeline:
 
 * :class:`~repro.core.learned_model.LearnedCostModel` — one elastic-net cost
   model per template (log-space for accuracy, raw-space twin for the
-  analytical resource profile);
+  analytical resource profile), the per-model reference;
 * :class:`~repro.core.model_store.ModelStore` — the signature-keyed hash map
-  the optimizer loads at startup;
+  the optimizer loads at startup, every model one row of one parameter
+  block;
 * :class:`~repro.core.combined.CombinedModel` — the FastTree meta-ensemble
   that corrects and combines the individual predictions;
 * :class:`~repro.core.trainer.CleoTrainer` — the periodic training pipeline

@@ -8,6 +8,12 @@ linear in *raw* feature space, the resource-exploration coefficients
 ``(theta_p, theta_c, theta_0)`` of Section 5.3 are direct reads of the
 fitted weights — the same model serves both cost prediction and analytical
 partition optimization, as in the paper.
+
+A trained store keeps no :class:`LearnedCostModel`: :func:`fit_columns`
+fits a kind's models straight to :class:`ParameterColumns`, the rows of the
+store's parameter block.  The class is the per-model reference (``fit``,
+``predict_one``, ``resource_profile``) the packed runtime is held to, and
+the on-demand view :meth:`~repro.core.model_store.ModelStore.get` returns.
 """
 
 from __future__ import annotations
@@ -29,8 +35,7 @@ from repro.ml.proximal import ElasticNetMSLE, fit_elastic_nets
 _MAX_PREDICT_SECONDS = 1e7  # clamp: a single operator below ~116 days
 
 #: include_context -> indices of the partition-dependent features (the
-#: ``1/P`` family and ``P``) in that layout; a fleet retrain builds ~1.25k
-#: models and every load restores as many, all reading these two tuples.
+#: ``1/P`` family and ``P``) in that layout.
 _PARTITION_FEATURE_INDICES = {
     include_context: tuple(
         j
@@ -103,6 +108,18 @@ class LearnedCostModel:
         self.n_samples = 0
         self._fitted = False
 
+    @classmethod
+    def view(cls, columns: ParameterColumns, row: int, include_context: bool) -> LearnedCostModel:
+        """Model ``row`` of ``columns`` as a fitted model whose arrays are
+        row views of the columns (nothing is copied)."""
+        model = cls(include_context)
+        net = model._net
+        net._scaler.mean_, net._scaler.scale_ = columns.mean[row], columns.scale[row]
+        net.coef_, net.nonneg_indices = columns.coef[row], columns.nonneg_indices
+        net.intercept_, net._y_scale = float(columns.intercept[row]), float(columns.y_scale[row])
+        model.n_samples, model._fitted = int(columns.n_samples[row]), True
+        return model
+
     # ------------------------------------------------------------------ #
     # Training
     # ------------------------------------------------------------------ #
@@ -155,19 +172,6 @@ class LearnedCostModel:
         self._check_width(matrix)
         return np.minimum(self._net.predict(matrix), _MAX_PREDICT_SECONDS)
 
-    def packed_parameters(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-        """The fitted net's parameters for the packed inference bank.
-
-        ``(scaler mean, scaler scale, standardized coef, intercept,
-        y_scale)`` — see :meth:`~repro.ml.proximal.ElasticNetMSLE.
-        packed_parameters`.
-        """
-        if not self._fitted:
-            raise RuntimeError("packed_parameters() before fit()")
-        return self._net.packed_parameters()
-
     # ------------------------------------------------------------------ #
     # Resource profile (Section 5.3)
     # ------------------------------------------------------------------ #
@@ -212,24 +216,19 @@ class LearnedCostModel:
         names = feature_names(self.include_context)
         return {name: float(w) for name, w in zip(names, self._net.coef_)}
 
-    @property
-    def memory_bytes(self) -> int:
-        """Approximate serialized size (the paper's ~600 MB footprint note)."""
-        width = len(feature_names(self.include_context))
-        return (width + 1) * 8 + 64
-
 
 @dataclass(frozen=True)
 class ParameterColumns:
-    """One model kind's fitted parameters as columns: row ``g`` is model
-    ``g``'s.
+    """One model kind's fitted models as columns: row ``g`` is model ``g``'s.
 
-    The one parameter layout of the repository: the packed inference bank
-    (:mod:`repro.core.packed`) widens these columns into its planes, and the
-    model file (:mod:`repro.core.serialization`) writes them as raw bytes
-    and rebuilds its models from them.
+    What the trainer fits and a model file holds for one kind, in the
+    order the kind's models are kept; the model store
+    (:class:`~repro.core.model_store.ParameterBlock`) widens every kind's
+    columns into its one block.
     """
 
+    signatures: np.ndarray  # (count,) uint64
+    nonneg_indices: tuple[int, ...]  # the kind's non-negative features
     mean: np.ndarray  # (count, width) scaler mean
     scale: np.ndarray  # (count, width) scaler scale
     coef: np.ndarray  # (count, width) standardized coefficients
@@ -238,79 +237,39 @@ class ParameterColumns:
     n_samples: np.ndarray  # (count,) int64 training rows
 
     @classmethod
-    def of(cls, models: list[LearnedCostModel], width: int) -> "ParameterColumns":
-        """Stack fitted models of one ``width`` (each row a bitwise copy of
-        its model's :meth:`~LearnedCostModel.packed_parameters`)."""
-        params = [model.packed_parameters() for model in models]
-        mean, scale, coef, intercept, y_scale = (
-            np.array([p[i] for p in params], dtype=float) for i in range(5)
-        )
-        shape = (len(models), width)
-        return cls(
-            mean=mean.reshape(shape),
-            scale=scale.reshape(shape),
-            coef=coef.reshape(shape),
-            intercept=intercept,
-            y_scale=y_scale,
-            n_samples=np.array([model.n_samples for model in models], dtype=np.int64),
-        )
-
-    def models(
-        self,
-        include_context: bool,
-        nonneg_indices: tuple[int, ...],
-        config: CleoConfig | None = None,
-    ) -> list[LearnedCostModel]:
-        """Inverse of :meth:`of`: one fitted model per row, whose arrays are
-        row views of these columns (nothing is copied)."""
-        config = config or CleoConfig()
-        models = []
-        for mean, scale, coef, intercept, y_scale, n_samples in zip(
-            self.mean,
-            self.scale,
-            self.coef,
-            self.intercept.tolist(),
-            self.y_scale.tolist(),
-            self.n_samples.tolist(),
-        ):
-            model = LearnedCostModel(include_context=include_context, config=config)
-            net = model._net
-            net.coef_ = coef
-            net.intercept_ = intercept
-            net._y_scale = y_scale
-            net.nonneg_indices = nonneg_indices
-            net._scaler.mean_ = mean
-            net._scaler.scale_ = scale
-            model.n_samples = n_samples
-            model._fitted = True
-            models.append(model)
-        return models
+    def empty(cls, width: int) -> ParameterColumns:
+        """No model, ``width`` features wide."""
+        planes, scalars = np.empty((0, width)), np.empty(0)
+        signatures, n_samples = np.empty(0, np.uint64), np.empty(0, np.int64)
+        return cls(signatures, (), planes, planes, planes, scalars, scalars, n_samples)
 
 
-def fit_models_batched(
-    models: list[LearnedCostModel],
+def fit_columns(
+    signatures: np.ndarray,
     matrix: np.ndarray,
     latencies: np.ndarray,
     starts: np.ndarray,
     lengths: np.ndarray,
-) -> None:
-    """Fit many per-signature models of one kind in a single Adam loop.
+    include_context: bool,
+    config: CleoConfig,
+) -> ParameterColumns:
+    """Fit one kind's per-signature models in a single Adam loop, as columns.
 
-    ``matrix`` stacks every model's feature rows contiguously (model ``g``
-    owns rows ``starts[g] : starts[g]+lengths[g]``); all models must share
-    ``include_context`` (one model kind).  Coefficients are bitwise
-    identical to fitting each model alone on its slice — see
-    :func:`repro.ml.proximal.fit_elastic_nets`.
+    Model ``g``, keyed by ``signatures[g]``, owns ``matrix`` rows
+    ``starts[g] : starts[g] + lengths[g]``; its row of the result is bitwise
+    what :meth:`LearnedCostModel.fit_matrix` on that slice leaves on a model
+    (:func:`repro.ml.proximal.fit_elastic_nets`).  One unfitted model holds
+    the kind's hyperparameters; none is built per signature.
     """
-    if not models:
-        return
-    include_context = models[0].include_context
-    for model in models[1:]:
-        if model.include_context != include_context:
-            raise ValueError("batched models must share include_context")
-    models[0]._check_width(matrix)
+    template = LearnedCostModel(include_context, config)
+    template._check_width(matrix)
+    net = template._net
     latencies = np.clip(np.asarray(latencies, dtype=float).ravel(), 0.0, None)
-    fit_elastic_nets([m._net for m in models], matrix, latencies, starts, lengths)
-    for model, length in zip(models, lengths):
-        model.n_samples = int(length)
-        model._fitted = True
+    mean, scale, coef, intercept, y_scale, _ = fit_elastic_nets(
+        net, matrix, latencies, starts, lengths
+    )
+    n_samples = np.asarray(lengths, dtype=np.int64)
+    signatures = np.asarray(signatures, dtype=np.uint64)
+    return ParameterColumns(
+        signatures, net.nonneg_indices, mean, scale, coef, intercept, y_scale, n_samples
+    )

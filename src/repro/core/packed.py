@@ -1,26 +1,18 @@
-"""Packed inference runtime: the model bank compiled into one tier index.
+"""Packed inference runtime: the tier index over the model store's block.
 
 The paper's serving story is that "all models relevant for a cluster are
 loaded upfront by the optimizer, into a hash map" and consulted millions of
 times per optimization pass (Section 5.1), five learned lookups per costed
-operator (Section 6.5), and the combined model reads all four individual
-predictions of every row.  The object graph behind that hash map — one
-:class:`~repro.core.learned_model.LearnedCostModel` per ``(kind,
-signature)``, each wrapping its own scaler and elastic net — prices a batch
-with one tiny vectorized call *per covering group*, which leaves the hot
-path dominated by Python/numpy dispatch.
-
-This module compiles that object graph **once** into a **tier index**:
+operator (Section 6.5).  The store keeps every model as one row of one
+parameter block (:class:`~repro.core.model_store.ParameterBlock`); this
+module compiles the **tier index** over it and reads the block in place:
 
 * ``union``, the sorted set of every signature any kind holds, and a
-  ``(len(union), 4)`` slot matrix giving each kind's global parameter row
-  for it (or :data:`NOT_COVERED`), so a table's ``(n, 4)`` signature block
-  resolves against all four kinds in ONE ``np.searchsorted``;
-* one parameter block shared by all kinds — scaler mean and scale,
-  standardized coefficients, intercept, target scale, and the raw-space
-  coefficients and intercept of Section 5.3 — one column per model, so
-  every covered ``(row, kind)`` pair is priced in one pass (a gather of the
-  rows, of each parameter plane and of the scalars, then one row
+  ``(len(union), 4)`` slot matrix giving each kind's block row for it (or
+  :data:`NOT_COVERED`), so a table's ``(n, 4)`` signature block resolves
+  against all four kinds in ONE ``np.searchsorted``;
+* every covered ``(row, kind)`` pair is then priced in one pass (a gather
+  of the rows, of each parameter plane and of the scalars, then one row
   multiply-sum), bitwise identical to routing the row through its model's
   ``predict_matrix``.
 
@@ -31,15 +23,12 @@ numpy's 8-wide pairwise-sum blocks, so the pads land in the sequential tail
 and each row sums exactly as its own model's length-29 reduction does.
 
 Compilation is **lazy** and owned by :meth:`~repro.core.model_store.
-ModelStore.packed_bank`: the store bumps a version counter on every
-``add``/``remove`` and the bank recompiles on next use, so serving never
-reads stale coefficients.  Every model the store holds packs: its
-:meth:`~repro.core.model_store.ModelStore.add` refuses an unfitted model
-and one whose width is not its kind's.  The object graph
-(:meth:`~repro.core.learned_model.LearnedCostModel.predict_one`,
-:meth:`~repro.core.learned_model.LearnedCostModel.resource_profile`) is
-the per-row reference the tests hold this module to; no product code
-prices through it.
+ModelStore.packed_bank`: after an ``add``/``remove`` the store's next read
+leaves a new block and the bank is recompiled over it, so serving never
+reads stale coefficients.  The object graph (:meth:`~repro.core.
+learned_model.LearnedCostModel.predict_one` and ``resource_profile``, over
+the store's on-demand views) is the per-row reference the tests hold this
+module to; no product code prices through it.
 """
 
 from __future__ import annotations
@@ -50,12 +39,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.config import SPECIFICITY_ORDER
-from repro.core.learned_model import (
-    _MAX_PREDICT_SECONDS,
-    LearnedCostModel,
-    ParameterColumns,
-    ResourceProfile,
-)
+from repro.core.learned_model import _MAX_PREDICT_SECONDS, ResourceProfile
+from repro.core.model_store import COEF, MEAN, RAW, RAW_INTERCEPT, SCALE, WIDTH
 from repro.core.model_store import SIGNATURE_FIELDS, ModelStore
 from repro.features.featurizer import INVERSE_P_FEATURES, feature_names
 from repro.features.table import SIGNATURE_NAMES
@@ -70,12 +55,8 @@ assert tuple(SIGNATURE_FIELDS[kind] for kind in SPECIFICITY_ORDER) == SIGNATURE_
 NOT_COVERED = -1
 
 _NAMES = feature_names(include_context=True)
-_W = len(_NAMES)  # the block's width: the context layout
 #: The op-subgraph kind's width; its columns are a prefix of the block's.
 _NARROW = len(feature_names(include_context=False))
-#: The parameter block's per-feature planes and per-model scalars.
-_MEAN, _SCALE, _COEF, _RAW = range(4)
-_INTERCEPT, _Y_SCALE, _RAW_INTERCEPT = range(3)
 #: Theta accumulators' feature columns, ascending: the 1/P family
 #: (theta_p), the bare "P" (theta_c), everything else (theta_0).
 _INVERSE_P = [j for j, name in enumerate(_NAMES) if name in INVERSE_P_FEATURES]
@@ -91,10 +72,10 @@ _TIERS = np.arange(len(SPECIFICITY_ORDER))
 
 @dataclass(frozen=True)
 class PackedModelBank:
-    """The tier index: every kind's signatures and parameters in one place.
+    """The tier index over a store's parameter block.
 
-    Each kind owns a run of global parameter rows, in specificity order:
-    the op-subgraph kind owns the first ``narrow`` rows, so a row below
+    Each kind owns a run of the block's rows, in specificity order: the
+    op-subgraph kind owns the first ``narrow`` rows, so a row below
     ``narrow`` is a 29-wide model.
     """
 
@@ -103,40 +84,27 @@ class PackedModelBank:
     #: so that every signature's insertion point is a valid index.
     union: np.ndarray
     slots: np.ndarray  # (u, 4) int64 global parameter rows, tiers in order
-    #: (4, m, 31) mean / scale / coef / raw-coef planes (each pricing
-    #: operand contiguous after a gather) and (3, m) intercept / y_scale /
-    #: raw-intercept scalars: model ``g``'s parameters are column ``g``.
-    planes: np.ndarray
+    planes: np.ndarray  # the block's, read in place
     scalars: np.ndarray
     narrow: int
 
     @classmethod
     def compile(cls, store: ModelStore) -> "PackedModelBank":
-        """Index every model's signature and extract its parameters."""
-        by_tier = [
-            np.fromiter(store.models[kind], np.uint64, len(store.models[kind])).view(np.int64)
-            for kind in SPECIFICITY_ORDER
-        ]
+        """Index every kind's signatures over the store's parameter block
+        (whose planes the bank reads in place)."""
+        block = store.block
+        by_tier = [signatures.view(np.int64) for signatures in block.signatures]
         union = np.sort(np.concatenate([*by_tier, [np.iinfo(np.int64).max]]))
         union = union[np.append(True, union[1:] != union[:-1])]  # distinct
         slots = np.full((len(union), len(SPECIFICITY_ORDER)), NOT_COVERED, dtype=np.int64)
-        planes, scalars = [np.empty((4, 0, _W))], [np.empty((3, 0))]
-        start = 0
-        for k, (kind, signatures) in enumerate(zip(SPECIFICITY_ORDER, by_tier)):
-            models = list(store.models[kind].values())
-            slots[union.searchsorted(signatures), k] = np.arange(start, start + len(models))
-            start += len(models)
-            kind_planes, kind_scalars = _kind_block(
-                models, len(feature_names(kind.uses_context_features))
-            )
-            planes.append(kind_planes)
-            scalars.append(kind_scalars)
+        for k, signatures in enumerate(by_tier):
+            slots[union.searchsorted(signatures), k] = np.arange(*block.bounds[k : k + 2])
         return cls(
             union=union,
             slots=slots,
-            planes=np.concatenate(planes, axis=1),
-            scalars=np.concatenate(scalars, axis=1),
-            narrow=len(by_tier[0]),
+            planes=block.planes,
+            scalars=block.scalars,
+            narrow=block.bounds[1],
         )
 
     def resolve(self, signatures: np.ndarray) -> np.ndarray:
@@ -170,15 +138,15 @@ class PackedModelBank:
         """
         block = max(len(matrix), _MIN_BLOCK)
         out = np.empty(len(models), dtype=float)
-        scratch = np.empty((2, min(len(models), block), _W), dtype=float)
+        scratch = np.empty((2, min(len(models), block), WIDTH), dtype=float)
         for lo in range(0, len(models), block):
             g = models[lo : lo + block]
             buf, param = scratch[:, : len(g)]
             matrix.take(rows[lo : lo + block], axis=0, out=buf, mode="clip")
-            for plane, op in ((_MEAN, np.subtract), (_SCALE, np.divide), (_COEF, np.multiply)):
+            for plane, op in ((MEAN, np.subtract), (SCALE, np.divide), (COEF, np.multiply)):
                 self.planes[plane].take(g, axis=0, out=param, mode="clip")
                 op(buf, param, out=buf)
-            intercept, y_scale = self.scalars[:_RAW_INTERCEPT].take(g, axis=1)
+            intercept, y_scale = self.scalars[:RAW_INTERCEPT].take(g, axis=1)
             buf[g < self.narrow, _NARROW:] = -0.0
             out[lo : lo + block] = (np.add.reduce(buf, axis=1) + intercept) * y_scale
         np.maximum(out, 0.0, out=out)
@@ -195,12 +163,12 @@ class PackedModelBank:
         :meth:`~repro.core.learned_model.LearnedCostModel.resource_profile`
         bit for bit (the narrow kind's two pad terms are ``-0.0``).
         """
-        raw = self.planes[_RAW][models]
+        raw = self.planes[RAW][models]
         terms = raw * at_one
         terms[models < self.narrow, _NARROW:] = -0.0
         theta_p = np.zeros(len(models), dtype=float)
         theta_c = np.zeros(len(models), dtype=float)
-        theta_0 = self.scalars[_RAW_INTERCEPT][models]
+        theta_0 = self.scalars[RAW_INTERCEPT][models]
         for j in _INVERSE_P:
             theta_p += terms[:, j]
         for j in _PARTITION:
@@ -215,35 +183,6 @@ class PackedModelBank:
         ledger = np.zeros(self.scalars.shape[1], dtype=bool)
         ledger[models] = True
         return int(np.count_nonzero(ledger))
-
-
-def _kind_block(
-    models: list[LearnedCostModel], width: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """One kind's ``(planes, scalars)`` columns of the parameter block: its
-    :class:`~repro.core.learned_model.ParameterColumns` (the layout the
-    model file writes) widened to the block, the pads mean 0, scale 1 and
-    coefficient 0 (pricing overwrites their terms)."""
-    columns = ParameterColumns.of(models, width)
-    planes = np.zeros((4, len(models), _W), dtype=float)
-    planes[_SCALE] = 1.0
-    planes[_MEAN, :, :width] = columns.mean
-    planes[_SCALE, :, :width] = columns.scale
-    planes[_COEF, :, :width] = columns.coef
-    scalars = np.empty((3, len(models)), dtype=float)
-    scalars[_INTERCEPT] = columns.intercept
-    scalars[_Y_SCALE] = columns.y_scale
-    mean, scale, coef = planes[:_RAW, :, :width]
-    y_scale = scalars[_Y_SCALE]
-    # Raw-space parameters, replaying ElasticNetMSLE.coefficients_raw op for
-    # op at the kind's own width (divide then rescale; inner
-    # multiply-divide-sum), so batched resource profiles match the scalar
-    # reads bitwise.
-    planes[_RAW, :, :width] = coef / scale * y_scale[:, None]
-    scalars[_RAW_INTERCEPT] = (
-        scalars[_INTERCEPT] - (coef * mean / scale).sum(axis=1)
-    ) * y_scale
-    return planes, scalars
 
 
 def predict_most_specific(

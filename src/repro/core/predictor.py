@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.combined import CombinedModel
-from repro.core.config import ModelKind
+from repro.core.config import SPECIFICITY_ORDER, ModelKind
 from repro.core.model_store import ModelStore, signature_for
 from repro.cost.interface import CostExplanation
 from repro.execution.runtime_log import OperatorRecord
@@ -65,8 +65,9 @@ def explain_cost(
     The one explanation rule: the serving tier that priced the row passes
     its answer in, so an explanation never re-prices anything.
     """
-    best = predictor.store.most_specific(signatures)
-    kind = best[0] if best is not None else None
+    kind = next(
+        (kind for kind in SPECIFICITY_ORDER if predictor.store.covers(kind, signatures)), None
+    )
     signature = signature_for(kind, signatures) if kind is not None else None
     narrower = (
         None

@@ -195,9 +195,8 @@ class ModelQuarantine:
         returns ``False`` when the model is already gone, so repeated
         repair passes never double-count a removal.
         """
-        if store.get(kind, signature) is None:
+        if not store.remove(kind, signature):
             return False
-        store.remove(kind, signature)
         self.record(kind, signature)
         return True
 

@@ -10,9 +10,10 @@ process — bit for bit.
 
 Format version 2
 ----------------
-A model file holds one parameter block per model kind, in the layout of
-:class:`~repro.core.learned_model.ParameterColumns`, and the combined
-FastTree model's node arrays, each as a column of raw bytes::
+A model file holds each model kind's run of the store's parameter block
+(:class:`~repro.core.model_store.ParameterBlock`), at the kind's own width
+and in the store's model order, and the combined FastTree model's node
+arrays, each as a column of raw bytes::
 
     {"format_version": 2,
      "models": {"<kind>": {"count": n, "width": 29 | 31,
@@ -37,10 +38,10 @@ Why raw columns inside JSON: the file stays the paper's text file, readable
 by any JSON parser and embeddable as a sub-object, while every parameter
 keeps its exact IEEE-754 bits (-0.0, subnormals, 1e300) and neither side
 formats or parses a float per parameter — a load decodes each column once
-and every model reads row views of it.  The explicit little-endian dtypes
-make the bytes the same on every host.
+and widens it into the new store's block; no model object is built.  The
+explicit little-endian dtypes make the bytes the same on every host.
 
-A load validates the whole payload before it builds any model, and fails
+A load validates the whole payload before it builds any store, and fails
 with :class:`~repro.common.errors.ModelFileError` on any defect, so a
 corrupt file never leaves a half-restored store or registry behind.
 """
@@ -62,10 +63,9 @@ import numpy as np
 from repro.common.errors import ModelFileError
 from repro.core.combined import META_FEATURE_NAMES, CombinedModel
 from repro.core.config import CleoConfig, ModelKind
-from repro.core.learned_model import LearnedCostModel, ParameterColumns
-from repro.core.model_store import ModelStore
+from repro.core.learned_model import ParameterColumns
+from repro.core.model_store import KIND_WIDTH, ModelStore, ParameterBlock
 from repro.core.predictor import CleoPredictor
-from repro.features.featurizer import feature_names
 from repro.ml.gbm import FastTreeRegressor
 from repro.ml.tree import _NO_FEATURE, DecisionTreeRegressor
 
@@ -179,45 +179,29 @@ def _require_finite(name: str, column: np.ndarray) -> None:
 
 
 # --------------------------------------------------------------------- #
-# Individual models: one parameter block per kind
+# Individual models: each kind's run of the parameter block
 # --------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class _KindBlock:
-    """One kind's decoded, validated block (no model built yet)."""
-
-    kind: ModelKind
-    signatures: list[int]
-    nonneg_indices: tuple[int, ...]
-    columns: ParameterColumns
-
-
-def _kind_to_dict(kind: ModelKind, by_sig: dict[int, LearnedCostModel]) -> dict[str, Any]:
-    models = list(by_sig.values())
-    width = len(feature_names(kind.uses_context_features))
-    nonneg = {model._net.nonneg_indices for model in models} or {()}
-    if len(nonneg) != 1:
-        raise ModelFileError(f"{kind.value} models disagree on their non-negative features")
-    columns = ParameterColumns.of(models, width)
+def _kind_to_dict(columns: ParameterColumns) -> dict[str, Any]:
     return {
-        "count": len(models),
-        "width": width,
-        "nonneg_indices": list(nonneg.pop()),
-        "signatures": _encode(np.fromiter(by_sig, np.uint64, len(by_sig)), _U8),
+        "count": len(columns.signatures),
+        "width": columns.mean.shape[1],
+        "nonneg_indices": list(columns.nonneg_indices),
+        "signatures": _encode(columns.signatures, _U8),
         **{name: _encode(getattr(columns, name), _F8) for name in _PLANES + _SCALARS},
         "n_samples": _encode(columns.n_samples, _I8),
     }
 
 
-def _decode_kind(kind_name: str, block: Any) -> _KindBlock:
+def _decode_kind(kind_name: str, block: Any) -> tuple[ModelKind, ParameterColumns]:
     try:
         kind = ModelKind(kind_name)
     except ValueError:
         raise ModelFileError(f"unknown model kind {kind_name!r}") from None
     _require(isinstance(block, dict), f"the {kind.value} block is not an object")
     count = _count(block, "count")
-    width = len(feature_names(kind.uses_context_features))
+    width = KIND_WIDTH[kind]
     _require(
         type(block.get("width")) is int and block["width"] == width,
         f"the {kind.value} block is {block.get('width')!r} wide, expected {width}",
@@ -239,12 +223,8 @@ def _decode_kind(kind_name: str, block: Any) -> _KindBlock:
     )
     n_samples = _decode(block, "n_samples", _I8, (count,))
     _require(bool((n_samples >= 0).all()), f"a {kind.value} model has n_samples < 0")
-    return _KindBlock(
-        kind=kind,
-        signatures=signatures.tolist(),
-        nonneg_indices=tuple(nonneg),
-        columns=ParameterColumns(**planes, **scalars, n_samples=n_samples),
-    )
+    columns = ParameterColumns(signatures, tuple(nonneg), **planes, **scalars, n_samples=n_samples)
+    return kind, columns
 
 
 # --------------------------------------------------------------------- #
@@ -357,7 +337,7 @@ def _build_forest(forest: _Forest) -> FastTreeRegressor:
 class _Decoded:
     """A predictor payload, validated end to end, before any model exists."""
 
-    kinds: list[_KindBlock]
+    kinds: dict[ModelKind, ParameterColumns]
     forest: _Forest | None
 
 
@@ -366,25 +346,19 @@ def _decode_predictor(payload: Any) -> _Decoded:
     models = _field(payload, "models", dict)
     combined = payload.get("combined")
     return _Decoded(
-        kinds=[_decode_kind(name, block) for name, block in models.items()],
+        kinds=dict(_decode_kind(name, block) for name, block in models.items()),
         forest=None if combined is None else _decode_forest(combined),
     )
 
 
-def _build_store(decoded: _Decoded, config: CleoConfig | None) -> ModelStore:
-    store = ModelStore()
-    for block in decoded.kinds:
-        models = block.columns.models(
-            block.kind.uses_context_features, block.nonneg_indices, config
-        )
-        for signature, model in zip(block.signatures, models):
-            store.add(block.kind, signature, model)
-    return store
+def _build_store(decoded: _Decoded) -> ModelStore:
+    """The decoded columns, widened into one block: no model is built."""
+    return ModelStore(ParameterBlock.build(decoded.kinds))
 
 
 def _build_predictor(decoded: _Decoded, config: CleoConfig | None) -> CleoPredictor:
     config = config or CleoConfig()
-    store = _build_store(decoded, config)
+    store = _build_store(decoded)
     combined = None
     if decoded.forest is not None:
         combined = CombinedModel(store, config=config, regressor=_build_forest(decoded.forest))
@@ -395,14 +369,12 @@ def _build_predictor(decoded: _Decoded, config: CleoConfig | None) -> CleoPredic
 def store_to_dict(store: ModelStore) -> dict[str, Any]:
     return {
         "format_version": FORMAT_VERSION,
-        "models": {
-            kind.value: _kind_to_dict(kind, by_sig) for kind, by_sig in store.models.items()
-        },
+        "models": {kind.value: _kind_to_dict(store.columns(kind)) for kind in ModelKind},
     }
 
 
-def store_from_dict(payload: dict[str, Any], config: CleoConfig | None = None) -> ModelStore:
-    return _build_store(_decode_predictor(payload), config)
+def store_from_dict(payload: dict[str, Any]) -> ModelStore:
+    return _build_store(_decode_predictor(payload))
 
 
 def predictor_to_dict(predictor: CleoPredictor) -> dict[str, Any]:

@@ -10,9 +10,10 @@ The hot path is **columnar**: the run log is materialized once into a
 :class:`~repro.features.table.FeatureTable`, the full derived feature
 matrix is expanded in one fused pass over the table's rows, groups
 are formed with ``argsort``/``unique`` over the signature columns, all of a
-kind's per-signature elastic nets are fitted in one batched Adam loop, and
-the combined model's meta rows are built through the same grouped
-vectorized prediction that the serving layer uses.  The per-record
+kind's per-signature elastic nets are fitted in one batched Adam loop whose
+parameters go straight into the store's block as columns (no model object
+is built), and the combined model's meta rows are built through the same
+vectorized pricing that the serving layer uses.  The per-record
 reference implementations (``train_individual_reference`` /
 ``train_combined_reference``) are kept as the pinned scalar baseline: they
 produce bitwise-identical models and feed the training-throughput
@@ -28,8 +29,8 @@ import numpy as np
 from repro.common.errors import DataQualityError
 from repro.core.combined import CombinedModel, build_meta_matrix, build_meta_row
 from repro.core.config import CleoConfig, ModelKind
-from repro.core.learned_model import LearnedCostModel, fit_models_batched
-from repro.core.model_store import SIGNATURE_FIELDS, ModelStore, signature_for
+from repro.core.learned_model import LearnedCostModel, fit_columns
+from repro.core.model_store import SIGNATURE_FIELDS, ModelStore, ParameterBlock, signature_for
 from repro.core.predictor import CleoPredictor
 from repro.execution.runtime_log import RunLog
 from repro.features.featurizer import FeatureInput, feature_names
@@ -154,12 +155,12 @@ class CleoTrainer:
         identical to :meth:`train_individual_reference`.
         """
         table = self._sanitized(log.to_table())
-        store = ModelStore()
         if len(table) == 0:
-            return store
+            return ModelStore()
         full_matrix = table.feature_matrix(include_context=True)
         latencies = table.latency
 
+        kinds = {}
         for kind in ModelKind:
             uniques, order, starts, counts = table.group_by_signature(
                 SIGNATURE_FIELDS[kind]
@@ -173,23 +174,16 @@ class CleoTrainer:
             kept_counts = counts[keep]
             kept_starts = np.concatenate(([0], np.cumsum(kept_counts)[:-1]))
             width = len(feature_names(kind.uses_context_features))
-
-            models = [
-                LearnedCostModel(
-                    include_context=kind.uses_context_features, config=self.config
-                )
-                for _ in range(int(keep.sum()))
-            ]
-            fit_models_batched(
-                models,
+            kinds[kind] = fit_columns(
+                uniques[keep],
                 full_matrix[kept_rows, :width],
                 latencies[kept_rows],
                 kept_starts,
                 kept_counts,
+                kind.uses_context_features,
+                self.config,
             )
-            for signature, model in zip(uniques[keep], models):
-                store.add(kind, int(signature), model)
-        return store
+        return ModelStore(ParameterBlock.build(kinds))
 
     def train_individual_reference(self, log: RunLog) -> ModelStore:
         """Per-record scalar reference for :meth:`train_individual`.

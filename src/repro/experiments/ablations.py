@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import CleoConfig
+from repro.core.combined import build_meta_matrix
+from repro.core.config import CleoConfig, ModelKind
 from repro.core.packed import resource_profiles_most_specific
 from repro.core.robustness import evaluate_predictor_on_log, score_table
 from repro.core.trainer import CleoTrainer
@@ -36,6 +37,7 @@ from repro.execution.hardware import ClusterSpec
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.shared import workload_config
 from repro.features.extract import feature_input_for
+from repro.features.featurizer import feature_names
 from repro.features.table import FeatureTable
 from repro.optimizer.planner import PlannerConfig
 from repro.plan.signatures import SignatureBundle
@@ -118,12 +120,11 @@ def run_jitter_ablation(scale: str = "tiny", seed: int = 0) -> ExperimentResult:
 def _theta_c_zero_fraction(predictor) -> float:
     zero = 0
     total = 0
-    for by_sig in predictor.store.models.values():
-        for model in by_sig.values():
-            weights = model.feature_weights()
-            total += 1
-            if abs(weights.get("P", 0.0)) < 1e-12:
-                zero += 1
+    for kind in ModelKind:
+        coef = predictor.store.columns(kind).coef
+        partitions = coef[:, feature_names(kind.uses_context_features).index("P")]
+        total += len(coef)
+        zero += int(np.count_nonzero(np.abs(partitions) < 1e-12))
     return zero / max(total, 1)
 
 
@@ -243,6 +244,13 @@ def run_window_ablation(
     )
 
 
+def meta_day_rows(store, log, day: int) -> tuple[np.ndarray, np.ndarray]:
+    """One day's meta rows and actual latencies, from one bulk pass over
+    the day's table (bitwise the per-record ``build_meta_row`` stack)."""
+    table = log.filter(days=[day]).to_table()
+    return build_meta_matrix(store, table), np.asarray(table.latency)
+
+
 def run_meta_ablation(scale: str = "tiny", seed: int = 0) -> ExperimentResult:
     """Combined-model input ablation (Section 4.3).
 
@@ -255,7 +263,7 @@ def run_meta_ablation(scale: str = "tiny", seed: int = 0) -> ExperimentResult:
       paper reports "did not result in any improvement".
     """
     from repro.common.stats import median_error_pct, pearson as pearson_of
-    from repro.core.combined import META_FEATURE_NAMES, build_meta_row
+    from repro.core.combined import META_FEATURE_NAMES
     from repro.cost.default_model import DefaultCostModel
     from repro.experiments.shared import get_bundle
     from repro.ml.gbm import FastTreeRegressor
@@ -264,11 +272,7 @@ def run_meta_ablation(scale: str = "tiny", seed: int = 0) -> ExperimentResult:
     store = bundle.predictor().store
 
     def day_matrix(day: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        records = list(bundle.log.filter(days=[day]).operator_records())
-        rows_ = np.vstack(
-            [build_meta_row(store, r.features, r.signatures) for r in records]
-        )
-        actual = np.asarray([r.actual_latency for r in records])
+        rows_, actual = meta_day_rows(store, bundle.log, day)
         default_costs, _ = bundle.baseline_costs(DefaultCostModel(), days=(day,))
         return rows_, actual, np.asarray(default_costs)
 
@@ -331,7 +335,6 @@ def run_specialization_ablation(scale: str = "tiny", seed: int = 0) -> Experimen
     specialized collection — the paper's no-one-size-fits-all argument.
     """
     from repro.common.stats import median_error_pct, pearson as pearson_of
-    from repro.core.config import ModelKind
     from repro.core.learned_model import LearnedCostModel
     from repro.core.robustness import evaluate_store_on_log
     from repro.experiments.shared import get_bundle

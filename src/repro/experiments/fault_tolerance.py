@@ -355,7 +355,7 @@ def _quarantined_planner_row(
         # Deep-copy via the serialization round-trip: the bundle's cached
         # predictor also backs the serving sections and must stay intact.
         predictor = predictor_from_dict(predictor_to_dict(bundle.predictor()))
-        signatures = sorted(predictor.store.models[ModelKind.OP_SUBGRAPH])
+        signatures = sorted(predictor.store.columns(ModelKind.OP_SUBGRAPH).signatures.tolist())
         for signature in signatures[: max(1, len(signatures) // 10)]:
             quarantine.record(ModelKind.OP_SUBGRAPH, signature)
         removed += quarantine.replay(predictor.store)

@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.core.config import ModelKind
 from repro.experiments.harness import ExperimentResult
+from repro.features.featurizer import feature_names
 from repro.experiments.shared import get_bundle
 
 PAPER = {
@@ -22,8 +23,9 @@ PAPER = {
 def normalized_weights(store, kind: ModelKind) -> dict[str, float]:
     """The paper's influence metric across all models of one kind."""
     totals: dict[str, float] = {}
-    for model in store.models[kind].values():
-        for name, weight in model.feature_weights().items():
+    names = feature_names(kind.uses_context_features)
+    for weights in store.columns(kind).coef.tolist():
+        for name, weight in zip(names, weights):
             totals[name] = totals.get(name, 0.0) + abs(weight)
     grand = sum(totals.values()) or 1.0
     return {name: value / grand for name, value in totals.items()}
@@ -46,7 +48,7 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
         rows.append(
             {
                 "model": kind.value,
-                "models": len(predictor.store.models[kind]),
+                "models": predictor.store.count(kind),
                 "concentration": round(concentration(weights), 4),
                 "top_features": ", ".join(f"{n}={w:.3f}" for n, w in top[:5]),
             }

@@ -16,6 +16,7 @@ from repro.features.featurizer import (
     BASIC_FEATURE_NAMES,
     CONTEXT_FEATURE_NAMES,
     DERIVED_FEATURE_NAMES,
+    feature_names,
 )
 
 PAPER = {
@@ -35,9 +36,10 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
     selected_counts: dict[str, int] = {}
     total = 0
     for kind in ModelKind:
-        for model in predictor.store.models[kind].values():
+        names = feature_names(kind.uses_context_features)
+        for weights in predictor.store.columns(kind).coef.tolist():
             total += 1
-            for name, weight in model.feature_weights().items():
+            for name, weight in zip(names, weights):
                 if abs(weight) > 1e-12:
                     selected_counts[name] = selected_counts.get(name, 0) + 1
     total = max(total, 1)

@@ -23,7 +23,8 @@ a segment's sum does not depend on its neighbours (see
 :func:`_segment_sum` for what that does and does not promise) — and
 single-model :meth:`ElasticNetMSLE.fit` runs the same core with one
 segment, so batched and one-at-a-time training produce bitwise-identical
-coefficients.
+coefficients.  The batched fit builds no net per segment: it returns every
+net's parameters as columns, the layout the model store keeps.
 """
 
 from __future__ import annotations
@@ -49,6 +50,14 @@ def _segment_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     moving every coefficient's bits.
     """
     return np.add.reduceat(values, starts, axis=0)
+
+
+def _log_target(targets: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(log1p(targets / y_scale), y_scale)``: the target scaled by its
+    geometric mean, so the penalty means the same for every template."""
+    # repro: allow(float-reduction) -- one segment's own rows, whether the scalar fit() or the batched fit_elastic_nets calls it, so the reduction's grouping is independent of how many nets are batched
+    y_scale = float(np.exp(np.mean(np.log1p(targets)))) or 1.0
+    return np.log1p(targets / y_scale), y_scale
 
 
 def _adam_msle_batched(
@@ -219,40 +228,15 @@ class ElasticNetMSLE:
 
     # ------------------------------------------------------------------ #
 
-    def _hyperparams(self) -> tuple:
-        """The knobs that must agree for nets to share a batched fit."""
-        return (
-            self.alpha,
-            self.l1_ratio,
-            self.learning_rate,
-            self.max_iter,
-            self.tol,
-            self.nonneg_indices,
-        )
-
-    def _prepare(
-        self, features: np.ndarray, targets: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Standardize features, scale the target; returns (x, log1p(y)).
-
-        The target is scaled to a O(1) magnitude (geometric mean) so the
-        penalty strength is comparable across templates.
-        """
-        x = self._scaler.fit_transform(features)
-        # repro: allow(float-reduction) -- shared verbatim by scalar fit() and batched fit_elastic_nets (both call _prepare per segment on the same rows), so the reduction's grouping is independent of how many nets are batched
-        self._y_scale = float(np.exp(np.mean(np.log1p(targets)))) or 1.0
-        return x, np.log1p(targets / self._y_scale)
-
-    def fit(self, features: np.ndarray, targets: np.ndarray) -> "ElasticNetMSLE":
-        features, targets = check_fit_inputs(features, targets)
-        if (targets < 0).any():
-            raise ValueError("MSLE requires non-negative targets")
-        x, y_log = self._prepare(features, targets)
-        weights, bias, n_iter = _adam_msle_batched(
+    def _adam(
+        self, x: np.ndarray, y_log: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`_adam_msle_batched` under this net's hyperparameters."""
+        return _adam_msle_batched(
             x,
             y_log,
-            starts=np.zeros(1, dtype=np.int64),
-            lengths=np.array([len(y_log)], dtype=np.int64),
+            starts=starts,
+            lengths=lengths,
             learning_rate=self.learning_rate,
             max_iter=self.max_iter,
             tol=self.tol,
@@ -260,6 +244,17 @@ class ElasticNetMSLE:
             l2=self.alpha * (1.0 - self.l1_ratio),
             nonneg_indices=self.nonneg_indices,
         )
+
+    def fit(self, features: np.ndarray, targets: np.ndarray) -> "ElasticNetMSLE":
+        features, targets = check_fit_inputs(features, targets)
+        if (targets < 0).any():
+            raise ValueError("MSLE requires non-negative targets")
+        # Standardized features; the target scaled to O(1) by its geometric
+        # mean, so the penalty strength is comparable across templates.
+        x = self._scaler.fit_transform(features)
+        y_log, self._y_scale = _log_target(targets)
+        one = np.zeros(1, dtype=np.int64)
+        weights, bias, n_iter = self._adam(x, y_log, one, np.array([len(y_log)]))
         self.coef_ = weights[0]
         self.intercept_ = float(bias[0])
         self.n_iter_ = int(n_iter[0])
@@ -279,14 +274,9 @@ class ElasticNetMSLE:
     def packed_parameters(
         self,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-        """``(scaler mean, scaler scale, coef, intercept, y_scale)``.
-
-        Everything the packed inference bank needs to replay
-        :meth:`predict` on pre-built feature rows without touching this
-        object: standardize with mean/scale, row multiply-sum against the
-        standardized coefficients, add the intercept, rescale by the target
-        scale, clamp at zero.
-        """
+        """``(scaler mean, scaler scale, coef, intercept, y_scale)``: one
+        row of a model store's parameter block, which replays
+        :meth:`predict` without this object."""
         if self.coef_ is None:
             raise RuntimeError("packed_parameters() before fit()")
         mean = self._scaler.mean_
@@ -321,61 +311,49 @@ class ElasticNetMSLE:
 
 
 def fit_elastic_nets(
-    nets: list[ElasticNetMSLE],
+    net: ElasticNetMSLE,
     features: np.ndarray,
     targets: np.ndarray,
     starts: np.ndarray,
     lengths: np.ndarray,
-) -> None:
-    """Fit many elastic nets (one per contiguous row segment) in one pass.
+) -> tuple[np.ndarray, ...]:
+    """Fit one net per row segment (``starts[g] : starts[g] + lengths[g]``)
+    with ``net``'s hyperparameters, in one Adam loop, as columns: ``(mean,
+    scale, coef, intercept, y_scale, n_iter)``, one row per net.
 
-    ``features``/``targets`` stack every net's training set; net ``g`` owns
-    rows ``starts[g] : starts[g] + lengths[g]``.  All nets must share
-    hyperparameters (they do within one model kind).  Results are bitwise
-    identical to calling ``nets[g].fit(features[seg], targets[seg])`` per
-    net — the standardization is still computed per segment and the shared
-    Adam loop freezes each net at its own convergence step.
+    Row ``g`` is bitwise what :meth:`ElasticNetMSLE.fit` on segment ``g``
+    leaves on a net and its scaler: each segment is standardized with the
+    calls ``StandardScaler.fit`` makes (``mean(axis=0)``, ``std(axis=0)``, a
+    spread below 1e-12 read as 1), not in a segment-sum pass (see
+    :func:`_segment_sum`).  ``net`` itself stays unfitted.
     """
-    if not nets:
-        return
-    if len(nets) != len(starts) or len(nets) != len(lengths):
-        raise ValueError("nets, starts, and lengths must align")
-    reference = nets[0]._hyperparams()
-    for net in nets[1:]:
-        if net._hyperparams() != reference:
-            raise ValueError("batched nets must share hyperparameters")
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if len(starts) != len(lengths):
+        raise ValueError("starts and lengths must align")
     features, targets = check_fit_inputs(features, targets)
     if (targets < 0).any():
         raise ValueError("MSLE requires non-negative targets")
 
-    x_parts: list[np.ndarray] = []
-    y_parts: list[np.ndarray] = []
-    for net, start, length in zip(nets, starts, lengths):
-        stop = start + length
-        x_g, y_log_g = net._prepare(features[start:stop], targets[start:stop])
-        x_parts.append(x_g)
-        y_parts.append(y_log_g)
+    # Each segment standardized into one contiguous stack: the caller's
+    # ``starts`` may leave gaps (unused rows), so the optimizer's segment
+    # offsets are recomputed from the lengths.
+    m, d = len(lengths), features.shape[1]
+    mean, scale = np.empty((m, d)), np.empty((m, d))
+    y_scale = np.empty(m)
+    x = np.empty((int(lengths.sum()), d))
+    y_log = np.empty(len(x))
+    packed_starts = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(lengths)[:-1]))
+    for g, (start, at, length) in enumerate(
+        zip(starts.tolist(), packed_starts.tolist(), lengths.tolist())
+    ):
+        segment = features[start : start + length]
+        mean[g] = segment.mean(axis=0)
+        spread = segment.std(axis=0)
+        spread[spread < 1e-12] = 1.0
+        scale[g] = spread
+        x[at : at + length] = (segment - mean[g]) / scale[g]
+        y_log[at : at + length], y_scale[g] = _log_target(targets[start : start + length])
 
-    # The per-segment slices above re-pack the rows contiguously, so the
-    # optimizer's segment offsets are recomputed from the lengths — the
-    # caller's `starts` may legitimately contain gaps (unused rows).
-    lengths = np.asarray(lengths, dtype=np.int64)
-    packed_starts = np.concatenate(
-        (np.zeros(1, dtype=np.int64), np.cumsum(lengths)[:-1])
-    )
-    weights, bias, n_iter = _adam_msle_batched(
-        np.concatenate(x_parts, axis=0),
-        np.concatenate(y_parts),
-        starts=packed_starts,
-        lengths=lengths,
-        learning_rate=reference[2],
-        max_iter=reference[3],
-        tol=reference[4],
-        l1=nets[0].alpha * nets[0].l1_ratio,
-        l2=nets[0].alpha * (1.0 - nets[0].l1_ratio),
-        nonneg_indices=nets[0].nonneg_indices,
-    )
-    for g, net in enumerate(nets):
-        net.coef_ = weights[g]
-        net.intercept_ = float(bias[g])
-        net.n_iter_ = int(n_iter[g])
+    weights, bias, n_iter = net._adam(x, y_log, packed_starts, lengths)
+    return mean, scale, weights, bias, y_scale, n_iter

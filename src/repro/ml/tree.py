@@ -134,12 +134,10 @@ class DecisionTreeRegressor:
         self.max_bins = max_bins
         self.max_features = max_features
         self.seed = seed
-        self._nodes: _Nodes | None = None
         self._arrays: tuple[np.ndarray, ...] | None = None
         self.n_features_: int = 0
 
     def reset(self) -> None:
-        self._nodes = None
         self._arrays = None
         self.n_features_ = 0
 
@@ -173,8 +171,9 @@ class DecisionTreeRegressor:
         # ``width`` histogram slots and codes are pre-offset into them.
         width = max(len(cuts) for cuts in edges) + 1
         slots = codes + np.arange(n_features) * width
+        # The growth buffer: five Python lists, dropped once ``_arrays``
+        # holds their values.
         nodes = _Nodes()
-        self._nodes = nodes
 
         # Explicit stack of (node_id, sample_indices, depth).
         root = nodes.add()

@@ -30,10 +30,11 @@ from repro.features.table import MAX_SANE_LATENCY_S
 def _store_models_equal(a, b) -> bool:
     """Bitwise equality of every individual model in two stores."""
     for kind in ModelKind:
-        if set(a.models[kind]) != set(b.models[kind]):
+        signatures = a.columns(kind).signatures.tolist()
+        if set(signatures) != set(b.columns(kind).signatures.tolist()):
             return False
-        for signature, model in a.models[kind].items():
-            other = b.models[kind][signature]
+        for signature in signatures:
+            model, other = a.get(kind, signature), b.get(kind, signature)
             if not np.array_equal(model._net.coef_, other._net.coef_):
                 return False
             if model._net.intercept_ != other._net.intercept_:
@@ -162,11 +163,12 @@ class TestModelStoreRemove:
 
         store = predictor_from_dict(predictor_to_dict(tiny_predictor)).store
         kind = ModelKind.OP_SUBGRAPH
-        signature = next(iter(store.models[kind]))
+        signature = int(store.columns(kind).signatures[0])
         before = store.count()
         assert store.remove(kind, signature) is True
         assert store.count() == before - 1
-        assert signature not in store.models[kind]
+        assert signature not in store.columns(kind).signatures.tolist()
+        assert store.get(kind, signature) is None
 
     def test_remove_missing_signature_is_noop(self, tiny_predictor):
         from repro.core.serialization import predictor_from_dict, predictor_to_dict
@@ -181,6 +183,6 @@ class TestModelStoreRemove:
 
         store = predictor_from_dict(predictor_to_dict(tiny_predictor)).store
         kind = ModelKind.OP_SUBGRAPH
-        signature = next(iter(store.models[kind]))
+        signature = int(store.columns(kind).signatures[0])
         assert store.remove(kind, signature) is True
         assert store.remove(kind, signature) is False

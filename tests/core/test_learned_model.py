@@ -65,9 +65,18 @@ class TestFitAndPredict:
         model.fit(inputs, costs)
         assert model.is_fitted
 
-    def test_memory_bytes_small(self):
-        model = LearnedCostModel(include_context=False)
-        assert model.memory_bytes < 1024  # linear models are tiny
+    def test_a_held_model_costs_its_parameters(self):
+        """One model in a store costs its block row (four 31-wide planes,
+        three scalars, its training-row count and its signature) plus the
+        bank's index entry (the signature and four tier slots)."""
+        from repro.core.config import ModelKind
+        from repro.core.model_store import ModelStore
+
+        inputs, costs = _synthetic_samples(n=10)
+        store = ModelStore()
+        empty = store.memory_bytes
+        store.add(ModelKind.OPERATOR, 7, LearnedCostModel(include_context=True).fit(inputs, costs))
+        assert store.memory_bytes - empty == (4 * 31 + 3 + 1 + 1) * 8 + (1 + 4) * 8
 
 
 class TestResourceProfile:

@@ -98,8 +98,9 @@ class TestEnvelope:
 
     def test_v1_payload(self, tiny_predictor):
         """The retired per-model layout: a dict of decimal floats per model."""
-        signature, model = next(iter(tiny_predictor.store.models[ModelKind.OP_INPUT].items()))
-        mean, scale, coef, intercept, y_scale = model.packed_parameters()
+        signature = int(tiny_predictor.store.columns(ModelKind.OP_INPUT).signatures[0])
+        model = tiny_predictor.store.get(ModelKind.OP_INPUT, signature)
+        mean, scale, coef, intercept, y_scale = model._net.packed_parameters()
         v1_model = {
             "include_context": True,
             "n_samples": model.n_samples,
@@ -232,8 +233,8 @@ class TestSave:
         path = tmp_path / "cleo_models.json"
         save_predictor(predictor, path)
         restored = load_predictor(path).store
-        assert {kind: set(by_sig) for kind, by_sig in restored.models.items()} == {
-            kind: set(by_sig) for kind, by_sig in tiny_predictor.store.models.items()
+        assert {kind: restored.columns(kind).signatures.tolist() for kind in ModelKind} == {
+            kind: tiny_predictor.store.columns(kind).signatures.tolist() for kind in ModelKind
         }
 
 

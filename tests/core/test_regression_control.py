@@ -194,7 +194,7 @@ class TestQuarantineLedger:
         import copy
 
         store = copy.deepcopy(tiny_bundle.predictor().store)
-        signature = next(iter(store.models[ModelKind.OP_SUBGRAPH]))
+        signature = int(store.columns(ModelKind.OP_SUBGRAPH).signatures[0])
         quarantine = ModelQuarantine()
         quarantine.record(ModelKind.OP_SUBGRAPH, signature)
 

@@ -19,7 +19,7 @@ from repro.common.errors import ModelFileError, ModelNotTrainedError
 from repro.core.combined import build_meta_matrix
 from repro.core.config import SPECIFICITY_ORDER, ModelKind
 from repro.core.learned_model import LearnedCostModel, ParameterColumns
-from repro.core.model_store import ModelStore
+from repro.core.model_store import ModelStore, ParameterBlock
 from repro.core.packed import predict_most_specific
 from repro.core.predictor import CleoPredictor
 from repro.core.serialization import (
@@ -34,6 +34,10 @@ from repro.features.featurizer import feature_names
 from repro.features.table import FeatureTable
 from repro.serving import CleoService
 from tests.serving.test_packed_inference import _random_workload
+
+
+#: A kind's parameter columns, as a model file writes them.
+_PARAMETERS = ("mean", "scale", "coef", "intercept", "y_scale", "n_samples")
 
 
 def _bits(values) -> bytes:
@@ -59,15 +63,15 @@ def held_out(tiny_bundle):
 
 
 def _column_bits(store: ModelStore) -> dict:
-    """Every kind's signatures (in store order) and parameter-column bytes."""
+    """Every kind's signatures (in store order), non-negative features and
+    parameter-column bytes."""
     out = {}
-    for kind, by_sig in store.models.items():
-        width = len(feature_names(kind.uses_context_features))
-        columns = ParameterColumns.of(list(by_sig.values()), width)
+    for kind in ModelKind:
+        columns = store.columns(kind)
         out[kind] = (
-            list(by_sig),
-            [model._net.nonneg_indices for model in by_sig.values()],
-            *(getattr(columns, name).tobytes() for name in columns.__dataclass_fields__),
+            columns.signatures.tolist(),
+            columns.nonneg_indices,
+            *(getattr(columns, name).tobytes() for name in _PARAMETERS),
         )
     return out
 
@@ -127,14 +131,18 @@ class TestStoreRoundTrip:
         assert (store.count(), store.version) == (0, 0)
         assert store_from_dict(store_to_dict(store)).count() == 0
 
-    def test_loaded_models_share_one_block_per_kind(self, tiny_predictor):
+    def test_loaded_views_read_the_one_block(self, tiny_predictor):
+        """A load builds no model: what ``get`` returns is a view whose
+        arrays are rows of the loaded store's one parameter block."""
         restored = store_from_dict(store_to_dict(tiny_predictor.store))
-        for by_sig in restored.models.values():
-            coefs = [model._net.coef_ for model in by_sig.values()]
-            if coefs:
-                block = coefs[0].base
-                assert block is not None and block.flags.writeable
-                assert all(coef.base is block for coef in coefs)
+        planes = restored.block.planes
+        for kind in ModelKind:
+            signatures = restored.columns(kind).signatures.tolist()
+            assert signatures
+            for signature in signatures[:5]:
+                net = restored.get(kind, signature)._net
+                for array in (net.coef_, net._scaler.mean_, net._scaler.scale_):
+                    assert np.shares_memory(array, planes)
 
 
 #: Bit patterns a parameter column must carry through a file unchanged.
@@ -156,7 +164,7 @@ def _stores(draw) -> ModelStore:
             draw(st.lists(st.sampled_from(values), min_size=size, max_size=size))
         ).reshape(shape)
 
-    store = ModelStore()
+    kinds = {}
     for kind in SPECIFICITY_ORDER:
         signatures = draw(
             st.lists(
@@ -165,7 +173,11 @@ def _stores(draw) -> ModelStore:
         )
         width = len(feature_names(kind.uses_context_features))
         n = len(signatures)
-        columns = ParameterColumns(
+        kinds[kind] = ParameterColumns(
+            signatures=np.array(signatures, dtype=np.uint64),
+            nonneg_indices=tuple(
+                draw(st.lists(st.integers(0, width - 1), max_size=3, unique=True))
+            ),
             mean=column(_SPECIAL, (n, width)),
             scale=column(_POSITIVE, (n, width)),
             coef=column(_SPECIAL, (n, width)),
@@ -173,12 +185,8 @@ def _stores(draw) -> ModelStore:
             y_scale=column(_POSITIVE, (n,)),
             n_samples=column(range(10**6), (n,)).astype(np.int64),
         )
-        nonneg = tuple(draw(st.lists(st.integers(0, width - 1), max_size=3, unique=True)))
-        for signature, model in zip(
-            signatures, columns.models(kind.uses_context_features, nonneg)
-        ):
-            store.add(kind, signature, model)
-    return store
+    with np.errstate(all="ignore"):  # raw-space parameters of 1e300 / 5e-324
+        return ModelStore(ParameterBlock.build(kinds))
 
 
 class TestSpecialValuesRoundTrip:
@@ -356,8 +364,8 @@ class TestAtomicSave:
             return registry
 
         smaller = predictor_from_dict(predictor_to_dict(tiny_predictor))
-        operators = smaller.store.models[ModelKind.OPERATOR]
-        smaller.store.remove(ModelKind.OPERATOR, next(iter(operators)))
+        operators = smaller.store.columns(ModelKind.OPERATOR).signatures
+        smaller.store.remove(ModelKind.OPERATOR, int(operators[0]))
         path = tmp_path / "cleo_models.json"
         getattr(serialization, save)(target(smaller), path)
         before = path.read_bytes()
@@ -407,7 +415,7 @@ class TestQuarantineRoundTrip:
         )
 
         store = predictor_from_dict(predictor_to_dict(tiny_predictor)).store
-        signature = next(iter(store.models[ModelKind.OP_SUBGRAPH]))
+        signature = int(store.columns(ModelKind.OP_SUBGRAPH).signatures[0])
         quarantine = ModelQuarantine()
         quarantine.record(ModelKind.OP_SUBGRAPH, signature)
         restored = quarantine_from_dict(quarantine_to_dict(quarantine))

@@ -46,7 +46,12 @@ class TestModelStore(object):
         record = next(tiny_bundle.log.operator_records())
         for kind in ModelKind:
             sig = signature_for(kind, record.signatures)
-            assert store.get(kind, sig) is store.lookup(kind, record.signatures)
+            got, looked_up = store.get(kind, sig), store.lookup(kind, record.signatures)
+            covered = store.covers(kind, record.signatures)
+            assert (got is None) == (looked_up is None) == (not covered)
+            if got is not None:  # two views of one block row
+                assert got._net.coef_.tobytes() == looked_up._net.coef_.tobytes()
+                assert got._net.intercept_ == looked_up._net.intercept_
 
     def test_most_specific_ordering(self, tiny_bundle, tiny_predictor):
         store = tiny_predictor.store
@@ -63,6 +68,33 @@ class TestModelStore(object):
 
     def test_memory_accounting(self, tiny_predictor):
         assert tiny_predictor.memory_bytes > 0
+
+    @pytest.mark.parametrize("source", ["trained", "loaded"])
+    def test_no_model_object_is_reachable(self, tiny_bundle, tiny_predictor, source):
+        """A predictor holds its individual models as one parameter block:
+        no model, net or scaler object is reachable from it, trained or
+        loaded, and pricing through it builds none."""
+        import gc
+        import types
+
+        from repro.core.learned_model import LearnedCostModel
+        from repro.core.serialization import predictor_from_dict, predictor_to_dict
+        from repro.ml.preprocessing import StandardScaler
+        from repro.ml.proximal import ElasticNetMSLE
+
+        predictor = CleoTrainer().train(tiny_bundle.log)
+        if source == "loaded":
+            predictor = predictor_from_dict(predictor_to_dict(tiny_predictor))
+        CleoService(predictor).predict_table(tiny_bundle.test_table())
+        seen, stack = set(), [predictor]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, (LearnedCostModel, ElasticNetMSLE, StandardScaler))
+            stack.extend(gc.get_referents(obj))
+        assert len(seen) > predictor.store.count(ModelKind.OPERATOR) > 0
 
     def test_describe(self, tiny_predictor):
         text = tiny_predictor.store.describe()
@@ -158,3 +190,48 @@ class TestPaperShape:
         operator = evaluate_store_on_log(tiny_predictor.store, test)[ModelKind.OPERATOR]
         assert combined.coverage_pct == 100.0
         assert combined.median_error_pct <= operator.median_error_pct
+
+
+def test_concurrent_removals_and_reads_lose_no_edit(tiny_predictor):
+    """Router workers share a store: removals on some threads while others
+    read (folding staged edits into a new block) lose no removal."""
+    import copy
+    import sys
+    import threading
+
+    store = copy.deepcopy(tiny_predictor.store)
+    doomed = [
+        (kind, signature)
+        for kind in ModelKind
+        for signature in store.columns(kind).signatures.tolist()[::2]
+    ]
+    before, version = store.count(), store.version
+    done = threading.Event()
+
+    def remove(share):
+        for kind, signature in share:
+            assert store.remove(kind, signature)
+
+    def read():
+        while not done.is_set():
+            store.packed_bank()
+            store.count()
+
+    removers = [threading.Thread(target=remove, args=(doomed[i::4],)) for i in range(4)]
+    readers = [threading.Thread(target=read) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in readers + removers:
+            thread.start()
+        for thread in removers:
+            thread.join(timeout=60)
+        done.set()
+        for thread in readers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in readers + removers)
+    assert store.version == version + len(doomed)
+    assert store.count() == before - len(doomed)
+    assert all(store.get(kind, signature) is None for kind, signature in doomed)

@@ -31,20 +31,36 @@ def parity_predictors(tiny_bundle):
     return columnar, reference
 
 
+#: A kind's parameter columns.
+_PARAMETERS = ("mean", "scale", "coef", "intercept", "y_scale", "n_samples")
+
+
+def _assert_same_models(fast, slow) -> None:
+    """Both stores hold the same signatures per kind, and each signature's
+    parameter row is bitwise the same (the stores' model orders differ:
+    sorted signatures vs first appearance in the log)."""
+    for kind in ModelKind:
+        ours, theirs = fast.columns(kind), slow.columns(kind)
+        assert set(ours.signatures.tolist()) == set(theirs.signatures.tolist())
+        order = np.argsort(theirs.signatures)
+        rows = order[np.searchsorted(theirs.signatures[order], ours.signatures)]
+        assert np.array_equal(theirs.signatures[rows], ours.signatures)
+        assert ours.nonneg_indices == theirs.nonneg_indices
+        for name in _PARAMETERS:
+            assert getattr(ours, name).tobytes() == getattr(theirs, name)[rows].tobytes()
+
+
 class TestTrainerParity:
     def test_same_model_inventory(self, parity_predictors):
         columnar, reference = parity_predictors
         for kind in ModelKind:
-            assert set(columnar.store.models[kind]) == set(reference.store.models[kind])
+            assert set(columnar.store.columns(kind).signatures.tolist()) == set(
+                reference.store.columns(kind).signatures.tolist()
+            )
 
     def test_individual_coefficients_bitwise_identical(self, parity_predictors):
         columnar, reference = parity_predictors
-        for kind in ModelKind:
-            for signature, model in columnar.store.models[kind].items():
-                twin = reference.store.models[kind][signature]
-                assert model.n_samples == twin.n_samples
-                assert np.array_equal(model._net.coef_, twin._net.coef_)
-                assert model._net.intercept_ == twin._net.intercept_
+        _assert_same_models(columnar.store, reference.store)
 
     def test_predictions_bitwise_identical(self, tiny_bundle, parity_predictors):
         columnar, reference = parity_predictors
@@ -80,12 +96,7 @@ class TestStageReferences:
         fast = trainer.train_individual(tiny_bundle.log)
         slow = trainer.train_individual_reference(tiny_bundle.log)
         assert fast.count() == slow.count() > 0
-        for kind in ModelKind:
-            assert set(fast.models[kind]) == set(slow.models[kind])
-            for signature, model in fast.models[kind].items():
-                twin = slow.models[kind][signature]
-                assert np.array_equal(model._net.coef_, twin._net.coef_)
-                assert model._net.intercept_ == twin._net.intercept_
+        _assert_same_models(fast, slow)
 
     def test_train_combined_reference_bitwise(self, tiny_bundle):
         trainer = CleoTrainer(CleoConfig())
@@ -121,27 +132,38 @@ class TestMetaMatrix:
         assert calls == meta_matrix_and_calls(columnar.store, table, reference=True)[1]
 
 
+def _assert_row_is_the_fit(fitted, g: int, net: ElasticNetMSLE) -> None:
+    """Row ``g`` of a batched fit holds, bit for bit, what ``net.fit`` left
+    on the net and its scaler."""
+    *planes, intercept, y_scale = net.packed_parameters()
+    for column, plane in zip(fitted[:3], planes):  # mean, scale, coef
+        assert column[g].tobytes() == plane.tobytes()
+    assert (fitted[3][g], fitted[4][g]) == (intercept, y_scale)
+    assert fitted[5][g] == net.n_iter_
+
+
 class TestBatchedElasticNet:
     def test_batched_fit_bitwise_equals_individual_fits(self):
         rng = np.random.default_rng(7)
         sizes = [5, 23, 8, 147, 64]
         matrices = [np.exp(rng.normal(0, 4, size=(n, 6))) for n in sizes]
         targets = [np.exp(rng.normal(2, 1, size=n)) for n in sizes]
+        # A constant column: its scale is read as 1, as StandardScaler does.
+        matrices[2][:, 4] = 3.0
 
         def make_net() -> ElasticNetMSLE:
             return ElasticNetMSLE(alpha=0.01, max_iter=120, tol=1e-5, nonneg_indices=(2,))
 
         solo = [make_net().fit(x, y) for x, y in zip(matrices, targets)]
-        batched = [make_net() for _ in sizes]
         lengths = np.array(sizes)
         starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        fit_elastic_nets(
-            batched, np.vstack(matrices), np.concatenate(targets), starts, lengths
+        template = make_net()
+        fitted = fit_elastic_nets(
+            template, np.vstack(matrices), np.concatenate(targets), starts, lengths
         )
-        for one, many in zip(solo, batched):
-            assert np.array_equal(one.coef_, many.coef_)
-            assert one.intercept_ == many.intercept_
-            assert one.n_iter_ == many.n_iter_
+        assert template.coef_ is None  # it only holds the hyperparameters
+        for g, one in enumerate(solo):
+            _assert_row_is_the_fit(fitted, g, one)
 
     def test_batched_fit_with_gapped_starts(self):
         # The segment contract is "net g owns rows starts[g]:starts[g]+
@@ -156,19 +178,16 @@ class TestBatchedElasticNet:
         def make_net() -> ElasticNetMSLE:
             return ElasticNetMSLE(alpha=0.01, max_iter=80, tol=1e-5)
 
-        batched = [make_net(), make_net()]
-        fit_elastic_nets(batched, x, y, starts, lengths)
+        fitted = fit_elastic_nets(make_net(), x, y, starts, lengths)
         solo = [
             make_net().fit(x[0:50], y[0:50]),
             make_net().fit(x[60:100], y[60:100]),
         ]
-        for one, many in zip(solo, batched):
-            assert np.array_equal(one.coef_, many.coef_)
-            assert one.intercept_ == many.intercept_
+        for g, one in enumerate(solo):
+            _assert_row_is_the_fit(fitted, g, one)
 
-    def test_batched_fit_rejects_mismatched_hyperparams(self):
-        nets = [ElasticNetMSLE(alpha=0.01), ElasticNetMSLE(alpha=0.5)]
+    def test_batched_fit_rejects_misaligned_segments(self):
         x = np.ones((4, 2))
         y = np.ones(4)
         with pytest.raises(ValueError):
-            fit_elastic_nets(nets, x, y, np.array([0, 2]), np.array([2, 2]))
+            fit_elastic_nets(ElasticNetMSLE(), x, y, np.array([0, 2]), np.array([2]))

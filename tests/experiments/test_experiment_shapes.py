@@ -163,6 +163,24 @@ class TestMetaAblationShape:
         for row in result.rows:
             assert row["median_error_pct"] < 60.0
 
+    @pytest.mark.parametrize("day", [2, 3])
+    def test_bulk_meta_rows_are_the_per_record_stack(self, day):
+        """The ablation's one bulk pass over a day's table is bitwise the
+        per-record ``build_meta_row`` stack it replaced, latencies included."""
+        import numpy as np
+
+        from repro.core.combined import build_meta_row
+        from repro.experiments.ablations import meta_day_rows
+        from repro.experiments.shared import get_bundle
+
+        bundle = get_bundle("cluster1", scale="tiny", seed=0)
+        store = bundle.predictor().store
+        rows, actual = meta_day_rows(store, bundle.log, day)
+        records = list(bundle.log.filter(days=[day]).operator_records())
+        stack = np.vstack([build_meta_row(store, r.features, r.signatures) for r in records])
+        assert rows.tobytes() == stack.tobytes()
+        assert actual.tobytes() == np.asarray([r.actual_latency for r in records]).tobytes()
+
 
 class TestSpecializationAblationShape:
     @pytest.fixture(scope="class")

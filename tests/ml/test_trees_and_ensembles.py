@@ -270,8 +270,9 @@ class TestNothingFromFitStaysOnATree:
     """``nightly_loop`` keeps every night's predictors alive: the sort, the
     codes and the split-search layout must die with ``fit``."""
 
+    #: No ``_nodes``: the growth buffer's lists hold what ``_arrays`` does.
     TREE_KEYS = {
-        "_arrays", "_nodes", "max_bins", "max_depth", "max_features",
+        "_arrays", "max_bins", "max_depth", "max_features",
         "min_samples_leaf", "min_samples_split", "n_features_", "seed",
     }  # fmt: skip
     BOOSTER_KEYS = {

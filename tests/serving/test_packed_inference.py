@@ -166,6 +166,25 @@ class TestRandomizedParity:
         packed, _, _ = predict_most_specific(store, table, 1.5)
         assert np.array_equal(scalar, packed)
 
+    def test_a_kind_keeps_one_set_of_non_negative_features(self):
+        """A kind's models share the non-negative features its model file
+        records: a model constrained otherwise is refused, typed, while the
+        kind holds models, and taken once the kind is empty."""
+        rng = np.random.default_rng(13)
+        store = ModelStore()
+        kind = ModelKind.OPERATOR
+        store.add(kind, 1, _fitted_model(rng, kind))
+        unconstrained = LearnedCostModel(
+            include_context=True, config=CleoConfig(constrain_partition_weights=False)
+        ).fit([_random_input(rng) for _ in range(10)], rng.uniform(0.01, 30.0, size=10))
+        version = store.version
+        with pytest.raises(ValidationError):
+            store.add(kind, 2, unconstrained)
+        assert (store.count(kind), store.version) == (1, version)
+        assert store.remove(kind, 1)
+        store.add(kind, 2, unconstrained)
+        assert store.columns(kind).nonneg_indices == () and store.count(kind) == 1
+
     def test_batch_and_table_paths_agree_cache_disabled(self):
         rng = np.random.default_rng(11)
         inputs, bundles, table = _random_workload(rng, 60)
@@ -261,11 +280,15 @@ class TestInvalidation:
     def test_memory_bytes_cached_and_invalidated(self):
         rng = np.random.default_rng(41)
         store = _random_store(rng, coverage=0.5)
+        # Per model, one block row: four 31-wide planes, three scalars, the
+        # training-row count and the signature.  Per indexed signature (the
+        # union ends in a sentinel): the signature and four tier slots.
+        row, entry = (4 * 31 + 3 + 1 + 1) * 8, (1 + 4) * 8
         first = store.memory_bytes
+        assert first == store.count() * row + len(store.packed_bank().union) * entry
         assert store.memory_bytes == first  # cached path
-        model = _fitted_model(rng, ModelKind.OPERATOR)
-        store.add(ModelKind.OPERATOR, 999, model)
-        assert store.memory_bytes == first + model.memory_bytes
+        store.add(ModelKind.OPERATOR, 999, _fitted_model(rng, ModelKind.OPERATOR))
+        assert store.memory_bytes == first + row + entry
         store.remove(ModelKind.OPERATOR, 999)
         assert store.memory_bytes == first
 

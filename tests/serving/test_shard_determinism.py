@@ -203,7 +203,7 @@ with ShardedCleoRouter(
 
 quarantine = ModelQuarantine(tolerance_factor=4.0, min_observations=1)
 store = predictor.store
-for signature in sorted(store.models[ModelKind.OP_SUBGRAPH])[:3]:
+for signature in sorted(store.columns(ModelKind.OP_SUBGRAPH).signatures.tolist())[:3]:
     quarantine.record(ModelKind.OP_SUBGRAPH, signature)
 save_json_atomic(quarantine_to_dict(quarantine), state / "quarantine.json")
 print("saved")

@@ -469,6 +469,6 @@ class TestRepairParity:
         assert stats.quarantined_models == len(ledger)
         assert stats.degraded_predictions == degraded
         assert service._model_quarantine.ledger() == ledger
-        assert {kind: set(m) for kind, m in served.store.models.items()} == {
-            kind: set(m) for kind, m in oracle.store.models.items()
+        assert {kind: served.store.columns(kind).signatures.tolist() for kind in ModelKind} == {
+            kind: oracle.store.columns(kind).signatures.tolist() for kind in ModelKind
         }
