@@ -17,8 +17,8 @@ import pytest
 RESULTS_DIR = Path(__file__).parent / "results"
 
 #: Workload scale used by all benchmarks (see repro.experiments.shared.SCALES).
-BENCH_SCALE = "small"
-BENCH_SEED = 0
+FIGURE_SCALE = "small"
+FIGURE_SEED = 0
 
 
 @pytest.fixture(scope="session")
@@ -32,8 +32,8 @@ def run_experiment(benchmark, results_dir):
     """Run an experiment module once under pytest-benchmark and persist it."""
 
     def _run(module, **kwargs):
-        kwargs.setdefault("scale", BENCH_SCALE)
-        kwargs.setdefault("seed", BENCH_SEED)
+        kwargs.setdefault("scale", FIGURE_SCALE)
+        kwargs.setdefault("seed", FIGURE_SEED)
         result = benchmark.pedantic(lambda: module.run(**kwargs), rounds=1, iterations=1)
         text = result.to_text()
         print()

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Seven commands cover the library's day-to-day loops without writing code:
+Six commands cover the library's day-to-day loops without writing code:
 
 * ``workload``   — generate + execute a synthetic cluster workload and
   print its Figure-9-style profile;
@@ -16,13 +16,6 @@ Seven commands cover the library's day-to-day loops without writing code:
 * ``experiment`` — regenerate any paper table/figure or ablation by id
   (``--list`` enumerates them), printing the same report the benchmark
   suite persists;
-* ``bench``      — run one of the seven layer benchmarks (``train``,
-  ``workload``, ``predict``, ``plan``, ``replan``, ``serving``, ``faults``):
-  a fast path timed against its retained reference in the same run, the
-  ratio and a bitwise-parity boolean written to ``BENCH_<name>.json``, and a
-  non-zero exit if any parity gate fails.  Flags, gates and the driver live
-  in :mod:`repro.experiments.throughput`; ``repro bench <name> --help``
-  lists each benchmark's flags;
 * ``lint``       — run the determinism & concurrency invariant checker
   (:mod:`repro.analysis`) over the tree: builtin-``hash``/set-iteration
   hazards, wall-clock/raw-RNG in deterministic modules, batch-variant
@@ -30,9 +23,8 @@ Seven commands cover the library's day-to-day loops without writing code:
   coverage of every ``*_reference`` baseline; fails on any finding not
   pragma-justified or recorded in ``LINT_BASELINE.json``.
 
-Every command is deterministic given ``--seed`` (``bench`` in everything
-but its timings; ``lint`` given the tree: its JSON report is byte-identical
-across PYTHONHASHSEED values).
+Every command is deterministic given ``--seed`` (``lint`` given the tree:
+its JSON report is byte-identical across PYTHONHASHSEED values).
 """
 
 from __future__ import annotations
@@ -43,8 +35,8 @@ from typing import Callable
 
 from repro.experiments.harness import ExperimentResult
 
-# Handlers import lazily; `bench` and `lint` attach their own parsers (and
-# `func`) in `build_parser`.
+# Handlers import lazily; `lint` attaches its own parser (and `func`) in
+# `build_parser`.
 
 
 def _experiment_registry() -> dict[str, Callable[[str, int], ExperimentResult]]:
@@ -310,15 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="workload scale (default: tiny)")
     p_exp.add_argument("--seed", type=int, default=0, help="deterministic seed (default: 0)")
     p_exp.set_defaults(func=cmd_experiment)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="run a layer benchmark (fast path vs its reference, parity-gated) "
-        "and write its BENCH_<name>.json",
-    )
-    from repro.experiments.throughput import configure_parser as _configure_bench_parser
-
-    _configure_bench_parser(p_bench)
 
     p_lint = sub.add_parser(
         "lint",

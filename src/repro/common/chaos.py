@@ -103,7 +103,7 @@ class PoisonPolicy:
         return f"PoisonPolicy({self.name}: {', '.join(parts) or 'none'} on {where})"
 
 
-#: Named poison scenarios the pipeline-chaos benchmark replays.
+#: Named poison scenarios (the chaos matrix trains through ``poisoned_runlog``).
 POISON_SCENARIOS: dict[str, PoisonPolicy] = {
     policy.name: policy
     for policy in (

@@ -108,7 +108,7 @@ def predict_covered_reference(
     Groups rows by the kind's signature column and prices each covered
     ``(kind, signature)`` group with a single model call.  The packed
     :func:`predict_covered` must match this bit for bit — it is the
-    benchmark baseline and the parity-test reference.
+    parity-test reference.
     """
     if full_matrix is None:
         full_matrix = table.feature_matrix(include_context=True)
@@ -155,7 +155,7 @@ def build_meta_matrix_reference(
     store: ModelStore, table: FeatureTable, full_matrix: np.ndarray | None = None
 ) -> np.ndarray:
     """:func:`build_meta_matrix` through the retained object-graph path
-    (one model call per covering group) — the benchmark/parity baseline."""
+    (one model call per covering group) — the parity reference."""
     return meta_matrix_and_calls(store, table, full_matrix, reference=True)[0]
 
 
@@ -258,7 +258,7 @@ class CombinedModel:
 
     def predict_rows_reference(self, rows: np.ndarray) -> np.ndarray:
         """:meth:`predict_rows` through the regressor's retained reference
-        path (tree-at-a-time for FastTree) — the benchmark baseline."""
+        path (tree-at-a-time for FastTree) — the parity reference."""
         if not self._fitted:
             raise RuntimeError("combined model used before fit")
         predict = getattr(self.regressor, "predict_reference", self.regressor.predict)

@@ -73,8 +73,7 @@ class CleoCostModel:
 
     ``batched=False`` retains the reference *schedule* everywhere: no
     deferral, no grid, one ``operator_cost`` round-trip (a one-row batch)
-    per costed candidate — the baseline the plan-throughput benchmark and
-    the parity suite compare against.
+    per costed candidate — the baseline the parity suite compares against.
     """
 
     def __init__(self, predictor, service=None, batched: bool = True) -> None:

@@ -43,13 +43,17 @@ explicit little-endian dtypes make the bytes the same on every host.
 
 A load validates the whole payload before it builds any store, and fails
 with :class:`~repro.common.errors.ModelFileError` on any defect, so a
-corrupt file never leaves a half-restored store or registry behind.
+corrupt file never leaves a half-restored store or registry behind.  The
+one check a build makes is that the raw-space parameters it derives are
+finite; a registry or lifecycle state is assigned only once every version
+has built.
 """
 
 from __future__ import annotations
 
 import base64
 import binascii
+import bisect
 import json
 import math
 import os
@@ -62,9 +66,9 @@ import numpy as np
 
 from repro.common.errors import ModelFileError
 from repro.core.combined import META_FEATURE_NAMES, CombinedModel
-from repro.core.config import CleoConfig, ModelKind
+from repro.core.config import SPECIFICITY_ORDER, CleoConfig, ModelKind
 from repro.core.learned_model import ParameterColumns
-from repro.core.model_store import KIND_WIDTH, ModelStore, ParameterBlock
+from repro.core.model_store import KIND_WIDTH, RAW, RAW_INTERCEPT, ModelStore, ParameterBlock
 from repro.core.predictor import CleoPredictor
 from repro.ml.gbm import FastTreeRegressor
 from repro.ml.tree import _NO_FEATURE, DecisionTreeRegressor
@@ -352,8 +356,25 @@ def _decode_predictor(payload: Any) -> _Decoded:
 
 
 def _build_store(decoded: _Decoded) -> ModelStore:
-    """The decoded columns, widened into one block: no model is built."""
-    return ModelStore(ParameterBlock.build(decoded.kinds))
+    """The decoded columns, widened into one block: no model is built.
+
+    Finite stored parameters can still derive non-finite raw-space ones (a
+    1e300 mean over a subnormal scale overflows), and those are the
+    resource profiles partition exploration reads, so such a file is
+    refused, naming the first model that overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = ParameterBlock.build(decoded.kinds)
+    finite = np.isfinite(block.planes[RAW]).all(axis=1) & np.isfinite(block.scalars[RAW_INTERCEPT])
+    if not finite.all():
+        row = int(np.argmin(finite))
+        k = bisect.bisect_right(block.bounds, row) - 1
+        signature = block.signatures[k][row - block.bounds[k]]
+        raise ModelFileError(
+            f"the {SPECIFICITY_ORDER[k].value} model {signature} derives non-finite "
+            "raw-space parameters"
+        )
+    return ModelStore(block)
 
 
 def _build_predictor(decoded: _Decoded, config: CleoConfig | None) -> CleoPredictor:

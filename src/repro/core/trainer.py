@@ -16,8 +16,8 @@ is built), and the combined model's meta rows are built through the same
 vectorized pricing that the serving layer uses.  The per-record
 reference implementations (``train_individual_reference`` /
 ``train_combined_reference``) are kept as the pinned scalar baseline: they
-produce bitwise-identical models and feed the training-throughput
-benchmark's before/after comparison.
+produce bitwise-identical models, which the parity tests
+(``tests/core/test_trainer_columnar.py``) check.
 """
 
 from __future__ import annotations
@@ -189,8 +189,7 @@ class CleoTrainer:
         """Per-record scalar reference for :meth:`train_individual`.
 
         Groups with dict appends and fits one model at a time; kept as the
-        pinned baseline for the columnar path (parity tests, the training-
-        throughput benchmark).
+        pinned baseline the columnar path's parity tests compare against.
         """
         groups: dict[tuple[ModelKind, int], tuple[list[FeatureInput], list[float]]] = {}
         for record in log.operator_records():
@@ -317,7 +316,7 @@ class CleoTrainer:
         individual_days: list[int] | None = None,
         combined_days: list[int] | None = None,
     ) -> CleoPredictor:
-        """Full pipeline over the scalar reference path (for benchmarks)."""
+        """Full pipeline over the scalar reference path (the parity oracle)."""
         self.reset_audit()
         individual_days, combined_days = self._day_split(
             log, individual_days, combined_days

@@ -5,10 +5,8 @@ benchmark harness under ``benchmarks/`` calls these and prints the same
 rows/series the paper reports.  ``EXPERIMENTS.md`` records measured-vs-paper
 for each artifact.
 
-The seven layer benchmarks (``*_throughput``, ``fault_tolerance``) have no
-paper counterpart: each exposes ``run_benchmark(...) -> dict`` and
-``format_result``, and :data:`repro.experiments.throughput.BENCHES` registers
-them — flags, parity gates, default output — behind ``repro bench <name>``.
+Timing lives in the loop benchmark (``python -m bench``), and each fast
+path's parity with its retained reference is a tier-1 test.
 """
 
 from repro.experiments.harness import ExperimentResult, format_table

@@ -221,7 +221,7 @@ class FastTreeRegressor:
         return self._inverse(np.add.reduce(stack, axis=0)[:n])
 
     def predict_reference(self, features: np.ndarray) -> np.ndarray:
-        """The retained tree-at-a-time path (benchmark/parity reference)."""
+        """The retained tree-at-a-time path (the parity reference)."""
         features = check_predict_input(features, bool(self.trees_))
         out = np.full(features.shape[0], self.base_prediction_)
         for tree in self.trees_:

@@ -17,8 +17,9 @@ salt — so the same request stream sees the same faults in every process
 and on every replay, including the ring-successor retries the router
 issues after a primary failure (a retry is a fresh draw at ``attempt+1``).
 
-Named scenarios live in :data:`SCENARIOS`; ``experiments.fault_tolerance``
-replays the serving load under each of them.
+Named scenarios live in :data:`SCENARIOS`; the chaos matrix
+(``tests/serving/test_chaos_matrix.py``) replays the serving load under
+each of them.
 """
 
 from __future__ import annotations
@@ -119,9 +120,9 @@ class FaultPolicy:
         return f"FaultPolicy({self.name}: {', '.join(parts) or 'none'} on {where})"
 
 
-#: The benchmark scenarios ``experiments.fault_tolerance`` replays.  Rates
-#: are deliberately aggressive — the point is proving availability stays
-#: 1.0 through the degradation ladder, not realism of the mix.
+#: The scenarios the chaos matrix replays.  Rates are deliberately
+#: aggressive — the point is proving availability stays 1.0 through the
+#: degradation ladder, not realism of the mix.
 SCENARIOS: dict[str, FaultPolicy] = {
     policy.name: policy
     for policy in (
@@ -149,7 +150,7 @@ class FaultInjector:
     decision for any call is reproducible regardless of thread
     interleaving — the property that keeps chaos runs bitwise replayable
     under concurrent fan-out.  Injection counts per kind are tracked for
-    the chaos harness.
+    the chaos matrix.
     """
 
     def __init__(self, policy: FaultPolicy) -> None:

@@ -467,7 +467,7 @@ class CleoService:
         return self._price_cached(request_keys(requests), _request_rows(requests))
 
     def predict_records_reference(self, records: Iterable[OperatorRecord]) -> np.ndarray:
-        """The retained pre-packed serving pipeline (benchmark baseline).
+        """The retained pre-packed serving pipeline (the parity reference).
 
         Replays what pricing a record batch cost before the packed runtime:
         per-record :class:`PredictionRequest` materialization and cache

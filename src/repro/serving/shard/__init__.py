@@ -14,7 +14,7 @@ Section 5.1):
   fans batches out across shards, and merges results in input order with
   aggregated stats;
 * :mod:`~repro.serving.shard.loadgen` — the deterministic mixed
-  predict/plan request stream behind the serving load test.
+  predict/plan request stream the chaos matrix replays.
 """
 
 from repro.serving.shard.health import (
@@ -24,7 +24,7 @@ from repro.serving.shard.health import (
     ShardHealth,
     ShardHealthStats,
 )
-from repro.serving.shard.loadgen import LoadResult, ServingLoad, build_load
+from repro.serving.shard.loadgen import ServingLoad, build_load
 from repro.serving.shard.router import ClusterClient, ShardedCleoRouter
 from repro.serving.shard.routing import HashRing, route_key
 
@@ -33,7 +33,6 @@ __all__ = [
     "ClusterClient",
     "DEFAULT_RESILIENCE",
     "HashRing",
-    "LoadResult",
     "ResilienceConfig",
     "ServingLoad",
     "ShardHealth",

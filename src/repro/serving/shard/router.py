@@ -34,8 +34,8 @@ the paper's optimizer-facing deployment does (Section 5.1), but scaled out:
   show.  Every per-row computation in the packed runtime is batch-size
   invariant, so the merged predictions are bitwise identical to one
   single-process :class:`~repro.serving.service.CleoService` pricing the
-  whole batch — the property the serving load test asserts as
-  ``predictions_bitwise_identical``.
+  whole batch — the property ``tests/serving/test_sharded_router.py::
+  TestParity`` asserts.
 
 Like the service, the router speaks only rows (plus ``predict_plan``, the
 load replays' whole-plan request), and a single price is a one-row batch:

@@ -17,8 +17,8 @@ Two execution paths produce bit-identical logs:
   ``supports_replay_costing``, partition strategies).
 * :meth:`WorkloadRunner.run_days_reference` — the retained scalar path:
   one :meth:`run_job` per job through planner and simulator, appending one
-  job record (a block of its own) at a time.  It backs the parity tests and the
-  ``BENCH_workload.json`` baseline.
+  job record (a block of its own) at a time.  It backs the parity tests
+  (``tests/workload/test_batched_parity.py``).
 """
 
 from __future__ import annotations
@@ -31,13 +31,13 @@ from repro.cost.default_model import DefaultCostModel
 from repro.cost.interface import CostModel
 from repro.execution.batch import BatchedExecutionEngine
 from repro.execution.ground_truth import GroundTruthParams
-from repro.execution.hardware import DEFAULT_CLUSTERS, ClusterSpec
+from repro.execution.hardware import ClusterSpec
 from repro.execution.runtime_log import RunLog
 from repro.execution.simulator import ExecutionSimulator
 from repro.optimizer.planner import PlannedJob, PlannerConfig, QueryPlanner
 from repro.optimizer.skeleton import SkeletonPlanner, materialize, supports_fast_path
 from repro.plan.physical import PhysicalOp
-from repro.workload.generator import ClusterWorkloadConfig, WorkloadGenerator
+from repro.workload.generator import WorkloadGenerator
 from repro.workload.templates import JobSpec, instantiate
 
 
@@ -129,7 +129,7 @@ class WorkloadRunner:
         self, generator: WorkloadGenerator, days: list[int] | range
     ) -> RunLog:
         """The retained scalar path: one ``run_job`` per job, per-record
-        appends.  Backs parity tests and the workload-benchmark baseline."""
+        appends.  Backs the parity tests."""
         log = RunLog()
         for day in days:
             for job in generator.jobs_for_day(day):
@@ -187,34 +187,3 @@ class WorkloadRunner:
                 if plan is not None:
                     self.plans[job.job_id] = plan
         return RunLog(jobs=engine.finish())
-
-
-def multi_cluster_setup(
-    clusters: tuple[ClusterSpec, ...] = DEFAULT_CLUSTERS,
-    scale: float = 1.0,
-    seed: int = 0,
-) -> list[tuple[WorkloadGenerator, WorkloadRunner]]:
-    """The Figure 9-shaped per-cluster (generator, runner) pairs.
-
-    ``scale`` shrinks or grows the per-cluster template counts uniformly so
-    tests and benchmarks can dial cost.  Cluster 1 is the largest and
-    cluster 4 the smallest, matching the paper's load spread.  The workload
-    benchmark runs every pair over persistent runners (warm skeleton/shape
-    caches across repeats).
-    """
-    relative_size = {"cluster1": 1.0, "cluster2": 0.75, "cluster3": 0.55, "cluster4": 0.35}
-    pairs: list[tuple[WorkloadGenerator, WorkloadRunner]] = []
-    for i, cluster in enumerate(clusters):
-        size = relative_size.get(cluster.name, 0.5) * scale
-        config = ClusterWorkloadConfig(
-            cluster_name=cluster.name,
-            n_tables=max(4, int(14 * size)),
-            n_fragments=max(6, int(30 * size)),
-            n_templates=max(8, int(60 * size)),
-            adhoc_fraction=0.07 + 0.13 * ((i * 7919) % 10) / 10.0,
-            seed=seed + i,
-        )
-        pairs.append(
-            (WorkloadGenerator(config), WorkloadRunner(cluster=cluster, seed=seed + i))
-        )
-    return pairs

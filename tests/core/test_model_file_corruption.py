@@ -2,9 +2,10 @@
 
 Every defect a model file can carry — torn bytes, bad JSON, a foreign
 format version, a column of the wrong size, duplicate signatures,
-non-finite or non-positive parameters, a broken tree — must fail with the
-typed :class:`~repro.common.errors.ModelFileError` before any model is
-built, and a corrupt lifecycle state must leave no half-restored registry.
+non-finite or non-positive parameters, finite ones that derive non-finite
+raw-space parameters, a broken tree — must fail with the typed
+:class:`~repro.common.errors.ModelFileError` before any model is built,
+and a corrupt lifecycle state must leave no half-restored registry.
 The same holds for the breaker and quarantine state: a malformed snapshot
 anywhere in it restores no breaker at all, and a malformed ledger entry
 builds no quarantine.
@@ -175,6 +176,17 @@ class TestKindBlocks:
         column[0] = bad
         _put(block, name, column, "<f8")
         _rejected(payload, "scale <= 0")
+
+    def test_finite_parameters_that_derive_an_overflow(self, payload):
+        """A 1e300 mean over a subnormal scale is finite on disk, but the
+        raw-space coefficient and intercept it derives are not."""
+        block = payload["models"][KIND]
+        signature = int(_column(block, "signatures", "<u8")[0])
+        for name, value in (("mean", 1e300), ("scale", 5e-324), ("coef", 1.0)):
+            column = _column(block, name, "<f8")
+            column[0] = value
+            _put(block, name, column, "<f8")
+        _rejected(payload, f"the {KIND} model {signature} derives non-finite")
 
     def test_nonneg_index_out_of_range(self, payload):
         payload["models"][KIND]["nonneg_indices"] = [31]

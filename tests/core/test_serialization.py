@@ -12,14 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ModelFileError, ModelNotTrainedError
 from repro.core.combined import build_meta_matrix
 from repro.core.config import SPECIFICITY_ORDER, ModelKind
 from repro.core.learned_model import LearnedCostModel, ParameterColumns
-from repro.core.model_store import ModelStore, ParameterBlock
+from repro.core.model_store import RAW, RAW_INTERCEPT, ModelStore, ParameterBlock
 from repro.core.packed import predict_most_specific
 from repro.core.predictor import CleoPredictor
 from repro.core.serialization import (
@@ -148,12 +148,18 @@ class TestStoreRoundTrip:
 #: Bit patterns a parameter column must carry through a file unchanged.
 _SPECIAL = [-0.0, 0.0, 5e-324, 2.5e-310, -2.5e-310, 1e300, -1e300, 1.5, -3.25]
 _POSITIVE = [5e-324, 2.5e-310, 1e300, 1.0, 0.75]
+#: Subsets whose raw-space parameters (coef / scale * y_scale, and the
+#: intercept less the sum of coef * mean / scale) stay finite, whatever the
+#: mean and intercept draw from ``_SPECIAL``.
+_MODEST_COEF = [-0.0, 0.0, 5e-324, 2.5e-310, -2.5e-310, 1.5, -3.25]
+_LARGE_SCALE = [1e300, 1.0, 0.75]
+_SMALL_Y_SCALE = [5e-324, 2.5e-310, 1.0, 0.75]
 #: Rows whose signatures hit the small end of the stores' alphabet.
 _, _, _TABLE = _random_workload(np.random.default_rng(0), 60)
 
 
 @st.composite
-def _stores(draw) -> ModelStore:
+def _stores(draw, coef=_SPECIAL, scale=_POSITIVE, y_scale=_POSITIVE) -> ModelStore:
     """``_random_store``-style stores (a random subset of each kind's
     signature alphabet, plus signatures with the top bit set) whose
     parameters include -0.0, subnormals and 1e300."""
@@ -179,28 +185,54 @@ def _stores(draw) -> ModelStore:
                 draw(st.lists(st.integers(0, width - 1), max_size=3, unique=True))
             ),
             mean=column(_SPECIAL, (n, width)),
-            scale=column(_POSITIVE, (n, width)),
-            coef=column(_SPECIAL, (n, width)),
+            scale=column(scale, (n, width)),
+            coef=column(coef, (n, width)),
             intercept=column(_SPECIAL, (n,)),
-            y_scale=column(_POSITIVE, (n,)),
+            y_scale=column(y_scale, (n,)),
             n_samples=column(range(10**6), (n,)).astype(np.int64),
         )
-    with np.errstate(all="ignore"):  # raw-space parameters of 1e300 / 5e-324
+    with np.errstate(all="ignore"):  # raw-space parameters of 1.5 / 5e-324
         return ModelStore(ParameterBlock.build(kinds))
+
+
+def _overflowing(store: ModelStore) -> list[tuple[ModelKind, int]]:
+    """Every model whose raw-space parameters are non-finite, in block order."""
+    block = store.block
+    finite = np.isfinite(block.planes[RAW]).all(axis=1) & np.isfinite(block.scalars[RAW_INTERCEPT])
+    models = [
+        (kind, signature)
+        for kind in SPECIFICITY_ORDER
+        for signature in store.columns(kind).signatures.tolist()
+    ]
+    return [model for model, ok in zip(models, finite) if not ok]
 
 
 class TestSpecialValuesRoundTrip:
     @settings(max_examples=40, deadline=None)
-    @given(store=_stores())
+    @given(store=_stores(coef=_MODEST_COEF, scale=_LARGE_SCALE, y_scale=_SMALL_Y_SCALE))
     def test_every_bit_survives_a_file(self, store, tmp_path_factory):
+        assert _overflowing(store) == []
         path = tmp_path_factory.mktemp("models") / "cleo_models.json"
         save_predictor(CleoPredictor(store=store), path)
         restored = load_predictor(path).store
         assert _column_bits(restored) == _column_bits(store)
-        with np.errstate(all="ignore"):  # 1e300 over a subnormal scale
+        with np.errstate(all="ignore"):  # prices of 1e300 parameters overflow
             priced = [predict_most_specific(s, _TABLE, 2.5) for s in (store, restored)]
         assert _bits(priced[1][0]) == _bits(priced[0][0])
         assert priced[1][1:] == priced[0][1:]
+
+    @settings(max_examples=40, deadline=None)
+    @given(store=_stores())
+    def test_non_finite_raw_parameters_are_refused(self, store, tmp_path_factory):
+        """Finite columns that derive an inf or NaN raw-space parameter
+        load as a typed error naming the first such model."""
+        overflowing = _overflowing(store)
+        assume(overflowing)
+        path = tmp_path_factory.mktemp("models") / "cleo_models.json"
+        save_predictor(CleoPredictor(store=store), path)
+        kind, signature = overflowing[0]
+        with pytest.raises(ModelFileError, match=f"the {kind.value} model {signature} "):
+            load_predictor(path)
 
 
 class TestPredictorRoundTrip:

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.cli import _experiment_registry, build_parser, main
-from repro.experiments.throughput import BENCHES
 
 #: Small workload so CLI tests stay in the seconds range.
 SMALL = ["--tables", "6", "--fragments", "8", "--templates", "10"]
@@ -105,85 +104,6 @@ class TestPredictCommand:
         assert code == 0
         assert "operators explained" in out
         assert "combined" in out
-
-
-#: The arguments CI's ``bench-smoke`` job passes each benchmark after
-#: ``--scale tiny`` (``.github/workflows/ci.yml``); replan adds a non-default
-#: ``--instances`` so one flag is seen to reach the run.
-SMOKE = {
-    "train": ["--repeats", "2"],
-    "workload": ["--repeats", "2"],
-    "predict": ["--repeats", "2"],
-    "plan": ["--repeats", "2"],
-    "replan": ["--repeats", "2", "--instances", "2"],
-    "serving": ["--epochs", "2", "--shards", "1", "2", "--workers", "1", "2",
-                "--max-jobs", "24"],
-    "faults": ["--clusters", "cluster1", "--epochs", "2", "--shards", "2",
-               "--max-jobs", "24", "--scenario", "baseline",
-               "--scenario", "shard_errors", "--scenario", "latency_spikes",
-               "--scenario", "poisoned_runlog", "--scenario", "retrain_crash"],
-}
-
-
-class TestBenchCommands:
-    def test_bench_plan_defaults(self):
-        args = build_parser().parse_args(["bench", "plan"])
-        assert args.scale == "small"
-        assert args.repeats == 5
-        assert args.out == "BENCH_plan.json"
-
-    def test_bench_replan_defaults(self):
-        args = build_parser().parse_args(["bench", "replan"])
-        assert args.scale == "small"
-        assert args.instances == 4
-        assert args.out == "BENCH_replan.json"
-
-    @pytest.mark.parametrize("name", list(BENCHES))
-    def test_bench_writes_parity_checked_result(self, name, tmp_path, capsys):
-        out_path = tmp_path / "result.json"
-        code = main(
-            ["bench", name, "--scale", "tiny", *SMOKE[name], "--out", str(out_path)]
-        )
-        captured = capsys.readouterr()
-        assert code == 0
-        assert captured.err == ""
-        payload = json.loads(out_path.read_text())
-        assert BENCHES[name].failures(payload) == []
-        assert payload["benchmark"] == BENCHES[name].module
-        assert payload["benchmark"] in captured.out
-        assert payload["workload"]["scale"] == "tiny"
-        assert set(payload["environment"]) == {
-            "python", "numpy", "platform", "machine", "cpu_count"
-        }
-        if name == "replan":
-            assert payload["workload"]["instances_per_job"] == 2
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["bench", "nonexistent"],
-            ["bench-plan"],
-            ["bench", "serving", "--shards", "1", "2", "--workers", "1"],
-            ["bench", "faults", "--scenario", "nonexistent"],
-            ["bench", "faults", "--scenarios", "nonexistent"],
-        ],
-    )
-    def test_usage_errors_exit_2_before_running(self, argv, tmp_path, capsys):
-        out_path = tmp_path / "result.json"
-        with pytest.raises(SystemExit) as exit_info:
-            main([*argv, "--out", str(out_path)])
-        assert exit_info.value.code == 2
-        assert "usage:" in capsys.readouterr().err
-        assert not out_path.exists()
-
-    def test_list_scenarios_exits_0_without_running(self, tmp_path, capsys):
-        out_path = tmp_path / "result.json"
-        with pytest.raises(SystemExit) as exit_info:
-            main(["bench", "faults", "--list-scenarios", "--out", str(out_path)])
-        assert exit_info.value.code == 0
-        out = capsys.readouterr().out
-        assert "mixed_chaos" in out and "retrain_crash" in out
-        assert not out_path.exists()
 
 
 class TestExperimentCommand:
