@@ -60,6 +60,7 @@ class FloatReductionRule(Rule):
         "repro.execution.batch",
         "repro.optimizer.skeleton",
         "repro.features",
+        "repro.reference",
     )
 
     def check_module(self, ctx: ModuleContext) -> Iterable[Finding]:

@@ -55,6 +55,7 @@ class WallClockRngRule(Rule):
         "repro.execution",
         "repro.workload",
         "repro.experiments",
+        "repro.reference",
     )
 
     def check_module(self, ctx: ModuleContext) -> Iterable[Finding]:

@@ -20,7 +20,7 @@ Six commands cover the library's day-to-day loops without writing code:
   (:mod:`repro.analysis`) over the tree: builtin-``hash``/set-iteration
   hazards, wall-clock/raw-RNG in deterministic modules, batch-variant
   float reductions in parity-pinned code, lock discipline, and test
-  coverage of every ``*_reference`` baseline; fails on any finding not
+  coverage of every parity reference; fails on any finding not
   pragma-justified or recorded in ``LINT_BASELINE.json``.
 
 Every command is deterministic given ``--seed`` (``lint`` given the tree:

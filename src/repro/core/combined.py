@@ -7,13 +7,9 @@ outputs a corrected cost.  It characterizes where each individual model is
 reliable, covers every operator (the operator model always predicts), and
 degrades gracefully where specialized models are missing.
 
-Meta rows are built **columnar**: :func:`build_meta_matrix` fills all
-four prediction columns of a :class:`~repro.features.table.FeatureTable`
-from one pass over the store's tier index (:func:`covered_tiers`: one
-signature resolution, then gathers and one row multiply-sum over every
-covered ``(row, kind)`` pair at once), then imputes and appends the extras with array ops.
-The scalar :func:`build_meta_row` is a one-row call into the same code, so
-the two can never drift.
+Meta rows are built **columnar**: one pass over the store's tier index
+prices all four prediction columns of a table (:func:`covered_tiers`), and
+:func:`assemble_meta_rows` imputes and appends the extras with array ops.
 """
 
 from __future__ import annotations
@@ -21,12 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import SPECIFICITY_ORDER, CleoConfig, ModelKind
-from repro.core.model_store import SIGNATURE_FIELDS, ModelStore
-from repro.features.featurizer import FeatureInput, expand_columns, feature_names
+from repro.core.model_store import ModelStore
 from repro.features.table import FeatureTable
 from repro.ml.base import Regressor
 from repro.ml.gbm import FastTreeRegressor
-from repro.plan.signatures import SignatureBundle
 
 #: Meta-feature layout: 4 predictions, 4 coverage flags, then the extra
 #: features of Section 4.3 — cardinalities (I, B, C), per-partition
@@ -58,7 +52,6 @@ def predict_covered(
     """One kind's ``(mask, predictions)``: its column of :func:`covered_tiers`.
 
     ``predictions[i]`` is 0.0 (and meaningless) where ``mask[i]`` is False.
-    Bitwise identical to the retained :func:`predict_covered_reference`.
     """
     masks, predictions, _ = covered_tiers(store, table, full_matrix)
     k = SPECIFICITY_ORDER.index(kind)
@@ -75,15 +68,11 @@ def covered_tiers(
     The store's **tier index** (:mod:`repro.core.packed`), which holds every
     model the store does, resolves all four signature columns in one
     ``np.searchsorted`` and prices every covered ``(row, kind)`` pair in one
-    gather + row multiply-sum pass over all kinds — bitwise identical to the
-    per-kind object-graph groups of :func:`predict_covered_reference`, the
-    reference the tests hold it to.  Columns follow
+    gather + row multiply-sum pass over all kinds.  Columns follow
     :data:`~repro.core.config.SPECIFICITY_ORDER`; uncovered predictions are
     0.0.  The call count is one per distinct covering ``(kind, signature)``
-    model, read once from one ledger.
-
-    ``full_matrix`` may pass a precomputed ``table.feature_matrix(
-    include_context=True)`` to avoid a second expansion.
+    model, read once from one ledger.  ``full_matrix`` may pass a
+    precomputed ``table.feature_matrix(include_context=True)``.
     """
     if full_matrix is None:
         full_matrix = table.feature_matrix(include_context=True)
@@ -97,52 +86,10 @@ def covered_tiers(
     return masks, predictions, bank.answered(models)
 
 
-def predict_covered_reference(
-    store: ModelStore,
-    table: FeatureTable,
-    kind: ModelKind,
-    full_matrix: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The retained object-graph path: one ``predict_matrix`` per group.
-
-    Groups rows by the kind's signature column and prices each covered
-    ``(kind, signature)`` group with a single model call.  The packed
-    :func:`predict_covered` must match this bit for bit — it is the
-    parity-test reference.
-    """
-    if full_matrix is None:
-        full_matrix = table.feature_matrix(include_context=True)
-    return _covered_reference(store, table, kind, full_matrix)[:2]
-
-
-def _covered_reference(
-    store: ModelStore, table: FeatureTable, kind: ModelKind, full_matrix: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(mask, predictions, model calls made)`` of one kind, group by group."""
-    width = len(feature_names(kind.uses_context_features))
-    mask = np.zeros(len(table), dtype=bool)
-    values = np.zeros(len(table), dtype=float)
-    calls = 0
-    uniques, order, starts, counts = table.group_by_signature(SIGNATURE_FIELDS[kind])
-    for signature, start, count in zip(uniques, starts, counts):
-        model = store.get(kind, int(signature))
-        if model is None:
-            continue
-        indices = order[start : start + count]
-        calls += 1
-        values[indices] = model.predict_matrix(full_matrix[indices, :width])
-        mask[indices] = True
-    return mask, values, calls
-
-
 def build_meta_matrix(
     store: ModelStore, table: FeatureTable, full_matrix: np.ndarray | None = None
 ) -> np.ndarray:
-    """Meta-feature rows for every table row, built with grouped model calls.
-
-    ``full_matrix`` may pass a precomputed ``table.feature_matrix(
-    include_context=True)`` so callers that already expanded the table
-    (the trainer) avoid a second pass.
+    """Meta-feature rows for every table row (:func:`meta_matrix_and_calls`).
 
     Missing individual predictions are imputed with the most general
     available prediction; the coverage flags let the trees learn where each
@@ -151,50 +98,28 @@ def build_meta_matrix(
     return meta_matrix_and_calls(store, table, full_matrix)[0]
 
 
-def build_meta_matrix_reference(
-    store: ModelStore, table: FeatureTable, full_matrix: np.ndarray | None = None
-) -> np.ndarray:
-    """:func:`build_meta_matrix` through the retained object-graph path
-    (one model call per covering group) — the parity reference."""
-    return meta_matrix_and_calls(store, table, full_matrix, reference=True)[0]
-
-
 def meta_matrix_and_calls(
-    store: ModelStore,
-    table: FeatureTable,
-    full_matrix: np.ndarray | None = None,
-    reference: bool = False,
+    store: ModelStore, table: FeatureTable, full_matrix: np.ndarray | None = None
 ) -> tuple[np.ndarray, int]:
     """The meta rows plus how many individual models answered.
 
     The count is the serving layer's vectorized-call accounting: one per
     distinct covering ``(kind, signature)`` model (:func:`covered_tiers`).
-    ``reference`` takes the retained object-graph path for every kind and
-    is faithful to the pre-packed pipeline including its per-batch feature
-    expansion: without a ``full_matrix`` the derived matrix is recomputed
-    rather than read from the table's memo.
-
-    Coverage and predictions arrive as one ``(n, 4)`` block; flags,
-    imputation and the extras are then whole-block passes over it and the
-    feature rows.  The copies move exact values and each divide is the one
-    the scalar row made, so assembly order cannot affect bits.
     """
-    n = len(table)
-    kinds = len(SPECIFICITY_ORDER)
-    if not reference:
-        masks, predictions, calls = covered_tiers(store, table, full_matrix)
-    else:
-        if full_matrix is None:
-            full_matrix = expand_columns(table.features, include_context=True)
-        masks = np.empty((n, kinds), dtype=bool)
-        predictions = np.empty((n, kinds), dtype=float)
-        calls = 0
-        for k, kind in enumerate(SPECIFICITY_ORDER):
-            masks[:, k], predictions[:, k], kind_calls = _covered_reference(
-                store, table, kind, full_matrix
-            )
-            calls += kind_calls
+    masks, predictions, calls = covered_tiers(store, table, full_matrix)
+    return assemble_meta_rows(table, masks, predictions), calls
 
+
+def assemble_meta_rows(
+    table: FeatureTable, masks: np.ndarray, predictions: np.ndarray
+) -> np.ndarray:
+    """Meta rows from every tier's ``(n, 4)`` coverage and predictions.
+
+    Flags, imputation and the extras are whole-block passes over the tiers
+    and the feature rows.  The copies move exact values and each divide is
+    elementwise, so assembly order cannot affect bits.
+    """
+    n, kinds = masks.shape
     out = np.empty((n, len(META_FEATURE_NAMES)), dtype=float)
     # The most general available prediction — the last covered kind in
     # specificity order — imputes the missing ones.  Uncovered predictions
@@ -210,15 +135,7 @@ def meta_matrix_and_calls(
     extras[:, :3] = features[:, :3]
     np.divide(features[:, :3], features[:, 4:5], out=extras[:, 3:6])
     extras[:, 6] = features[:, 4]
-    return out, calls
-
-
-def build_meta_row(
-    store: ModelStore, features: FeatureInput, bundle: SignatureBundle
-) -> np.ndarray:
-    """One meta-feature row: a single-row :func:`build_meta_matrix` call,
-    so scalar and batched meta-row construction share one implementation."""
-    return build_meta_matrix(store, FeatureTable.from_inputs([features], [bundle]))[0]
+    return out
 
 
 class CombinedModel:
@@ -247,22 +164,10 @@ class CombinedModel:
         self._fitted = True
         return self
 
-    def predict_one(self, features: FeatureInput, bundle: SignatureBundle) -> float:
-        row = build_meta_row(self.store, features, bundle)
-        return self.predict_rows(row.reshape(1, -1))[0]
-
     def predict_rows(self, rows: np.ndarray) -> np.ndarray:
         if not self._fitted:
             raise RuntimeError("combined model used before fit")
         return np.clip(np.asarray(self.regressor.predict(rows), dtype=float), 0.0, None)
-
-    def predict_rows_reference(self, rows: np.ndarray) -> np.ndarray:
-        """:meth:`predict_rows` through the regressor's retained reference
-        path (tree-at-a-time for FastTree) — the parity reference."""
-        if not self._fitted:
-            raise RuntimeError("combined model used before fit")
-        predict = getattr(self.regressor, "predict_reference", self.regressor.predict)
-        return np.clip(np.asarray(predict(rows), dtype=float), 0.0, None)
 
     @property
     def is_fitted(self) -> bool:

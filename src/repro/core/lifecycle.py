@@ -41,6 +41,14 @@ from repro.core.trainer import CleoTrainer
 from repro.execution.runtime_log import RunLog
 
 
+def _scored_rows(day_log: RunLog) -> RunLog | None:
+    """The rows of a day the training gate keeps, which the gate and the
+    drift detector score (a NaN latency would make every comparison with
+    the day's error false); ``None`` when it keeps none."""
+    keep, _ = day_log.to_table().sanitize_mask()
+    return day_log.keep_rows(keep) if keep.any() else None
+
+
 @dataclass(frozen=True)
 class RetrainPolicy:
     """When and on how much data to retrain.
@@ -197,9 +205,9 @@ class LifecycleManager:
 
     Each simulated morning the manager decides whether to retrain (by
     schedule or by yesterday's drift), publishes and gates the resulting
-    version, and then scores the active version on the day's fresh jobs.
-    Day scoring is strictly out-of-sample: the active version never saw
-    the day it is scored on.
+    version, and then scores the active version on the day's fresh jobs
+    (the rows of them the training gate keeps).  Day scoring is strictly
+    out-of-sample: the active version never saw the day it is scored on.
 
     With ``state_path`` set, the manager is **durable**: after every
     completed step the full lifecycle state (registry versions + active
@@ -300,6 +308,7 @@ class LifecycleManager:
         day_log = log.filter(days=[day])
         if not len(day_log):
             raise ValidationError(f"log has no jobs on day {day}")
+        scored = _scored_rows(day_log)
 
         retrained = False
         rolled_back = False
@@ -317,7 +326,7 @@ class LifecycleManager:
             self._last_train_day = day
             self._drift_pending = False
             retrained = True
-            rolled_back = self._gate_new_version(previous, day_log)
+            rolled_back = self._gate_new_version(previous, scored)
             if not rolled_back:
                 # A fresh version serves: its error level defines a new
                 # drift baseline, so yesterday's degraded days must not
@@ -335,15 +344,20 @@ class LifecycleManager:
                 self._drift_pending = True
             self._crash_check("post_publish", day)
 
-        quality = evaluate_predictor_on_log(
-            self.registry.active().predictor, day_log, name=f"day{day}"
-        )
-        if (
-            self.policy.drift_threshold_pct is not None
-            and quality.median_error_pct > self.policy.drift_threshold_pct
-        ):
-            self._drift_pending = True
-        self._track_drift(quality.median_error_pct)
+        if scored is None:
+            # Nothing to score: the drift window and baseline skip the day.
+            nan = float("nan")
+            quality = ModelQuality(f"day{day}", day_log.operator_count, 0, nan, nan, nan)
+        else:
+            quality = evaluate_predictor_on_log(
+                self.registry.active().predictor, scored, name=f"day{day}"
+            )
+            if (
+                self.policy.drift_threshold_pct is not None
+                and quality.median_error_pct > self.policy.drift_threshold_pct
+            ):
+                self._drift_pending = True
+            self._track_drift(quality.median_error_pct)
         self._persist()
         return DayOutcome(
             day=day,
@@ -416,10 +430,11 @@ class LifecycleManager:
         return tuple(history[-self.policy.window_days:])
 
     def _gate_new_version(
-        self, previous: ModelVersion | None, day_log: RunLog
+        self, previous: ModelVersion | None, day_log: RunLog | None
     ) -> bool:
-        """Section 6.7 pre-production gate; returns True when rolled back."""
-        if previous is None or self.policy.regression_factor is None:
+        """Section 6.7 pre-production gate over the day's scored rows;
+        returns True when rolled back.  An unscored day cannot regress."""
+        if previous is None or self.policy.regression_factor is None or day_log is None:
             return False
         fresh = evaluate_predictor_on_log(
             self.registry.active().predictor, day_log, name="fresh"

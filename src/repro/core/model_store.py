@@ -11,7 +11,7 @@ model file decodes into them and is written from them, and the packed bank
 (:mod:`repro.core.packed`) is the union index over the block.
 :meth:`ModelStore.get`, ``lookup`` and ``most_specific`` build a
 :class:`~repro.core.learned_model.LearnedCostModel` view (row views of the
-block) on demand, for tests, ``*_reference`` functions and experiments.
+block) on demand, for tests, :mod:`repro.reference` and experiments.
 
 :meth:`ModelStore.add` and :meth:`ModelStore.remove` are staged and the
 next read folds them into a new block in one pass, so a store built, or

@@ -6,18 +6,13 @@ itself), then the combined model is trained on a *later* slice of the
 workload so that the meta-features reflect the individual models'
 generalization rather than their training fit.
 
-The hot path is **columnar**: the run log is materialized once into a
-:class:`~repro.features.table.FeatureTable`, the full derived feature
-matrix is expanded in one fused pass over the table's rows, groups
-are formed with ``argsort``/``unique`` over the signature columns, all of a
-kind's per-signature elastic nets are fitted in one batched Adam loop whose
-parameters go straight into the store's block as columns (no model object
-is built), and the combined model's meta rows are built through the same
-vectorized pricing that the serving layer uses.  The per-record
-reference implementations (``train_individual_reference`` /
-``train_combined_reference``) are kept as the pinned scalar baseline: they
-produce bitwise-identical models, which the parity tests
-(``tests/core/test_trainer_columnar.py``) check.
+The hot path is **columnar**: the run log becomes one
+:class:`~repro.features.table.FeatureTable`, groups are formed with
+``argsort``/``unique`` over its signature columns, each kind's elastic nets
+are fitted in one batched Adam loop straight into the store's parameter
+block, and the meta rows are priced as the serving layer prices.  The
+per-record baseline (:mod:`repro.reference`) trains bitwise the same
+models (``tests/core/test_trainer_columnar.py``).
 """
 
 from __future__ import annotations
@@ -27,13 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import DataQualityError
-from repro.core.combined import CombinedModel, build_meta_matrix, build_meta_row
+from repro.core.combined import CombinedModel, build_meta_matrix
 from repro.core.config import CleoConfig, ModelKind
-from repro.core.learned_model import LearnedCostModel, fit_columns
-from repro.core.model_store import SIGNATURE_FIELDS, ModelStore, ParameterBlock, signature_for
+from repro.core.learned_model import fit_columns
+from repro.core.model_store import SIGNATURE_FIELDS, ModelStore, ParameterBlock
 from repro.core.predictor import CleoPredictor
 from repro.execution.runtime_log import RunLog
-from repro.features.featurizer import FeatureInput, feature_names
+from repro.features.featurizer import feature_names
 from repro.features.table import FeatureTable
 from repro.ml.base import Regressor
 
@@ -92,8 +87,8 @@ class CleoTrainer:
     bitwise-identical to unsanitized training on healthy data.  A table
     that sanitizes to *zero* rows raises :class:`~repro.common.errors.
     DataQualityError` — the typed signal that an ingestion day is rotten,
-    never a silent fit to garbage.  The scalar reference paths stay
-    unsanitized: they are the pinned pre-gate baseline.
+    never a silent fit to garbage.  :meth:`train_reference` stays
+    unsanitized: it is the pinned pre-gate baseline.
     """
 
     def __init__(self, config: CleoConfig | None = None, sanitize: bool = True) -> None:
@@ -152,7 +147,7 @@ class CleoTrainer:
         model (the paper requires 5 occurrences per subgraph).  Groups are
         formed with array ops over the log's feature table and each kind's
         models are fitted in one batched optimization pass — bitwise
-        identical to :meth:`train_individual_reference`.
+        identical to the per-record reference.
         """
         table = self._sanitized(log.to_table())
         if len(table) == 0:
@@ -185,34 +180,6 @@ class CleoTrainer:
             )
         return ModelStore(ParameterBlock.build(kinds))
 
-    def train_individual_reference(self, log: RunLog) -> ModelStore:
-        """Per-record scalar reference for :meth:`train_individual`.
-
-        Groups with dict appends and fits one model at a time; kept as the
-        pinned baseline the columnar path's parity tests compare against.
-        """
-        groups: dict[tuple[ModelKind, int], tuple[list[FeatureInput], list[float]]] = {}
-        for record in log.operator_records():
-            for kind in ModelKind:
-                key = (kind, signature_for(kind, record.signatures))
-                bucket = groups.get(key)
-                if bucket is None:
-                    bucket = ([], [])
-                    groups[key] = bucket
-                bucket[0].append(record.features)
-                bucket[1].append(record.actual_latency)
-
-        store = ModelStore()
-        for (kind, signature), (inputs, latencies) in groups.items():
-            if len(inputs) < self.config.min_samples:
-                continue
-            model = LearnedCostModel(
-                include_context=kind.uses_context_features, config=self.config
-            )
-            model.fit(inputs, np.asarray(latencies))
-            store.add(kind, signature, model)
-        return store
-
     # ------------------------------------------------------------------ #
     # Combined model
     # ------------------------------------------------------------------ #
@@ -227,7 +194,7 @@ class CleoTrainer:
 
         Meta rows are built in bulk through the serving layer's grouped
         vectorized prediction (:func:`~repro.core.combined.build_meta_matrix`)
-        instead of one scalar ``build_meta_row`` call per record.
+        instead of one scalar meta row per record.
         """
         table = self._sanitized(log.to_table())
         if len(table) == 0:
@@ -241,31 +208,6 @@ class CleoTrainer:
             take = rng.choice(
                 len(matrix), size=self.config.max_meta_samples, replace=False
             )
-            matrix, target_arr = matrix[take], target_arr[take]
-        combined.fit_rows(matrix, target_arr)
-        return combined
-
-    def train_combined_reference(
-        self,
-        store: ModelStore,
-        log: RunLog,
-        regressor: Regressor | None = None,
-    ) -> CombinedModel:
-        """Per-record scalar reference for :meth:`train_combined`."""
-        combined = CombinedModel(store, config=self.config, regressor=regressor)
-        rows: list[np.ndarray] = []
-        targets: list[float] = []
-        for record in log.operator_records():
-            rows.append(build_meta_row(store, record.features, record.signatures))
-            targets.append(record.actual_latency)
-        if not rows:
-            raise ValueError("no operator records to train the combined model on")
-        matrix = np.vstack(rows)
-        target_arr = np.asarray(targets)
-        if len(rows) > self.config.max_meta_samples:
-            # repro: allow(wallclock-rng) -- mirrors train_combined exactly: both paths replay the same raw-seed stream so the subsample (and therefore the fitted combined model) stays bitwise-identical
-            rng = np.random.default_rng(self.config.seed)
-            take = rng.choice(len(rows), size=self.config.max_meta_samples, replace=False)
             matrix, target_arr = matrix[take], target_arr[take]
         combined.fit_rows(matrix, target_arr)
         return combined
@@ -316,11 +258,12 @@ class CleoTrainer:
         individual_days: list[int] | None = None,
         combined_days: list[int] | None = None,
     ) -> CleoPredictor:
-        """Full pipeline over the scalar reference path (the parity oracle)."""
+        """:meth:`train` over the per-record scalar reference (the parity
+        oracle): :func:`repro.reference.train_reference` on this trainer's
+        day split and config.  A method because the closed-loop benchmark's
+        retrain check calls it on a trainer."""
+        from repro.reference import train_reference
+
         self.reset_audit()
-        individual_days, combined_days = self._day_split(
-            log, individual_days, combined_days
-        )
-        store = self.train_individual_reference(log.filter(days=individual_days))
-        combined = self.train_combined_reference(store, log.filter(days=combined_days))
-        return CleoPredictor(store=store, combined=combined)
+        days = self._day_split(log, individual_days, combined_days)
+        return train_reference(log, *days, self.config)

@@ -19,7 +19,7 @@ blocks.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import is_
 from typing import Iterable, Iterator
@@ -255,6 +255,23 @@ class RunLog:
             and (adhoc is None or job.is_adhoc == adhoc)
         ]
         return RunLog(jobs=selected)
+
+    def keep_rows(self, keep: np.ndarray) -> "RunLog":
+        """A new log of the operator rows ``keep`` marks (a mask over
+        :meth:`to_table`'s rows): one ``take`` per run of jobs sharing a
+        block, every job keeping its fields and its kept rows in order;
+        this log itself when every row is kept."""
+        if keep.all():
+            return self
+        jobs: list[JobRecord] = []
+        for block, run in block_runs(self.jobs):
+            rows = np.concatenate([np.arange(j.operators.start, j.operators.stop) for j in run])
+            kept, keep = keep[: len(rows)], keep[len(rows) :]
+            ends = np.cumsum([0] + [len(job.operators) for job in run])
+            spans = np.cumsum(np.concatenate(([0], kept)))[ends].tolist()
+            taken = block.take(rows[kept])
+            jobs += [replace(j, operators=OperatorRows(taken, lo, hi)) for j, lo, hi in zip(run, spans, spans[1:])]
+        return RunLog(jobs=jobs)
 
     def operator_records(self) -> Iterator[OperatorRecord]:
         """All operator records across jobs, in execution order."""

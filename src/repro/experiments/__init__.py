@@ -6,7 +6,8 @@ rows/series the paper reports.  ``EXPERIMENTS.md`` records measured-vs-paper
 for each artifact.
 
 Timing lives in the loop benchmark (``python -m bench``), and each fast
-path's parity with its retained reference is a tier-1 test.
+path's parity with its reference (:mod:`repro.reference`) is a tier-1
+test.
 """
 
 from repro.experiments.harness import ExperimentResult, format_table

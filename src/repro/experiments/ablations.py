@@ -246,7 +246,8 @@ def run_window_ablation(
 
 def meta_day_rows(store, log, day: int) -> tuple[np.ndarray, np.ndarray]:
     """One day's meta rows and actual latencies, from one bulk pass over
-    the day's table (bitwise the per-record ``build_meta_row`` stack)."""
+    the day's table (bitwise the per-record
+    :func:`repro.reference.build_meta_row` stack)."""
     table = log.filter(days=[day]).to_table()
     return build_meta_matrix(store, table), np.asarray(table.latency)
 

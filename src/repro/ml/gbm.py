@@ -194,17 +194,13 @@ class FastTreeRegressor:
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predictions via the flat ensemble: all trees walked at once.
 
-        Bitwise identical to :meth:`predict_reference` — leaf routing and
-        values are the same scalars, and the per-tree contributions are
-        accumulated in stage order, exactly like the sequential loop: one
-        axis-0 reduction over the ``(1 + n_trees, n)`` stack of the base and
-        the shrunken stages adds row after row into the output — a serving
-        batch of a few rows pays a handful of numpy calls, not one per
-        stage.  A single sample is stacked as two identical columns: with
-        one, the reduced axis would be contiguous and numpy would sum it
-        pairwise instead.  The explicit loop stays for tables so long that
-        the stack falls out of cache, where it is the faster way to the same
-        bits.
+        Bitwise identical to the tree-at-a-time walk
+        (:func:`repro.reference.predict_reference`): the same leaf scalars,
+        accumulated in stage order by one axis-0 reduction over the
+        ``(1 + n_trees, n)`` stack of the base and the shrunken stages.  A
+        single sample is stacked as two identical columns (with one, numpy
+        would sum the contiguous axis pairwise), and tables too long for the
+        stack to stay in cache take the explicit loop to the same bits.
         """
         features = check_predict_input(features, bool(self.trees_))
         leaves = self._flat_forest().leaf_values(features)
@@ -219,14 +215,6 @@ class FastTreeRegressor:
         np.multiply(leaves, self.learning_rate, out=stack[1:, :n])
         stack[1:, n:] = stack[1:, :1]
         return self._inverse(np.add.reduce(stack, axis=0)[:n])
-
-    def predict_reference(self, features: np.ndarray) -> np.ndarray:
-        """The retained tree-at-a-time path (the parity reference)."""
-        features = check_predict_input(features, bool(self.trees_))
-        out = np.full(features.shape[0], self.base_prediction_)
-        for tree in self.trees_:
-            out += self.learning_rate * tree.predict(features)
-        return self._inverse(out)
 
     def staged_predict(self, features: np.ndarray) -> list[np.ndarray]:
         """Predictions after each boosting stage (for learning curves)."""

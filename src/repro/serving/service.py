@@ -2,53 +2,34 @@
 
 The paper's production story (Section 5.1) is that trained models are
 *served*: loaded upfront into a signature-keyed map and consulted millions
-of times per optimization pass, either "from a text file ... or using a web
-service".  This module is that serving layer for the reproduction — one
+of times per optimization pass.  This module is that serving layer — one
 object that owns training, persistence, versioned deployment, and the hot
-prediction path, so no consumer ever assembles ``ModelStore`` +
-``CombinedModel`` + ``CleoPredictor`` by hand again.
+prediction path.
 
 The service prices **rows** — request batches, or signature-bearing
 :class:`~repro.features.table.FeatureTable` s — and never sees an operator:
-turning operators and plans into rows is
-:class:`~repro.core.cost_model.CleoCostModel`'s job, and the optimizer hands
-over one table per pricing call.  There is no scalar twin: a single price is
-a one-row :meth:`CleoService.predict_inputs` call,
-and an explanation (:meth:`CleoService.explain`) names the tier behind that
-one-row price.  The one exception to rows is the load replays' whole-plan
-*request*: :meth:`CleoService.predict_plan` is :func:`price_plan`, i.e.
-:func:`plan_requests` and :func:`plan_totals` around one batch.
+turning plans into rows is :class:`~repro.core.cost_model.CleoCostModel`'s
+job.  A single price is a one-row :meth:`CleoService.predict_inputs` call
+(:meth:`CleoService.explain` names the tier behind it), and the one
+whole-plan request, :meth:`CleoService.predict_plan`, is :func:`price_plan`.
 
-Serving-grade mechanics:
-
-* **Packed inference** — prediction runs on the store's compiled
-  :class:`~repro.core.packed.PackedModelBank`: a table's four signature
-  columns resolve with one ``np.searchsorted`` over every kind's signatures
-  and all covered ``(row, kind)`` pairs are priced in one gather + row
-  multiply-sum pass over all kinds (the combined model's trees traverse as
-  one flat ensemble).  :meth:`CleoService.predict_table` is the one
-  columnar primitive — no per-request objects, no cache keys — and
-  every other batched entry point ends in its core:
-  :meth:`CleoService.predict_batch` and :meth:`CleoService.predict_inputs`
-  pack the rows the cache could not answer into a table and price that.  All paths are *bitwise identical*
-  to one-row prediction: every underlying regressor computes per-row,
-  batch-size-invariant reductions.
-* **Prediction cache** — a bounded LRU in front of the models turns the
-  recurring-job workload's repeated (features, signatures) rows into O(1)
-  hits: a batch is one locked probe and one locked insert, over keys that
-  are each row's 104 bytes (:meth:`~repro.features.table.FeatureTable.
-  row_keys`, made for a whole table in one pass); hit/miss counters
-  surface via :meth:`stats`.  The pricing cores (:func:`_cached_core`,
-  :func:`_table_core`, :func:`_profile_core`) take a list of *owners* —
-  ``(service, row indices)`` over one batch — and return one answer per
-  owner: each owner probes its own LRU, the union of first-seen misses is
-  checked once and priced in one bank pass, and each owner's accounting,
-  repair and LRU fill run through its own service.  A service's entry
-  points call them with one owner (itself); the sharded router calls them
-  with every owning shard's service at once.  An LRU serves only entries
-  priced against the store's current ``version``: a quarantine by any
-  service sharing the store empties every one of their LRUs on its next
-  probe.
+* **Packed inference** — every entry point ends in one pass over the
+  store's compiled :class:`~repro.core.packed.PackedModelBank`: one
+  ``np.searchsorted`` resolves all four signature columns, one gather +
+  row multiply-sum prices every covered ``(row, kind)`` pair, and the
+  combined model's trees traverse as one flat ensemble.  Every regressor
+  reduces per row, so every path is *bitwise identical* to one-row
+  prediction.
+* **Prediction cache** — a bounded LRU keyed by each row's 104 bytes
+  (:meth:`~repro.features.table.FeatureTable.row_keys`) turns recurring
+  rows into O(1) hits, with one locked probe and one locked insert per
+  batch.  The pricing cores (:func:`_cached_core`, :func:`_table_core`,
+  :func:`_profile_core`) take *owners* — ``(service, row indices)`` over
+  one batch — and price the union of their rows in one bank pass, each
+  owner keeping its own LRU, accounting and repair: a service calls them
+  with itself, the sharded router with every owning shard.  An LRU serves
+  only entries priced against the store's current ``version``, so a
+  quarantine empties every LRU sharing the store.
 * **Lifecycle** — :meth:`train` / :meth:`load` / :meth:`save` /
   :meth:`deploy` wrap the trainer, the JSON model-file format, and the
   versioned :class:`~repro.core.lifecycle.ModelRegistry`.
@@ -431,14 +412,10 @@ class CleoService:
     # ------------------------------------------------------------------ #
 
     def resource_profiles(self, table: FeatureTable) -> list[ResourceProfile | None]:
-        """Batched Section-5.3 resource profiles, via the packed bank.
-
-        The most specific covering model's ``(theta_p, theta_c, theta_0)``
-        per row of a signature-bearing table, ``None`` where no individual
-        model covers the operator.  The rows pass :meth:`predict_table`'s
-        input check before any lookup is charged; then five lookups per
-        covered profile, none for uncovered operators.
-        """
+        """Batched Section-5.3 resource profiles, via the packed bank: the
+        most specific covering model's ``(theta_p, theta_c, theta_0)`` per
+        row, else ``None``.  The rows pass the input check first; then five
+        lookups are charged per covered profile."""
         _require_signatures(table)
         return _only(_profile_core([(self, np.arange(len(table)))], table))
 
@@ -452,56 +429,27 @@ class CleoService:
     # ------------------------------------------------------------------ #
 
     def predict_batch(self, requests: Sequence[PredictionRequest]) -> np.ndarray:
-        """Price a batch of operators in one pass over its requests.
+        """Price a batch of operators through the LRU (:func:`_cached_core`).
 
-        The requests' row keys (computed once per request) go through the
-        cached core: one locked probe of the prediction LRU answers the hits
-        and names the distinct misses, which are packed into a table once,
-        priced by the core :meth:`predict_table` runs, and inserted under
-        one more lock acquisition.  A request identical to an earlier miss
-        of the same batch reuses its value (``in_batch_reuses``).  Results
-        are bitwise identical to pricing each request as a one-row batch.
-        (For whole-table workloads prefer :meth:`predict_table`, which skips
-        the cache entirely.)
+        The distinct misses are packed into one table and priced by the
+        bank pass :meth:`predict_table` runs; a request identical to an
+        earlier miss of the batch reuses its value (``in_batch_reuses``).
+        Whole-table workloads should prefer :meth:`predict_table`.
         """
         return self._price_cached(request_keys(requests), _request_rows(requests))
 
-    def predict_records_reference(self, records: Iterable[OperatorRecord]) -> np.ndarray:
-        """The retained pre-packed serving pipeline (the parity reference).
-
-        Replays what pricing a record batch cost before the packed runtime:
-        per-record :class:`PredictionRequest` materialization and cache
-        probing, a fresh feature-table build from the unique requests'
-        inputs, per-batch derived-feature expansion, one object-graph model
-        call per covering ``(kind, signature)`` group, and tree-at-a-time
-        ensemble traversal.  The packed :meth:`predict_table`/
-        :meth:`predict_records` must match it bit for bit.
-        """
-        requests = [PredictionRequest.for_record(r) for r in records]
-        return self._price_cached(
-            request_keys(requests), _request_rows(requests), reference=True
-        )
-
     def _price_cached(
-        self,
-        keys: Sequence[bytes],
-        rows: Callable[[list[int]], FeatureTable],
-        reference: bool = False,
+        self, keys: Sequence[bytes], rows: Callable[[list[int]], FeatureTable]
     ) -> np.ndarray:
         """:func:`_cached_core` with this service as the one owner of every
         row: the LRU-backed entry points' body."""
-        return _only(_cached_core([(self, range(len(keys)))], keys, rows, reference))
+        return _only(_cached_core([(self, range(len(keys)))], keys, rows))
 
     def _probe(self, keys: Sequence[bytes]) -> tuple[list, dict[bytes, list[int]]]:
         """One locked probe of the prediction LRU: ``(values, missing)`` as
-        :meth:`~repro.serving.cache.LRUCache.get_many` returns them.
-
-        The LRU only serves entries priced against the store as it is now:
-        every ``ModelStore.add`` / ``remove`` moves ``store.version``, and a
-        probe that sees it moved drops every entry first.  Services sharing
-        one store (the router's shards) thus all stop serving a model that
-        any of them quarantined.
-        """
+        :meth:`~repro.serving.cache.LRUCache.get_many` returns them, after
+        dropping every entry if ``store.version`` moved since the last one
+        (an add or remove by any service sharing the store)."""
         version = self._predictor.store.version
         if version != self._cache_version:
             self._prediction_cache.clear()
@@ -512,14 +460,10 @@ class CleoService:
         """One owner's accounting in :func:`_cached_core`; returns how many
         requests each distinct miss answers (the fallback counter's weights).
 
-        Lookup accounting (and the fallback counter) charges every request
-        not served from the LRU, so a cache-disabled service keeps the "five
-        learned predictions per sample" bookkeeping exactly (Section 6.5).
-        With the cache *enabled* one batch and a one-row-at-a-time replay of
-        it can legitimately differ by ``in_batch_reuses``: the replay turns
-        in-batch duplicates into LRU hits (uncharged), while the batch
-        computes them once and reuses the value without a cache round-trip
-        (charged per request).
+        Every request not served from the LRU is charged its lookups (and
+        fallbacks), so a cache-disabled service keeps the Section 6.5
+        bookkeeping exactly; with the cache on, a one-row-at-a-time replay
+        differs by ``in_batch_reuses``, which it turns into uncharged hits.
         """
         counts = [len(positions) for positions in missing.values()]
         uncached = sum(counts)
@@ -533,18 +477,11 @@ class CleoService:
         return counts
 
     def _fill(
-        self,
-        values: list,
-        missing: dict[bytes, list[int]],
-        priced: np.ndarray,
+        self, values: list, missing: dict[bytes, list[int]], priced: np.ndarray
     ) -> np.ndarray:
         """One owner's LRU fill: insert the priced misses (``priced[j]`` answers
         the ``j``-th key of ``missing``) and scatter them into the answer.
-
-        Nothing is inserted when the store moved since :meth:`_probe` (a
-        repair quarantined a model mid-call): those values were priced
-        against a store that no longer exists.
-        """
+        Nothing is inserted when the store moved since :meth:`_probe`."""
         if missing:
             priced = priced.tolist()
             if self._cache_version == self._predictor.store.version:
@@ -554,32 +491,18 @@ class CleoService:
                     values[i] = value
         return np.array(values, dtype=float)
 
-    def predict_records(
-        self, records: Iterable[OperatorRecord], table: FeatureTable | None = None
-    ) -> np.ndarray:
-        """Batched predictions for logged operators, in record order.
-
-        Routed through the table-native packed fast path (see
-        :meth:`predict_table`); callers that already materialized the
-        records' columns (``log.to_table()``) can pass ``table`` to skip
-        re-packing them.
-        """
-        if table is None:
-            table = FeatureTable.from_records(list(records))
-        return self.predict_table(table)
+    def predict_records(self, records: Iterable[OperatorRecord]) -> np.ndarray:
+        """Batched predictions for logged operators, in record order: their
+        rows packed into one table and priced by :meth:`predict_table`."""
+        return self.predict_table(FeatureTable.from_records(list(records)))
 
     def predict_table(self, table: FeatureTable) -> np.ndarray:
         """Price every row of a signature-bearing table: the packed fast path.
 
-        The one columnar primitive: no :class:`PredictionRequest` objects,
-        no keys hashed, nothing looked up or stored in the prediction LRU —
-        the whole batch runs as a constant number of numpy passes over the
-        store's compiled :class:`~repro.core.packed.PackedModelBank` (and
-        the combined model's flat tree ensemble).  :meth:`predict_batch`
-        prices its cache misses through this same core, so the two are
-        bitwise identical over the same rows by construction, and lookup,
-        model-call, and fallback accounting match a **cache-disabled**
-        :meth:`predict_batch` exactly.
+        No request objects, no keys, no LRU: one bank pass over the rows
+        (:func:`_table_core`).  Values are bitwise those of
+        :meth:`predict_batch`, and the accounting that of a cache-disabled
+        :meth:`predict_batch`.
         """
         _require_signatures(table)
         return _only(_table_core([(self, np.arange(len(table)))], table))
@@ -593,33 +516,19 @@ class CleoService:
             self._predictor.lookup_count += n * CleoPredictor.LOOKUPS_PER_PREDICTION
 
     def _price_table(
-        self,
-        table: FeatureTable,
-        request_counts: Sequence[int] | None = None,
-        reference: bool = False,
+        self, table: FeatureTable, request_counts: Sequence[int] | None = None
     ) -> np.ndarray:
-        """The bank pass: model pricing and model-call accounting.
-
-        Every batched entry point ends here — :func:`_table_core` with its
-        rows, :func:`_cached_core` with its distinct cache misses, where
-        ``request_counts[i]`` is how many requests row ``i`` answers so the
-        fallback counter charges per request — and hands the answer to
-        :meth:`_validated`.  ``reference`` routes the combined model through
-        the retained object-graph meta builder and tree-at-a-time ensemble
-        (the pre-packed pipeline).
-        """
+        """The bank pass every entry point ends in: model pricing and
+        model-call accounting.  ``request_counts[i]`` is how many requests
+        row ``i`` answers (:func:`_cached_core`'s distinct misses), so the
+        fallback counter charges per request."""
         predictor = self._predictor
         combined = predictor.combined
         use_combined = combined is not None and combined.is_fitted
         if use_combined:
-            rows, calls = meta_matrix_and_calls(
-                predictor.store, table, reference=reference
-            )
+            rows, calls = meta_matrix_and_calls(predictor.store, table)
             fallbacks = 0
-            if reference:
-                values = combined.predict_rows_reference(rows)
-            else:
-                values = combined.predict_rows(rows)
+            values = combined.predict_rows(rows)
         else:
             weights = None if request_counts is None else np.asarray(request_counts)
             values, calls, fallbacks = predict_most_specific(
@@ -643,16 +552,11 @@ class CleoService:
     def predict_inputs(self, table: FeatureTable) -> np.ndarray:
         """Batched predictions for a signature-bearing table, through the LRU.
 
-        The optimizer's pricing entry, a single price included (one row):
-        :class:`~repro.core.cost_model.CleoCostModel` and the skeleton
-        replay pack each pricing call's rows into ``table`` straight from
-        their plan nodes.  With the prediction LRU enabled its row keys go
-        through the cached core :meth:`predict_batch` runs (cache hits and
-        in-batch dedup still pay off for recurring operators) and the misses
-        are cut out of it with one gather; with caching disabled it goes to
-        :meth:`predict_table`, whose lookup and fallback accounting matches
-        a cache-disabled :meth:`predict_batch` exactly.  Either way the rows
-        are priced by the one table core, so values are bitwise identical.
+        The optimizer's pricing entry, a single price included (one row).
+        With the LRU enabled the table's row keys go through the cached core
+        :meth:`predict_batch` runs, the misses cut out with one gather; with
+        it disabled this is :meth:`predict_table`.  Either way the bits are
+        the same.
         """
         if not self.prediction_cache_enabled:
             return self.predict_table(table)
@@ -850,10 +754,7 @@ def _only(answers: "list[_T | Exception]") -> _T:
 
 
 def _cached_core(
-    owners: _Owners,
-    keys: Sequence[bytes],
-    rows: Callable[[list[int]], FeatureTable],
-    reference: bool = False,
+    owners: _Owners, keys: Sequence[bytes], rows: Callable[[list[int]], FeatureTable]
 ) -> "list[np.ndarray | Exception]":
     """The cached core: one answer per owner, each owner's rows priced
     through its own LRU.
@@ -896,7 +797,7 @@ def _cached_core(
     priced = _NOTHING
     if table is not None:
         payer = next(owners[j][0] for j, (lo, hi) in zip(live, bounds) if hi > lo)
-        priced = _attempt(payer._price_table, table, counts, reference)
+        priced = _attempt(payer._price_table, table, counts)
 
     def settle(service: CleoService, probe: tuple, lo: int, hi: int) -> np.ndarray:
         values = service._validated(

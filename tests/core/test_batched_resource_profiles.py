@@ -13,10 +13,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import SPECIFICITY_ORDER
 from repro.core.packed import resource_profiles_most_specific
 from repro.core.predictor import CleoPredictor
 from repro.features.table import FeatureTable
+from repro.reference import resource_profiles_reference
 from repro.serving import CleoService, PredictionRequest
 
 
@@ -27,27 +27,13 @@ def rows(tiny_bundle):
     return [r.features for r in requests], [r.signatures for r in requests]
 
 
-def _scalar_profiles(store, inputs, bundles):
-    """The retained reference: most-specific model, per-operator method."""
-    profiles = []
-    for features, signatures in zip(inputs, bundles):
-        profile = None
-        for kind in SPECIFICITY_ORDER:
-            model = store.lookup(kind, signatures)
-            if model is not None:
-                profile = model.resource_profile(features)
-                break
-        profiles.append(profile)
-    return profiles
-
-
 class TestBatchedResourceProfiles:
     def test_bitwise_identical_to_per_model_path(self, tiny_predictor, rows):
         inputs, bundles = rows
         batched, n_covered = resource_profiles_most_specific(
             tiny_predictor.store, FeatureTable.from_inputs(inputs, bundles)
         )
-        scalar = _scalar_profiles(tiny_predictor.store, inputs, bundles)
+        scalar = resource_profiles_reference(tiny_predictor.store, inputs, bundles)
         assert len(batched) == len(scalar) == len(inputs)
         for ours, theirs in zip(batched, scalar):
             if theirs is None:
@@ -72,7 +58,7 @@ class TestBatchedResourceProfiles:
         logged = table.partition_count.copy()
         for source in (table, at_seven):
             batched, _ = resource_profiles_most_specific(tiny_predictor.store, source)
-            assert batched == _scalar_profiles(tiny_predictor.store, inputs, bundles)
+            assert batched == resource_profiles_reference(tiny_predictor.store, inputs, bundles)
         assert np.array_equal(table.partition_count, logged)
         assert (at_seven.partition_count == 7.0).all()
         assert np.array_equal(at_seven.input_card, table.input_card)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.common.errors import ValidationError
@@ -361,4 +363,87 @@ class TestRollingDriftTrigger:
         days = drifted_log.days
         manager.step(drifted_log, days[1])
         manager.step(drifted_log, days[2])  # 50x day, window not full yet
+        assert not manager.drift_pending
+
+    def test_a_nan_baseline_day_leaves_the_trigger_armed(self, drifted_log):
+        """A NaN latency on the baseline day must not make the baseline
+        NaN (see :class:`TestNanScoredDays`): the 50x day still arms."""
+        days = drifted_log.days
+        poisoned = _nan_poisoned(drifted_log, days[1], nan_rate=0.2)
+        manager = LifecycleManager(
+            policy=RetrainPolicy(
+                window_days=1,
+                frequency_days=100,
+                drift_window_days=1,
+                drift_degradation_factor=1.5,
+            )
+        )
+        first = manager.step(poisoned, days[1])  # the baseline day
+        assert first.retrained and math.isfinite(first.median_error_pct)
+        shifted = manager.step(poisoned, days[2])  # 50x day
+        assert not shifted.retrained
+        assert manager.drift_pending
+        assert manager.step(poisoned, days[3]).retrained
+
+
+def _nan_poisoned(log, day, nan_rate):
+    """``log`` with a share ``nan_rate`` of ``day``'s latencies set to NaN."""
+    from repro.common.chaos import PoisonPolicy, RunLogPoisoner
+
+    policy = PoisonPolicy(name="nan_day", nan_rate=nan_rate, days=(day,))
+    poisoned, counts = RunLogPoisoner(policy).poison(log)
+    assert counts["nan"] > 0
+    return poisoned
+
+
+class TestNanScoredDays:
+    """A day whose latencies are poisoned with NaN is scored on the rows the
+    training gate keeps, so it cannot disarm the drift trigger or the
+    Section 6.7 gate; a day with no row left is not scored at all."""
+
+    def test_a_nan_gate_day_can_still_roll_back(self, tiny_bundle, monkeypatch):
+        from dataclasses import replace as dc_replace
+
+        import repro.core.lifecycle as lifecycle_mod
+
+        days = tiny_bundle.log.days
+        poisoned = _nan_poisoned(tiny_bundle.log, days[2], nan_rate=0.2)
+        manager = LifecycleManager(
+            policy=RetrainPolicy(window_days=1, frequency_days=100, regression_factor=1.5)
+        )
+        manager.step(poisoned, days[1])
+        manager._drift_pending = True
+        real_eval = lifecycle_mod.evaluate_predictor_on_log
+
+        def biased_eval(predictor, log, name=""):
+            quality = real_eval(predictor, log, name=name)
+            if name == "fresh":
+                return dc_replace(
+                    quality, median_error_pct=quality.median_error_pct * 10 + 1000
+                )
+            return quality
+
+        monkeypatch.setattr(lifecycle_mod, "evaluate_predictor_on_log", biased_eval)
+        outcome = manager.step(poisoned, days[2])
+        assert outcome.retrained and outcome.rolled_back
+        assert manager.drift_pending
+
+    def test_a_day_with_no_clean_row_is_unscored(self, tiny_bundle):
+        days = tiny_bundle.log.days
+        poisoned = _nan_poisoned(tiny_bundle.log, days[2], nan_rate=1.0)
+        manager = LifecycleManager(
+            policy=RetrainPolicy(
+                window_days=1,
+                frequency_days=100,
+                drift_window_days=1,
+                drift_degradation_factor=1.5,
+            )
+        )
+        manager.step(poisoned, days[1])
+        baseline, window = manager._baseline_error, list(manager._error_window)
+        outcome = manager.step(poisoned, days[2])
+        assert outcome.quality.n_covered == 0
+        assert outcome.quality.n_total == poisoned.filter(days=[days[2]]).operator_count
+        assert math.isnan(outcome.median_error_pct)
+        assert (manager._baseline_error, list(manager._error_window)) == (baseline, window)
         assert not manager.drift_pending

@@ -32,6 +32,7 @@ from repro.core.serialization import (
 )
 from repro.features.featurizer import feature_names
 from repro.features.table import FeatureTable
+from repro.reference import predict_reference
 from repro.serving import CleoService
 from tests.serving.test_packed_inference import _random_workload
 
@@ -250,8 +251,8 @@ class TestPredictorRoundTrip:
         assert _bits(loaded.combined.predict_rows(rows)) == _bits(
             tiny_predictor.combined.predict_rows(rows)
         )
-        assert _bits(loaded.combined.regressor.predict_reference(rows)) == _bits(
-            tiny_predictor.combined.regressor.predict_reference(rows)
+        assert _bits(predict_reference(loaded.combined.regressor, rows)) == _bits(
+            predict_reference(tiny_predictor.combined.regressor, rows)
         )
 
     def test_loaded_predictor_has_combined(self, tiny_predictor, tmp_path):

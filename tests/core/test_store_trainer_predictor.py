@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.combined import META_FEATURE_NAMES, build_meta_row
+from repro.core.combined import META_FEATURE_NAMES
 from repro.core.config import SPECIFICITY_ORDER, CleoConfig, ModelKind
 from repro.core.model_store import ModelStore, signature_for
 from repro.core.predictor import CleoPredictor
 from repro.core.robustness import evaluate_predictor_on_log, evaluate_store_on_log
 from repro.core.trainer import CleoTrainer
+from repro.reference import build_meta_row
 from repro.serving import CleoService
 
 

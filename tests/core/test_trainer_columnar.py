@@ -11,15 +11,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.combined import (
-    build_meta_matrix,
-    build_meta_row,
-    meta_matrix_and_calls,
-)
+from repro.core.combined import build_meta_matrix, meta_matrix_and_calls
 from repro.core.config import CleoConfig, ModelKind
 from repro.core.trainer import CleoTrainer
 from repro.features.table import FeatureTable
 from repro.ml.proximal import ElasticNetMSLE, fit_elastic_nets
+from repro.reference import (
+    build_meta_row,
+    meta_matrix_and_calls_reference,
+    train_combined_reference,
+    train_individual_reference,
+)
 from repro.serving import CleoService
 
 
@@ -94,7 +96,7 @@ class TestStageReferences:
     def test_train_individual_reference_bitwise(self, tiny_bundle):
         trainer = CleoTrainer(CleoConfig())
         fast = trainer.train_individual(tiny_bundle.log)
-        slow = trainer.train_individual_reference(tiny_bundle.log)
+        slow = train_individual_reference(tiny_bundle.log, trainer.config)
         assert fast.count() == slow.count() > 0
         _assert_same_models(fast, slow)
 
@@ -102,7 +104,7 @@ class TestStageReferences:
         trainer = CleoTrainer(CleoConfig())
         store = trainer.train_individual(tiny_bundle.log)
         fast = trainer.train_combined(store, tiny_bundle.log)
-        slow = trainer.train_combined_reference(store, tiny_bundle.log)
+        slow = train_combined_reference(store, tiny_bundle.log, trainer.config)
         table = tiny_bundle.test_log().to_table()
         rows = build_meta_matrix(store, table)
         assert np.array_equal(fast.predict_rows(rows), slow.predict_rows(rows))
@@ -129,7 +131,7 @@ class TestMetaMatrix:
         # more than one per model nor per (kind, record).
         assert 0 < calls <= columnar.store.count()
         # The packed ledger counts exactly what the object-graph loop makes.
-        assert calls == meta_matrix_and_calls(columnar.store, table, reference=True)[1]
+        assert calls == meta_matrix_and_calls_reference(columnar.store, table)[1]
 
 
 def _assert_row_is_the_fit(fitted, g: int, net: ElasticNetMSLE) -> None:

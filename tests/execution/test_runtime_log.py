@@ -112,6 +112,23 @@ class TestTableFollowsRecords:
     def test_empty_log_table(self):
         assert_tables_identical(RunLog().to_table(), FeatureTable.from_records([]))
 
+    @pytest.mark.parametrize("poison", [None, "poisoned_runlog"])
+    def test_kept_rows_are_the_table_take(self, fleet_log, poison):
+        """``keep_rows`` over a log of several blocks (two clusters, and a
+        poisoned copy) keeps every job, and its table is the masked take."""
+        log = fleet_log
+        if poison is not None:
+            log, _ = RunLogPoisoner(POISON_SCENARIOS[poison]).poison(log)
+        table = log.to_table()
+        keep = np.arange(len(table)) % 3 != 1
+        kept = log.keep_rows(keep)
+        assert [job.job_id for job in kept.jobs] == [job.job_id for job in log.jobs]
+        assert_tables_identical(kept.to_table(), table.take(np.flatnonzero(keep)))
+        assert_tables_identical(
+            kept.to_table(), FeatureTable.from_records(list(kept.operator_records()))
+        )
+        assert log.keep_rows(np.ones(len(table), dtype=bool)) is log
+
 
 class TestOperatorsBehaveAsATuple:
     @pytest.fixture(scope="class")

@@ -169,7 +169,7 @@ class TestMetaAblationShape:
         per-record ``build_meta_row`` stack it replaced, latencies included."""
         import numpy as np
 
-        from repro.core.combined import build_meta_row
+        from repro.reference import build_meta_row
         from repro.experiments.ablations import meta_day_rows
         from repro.experiments.shared import get_bundle
 

@@ -14,13 +14,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ModelNotTrainedError, ValidationError
-from repro.core.combined import (
-    CombinedModel,
-    build_meta_matrix,
-    build_meta_matrix_reference,
-    predict_covered,
-    predict_covered_reference,
-)
+from repro.core.combined import CombinedModel, build_meta_matrix, predict_covered
 from repro.core.config import CleoConfig, ModelKind
 from repro.core.learned_model import LearnedCostModel
 from repro.core.model_store import ModelStore
@@ -30,6 +24,15 @@ from repro.features.featurizer import FeatureInput
 from repro.features.table import FeatureTable
 from repro.ml.gbm import FastTreeRegressor
 from repro.plan.signatures import SignatureBundle
+from repro.reference import (
+    build_meta_matrix_reference,
+    combined_predict_one,
+    predict_covered_reference,
+    predict_most_specific_reference,
+    predict_records_reference,
+    predict_reference,
+    predict_rows_reference,
+)
 from repro.serving import CleoService, PredictionRequest
 
 #: Signature alphabet sizes per kind column (small so groups repeat).
@@ -89,16 +92,6 @@ def _random_store(
     return store
 
 
-def _object_graph(store, inputs, bundles, fallback_cost):
-    """The object-graph oracle: each row's most specific covering model,
-    one row at a time, else the fallback cost."""
-    values = []
-    for features, bundle in zip(inputs, bundles):
-        best = store.most_specific(bundle)
-        values.append(best[1].predict_one(features) if best is not None else fallback_cost)
-    return np.array(values)
-
-
 class TestRandomizedParity:
     """Property-style: packed == object graph == one row, bit for bit."""
 
@@ -107,7 +100,7 @@ class TestRandomizedParity:
         rng = np.random.default_rng(seed)
         inputs, bundles, table = _random_workload(rng, 90)
         store = _random_store(rng, coverage=0.25)
-        scalar = _object_graph(store, inputs, bundles, 2.75)
+        scalar = predict_most_specific_reference(store, inputs, bundles, 2.75)
         packed, _, n_fallbacks = predict_most_specific(store, table, 2.75)
         assert np.array_equal(scalar, packed)
         uncovered = sum(1 for b in bundles if store.most_specific(b) is None)
@@ -141,10 +134,10 @@ class TestRandomizedParity:
         service = CleoService(predictor, prediction_cache_size=0)
 
         packed = service.predict_table(table)
-        reference = combined.predict_rows_reference(
-            build_meta_matrix_reference(store, table)
+        reference = predict_rows_reference(
+            combined, build_meta_matrix_reference(store, table)
         )
-        scalar = np.array([combined.predict_one(f, b) for f, b in zip(inputs, bundles)])
+        scalar = np.array([combined_predict_one(combined, f, b) for f, b in zip(inputs, bundles)])
         assert np.array_equal(packed, reference)
         assert np.array_equal(packed, scalar)
 
@@ -162,7 +155,7 @@ class TestRandomizedParity:
             store.add(ModelKind.OPERATOR, 10_000, _fitted_model(rng, ModelKind.OP_SUBGRAPH))
         assert store.get(ModelKind.OPERATOR, 10_000) is None
         assert (store.count(), store.version) == (models, version)
-        scalar = _object_graph(store, inputs, bundles, 1.5)
+        scalar = predict_most_specific_reference(store, inputs, bundles, 1.5)
         packed, _, _ = predict_most_specific(store, table, 1.5)
         assert np.array_equal(scalar, packed)
 
@@ -321,7 +314,7 @@ class TestRoundTrip:
         records = list(tiny_bundle.test_log().operator_records())
         service = CleoService(tiny_predictor, prediction_cache_size=0)
         packed = service.predict_records(records)
-        reference = service.predict_records_reference(records)
+        reference = predict_records_reference(service.predictor, records)
         assert np.array_equal(packed, reference)
 
 
@@ -332,7 +325,7 @@ class TestPredictorRecordsStoreOnly:
         records = list(tiny_bundle.test_log().operator_records())
         store_only = CleoPredictor(store=tiny_predictor.store, fallback_cost=1.0)
         grouped = CleoService(store_only, prediction_cache_size=0).predict_records(records)
-        scalar = _object_graph(
+        scalar = predict_most_specific_reference(
             store_only.store,
             [r.features for r in records],
             [r.signatures for r in records],
@@ -358,7 +351,7 @@ class TestFlatForestParity:
         model = FastTreeRegressor(n_estimators=12, max_depth=4, seed=3)
         model.fit(x, y)
         fresh = rng.uniform(0, 120, size=(500, 7))
-        assert np.array_equal(model.predict(fresh), model.predict_reference(fresh))
+        assert np.array_equal(model.predict(fresh), predict_reference(model, fresh))
 
     @pytest.mark.parametrize("n_rows", [1, 2, 3, 500])
     def test_stage_reduction_is_the_sequential_loop_at_every_size(self, n_rows):
@@ -373,9 +366,9 @@ class TestFlatForestParity:
         model = FastTreeRegressor().fit(x, y)
         assert len(model.trees_) == 20
         fresh = np.exp(rng.normal(0, 3, size=(n_rows, 15)))
-        assert np.array_equal(model.predict(fresh), model.predict_reference(fresh))
+        assert np.array_equal(model.predict(fresh), predict_reference(model, fresh))
         strided = np.exp(rng.normal(0, 3, size=(2 * n_rows, 15)))[::2]
-        assert np.array_equal(model.predict(strided), model.predict_reference(strided))
+        assert np.array_equal(model.predict(strided), predict_reference(model, strided))
         if n_rows > 1:
             # Row by row (the n == 1 loop) equals the batched reduction too.
             one_at_a_time = np.concatenate([model.predict(fresh[i : i + 1]) for i in range(n_rows)])
@@ -391,7 +384,7 @@ class TestFlatForestParity:
         model.fit(x, y * 3.0)  # refit: flat layout must recompile
         second = model.predict(x)
         assert not np.array_equal(first, second)
-        assert np.array_equal(second, model.predict_reference(x))
+        assert np.array_equal(second, predict_reference(model, x))
 
     def test_packed_meta_builder_matches_reference(self, tiny_predictor, tiny_bundle):
         table = tiny_bundle.test_table()

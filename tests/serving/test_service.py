@@ -15,9 +15,9 @@ from repro.core.model_store import ModelStore, signature_for
 from repro.core.predictor import CleoPredictor
 from repro.features.table import FeatureTable
 from repro.plan.signatures import SignatureBundle
+from repro.reference import predict_most_specific_reference
 from repro.serving import CleoService, LRUCache, PredictionRequest
 from repro.serving.service import as_cost_model
-from tests.serving.test_packed_inference import _object_graph
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +124,7 @@ class TestBatchedPrediction:
         service = CleoService(store_only)
         requests = [PredictionRequest.for_record(r) for r in workload_records[:500]]
         batched = service.predict_batch(requests)
-        sequential = _object_graph(
+        sequential = predict_most_specific_reference(
             store_only.store,
             [r.features for r in workload_records[:500]],
             [r.signatures for r in workload_records[:500]],

@@ -39,7 +39,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ModelNotTrainedError, ValidationError
-from repro.core.combined import build_meta_matrix_reference, meta_matrix_and_calls
+from repro.core.combined import meta_matrix_and_calls
 from repro.core.config import SPECIFICITY_ORDER, ModelKind
 from repro.core.learned_model import LearnedCostModel
 from repro.core.model_store import ModelStore, signature_for
@@ -51,6 +51,7 @@ from repro.core.robustness import store_predictions_by_kind
 from repro.features.featurizer import FeatureInput
 from repro.features.table import FeatureTable
 from repro.plan.signatures import SignatureBundle
+from repro.reference import build_meta_matrix_reference, meta_matrix_and_calls_reference
 from tests.serving.test_packed_inference import _SIG_CARDINALITY, _fitted_model
 
 #: Signature index -> 64-bit word, shared by every kind, so a word names a
@@ -165,7 +166,7 @@ def _check(store: ModelStore, graph: Graph, inputs, bundles, table: FeatureTable
 
     # Meta rows and calls: the per-kind groups of on-demand views.
     rows, calls = meta_matrix_and_calls(store, table)
-    reference_rows, reference_calls = meta_matrix_and_calls(store, table, reference=True)
+    reference_rows, reference_calls = meta_matrix_and_calls_reference(store, table)
     assert rows.tobytes() == reference_rows.tobytes()
     assert rows.tobytes() == build_meta_matrix_reference(store, table).tobytes()
     assert calls == reference_calls

@@ -31,6 +31,7 @@ from repro.core.regression_control import ModelQuarantine
 from repro.core.robustness import score_table
 from repro.features.table import FeatureTable
 from repro.plan.signatures import SignatureBundle
+from repro.reference import combined_predict_one
 from repro.serving import CleoService, PredictionRequest
 from repro.serving.shard import ShardedCleoRouter
 
@@ -407,7 +408,7 @@ def _per_row_chain(predictor, records):
     def chain(record):
         value = math.nan
         if combined is not None:
-            value = float(combined.predict_one(record.features, record.signatures))
+            value = float(combined_predict_one(combined, record.features, record.signatures))
         if not _serveable(value):
             best = store.most_specific(record.signatures)
             value = math.nan if best is None else best[1].predict_one(record.features)
@@ -418,7 +419,7 @@ def _per_row_chain(predictor, records):
     first = []
     for record in records:
         if combined is not None:
-            first.append(float(combined.predict_one(record.features, record.signatures)))
+            first.append(float(combined_predict_one(combined, record.features, record.signatures)))
         else:
             best = store.most_specific(record.signatures)
             first.append(

@@ -7,7 +7,10 @@ Moving or renaming one of them does not fail any ``repro`` test; it breaks
 the benchmark at import, or makes ``Tracer.install`` raise ``KeyError``, or
 (when a function is wrapped where one module looks it up and another module
 calls it) leaves a layer's timings at 0.  Each import and each trace target
-is one case here, so a failure names the one that moved.
+is one case here, so a failure names the one that moved.  So is each
+``repro`` method the benchmark calls as an oracle or a driver outside its
+tracer, with the arguments it passes (``CALLS``): a rename, a removal or a
+changed signature fails the case that names it.
 """
 
 from __future__ import annotations
@@ -57,6 +60,25 @@ def _repro_targets() -> dict:
 IMPORTS = _imports()
 TARGETS = _repro_targets()
 
+#: ``(owner, method, positional arguments, keyword arguments)`` of each call
+#: ``bench/*.py`` makes on a ``repro`` class outside the tracer, as it makes
+#: it (``paper_split`` passes the day split by keyword).
+CALLS = [
+    ("repro.core.trainer.CleoTrainer", "train_reference", 1, ("individual_days", "combined_days")),
+    ("repro.serving.service.CleoService", "predict_table", 1, ()),
+    ("repro.serving.service.CleoService", "predict_plan", 2, ()),
+    ("repro.serving.service.CleoService", "predict_batch", 1, ()),
+    ("repro.serving.shard.router.ShardedCleoRouter", "cost_model", 1, ()),
+    ("repro.serving.shard.router.ShardedCleoRouter", "predict_plan", 3, ()),
+    ("repro.serving.shard.router.ShardedCleoRouter", "predict_batch", 2, ()),
+    ("repro.serving.shard.router.ShardedCleoRouter", "stats", 0, ()),
+    ("repro.serving.shard.router.ShardedCleoRouter", "shard_stats", 0, ()),
+    ("repro.serving.shard.router.ShardedCleoRouter", "reset_stats", 0, ()),
+    ("repro.serving.shard.router.ShardedCleoRouter", "clear_caches", 0, ()),
+    ("repro.serving.shard.router.ShardedCleoRouter", "close", 0, ()),
+    ("repro.core.cost_model.CleoCostModel", "__init__", 1, ("batched",)),
+]
+
 
 def test_the_tracer_imports():
     importlib.import_module("bench.trace")
@@ -85,3 +107,15 @@ def test_every_trace_target_is_defined_on_its_owner(key):
     if isinstance(raw, (classmethod, staticmethod)):
         raw = raw.__func__
     assert callable(raw), f"{key} is not callable"
+
+
+@pytest.mark.parametrize(
+    "owner, method, n_args, keywords", CALLS, ids=[f"{o.rsplit('.', 1)[1]}.{m}" for o, m, _, _ in CALLS]
+)
+def test_every_called_method_takes_the_benchmarks_arguments(owner, method, n_args, keywords):
+    module, name = owner.rsplit(".", 1)
+    cls = getattr(importlib.import_module(module), name)
+    raw = inspect.getattr_static(cls, method, None)
+    assert callable(raw), f"{owner} no longer defines {method}"
+    arguments = [None] * (1 + n_args)  # self, then the positionals
+    inspect.signature(raw).bind(*arguments, **dict.fromkeys(keywords))

@@ -2,12 +2,17 @@
 
 The store's packed tier index (``repro.core.packed``) prices every model
 the store holds, and the tests pin it bit for bit to the per-model object
-graph: ``LearnedCostModel.predict_one`` / ``resource_profile`` and
-``CombinedModel.predict_one``.  That graph is the per-row reference, so
-outside the two modules that define it, and the ``*_reference`` twins that
-replay it, nothing under ``src/repro`` calls ``predict_one`` or
-``resource_profile``.  A second, per-row pricing path in product code is
-what this guard exists to prevent.
+graph: ``LearnedCostModel.predict_one`` / ``resource_profile``.  That graph
+is the per-row reference, so outside the module that defines it and the
+``repro.reference`` package that replays it, nothing under ``src/repro``
+calls ``predict_one`` or ``resource_profile``.  A second, per-row pricing
+path in product code is what this guard exists to prevent.
+
+The parity references themselves live in ``repro.reference``, which product
+code does not import: the one exception is ``CleoTrainer.train_reference``,
+a delegate for callers that hold a trainer.  Two public ``*_reference``
+functions stay in product modules because each is also a product path or
+that delegate.
 """
 
 from __future__ import annotations
@@ -18,14 +23,32 @@ from pathlib import Path
 import repro
 
 SRC = Path(repro.__file__).parent
-#: The modules that define the object graph.
-REFERENCE_MODULES = {"core/learned_model.py", "core/combined.py"}
+#: The module that defines the object graph.
+GRAPH_MODULES = {"core/learned_model.py"}
+#: The package that replays it.
+REFERENCE_PACKAGE = "reference/"
 PER_ROW = {"predict_one", "resource_profile"}
+#: The public ``*_reference`` defs a product module keeps, with the reason:
+#: ``run_days_reference`` is also ``run_days``' fallback for a non-stock
+#: configuration; ``train_reference`` delegates into ``repro.reference``.
+PRODUCT_REFERENCES = {
+    ("workload/runner.py", "run_days_reference"),
+    ("core/trainer.py", "train_reference"),
+}
+
+
+def _product_modules() -> dict[str, ast.Module]:
+    """Every module under ``src/repro`` outside ``repro.reference``, parsed."""
+    modules = {}
+    for path in sorted(SRC.rglob("*.py")):
+        name = path.relative_to(SRC).as_posix()
+        if not name.startswith(REFERENCE_PACKAGE):
+            modules[name] = ast.parse(path.read_text())
+    return modules
 
 
 def _per_row_calls(tree: ast.Module) -> list[tuple[str, int]]:
-    """``(enclosing function, line)`` of every per-row pricing call outside
-    a ``*_reference`` function."""
+    """``(enclosing function, line)`` of every per-row pricing call."""
     found: list[tuple[str, int]] = []
 
     def visit(node: ast.AST, function: str) -> None:
@@ -34,9 +57,30 @@ def _per_row_calls(tree: ast.Module) -> list[tuple[str, int]]:
         if (
             isinstance(node, ast.Call)
             and getattr(node.func, "attr", getattr(node.func, "id", None)) in PER_ROW
-            and not function.endswith("_reference")
         ):
             found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def _reference_imports(tree: ast.Module) -> list[str]:
+    """The enclosing function of every import of ``repro.reference``."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            names = []
+        if any(name == "repro.reference" or name.startswith("repro.reference.") for name in names):
+            found.append(function)
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -51,14 +95,45 @@ def test_guard_sees_a_per_row_call():
         "def price_reference(model, f):\n"
         "    return model.resource_profile(f)\n"
     )
-    assert _per_row_calls(tree) == [("price", 2)]
+    assert _per_row_calls(tree) == [("price", 2), ("price_reference", 4)]
+
+
+def test_guard_sees_a_reference_import():
+    tree = ast.parse(
+        "import repro.reference.pricing\n"
+        "def train():\n"
+        "    from repro.reference import train_reference\n"
+        "def plan():\n"
+        "    from repro.referenced import nothing\n"
+    )
+    assert _reference_imports(tree) == ["<module>", "train"]
 
 
 def test_product_code_never_prices_through_the_object_graph():
     found = {
-        path.relative_to(SRC).as_posix(): calls
-        for path in sorted(SRC.rglob("*.py"))
-        if path.relative_to(SRC).as_posix() not in REFERENCE_MODULES
-        and (calls := _per_row_calls(ast.parse(path.read_text())))
+        name: calls
+        for name, tree in _product_modules().items()
+        if name not in GRAPH_MODULES and (calls := _per_row_calls(tree))
     }
     assert found == {}
+
+
+def test_product_code_keeps_exactly_two_reference_functions():
+    found = {
+        (name, node.name)
+        for name, tree in _product_modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.endswith("_reference")
+        and not node.name.startswith("_")
+    }
+    assert found == PRODUCT_REFERENCES
+
+
+def test_only_the_trainer_delegate_imports_the_references():
+    found = {
+        (name, function)
+        for name, tree in _product_modules().items()
+        for function in _reference_imports(tree)
+    }
+    assert found == {("core/trainer.py", "train_reference")}
