@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import SPECIFICITY_ORDER, CleoConfig, ModelKind
+from repro.core.config import SPECIFICITY_ORDER, CleoConfig
 from repro.core.model_store import ModelStore
 from repro.features.table import FeatureTable
 from repro.ml.base import Regressor
@@ -42,20 +42,6 @@ META_FEATURE_NAMES: tuple[str, ...] = (
     "C/P",
     "P",
 )
-
-def predict_covered(
-    store: ModelStore,
-    table: FeatureTable,
-    kind: ModelKind,
-    full_matrix: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One kind's ``(mask, predictions)``: its column of :func:`covered_tiers`.
-
-    ``predictions[i]`` is 0.0 (and meaningless) where ``mask[i]`` is False.
-    """
-    masks, predictions, _ = covered_tiers(store, table, full_matrix)
-    k = SPECIFICITY_ORDER.index(kind)
-    return masks[:, k], predictions[:, k]
 
 
 def covered_tiers(

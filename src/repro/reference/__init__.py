@@ -35,8 +35,9 @@ def predict_covered_reference(
     kind: ModelKind,
     full_matrix: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`~repro.core.combined.predict_covered`, one ``predict_matrix``
-    per covering ``(kind, signature)`` group."""
+    """One kind's ``(mask, predictions)`` (its column of
+    :func:`~repro.core.combined.covered_tiers`), one ``predict_matrix`` per
+    covering ``(kind, signature)`` group."""
     if full_matrix is None:
         full_matrix = table.feature_matrix(include_context=True)
     return _covered_reference(store, table, kind, full_matrix)[:2]

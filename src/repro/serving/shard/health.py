@@ -13,6 +13,12 @@ outcomes plus a three-state circuit breaker.
   calls, not seconds, so chaos runs replay identically at any speed.
 * **HALF_OPEN** — after the cooldown, exactly one probe call is admitted;
   success closes the breaker, failure re-opens it for another cooldown.
+  A probe that ends in the caller's own input error proves nothing about
+  the shard: it is given back (``release()``) with no record, and the next
+  call probes instead.
+
+The router records every rung's outcome in one place
+(:meth:`~repro.serving.shard.router.ShardedCleoRouter._settle`).
 """
 
 from __future__ import annotations
@@ -35,46 +41,37 @@ class BreakerState(str, Enum):
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Knobs for the router's retry / breaker / degradation ladder.
+    """Knobs for the router's circuit breakers and hedging.
 
-    ``max_retries`` bounds ring-successor retries per sub-batch,
-    ``deadline_s`` is the wall-clock budget for the whole ladder walk
-    (once exceeded, the router drops straight to the heuristic floor),
-    and ``validate_outputs`` controls whether shard answers are checked
-    for non-finite / negative values at the router boundary.
+    A breaker opens after ``failure_threshold`` consecutive failures,
+    keeps the last ``window`` outcomes for its failure rate, and rejects
+    ``cooldown_calls`` calls before it admits a probe.
 
     ``hedge_threshold_s`` is the latency SLO for hedged requests: when the
     owning shard's injected latency spike would exceed it, the router
     fires the sub-batch at the ring successor *first* (the shared
     read-only bank makes the successor's answer bitwise what the owner's
     would be) instead of waiting out the spike.  ``None`` (the default)
-    disables hedging, preserving the PR 8 ladder exactly.
+    disables hedging.
     """
 
-    max_retries: int = 2
     failure_threshold: int = 3
     window: int = 64
     cooldown_calls: int = 16
-    deadline_s: float = 0.25
-    validate_outputs: bool = True
     hedge_threshold_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValidationError("max_retries must be non-negative")
         if self.failure_threshold < 1:
             raise ValidationError("failure_threshold must be at least 1")
         if self.window < 1:
             raise ValidationError("window must be at least 1")
         if self.cooldown_calls < 1:
             raise ValidationError("cooldown_calls must be at least 1")
-        if self.deadline_s <= 0.0:
-            raise ValidationError("deadline_s must be positive")
         if self.hedge_threshold_s is not None and self.hedge_threshold_s <= 0.0:
             raise ValidationError("hedge_threshold_s must be positive")
 
 
-#: The router's default posture: resilience on, no fault injection.
+#: The router's default breakers, with hedging off.
 DEFAULT_RESILIENCE = ResilienceConfig()
 
 #: A breaker snapshot's counters (:meth:`ShardHealth.snapshot`): all
@@ -165,6 +162,13 @@ class ShardHealth:
                 return False
             self._probe_in_flight = True
             return True
+
+    def release(self) -> None:
+        """Give back an admitted call that makes no record: a HALF_OPEN
+        probe frees its slot for the next call."""
+        with self._lock:
+            if self._state is BreakerState.HALF_OPEN:
+                self._probe_in_flight = False
 
     def record_success(self) -> None:
         with self._lock:

@@ -23,19 +23,23 @@ the paper's optimizer-facing deployment does (Section 5.1), but scaled out:
   owners: each owner probes its own LRU, the union of their distinct
   misses is input-checked once and priced in one pass over the shared
   bank, and each owner's accounting, output repair and LRU fill run
-  through its own service.  A call with no fault injector whose owners'
-  breakers are all CLOSED runs its *first rung* as one core call with
-  every owner; each owner's answer then makes one health record, and an
-  owner that failed walks its degradation ladder from the first retry.  Under an injector, or with an owner's breaker not
-  CLOSED, each owner walks its own ladder, every rung a one-owner core
-  call (on a thread pool when ``n_workers > 1``).  LRUs, counters,
-  breakers, quarantine ledgers and ladders stay per shard, and each
-  owner's counters are those a standalone service fed only its rows would
-  show.  Every per-row computation in the packed runtime is batch-size
-  invariant, so the merged predictions are bitwise identical to one
-  single-process :class:`~repro.serving.service.CleoService` pricing the
-  whole batch — the property ``tests/serving/test_sharded_router.py::
-  TestParity`` asserts.
+  through its own service.
+* **Reliability** — every row walks a degradation ladder (owner, ring
+  successors, heuristic floor, bounded default) behind per-shard circuit
+  breakers (:mod:`repro.serving.shard.health`).  A call with no fault
+  injector whose owners' breakers are all CLOSED runs its *first rung* as
+  one core call with every owner; each owner's answer then makes one
+  breaker record, and an owner that failed walks its ladder from the first
+  retry.  Under an injector, or with an owner's breaker not CLOSED, each
+  owner walks its own ladder, every rung a one-owner core call (on a
+  thread pool when ``n_workers > 1``).  LRUs, counters, breakers,
+  quarantine ledgers and ladders stay per shard, and each owner's counters
+  are those a standalone service fed only its rows would show.  Every
+  per-row computation in the packed runtime is batch-size invariant, so
+  the merged predictions are bitwise identical to one single-process
+  :class:`~repro.serving.service.CleoService` pricing the whole batch —
+  the property ``tests/serving/test_sharded_router.py::TestParity``
+  asserts.
 
 Like the service, the router speaks only rows (plus ``predict_plan``, the
 load replays' whole-plan request), and a single price is a one-row batch:
@@ -47,11 +51,12 @@ every entry point walks the one fan-out and the degradation ladder.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import replace as dataclass_replace
+from functools import partial
 from operator import attrgetter
 from threading import Lock
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -66,7 +71,6 @@ from repro.core.learned_model import _MAX_PREDICT_SECONDS, ResourceProfile
 from repro.core.predictor import CleoPredictor
 from repro.cost.default_model import DefaultCostModel
 from repro.cost.interface import CostModel
-from repro.features.featurizer import FeatureInput
 from repro.features.table import FeatureTable
 from repro.plan.physical import PhysicalOp, PhysOpType
 from repro.core.serialization import health_state_from_dict, health_state_to_dict
@@ -77,6 +81,7 @@ from repro.serving.service import (
     CleoService,
     PredictionRequest,
     ServiceStats,
+    _attempt,
     _cached_core,
     _only,
     _profile_core,
@@ -95,7 +100,7 @@ from repro.serving.shard.health import (
     ShardHealth,
     ShardHealthStats,
 )
-from repro.serving.shard.routing import DEFAULT_REPLICAS, HashRing, route_key
+from repro.serving.shard.routing import HashRing, route_key
 
 _T = TypeVar("_T")
 
@@ -104,10 +109,17 @@ _T = TypeVar("_T")
 #: approximate signature per query and must not grow the router forever.
 _ROUTE_MEMO_LIMIT = 1 << 16
 
-#: What the heuristic floor reads, off one row or (as columns) a whole table.
+#: What the heuristic floor reads off a table, as columns.
 _FLOOR_STATS = attrgetter(
     "input_card", "output_card", "avg_row_bytes", "partition_count"
 )
+
+#: Ring-successor retries of one sub-batch after its owner's rung.
+_MAX_RETRIES = 2
+
+#: Wall-clock budget of one ladder walk: once it is spent, no further
+#: retry is tried and the rows drop to the heuristic floor.
+_DEADLINE_S = 0.25
 
 
 class ShardedCleoRouter:
@@ -122,27 +134,24 @@ class ShardedCleoRouter:
             runs them inline (still sharded caches, no threads).  Every
             other call prices all its owners in one inline core call,
             whatever the width.
-        replicas: virtual nodes per shard on the hash ring.
         prediction_cache_size: **per-shard** prediction-LRU capacity (each
             shard node brings its own cache memory; total capacity grows
             with the fleet).  ``0`` disables caching on every shard.
-        resilience: retry / circuit-breaker / degradation-ladder knobs.
-            ``None`` disables the reliability layer entirely (the pre-ladder
-            fail-fast router: one shard exception aborts the fan-out).
+        resilience: circuit-breaker and hedging knobs.
         fault_injector: deterministic chaos injection around every shard
             call (see :mod:`repro.serving.faults`); ``None`` disables it.
 
-    With ``resilience`` enabled, every prediction walks a degradation
-    ladder until something answers: the owning shard's packed learned
-    prediction, then up to ``max_retries`` ring-successor shards (skipping
-    shards whose circuit breaker is open, within ``deadline_s``), then a
-    heuristic :class:`~repro.cost.default_model.DefaultCostModel` floor,
-    then a bounded default.  Shard answers are validated (finite,
-    non-negative) before being accepted: on a ladder rung by the router
-    (``validate_outputs``), on the first rung every owner shares by the
-    owner's own output validation.  With no faults injected the
-    ladder's first rung always answers, so outputs and ``ServiceStats``
-    stay bitwise/counter-identical to the fail-fast router.
+    Every prediction walks a degradation ladder until something answers:
+    the owning shard's packed learned prediction, then up to two
+    ring-successor shards (skipping shards whose circuit breaker is open,
+    within a quarter second), then a heuristic
+    :class:`~repro.cost.default_model.DefaultCostModel` floor, then a
+    bounded default.  Shard answers are validated (finite, non-negative)
+    before being accepted: on a ladder rung by the router, on the first
+    rung every owner shares by the owner's own output validation.  With no
+    faults injected the first rung always answers, so outputs and
+    ``ServiceStats`` stay bitwise/counter-identical to one
+    :class:`~repro.serving.service.CleoService` pricing the whole batch.
     """
 
     def __init__(
@@ -150,16 +159,15 @@ class ShardedCleoRouter:
         predictors: "Mapping[str, CleoPredictor | CleoService]",
         n_shards: int = 1,
         n_workers: int = 1,
-        replicas: int = DEFAULT_REPLICAS,
         prediction_cache_size: int = DEFAULT_PREDICTION_CACHE,
-        resilience: ResilienceConfig | None = DEFAULT_RESILIENCE,
+        resilience: ResilienceConfig = DEFAULT_RESILIENCE,
         fault_injector: FaultInjector | None = None,
     ) -> None:
         if not predictors:
             raise ValueError("a router needs at least one cluster")
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        self.ring = HashRing(n_shards, replicas=replicas)
+        self.ring = HashRing(n_shards)
         self.n_workers = int(n_workers)
         self._base: dict[str, CleoPredictor] = {}
         for cluster, predictor in predictors.items():
@@ -196,11 +204,7 @@ class ShardedCleoRouter:
         self._route_lock = Lock()
         self._resilience = resilience
         self._injector = fault_injector
-        self._health: list[ShardHealth] | None = (
-            [ShardHealth(s, resilience) for s in range(self.ring.n_shards)]
-            if resilience is not None
-            else None
-        )
+        self._health = [ShardHealth(s, resilience) for s in range(self.ring.n_shards)]
         self._heuristic = DefaultCostModel()
         self._ladder_lock = Lock()
         self._retries = 0
@@ -208,9 +212,7 @@ class ShardedCleoRouter:
         self._hedges = 0
         self._hedge_wins = 0
         self._executor = (
-            ThreadPoolExecutor(
-                max_workers=self.n_workers, thread_name_prefix="cleo-shard"
-            )
+            ThreadPoolExecutor(max_workers=self.n_workers, thread_name_prefix="cleo-shard")
             if self.n_workers > 1
             else None
         )
@@ -279,86 +281,27 @@ class ShardedCleoRouter:
     # Fan-out
     # ------------------------------------------------------------------ #
 
-    def _fan_out(
-        self,
-        tasks: "Sequence[Callable[[], _T]]",
-        shards: "Sequence[int] | None" = None,
-    ) -> list[_T]:
-        """Run shard tasks, on the pool when it exists and helps.
+    def _fan_out(self, tasks: "Sequence[Callable[[], _T]]") -> list[_T]:
+        """Run the owners' ladders, on the pool when it exists and helps.
 
-        A failing task no longer leaves sibling futures running
-        unobserved: the remaining futures are cancelled (or awaited if
-        already running) before the first failure propagates, wrapped in
-        a :class:`~repro.common.errors.ShardError` naming the failing
-        shard.  ``shards[i]`` is the shard behind ``tasks[i]``.
+        A ladder absorbs every shard failure, so a task raises only the
+        caller's :class:`~repro.common.errors.FeatureValidationError`.  On
+        the pool, the first one (in task order) propagates once every
+        sibling has finished: no task outlives the call.
         """
         if self._executor is None or len(tasks) <= 1:
-            results: list[_T] = []
-            for pos, task in enumerate(tasks):
-                try:
-                    results.append(task())
-                except (ShardError, FeatureValidationError):
-                    # Shard failures keep their shard id; validation errors
-                    # are the caller's bug, not a shard's.
-                    raise
-                except Exception as exc:
-                    raise self._fan_out_error(exc, shards, pos) from exc
-            return results
+            return [task() for task in tasks]
         futures = [self._executor.submit(task) for task in tasks]
-        results = []
-        first_error: Exception | None = None
-        first_pos = -1
-        for pos, future in enumerate(futures):
-            if first_error is not None:
-                # First failure wins; stragglers are cancelled if still
-                # queued, otherwise awaited so no future outlives the call.
-                future.cancel()
-                try:
-                    future.result()
-                except Exception:
-                    pass
-                continue
-            try:
-                results.append(future.result())
-            except Exception as exc:
-                first_error = exc
-                first_pos = pos
-        if first_error is not None:
-            if isinstance(first_error, (ShardError, FeatureValidationError)):
-                raise first_error
-            raise self._fan_out_error(first_error, shards, first_pos) from first_error
-        return results
+        wait(futures)
+        return [future.result() for future in futures]
 
     @staticmethod
-    def _fan_out_error(
-        exc: Exception, shards: "Sequence[int] | None", pos: int
-    ) -> ShardError:
-        shard = int(shards[pos]) if shards is not None else None
-        where = f"shard {shard}" if shard is not None else "a shard task"
-        return ShardError(f"{where} failed during fan-out: {exc}", shard=shard)
+    def _fan_out_error(exc: Exception, shard: int) -> ShardError:
+        return ShardError(f"shard {shard} failed during fan-out: {exc}", shard=shard)
 
     # ------------------------------------------------------------------ #
     # Degradation ladder
     # ------------------------------------------------------------------ #
-
-    def _call_shard(
-        self,
-        shard: int,
-        cluster: str,
-        token: tuple[int, int],
-        attempt: int,
-        compute: Callable[[int], np.ndarray],
-    ) -> np.ndarray:
-        if self._injector is None:
-            return compute(shard)
-        return self._injector.invoke(
-            shard, cluster, token, attempt, lambda: compute(shard)
-        )
-
-    def _bounded(self, values: np.ndarray) -> np.ndarray:
-        out = np.asarray(values, dtype=float)
-        out = np.where(np.isfinite(out), out, _BOUNDED_DEFAULT_COST)
-        return np.clip(out, 0.0, _MAX_PREDICT_SECONDS)
 
     def _guarded(
         self,
@@ -372,22 +315,17 @@ class ShardedCleoRouter:
         """Walk the degradation ladder for one sub-batch.
 
         ``compute(s)`` prices the sub-batch on shard ``s``; ``heuristic()``
-        produces the :class:`DefaultCostModel` floor for the same rows.
-        Rungs: owning shard -> ring-successor retries (breaker- and
-        deadline-gated, at most ``max_retries``) -> heuristic floor ->
+        produces the bounded :class:`DefaultCostModel` floor for the same
+        rows.  Rungs: owning shard -> ring-successor retries (breaker- and
+        deadline-gated, at most :data:`_MAX_RETRIES`) -> heuristic floor ->
         bounded default.  Input validation errors are the caller's bug, not
         a shard failure, and re-raise immediately.  With no fault the first
         rung answers: one breaker read, the shard call, two reductions over
-        its answer, one health record.  ``first=1`` starts at the first
+        its answer, one breaker record.  ``first=1`` starts at the first
         retry: the owner's own rung already failed on the first rung every
         owner shared (:meth:`_sharded`).
         """
-        resilience = self._resilience
-        if resilience is None:
-            # Fail-fast (and, with an injector, chaos without the safety
-            # net, used to measure the blast radius): faults propagate.
-            return self._call_shard(shard, cluster, token, 0, compute)
-        deadline = time.perf_counter() + resilience.deadline_s
+        deadline = time.perf_counter() + _DEADLINE_S
         hedge_target = self._hedge_target(cluster, shard, token)
         if hedge_target is not None:
             # The deterministic analogue of first-response-wins hedging: the
@@ -397,28 +335,26 @@ class ShardedCleoRouter:
             # read-only bank makes its answer bitwise identical to the
             # owner's.  A hedge that fails leaves the ladder to walk from the
             # owner, which still answers — late, but within the deadline.
-            values = self._attempt(
-                cluster, hedge_target, 1, compute, token, hedge=True
-            )
+            values = self._rung(cluster, hedge_target, 1, compute, token, hedge=True)
             if values is not None:
                 with self._ladder_lock:
                     self._hedge_wins += 1
                 return values
         n_shards = self.ring.n_shards
-        for attempt in range(first, min(resilience.max_retries, n_shards - 1) + 1):
+        for attempt in range(first, min(_MAX_RETRIES, n_shards - 1) + 1):
             if attempt > first and time.perf_counter() > deadline:
                 break
             target = (shard + attempt) % n_shards
-            values = self._attempt(cluster, target, attempt, compute, token)
+            values = self._rung(cluster, target, attempt, compute, token)
             if values is not None:
                 return values
         # Every learned rung failed: heuristic floor, then bounded default.
-        values = self._bounded(heuristic())
+        values = heuristic()
         with self._ladder_lock:
             self._degraded += len(values)
         return values
 
-    def _attempt(
+    def _rung(
         self,
         cluster: str,
         target: int,
@@ -427,13 +363,15 @@ class ShardedCleoRouter:
         token: tuple[int, int],
         hedge: bool = False,
     ) -> np.ndarray | None:
-        """One rung of the ladder: allow -> call -> validate -> record.
+        """One rung of the ladder: allow -> count -> call -> settle.
 
         ``None`` when the rung did not answer: the target's breaker is open,
-        the call failed, or its answer is not serveable.  An admitted call
-        off the owning shard counts as a retry — or, fired ahead of the
-        owner, as a hedge.  Input validation errors are the caller's bug,
-        not a shard failure, and re-raise.
+        the call failed, or its answer is not serveable (an injector may sit
+        between the core and the rung, so the router checks it).  An
+        admitted call off the owning shard counts as a retry — or, fired
+        ahead of the owner, as a hedge.  Input validation errors are the
+        caller's bug, not the shard's: the admission is given back (a
+        half-open probe included) with no record, and the error re-raises.
         """
         health = self._health[target]
         if not health.allow():
@@ -444,22 +382,19 @@ class ShardedCleoRouter:
                     self._hedges += 1
                 else:
                     self._retries += 1
+        call = partial(compute, target)
+        if self._injector is not None:
+            call = partial(self._injector.invoke, target, cluster, token, attempt, call)
         try:
-            values = self._call_shard(target, cluster, token, attempt, compute)
+            answer = _attempt(call)
         except FeatureValidationError:
+            health.release()
             raise
-        except Exception as exc:
-            health.record_failure(timeout=isinstance(exc, ShardTimeoutError))
-            return None
-        if self._resilience.validate_outputs and not values_ok(values):
-            health.record_failure()
-            return None
-        health.record_success()
-        return values
+        if not isinstance(answer, Exception) and not values_ok(answer):
+            answer = ShardError(f"shard {target} answered unserveable values", shard=target)
+        return self._settle(target, answer)
 
-    def _hedge_target(
-        self, cluster: str, shard: int, token: tuple[int, int]
-    ) -> int | None:
+    def _hedge_target(self, cluster: str, shard: int, token: tuple[int, int]) -> int | None:
         """The ring successor to hedge to, when the owner would blow the SLO.
 
         Hedging fires only when a latency budget is configured, an injector
@@ -469,41 +404,29 @@ class ShardedCleoRouter:
         the decision off :meth:`FaultInjector.decide` instead of a wall
         clock keeps hedged chaos runs bitwise replayable.
         """
-        resilience = self._resilience
+        threshold = self._resilience.hedge_threshold_s
         injector = self._injector
-        if (
-            resilience is None
-            or resilience.hedge_threshold_s is None
-            or injector is None
-            or self.ring.n_shards < 2
-        ):
+        if threshold is None or injector is None or self.ring.n_shards < 2:
             return None
-        if injector.policy.latency_spike_s <= resilience.hedge_threshold_s:
+        if injector.policy.latency_spike_s <= threshold:
             return None
         if injector.decide(shard, cluster, token, 0) is not FaultKind.LATENCY:
             return None
         return (shard + 1) % self.ring.n_shards
 
-    def _heuristic_inputs(self, inputs: Iterable[FeatureInput]) -> np.ndarray:
-        """DefaultCostModel floor for a row sequence (COMPUTE coefficients)."""
-        return self._heuristic_floor(map(_FLOOR_STATS, inputs))
-
-    def _heuristic_floor(self, stats: Iterable[tuple]) -> np.ndarray:
-        """The floor itself, over one ``_FLOOR_STATS`` 4-tuple per row."""
+    def _heuristic_floor(self, table: FeatureTable) -> np.ndarray:
+        """DefaultCostModel floor of a table's rows (COMPUTE coefficients),
+        bounded: a non-finite cost becomes the bounded default."""
         cost = self._heuristic.operator_cost_from_stats
-        return np.array(
+        floor = np.array(
             [
-                cost(
-                    PhysOpType.COMPUTE,
-                    float(input_card),
-                    float(output_card),
-                    float(avg_row_bytes),
-                    max(1, int(partition_count)),
-                )
-                for input_card, output_card, avg_row_bytes, partition_count in stats
+                cost(PhysOpType.COMPUTE, float(i), float(o), float(b), max(1, int(p)))
+                for i, o, b, p in zip(*_FLOOR_STATS(table))
             ],
             dtype=float,
         )
+        floor = np.where(np.isfinite(floor), floor, _BOUNDED_DEFAULT_COST)
+        return np.clip(floor, 0.0, _MAX_PREDICT_SECONDS)
 
     # ------------------------------------------------------------------ #
     # Prediction entry points (cluster-scoped)
@@ -525,7 +448,7 @@ class ShardedCleoRouter:
             approx,
             self._group_rows(cluster, approx),
             lambda owners: _cached_core(owners, keys, rows),
-            lambda idx: self._heuristic_inputs([requests[i].features for i in idx]),
+            rows,
         )
 
     def predict_inputs(self, cluster: str, table: FeatureTable) -> np.ndarray:
@@ -541,15 +464,14 @@ class ShardedCleoRouter:
         """
         _require_signatures(table)
         approx = table.signature_column("approx").tolist()
-        groups = self._group_rows(cluster, approx)
-        floor = self._table_floor(table)
+        groups, rows = self._group_rows(cluster, approx), _table_rows(table)
         if not self._shards[0][cluster].prediction_cache_enabled:
             return self._sharded(
-                cluster, approx, groups, lambda owners: _table_core(owners, table), floor
+                cluster, approx, groups, lambda owners: _table_core(owners, table), rows
             )
-        keys, rows = table.row_keys(), _table_rows(table)
+        keys = table.row_keys()
         return self._sharded(
-            cluster, approx, groups, lambda owners: _cached_core(owners, keys, rows), floor
+            cluster, approx, groups, lambda owners: _cached_core(owners, keys, rows), rows
         )
 
     def predict_table(self, cluster: str, table: FeatureTable) -> np.ndarray:
@@ -563,12 +485,8 @@ class ShardedCleoRouter:
             approx,
             [(int(s), np.flatnonzero(row_shards == s)) for s in np.unique(row_shards)],
             lambda owners: _table_core(owners, table),
-            self._table_floor(table),
+            _table_rows(table),
         )
-
-    def _table_floor(self, table: FeatureTable) -> Callable[[np.ndarray], np.ndarray]:
-        """The heuristic floor of some of ``table``'s rows, from its columns."""
-        return lambda idx: self._heuristic_floor(zip(*_FLOOR_STATS(table.take(idx))))
 
     def _sharded(
         self,
@@ -576,7 +494,7 @@ class ShardedCleoRouter:
         approx: "Sequence[int] | np.ndarray",
         groups: "list[tuple[int, list[int] | np.ndarray]]",
         price: "Callable[[list], list[np.ndarray | Exception]]",
-        floor: "Callable[[list[int] | np.ndarray], np.ndarray]",
+        rows: "Callable[[list[int]], FeatureTable]",
     ) -> np.ndarray:
         """The one fan-out every batched entry point runs.
 
@@ -584,7 +502,8 @@ class ShardedCleoRouter:
         rows in input order) over the ``approx`` column.  ``price(owners)``
         is a service-module pricing core over ``(service, row indices)``
         owners — one answer per owner, its values or the exception its part
-        raised — and ``floor(idx)`` is the heuristic floor of some rows.
+        raised — and ``rows(positions)`` packs some rows into a table, which
+        the heuristic floor reads.
 
         When :meth:`_fusable` admits the call, its first rung is one
         ``price`` call with every owner; each owner's answer is settled by
@@ -603,7 +522,7 @@ class ShardedCleoRouter:
                 shard,
                 lambda s: _only(price([(shards[s][cluster], idx)])),
                 (len(idx), int(approx[idx[0]])),
-                lambda: floor(idx),
+                lambda: self._heuristic_floor(rows(list(idx))),
                 first,
             )
 
@@ -617,8 +536,9 @@ class ShardedCleoRouter:
                 if answers[pos] is None:
                     answers[pos] = ladder(shard, idx, 1)
         else:
-            tasks = [(lambda s=shard, i=idx: ladder(s, i)) for shard, idx in groups]
-            answers = self._fan_out(tasks, [shard for shard, _ in groups])
+            answers = self._fan_out(
+                [(lambda s=shard, i=idx: ladder(s, i)) for shard, idx in groups]
+            )
         if len(groups) == 1:
             return answers[0]  # one shard owns every row, already in order
         out = np.empty(len(approx), dtype=float)
@@ -640,7 +560,7 @@ class ShardedCleoRouter:
         out: list[ResourceProfile | None] = [None] * len(table)
         for (shard, idx), answer in zip(groups, answers):
             if isinstance(answer, Exception):
-                raise self._fan_out_error(answer, [shard], 0) from answer
+                raise self._fan_out_error(answer, shard) from answer
             for i, profile in zip(idx, answer):
                 out[i] = profile
         return out
@@ -660,33 +580,24 @@ class ShardedCleoRouter:
         if self._injector is not None:
             return False
         health = self._health
-        return health is None or all(
-            health[shard].state is BreakerState.CLOSED for shard, _ in groups
-        )
+        return all(health[shard].state is BreakerState.CLOSED for shard, _ in groups)
 
-    def _settle(
-        self, shard: int, answer: "np.ndarray | Exception"
-    ) -> np.ndarray | None:
-        """One owner's first-rung ``answer`` and its one health record;
-        ``None`` when the rung failed.
+    def _settle(self, shard: int, answer: "np.ndarray | Exception") -> np.ndarray | None:
+        """A rung's ``answer`` on ``shard`` — its values, or what its call
+        raised — and its one breaker record; ``None`` when the rung failed.
 
-        The fail-fast router raises a failure as a :class:`ShardError`
-        naming the shard; the hardened one records it, and the owner walks
-        its ladder from the first retry.  Values need no answer check here:
-        each one passed its owner's output validation (on in every service
-        the router builds) before the core returned or cached it, and no
-        injector sits between the core and this rung.
+        The only place a rung's outcome reaches a breaker: the first rung
+        every owner shares and each ladder rung (:meth:`_rung`) settle
+        here.  Values need no answer check here: a ladder rung checked
+        them, and on the first rung each one passed its owner's output
+        validation (on in every service the router builds) before the core
+        returned or cached it, with no injector in between.
         """
-        health = self._health
+        health = self._health[shard]
         if isinstance(answer, Exception):
-            if health is None:
-                if isinstance(answer, ShardError):
-                    raise answer
-                raise self._fan_out_error(answer, [shard], 0) from answer
-            health[shard].record_failure(timeout=isinstance(answer, ShardTimeoutError))
+            health.record_failure(timeout=isinstance(answer, ShardTimeoutError))
             return None
-        if health is not None:
-            health[shard].record_success()
+        health.record_success()
         return answer
 
     def _group_rows(
@@ -742,20 +653,13 @@ class ShardedCleoRouter:
         """Aggregated counters across every shard and cluster.
 
         Router-level reliability counters (ladder retries, breaker opens,
-        degraded floor predictions) are merged in.  When all of them are
-        zero the aggregate object is exactly what the fail-fast router
-        reported — the counter-parity contract of the zero-fault path.
+        degraded floor predictions, hedges) are merged in; on the zero-fault
+        path all of them are zero and the aggregate is the shards' own.
         """
         base = ServiceStats.aggregate(s.stats() for s in self._services())
         with self._ladder_lock:
             retries, degraded, hedges = self._retries, self._degraded, self._hedges
-        opens = (
-            sum(h.breaker_opens for h in self._health)
-            if self._health is not None
-            else 0
-        )
-        if not (retries or degraded or opens or hedges):
-            return base
+        opens = sum(h.breaker_opens for h in self._health)
         return dataclass_replace(
             base,
             retries=base.retries + retries,
@@ -765,9 +669,7 @@ class ShardedCleoRouter:
         )
 
     def resilience_stats(self) -> list[ShardHealthStats]:
-        """Per-shard health snapshots (empty when resilience is disabled)."""
-        if self._health is None:
-            return []
+        """Per-shard health snapshots."""
         return [health.stats() for health in self._health]
 
     def fault_stats(self) -> dict[str, int]:
@@ -795,8 +697,6 @@ class ShardedCleoRouter:
         instead of every restart resetting the fleet to CLOSED and
         re-exposing it to a still-failing shard.
         """
-        if self._health is None:
-            raise ValueError("resilience is disabled; there is no health state")
         return health_state_to_dict([h.snapshot() for h in self._health])
 
     def restore_health(self, payload: dict) -> None:
@@ -807,8 +707,6 @@ class ShardedCleoRouter:
         raises :class:`~repro.common.errors.ModelFileError` (a
         ``ValueError``) and leaves every breaker as it was.
         """
-        if self._health is None:
-            raise ValueError("resilience is disabled; there is no health state")
         snapshots = health_state_from_dict(payload)
         if len(snapshots) != len(self._health):
             raise ModelFileError(
@@ -842,9 +740,8 @@ class ShardedCleoRouter:
             self._degraded = 0
             self._hedges = 0
             self._hedge_wins = 0
-        if self._health is not None:
-            for health in self._health:
-                health.reset_stats()
+        for health in self._health:
+            health.reset_stats()
         if self._injector is not None:
             self._injector.reset_stats()
 
@@ -868,12 +765,8 @@ class ShardedCleoRouter:
         self.close()
 
     def describe(self) -> str:
-        extras = []
-        if self._resilience is not None:
-            extras.append("resilient")
-        if self._injector is not None:
-            extras.append(self._injector.policy.name)
-        suffix = f", {'+'.join(extras)}" if extras else ""
+        injector = self._injector
+        suffix = f", {injector.policy.name}" if injector is not None else ""
         return (
             f"ShardedCleoRouter({len(self._base)} clusters x "
             f"{self.ring.n_shards} shards, {self.n_workers} workers{suffix})"

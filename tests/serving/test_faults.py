@@ -4,9 +4,9 @@ Three contracts:
 
 * **Determinism** — fault decisions are pure functions of ``(seed, shard,
   cluster, token, attempt)``; the same chaos run replays bitwise.
-* **Zero-fault parity** — with no injector, the hardened router's outputs
-  and ``ServiceStats`` are bitwise/counter-identical to the pre-ladder
-  fail-fast router (``resilience=None``) and the single-process service.
+* **Zero-fault parity** — with no injector, the router's outputs and
+  ``ServiceStats`` are bitwise/counter-identical to the single-process
+  service.
 * **Availability** — with faults injected, every request is answered with
   finite, non-negative values: learned retries first, then the heuristic
   floor; poisoned models never leak NaN/inf/negative costs.
@@ -19,9 +19,9 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from repro.common.errors import ShardError, ValidationError
+from repro.common.errors import FeatureValidationError, ShardError, ValidationError
 from repro.features.table import FeatureTable
-from repro.serving import CleoService, PredictionRequest
+from repro.serving import CleoService, PredictionRequest, ServiceStats
 from repro.serving.faults import (
     SCENARIOS,
     FaultInjector,
@@ -36,6 +36,8 @@ from repro.serving.shard.health import (
     ResilienceConfig,
     ShardHealth,
 )
+
+from tests.serving.test_sharded_router import per_row_floor
 
 # ------------------------------------------------------------------ #
 # Fixtures
@@ -61,6 +63,10 @@ def baseline(tiny_predictor):
 
 def make_router(tiny_predictor, **kwargs) -> ShardedCleoRouter:
     return ShardedCleoRouter({"cluster1": tiny_predictor}, **kwargs)
+
+
+def _boom(*args, **kwargs):
+    raise RuntimeError("boom")
 
 
 # ------------------------------------------------------------------ #
@@ -204,11 +210,9 @@ class TestResilienceConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"max_retries": -1},
             {"failure_threshold": 0},
             {"window": 0},
             {"cooldown_calls": 0},
-            {"deadline_s": 0.0},
             {"hedge_threshold_s": 0.0},
         ],
     )
@@ -275,6 +279,29 @@ class TestCircuitBreaker:
         assert stats.window_failure_rate == 0.5
         assert "shard 0" in stats.describe()
 
+    def test_release_frees_the_half_open_probe(self):
+        health = self.make()
+        health.record_failure()
+        health.record_failure()
+        for _ in range(3):
+            health.allow()
+        assert health.allow()  # the half-open probe
+        assert not health.allow()
+        health.release()
+        assert health.state is BreakerState.HALF_OPEN
+        assert health.allow()  # the slot is free for the next probe
+        health.record_success()
+        assert health.state is BreakerState.CLOSED
+
+    def test_release_records_nothing(self):
+        health = self.make()
+        health.record_failure()
+        before = health.stats()
+        assert health.allow()
+        health.release()
+        assert health.stats() == before
+        assert health.state is BreakerState.CLOSED
+
     def test_reset_preserves_breaker_state(self):
         health = self.make()
         health.record_failure()
@@ -291,28 +318,42 @@ class TestCircuitBreaker:
 CONFIGS = [(1, 1), (2, 1), (3, 2), (4, 4)]
 
 
+def _fleet_counters(stats: ServiceStats) -> tuple:
+    """The counters a fleet shares with one service fed the same traffic
+    (batches and cache capacity count per shard)."""
+    return (
+        stats.predictions,
+        stats.cache.hits,
+        stats.cache.misses,
+        stats.individual_model_calls,
+        stats.combined_model_calls,
+        stats.fallback_predictions,
+        stats.in_batch_reuses,
+        stats.retries,
+        stats.breaker_opens,
+        stats.degraded_predictions,
+        stats.quarantined_models,
+        stats.hedged_requests,
+    )
+
+
 class TestZeroFaultParity:
     @pytest.mark.parametrize("shards,workers", CONFIGS)
     def test_bitwise_and_counter_identical(
         self, tiny_predictor, requests, baseline, shards, workers
     ):
         expected = baseline.predict_batch(requests)
-        with make_router(
-            tiny_predictor, n_shards=shards, n_workers=workers
-        ) as hardened:
-            hardened_values = hardened.predict_batch("cluster1", requests)
-            hardened_stats = hardened.stats()
-        with make_router(
-            tiny_predictor, n_shards=shards, n_workers=workers, resilience=None
-        ) as legacy:
-            legacy_values = legacy.predict_batch("cluster1", requests)
-            legacy_stats = legacy.stats()
-        assert np.array_equal(hardened_values, expected)
-        assert np.array_equal(legacy_values, expected)
-        assert hardened_stats == legacy_stats
-        assert hardened_stats.retries == 0
-        assert hardened_stats.breaker_opens == 0
-        assert hardened_stats.degraded_predictions == 0
+        with make_router(tiny_predictor, n_shards=shards, n_workers=workers) as router:
+            values = router.predict_batch("cluster1", requests)
+            stats = router.stats()
+            shard_stats = router.shard_stats()
+        assert np.array_equal(values, expected)
+        assert _fleet_counters(stats) == _fleet_counters(baseline.stats())
+        # No router-level counter moved: the aggregate is the shards' own.
+        assert stats == ServiceStats.aggregate(shard_stats)
+        assert stats.retries == 0
+        assert stats.breaker_opens == 0
+        assert stats.degraded_predictions == 0
 
     def test_one_row_parity(self, tiny_predictor, requests, baseline):
         with make_router(tiny_predictor, n_shards=3) as router:
@@ -335,11 +376,12 @@ class TestZeroFaultParity:
             )
             assert router.fault_stats()["total"] == 0
 
-    def test_describe_flags_the_reliability_layer(self, tiny_predictor):
+    def test_describe_names_the_injected_policy(self, tiny_predictor):
         with make_router(tiny_predictor, n_shards=2) as router:
-            assert "resilient" in router.describe()
-        with make_router(tiny_predictor, n_shards=2, resilience=None) as router:
-            assert "resilient" not in router.describe()
+            assert router.describe().endswith("1 workers)")
+        injector = FaultInjector(SCENARIOS["mixed_chaos"])
+        with make_router(tiny_predictor, n_shards=2, fault_injector=injector) as router:
+            assert router.describe().endswith(", mixed_chaos)")
 
 
 # ------------------------------------------------------------------ #
@@ -400,9 +442,7 @@ class TestDegradationLadder:
         ) as router:
             values = router.predict_batch("cluster1", requests)
             stats = router.stats()
-            floor = router._bounded(
-                router._heuristic_inputs([r.features for r in requests])
-            )
+            floor = per_row_floor([r.features for r in requests])
         assert np.isfinite(values).all() and (values >= 0.0).all()
         assert np.array_equal(values, floor)
         assert stats.degraded_predictions == len(requests)
@@ -496,28 +536,56 @@ class TestDegradationLadder:
             assert stats.retries == 0
             assert router.fault_stats()["total"] == 0
 
-    def test_fail_fast_router_propagates_faults(self, tiny_predictor, requests):
-        """resilience=None measures the pre-ladder blast radius: the
-        injected fault escapes as a ShardError naming its shard."""
-        injector = FaultInjector(FaultPolicy(name="killall", error_rate=1.0))
-        with make_router(
-            tiny_predictor, n_shards=2, resilience=None, fault_injector=injector
-        ) as router:
-            with pytest.raises(ShardError) as err:
-                router.predict_batch("cluster1", requests)
-            assert err.value.shard is not None
+    @pytest.mark.parametrize("entry", ["predict_table", "predict_batch"])
+    def test_a_bad_request_does_not_wedge_a_half_open_breaker(
+        self, tiny_predictor, requests, baseline, monkeypatch, entry
+    ):
+        """The caller's bad input, met by the half-open probe, is given back
+        to the breaker unrecorded: the next clean call probes and closes it
+        instead of being rejected for good."""
+        resilience = ResilienceConfig(failure_threshold=1, cooldown_calls=1)
+        request = requests[0]
+        clean = [r for r in requests if r.signatures.approx == request.signatures.approx]
+        bad = PredictionRequest(
+            replace(request.features, input_card=float("nan")), request.signatures
+        )
+
+        def call(router, batch):
+            if entry == "predict_batch":
+                return router.predict_batch("cluster1", batch)
+            table = FeatureTable.from_inputs(
+                [r.features for r in batch], [r.signatures for r in batch]
+            )
+            return router.predict_table("cluster1", table)
+
+        with make_router(tiny_predictor, n_shards=2, resilience=resilience) as router:
+            owner = router.shard_for("cluster1", request.signatures.approx)
+            service = router.service_for("cluster1", owner)
+            with monkeypatch.context() as patch:
+                patch.setattr(service, "_price_table", _boom)
+                call(router, clean)  # the owner's rung fails: OPEN
+            assert router.resilience_stats()[owner].state is BreakerState.OPEN
+            call(router, clean)  # the one cooldown call, answered by the successor
+            with pytest.raises(FeatureValidationError):
+                call(router, [bad])  # admitted as the half-open probe
+            for _ in range(5):
+                assert np.array_equal(call(router, clean), baseline.predict_batch(clean))
+            health = router.resilience_stats()[owner]
+        assert health.state is BreakerState.CLOSED
+        assert health.rejected == 1  # the cooldown call only
+        assert health.breaker_closes == 1
 
 
 # ------------------------------------------------------------------ #
-# Fan-out failure semantics (no orphaned stragglers, shard id attached)
+# Fan-out failure semantics (the ladder contains, no orphaned stragglers)
 # ------------------------------------------------------------------ #
 
 
 class TestFanOutFailure:
     """Every shard call is a call into the service module's pricing cores,
     whose per-owner steps are the owner's own LRU probe and fill: the fakes
-    break the owner's probe.  Each test runs on a batch several shards own
-    and on one a single shard owns (every request of one template)."""
+    break the owner's probe.  The ladder tests run on a batch several shards
+    own and on one a single shard owns (every request of one template)."""
 
     @pytest.fixture()
     def boom(self):
@@ -542,65 +610,83 @@ class TestFanOutFailure:
         assert (len(owners) == 1) == one_template
         return owner
 
-    def _failure_is_named(self, predictor, batch, boom, monkeypatch, **kwargs):
-        with make_router(predictor, n_shards=4, resilience=None, **kwargs) as router:
-            shard = self._owner(router, batch)
-            monkeypatch.setattr(router.service_for("cluster1", shard), "_probe", boom)
-            with pytest.raises(ShardError) as err:
-                router.predict_batch("cluster1", batch)
-            assert err.value.shard == shard
-            assert "fan-out" in str(err.value)
-            assert err.value.__cause__ is not None
-            assert boom.calls == 1
-
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_failure_names_the_shard(
-        self, tiny_predictor, batch, boom, monkeypatch, workers
+    def test_pool_waits_for_every_owner_before_a_bad_input_raises(
+        self, tiny_predictor, requests, baseline, monkeypatch
     ):
-        self._failure_is_named(
-            tiny_predictor, batch, boom, monkeypatch, n_workers=workers
-        )
-
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_per_shard_failure_names_the_shard(
-        self, tiny_predictor, batch, boom, monkeypatch, workers
-    ):
-        """With an injector configured (one that injects nothing) every
-        owner walks its own ladder, on the pool when ``workers > 1``, and
-        the owner's one-owner core call fails."""
-        self._failure_is_named(
-            tiny_predictor,
-            batch,
-            boom,
-            monkeypatch,
-            n_workers=workers,
-            fault_injector=FaultInjector(SCENARIOS["baseline"]),
-        )
-
-    def test_pool_failure_leaves_the_router_usable(
-        self, tiny_predictor, batch, baseline, boom, monkeypatch
-    ):
-        """After a failed call the next one on the same router still merges
-        bitwise-correct results."""
-        expected = baseline.predict_batch(batch)
+        """Each owner walks its own ladder on the pool: a NaN feature that
+        several owners' rows carry raises FeatureValidationError only once
+        every sibling task has returned, and the next clean call merges
+        bit for bit."""
+        poisoned = [
+            PredictionRequest(
+                replace(r.features, input_card=float("nan")), r.signatures
+            )
+            if i % 50 == 0
+            else r
+            for i, r in enumerate(requests)
+        ]
+        expected = baseline.predict_batch(requests)
         with make_router(
-            tiny_predictor, n_shards=4, n_workers=2, resilience=None
+            tiny_predictor,
+            n_shards=4,
+            n_workers=4,
+            fault_injector=FaultInjector(SCENARIOS["baseline"]),
         ) as router:
-            shard = self._owner(router, batch)
-            service = router.service_for("cluster1", shard)
-            monkeypatch.setattr(service, "_probe", boom)
-            with pytest.raises(ShardError):
-                router.predict_batch("cluster1", batch)
-            monkeypatch.undo()
-            assert np.array_equal(router.predict_batch("cluster1", batch), expected)
+            bad_owners = {
+                router.shard_for("cluster1", r.signatures.approx) for r in poisoned[::50]
+            }
+            assert len(bad_owners) > 1
+            owners = {router.shard_for("cluster1", r.signatures.approx) for r in requests}
+            guarded, returned = router._guarded, []
 
-    def test_ladder_contains_what_fan_out_would_propagate(
-        self, tiny_predictor, batch, baseline, boom, monkeypatch
+            def tracked(cluster, shard, *args):
+                try:
+                    return guarded(cluster, shard, *args)
+                finally:
+                    returned.append(shard)
+
+            monkeypatch.setattr(router, "_guarded", tracked)
+            with pytest.raises(FeatureValidationError):
+                router.predict_batch("cluster1", poisoned)
+            assert sorted(returned) == sorted(owners)  # every ladder, then the raise
+            monkeypatch.undo()
+            assert np.array_equal(router.predict_batch("cluster1", requests), expected)
+
+    def test_profile_failure_names_the_shard(
+        self, tiny_predictor, batch, boom, monkeypatch
     ):
-        """The same dead shard that aborts the fail-fast router is absorbed
-        by the hardened router's ladder."""
+        """Profiles have no ladder: a failed read of the shared bank reaches
+        the caller as a ShardError naming the first owner it failed."""
+        table = FeatureTable.from_inputs(
+            [r.features for r in batch], [r.signatures for r in batch]
+        )
+        with make_router(tiny_predictor, n_shards=4) as router:
+            owner = self._owner(router, batch)
+            owners = {router.shard_for("cluster1", r.signatures.approx) for r in batch}
+            monkeypatch.setattr(
+                "repro.serving.service.resource_profiles_most_specific", boom
+            )
+            with pytest.raises(ShardError) as err:
+                router.resource_profiles("cluster1", table)
+        assert err.value.shard == min(owners)
+        assert len(owners) > 1 or err.value.shard == owner
+        assert "fan-out" in str(err.value)
+        assert isinstance(err.value.__cause__, RuntimeError)
+        assert boom.calls == 1
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("injected", [False, True], ids=["fused", "per-owner"])
+    def test_ladder_contains_what_fan_out_would_propagate(
+        self, tiny_predictor, batch, baseline, boom, monkeypatch, workers, injected
+    ):
+        """A dead owner is absorbed by its ladder, whether its first rung is
+        the one every owner shares or, under an injector that injects
+        nothing, its own (on the pool when ``workers > 1``)."""
         expected = baseline.predict_batch(batch)
-        with make_router(tiny_predictor, n_shards=4, n_workers=2) as router:
+        injector = FaultInjector(SCENARIOS["baseline"]) if injected else None
+        with make_router(
+            tiny_predictor, n_shards=4, n_workers=workers, fault_injector=injector
+        ) as router:
             shard = self._owner(router, batch)
             monkeypatch.setattr(router.service_for("cluster1", shard), "_probe", boom)
             values = router.predict_batch("cluster1", batch)
@@ -802,13 +888,6 @@ class TestHealthDurability:
             assert restarted.export_health() == payload
         assert after.state is BreakerState.OPEN
         assert after.failures == router.resilience_stats()[0].failures
-
-    def test_export_without_resilience_raises(self, tiny_predictor):
-        with make_router(tiny_predictor, n_shards=2, resilience=None) as router:
-            with pytest.raises(ValueError):
-                router.export_health()
-            with pytest.raises(ValueError):
-                router.restore_health({})
 
     def test_shard_count_mismatch_rejected(self, tiny_predictor):
         with make_router(tiny_predictor, n_shards=3) as router:

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ModelNotTrainedError, ValidationError
-from repro.core.combined import CombinedModel, build_meta_matrix, predict_covered
-from repro.core.config import CleoConfig, ModelKind
+from repro.core.combined import CombinedModel, build_meta_matrix, covered_tiers
+from repro.core.config import SPECIFICITY_ORDER, CleoConfig, ModelKind
 from repro.core.learned_model import LearnedCostModel
 from repro.core.model_store import ModelStore
 from repro.core.packed import predict_most_specific
@@ -112,9 +112,10 @@ class TestRandomizedParity:
         rng = np.random.default_rng(100 + seed)
         _, _, table = _random_workload(rng, 70)
         store = _random_store(rng, coverage=0.5)
-        for kind in ModelKind:
+        masks, predictions, _ = covered_tiers(store, table)
+        for k, kind in enumerate(SPECIFICITY_ORDER):
             ref_mask, ref_values = predict_covered_reference(store, table, kind)
-            mask, values = predict_covered(store, table, kind)
+            mask, values = masks[:, k], predictions[:, k]
             assert np.array_equal(ref_mask, mask)
             assert np.array_equal(ref_values[ref_mask], values[mask])
 

@@ -20,8 +20,10 @@ import pytest
 
 from repro.common.hashing import stable_hash
 from repro.core.predictor import CleoPredictor
+from repro.cost.default_model import DefaultCostModel
 from repro.features.extract import feature_input_for
 from repro.features.table import FeatureTable
+from repro.plan.physical import PhysOpType
 from repro.plan.stages import build_stage_graph
 from repro.serving import CleoService, PredictionRequest
 from repro.serving.faults import FaultInjector, FaultPolicy
@@ -50,6 +52,26 @@ def requests(records):
 @pytest.fixture()
 def baseline(tiny_predictor):
     return CleoService(tiny_predictor)
+
+
+def per_row_floor(inputs) -> np.ndarray:
+    """The ladder's heuristic floor, one row at a time: each input's
+    ``DefaultCostModel`` COMPUTE cost, read off the row, not a table (finite
+    on every row here, so the router's bound leaves it as it is)."""
+    cost = DefaultCostModel().operator_cost_from_stats
+    return np.array(
+        [
+            cost(
+                PhysOpType.COMPUTE,
+                float(f.input_card),
+                float(f.output_card),
+                float(f.avg_row_bytes),
+                max(1, int(f.partition_count)),
+            )
+            for f in inputs
+        ],
+        dtype=float,
+    )
 
 
 def make_router(tiny_predictor, **kwargs) -> ShardedCleoRouter:
@@ -300,9 +322,7 @@ class TestParity:
         with make_router(tiny_predictor, n_shards=2, fault_injector=injector) as router:
             model = router.cost_model("cluster1")
             explanation = model.explain(op, estimator)
-            floor = router._bounded(
-                router._heuristic_inputs([feature_input_for(op, estimator)])
-            )
+            floor = per_row_floor([feature_input_for(op, estimator)])
         assert explanation.cost == floor[0]
 
     def test_every_entry_point_degrades_to_the_one_floor(
@@ -315,7 +335,7 @@ class TestParity:
         with make_router(
             tiny_predictor, n_shards=2, fault_injector=injector
         ) as router:
-            floor = router._bounded(router._heuristic_inputs(inputs))
+            floor = per_row_floor(inputs)
             table = FeatureTable.from_inputs(inputs, bundles)
             answers = [
                 router.predict_batch("cluster1", requests[:120]),

@@ -62,12 +62,21 @@ TARGETS = _repro_targets()
 
 #: ``(owner, method, positional arguments, keyword arguments)`` of each call
 #: ``bench/*.py`` makes on a ``repro`` class outside the tracer, as it makes
-#: it (``paper_split`` passes the day split by keyword).
+#: it (``paper_split`` passes the day split by keyword), and of the two
+#: constructors it calls with keywords: the tracer wraps ``__init__`` but
+#: does not check what it binds.
 CALLS = [
     ("repro.core.trainer.CleoTrainer", "train_reference", 1, ("individual_days", "combined_days")),
+    ("repro.serving.service.CleoService", "__init__", 1, ("prediction_cache_size",)),
     ("repro.serving.service.CleoService", "predict_table", 1, ()),
     ("repro.serving.service.CleoService", "predict_plan", 2, ()),
     ("repro.serving.service.CleoService", "predict_batch", 1, ()),
+    (
+        "repro.serving.shard.router.ShardedCleoRouter",
+        "__init__",
+        1,
+        ("n_shards", "n_workers", "prediction_cache_size"),
+    ),
     ("repro.serving.shard.router.ShardedCleoRouter", "cost_model", 1, ()),
     ("repro.serving.shard.router.ShardedCleoRouter", "predict_plan", 3, ()),
     ("repro.serving.shard.router.ShardedCleoRouter", "predict_batch", 2, ()),
