@@ -23,15 +23,26 @@ def stable_hash(*parts: object) -> int:
     """
     try:
         # Fast path: all-string parts (the overwhelmingly common case).
-        payload = "\x1f".join(parts).encode("utf-8")
+        payload = "\x1f".join(parts)
     except TypeError:
-        payload = "\x1f".join(_canonical(p) for p in parts).encode("utf-8")
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
+        payload = "\x1f".join(map(_canonical, parts))
+    return _digest(payload)
+
+
+def _digest(payload: str) -> int:
+    """The 64-bit blake2b digest of one joined payload string."""
+    digest = hashlib.blake2b(payload.encode("utf-8"), digest_size=8).digest()
     return struct.unpack("<Q", digest)[0]
 
 
 def _canonical(part: object) -> str:
     """Canonical string form used inside :func:`stable_hash`."""
+    # Exact str and int first, the common parts; each is its str() below.
+    cls = part.__class__
+    if cls is str:
+        return part
+    if cls is int:
+        return str(part)
     if isinstance(part, float) and part.is_integer():
         return str(int(part))
     if isinstance(part, frozenset):
@@ -77,3 +88,22 @@ def stable_unit_float(*parts: object) -> float:
     example the hidden latency multiplier of a subgraph template).
     """
     return stable_hash(*parts) / float(1 << 64)
+
+
+def stable_unit_float_pair(salt: str, tag: str, *parts: object) -> tuple[float, float]:
+    """``stable_unit_float(salt, *parts)`` and ``stable_unit_float(salt, tag,
+    *parts)`` from one canonical form of ``parts``.
+
+    A Box-Muller draw needs both uniforms of one key; canonicalizing the key
+    (sorting a frozenset, say) once instead of twice halves the work.  The
+    payloads, hence the values, are exactly those of the two separate calls.
+    """
+    try:
+        body = "\x1f".join(parts)
+    except TypeError:
+        body = "\x1f".join(map(_canonical, parts))
+        salt, tag = _canonical(salt), _canonical(tag)
+    suffix = "\x1f" + body if parts else ""
+    u = _digest(salt + suffix)
+    v = _digest(salt + "\x1f" + tag + suffix)
+    return u / float(1 << 64), v / float(1 << 64)

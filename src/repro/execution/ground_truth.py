@@ -21,7 +21,11 @@ systems (Sections 1-3):
    The granularities nest exactly like Cleo's model hierarchy, which is why
    the operator model can only learn ``m_op``, the operator-input model
    ``m_op*m_input``, and the subgraph model everything — producing the
-   paper's accuracy ordering as an emergent property, not by fiat.
+   paper's accuracy ordering as an emergent property, not by fiat.  Each
+   factor is drawn once per model instance at its own granularity (a new
+   subgraph draws only its ``m_res`` and whatever coarser factor it is the
+   first to reach), and the product is taken in one fixed order, so the
+   multiplier's bits do not depend on which template came first.
 
 2. **Black-box UDFs.**  Process operators get an extra per-UDF factor with a
    wide spread; the default cost model treats them as ordinary compute.
@@ -43,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.common.hashing import stable_hash, stable_unit_float
+from repro.common.hashing import stable_unit_float, stable_unit_float_pair
 from repro.execution.hardware import ClusterSpec
 from repro.plan.physical import PhysOpType, PhysicalOp
 from repro.plan.signatures import strict_signature
@@ -120,11 +124,15 @@ class GroundTruthModel:
     #: signature-hash caches: ad-hoc templates mint new strict signatures
     #: every day, and a cleared multiplier is recomputed to the same bits.
     _MULTIPLIER_CACHE_LIMIT = 1 << 16
+    #: The same cap on the per-factor cache behind it (``m_op``, ``m_input``,
+    #: ``m_ctx``, ``m_udf``), whose keys are a few thousand per cluster.
+    _FACTOR_CACHE_LIMIT = 1 << 14
 
     def __init__(self, cluster: ClusterSpec, params: GroundTruthParams | None = None) -> None:
         self.cluster = cluster
         self.params = params or GroundTruthParams()
         self._multiplier_cache: dict[tuple[int, str], float] = {}
+        self._factor_cache: dict[tuple, float] = {}
         self._skew_u_cache: dict[frozenset[str], float] = {}
         self._log1p_cache: dict[int, float] = {}
 
@@ -136,36 +144,48 @@ class GroundTruthModel:
         """Deterministic log-normal draw keyed by template identity."""
         if sigma <= 0.0:
             return 1.0
-        u = stable_unit_float(self.params.seed_salt, *key)
         # Box-Muller needs two uniforms; derive the second from the first key.
-        v = stable_unit_float(self.params.seed_salt, "v", *key)
+        u, v = stable_unit_float_pair(self.params.seed_salt, "v", *key)
         u = min(max(u, 1e-12), 1 - 1e-12)
         z = math.sqrt(-2.0 * math.log(u)) * math.cos(2.0 * math.pi * v)
         return math.exp(sigma * z)
 
+    def _factor(self, sigma: float, *key: object) -> float:
+        """:meth:`_lognormal`, drawn once per key and then read back."""
+        cached = self._factor_cache.get(key)
+        if cached is None:
+            if len(self._factor_cache) >= self._FACTOR_CACHE_LIMIT:
+                self._factor_cache.clear()
+            cached = self._lognormal(sigma, *key)
+            self._factor_cache[key] = cached
+        return cached
+
     def hidden_multiplier(self, op: PhysicalOp) -> float:
-        """Combined template multiplier ``m_op * m_input * m_ctx * m_res``."""
+        """Combined template multiplier ``m_op * m_input * m_ctx * m_res``.
+
+        Only ``m_res`` is drawn per subgraph template; the coarser factors
+        come from the factor cache, so a new template over a known operator,
+        input set or context costs one draw, not four.
+        """
         sig = strict_signature(op)
+        op_value = op.op_type.value
         # The cluster name is constant per model instance, so (sig, op_type)
         # identifies the template; a plain tuple key avoids re-hashing on the
         # per-operator hot path.
-        cache_key = (sig, op.op_type.value)
+        cache_key = (sig, op_value)
         cached = self._multiplier_cache.get(cache_key)
         if cached is not None:
             return cached
         p = self.params
-        m = self._lognormal(p.sigma_op, "op", self.cluster.name, op.op_type.value)
-        m *= self._lognormal(
-            p.sigma_input,
-            "input",
-            self.cluster.name,
-            op.op_type.value,
-            frozenset(op.normalized_inputs),
+        cluster = self.cluster.name
+        m = self._factor(p.sigma_op, "op", cluster, op_value)
+        m *= self._factor(
+            p.sigma_input, "input", cluster, op_value, frozenset(op.normalized_inputs)
         )
-        m *= self._lognormal(p.sigma_ctx, "ctx", op.op_type.value, op.child_context())
-        m *= self._lognormal(p.sigma_residual, "res", self.cluster.name, sig)
+        m *= self._factor(p.sigma_ctx, "ctx", op_value, op.child_context())
+        m *= self._lognormal(p.sigma_residual, "res", cluster, sig)
         if op.op_type is PhysOpType.PROCESS and op.logical is not None:
-            m *= self._lognormal(p.sigma_udf, "udf", op.logical.udf_name)
+            m *= self._factor(p.sigma_udf, "udf", op.logical.udf_name)
         # Blocking children stall the pipeline: a deterministic penalty on
         # top of the random context factor.
         if any(child.is_blocking for child in op.children):

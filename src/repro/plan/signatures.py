@@ -16,7 +16,12 @@ signatures, (ii) the operator's name, and (iii) its logical properties
 All four are computed by one recursion, :func:`signed` — the paper's "all
 signatures can be computed simultaneously in the same recursion" — which
 stores them on the node's :class:`~repro.plan.summary.SubtreeSummary`, so
-each operator is hashed at most once however many callers ask.
+each operator is hashed at most once however many callers ask.  Across
+nodes, the tier is a function of the node's structure alone, so
+:func:`signed` computes it once per structure per process: a bounded memo
+(:data:`_TIER_CACHE`) hands every later node of the same structure — the
+next instance of a recurring job, the replay's ``RNode`` for a materialized
+``PhysicalOp`` — the same ``freq_incl`` and the same bundle object.
 """
 
 from __future__ import annotations
@@ -48,6 +53,16 @@ _INPUT_SIG_CACHE: dict[tuple[str, frozenset[str]], int] = {}
 _OPERATOR_SIG_CACHE: dict[str, int] = {}
 _FREQ_HASH_CACHE: dict[int, int] = {}
 _APPROX_SIG_CACHE: dict[tuple[str, int, frozenset[str]], int] = {}
+#: Structure -> ``(freq_incl, bundle)``: the whole signature tier of a node.
+#: The key — op type, template tag, normalized inputs, logical type, the
+#: frequencies below and the children's strict signatures — is everything
+#: the tier is computed from, so a hit returns exactly what the recursion
+#: would.  A smaller limit than the hash caches, because each entry keeps a
+#: bundle alive (~400 bytes an entry, ~1.7 MB full): a fleet night at
+#: ``full`` scale mints more structures than that and clears it about twice,
+#: and the memo still answers seven lookups in ten.
+_TIER_CACHE_LIMIT = 1 << 12
+_TIER_CACHE: dict[tuple, tuple[int, "SignatureBundle"]] = {}
 
 
 def _approx_hash(op_type_value: str, freq_hash: int, inputs: frozenset[str]) -> int:
@@ -109,28 +124,42 @@ def signed(node) -> "SubtreeSummary":
     ``logical``, ``children`` and ``summary``): the strict hash combines the
     children's strict hashes with the node's own, and the approx signature
     hashes the logical-operator frequencies *below* the node — the node's
-    own type joins ``freq_incl`` only after its bundle is made.  ``bundle``
-    is stored last, so a reader that sees it sees the whole tier.
+    own type joins ``freq_incl`` only after its bundle is made.  A node whose
+    structure was seen before takes its tier from :data:`_TIER_CACHE`.
+    ``bundle`` is stored last, so a reader that sees it sees the whole tier.
     """
     summary = node.summary
     if summary.bundle is not None:
         return summary
     op_value = node.op_type.value
     tiers = [signed(child) for child in node.children]
-    strict = combine_hashes(
-        [below.bundle.strict for below in tiers]
-        + [_own_hash(op_value, node.template_tag)]
-    )
     freq_below = sum(below.freq_incl for below in tiers)
     logical = node.logical
-    own = 0 if logical is None else _FREQ_UNIT[logical.op_type.value]
-    summary.freq_incl = freq_below + own
-    summary.bundle = SignatureBundle(
-        strict,
-        _approx_hash(op_value, _freq_hash(freq_below), summary.inputs),
-        input_signature_for(op_value, summary.inputs),
-        operator_signature_for(op_value),
+    logical_value = None if logical is None else logical.op_type.value
+    tag = node.template_tag
+    key = (
+        op_value,
+        tag,
+        summary.inputs,
+        logical_value,
+        freq_below,
+        *[below.bundle.strict for below in tiers],
     )
+    tier = _TIER_CACHE.get(key)
+    if tier is None:
+        strict = combine_hashes(key[5:] + (_own_hash(op_value, tag),))
+        own = 0 if logical_value is None else _FREQ_UNIT[logical_value]
+        bundle = SignatureBundle(
+            strict,
+            _approx_hash(op_value, _freq_hash(freq_below), summary.inputs),
+            input_signature_for(op_value, summary.inputs),
+            operator_signature_for(op_value),
+        )
+        if len(_TIER_CACHE) >= _TIER_CACHE_LIMIT:
+            _TIER_CACHE.clear()
+        tier = _TIER_CACHE[key] = (freq_below + own, bundle)
+    summary.freq_incl = tier[0]
+    summary.bundle = tier[1]
     return summary
 
 

@@ -6,10 +6,12 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from repro.common.hashing import (
+    _canonical,
     combine_hashes,
     combine_hashes_unordered,
     stable_hash,
     stable_unit_float,
+    stable_unit_float_pair,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -74,3 +76,56 @@ class TestStableUnitFloat:
     @given(st.text(max_size=30), st.integers())
     def test_never_out_of_range(self, s, i):
         assert 0.0 <= stable_unit_float(s, i) < 1.0
+
+
+class _Tag(str):
+    """A str whose ``str()`` is not its value, as a str-mixin enum's is."""
+
+    def __str__(self) -> str:
+        return "tag:" + super().__str__()
+
+
+#: Key parts of every shape a draw key takes: strings, ints, floats (an
+#: integral one canonicalizes to an int), frozensets, tuples.
+_PARTS = st.one_of(
+    st.text(max_size=8),
+    st.builds(_Tag, st.text(max_size=4)),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.frozensets(st.text(max_size=4), max_size=4),
+    st.tuples(st.text(max_size=4), st.integers()),
+)
+
+
+class TestStableUnitFloatPair:
+    @given(st.text(max_size=8), st.text(max_size=3), st.lists(_PARTS, max_size=4))
+    def test_equals_the_two_separate_draws(self, salt, tag, parts):
+        assert stable_unit_float_pair(salt, tag, *parts) == (
+            stable_unit_float(salt, *parts),
+            stable_unit_float(salt, tag, *parts),
+        )
+
+    def test_string_only_and_empty_keys(self):
+        for parts in ((), ("op", "c1", "Filter"), ("input", frozenset({"b", "a"}))):
+            assert stable_unit_float_pair("s", "v", *parts) == (
+                stable_unit_float("s", *parts),
+                stable_unit_float("s", "v", *parts),
+            )
+
+
+def _canonical_oracle(part: object) -> str:
+    """The canonical form as first written: isinstance checks only."""
+    if isinstance(part, float) and part.is_integer():
+        return str(int(part))
+    if isinstance(part, frozenset):
+        return "{" + ",".join(sorted(_canonical_oracle(p) for p in part)) + "}"
+    if isinstance(part, (tuple, list)):
+        return "[" + ",".join(_canonical_oracle(p) for p in part) + "]"
+    return str(part)
+
+
+class TestCanonical:
+    @given(st.lists(st.one_of(_PARTS, st.booleans())))
+    def test_equals_the_isinstance_oracle(self, parts):
+        for part in (*parts, tuple(parts)):
+            assert _canonical(part) == _canonical_oracle(part)

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.common.hashing import stable_unit_float
 from repro.execution.ground_truth import GroundTruthModel, GroundTruthParams
-from repro.execution.hardware import ClusterSpec
+from repro.execution.hardware import DEFAULT_CLUSTERS, ClusterSpec
+from repro.experiments.shared import workload_config
 from repro.plan.physical import PhysOpType
+from repro.plan.signatures import strict_signature
+from repro.workload.generator import WorkloadGenerator
+from repro.workload.runner import WorkloadRunner
 
 
 @pytest.fixture()
@@ -142,3 +149,49 @@ class TestLatency:
             op = next(o for o in plan.walk() if o.op_type is PhysOpType.PROCESS)
             multipliers.append(gt.hidden_multiplier(op))
         assert multipliers[0] != multipliers[1]
+
+
+def _draw(params: GroundTruthParams, sigma: float, *key: object) -> float:
+    """One log-normal factor as two separate uniforms, uncached."""
+    if sigma <= 0.0:
+        return 1.0
+    u = stable_unit_float(params.seed_salt, *key)
+    v = stable_unit_float(params.seed_salt, "v", *key)
+    u = min(max(u, 1e-12), 1 - 1e-12)
+    z = math.sqrt(-2.0 * math.log(u)) * math.cos(2.0 * math.pi * v)
+    return math.exp(sigma * z)
+
+
+def _five_draw_product(gt: GroundTruthModel, op) -> float:
+    """The multiplier drawn factor by factor, in the model's product order."""
+    p, cluster, op_value = gt.params, gt.cluster.name, op.op_type.value
+    m = _draw(p, p.sigma_op, "op", cluster, op_value)
+    m *= _draw(p, p.sigma_input, "input", cluster, op_value, op.normalized_inputs)
+    m *= _draw(p, p.sigma_ctx, "ctx", op_value, op.child_context())
+    m *= _draw(p, p.sigma_residual, "res", cluster, strict_signature(op))
+    if op.op_type is PhysOpType.PROCESS and op.logical is not None:
+        m *= _draw(p, p.sigma_udf, "udf", op.logical.udf_name)
+    if any(child.is_blocking for child in op.children):
+        m *= 1.15
+    return m
+
+
+class TestFactorCache:
+    """Each factor is drawn once at its own granularity and cached; the
+    multiplier must still be the uncached five-draw product, bit for bit."""
+
+    @pytest.mark.parametrize("spec", DEFAULT_CLUSTERS, ids=lambda spec: spec.name)
+    def test_cached_multiplier_equals_the_five_draw_product(self, spec):
+        runner = WorkloadRunner(cluster=spec, seed=0, keep_plans=True)
+        runner.run_days(WorkloadGenerator(workload_config(spec.name, "small", 0)), [1])
+        ops = [op for plan in runner.plans.values() for op in plan.walk()]
+        assert any(
+            op.op_type is PhysOpType.PROCESS and op.logical.udf_name for op in ops
+        ), "the day must reach the per-UDF factor"
+        assert any(any(child.is_blocking for child in op.children) for op in ops)
+        reference, forward, backward = (GroundTruthModel(spec) for _ in range(3))
+        expected = [_five_draw_product(reference, op) for op in ops]
+        assert [forward.hidden_multiplier(op) for op in ops] == expected
+        # Factors first reached by other templates give the same bits.
+        assert [backward.hidden_multiplier(op) for op in reversed(ops)] == expected[::-1]
+        assert len(forward._factor_cache) < len(ops)

@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+
+from repro.optimizer.skeleton import RNode, _walk_replay
+from repro.plan import signatures
 from repro.plan.signatures import (
     SignatureBundle,
     approx_signature,
     input_signature,
     operator_signature,
+    signed,
     strict_signature,
 )
+from repro.plan.summary import summarize
+from tests.plan.test_subtree_summary import oracle_bundle, physical_plans
 
 
 class TestStrictSignature:
@@ -102,3 +112,59 @@ class TestBundleComputation:
     def test_all_nodes_covered(self, physical_join_plan):
         bundles = [SignatureBundle.of(op) for op in physical_join_plan.walk()]
         assert len(bundles) == physical_join_plan.node_count
+
+
+# --------------------------------------------------------------------- #
+# The per-structure tier memo
+# --------------------------------------------------------------------- #
+
+
+def _physical_copy(op, made=None):
+    """A fresh ``PhysicalOp`` graph of the same structure, nothing computed."""
+    made = {} if made is None else made
+    if id(op) not in made:
+        children = tuple(_physical_copy(child, made) for child in op.children)
+        made[id(op)] = replace(op, children=children)
+    return made[id(op)]
+
+
+def _rnode_copy(op, made=None):
+    """The same graph as replay ``RNode``s, summarized as the planner does."""
+    made = {} if made is None else made
+    if id(op) not in made:
+        node = RNode()
+        node.op_type = op.op_type
+        node.children = tuple(_rnode_copy(child, made) for child in op.children)
+        node.logical = op.logical
+        node.template_tag = op.template_tag
+        node.true_card = op.true_card
+        node.summary = summarize(node)
+        made[id(op)] = node
+    return made[id(op)]
+
+
+def _tiers(root) -> list[tuple[int, SignatureBundle]]:
+    return [(signed(node).freq_incl, signed(node).bundle) for node in _walk_replay(root)]
+
+
+_COPIES = {"PhysicalOp": _physical_copy, "RNode": _rnode_copy}
+
+
+class TestTierMemo:
+    """A memo hit hands a new node exactly what a fresh recursion computes."""
+
+    @pytest.mark.parametrize("first", sorted(_COPIES))
+    @pytest.mark.parametrize("second", sorted(_COPIES))
+    @given(plan=physical_plans())
+    @settings(max_examples=40, deadline=None)
+    def test_hit_equals_a_fresh_recursion(self, first, second, plan):
+        signatures._TIER_CACHE.clear()
+        fresh = _tiers(_COPIES[first](plan))
+        assert [bundle for _, bundle in fresh] == [oracle_bundle(op) for op in plan.walk()]
+        size = len(signatures._TIER_CACHE)
+        assert 0 < size <= len(fresh)
+        hits = _tiers(_COPIES[second](plan))
+        assert len(signatures._TIER_CACHE) == size, "every node must be a hit"
+        assert hits == fresh
+        # A hit shares the bundle object instead of building a new one.
+        assert all(a[1] is b[1] for a, b in zip(hits, fresh))
