@@ -36,6 +36,13 @@ DEFAULT_SIGMAS: dict[LogicalOpType, float] = {
     LogicalOpType.OUTPUT: 0.0,
 }
 
+#: Error factors by value — ``(seed salt, sigma, template tag, logical
+#: type)`` — shared by every estimator: each is a pure function of its key,
+#: and serving builds a fresh estimator per plan request.  Ad-hoc traffic
+#: mints new template tags without end, so the memo starts over when it
+#: reaches the limit (like the signature caches).
+_ERROR_FACTOR_LIMIT = 1 << 14
+_ERROR_FACTORS: dict[tuple[str, float, str, int], float] = {}
 
 
 @dataclass(frozen=True)
@@ -105,25 +112,32 @@ class CardinalityEstimator:
         self.config = config or EstimatorConfig()
         #: Tags this instance's node entries; a bare token, so plans pin no estimator.
         self._tag = object()
-        #: Error factors are template-level constants; memoized across plans
-        #: (the same recurring template is misestimated identically every
-        #: day).  Keyed by (tag, id(op_type)): id() skips enum.__hash__ on
-        #: this hot lookup.
-        self._error_memo: dict[tuple[str, int], float] = {}
+        #: Each logical type's sigma under this config, keyed by id(): id()
+        #: skips enum.__hash__ on the hot lookup.
+        self._sigmas: dict[int, float] = {}
 
     def error_factor_for(self, template_tag: str, op_type: LogicalOpType) -> float:
-        """Template-level error factor by (tag, logical type), memoized."""
-        key = (template_tag, id(op_type))  # repro: allow(hashseed-hazard) -- enum members are immortal singletons: their ids are never recycled
-        cached = self._error_memo.get(key)
-        if cached is not None:
-            return cached
-        sigma = self.config.sigmas.get(op_type, 0.0) * self.config.sigma_scale
+        """Template-level error factor by (tag, logical type).
+
+        The same recurring template is misestimated identically every day,
+        by every estimator with the same salt and sigma: the factor is
+        drawn once into the shared by-value memo.
+        """
+        type_id = id(op_type)  # repro: allow(hashseed-hazard) -- enum members are immortal singletons: their ids are never recycled
+        sigma = self._sigmas.get(type_id)
+        if sigma is None:
+            sigma = self.config.sigmas.get(op_type, 0.0) * self.config.sigma_scale
+            self._sigmas[type_id] = sigma
         if sigma <= 0.0:
-            value = 1.0
-        else:
+            return 1.0
+        key = (self.config.seed_salt, sigma, template_tag, type_id)
+        value = _ERROR_FACTORS.get(key)
+        if value is None:
             u = stable_unit_float(self.config.seed_salt, template_tag, op_type.value)
             value = math.exp(sigma * _gauss_from_unit(u))
-        self._error_memo[key] = value
+            if len(_ERROR_FACTORS) >= _ERROR_FACTOR_LIMIT:
+                _ERROR_FACTORS.clear()
+            _ERROR_FACTORS[key] = value
         return value
 
     def estimate(self, op: PhysicalOp) -> float:

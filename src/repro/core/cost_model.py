@@ -8,9 +8,9 @@ The serving tier (:class:`~repro.serving.service.CleoService`, or a
 :class:`~repro.serving.shard.router.ClusterClient` bound to a sharded
 fleet) prices *rows* — signature-bearing
 :class:`~repro.features.table.FeatureTable` s — and knows nothing about
-operators.  This class is the only place a live operator or plan becomes
-rows: :meth:`CleoCostModel._rows` packs operators straight into one table
-(:func:`~repro.features.extract.operator_row` +
+operators.  This class turns live operators into rows with
+:func:`~repro.features.extract.operator_table` (one table per call,
+:func:`~repro.features.extract.operator_row` +
 :func:`~repro.plan.signatures.signed`, both O(1) reads of the operator's own
 :class:`~repro.plan.summary.SubtreeSummary`; no per-row object), and a
 plan's costs fold to a total in :func:`~repro.serving.service.plan_totals`'s
@@ -47,7 +47,7 @@ from repro.common.errors import FeatureValidationError
 from repro.core.learned_model import ResourceProfile
 from repro.core.predictor import CleoPredictor, explain_cost
 from repro.cost.interface import CostExplanation
-from repro.features.extract import operator_row
+from repro.features.extract import operator_table
 from repro.features.table import FeatureTable
 from repro.plan.physical import PhysicalOp
 from repro.plan.signatures import signed
@@ -107,25 +107,13 @@ class CleoCostModel:
         """The currently served predictor (tracks service rollbacks)."""
         return self.service.predictor
 
-    @staticmethod
-    def _rows(
-        ops: Sequence[PhysicalOp],
-        estimator: CardinalityEstimator,
-        partition_override: int | None = None,
-    ) -> FeatureTable:
-        """Live operators as the one table the service prices."""
-        return FeatureTable.from_rows(
-            [operator_row(op, estimator, partition_override) for op in ops],
-            [signed(op).bundle for op in ops],
-        )
-
     def operator_cost(
         self,
         op: PhysicalOp,
         estimator: CardinalityEstimator,
         partition_override: int | None = None,
     ) -> float:
-        table = self._rows([op], estimator, partition_override)
+        table = operator_table([op], estimator, partition_override)
         return float(self.service.predict_inputs(table)[0])
 
     def plan_cost(self, root: PhysicalOp, estimator: CardinalityEstimator) -> float:
@@ -142,7 +130,7 @@ class CleoCostModel:
         lookup and fallback accounting (see
         :meth:`~repro.serving.service.CleoService.predict_inputs`).
         """
-        return self.service.predict_inputs(self._rows(ops, estimator))
+        return self.service.predict_inputs(operator_table(ops, estimator))
 
     def price_inputs(self, table: FeatureTable) -> np.ndarray:
         """Exclusive costs of already-featurized operators, one batched call.
@@ -195,7 +183,7 @@ class CleoCostModel:
         candidates`` whether or not the service caches.
         """
         ops = [op for stage in stages for op in stage]
-        stems = self._rows(ops, estimator)
+        stems = operator_table(ops, estimator)
         rows: list[np.ndarray] = []
         counts: list[np.ndarray] = []
         offset = 0
@@ -225,7 +213,7 @@ class CleoCostModel:
     ) -> list[ResourceProfile | None]:
         """(theta_p, theta_c, theta_0) per operator, for partition
         exploration's analytical strategy, in one packed pass."""
-        return self.service.resource_profiles(self._rows(ops, estimator))
+        return self.service.resource_profiles(operator_table(ops, estimator))
 
     def clear_cache(self) -> None:
         self.service.clear_caches()

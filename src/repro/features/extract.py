@@ -4,15 +4,20 @@ Bridges the plan layer and the featurizer: an operator's nine raw features
 as the optimizer sees them at costing time (estimated cardinalities, current
 partition count).  :func:`feature_row` is the one definition of that row;
 pricing paths pack many of them into one
-:meth:`~repro.features.table.FeatureTable.from_rows` table, and
-:func:`feature_input_for` wraps one in a :class:`FeatureInput`.
+:meth:`~repro.features.table.FeatureTable.from_rows` table
+(:func:`operator_table`, for live operators), and :func:`feature_input_for`
+wraps one in a :class:`FeatureInput`.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.features.featurizer import FeatureInput
+from repro.features.table import FeatureTable
 from repro.plan.physical import PhysicalOp
+from repro.plan.signatures import signed
 
 _encode_inputs = FeatureInput.encode_inputs
 _encode_params = FeatureInput.encode_params
@@ -63,6 +68,21 @@ def operator_row(
         estimator.estimate_input(op),
         estimator.estimate(op),
         partition_override or op.partition_count,
+    )
+
+
+def operator_table(
+    ops: Sequence[PhysicalOp],
+    estimator: CardinalityEstimator,
+    partition_override: int | None = None,
+) -> FeatureTable:
+    """Live operators as one signature-bearing table, rows in ``ops`` order:
+    :func:`operator_row` + :func:`~repro.plan.signatures.signed`, both O(1)
+    reads of each operator's own summary, and no per-row object.  The one
+    place the pricing paths turn operators into rows."""
+    return FeatureTable.from_rows(
+        [operator_row(op, estimator, partition_override) for op in ops],
+        [signed(op).bundle for op in ops],
     )
 
 

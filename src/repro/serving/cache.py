@@ -119,13 +119,20 @@ class LRUCache:
         batch repeats it — what a caller replaying ``get`` key by key and
         remembering its own misses would have counted.
         """
-        values: list[Any] = []
         missing: dict[Hashable, list[int]] = {}
         absent = self._MISSING
         with self._lock:
             entries = self._entries
-            lookup = entries.get
             refresh = entries.move_to_end
+            try:  # every key cached: the lookups move nothing, then refresh in order
+                values = [entries[key] for key in keys]
+                for key in keys:
+                    refresh(key)
+                self.hits += len(values)
+                return values, missing
+            except KeyError:
+                values = []
+            lookup = entries.get
             hits = 0
             for key in keys:
                 value = lookup(key, absent)

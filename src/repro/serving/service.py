@@ -11,7 +11,8 @@ The service prices **rows** — request batches, or signature-bearing
 turning plans into rows is :class:`~repro.core.cost_model.CleoCostModel`'s
 job.  A single price is a one-row :meth:`CleoService.predict_inputs` call
 (:meth:`CleoService.explain` names the tier behind it), and the one
-whole-plan request, :meth:`CleoService.predict_plan`, is :func:`price_plan`.
+whole-plan request, :meth:`CleoService.predict_plan`, is :func:`price_plan`
+(the plan as one table through the cached core).
 
 * **Packed inference** — every entry point ends in one pass over the
   store's compiled :class:`~repro.core.packed.PackedModelBank`: one
@@ -27,7 +28,9 @@ whole-plan request, :meth:`CleoService.predict_plan`, is :func:`price_plan`.
   :func:`_profile_core`) take *owners* — ``(service, row indices)`` over
   one batch — and price the union of their rows in one bank pass, each
   owner keeping its own LRU, accounting and repair: a service calls them
-  with itself, the sharded router with every owning shard.  An LRU serves
+  with itself, the sharded router with every owning shard.  Every owner
+  writes straight into one answer in input order; an owner whose rows all
+  hit makes one probe and one charge and nothing else.  An LRU serves
   only entries priced against the store's current ``version``, so a
   quarantine empties every LRU sharing the store.
 * **Lifecycle** — :meth:`train` / :meth:`load` / :meth:`save` /
@@ -41,7 +44,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -58,7 +61,7 @@ from repro.core.regression_control import ModelQuarantine
 from repro.core.trainer import CleoTrainer
 from repro.cost.interface import CostExplanation, CostModel
 from repro.execution.runtime_log import OperatorRecord, RunLog
-from repro.features.extract import feature_input_for
+from repro.features.extract import operator_table
 from repro.features.featurizer import COLUMN_NAMES, FeatureInput
 from repro.features.table import FeatureTable
 from repro.plan.physical import PhysicalOp
@@ -68,8 +71,6 @@ from repro.serving.cache import CacheStats, LRUCache
 #: Default prediction-cache capacity: comfortably holds a few optimization
 #: passes of a production-shaped recurring workload.
 DEFAULT_PREDICTION_CACHE = 65_536
-
-_T = TypeVar("_T")
 
 #: The answer of last resort when even the repair path (or, in the sharded
 #: router, the heuristic floor) produced garbage.
@@ -183,25 +184,15 @@ def _table_rows(table: FeatureTable) -> Callable[[list[int]], FeatureTable]:
     )
 
 
-def plan_requests(
-    root: PhysicalOp, estimator: CardinalityEstimator
-) -> list[PredictionRequest]:
-    """One request per operator of a plan, in walk order.
-
-    The serving package's only featurization site: a whole-plan request
-    becomes rows here, and :func:`plan_totals` folds the answers back.
-    """
-    return [
-        PredictionRequest(feature_input_for(op, estimator), SignatureBundle.of(op))
-        for op in root.walk()
-    ]
-
-
 def price_plan(tier, root: PhysicalOp, estimator: CardinalityEstimator) -> float:
-    """A plan's total through ``tier.predict_batch``: the one ``predict_plan``
-    / ``plan_cost`` body, whichever row tier serves."""
-    requests = plan_requests(root, estimator)
-    return plan_totals(tier.predict_batch(requests), [len(requests)])[0]
+    """A plan's total: the one ``predict_plan`` / ``plan_cost`` body.
+
+    The serving package's only featurization site: the plan's operators
+    become one table in walk order, priced through ``tier``'s cached core
+    whatever its LRU's capacity, and :func:`plan_totals` folds the answers.
+    """
+    table = operator_table(list(root.walk()), estimator)
+    return plan_totals(tier._predict_keyed(table), [len(table)])[0]
 
 
 @dataclass(frozen=True)
@@ -417,7 +408,7 @@ class CleoService:
         row, else ``None``.  The rows pass the input check first; then five
         lookups are charged per covered profile."""
         _require_signatures(table)
-        return _only(_profile_core([(self, np.arange(len(table)))], table))
+        return _profile_core([(self, range(len(table)))], table)
 
     def _charge_lookups(self, rows: int) -> None:
         """Charge ``rows`` rows of lookup accounting (five lookups each)."""
@@ -436,14 +427,8 @@ class CleoService:
         earlier miss of the batch reuses its value (``in_batch_reuses``).
         Whole-table workloads should prefer :meth:`predict_table`.
         """
-        return self._price_cached(request_keys(requests), _request_rows(requests))
-
-    def _price_cached(
-        self, keys: Sequence[bytes], rows: Callable[[list[int]], FeatureTable]
-    ) -> np.ndarray:
-        """:func:`_cached_core` with this service as the one owner of every
-        row: the LRU-backed entry points' body."""
-        return _only(_cached_core([(self, range(len(keys)))], keys, rows))
+        keys = request_keys(requests)
+        return _only(_cached_core([(self, range(len(keys)))], keys, _request_rows(requests)))
 
     def _probe(self, keys: Sequence[bytes]) -> tuple[list, dict[bytes, list[int]]]:
         """One locked probe of the prediction LRU: ``(values, missing)`` as
@@ -456,40 +441,35 @@ class CleoService:
             self._cache_version = version
         return self._prediction_cache.get_many(keys)
 
-    def _charge(self, n_requests: int, missing: dict[bytes, list[int]]) -> list[int]:
-        """One owner's accounting in :func:`_cached_core`; returns how many
-        requests each distinct miss answers (the fallback counter's weights).
+    def _charge(self, n_requests: int, uncached: int, distinct: int) -> None:
+        """One owner's accounting in a core: a batch of ``n_requests``,
+        ``uncached`` of them priced as ``distinct`` rows (the table core:
+        ``(n, n, n)``).
 
-        Every request not served from the LRU is charged its lookups (and
-        fallbacks), so a cache-disabled service keeps the Section 6.5
-        bookkeeping exactly; with the cache on, a one-row-at-a-time replay
-        differs by ``in_batch_reuses``, which it turns into uncharged hits.
+        Every uncached request is charged its lookups (and, in the bank
+        pass, its fallbacks), so a cache-disabled service keeps the Section
+        6.5 bookkeeping exactly; with the cache on, a one-row-at-a-time
+        replay differs by ``in_batch_reuses``, which it turns into uncharged
+        hits.
         """
-        counts = [len(positions) for positions in missing.values()]
-        uncached = sum(counts)
+        lookups = uncached * CleoPredictor.LOOKUPS_PER_PREDICTION
         with self._stats_lock:
             self._batches += 1
             self._predictions += n_requests
-            self._batch_reuses += uncached - len(missing)
-            self.predictor.lookup_count += (
-                uncached * CleoPredictor.LOOKUPS_PER_PREDICTION
-            )
-        return counts
+            self._batch_reuses += uncached - distinct
+            self._predictor.lookup_count += lookups
 
-    def _fill(
-        self, values: list, missing: dict[bytes, list[int]], priced: np.ndarray
-    ) -> np.ndarray:
-        """One owner's LRU fill: insert the priced misses (``priced[j]`` answers
-        the ``j``-th key of ``missing``) and scatter them into the answer.
-        Nothing is inserted when the store moved since :meth:`_probe`."""
-        if missing:
-            priced = priced.tolist()
-            if self._cache_version == self._predictor.store.version:
-                self._prediction_cache.put_many(zip(missing, priced))
-            for positions, value in zip(missing.values(), priced):
-                for i in positions:
-                    values[i] = value
-        return np.array(values, dtype=float)
+    def _fill(self, values: list, missing: dict, priced: np.ndarray) -> None:
+        """One owner's LRU fill: insert the priced misses (``priced[j]``
+        answers the ``j``-th key of ``missing``) and write them into the
+        owner's probed ``values``.  Nothing is inserted when the store moved
+        since :meth:`_probe`."""
+        priced = priced.tolist()
+        if self._cache_version == self._predictor.store.version:
+            self._prediction_cache.put_many(zip(missing, priced))
+        for positions, value in zip(missing.values(), priced):
+            for i in positions:
+                values[i] = value
 
     def predict_records(self, records: Iterable[OperatorRecord]) -> np.ndarray:
         """Batched predictions for logged operators, in record order: their
@@ -506,14 +486,6 @@ class CleoService:
         """
         _require_signatures(table)
         return _only(_table_core([(self, np.arange(len(table)))], table))
-
-    def _charge_rows(self, n: int) -> None:
-        """:meth:`predict_table`'s accounting: one batch of ``n`` rows, each
-        charged its lookups."""
-        with self._stats_lock:
-            self._batches += 1
-            self._predictions += n
-            self._predictor.lookup_count += n * CleoPredictor.LOOKUPS_PER_PREDICTION
 
     def _price_table(
         self, table: FeatureTable, request_counts: Sequence[int] | None = None
@@ -554,14 +526,18 @@ class CleoService:
 
         The optimizer's pricing entry, a single price included (one row).
         With the LRU enabled the table's row keys go through the cached core
-        :meth:`predict_batch` runs, the misses cut out with one gather; with
-        it disabled this is :meth:`predict_table`.  Either way the bits are
-        the same.
+        (:meth:`_predict_keyed`), the misses cut out with one gather; with
+        it disabled this is :meth:`predict_table`.  Same bits either way.
         """
         if not self.prediction_cache_enabled:
             return self.predict_table(table)
+        return self._predict_keyed(table)
+
+    def _predict_keyed(self, table: FeatureTable) -> np.ndarray:
+        """A table through the cached core, whatever the LRU's capacity."""
         _require_signatures(table)
-        return self._price_cached(table.row_keys(), _table_rows(table))
+        keys = table.row_keys()
+        return _only(_cached_core([(self, range(len(keys)))], keys, _table_rows(table)))
 
     # ------------------------------------------------------------------ #
     # Boundary validation and repair
@@ -633,7 +609,8 @@ class CleoService:
     # ------------------------------------------------------------------ #
 
     def predict_plan(self, root: PhysicalOp, estimator: CardinalityEstimator) -> float:
-        """Total cost of a whole-plan request, priced as one batch."""
+        """Total cost of a whole-plan request, priced as one table
+        (:func:`price_plan`)."""
         return price_plan(self, root, estimator)
 
     def cost_model(self) -> CostModel:
@@ -724,159 +701,160 @@ class CleoService:
 # The pricing cores: one bank pass, for one owner or many
 # ---------------------------------------------------------------------- #
 
-#: An owner's slice of a bank pass that priced none of its rows.
-_NOTHING = np.empty(0, dtype=float)
-
-#: A core call's owners: each a service and the batch positions of its rows.
+#: A core call's owners: each a service and its rows' batch positions, ascending.
 _Owners = Sequence[tuple[CleoService, "Sequence[int] | np.ndarray"]]
 
-
-def _attempt(step: Callable[..., _T], *args: object) -> "_T | Exception":
-    """``step(*args)``, or the exception it raised: one owner's failure.
-
-    A :class:`~repro.common.errors.FeatureValidationError` is the caller's
-    bug, not an owner's, and propagates.
-    """
-    try:
-        return step(*args)
-    except FeatureValidationError:
-        raise
-    except Exception as exc:
-        return exc
+#: A core call's answer: the batch's values in input order, and per owner
+#: ``None`` or the exception its part raised (its positions hold no answer).
+_Answer = tuple[np.ndarray, "list[Exception | None]"]
 
 
-def _only(answers: "list[_T | Exception]") -> _T:
-    """A one-owner core call's answer: its values, or what its part raised."""
-    (answer,) = answers
-    if isinstance(answer, Exception):
-        raise answer
-    return answer
+def _only(answer: _Answer) -> np.ndarray:
+    """A one-owner core call's values, or what its part raised."""
+    values, (failure,) = answer
+    if failure is not None:
+        raise failure
+    return values
 
 
 def _cached_core(
     owners: _Owners, keys: Sequence[bytes], rows: Callable[[list[int]], FeatureTable]
-) -> "list[np.ndarray | Exception]":
-    """The cached core: one answer per owner, each owner's rows priced
-    through its own LRU.
+) -> _Answer:
+    """The cached core: every owner's rows through its own LRU, one pass.
 
-    ``keys[i]`` is batch row ``i``'s :meth:`~repro.features.table.
-    FeatureTable.row_keys` key and ``rows(positions)`` packs the batch rows
-    at ``positions`` into a table.  In order:
-
-    1. every owner probes its own LRU (:meth:`CleoService._probe`);
-    2. the first occurrences of every owner's distinct misses (owners in
-       order) are packed into one table and input-checked once, each owner
-       is charged (:meth:`CleoService._charge`), and the table is priced in
-       one :meth:`CleoService._price_table` pass whose model calls are
-       charged to the first owner with a miss;
-    3. every owner validates and repairs its slice of the pass and fills its
-       own LRU (:meth:`CleoService._validated`, :meth:`CleoService._fill`).
-
-    A probe, repair or fill that raises fails only its owner; a pass that
-    raises fails every owner that probed.
+    ``keys[i]`` is batch row ``i``'s key and ``rows(positions)`` packs
+    batch rows into a table.  Every owner probes its own LRU
+    (:meth:`CleoService._probe`) and is charged once.  If any missed, the
+    first occurrences of every owner's distinct misses (owners in order)
+    are packed into one table, checked once and priced in one
+    :meth:`CleoService._price_table` pass (model calls charged to the first
+    owner with a miss), validated once: only if a value is not serveable
+    does each such owner repair its slice.  Each owner with a miss fills
+    its LRU (:meth:`CleoService._fill`); every owner writes its values into
+    the answer.  A probe, repair or fill that raises fails only its owner;
+    a pass that raises fails every owner that probed.
     """
-    answers = [
-        _attempt(service._probe, [keys[i] for i in idx]) for service, idx in owners
-    ]
-    live = [j for j, probe in enumerate(answers) if not isinstance(probe, Exception)]
+    n = len(keys)
+    failures: list[Exception | None] = [None] * len(owners)
+    probed = []
     firsts: list[int] = []
-    bounds: list[tuple[int, int]] = []
-    for j in live:
-        start, idx = len(firsts), owners[j][1]
-        firsts.extend(idx[positions[0]] for positions in answers[j][1].values())
-        bounds.append((start, len(firsts)))
-    table = rows(firsts) if firsts else None
-    if table is not None:
+    for j, (service, idx) in enumerate(owners):
+        try:
+            values, missing = service._probe(
+                keys if len(idx) == n else [keys[i] for i in idx]
+            )
+        except FeatureValidationError:
+            raise
+        except Exception as exc:
+            failures[j] = exc
+            continue
+        if missing:
+            firsts.extend([idx[positions[0]] for positions in missing.values()])
+        probed.append((j, service, idx, values, missing))
+    if firsts:
+        table = rows(firsts)
         # Only first-seen uncached keys pay the check (cached entries passed
         # it before insertion).  A bad one raises before anything is priced,
         # inserted or charged, but after the probes counted their misses.
         owners[0][0]._check_table(table)
     counts: list[int] = []
-    for j in live:
-        counts.extend(owners[j][0]._charge(len(answers[j][0]), answers[j][1]))
-    priced = _NOTHING
-    if table is not None:
-        payer = next(owners[j][0] for j, (lo, hi) in zip(live, bounds) if hi > lo)
-        priced = _attempt(payer._price_table, table, counts)
-
-    def settle(service: CleoService, probe: tuple, lo: int, hi: int) -> np.ndarray:
-        values = service._validated(
-            priced[lo:hi], lambda: table.take(np.arange(lo, hi))
-        )
-        return service._fill(*probe, values)
-
-    for j, (lo, hi) in zip(live, bounds):
-        if isinstance(priced, Exception):
-            answers[j] = priced
+    for _, service, _, values, missing in probed:
+        owned = list(map(len, missing.values())) if missing else []
+        counts += owned
+        service._charge(len(values), sum(owned), len(missing))
+    out = [0.0] * n
+    if firsts:
+        payer = next(entry[1] for entry in probed if entry[4])
+        try:
+            priced = payer._price_table(table, counts)
+        except FeatureValidationError:
+            raise
+        except Exception as exc:
+            for entry in probed:
+                failures[entry[0]] = exc
+            return np.array(out, dtype=float), failures
+        serveable = values_ok(priced)
+    end = 0
+    for j, service, idx, values, missing in probed:
+        if missing:
+            start, end = end, end + len(missing)
+            try:
+                part = priced[start:end]
+                if not serveable:
+                    part = service._validated(part, lambda: table.take(np.arange(start, end)))
+                service._fill(values, missing, part)
+            except FeatureValidationError:
+                raise
+            except Exception as exc:
+                failures[j] = exc
+                continue
+        if len(idx) == n:
+            out = values
         else:
-            answers[j] = _attempt(settle, owners[j][0], answers[j], lo, hi)
-    return answers
+            for i, value in zip(idx, values):
+                out[i] = value
+    return np.array(out, dtype=float), failures
 
 
-def _gathered(
-    owners: _Owners, table: FeatureTable
-) -> "tuple[FeatureTable, list[Sequence[int] | np.ndarray]]":
-    """The rows ``owners`` own as one table, and each owner's rows in it.
+def _table_core(owners: _Owners, table: FeatureTable) -> _Answer:
+    """The table core: every owner's rows with no LRU, one pass.
 
-    ``table`` itself when they own all of it (a service's own call, a
-    router's first rung), else one gather of their rows in owner order (a
-    ladder rung, where one shard prices its own rows).
-    """
-    sizes = [len(idx) for _, idx in owners]
-    if sum(sizes) == len(table):
-        return table, [idx for _, idx in owners]
-    ends = np.cumsum(sizes)
-    positions = np.concatenate([np.asarray(idx, dtype=np.int64) for _, idx in owners])
-    return table.take(positions), [
-        np.arange(end - size, end) for size, end in zip(sizes, ends)
-    ]
-
-
-def _table_core(owners: _Owners, table: FeatureTable) -> "list[np.ndarray | Exception]":
-    """The table core: one answer per owner, its rows priced with no LRU.
-
-    The owned rows are input-checked once, each owner is charged its rows'
-    batch, predictions and lookups (:meth:`CleoService._charge_rows`), one
+    The owned rows (``table`` itself, or on a ladder rung one gather) are
+    checked once, each owner is charged its rows, and one
     :meth:`CleoService._price_table` pass prices them (model calls charged
-    to the first owner), and each owner validates and repairs its rows'
-    answers.  Failures split as in :func:`_cached_core`.
+    to the first owner), validated once: only if a value is not serveable
+    does each owner repair its rows.  Failures split as in
+    :func:`_cached_core`.
     """
+    n = len(table)
     if not owners:
-        return []
-    table, slots = _gathered(owners, table)
+        return np.empty(n, dtype=float), []
+    owned = table
+    if sum(len(idx) for _, idx in owners) < n:
+        positions = np.concatenate([np.asarray(idx, dtype=np.int64) for _, idx in owners])
+        owned = table.take(positions)
     payer = owners[0][0]
-    payer._check_table(table)
+    payer._check_table(owned)
     for service, idx in owners:
-        service._charge_rows(len(idx))
-    priced = _attempt(payer._price_table, table) if len(table) else _NOTHING
-    if isinstance(priced, Exception):
-        return [priced] * len(owners)
-    return [
-        _attempt(service._validated, priced[slot], lambda: table.take(slot))
-        for (service, _), slot in zip(owners, slots)
-    ]
+        service._charge(len(idx), len(idx), len(idx))
+    try:
+        priced = payer._price_table(owned) if len(owned) else np.empty(0, dtype=float)
+    except FeatureValidationError:
+        raise
+    except Exception as exc:
+        return np.empty(n, dtype=float), [exc] * len(owners)
+    if owned is table:
+        if values_ok(priced):
+            return priced, [None] * len(owners)
+        out = priced
+    else:
+        out = np.empty(n, dtype=float)
+        out[positions] = priced
+    failures: list[Exception | None] = []
+    for service, idx in owners:
+        try:
+            out[idx] = service._validated(out[idx], lambda: table.take(idx))
+        except FeatureValidationError:
+            raise
+        except Exception as exc:
+            failures.append(exc)
+        else:
+            failures.append(None)
+    return out, failures
 
 
-def _profile_core(
-    owners: _Owners, table: FeatureTable
-) -> "list[list[ResourceProfile | None] | Exception]":
-    """The profile core: one answer per owner, its rows' Section-5.3
-    profiles from one input check and one read of the shared bank; each
-    owner is charged the lookups of its own covered rows."""
+def _profile_core(owners: _Owners, table: FeatureTable) -> list[ResourceProfile | None]:
+    """The profile core: every row's Section-5.3 profile, in input order,
+    from one input check and one read of the shared bank; each owner (the
+    owners own the whole table) is charged its own covered rows' lookups."""
     if not owners:
         return []
-    table, slots = _gathered(owners, table)
     reader = owners[0][0]
     reader._check_table(table)
-    read = _attempt(resource_profiles_most_specific, reader.predictor.store, table)
-    if isinstance(read, Exception):
-        return [read] * len(owners)
-    answers: list = []
-    for (service, _), slot in zip(owners, slots):
-        own = [read[0][i] for i in slot]
-        service._charge_lookups(sum(profile is not None for profile in own))
-        answers.append(own)
-    return answers
+    profiles = resource_profiles_most_specific(reader.predictor.store, table)[0]
+    for service, idx in owners:
+        service._charge_lookups(sum(profiles[i] is not None for i in idx))
+    return profiles
 
 
 def as_cost_model(model: "CostModel | CleoService") -> CostModel:

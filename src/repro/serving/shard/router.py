@@ -23,16 +23,16 @@ the paper's optimizer-facing deployment does (Section 5.1), but scaled out:
   owners: each owner probes its own LRU, the union of their distinct
   misses is input-checked once and priced in one pass over the shared
   bank, and each owner's accounting, output repair and LRU fill run
-  through its own service.
+  through its own service, writing straight into the call's one answer.
 * **Reliability** — every row walks a degradation ladder (owner, ring
   successors, heuristic floor, bounded default) behind per-shard circuit
   breakers (:mod:`repro.serving.shard.health`).  A call with no fault
   injector whose owners' breakers are all CLOSED runs its *first rung* as
-  one core call with every owner; each owner's answer then makes one
-  breaker record, and an owner that failed walks its ladder from the first
-  retry.  Under an injector, or with an owner's breaker not CLOSED, each
-  owner walks its own ladder, every rung a one-owner core call (on a
-  thread pool when ``n_workers > 1``).  LRUs, counters, breakers,
+  one core call with every owner, then one breaker record per owner; only
+  an owner that failed builds a ladder, walked from the first retry.
+  Under an injector, or with an owner's breaker not CLOSED, each owner
+  walks its own ladder, every rung a one-owner core call (on a thread pool
+  when ``n_workers > 1``).  LRUs, counters, breakers,
   quarantine ledgers and ladders stay per shard, and each owner's counters
   are those a standalone service fed only its rows would show.  Every
   per-row computation in the packed runtime is batch-size invariant, so
@@ -81,7 +81,7 @@ from repro.serving.service import (
     CleoService,
     PredictionRequest,
     ServiceStats,
-    _attempt,
+    _Answer,
     _cached_core,
     _only,
     _profile_core,
@@ -295,10 +295,6 @@ class ShardedCleoRouter:
         wait(futures)
         return [future.result() for future in futures]
 
-    @staticmethod
-    def _fan_out_error(exc: Exception, shard: int) -> ShardError:
-        return ShardError(f"shard {shard} failed during fan-out: {exc}", shard=shard)
-
     # ------------------------------------------------------------------ #
     # Degradation ladder
     # ------------------------------------------------------------------ #
@@ -307,24 +303,29 @@ class ShardedCleoRouter:
         self,
         cluster: str,
         shard: int,
-        compute: Callable[[int], np.ndarray],
-        token: tuple[int, int],
-        heuristic: Callable[[], np.ndarray],
+        idx: "list[int] | np.ndarray",
+        approx: "Sequence[int] | np.ndarray",
+        price: "Callable[[list], _Answer]",
+        rows: "Callable[[list[int]], FeatureTable]",
         first: int = 0,
     ) -> np.ndarray:
-        """Walk the degradation ladder for one sub-batch.
+        """Walk the degradation ladder for one owner's rows ``idx``.
 
-        ``compute(s)`` prices the sub-batch on shard ``s``; ``heuristic()``
-        produces the bounded :class:`DefaultCostModel` floor for the same
-        rows.  Rungs: owning shard -> ring-successor retries (breaker- and
-        deadline-gated, at most :data:`_MAX_RETRIES`) -> heuristic floor ->
-        bounded default.  Input validation errors are the caller's bug, not
-        a shard failure, and re-raise immediately.  With no fault the first
-        rung answers: one breaker read, the shard call, two reductions over
-        its answer, one breaker record.  ``first=1`` starts at the first
-        retry: the owner's own rung already failed on the first rung every
-        owner shared (:meth:`_sharded`).
+        Rungs: owning shard -> ring-successor retries (breaker- and
+        deadline-gated, at most :data:`_MAX_RETRIES`) -> heuristic floor of
+        ``rows(idx)`` -> bounded default; each learned rung is a one-owner
+        ``price`` call under the fault token ``(rows, first row's
+        template)``.  Input validation errors re-raise immediately.
+        ``first=1`` starts at the first retry: the owner's own rung already
+        failed on the first rung every owner shared (:meth:`_sharded`).
         """
+        shards = self._shards
+
+        def compute(target: int) -> np.ndarray:
+            values = _only(price([(shards[target][cluster], idx)]))
+            return values if len(values) == len(idx) else values[idx]
+
+        token = (len(idx), int(approx[idx[0]]))
         deadline = time.perf_counter() + _DEADLINE_S
         hedge_target = self._hedge_target(cluster, shard, token)
         if hedge_target is not None:
@@ -349,7 +350,7 @@ class ShardedCleoRouter:
             if values is not None:
                 return values
         # Every learned rung failed: heuristic floor, then bounded default.
-        values = heuristic()
+        values = self._heuristic_floor(rows(list(idx)))
         with self._ladder_lock:
             self._degraded += len(values)
         return values
@@ -386,13 +387,17 @@ class ShardedCleoRouter:
         if self._injector is not None:
             call = partial(self._injector.invoke, target, cluster, token, attempt, call)
         try:
-            answer = _attempt(call)
+            values = call()
         except FeatureValidationError:
             health.release()
             raise
-        if not isinstance(answer, Exception) and not values_ok(answer):
-            answer = ShardError(f"shard {target} answered unserveable values", shard=target)
-        return self._settle(target, answer)
+        except Exception as exc:
+            values, failure = None, exc
+        else:
+            failure = None if values_ok(values) else ShardError(
+                f"shard {target} answered unserveable values", shard=target
+            )
+        return values if self._settle(target, failure) else None
 
     def _hedge_target(self, cluster: str, shard: int, token: tuple[int, int]) -> int | None:
         """The ring successor to hedge to, when the owner would blow the SLO.
@@ -463,13 +468,20 @@ class ShardedCleoRouter:
         as a cache-less service's ``predict_inputs`` does.
         """
         _require_signatures(table)
+        if self._shards[0][self._check_cluster(cluster)].prediction_cache_enabled:
+            return self._predict_keyed(cluster, table)
         approx = table.signature_column("approx").tolist()
         groups, rows = self._group_rows(cluster, approx), _table_rows(table)
-        if not self._shards[0][cluster].prediction_cache_enabled:
-            return self._sharded(
-                cluster, approx, groups, lambda owners: _table_core(owners, table), rows
-            )
-        keys = table.row_keys()
+        return self._sharded(
+            cluster, approx, groups, lambda owners: _table_core(owners, table), rows
+        )
+
+    def _predict_keyed(self, cluster: str, table: FeatureTable) -> np.ndarray:
+        """A table through each owning shard's cached core, whatever the
+        LRUs' capacity (:func:`~repro.serving.service.price_plan`)."""
+        _require_signatures(table)
+        approx, keys = table.signature_column("approx").tolist(), table.row_keys()
+        groups, rows = self._group_rows(cluster, approx), _table_rows(table)
         return self._sharded(
             cluster, approx, groups, lambda owners: _cached_core(owners, keys, rows), rows
         )
@@ -493,7 +505,7 @@ class ShardedCleoRouter:
         cluster: str,
         approx: "Sequence[int] | np.ndarray",
         groups: "list[tuple[int, list[int] | np.ndarray]]",
-        price: "Callable[[list], list[np.ndarray | Exception]]",
+        price: "Callable[[list], _Answer]",
         rows: "Callable[[list[int]], FeatureTable]",
     ) -> np.ndarray:
         """The one fan-out every batched entry point runs.
@@ -501,49 +513,36 @@ class ShardedCleoRouter:
         ``groups`` holds each owning shard's row indices (shards ascending,
         rows in input order) over the ``approx`` column.  ``price(owners)``
         is a service-module pricing core over ``(service, row indices)``
-        owners — one answer per owner, its values or the exception its part
-        raised — and ``rows(positions)`` packs some rows into a table, which
-        the heuristic floor reads.
+        owners, and ``rows(positions)`` packs rows for the heuristic floor.
 
         When :meth:`_fusable` admits the call, its first rung is one
-        ``price`` call with every owner; each owner's answer is settled by
-        :meth:`_settle`, and an owner whose rung failed walks the rest of
-        the ladder from its first retry.  Otherwise every owner walks its
-        own ladder under the fault token ``(rows, first row's template)``.
-        Every ladder rung is a one-owner ``price`` call on the rung's
-        shard.  Answers merge back in input order; a call with no rows has
-        no owner and charges no shard.
+        ``price`` call with every owner, written straight into the answer;
+        each owner makes its one breaker record (:meth:`_settle`), and only
+        an owner whose rung failed walks its ladder (:meth:`_guarded`) from
+        its first retry.  Otherwise every owner walks its own ladder.  A
+        call with no rows has no owner and charges no shard.
         """
-        shards = self._shards
-
-        def ladder(shard: int, idx: "list[int] | np.ndarray", first: int = 0):
-            return self._guarded(
-                cluster,
-                shard,
-                lambda s: _only(price([(shards[s][cluster], idx)])),
-                (len(idx), int(approx[idx[0]])),
-                lambda: self._heuristic_floor(rows(list(idx))),
-                first,
-            )
-
         if self._fusable(groups):
-            answers = price([(shards[shard][cluster], idx) for shard, idx in groups])
-            answers = [
-                self._settle(shard, answer)
-                for (shard, _), answer in zip(groups, answers)
+            shards = self._shards
+            out, failures = price([(shards[shard][cluster], idx) for shard, idx in groups])
+            for (shard, _), failure in zip(groups, failures):
+                self._settle(shard, failure)
+            if not any(failures):
+                return out
+            # Every owner's first-rung record comes before any ladder's.
+            for (shard, idx), failure in zip(groups, failures):
+                if failure is not None:
+                    out[idx] = self._guarded(cluster, shard, idx, approx, price, rows, 1)
+            return out
+        answers = self._fan_out(
+            [
+                partial(self._guarded, cluster, shard, idx, approx, price, rows)
+                for shard, idx in groups
             ]
-            for pos, (shard, idx) in enumerate(groups):
-                if answers[pos] is None:
-                    answers[pos] = ladder(shard, idx, 1)
-        else:
-            answers = self._fan_out(
-                [(lambda s=shard, i=idx: ladder(s, i)) for shard, idx in groups]
-            )
-        if len(groups) == 1:
-            return answers[0]  # one shard owns every row, already in order
+        )
         out = np.empty(len(approx), dtype=float)
         for (_, idx), values in zip(groups, answers):
-            out[np.asarray(idx, dtype=np.int64)] = values
+            out[idx] = values
         return out
 
     def resource_profiles(
@@ -554,37 +553,36 @@ class ShardedCleoRouter:
         charged the lookups of its own covered rows (the profile core)."""
         _require_signatures(table)
         groups = self._group_rows(cluster, table.signature_column("approx").tolist())
-        answers = _profile_core(
-            [(self._shards[shard][cluster], idx) for shard, idx in groups], table
-        )
-        out: list[ResourceProfile | None] = [None] * len(table)
-        for (shard, idx), answer in zip(groups, answers):
-            if isinstance(answer, Exception):
-                raise self._fan_out_error(answer, shard) from answer
-            for i, profile in zip(idx, answer):
-                out[i] = profile
-        return out
+        try:
+            return _profile_core(
+                [(self._shards[shard][cluster], idx) for shard, idx in groups], table
+            )
+        except FeatureValidationError:
+            raise
+        except Exception as exc:
+            shard = groups[0][0]
+            raise ShardError(f"shard {shard} failed during fan-out: {exc}", shard=shard) from exc
 
     # ------------------------------------------------------------------ #
     # The first rung every owner shares
     # ------------------------------------------------------------------ #
 
     def _fusable(self, groups: "list[tuple[int, object]]") -> bool:
-        """Whether one call's owners share one first-rung core call.
-
-        Only state the router observes decides it: no fault injector (each
-        shard call is then a chaos site of its own) and every owner's
-        breaker CLOSED — the state in which :meth:`ShardHealth.allow`
-        admits a call without mutating anything.
-        """
+        """Whether one call's owners share one first-rung core call: no
+        fault injector (each shard call is then a chaos site of its own) and
+        every owner's breaker CLOSED (:meth:`ShardHealth.allow` then admits
+        a call without mutating anything)."""
         if self._injector is not None:
             return False
         health = self._health
-        return all(health[shard].state is BreakerState.CLOSED for shard, _ in groups)
+        for shard, _ in groups:
+            if health[shard].state is not BreakerState.CLOSED:
+                return False
+        return True
 
-    def _settle(self, shard: int, answer: "np.ndarray | Exception") -> np.ndarray | None:
-        """A rung's ``answer`` on ``shard`` — its values, or what its call
-        raised — and its one breaker record; ``None`` when the rung failed.
+    def _settle(self, shard: int, failure: Exception | None) -> bool:
+        """A rung's one breaker record on ``shard``: whether it answered
+        (``failure`` is ``None``) or what its call raised.
 
         The only place a rung's outcome reaches a breaker: the first rung
         every owner shares and each ladder rung (:meth:`_rung`) settle
@@ -594,11 +592,11 @@ class ShardedCleoRouter:
         returned or cached it, with no injector in between.
         """
         health = self._health[shard]
-        if isinstance(answer, Exception):
-            health.record_failure(timeout=isinstance(answer, ShardTimeoutError))
-            return None
-        health.record_success()
-        return answer
+        if failure is None:
+            health.record_success()
+            return True
+        health.record_failure(timeout=isinstance(failure, ShardTimeoutError))
+        return False
 
     def _group_rows(
         self, cluster: str, approx: Sequence[int]
@@ -633,8 +631,8 @@ class ShardedCleoRouter:
     def predict_plan(
         self, cluster: str, root: PhysicalOp, estimator: CardinalityEstimator
     ) -> float:
-        """Total cost of a whole-plan request through the sharded batch path
-        (the service's request list and fold, so bitwise its total)."""
+        """Total cost of a whole-plan request through the sharded cached
+        core (the service's plan table and fold, so bitwise its total)."""
         return price_plan(self.client(cluster), root, estimator)
 
     def cost_model(self, cluster: str | None = None) -> CostModel:
@@ -794,6 +792,9 @@ class ClusterClient:
 
     def predict_inputs(self, table: FeatureTable) -> np.ndarray:
         return self.router.predict_inputs(self.cluster, table)
+
+    def _predict_keyed(self, table: FeatureTable) -> np.ndarray:
+        return self.router._predict_keyed(self.cluster, table)
 
     def predict_table(self, table: FeatureTable) -> np.ndarray:
         return self.router.predict_table(self.cluster, table)

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.cardinality import estimator as estimator_module
 from repro.cardinality.cardlearner import CardLearner
-from repro.cardinality.estimator import CardinalityEstimator, EstimatorConfig
+from repro.cardinality.estimator import (
+    CardinalityEstimator,
+    EstimatorConfig,
+    _gauss_from_unit,
+)
+from repro.common.hashing import stable_unit_float
 from repro.cardinality.perfect import PerfectCardinalityEstimator
 from repro.plan.physical import PhysOpType
 
@@ -58,6 +66,101 @@ class TestDefaultEstimator:
         values_b = [b.estimate(op) for op in physical_simple_plan.walk()]
         assert values_a != values_b
 
+
+
+def _templates(bundle) -> list[tuple[str, object]]:
+    """Every (template tag, logical type) the bundle's plans estimate."""
+    pairs = {
+        (op.logical.template_tag, op.logical.op_type): None
+        for plan in bundle.runner.plans.values()
+        for op in plan.walk()
+        if op.logical is not None
+    }
+    return list(pairs)
+
+
+def _drawn(config: EstimatorConfig, tag: str, op_type) -> float:
+    """The factor derived from scratch: no memo anywhere."""
+    sigma = config.sigmas.get(op_type, 0.0) * config.sigma_scale
+    if sigma <= 0.0:
+        return 1.0
+    return math.exp(sigma * _gauss_from_unit(stable_unit_float(config.seed_salt, tag, op_type.value)))
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestErrorFactorMemo:
+    """Error factors are memoized by value, across estimators: a fresh
+    estimator on a known config derives nothing, and the answers are the
+    derivation's bits whichever estimator (or memo state) serves them."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(estimator_module, "_ERROR_FACTORS", {})
+
+    def _count_draws(self, monkeypatch) -> list:
+        draws: list = []
+
+        def counted(*parts):
+            draws.append(parts)
+            return stable_unit_float(*parts)
+
+        monkeypatch.setattr(estimator_module, "stable_unit_float", counted)
+        return draws
+
+    def test_fresh_estimators_share_bitwise_factors(self, tiny_bundle, monkeypatch):
+        pairs = _templates(tiny_bundle)
+        config = EstimatorConfig()
+        draws = self._count_draws(monkeypatch)
+        first = [CardinalityEstimator(config).error_factor_for(*p) for p in pairs]
+        drawn = len(draws)
+        second = [CardinalityEstimator(config).error_factor_for(*p) for p in pairs]
+        assert drawn > 0 and len(draws) == drawn  # the second estimator drew nothing
+        assert _bits(first) == _bits(second) == _bits([_drawn(config, *p) for p in pairs])
+        # An equal config (a distinct object) shares the entries too.
+        third = CardinalityEstimator(EstimatorConfig())
+        assert _bits([third.error_factor_for(*p) for p in pairs]) == _bits(first)
+        assert len(draws) == drawn
+
+    @pytest.mark.parametrize(
+        "changed", [{"sigma_scale": 0.5}, {"seed_salt": "other-salt"}], ids=["sigma", "salt"]
+    )
+    def test_a_changed_config_changes_the_factors(self, tiny_bundle, changed):
+        pairs = _templates(tiny_bundle)
+        base = EstimatorConfig()
+        other = EstimatorConfig(**changed)
+        ours = [CardinalityEstimator(base).error_factor_for(*p) for p in pairs]
+        theirs = [CardinalityEstimator(other).error_factor_for(*p) for p in pairs]
+        assert _bits(ours) == _bits([_drawn(base, *p) for p in pairs])
+        assert _bits(theirs) == _bits([_drawn(other, *p) for p in pairs])
+        assert ours != theirs
+
+    def test_a_small_bound_gives_identical_estimates(self, tiny_bundle, monkeypatch):
+        plans = list(tiny_bundle.runner.plans.values())
+        config = tiny_bundle.runner.estimator_config
+
+        def estimates() -> list[float]:
+            estimator = CardinalityEstimator(config)
+            return [estimator.estimate(op) for plan in plans for op in plan.walk()]
+
+        unbounded = estimates()
+        peak = len(estimator_module._ERROR_FACTORS)
+        monkeypatch.setattr(estimator_module, "_ERROR_FACTORS", {})
+        monkeypatch.setattr(estimator_module, "_ERROR_FACTOR_LIMIT", 3)
+        sizes: list[int] = []
+        original = CardinalityEstimator.error_factor_for
+
+        def watched(self, *args):
+            value = original(self, *args)
+            sizes.append(len(estimator_module._ERROR_FACTORS))
+            return value
+
+        monkeypatch.setattr(CardinalityEstimator, "error_factor_for", watched)
+        assert peak > 3, "the run must outgrow the patched limit, or nothing is cleared"
+        assert _bits(estimates()) == _bits(unbounded)
+        assert 0 < max(sizes) <= 3
 
 class TestPerfectEstimator:
     def test_all_estimates_exact(self, physical_join_plan):

@@ -108,20 +108,23 @@ def test_serving_tier_defines_no_operator_level_entry_points():
     # ``predict`` too: a single price is a one-row batch, not a scalar twin.
     gone = ("predict_operator", "predict_plan_batch", "explain_operator", "bundle_for", "predict")
     assert {name: counts[name] for name in gone} == dict.fromkeys(gone, 0)
-    # Featurization happens once in the package, inside ``plan_requests``.
+    # Featurization happens once in the package, inside ``price_plan``.
     root = Path(repro.serving.__file__).parent
-    calls = [
-        path.name
-        for path in sorted(root.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", None) == "feature_input_for"
-    ]
-    assert calls == ["service.py"] and counts["plan_requests"] == 1
+
+    def called(name: str) -> list[str]:
+        return [
+            path.name
+            for path in sorted(root.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+        ]
+
+    assert called("operator_table") == ["service.py"] and counts["price_plan"] == 1
+    assert called("operator_row") == called("feature_input_for") == []
     imported = {
         alias.name
         for node in ast.walk(ast.parse((root / "shard" / "router.py").read_text()))
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    assert "feature_input_for" not in imported
+    assert not imported & {"operator_table", "operator_row", "feature_input_for"}

@@ -24,10 +24,11 @@ from repro.cost.default_model import DefaultCostModel
 from repro.features.extract import feature_input_for
 from repro.features.table import FeatureTable
 from repro.plan.physical import PhysOpType
+from repro.plan.signatures import SignatureBundle
 from repro.plan.stages import build_stage_graph
 from repro.serving import CleoService, PredictionRequest
 from repro.serving.faults import FaultInjector, FaultPolicy
-from repro.serving.service import ServiceStats, plan_requests
+from repro.serving.service import ServiceStats
 from repro.serving.shard import HashRing, ShardedCleoRouter, route_key
 from repro.serving.shard.routing import _RING_SALT
 
@@ -378,10 +379,9 @@ def _pricing_transcript(model, bundle) -> list:
             model.resource_profiles(ops, estimator),
             [model.explain(op, estimator) for op in ops],
         ]
-        requests = plan_requests(plan, estimator)
-        inputs += [request.features for request in requests]
-        bundles += [request.signatures for request in requests]
-        lengths.append(len(requests))
+        inputs += [feature_input_for(op, estimator) for op in ops]
+        bundles += [SignatureBundle.of(op) for op in ops]
+        lengths.append(len(ops))
     transcript.append(model.price_plans(FeatureTable.from_inputs(inputs, bundles), lengths))
     return transcript
 
