@@ -3,8 +3,8 @@
 Each benchmark runs its experiment once (the experiments are deterministic,
 seeded end to end), reports the wall time through pytest-benchmark, prints
 the paper-style table, and drops the rendered result under
-``benchmarks/results/`` so ``scripts/build_experiments_md.py`` can assemble
-EXPERIMENTS.md from a real run.
+``benchmarks/results/`` so ``python scripts/build_experiments_md.py`` can
+write EXPERIMENTS.md on demand from a real run (it is not checked in).
 """
 
 from __future__ import annotations

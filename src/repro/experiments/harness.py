@@ -15,7 +15,9 @@ class ExperimentResult:
         rows: tabular results (list of dicts with consistent keys).
         series: named numeric series for figure-type artifacts.
         paper: the paper's reported numbers for the same artifact, where the
-            paper states them (used by EXPERIMENTS.md and shape assertions).
+            paper states them (used by shape assertions, and by the
+            ``EXPERIMENTS.md`` that ``python scripts/build_experiments_md.py``
+            writes on demand from a benchmark run; it is not checked in).
         notes: any substitution/scaling caveats.
     """
 

@@ -14,7 +14,6 @@ from repro.optimizer.partition import (
     DefaultHeuristicStrategy,
     ExhaustiveStrategy,
     PartitionStrategy,
-    ResourceContext,
     SamplingStrategy,
     explore_partitions,
     optimize_partitions,
@@ -39,7 +38,6 @@ __all__ = [
     "PlannerConfig",
     "QueryPlanner",
     "ReplanJob",
-    "ResourceContext",
     "SamplingStrategy",
     "SkeletonPlanner",
     "SkeletonPlannerStats",

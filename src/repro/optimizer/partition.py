@@ -10,20 +10,26 @@ operator minimize the *stage total*:
 * sampling strategies probe the learned models at candidate counts (random /
   uniform / geometric grids);
 * the analytical strategy sums each operator's ``(theta_p, theta_c)``
-  resource profile and minimizes ``sum(theta_p)/P + sum(theta_c)*P`` in
-  closed form — at a small constant number of model lookups per operator.
+  resource profile (:func:`stage_profile`, the resource context) and
+  minimizes ``sum(theta_p)/P + sum(theta_c)*P`` in closed form — at a small
+  constant number of model lookups per operator.
 
-That information is gathered once: :func:`explore_partitions` prices ONE grid
-for a whole wave of finished plans and reads every stage's pick, the
-regression guard and each plan's total cost off it.
+Exploration is one pass per wave of finished plans
+(:func:`explore_partitions`): ONE strategy call
+(:meth:`PartitionStrategy.stage_counts`) names the counts to price for every
+explorable stage of the wave — the analytical strategy reading every
+operator's profile in one ``resource_profiles`` call — then ONE grid prices
+them, and every stage's pick, the regression guard and each plan's total
+cost are read off it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from itertools import islice
 from operator import is_
-from typing import Protocol, runtime_checkable
+from typing import Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -36,39 +42,19 @@ from repro.plan.properties import PartitionScheme
 from repro.plan.stages import build_stage_graph
 
 
-@dataclass
-class ResourceContext:
-    """Accumulates per-operator resource profiles for one stage.
-
-    This is the paper's resource-context abstraction: operators attach their
-    learned cost-vs-partition relationship while the stage is being
-    optimized; the partitioning operator then reads the aggregate.
-    """
-
-    profiles: list[ResourceProfile] = field(default_factory=list)
-
-    def attach(self, profile: ResourceProfile) -> None:
-        self.profiles.append(profile)
-
-    @property
-    def theta_p(self) -> float:
-        return sum(p.theta_p for p in self.profiles)
-
-    @property
-    def theta_c(self) -> float:
-        return sum(p.theta_c for p in self.profiles)
-
-    @property
-    def theta_0(self) -> float:
-        return sum(p.theta_0 for p in self.profiles)
-
-    def stage_cost(self, partitions: float) -> float:
-        return self.theta_p / partitions + self.theta_c * partitions + self.theta_0
-
-    def optimal_partitions(self, max_partitions: int) -> int:
-        """The paper's three-case analysis, via safe candidate evaluation."""
-        aggregate = ResourceProfile(self.theta_p, self.theta_c, self.theta_0)
-        return aggregate.optimal_partitions(max_partitions)
+def stage_profile(profiles: Iterable[ResourceProfile | None]) -> ResourceProfile | None:
+    """The paper's resource context: a stage's covered operator profiles
+    summed, in operator order, into one aggregate ``ResourceProfile`` whose
+    ``cost_at(P)`` is the stage cost and ``optimal_partitions`` the
+    three-case analysis; ``None`` when no operator is covered."""
+    covered = [profile for profile in profiles if profile is not None]
+    if not covered:
+        return None
+    return ResourceProfile(
+        sum(p.theta_p for p in covered),
+        sum(p.theta_c for p in covered),
+        sum(p.theta_0 for p in covered),
+    )
 
 
 def default_partition_heuristic(
@@ -94,18 +80,28 @@ def default_partition_heuristic(
 
 @runtime_checkable
 class PartitionStrategy(Protocol):
-    """Chooses a stage's partition count."""
+    """Names the partition counts exploration prices for a wave's stages.
+
+    :meth:`stage_counts` is the one pass: given every explorable stage of a
+    wave (each its operators), it returns per stage the counts to price — a
+    sweep's whole candidate grid, or a one-count pick.
+    :func:`explore_partitions` prices them all in one grid and takes each
+    stage's first minimum.  Every strategy here also has ``choose(stage_ops,
+    cost_model, estimator, max_partitions) -> int``, the one-stage use of the
+    same pass (a sweep prices its one stage's grid; a pick prices nothing),
+    for callers that want a single stage's count.
+    """
 
     name: str
 
-    def choose(
+    def stage_counts(
         self,
-        stage_ops: list[PhysicalOp],
+        stages: list[list[PhysicalOp]],
         cost_model: CostModel,
         estimator: CardinalityEstimator,
         max_partitions: int,
-    ) -> int:
-        """Return the chosen partition count for the stage."""
+    ) -> list[list[int]]:
+        """Per stage, the partition counts to price (in probe order)."""
         ...
 
 
@@ -146,18 +142,28 @@ def _argmin(costs: list[float]) -> int:
     return min(range(len(costs)), key=costs.__getitem__)
 
 
-def _choose_by_sweep(
-    strategy: "ExhaustiveStrategy | SamplingStrategy",
-    stage_ops: list[PhysicalOp],
-    cost_model: CostModel,
-    estimator: CardinalityEstimator,
-    max_partitions: int,
-) -> int:
+# The strategy methods below take PartitionStrategy's (annotated) arguments.
+
+
+def _sweep_counts(strategy, stages, cost_model, estimator, max_partitions) -> list[list[int]]:
+    """``stage_counts`` of the sweeping strategies: every stage probes the
+    strategy's one candidate grid."""
+    return [strategy.candidates(max_partitions)] * len(stages)
+
+
+def _choose_by_sweep(strategy, stage_ops, cost_model, estimator, max_partitions) -> int:
     """``choose`` of the sweeping strategies: one stage's cheapest candidate
     (:func:`explore_partitions` reads the same pick off its wave-wide grid)."""
-    candidates = strategy.candidates(max_partitions)
+    (candidates,) = strategy.stage_counts([stage_ops], cost_model, estimator, max_partitions)
     (costs,) = _price_grid([stage_ops], cost_model, estimator, [candidates])
     return candidates[_argmin([_stage_total(values) for values in costs])]
+
+
+def _choose_pick(strategy, stage_ops, cost_model, estimator, max_partitions) -> int:
+    """``choose`` of the strategies that name one count per stage: the
+    one-stage ``stage_counts``, nothing priced."""
+    ((count,),) = strategy.stage_counts([stage_ops], cost_model, estimator, max_partitions)
+    return count
 
 
 @dataclass
@@ -168,19 +174,15 @@ class DefaultHeuristicStrategy:
     cap: int = 250
     name: str = "heuristic"
 
-    def choose(
-        self,
-        stage_ops: list[PhysicalOp],
-        cost_model: CostModel,
-        estimator: CardinalityEstimator,
-        max_partitions: int,
-    ) -> int:
-        partitioning = [op for op in stage_ops if op.is_partitioning]
-        anchor = partitioning[0] if partitioning else stage_ops[0]
-        return min(
-            default_partition_heuristic(anchor, estimator, self.partition_mb, self.cap),
-            max_partitions,
-        )
+    def stage_counts(self, stages, cost_model, estimator, max_partitions) -> list[list[int]]:
+        counts = []
+        for stage_ops in stages:
+            anchor = next((op for op in stage_ops if op.is_partitioning), stage_ops[0])
+            local = default_partition_heuristic(anchor, estimator, self.partition_mb, self.cap)
+            counts.append([min(local, max_partitions)])
+        return counts
+
+    choose = _choose_pick
 
 
 @dataclass
@@ -192,6 +194,7 @@ class ExhaustiveStrategy:
     def candidates(self, max_partitions: int) -> list[int]:
         return list(range(1, max_partitions + 1))
 
+    stage_counts = _sweep_counts
     choose = _choose_by_sweep
 
 
@@ -226,6 +229,7 @@ class SamplingStrategy:
         picks = rng.integers(1, max_partitions + 1, size=self.n_samples)
         return sorted({1, *map(int, picks)})
 
+    stage_counts = _sweep_counts
     choose = _choose_by_sweep
 
 
@@ -236,7 +240,7 @@ class AnalyticalStrategy:
     Requires a :class:`CleoCostModel` (the profiles come from the learned
     models' raw-space coefficients).  Operators without any covering model
     contribute nothing, matching the paper's behaviour of only exploring
-    where learned knowledge exists.
+    where learned knowledge exists; a stage with none keeps its count.
 
     ``trust_region`` bounds how far the analytical optimum may move from the
     stage's current count (a factor in each direction).  The linear theta
@@ -249,13 +253,7 @@ class AnalyticalStrategy:
     name: str = "analytical"
     trust_region: float | None = 8.0
 
-    def choose(
-        self,
-        stage_ops: list[PhysicalOp],
-        cost_model: CostModel,
-        estimator: CardinalityEstimator,
-        max_partitions: int,
-    ) -> int:
+    def stage_counts(self, stages, cost_model, estimator, max_partitions) -> list[list[int]]:
         # Duck-typed on purpose: only Cleo's cost model exposes learned
         # resource profiles (importing it here would cycle core<->optimizer).
         if not hasattr(cost_model, "resource_profiles"):
@@ -263,24 +261,32 @@ class AnalyticalStrategy:
                 "AnalyticalStrategy requires a cost model with resource_profiles()"
                 " (CleoCostModel)"
             )
-        context = ResourceContext()
-        # One call for the whole stage, whatever the cost model's schedule.
-        for profile in cost_model.resource_profiles(stage_ops, estimator):
-            if profile is not None:
-                context.attach(profile)
-        if not context.profiles:
-            return stage_ops[0].partition_count  # nothing learned: keep as-is
-        current = stage_ops[0].partition_count
+        # One call for the whole wave, whatever the cost model's schedule;
+        # each stage reads its own operators' run of the answer.
+        wave = [op for stage_ops in stages for op in stage_ops]
+        profiles = iter(cost_model.resource_profiles(wave, estimator))
+        return [
+            [self._pick(islice(profiles, len(ops)), ops[0].partition_count, max_partitions)]
+            for ops in stages
+        ]
+
+    def _pick(self, profiles, current: int, max_partitions: int) -> int:
+        """One stage's count from its operators' ``profiles``: the aggregate's
+        closed-form optimum, clamped to the trust region around ``current``."""
+        aggregate = stage_profile(profiles)
+        if aggregate is None:
+            return current  # nothing learned: keep as-is
         lo, hi = 1, max_partitions
         if self.trust_region is not None:
             lo = max(1, int(current / self.trust_region))
             hi = min(max_partitions, max(int(current * self.trust_region), lo))
-        chosen = context.optimal_partitions(max_partitions)
-        chosen = min(max(chosen, lo), hi)
+        chosen = min(max(aggregate.optimal_partitions(max_partitions), lo), hi)
         # Within the clamped range, re-check the boundary candidates.  The
         # candidates are sorted so a stage-cost tie always resolves to the
         # smallest partition count — never to set iteration order.
-        return min(sorted({lo, chosen, hi}), key=context.stage_cost)
+        return min(sorted({lo, chosen, hi}), key=aggregate.cost_at)
+
+    choose = _choose_pick
 
 
 # --------------------------------------------------------------------- #
@@ -314,19 +320,19 @@ def _explore(
 ) -> dict[int, tuple[int, float]]:
     """:func:`explore_partitions` up to its decisions: ``id(op) -> (final
     partition count, the operator's cost at it)`` for the whole wave."""
-    sweep = getattr(strategy, "candidates", None)
-    grid = sweep(max_partitions) if sweep is not None else None
     stages = [stage for plan in plans for stage in build_stage_graph(plan).stages]
+    fixed = [_stage_is_fixed(stage.operators) for stage in stages]
+    explore = [stage.operators for stage, pinned in zip(stages, fixed) if not pinned]
+    # One strategy call names every explorable stage's counts; a wave with
+    # none makes no call at all.
+    named = iter(
+        strategy.stage_counts(explore, cost_model, estimator, max_partitions) if explore else ()
+    )
     probes: list[list[int]] = []
     picks: list[int] = []  # how many of a stage's probes are candidates
-    for stage in stages:
+    for stage, pinned in zip(stages, fixed):
         current = stage.partition_count
-        if _stage_is_fixed(stage.operators):
-            counts = [current]
-        elif grid is None:
-            counts = [strategy.choose(stage.operators, cost_model, estimator, max_partitions)]
-        else:
-            counts = grid
+        counts = [current] if pinned else next(named)
         picks.append(len(counts))
         probes.append(counts + [current] if guard and current not in counts else counts)
     operators = [stage.operators for stage in stages]
@@ -357,9 +363,10 @@ def explore_partitions(
 
     The grid (:func:`_price_grid`) holds, per stage of every plan's stage
     graph, the counts a decision can read: a fixed stage's current count; an
-    explorable stage's candidates — the strategy's ``candidates`` sweep
-    (exhaustive, sampling), else its ``choose`` pick — plus, last, the current
-    count where the guard will compare against it and the candidates lack it.
+    explorable stage's candidates — what the strategy's one
+    :meth:`~PartitionStrategy.stage_counts` call over the wave names for it, a
+    sweep's grid or a one-count pick — plus, last, the current count where
+    the guard will compare against it and the candidates lack it.
     A stage's pick is the first minimum over its candidates' totals, and a
     plan's total is the ``0.0 + v`` left fold, in walk order, of each
     operator's value at its stage's final count — bit for bit ``plan_cost`` of
@@ -379,7 +386,7 @@ def explore_partitions(
         total = 0.0
         for op in plan.walk():
             total = total + final[id(op)][1]
-        out.append((_with_counts(plan, final), float(total)))
+        out.append((_rebuild_counts(plan, final, {}), float(total)))
     return out
 
 
@@ -395,11 +402,6 @@ def optimize_partitions(
     grid is priced, but nothing walks the plan (DAG-shaped caller input
     stays linear)."""
     final = _explore([plan], cost_model, estimator, strategy, max_partitions, guard)
-    return _with_counts(plan, final)
-
-
-def _with_counts(plan: PhysicalOp, final: dict[int, tuple[int, float]]) -> PhysicalOp:
-    """``plan`` with every operator at ``final[id(op)][0]`` partitions."""
     return _rebuild_counts(plan, final, {})
 
 
@@ -408,8 +410,9 @@ def _rebuild_counts(
     final: dict[int, tuple[int, float]],
     rebuilt: dict[int, PhysicalOp],
 ) -> PhysicalOp:
-    """:func:`_with_counts` below ``op`` (module level: a recursive closure
-    would be a reference cycle)."""
+    """``op`` with every operator below it at ``final[id(op)][0]``
+    partitions (module level: a recursive closure would be a reference
+    cycle)."""
     # Memoized by node id: a subtree shared by several parents (DAG-shaped
     # caller input) stays ONE rebuilt object, visited once.
     done = rebuilt.get(id(op))
@@ -423,7 +426,16 @@ def _rebuild_counts(
     if count == op.partition_count and all(map(is_, children, op.children)):
         result = op
     else:
-        result = replace(op, children=children, partition_count=count)
+        result = PhysicalOp(
+            op.op_type,
+            children,
+            op.logical,
+            count,
+            op.partitioning,
+            op.sorting,
+            op.exchange_mode,
+            op.sort_keys,
+        )
     rebuilt[id(op)] = result
     return result
 

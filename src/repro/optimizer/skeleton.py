@@ -64,7 +64,7 @@ from repro.optimizer.search import (
     materialize,
 )
 from repro.plan.logical import LogicalOp, LogicalOpType
-from repro.plan.physical import ExchangeMode, PhysOpType, PhysicalOp
+from repro.plan.physical import ExchangeMode, PhysOpType, PhysicalOp, post_order
 from repro.plan.properties import Partitioning, SortOrder
 from repro.plan.signatures import signed
 from repro.plan.summary import summarize
@@ -150,17 +150,6 @@ def _same_structure(skeleton: list[SkelNode], bound: list[LogicalOp]) -> bool:
             if bound[index] is not child:  # positions hold distinct nodes
                 return False
     return True
-
-
-def _walk_replay(node: RNode):
-    """Yield the replay tree children-before-parents, like ``PhysicalOp.walk``.
-
-    Shared winner subtrees are yielded once per occurrence, matching the
-    walk of the materialized (tree-shaped) plan.
-    """
-    for child in node.children:
-        yield from _walk_replay(child)
-    yield node
 
 
 def _replay_table(nodes: list[RNode]) -> FeatureTable:
@@ -383,7 +372,7 @@ class SkeletonPlanner(CascadesSearch):
         if self._learned:
             # Every plan total in one packed pass, each reduced with
             # CleoService.predict_plan's exact left-fold order (price_plans).
-            walks = [list(_walk_replay(win)) for win in wins]
+            walks = [post_order(win) for win in wins]
             totals = self.cost_model.price_plans(
                 _replay_table([node for nodes in walks for node in nodes]),
                 [len(nodes) for nodes in walks],
@@ -393,7 +382,7 @@ class SkeletonPlanner(CascadesSearch):
         out = []
         for win in wins:
             total = 0
-            for node in _walk_replay(win):
+            for node in post_order(win):
                 total = total + self._cost(node)
             out.append((materialize(win), float(total)))
         return out

@@ -63,6 +63,26 @@ BLOCKING_OPS = frozenset(
 )
 
 
+def post_order(root) -> list:
+    """Every node under ``root`` (anything with a ``children`` tuple), children
+    left to right before their parent; a subtree shared by several parents
+    appears once per occurrence, as in the tree it stands for.
+
+    An explicit stack, not recursion: a node at depth d costs one push and
+    one pop, not d generator resumptions, and no depth hits the recursion
+    limit.  The stack yields the mirror pre-order (parent, then children
+    right to left), whose reverse is exactly this post-order.
+    """
+    nodes = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(node.children)
+    nodes.reverse()
+    return nodes
+
+
 @dataclass(frozen=True, slots=True)
 class PhysicalOp:
     """One node of a physical plan.
@@ -188,14 +208,13 @@ class PhysicalOp:
     # ------------------------------------------------------------------ #
 
     def walk(self):
-        """Yield every node of the subtree, children before parents."""
-        for child in self.children:
-            yield from child.walk()
-        yield self
+        """Iterate every node of the subtree, children before parents
+        (:func:`post_order`)."""
+        return iter(post_order(self))
 
     @property
     def node_count(self) -> int:
-        return sum(1 for _ in self.walk())
+        return len(post_order(self))
 
     @property
     def depth(self) -> int:

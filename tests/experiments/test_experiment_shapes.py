@@ -17,6 +17,7 @@ from repro.experiments import (
     fig8c_lookups,
     fig9_workload_summary,
     fig10_workload_changes,
+    fig17_partition_exploration,
     tab5_individual_models,
 )
 from repro.experiments.harness import ExperimentResult, format_table
@@ -125,6 +126,27 @@ class TestFig8cShape:
         assert at_40["analytical"] < at_40["sampling-geometric(s=0.5)"]
         assert at_40["sampling-geometric(s=0.5)"] < at_40["sampling-geometric(s=5)"]
         assert at_40["sampling-geometric(s=5)"] < at_40["exhaustive"]
+
+
+class TestFig17Pins:
+    """Figure 17 at ``tiny``, seed 0, pinned exactly: the paper's unclamped
+    closed-form pick, the product strategy's trust-region pick (read from
+    ``AnalyticalStrategy.stage_counts``) and how often the clamp binds."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return fig17_partition_exploration.run(scale="tiny", seed=0)
+
+    def test_unclamped_row(self, result):
+        assert result.series["median_error_analytical"] == [0.0] * 7
+        assert result.row_by("strategy", "analytical") == {
+            "strategy": "analytical", **{f"n={n}": 0.0 for n in (2, 4, 8, 16, 32, 64, 128)}
+        }
+
+    def test_product_pick_and_clamp_share(self, result):
+        assert result.series["median_error_analytical_product"] == [0.0] * 7
+        assert result.series["clamp_binds_pct"] == [4.63]
+        assert "changes the analytical pick on 5 of 108 stages" in result.notes
 
 
 class TestFig9And10Shape:

@@ -11,11 +11,11 @@ from repro.optimizer.partition import (
     AnalyticalStrategy,
     DefaultHeuristicStrategy,
     ExhaustiveStrategy,
-    ResourceContext,
     SamplingStrategy,
     default_partition_heuristic,
     expected_lookups,
     optimize_partitions,
+    stage_profile,
 )
 from repro.core.learned_model import ResourceProfile
 from repro.plan.physical import ExchangeMode, PhysOpType, validate_physical_plan
@@ -34,19 +34,20 @@ class TestHeuristic:
             assert 1 <= default_partition_heuristic(op, estimator, cap=250) <= 250
 
 
-class TestResourceContext:
+class TestStageProfile:
     def test_aggregates_thetas(self):
-        ctx = ResourceContext()
-        ctx.attach(ResourceProfile(10.0, 1.0, 2.0))
-        ctx.attach(ResourceProfile(90.0, 0.0, 1.0))
-        assert ctx.theta_p == 100.0
-        assert ctx.theta_c == 1.0
-        assert ctx.stage_cost(10) == pytest.approx(100.0 / 10 + 10.0 + 3.0)
+        aggregate = stage_profile(
+            [ResourceProfile(10.0, 1.0, 2.0), None, ResourceProfile(90.0, 0.0, 1.0)]
+        )
+        assert aggregate == ResourceProfile(100.0, 1.0, 3.0)
+        assert aggregate.cost_at(10) == pytest.approx(100.0 / 10 + 10.0 + 3.0)
 
     def test_optimal_matches_sqrt_rule(self):
-        ctx = ResourceContext()
-        ctx.attach(ResourceProfile(400.0, 4.0, 0.0))
-        assert ctx.optimal_partitions(3000) == 10
+        aggregate = stage_profile([ResourceProfile(400.0, 4.0, 0.0)])
+        assert aggregate.optimal_partitions(3000) == 10
+
+    def test_nothing_covered_is_none(self):
+        assert stage_profile([None, None]) is None
 
 
 class TestSamplingStrategies:
@@ -215,8 +216,8 @@ class TestDagRebuild:
 
             name: str = "bump"
 
-            def choose(self, stage_ops, cost_model, estimator, max_partitions):
-                return min(stage_ops[0].partition_count + 3, max_partitions)
+            def stage_counts(self, stages, cost_model, estimator, max_partitions):
+                return [[min(ops[0].partition_count + 3, max_partitions)] for ops in stages]
 
         plan = self._shared_plan(physical_simple_plan)
         optimized = optimize_partitions(
@@ -289,9 +290,9 @@ class TestDagRebuild:
         class MoveLeafStage:
             name: str = "move-leaf"
 
-            def choose(self, stage_ops, cost_model, estimator, max_partitions):
-                moved = any(op.op_type is PhysOpType.EXTRACT for op in stage_ops)
-                return stage_ops[0].partition_count + 3 * moved
+            def stage_counts(self, stages, cost_model, estimator, max_partitions):
+                moved = [any(op.op_type is PhysOpType.EXTRACT for op in ops) for ops in stages]
+                return [[ops[0].partition_count + 3 * m] for ops, m in zip(stages, moved)]
 
         entered = []
         monkeypatch.setattr(PhysicalOp, "__eq__", lambda self, other: entered.append(1) or True)

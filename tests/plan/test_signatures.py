@@ -7,8 +7,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 
-from repro.optimizer.skeleton import RNode, _walk_replay
+from repro.optimizer.skeleton import RNode
 from repro.plan import signatures
+from repro.plan.physical import post_order
 from repro.plan.signatures import (
     SignatureBundle,
     approx_signature,
@@ -144,7 +145,7 @@ def _rnode_copy(op, made=None):
 
 
 def _tiers(root) -> list[tuple[int, SignatureBundle]]:
-    return [(signed(node).freq_incl, signed(node).bundle) for node in _walk_replay(root)]
+    return [(signed(node).freq_incl, signed(node).bundle) for node in post_order(root)]
 
 
 _COPIES = {"PhysicalOp": _physical_copy, "RNode": _rnode_copy}

@@ -26,9 +26,9 @@ from repro.cost.default_model import DefaultCostModel
 from repro.features.extract import feature_input_for
 from repro.optimizer.partition import SamplingStrategy, optimize_partitions
 from repro.optimizer.planner import PlannerConfig, QueryPlanner
-from repro.optimizer.skeleton import SkeletonPlanner, _walk_replay, materialize
+from repro.optimizer.skeleton import SkeletonPlanner, materialize
 from repro.plan.logical import LogicalOp, LogicalOpType
-from repro.plan.physical import ExchangeMode, PhysicalOp, PhysOpType
+from repro.plan.physical import ExchangeMode, PhysicalOp, PhysOpType, post_order
 from repro.plan.properties import Partitioning
 from repro.plan.signatures import (
     SignatureBundle,
@@ -389,7 +389,7 @@ class TestPlannerOutput:
                 spec.template.template_id, spec.day, logical, spec.job_id
             )
             plan = materialize(win)
-            pairs = list(zip(_walk_replay(win), plan.walk(), strict=True))
+            pairs = list(zip(post_order(win), plan.walk(), strict=True))
             for node, op in pairs:
                 ours, theirs = signed(node), signed(op)
                 for name in type(ours).__slots__:
@@ -401,17 +401,18 @@ class TestPlannerOutput:
                 ).base_card
 
     def test_plan_enters_walk_linearly(self, tiny_bundle, tiny_predictor, monkeypatch):
-        """One resource-aware ``plan()`` enters ``PhysicalOp.walk`` O(plan
-        size) times: the stage sweep no longer re-walks every operator's
-        subtree per candidate (that was ~22 000 generator frames a job,
+        """One resource-aware ``plan()`` visits O(plan size) nodes through
+        ``PhysicalOp.walk``: the stage sweep no longer re-walks every
+        operator's subtree per candidate (that was ~22 000 node visits a job,
         O(candidates x size^2))."""
         frames = 0
         walk = PhysicalOp.walk
 
         def counting_walk(self):
             nonlocal frames
-            frames += 1
-            return walk(self)
+            nodes = list(walk(self))
+            frames += len(nodes)
+            return iter(nodes)
 
         planner = QueryPlanner(
             CleoCostModel(tiny_predictor),
@@ -426,7 +427,7 @@ class TestPlannerOutput:
             budget = frames
             frames = 0
             size = sum(1 for _ in planned.plan.walk())
-            assert size == frames  # the monkeypatch counts one frame per node
+            assert size == frames  # the monkeypatch counts every node a walk visits
             # plan_cost walks the final plan once; nothing else may walk.
             assert budget <= 2 * size, (spec.job_id, budget, size)
 
