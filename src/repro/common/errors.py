@@ -21,14 +21,6 @@ class OptimizationError(CleoError):
     """The optimizer could not produce a physical plan for a logical plan."""
 
 
-class WorkloadError(CleoError):
-    """Workload generation was configured inconsistently."""
-
-
-class SimulationError(CleoError):
-    """The execution simulator was asked to run an unrunnable plan."""
-
-
 class ValidationError(CleoError):
     """An application-level API was called with inconsistent arguments."""
 

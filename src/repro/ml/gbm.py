@@ -178,8 +178,14 @@ class FastTreeRegressor:
                 seed=self.seed * 7_919 + stage,
             )
             codes, edges = columns.bin(idx, tree.max_bins)
-            tree._fit_binned(codes, edges, residual[idx])
-            update = tree.predict(features)
+            # The grower hands back each sampled row's leaf value, so only
+            # the rows left out of the sample are routed through the tree.
+            update = np.empty(n_samples)
+            update[idx] = tree._fit_binned(codes, edges, residual[idx])
+            unsampled = np.ones(n_samples, dtype=bool)
+            unsampled[idx] = False
+            if unsampled.any():
+                update[unsampled] = tree.predict(features[unsampled])
             current = current + self.learning_rate * update
             self.trees_.append(tree)
         self._flat = None  # ensemble changed: flat layout recompiles lazily
@@ -215,13 +221,3 @@ class FastTreeRegressor:
         np.multiply(leaves, self.learning_rate, out=stack[1:, :n])
         stack[1:, n:] = stack[1:, :1]
         return self._inverse(np.add.reduce(stack, axis=0)[:n])
-
-    def staged_predict(self, features: np.ndarray) -> list[np.ndarray]:
-        """Predictions after each boosting stage (for learning curves)."""
-        features = check_predict_input(features, bool(self.trees_))
-        out = np.full(features.shape[0], self.base_prediction_)
-        stages = []
-        for tree in self.trees_:
-            out = out + self.learning_rate * tree.predict(features)
-            stages.append(self._inverse(out.copy()))
-        return stages

@@ -47,7 +47,9 @@ def _segment_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     adding a segment's rows in order, nor to ``values[s:e].sum(axis=0)``.
     Per-segment standardisation (``StandardScaler``: ``mean`` / ``std`` of
     the slice) therefore cannot be folded into a ``reduceat`` pass without
-    moving every coefficient's bits.
+    moving every coefficient's bits; :func:`_standardize_segments` batches
+    it by segment length instead, with axis reductions over equal-length
+    slabs, which do add each lane in the slice's own order.
     """
     return np.add.reduceat(values, starts, axis=0)
 
@@ -55,9 +57,65 @@ def _segment_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
 def _log_target(targets: np.ndarray) -> tuple[np.ndarray, float]:
     """``(log1p(targets / y_scale), y_scale)``: the target scaled by its
     geometric mean, so the penalty means the same for every template."""
-    # repro: allow(float-reduction) -- one segment's own rows, whether the scalar fit() or the batched fit_elastic_nets calls it, so the reduction's grouping is independent of how many nets are batched
+    # repro: allow(float-reduction) -- one segment's own rows (the scalar fit()); the batched fit_elastic_nets reduces the same contiguous run as one row of a (k, length) block (_standardize_segments), so the grouping is independent of how many nets are batched
     y_scale = float(np.exp(np.mean(np.log1p(targets)))) or 1.0
     return np.log1p(targets / y_scale), y_scale
+
+
+def _standardize_segments(
+    features: np.ndarray, targets: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(mean, scale, x, y_log, y_scale)``: every segment standardized alone.
+
+    Row ``g`` of ``mean`` / ``scale`` / ``y_scale``, and segment ``g``'s run
+    of the packed ``x`` / ``y_log`` (at ``lengths[:g].sum()``), are bit for
+    bit what ``StandardScaler.fit`` and :func:`_log_target` make of
+    ``features`` / ``targets[starts[g] : starts[g] + lengths[g]]`` alone.
+    They are computed in one pass per segment *length*: the rows are
+    gathered once, segment by segment in length order, so each length's
+    segments form one contiguous ``(k, length, d)`` block, reduced along
+    axis 1.  Numpy reduces an ``(L, d)`` slice along axis 0 by adding its
+    rows in order into one accumulator per column, and each slab of the
+    block the same way; a segment's ``(L,)`` log-targets and its row of the
+    ``(k, L)`` target block are each one contiguous run, summed pairwise
+    with the same blocking.  So no lane's sum depends on the segments
+    grouped with it, and ``tests/ml/test_proximal.py`` pins the bits.
+    """
+    m, d = len(lengths), features.shape[1]
+    by_length = np.argsort(lengths, kind="stable")
+    run = lengths[by_length]
+    run_starts = np.cumsum(run) - run
+    step = np.arange(int(run.sum())) - np.repeat(run_starts, run)
+    source = np.repeat(starts[by_length], run) + step
+    rows, row_targets = features[source], targets[source]
+    standardized, logs = np.empty_like(rows), np.empty_like(row_targets)
+    mean, scale, y_scale = np.empty((m, d)), np.empty((m, d)), np.empty(m)
+    bounds = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), m] if m else [0]
+    for first, last in zip(bounds, bounds[1:]):
+        count, length = last - first, int(run[first])
+        at = slice(int(run_starts[first]), int(run_starts[first]) + count * length)
+        block = rows[at].reshape(count, length, d)
+        group_mean = block.mean(axis=1)
+        spread = block.std(axis=1)
+        spread[spread < 1e-12] = 1.0  # constant columns pass through unscaled
+        mean[first:last], scale[first:last] = group_mean, spread
+        out = standardized[at].reshape(count, length, d)
+        np.subtract(block, group_mean[:, None, :], out=out)
+        out /= spread[:, None, :]
+        block_targets = row_targets[at].reshape(count, length)
+        group_scale = np.exp(np.log1p(block_targets).mean(axis=1))
+        group_scale[group_scale == 0.0] = 1.0  # _log_target's ``or 1.0``
+        y_scale[first:last] = group_scale
+        np.log1p(block_targets / group_scale[:, None], out=logs[at].reshape(count, length))
+
+    # Back to the caller's segment order, each segment's rows packed.
+    packed_starts = np.cumsum(lengths) - lengths
+    x, y_log = np.empty_like(rows), np.empty_like(logs)
+    packed = np.repeat(packed_starts[by_length], run) + step
+    x[packed], y_log[packed] = standardized, logs
+    order = np.empty_like(by_length)
+    order[by_length] = np.arange(m)
+    return mean[order], scale[order], x, y_log, y_scale[order]
 
 
 def _adam_msle_batched(
@@ -322,10 +380,13 @@ def fit_elastic_nets(
     scale, coef, intercept, y_scale, n_iter)``, one row per net.
 
     Row ``g`` is bitwise what :meth:`ElasticNetMSLE.fit` on segment ``g``
-    leaves on a net and its scaler: each segment is standardized with the
-    calls ``StandardScaler.fit`` makes (``mean(axis=0)``, ``std(axis=0)``, a
-    spread below 1e-12 read as 1), not in a segment-sum pass (see
-    :func:`_segment_sum`).  ``net`` itself stays unfitted.
+    leaves on a net and its scaler.  The segments are standardized one pass
+    per segment length, not one per segment and not in a segment-sum pass
+    (see :func:`_segment_sum`): each length's segments are reduced as one
+    ``(k, length, d)`` block along axis 1, which adds every column of every
+    segment in the order ``StandardScaler.fit``'s ``mean(axis=0)`` /
+    ``std(axis=0)`` on that segment alone does, so the bits are the same
+    (:func:`_standardize_segments`).  ``net`` itself stays unfitted.
     """
     starts = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -335,25 +396,9 @@ def fit_elastic_nets(
     if (targets < 0).any():
         raise ValueError("MSLE requires non-negative targets")
 
-    # Each segment standardized into one contiguous stack: the caller's
-    # ``starts`` may leave gaps (unused rows), so the optimizer's segment
-    # offsets are recomputed from the lengths.
-    m, d = len(lengths), features.shape[1]
-    mean, scale = np.empty((m, d)), np.empty((m, d))
-    y_scale = np.empty(m)
-    x = np.empty((int(lengths.sum()), d))
-    y_log = np.empty(len(x))
+    mean, scale, x, y_log, y_scale = _standardize_segments(features, targets, starts, lengths)
+    # The caller's ``starts`` may leave gaps (unused rows); the standardized
+    # stack does not, so the optimizer's offsets come from the lengths.
     packed_starts = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(lengths)[:-1]))
-    for g, (start, at, length) in enumerate(
-        zip(starts.tolist(), packed_starts.tolist(), lengths.tolist())
-    ):
-        segment = features[start : start + length]
-        mean[g] = segment.mean(axis=0)
-        spread = segment.std(axis=0)
-        spread[spread < 1e-12] = 1.0
-        scale[g] = spread
-        x[at : at + length] = (segment - mean[g]) / scale[g]
-        y_log[at : at + length], y_scale[g] = _log_target(targets[start : start + length])
-
     weights, bias, n_iter = net._adam(x, y_log, packed_starts, lengths)
     return mean, scale, weights, bias, y_scale, n_iter

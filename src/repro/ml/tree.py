@@ -1,15 +1,15 @@
 """Decision tree regression (CART with histogram split finding).
 
 Features are quantile-binned once per fit (:class:`SortedColumns`: one
-argsort per matrix, every sample of its rows binned from the ranks); split
-search per node is a vectorized bincount over the binned codes, giving
-near-C performance in numpy.  Prediction routes all rows through the node
+argsort per matrix, every sample of its rows binned from the ranks).  A
+tree grows one level per split search: every node of the level is searched
+in one vectorized bincount over node-offset histogram slots, and node ids
+are then handed out in depth-first order, so the trees are those a
+node-at-a-time grower makes.  Prediction routes all rows through the node
 arrays iteratively, so it is vectorized as well.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,23 +18,25 @@ from repro.ml.base import check_fit_inputs, check_predict_input
 _NO_FEATURE = -1
 
 
-@dataclass
-class _Nodes:
-    """Flat array representation of a fitted tree."""
+def _depth_first_ids(left: np.ndarray) -> np.ndarray:
+    """Each node's id in depth-first order, from ``left`` in making order.
 
-    feature: list[int] = field(default_factory=list)
-    threshold: list[float] = field(default_factory=list)
-    left: list[int] = field(default_factory=list)
-    right: list[int] = field(default_factory=list)
-    value: list[float] = field(default_factory=list)
-
-    def add(self) -> int:
-        self.feature.append(_NO_FEATURE)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
+    ``left[p]`` is node ``p``'s left child (its right is ``left[p] + 1``)
+    or -1.  The depth-first grower pops its stack's top, gives a node that
+    splits the next two ids (left, then right) and pushes both, so the
+    right subtree is numbered before the left one's children.
+    """
+    first = left.tolist()
+    ids = [0] * len(first)
+    given = 1
+    walk = [0]
+    while walk:
+        child = first[walk.pop()]
+        if child >= 0:
+            ids[child], ids[child + 1] = given, given + 1
+            given += 2
+            walk += (child, child + 1)
+    return np.asarray(ids, dtype=np.int64)
 
 
 class SortedColumns:
@@ -47,7 +49,7 @@ class SortedColumns:
     statistics of that, and a row's code is a lookup at its rank.
     """
 
-    __slots__ = ("values", "order", "rank")
+    __slots__ = ("values", "order", "rank", "keyed")
 
     def __init__(self, features: np.ndarray) -> None:
         n_samples, n_features = features.shape
@@ -61,6 +63,13 @@ class SortedColumns:
         self.rank = np.empty((n_samples, n_features), dtype=np.intp)
         at = np.arange(n_features * n_samples).reshape(n_features, n_samples)
         np.put_along_axis(self.rank.T, self.order, at, axis=1)
+        #: ``(n_features, n_samples)`` complex ``j + 1j * values[j]``: numpy
+        #: orders complex numbers by real part, then imaginary part, so the
+        #: flat array ascends, column by column, and one ``searchsorted``
+        #: places cuts of every column.
+        self.keyed = np.empty((n_features, n_samples), dtype=complex)
+        self.keyed.real = np.arange(n_features)[:, None]
+        self.keyed.imag = self.values
 
     def bin(self, rows: np.ndarray, max_bins: int) -> tuple[np.ndarray, list[np.ndarray]]:
         """``(codes, edges)`` of ``features[rows]``; ``rows`` must be distinct.
@@ -88,17 +97,20 @@ class SortedColumns:
         # Cuts ascend along a column, so equal ones are neighbours.
         fresh = np.ones(cuts.shape, dtype=bool)
         fresh[:, 1:] = cuts[:, 1:] != cuts[:, :-1]
-        edges = np.split(cuts[fresh], np.cumsum(fresh.sum(axis=1))[:-1])
+        kept = cuts[fresh]
+        per_column = fresh.sum(axis=1)
+        ends = np.cumsum(per_column).tolist()
+        edges = [kept[end - count : end] for end, count in zip(ends, per_column.tolist())]
 
         # A value is >= a cut exactly when its rank is >= the number of
         # values below the cut, so the code at rank r is the count of cuts
-        # placed at or before r.
-        placed = np.concatenate(
-            [
-                np.searchsorted(self.values[j], edges[j]) + j * n_samples
-                for j in range(n_features)
-            ]
-        )
+        # placed at or before r.  One search places every cut: ``(j, cut)``
+        # lands in :attr:`keyed` at ``j * n_samples`` plus the count of
+        # column ``j``'s values below the cut.
+        probes = np.empty(kept.size, dtype=complex)
+        probes.real = np.repeat(np.arange(n_features), per_column)
+        probes.imag = kept
+        placed = np.searchsorted(self.keyed.ravel(), probes)
         steps = np.bincount(placed, minlength=n_features * n_samples)
         code_at_rank = np.cumsum(steps.reshape(n_features, n_samples), axis=1)
         return code_at_rank.ravel()[self.rank[rows]], edges
@@ -148,7 +160,8 @@ class DecisionTreeRegressor:
     def fit(self, features: np.ndarray, targets: np.ndarray) -> "DecisionTreeRegressor":
         features, targets = check_fit_inputs(features, targets)
         codes, edges = self._bin_features(features)
-        return self._fit_binned(codes, edges, targets)
+        self._fit_binned(codes, edges, targets)
+        return self
 
     def _bin_features(self, features: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Quantile-bin each column; returns (codes matrix, bin edges)."""
@@ -156,126 +169,204 @@ class DecisionTreeRegressor:
 
     def _fit_binned(
         self, codes: np.ndarray, edges: list[np.ndarray], targets: np.ndarray
-    ) -> "DecisionTreeRegressor":
-        """Grow the tree on pre-binned rows (what :meth:`fit` runs after binning).
+    ) -> np.ndarray:
+        """Grow the tree on pre-binned rows (what :meth:`fit` runs after
+        binning); returns each row's leaf value — what :meth:`predict` gives
+        the row's raw features, since a code ``<= b`` is a value below cut
+        ``b``.
 
+        Each pass pops one frontier of pending nodes off a stack and
+        searches all of them at once (:meth:`_best_splits`).  A tree that
+        draws features per split must draw them in depth-first order, so it
+        pushes each child as a frontier of its own, the right one on top;
+        any other tree pushes a level's children as one frontier.  Node ids
+        are then handed out as the depth-first grower handed them out
+        (:func:`_depth_first_ids`), so the node arrays are its bits.
         Nothing built here may stay on the tree: a night's predictors hold
         thousands of fitted trees.
         """
         n_samples, n_features = codes.shape
         self.n_features_ = n_features
+        draws = self.max_features is not None and self.max_features < n_features
         # repro: allow(wallclock-rng) -- self.seed is an explicit int hyperparameter (set per tree by the forest as seed*1_000_003+t); rerouting through derive_rng would change every trained tree bitwise and break continuity with checked-in benchmarks
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(self.seed) if draws else None
 
         # The split search's layout, once per tree: every feature gets
         # ``width`` histogram slots and codes are pre-offset into them.
         width = max(len(cuts) for cuts in edges) + 1
         slots = codes + np.arange(n_features) * width
-        # The growth buffer: five Python lists, dropped once ``_arrays``
-        # holds their values.
-        nodes = _Nodes()
+        # Nodes in the order they are made: the root, then children in
+        # (left, right) pairs, so a split node's right child is ``left + 1``.
+        capacity = 2 * n_samples - 1
+        feature = np.full(capacity, _NO_FEATURE, dtype=np.int64)
+        threshold = np.zeros(capacity)
+        left = np.full(capacity, -1, dtype=np.int64)
+        value = np.zeros(capacity)
+        made = 1
+        # Each row's value at the deepest node it has reached: its leaf's,
+        # once the tree is grown.
+        row_values = np.empty(n_samples)
 
-        # Explicit stack of (node_id, sample_indices, depth).
-        root = nodes.add()
-        stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(n_samples), 1)]
+        # Pending frontiers, each (node ids, depth, row counts, rows back to
+        # back), a node's rows in its parent's order.
+        root = np.zeros(1, dtype=np.int64)
+        stack = [(root, 1, np.full(1, n_samples), np.arange(n_samples))]
         while stack:
-            node_id, idx, depth = stack.pop()
-            y_node = targets[idx]
-            # The mean, as ``ndarray.mean`` divides it; the split search
-            # needs the same sum.
-            total = float(y_node.sum())
-            nodes.value[node_id] = total / len(idx)
-            if depth >= self.max_depth or len(idx) < self.min_samples_split:
-                continue
-            split = self._best_split(slots, width, y_node, total, idx, rng)
-            if split is None:
-                continue
-            feature_idx, bin_idx = split
-            go_left = slots[idx, feature_idx] <= bin_idx + feature_idx * width
-            left_idx = idx[go_left]
-            right_idx = idx[~go_left]
-            if len(left_idx) < self.min_samples_leaf or len(right_idx) < self.min_samples_leaf:
-                continue
-            nodes.feature[node_id] = feature_idx
-            nodes.threshold[node_id] = float(edges[feature_idx][bin_idx])
-            left_id = nodes.add()
-            right_id = nodes.add()
-            nodes.left[node_id] = left_id
-            nodes.right[node_id] = right_id
-            stack.append((left_id, left_idx, depth + 1))
-            stack.append((right_id, right_idx, depth + 1))
+            here, depth, counts, rows = stack.pop()
+            y = targets[rows]
+            # Each node's mean as ``ndarray.mean`` divides it: the pairwise
+            # sum of the node's own rows, in their order.
+            ends = np.cumsum(counts)
+            runs = list(zip((ends - counts).tolist(), ends.tolist()))
+            totals = np.array([y[begin:end].sum() for begin, end in runs])
+            value[here] = means = totals / counts
+            row_values[rows] = np.repeat(means, counts)
 
+            searched = counts >= self.min_samples_split
+            if depth >= self.max_depth or not searched.any():
+                continue
+            squares = y * y
+            total_sq = np.array([squares[begin:end].sum() for begin, end in runs])
+            # A drawing tree's frontier is one node: it draws only when that
+            # node is searched, as the depth-first grower did.
+            found, split_feature, split_bin = self._best_splits(
+                slots, width, rows, y, counts, totals, total_sq - totals * totals / counts, rng
+            )
+            splits = found & searched
+            if not splits.any():
+                continue
+
+            # Each parent's rows go to its children, in order.
+            parents = here[splits]
+            parent_feature, parent_bin = split_feature[splits], split_bin[splits]
+            parent_sizes = counts[splits]
+            parent_of = np.repeat(np.arange(parents.size), parent_sizes)
+            parent_rows = rows[np.repeat(splits, counts)]
+            go_left = (
+                slots[parent_rows, parent_feature[parent_of]]
+                <= (parent_bin + parent_feature * width)[parent_of]
+            )
+            lefts = np.bincount(parent_of[go_left], minlength=parents.size)
+            feature[parents] = parent_feature
+            threshold[parents] = [
+                edges[f][b] for f, b in zip(parent_feature.tolist(), parent_bin.tolist())
+            ]
+            children = made + 2 * np.arange(parents.size)
+            left[parents] = children
+            made += 2 * parents.size
+            left_rows, right_rows = parent_rows[go_left], parent_rows[~go_left]
+            if draws:
+                # Each child alone, the right one on top: the next frontier
+                # is the node the depth-first grower would pop.
+                stack.append((children, depth + 1, lefts, left_rows))
+                stack.append((children + 1, depth + 1, parent_sizes - lefts, right_rows))
+            else:
+                # The next level as one frontier.
+                stack.append(
+                    (
+                        np.concatenate((children, children + 1)),
+                        depth + 1,
+                        np.concatenate((lefts, parent_sizes - lefts)),
+                        np.concatenate((left_rows, right_rows)),
+                    )
+                )
+
+        ids = _depth_first_ids(left[:made])
+        order = np.empty(made, dtype=np.intp)
+        order[ids] = np.arange(made)
+        first = left[order]
+        split_node = first >= 0
+        new_left = np.where(split_node, ids[first], -1)
         self._arrays = (
-            np.asarray(nodes.feature, dtype=np.int64),
-            np.asarray(nodes.threshold, dtype=float),
-            np.asarray(nodes.left, dtype=np.int64),
-            np.asarray(nodes.right, dtype=np.int64),
-            np.asarray(nodes.value, dtype=float),
+            feature[order],
+            threshold[order],
+            new_left,
+            np.where(split_node, new_left + 1, -1),
+            value[order],
         )
-        return self
+        return row_values
 
-    def _best_split(
+    def _best_splits(
         self,
         slots: np.ndarray,
         width: int,
+        rows: np.ndarray,
         y: np.ndarray,
-        total_sum: float,
-        idx: np.ndarray,
-        rng: np.random.Generator,
-    ) -> tuple[int, int] | None:
-        """Best (feature, bin) by SSE reduction over rows ``idx``, or None.
+        sizes: np.ndarray,
+        totals: np.ndarray,
+        total_sse: np.ndarray,
+        rng: np.random.Generator | None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(found, feature, bin)``: each node's best split by SSE reduction.
 
-        ``slots`` is the tree's layout (``code + feature * width``), ``y``
-        the node's targets in ``idx`` order and ``total_sum`` their sum.
+        The nodes' rows run back to back in ``rows`` (``sizes`` of them per
+        node), ``y`` holds their targets, ``totals`` and ``total_sse`` each
+        node's target sum and squared error; ``slots`` is the tree's layout
+        (``code + feature * width``), and ``rng`` draws each node's
+        candidate features when the tree samples them.
+        All nodes and all candidate features are scanned at once: one flat
+        bincount for counts and weighted sums over node-offset slots, prefix
+        sums along the bin axis, then per node the same argmax cascade a
+        feature-at-a-time loop would run (first-max within a feature, first
+        strictly-better feature across features).  Each slot's sum adds its
+        node's rows in their order, so every node's split is the one a
+        search of that node alone picks.
         """
-        n = len(idx)
-        total_sq = float((y * y).sum())
-        total_sse = total_sq - total_sum * total_sum / n
-
+        count = len(sizes)
         n_features = slots.shape[1]
-        # All candidate features are scanned at once: one flat bincount for
-        # counts and weighted sums, prefix sums along the bin axis, then the
-        # same argmax cascade a feature-at-a-time loop would run (first-max
-        # within a feature, first strictly-better feature across features),
-        # so the chosen split is identical to the scalar scan's.
-        if self.max_features is not None and self.max_features < n_features:
-            candidates = rng.choice(n_features, size=self.max_features, replace=False)
-            flat = slots[np.ix_(idx, candidates)].ravel()
+        owner = np.repeat(np.arange(count), sizes)
+        if rng is not None:
+            # One draw per node, in the order the nodes come.
+            candidates = np.array(
+                [rng.choice(n_features, size=self.max_features, replace=False) for _ in sizes]
+            )
+            flat = slots[rows[:, None], candidates[owner]]
         else:
             candidates = None
-            flat = slots[idx].ravel()
+            flat = slots[rows]
+        nothing = np.zeros(count, dtype=np.intp)
         if width < 2:  # no feature has any cut
-            return None
-        m = n_features if candidates is None else len(candidates)
+            return np.zeros(count, dtype=bool), nothing, nothing
         size = n_features * width
-        counts = np.bincount(flat, minlength=size).reshape(n_features, width)
-        # Row-major ravel keeps each bucket's accumulation in sample order,
-        # so the weighted sums match per-feature bincounts bit for bit.
-        sums = np.bincount(flat, weights=np.repeat(y, m), minlength=size)
-        sums = sums.reshape(n_features, width)
+        per_row = flat.shape[1]
+        flat += (owner * size)[:, None]
+        flat = flat.ravel()
+        shape = (count, n_features, width)
+        counts = np.bincount(flat, minlength=count * size).reshape(shape)
+        # Row-major ravel keeps each bucket's accumulation in row order.
+        sums = np.bincount(flat, weights=np.repeat(y, per_row), minlength=count * size)
+        sums = sums.reshape(shape)
         if candidates is not None:
-            counts, sums = counts[candidates], sums[candidates]
-        # Prefix sums over bins: split after bin b sends bins <= b left.
-        left_counts = np.cumsum(counts, axis=1)[:, :-1]
-        left_sums = np.cumsum(sums, axis=1)[:, :-1]
-        right_counts = n - left_counts
-        right_sums = total_sum - left_sums
-        # Bins past a feature's real width have zero counts, so their
-        # right_counts hit 0 and validity masks them out automatically.
+            at = np.arange(count)[:, None]
+            counts, sums = counts[at, candidates], sums[at, candidates]
+        # Prefix sums over bins: a split after bin b sends bins <= b left.
+        # The last bin stays in, so the arrays stay contiguous: it sends
+        # every row left, so, like the bins past a feature's own cuts, its
+        # right count is 0 and validity masks it out.
+        left_counts = np.cumsum(counts, axis=2)
+        left_sums = np.cumsum(sums, axis=2)
+        right_counts = sizes[:, None, None] - left_counts
         min_leaf = self.min_samples_leaf
-        valid = (left_counts >= min_leaf) & (right_counts >= min_leaf)
-        gain = np.where(
-            valid,
-            left_sums**2 / np.maximum(left_counts, 1)
-            + right_sums**2 / np.maximum(right_counts, 1),
-            -np.inf,
-        )
-        scores = gain.max(axis=1) - total_sum * total_sum / n
-        pick = int(np.argmax(scores))  # first strictly-better feature wins
-        if not np.isfinite(scores[pick]) or scores[pick] <= 1e-12 or total_sse <= 0:
-            return None
-        feature_idx = pick if candidates is None else int(candidates[pick])
-        return feature_idx, int(gain[pick].argmax())  # first max within the feature
+        invalid = (left_counts < min_leaf) | (right_counts < min_leaf)
+        # ``left_sums**2 / max(left_counts, 1) + right_sums**2 /
+        # max(right_counts, 1)``, worked in place: a level's grid is too big
+        # to stay in cache as a dozen temporaries.
+        np.maximum(left_counts, 1, out=left_counts)
+        np.maximum(right_counts, 1, out=right_counts)
+        gain = np.square(left_sums)
+        gain /= left_counts
+        right = np.subtract(totals[:, None, None], left_sums, out=left_sums)
+        np.square(right, out=right)
+        right /= right_counts
+        gain += right
+        gain[invalid] = -np.inf
+        scores = gain.max(axis=2) - (totals * totals / sizes)[:, None]
+        at = np.arange(count)
+        pick = np.argmax(scores, axis=1)  # first strictly-better feature wins
+        best = scores[at, pick]
+        found = np.isfinite(best) & ~(best <= 1e-12) & ~(total_sse <= 0)
+        chosen = pick if candidates is None else candidates[at, pick]
+        return found, chosen, gain[at, pick].argmax(axis=1)  # first max within the feature
 
     # ------------------------------------------------------------------ #
     # Prediction

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ml.losses import mean_squared_log_error
-from repro.ml.proximal import ElasticNetMSLE, _segment_sum
+from repro.ml.preprocessing import StandardScaler
+from repro.ml.proximal import ElasticNetMSLE, _log_target, _segment_sum, _standardize_segments
 
 
 def _cost_like_data(n=150, seed=0, noise=0.05):
@@ -132,3 +133,79 @@ class TestSegmentSum:
         for g, (start, length) in enumerate(zip(starts, lengths)):
             alone = _segment_sum(values[start : start + length], np.zeros(1, dtype=np.int64))
             assert np.array_equal(together[g], alone[0])
+
+
+def _segments(rng, lengths, width, gap=3):
+    """Rows for segments of ``lengths`` with up to ``gap`` unused rows
+    before each, and columns that exercise standardization's edges."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    gaps = rng.integers(0, gap + 1, size=len(lengths))
+    starts = np.cumsum(gaps) + np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    n = int(starts[-1] + lengths[-1]) + int(rng.integers(0, gap + 1))
+    kinds = [
+        lambda: rng.lognormal(0.0, 3.0, size=n) * rng.choice([-1.0, 1.0], size=n),
+        lambda: np.full(n, rng.normal()),  # constant: spread 0
+        lambda: 7.0 + 1e-14 * rng.normal(size=n),  # spread below 1e-12
+        lambda: np.where(rng.random(n) < 0.5, 0.0, -0.0),
+        lambda: rng.integers(0, 3, size=n).astype(float),
+        lambda: rng.normal(size=n) * 1e6,
+    ]
+    features = np.column_stack([kinds[j % len(kinds)]() for j in range(width)])
+    targets = rng.lognormal(0.0, 2.0, size=n)
+    zero = rng.random(n)
+    targets[zero < 0.1] = 0.0
+    targets[zero > 0.95] = -0.0
+    return features, targets, starts, lengths
+
+
+def _per_segment(features, targets, starts, lengths):
+    """The spelling the grouped pass replaced: one ``StandardScaler.fit``
+    and one ``_log_target`` per segment."""
+    means, scales, rows, logs, y_scales = [], [], [], [], []
+    for start, length in zip(starts.tolist(), lengths.tolist()):
+        segment = features[start : start + length]
+        scaler = StandardScaler().fit(segment)
+        means.append(scaler.mean_)
+        scales.append(scaler.scale_)
+        rows.append(scaler.transform(segment))
+        y_log, y_scale = _log_target(targets[start : start + length])
+        logs.append(y_log)
+        y_scales.append(y_scale)
+    return (
+        np.array(means),
+        np.array(scales),
+        np.concatenate(rows),
+        np.concatenate(logs),
+        np.array(y_scales),
+    )
+
+
+def _assert_bitwise(got, want):
+    for name, a, b in zip(("mean", "scale", "rows", "y_log", "y_scale"), got, want, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+class TestGroupedStandardization:
+    """``fit_elastic_nets`` standardizes one pass per segment length; every
+    segment must get exactly the bits its own scaler and log target give."""
+
+    @pytest.mark.parametrize("width", [29, 31])
+    def test_every_length_from_1_to_300(self, width):
+        """Lengths cross numpy's 8-lane unroll and its 128-element pairwise
+        blocks; every length has two segments, so each group stacks."""
+        rng = np.random.default_rng(width)
+        lengths = rng.permutation(np.repeat(np.arange(1, 301), 2))
+        batch = _segments(rng, lengths, width)
+        _assert_bitwise(_standardize_segments(*batch), _per_segment(*batch))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        lengths=st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=25),
+        width=st.sampled_from([1, 2, 29, 31]),
+        gap=st.sampled_from([0, 3]),
+    )
+    def test_generated_batches(self, seed, lengths, width, gap):
+        rng = np.random.default_rng(seed)
+        batch = _segments(rng, lengths, width, gap)
+        _assert_bitwise(_standardize_segments(*batch), _per_segment(*batch))

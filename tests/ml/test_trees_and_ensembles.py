@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.gbm import FastTreeRegressor
 from repro.ml.tree import DecisionTreeRegressor, SortedColumns
+from tests.ml.dfs_grower import grow_per_node
 
 
 def _step_data(n=300, seed=0):
@@ -126,11 +127,15 @@ class TestFastTree:
             FastTreeRegressor(log_target=True).fit(np.ones((3, 1)), np.array([-1.0, 1, 2]))
 
     def test_staged_predictions_improve(self):
+        """More stages fit better; a 1-stage booster is the longer one's
+        first stage (same seed, so the same first tree)."""
         x, y = _step_data()
-        gbm = FastTreeRegressor(n_estimators=15, log_target=False, seed=0).fit(x, y)
-        stages = gbm.staged_predict(x)
-        first_mse = float(np.mean((stages[0] - y) ** 2))
-        last_mse = float(np.mean((stages[-1] - y) ** 2))
+        first = FastTreeRegressor(n_estimators=1, log_target=False, seed=0).fit(x, y)
+        last = FastTreeRegressor(n_estimators=15, log_target=False, seed=0).fit(x, y)
+        for got, want in zip(first.trees_[0].node_arrays(), last.trees_[0].node_arrays()):
+            assert got.tobytes() == want.tobytes()
+        first_mse = float(np.mean((first.predict(x) - y) ** 2))
+        last_mse = float(np.mean((last.predict(x) - y) ** 2))
         assert last_mse < first_mse
 
     def test_subsample_validation(self):
@@ -296,3 +301,114 @@ class TestNothingFromFitStaysOnATree:
         forest = RandomForestRegressor(n_estimators=4).fit(x, y)
         for tree in booster.trees_ + forest.trees_:
             self._assert_lean(tree)
+
+
+# --------------------------------------------------------------------- #
+# The frontier grower against the per-node grower it replaced
+# --------------------------------------------------------------------- #
+
+_TARGET_KINDS = {
+    "normal": lambda rng, n: rng.normal(size=n),
+    "lognormal": lambda rng, n: rng.lognormal(0.0, 2.0, size=n),
+    "few_valued": lambda rng, n: rng.integers(0, 4, size=n).astype(float),
+    "constant": lambda rng, n: np.full(n, rng.normal()),
+}
+
+_generated = dict(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=2, max_value=300),
+    kinds=st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=6),
+    target=st.sampled_from(sorted(_TARGET_KINDS)),
+)
+
+
+def _matrix(seed, n, kinds, target):
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([_COLUMN_KINDS[kind](rng, n) for kind in kinds])
+    return rng, x, _TARGET_KINDS[target](rng, n)
+
+
+def _assert_same_nodes(got, want):
+    for a, b in zip(got.node_arrays(), want.node_arrays(), strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _per_node_fit(tree, x, y):
+    codes, edges = tree._bin_features(x)
+    return grow_per_node(tree, codes, edges, y)
+
+
+class TestFrontierGrower:
+    """Every tree the frontier grower makes is the per-node grower's
+    (``tests/ml/dfs_grower.py``), node array for node array."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        **_generated,
+        depth=st.sampled_from([1, 5, 15]),
+        min_leaf=st.sampled_from([1, 2, 7]),
+        min_split=st.sampled_from([2, 10]),
+    )
+    def test_standalone_trees(self, seed, n, kinds, target, depth, min_leaf, min_split):
+        _, x, y = _matrix(seed, n, kinds, target)
+        params = dict(max_depth=depth, min_samples_leaf=min_leaf, min_samples_split=min_split)
+        got = DecisionTreeRegressor(**params).fit(x, y)
+        _assert_same_nodes(got, _per_node_fit(DecisionTreeRegressor(**params), x, y))
+
+    @settings(max_examples=40, deadline=None)
+    @given(**_generated, max_features=st.sampled_from(["sqrt", 1, 3, None]))
+    def test_forest(self, seed, n, kinds, target, max_features):
+        """Per-split feature draws come in the per-node grower's DFS order."""
+        _, x, y = _matrix(seed, n, kinds, target)
+        forest = RandomForestRegressor(n_estimators=4, max_features=max_features, seed=seed % 97)
+        forest.fit(x, y)
+        draws = np.random.default_rng(forest.seed)
+        for t, got in enumerate(forest.trees_):
+            sample = draws.integers(0, n, size=n)
+            want = DecisionTreeRegressor(
+                max_depth=forest.max_depth,
+                min_samples_leaf=forest.min_samples_leaf,
+                max_features=forest._resolve_max_features(x.shape[1]),
+                seed=forest.seed * 1_000_003 + t,
+            )
+            _assert_same_nodes(got, _per_node_fit(want, x[sample], y[sample]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(**_generated, subsample=st.sampled_from([0.9, 0.5, 1.0]))
+    def test_fasttree(self, seed, n, kinds, target, subsample):
+        """Every stage, its residual update routed through ``predict``."""
+        _, x, y = _matrix(seed, n, kinds, target)
+        y = np.abs(y)
+        model = FastTreeRegressor(n_estimators=6, subsample=subsample, seed=seed % 89).fit(x, y)
+        columns = SortedColumns(x)
+        y_log = np.log1p(y)
+        draws = np.random.default_rng(model.seed)
+        current = np.full(n, model.base_prediction_)
+        for stage, got in enumerate(model.trees_):
+            residual = y_log - current
+            if subsample < 1.0:
+                idx = draws.choice(n, size=max(2, int(round(n * subsample))), replace=False)
+            else:
+                idx = np.arange(n)
+            want = DecisionTreeRegressor(
+                max_depth=model.max_depth,
+                min_samples_leaf=model.min_samples_leaf,
+                seed=model.seed * 7_919 + stage,
+            )
+            codes, edges = columns.bin(idx, want.max_bins)
+            _assert_same_nodes(got, grow_per_node(want, codes, edges, residual[idx]))
+            current = current + model.learning_rate * want.predict(x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_generated, share=st.sampled_from([1.0, 0.9, 0.5]), depth=st.sampled_from([1, 5, 15]))
+    def test_leaf_values_are_predict_on_the_sampled_rows(
+        self, seed, n, kinds, target, share, depth
+    ):
+        """The booster's residual update reads each sampled row's leaf from
+        the grower's partition; it must be what ``predict`` routes it to."""
+        rng, x, y = _matrix(seed, n, kinds, target)
+        rows = rng.choice(n, size=max(2, int(round(n * share))), replace=False)
+        tree = DecisionTreeRegressor(max_depth=depth, min_samples_leaf=2)
+        codes, edges = SortedColumns(x).bin(rows, tree.max_bins)
+        leaves = tree._fit_binned(codes, edges, y[rows])
+        assert leaves.tobytes() == tree.predict(x[rows]).tobytes()
