@@ -16,6 +16,7 @@ from repro.core import CleoConfig, CleoCostModel, CleoTrainer
 from repro.cost import DefaultCostModel
 from repro.data import tpch_catalog
 from repro.execution import ExecutionSimulator
+from repro.execution.batch import BatchedExecutionEngine
 from repro.execution.hardware import ClusterSpec
 from repro.execution.runtime_log import RunLog
 from repro.optimizer import AnalyticalStrategy, PlannerConfig, QueryPlanner
@@ -57,19 +58,18 @@ def main() -> None:
     )
 
     print("training: 22 queries x 10 randomized runs ...")
-    log = RunLog()
+    engine = BatchedExecutionEngine(simulator)
     for run in range(10):
         for query in queries.all_queries(run=run):
             default_planner.jitter_salt = f"r{run}q{query.query_id}"
-            planned = default_planner.plan(query.plan)
-            result = simulator.run_job(
-                planned.plan,
+            engine.add_plan(
+                default_planner.plan(query.plan).plan,
+                estimator,
                 job_id=f"q{query.query_id}_r{run}",
                 template_id=f"q{query.query_id}",
                 day=1 + run % 2,
-                estimator=estimator,
             )
-            log.append(result.record)
+    log = RunLog(jobs=engine.finish())
 
     predictor = CleoTrainer(CleoConfig()).train(log, individual_days=[1], combined_days=[2])
     cleo_planner = QueryPlanner(

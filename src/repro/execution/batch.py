@@ -1,35 +1,36 @@
-"""Batched job execution: array-speed ground truth over replayed plans.
+"""Job execution: array-speed ground truth over executed plans.
 
-The scalar :class:`~repro.execution.simulator.ExecutionSimulator` walks a
-plan operator by operator — signature recursion, hidden-multiplier hashes,
-feature extraction, latency formula — all in Python per operator.  This
-module executes a whole *run* of jobs in a handful of array operations
-instead, in two layers:
+Every executed job goes through :class:`BatchedExecutionEngine`, which runs
+a whole *run* of jobs in a handful of array operations, in two layers:
 
-* **Shape statics**, cached per plan *shape* (the structural fingerprint of
-  a replayed plan, day-independent): signatures, hidden multipliers, skew
-  units, stage-graph structure, coefficient gathers, input encodings, CL/D
-  context features.  None of these depend on a job instance's numbers, so
-  every job that makes the same planning choices reuses them.  Statics are
-  extracted by running the *real* implementations
-  (``SignatureBundle.of``, ``build_stage_graph``,
-  ``hidden_multiplier``) once over a materialized representative plan —
-  parity with the scalar path is structural, not re-implemented.
+* **Shape statics**: signatures, hidden multipliers, skew units,
+  stage-graph structure, coefficient gathers, input encodings, CL/D context
+  features.  None of these depend on a job instance's numbers.  They are
+  extracted by running the *real* implementations (``SignatureBundle.of``,
+  ``build_stage_graph``, ``hidden_multiplier``) over a materialized plan
+  (:func:`build_shape_statics`), and a replayed job's are cached per plan
+  *shape* (the skeleton planner's choice key), so every job that makes the
+  same planning choices reuses them.
 * **Per-run numerics**: jobs are accumulated into flat row-major buffers
-  (one row per operator) and the ground-truth latency formula runs once,
-  vectorized, over all rows at :meth:`BatchedExecutionEngine.finish`.
-  Per-execution noise stays a compact scalar loop so the RNG draw order
-  matches the scalar path's interleaved, outcome-dependent ``_noise`` calls
-  exactly; transcendental terms (``log2`` for sorts, ``log1p`` for skew) go
-  through the same ``math.*`` calls as the scalar path because numpy's SIMD
-  variants are not guaranteed bit-identical.  The run's rows leave as one
+  (one row per operator, in post order) and the ground-truth latency
+  formula runs once, vectorized, over all rows at
+  :meth:`BatchedExecutionEngine.finish`.  Per-execution noise stays a
+  compact scalar loop so the RNG draw order is the operator walk's: one
+  ``_noise`` call per operator from the job's ``("noise", job_id, day)``
+  stream.  Transcendental terms (``log2`` for sorts, ``log1p`` for skew)
+  go through ``math.*`` calls because numpy's SIMD variants are not
+  guaranteed bit-identical across builds.  The run's rows leave as one
   :class:`~repro.execution.runtime_log.OperatorBlock` (the feature table
   plus outcome columns); each job record's ``operators`` is a slice of it,
   and no per-operator object is built.
 
-The result is bitwise-identical to per-job ``ExecutionSimulator.run_job``
-runs: same operator latencies, features, signatures, and job records
-(pinned by ``tests/workload/test_batched_parity.py``).
+Two entries feed one gather: :meth:`~BatchedExecutionEngine.add_job` takes
+a skeleton replay's winner with the estimates the replay cached on its
+nodes; :meth:`~BatchedExecutionEngine.add_plan` takes any
+:class:`~repro.plan.physical.PhysicalOp` plan with the estimates of a
+:class:`~repro.cardinality.estimator.CardinalityEstimator`.  Both log
+exactly what the per-operator walk in :mod:`repro.reference` logs
+(``tests/workload/test_batched_parity.py``).
 """
 
 from __future__ import annotations
@@ -38,13 +39,14 @@ import math
 
 import numpy as np
 
+from repro.cardinality.estimator import CardinalityEstimator
 from repro.execution.runtime_log import JobRecord, OperatorBlock, OperatorRows
 from repro.execution.simulator import ExecutionSimulator
 from repro.execution.trace import stage_finish_times, stage_seconds, stage_work
 from repro.features.featurizer import FeatureInput
 from repro.features.table import FeatureTable
 from repro.optimizer.skeleton import RNode, materialize
-from repro.plan.physical import PhysOpType, PhysicalOp
+from repro.plan.physical import PhysOpType, PhysicalOp, post_order
 from repro.plan.signatures import SignatureBundle
 from repro.plan.stages import build_stage_graph
 
@@ -89,8 +91,8 @@ class ShapeStatics:
 
 
 def build_shape_statics(plan: PhysicalOp, simulator: ExecutionSimulator) -> ShapeStatics:
-    """Extract a shape's static data by running the real scalar machinery
-    once over a representative materialized plan."""
+    """Extract a shape's static data by running the real per-operator
+    machinery once over a materialized plan."""
     ground_truth = simulator.ground_truth
     ops = list(plan.walk())
     index_of = {id(op): i for i, op in enumerate(ops)}
@@ -173,16 +175,18 @@ class _JobEntry:
 
 
 class BatchedExecutionEngine:
-    """Executes replayed plans through the vectorized ground-truth model.
+    """Executes plans through the vectorized ground-truth model.
 
     Wraps one cluster's :class:`ExecutionSimulator`, sharing its ground-truth
-    model (and thus its multiplier caches) and its RNG tree, so noise streams
-    are identical to the scalar path's.  Usage::
+    model (and thus its multiplier caches) and its RNG tree: a job's noise
+    stream is ``("noise", job_id, day)`` whichever entry added it.  Usage::
 
         engine.begin()
         for job ...:
-            statics = engine.statics_for(win)
+            statics = engine.statics_for(win, choice_key)
             engine.add_job(win, statics, job_id, template_id, day, adhoc)
+            # or, for a plan from QueryPlanner:
+            engine.add_plan(plan, estimator, job_id, template_id, day, adhoc)
         records = engine.finish()
     """
 
@@ -250,35 +254,46 @@ class BatchedExecutionEngine:
         day: int,
         is_adhoc: bool,
     ) -> None:
-        """Gather one job's numerics into the run buffers."""
+        """Gather one replayed job's numerics into the run buffers, with the
+        estimates the replay cached on its nodes."""
+        nodes = post_order(win)
+        est_in = [node.est_in for node in nodes]
+        est_out = [node.est_out for node in nodes]
+        self._gather(nodes, est_in, est_out, statics, job_id, template_id, day, is_adhoc)
+
+    def add_plan(
+        self,
+        plan: PhysicalOp,
+        estimator: CardinalityEstimator,
+        job_id: str,
+        template_id: str,
+        day: int,
+        is_adhoc: bool = False,
+    ) -> None:
+        """Gather one planned job's numerics into the run buffers, with
+        statics built from ``plan`` and ``estimator``'s estimates."""
+        ops = post_order(plan)
+        est_in = [estimator.estimate_input(op) for op in ops]
+        est_out = [estimator.estimate(op) for op in ops]
+        statics = build_shape_statics(plan, self.simulator)
+        self._gather(ops, est_in, est_out, statics, job_id, template_id, day, is_adhoc)
+
+    def _gather(
+        self, nodes, est_in, est_out, statics, job_id, template_id, day, is_adhoc
+    ) -> None:
+        """Append one job's rows to the run buffers: ``nodes`` in post order
+        (the order every row buffer and ShapeStatics index relies on),
+        ``est_in`` / ``est_out`` their logged estimates."""
         offset = len(self._true_card)
         true_card = self._true_card
-        row_bytes = self._row_bytes
-        partitions = self._partitions
-        est_in = self._est_in
-        est_out = self._est_out
-        # Iterative post-order walk (recursive generators cost a frame per
-        # node); order matches PhysicalOp.walk exactly — the ordering
-        # contract every row buffer and ShapeStatics index relies on.
-        nodes: list[RNode] = []
-        stack: list[tuple[RNode, bool]] = [(win, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded or not node.children:
-                nodes.append(node)
-                true_card.append(node.true_card)
-                row_bytes.append(node.row_bytes)
-                partitions.append(node.partition_count)
-                est_in.append(node.est_in)
-                est_out.append(node.est_out)
-                continue
-            stack.append((node, True))
-            for child in reversed(node.children):
-                stack.append((child, False))
+        true_card.extend([node.true_card for node in nodes])
+        self._row_bytes.extend([node.row_bytes for node in nodes])
+        self._partitions.extend([node.partition_count for node in nodes])
+        self._est_in.extend(est_in)
+        self._est_out.extend(est_out)
 
-        # Summation orders below replicate the scalar properties exactly
-        # (PhysicalOp.input_card / base_card and run_job's input_bytes all
-        # accumulate left to right from zero).
+        # Summation orders below replicate PhysicalOp.input_card /
+        # base_card exactly: left to right from zero.
         for i, children in enumerate(statics.child_indices):
             if not children:
                 self._input_card.append(true_card[offset + i])
@@ -357,7 +372,7 @@ class BatchedExecutionEngine:
         work = np.array(self._coef_io) * bytes_in + np.array(self._coef_out) * rows_out
         cpu_term = coef_cpu * effective_rows_in
         for i in self._nlogn_rows:
-            # math.log2, matching the scalar path bit for bit.
+            # math.log2, matching the ground-truth formula bit for bit.
             cpu_term[i] = coef_cpu[i] * rows_in[i] * math.log2(rows_in[i] + 2.0)
         work = work + cpu_term
 
@@ -368,8 +383,8 @@ class BatchedExecutionEngine:
         base = base + np.array(self._coef_setup) * partitions
         latency = np.array(self._multipliers) * base / self.cluster.speed_factor
 
-        # Per-execution noise: a compact scalar loop in job order so the
-        # interleaved, outcome-dependent RNG draws match the scalar path's.
+        # Per-execution noise: a compact scalar loop in job order, one
+        # outcome-dependent draw sequence per operator, in walk order.
         noise = np.empty(n_rows)
         gt_noise = ground_truth._noise
         rng_child = self._rngs.child
@@ -395,13 +410,13 @@ class BatchedExecutionEngine:
             statics = entry.statics
             offset = entry.offset
             end = offset + statics.n
-            # The stage rule the scalar simulator calls, on the cached shape.
+            # The stage rule, on the cached shape.
             finish = stage_finish_times(
                 stage_seconds(stage_work(latency_list[offset:end], statics.stage_members)),
                 statics.stage_upstream,
                 statics.stage_topo,
             )
-            # Left to right from zero, like run_job's running total.
+            # A running total, left to right from zero.
             cpu_total = 0.0
             for cpu in cpu_list[offset:end]:
                 cpu_total += cpu

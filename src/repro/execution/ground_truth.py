@@ -213,8 +213,8 @@ class GroundTruthModel:
     def log1p_partitions(self, partition_count: int) -> float:
         """``log1p`` over the few distinct partition counts, cached.
 
-        Cached so the batched path can gather ``log1p(P)`` arrays from the
-        exact same ``math.log1p`` values the scalar path uses (numpy's
+        Cached so the engine can gather ``log1p(P)`` arrays from the exact
+        same ``math.log1p`` values the per-operator formula uses (numpy's
         ``np.log1p`` is not guaranteed bit-identical to libm's).
         """
         cached = self._log1p_cache.get(partition_count)

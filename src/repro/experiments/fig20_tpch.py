@@ -16,6 +16,7 @@ from repro.core.cost_model import CleoCostModel
 from repro.core.trainer import CleoTrainer
 from repro.cost.default_model import DefaultCostModel
 from repro.data.tpch import tpch_catalog
+from repro.execution.batch import BatchedExecutionEngine
 from repro.execution.hardware import ClusterSpec
 from repro.execution.runtime_log import RunLog
 from repro.execution.simulator import ExecutionSimulator
@@ -50,19 +51,18 @@ def run(
     )
 
     # Training phase: 10 randomized runs of the full suite on the default plans.
-    log = RunLog()
+    engine = BatchedExecutionEngine(simulator)
     for run_idx in range(training_runs):
         for query in queries.all_queries(run=run_idx):
             default_planner.jitter_salt = f"tpch_r{run_idx}_q{query.query_id}"
-            planned = default_planner.plan(query.plan)
-            result = simulator.run_job(
-                planned.plan,
+            engine.add_plan(
+                default_planner.plan(query.plan).plan,
+                estimator,
                 job_id=f"q{query.query_id}_r{run_idx}",
                 template_id=f"q{query.query_id}",
                 day=1 + run_idx % 2,
-                estimator=estimator,
             )
-            log.append(result.record)
+    log = RunLog(jobs=engine.finish())
 
     predictor = CleoTrainer(CleoConfig(seed=seed)).train(
         log, individual_days=[1], combined_days=[2]

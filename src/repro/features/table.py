@@ -190,7 +190,11 @@ class FeatureTable:
             signatures=None if self.signatures is None else self.signatures[indices],
             latency=self.latency[indices] if len(self.latency) else self.latency,
             day=self.day[indices] if len(self.day) else self.day,
-            cluster=tuple(self.cluster[i] for i in indices) if self.cluster else (),
+            cluster=(
+                tuple(np.array(self.cluster, dtype=object)[indices].tolist())
+                if self.cluster
+                else ()
+            ),
             is_adhoc=self.is_adhoc[indices] if len(self.is_adhoc) else self.is_adhoc,
         )
 

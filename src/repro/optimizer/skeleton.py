@@ -38,7 +38,7 @@ candidate counts and lookup accounting are the reference's bit for bit
 Models opt in through ``supports_replay_costing``
 (:class:`~repro.cost.interface.CostModelBase`); the replay additionally
 requires the plain :class:`CardinalityEstimator` (:func:`supports_replay`),
-and the workload runner's fast path no partition strategy
+and the workload runner's replay no partition strategy
 (:func:`supports_fast_path`).  ``replan_job`` — and the fleet driver in
 :mod:`repro.optimizer.replan` — runs the partition-strategy pass itself, so
 recurring-job replanning supports strategies too.
@@ -126,9 +126,11 @@ def supports_replay(cost_model: object, estimator: object) -> bool:
 def supports_fast_path(
     cost_model: object, estimator: object, config: PlannerConfig
 ) -> bool:
-    """The workload engine's gate: :func:`supports_replay`, and no partition
-    strategy (a separate optimization pass the batched engine does not
-    model; those runs fall back to :class:`QueryPlanner`)."""
+    """Whether :meth:`~repro.workload.runner.WorkloadRunner.run_days` plans
+    by skeleton replay: :func:`supports_replay`, and no partition strategy
+    (a separate optimization pass the runner's replay does not run).  Any
+    other configuration plans each job through :class:`QueryPlanner`; both
+    execute on the same engine."""
     return supports_replay(cost_model, estimator) and config.partition_strategy is None
 
 

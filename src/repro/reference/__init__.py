@@ -1,30 +1,151 @@
 """The parity references: per-row twins of the product's fast paths.
 
-Product code prices, trains and serves one way: the packed tier index, the
-flat tree ensemble and the columnar trainer.  This package keeps what those
-paths replaced, one model object, tree or record at a time, and the tests
-hold every fast path to its reference bit for bit.  No product module
-imports it, save the delegate :meth:`~repro.core.trainer.CleoTrainer.
-train_reference`.
+Product code executes, prices, trains and serves one way: the batched
+execution engine, the packed tier index, the flat tree ensemble and the
+columnar trainer.  This package keeps what those paths replaced, one
+operator, model object, tree or record at a time, and the tests hold every
+fast path to its reference bit for bit.  No product module imports it,
+save the delegate :meth:`~repro.core.trainer.CleoTrainer.train_reference`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.cardinality.estimator import CardinalityEstimator
 from repro.core.combined import CombinedModel, assemble_meta_rows, build_meta_matrix
 from repro.core.config import SPECIFICITY_ORDER, CleoConfig, ModelKind
 from repro.core.learned_model import LearnedCostModel, ResourceProfile
 from repro.core.model_store import SIGNATURE_FIELDS, ModelStore, signature_for
 from repro.core.predictor import CleoPredictor
-from repro.execution.runtime_log import OperatorRecord, RunLog
+from repro.execution.runtime_log import (
+    JobRecord,
+    OperatorBlock,
+    OperatorRecord,
+    OperatorRows,
+    RunLog,
+)
+from repro.execution.simulator import ExecutionSimulator
+from repro.features.extract import operator_row
 from repro.features.featurizer import FeatureInput, expand_columns, feature_names
 from repro.features.table import FeatureTable
 from repro.ml.base import Regressor, check_predict_input
 from repro.ml.gbm import FastTreeRegressor
+from repro.plan.physical import PhysicalOp
 from repro.plan.signatures import SignatureBundle
+from repro.workload.generator import WorkloadGenerator
+from repro.workload.runner import WorkloadRunner
+from repro.workload.templates import instantiate
+
+# Execution: operator by operator, one block per job.
+
+
+@dataclass(frozen=True)
+class JobResult:
+    """Outcome of executing one job through :func:`run_job`."""
+
+    record: JobRecord
+    stage_latencies: tuple[float, ...]
+
+
+def run_job(
+    simulator: ExecutionSimulator,
+    plan: PhysicalOp,
+    job_id: str,
+    template_id: str = "",
+    day: int = 1,
+    is_adhoc: bool = False,
+    estimator: CardinalityEstimator | None = None,
+    with_noise: bool = True,
+) -> JobResult:
+    """:meth:`~repro.execution.batch.BatchedExecutionEngine.add_plan` +
+    ``finish`` for one job, walking ``plan`` operator by operator.
+
+    Args:
+        estimator: the cardinality estimator whose *estimates* are logged
+            as features (default: a fresh one).  The actual latencies
+            always use true cardinalities.
+        with_noise: disable for the deterministic oracle.
+    """
+    estimator = estimator or CardinalityEstimator()
+    ground_truth = simulator.ground_truth
+    noise_rng = simulator._rngs.child("noise", job_id, day) if with_noise else None
+    ops = list(plan.walk())
+    latencies: dict[int, float] = {}
+    op_latencies: list[float] = []
+    cpus: list[float] = []
+    cpu_total = 0.0
+    for op in ops:
+        latency = ground_truth.exclusive_latency(op, rng=noise_rng)
+        cpu = ground_truth.cpu_seconds(op, latency)
+        cpu_total += cpu
+        latencies[id(op)] = latency
+        op_latencies.append(latency)
+        cpus.append(cpu)
+    n = len(ops)
+    features = FeatureTable.from_rows(
+        [operator_row(op, estimator) for op in ops], [SignatureBundle.of(op) for op in ops]
+    )
+    block = OperatorBlock(
+        table=FeatureTable(
+            features=features.features,
+            signatures=features.signatures,
+            latency=np.array(op_latencies, dtype=float),
+            day=np.full(n, day, dtype=np.int64),
+            cluster=(simulator.cluster.name,) * n,
+            is_adhoc=np.full(n, is_adhoc, dtype=bool),
+        ),
+        job_id=(job_id,) * n,
+        op_type=tuple(op.op_type.value for op in ops),
+        template_tag=tuple(op.template_tag for op in ops),
+        actual_output_card=np.array([op.true_card for op in ops], dtype=float),
+        actual_input_card=np.array([op.input_card for op in ops], dtype=float),
+        cpu_seconds=np.array(cpus, dtype=float),
+    )
+    stage_latencies, job_latency = simulator._stage_critical_path(plan, latencies)
+    record = JobRecord(
+        job_id=job_id,
+        template_id=template_id,
+        cluster=simulator.cluster.name,
+        day=day,
+        is_adhoc=is_adhoc,
+        latency_seconds=job_latency,
+        cpu_seconds=cpu_total,
+        input_bytes=sum(op.true_card * op.row_bytes for op in ops if not op.children),
+        operators=OperatorRows(block, 0, n),
+    )
+    return JobResult(record=record, stage_latencies=tuple(stage_latencies))
+
+
+def run_days_reference(
+    runner: WorkloadRunner, generator: WorkloadGenerator, days: list[int] | range
+) -> RunLog:
+    """:meth:`~repro.workload.runner.WorkloadRunner.run_days`, every job
+    planned through the runner's ``QueryPlanner`` and executed by
+    :func:`run_job`, one record appended at a time."""
+    log = RunLog()
+    for day in days:
+        catalog = generator.catalog_for_day(day)
+        for job in generator.jobs_for_day(day):
+            runner._planner.jitter_salt = job.job_id
+            plan = runner._planner.plan(instantiate(job, catalog)).plan
+            result = run_job(
+                runner.simulator,
+                plan,
+                job_id=job.job_id,
+                template_id=job.template.template_id,
+                day=job.day,
+                is_adhoc=job.is_adhoc,
+                estimator=runner._estimator,
+            )
+            log.append(result.record)
+            if runner.keep_plans:
+                runner.plans[job.job_id] = plan
+    return log
+
 
 # Pricing: the per-model object graph.
 

@@ -3,8 +3,8 @@
 Production teams decide *whether* learned cost models are worth deploying by
 measuring how repetitive their workload is; these helpers compute the
 paper's workload-characterization numbers from any run log: recurring-job
-share, subexpression commonality, per-template sample counts (the min-5
-trainability threshold), and template overlap between days.
+share, subexpression commonality and per-template sample counts (the min-5
+trainability threshold).
 """
 
 from __future__ import annotations
@@ -69,32 +69,3 @@ def subexpression_frequencies(log: RunLog) -> dict[int, int]:
     for record in log.operator_records():
         counts[record.signatures.strict] += 1
     return dict(counts)
-
-
-def template_overlap(log: RunLog, day_a: int, day_b: int) -> float:
-    """Jaccard overlap of recurring templates between two days.
-
-    This is the quantity that decays with template churn and drives the
-    coverage loss in Figure 14.
-    """
-    a = {j.template_id for j in log.filter(days=[day_a], adhoc=False)}
-    b = {j.template_id for j in log.filter(days=[day_b], adhoc=False)}
-    if not a and not b:
-        return float("nan")
-    return len(a & b) / len(a | b)
-
-
-def coverage_upper_bound(train_log: RunLog, test_log: RunLog) -> float:
-    """Best possible strict-subgraph coverage of a test slice.
-
-    The fraction of test operator instances whose strict signature occurs in
-    the training slice at all (ignoring the min-samples threshold) — an
-    oracle bound that the trained store's coverage can approach but never
-    exceed.
-    """
-    seen = {record.signatures.strict for record in train_log.operator_records()}
-    records = list(test_log.operator_records())
-    if not records:
-        return float("nan")
-    covered = sum(1 for r in records if r.signatures.strict in seen)
-    return covered / len(records)

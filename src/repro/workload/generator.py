@@ -132,7 +132,7 @@ class WorkloadGenerator:
     def catalog_for_day(self, day: int) -> Catalog:
         """The cluster's inputs as of ``day`` (dated names, drifted sizes).
 
-        Memoized per day: every ``run_job`` call of a day shares one catalog
+        Memoized per day: every job of a day shares one catalog
         instead of rebuilding identical table definitions and statistics.
         """
         cached = self._catalog_cache.get(day)

@@ -21,6 +21,7 @@ from repro.execution.hardware import DEFAULT_CLUSTERS
 from repro.execution.runtime_log import OperatorRows, RunLog
 from repro.experiments.shared import get_bundle
 from repro.features.table import FeatureTable
+from repro.reference import run_days_reference
 from repro.workload.generator import ClusterWorkloadConfig, WorkloadGenerator
 from repro.workload.runner import WorkloadRunner
 
@@ -180,7 +181,7 @@ def test_batched_and_reference_materialize_the_same_operators():
     generator, runner = _runner_pair(cluster, seed=7)
     batched = runner.run_days(generator, [1, 2])
     generator, runner = _runner_pair(cluster, seed=7)
-    reference = runner.run_days_reference(generator, [1, 2])
+    reference = run_days_reference(runner, generator, [1, 2])
     assert list(batched.operator_records()) == list(reference.operator_records())
     assert repr(batched.jobs) == repr(reference.jobs)
     assert_tables_identical(batched.to_table(), reference.to_table())

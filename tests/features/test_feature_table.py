@@ -156,3 +156,32 @@ class TestFeatureTable:
         table2 = log.to_table()
         assert table2 is not table
         assert len(table2) == len(table) + len(job.operators)
+
+    @pytest.mark.parametrize(
+        "indices",
+        [
+            np.array([], dtype=np.int64),
+            np.array([3], dtype=np.int64),
+            np.array([4, 0, 4, 4, 1], dtype=np.int64),
+            [np.int64(2), np.int64(2), np.int64(0)],
+        ],
+        ids=["empty", "single", "repeated", "np_int64_list"],
+    )
+    def test_take_gathers_the_cluster_column(self, indices):
+        """``take``'s one-gather cluster column is the per-row tuple: a
+        ``tuple`` of ``str``, in index order, repeats kept."""
+        n = 5
+        table = FeatureTable(
+            features=np.arange(n * 9, dtype=float).reshape(n, 9),
+            latency=np.arange(n, dtype=float),
+            day=np.arange(n, dtype=np.int64),
+            cluster=("c1", "c2", "c1", "c4", "c3"),
+            is_adhoc=np.zeros(n, dtype=bool),
+        )
+        taken = table.take(indices)
+        expected = tuple(table.cluster[i] for i in indices)
+        assert type(taken.cluster) is tuple
+        assert taken.cluster == expected
+        assert all(type(name) is str for name in taken.cluster)
+        rows = np.asarray(indices, dtype=np.int64)
+        assert np.array_equal(taken.features, table.features[rows])

@@ -10,9 +10,8 @@ path in product code is what this guard exists to prevent.
 
 The parity references themselves live in ``repro.reference``, which product
 code does not import: the one exception is ``CleoTrainer.train_reference``,
-a delegate for callers that hold a trainer.  Two public ``*_reference``
-functions stay in product modules because each is also a product path or
-that delegate.
+a delegate for callers that hold a trainer, and the only public
+``*_reference`` function a product module keeps.
 """
 
 from __future__ import annotations
@@ -29,12 +28,8 @@ GRAPH_MODULES = {"core/learned_model.py"}
 REFERENCE_PACKAGE = "reference/"
 PER_ROW = {"predict_one", "resource_profile"}
 #: The public ``*_reference`` defs a product module keeps, with the reason:
-#: ``run_days_reference`` is also ``run_days``' fallback for a non-stock
-#: configuration; ``train_reference`` delegates into ``repro.reference``.
-PRODUCT_REFERENCES = {
-    ("workload/runner.py", "run_days_reference"),
-    ("core/trainer.py", "train_reference"),
-}
+#: ``train_reference`` delegates into ``repro.reference``.
+PRODUCT_REFERENCES = {("core/trainer.py", "train_reference")}
 
 
 def _product_modules() -> dict[str, ast.Module]:
@@ -118,7 +113,7 @@ def test_product_code_never_prices_through_the_object_graph():
     assert found == {}
 
 
-def test_product_code_keeps_exactly_two_reference_functions():
+def test_product_code_keeps_only_the_trainer_reference():
     found = {
         (name, node.name)
         for name, tree in _product_modules().items()

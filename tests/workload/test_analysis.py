@@ -2,15 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.config import ModelKind
-from repro.workload.analysis import (
-    coverage_upper_bound,
-    profile_workload,
-    subexpression_frequencies,
-    template_overlap,
-)
+from repro.workload.analysis import profile_workload, subexpression_frequencies
 
 
 class TestProfileWorkload:
@@ -36,35 +28,7 @@ class TestProfileWorkload:
         assert strict.trainable_subexpressions <= loose.trainable_subexpressions
 
 
-class TestFrequenciesAndOverlap:
+class TestFrequencies:
     def test_frequencies_sum_to_operator_count(self, tiny_bundle):
         frequencies = subexpression_frequencies(tiny_bundle.log)
         assert sum(frequencies.values()) == tiny_bundle.log.operator_count
-
-    def test_template_overlap_near_one_adjacent_days(self, tiny_bundle):
-        overlap = template_overlap(tiny_bundle.log, 1, 2)
-        assert 0.7 <= overlap <= 1.0
-
-    def test_template_overlap_self(self, tiny_bundle):
-        assert template_overlap(tiny_bundle.log, 1, 1) == 1.0
-
-
-class TestCoverageUpperBound:
-    def test_bound_above_trained_coverage(self, tiny_bundle, tiny_predictor):
-        train = tiny_bundle.log.filter(days=[1, 2])
-        test = tiny_bundle.test_log()
-        bound = coverage_upper_bound(train, test)
-        trained = tiny_predictor.coverage_fraction(
-            ModelKind.OP_SUBGRAPH, list(test.operator_records())
-        )
-        assert trained <= bound + 1e-9
-
-    def test_self_coverage_total(self, tiny_bundle):
-        log = tiny_bundle.log
-        assert coverage_upper_bound(log, log) == pytest.approx(1.0)
-
-    def test_disjoint_coverage_low(self, tiny_bundle):
-        from repro.execution.runtime_log import RunLog
-
-        empty = RunLog()
-        assert coverage_upper_bound(empty, tiny_bundle.log) == 0.0

@@ -1,25 +1,46 @@
-"""Bitwise parity: batched workload engine vs the retained scalar path.
+"""Bitwise parity: the batched engine vs the per-operator reference.
 
-The batched engine (skeleton planner + vectorized ground truth + columnar
-RunLog ingest) must produce *exactly* the log the scalar reference produces
-— same operator latencies, features, signatures, and job records, down to
-the last float bit.  Anything less silently shifts every downstream
-benchmark and trained model.  The reference runs plan on the ``PhysicalOp``
-configuration (:func:`_on_operator_path`), so the replay is compared with an
-independent search, not with itself.
+Every job executes on the batched engine (vectorized ground truth +
+columnar RunLog ingest), through either entry: ``add_job`` for a skeleton
+replay's winner, ``add_plan`` for a ``PhysicalOp`` plan.  Both must produce
+*exactly* the log the per-operator walk in ``repro.reference`` produces —
+same operator latencies, features, signatures, and job records, down to the
+last float bit.  Anything less silently shifts every downstream benchmark
+and trained model.  For a stock configuration the reference runs plan on
+the ``PhysicalOp`` configuration (:func:`_on_operator_path`), so the replay
+is compared with an independent search, not with itself.
 """
 
 from __future__ import annotations
 
+import warnings
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro.execution.hardware import DEFAULT_CLUSTERS
+from repro.cardinality.estimator import CardinalityEstimator
+from repro.cost.default_model import DefaultCostModel
+from repro.data.tpch import tpch_catalog
+from repro.execution.batch import BatchedExecutionEngine
+from repro.execution.hardware import DEFAULT_CLUSTERS, ClusterSpec
+from repro.execution.simulator import ExecutionSimulator
 from repro.features.table import FeatureTable
-from repro.optimizer.planner import QueryPlanner
+from repro.optimizer.partition import SamplingStrategy
+from repro.optimizer.planner import PlannerConfig, QueryPlanner
+from repro.reference import run_days_reference, run_job
 from repro.workload.generator import ClusterWorkloadConfig, WorkloadGenerator
 from repro.workload.runner import WorkloadRunner
+from repro.workload.tpch_queries import TpchQuerySet
 from tests.optimizer.test_golden_rules import operator_path
+
+
+class OverriddenFormulaModel(DefaultCostModel):
+    """A model whose formula the replay cannot reproduce: without
+    ``supports_replay_costing`` its runs plan through ``QueryPlanner``."""
+
+    def operator_cost(self, op, estimator, partition_override=None):
+        return 2.0 * super().operator_cost(op, estimator, partition_override)
 
 
 def _config(cluster_name: str, seed: int) -> ClusterWorkloadConfig:
@@ -49,7 +70,7 @@ def _run(cluster, seed: int, days, reference: bool, **runner_kwargs):
     runner = WorkloadRunner(cluster=cluster, seed=seed, **runner_kwargs)
     if reference:
         _on_operator_path(runner)
-    run = runner.run_days_reference if reference else runner.run_days
+    run = partial(run_days_reference, runner) if reference else runner.run_days
     return runner, run(generator, days)
 
 
@@ -68,7 +89,6 @@ def test_batched_log_bitwise_identical_per_cluster(cluster):
 
 def test_batched_path_is_actually_used():
     runner, _ = _run(DEFAULT_CLUSTERS[0], seed=3, days=[1], reference=False)
-    assert runner.batched_supported
     assert runner._skeleton_planner is not None
     assert runner._engine is not None
 
@@ -149,8 +169,8 @@ def test_runner_reuse_with_different_generator_stays_correct():
 
     gen_a, gen_b = generators()
     scalar_runner = _on_operator_path(WorkloadRunner(cluster=cluster, seed=1))
-    scalar_runner.run_days_reference(gen_a, [1])
-    scalar_log = scalar_runner.run_days_reference(gen_b, [1])
+    run_days_reference(scalar_runner, gen_a, [1])
+    scalar_log = run_days_reference(scalar_runner, gen_b, [1])
 
     gen_a, gen_b = generators()
     batched_runner = WorkloadRunner(cluster=cluster, seed=1)
@@ -169,32 +189,27 @@ def test_empty_day_set_yields_empty_log():
     assert len(log.to_table()) == 0
 
 
-def test_non_stock_config_falls_back_to_reference():
-    """A formula-overriding cost model disables the fast path, loudly.
+def test_non_stock_config_runs_on_the_engine_without_warning():
+    """A formula-overriding cost model plans through ``QueryPlanner`` and
+    executes on the same engine, silently and bit-exact.
 
-    The gate is the ``supports_replay_costing`` capability, not the concrete
-    class: only models whose pricing the replay cannot reproduce fall back.
+    The replay gate is the ``supports_replay_costing`` capability, not the
+    concrete class: only models whose pricing the replay cannot reproduce
+    skip the skeleton planner.
     """
-    import pytest
-
-    from repro.cost.default_model import DefaultCostModel
-
-    class OverriddenFormulaModel(DefaultCostModel):
-        def operator_cost(self, op, estimator, partition_override=None):
-            return 2.0 * super().operator_cost(op, estimator, partition_override)
-
     cluster = DEFAULT_CLUSTERS[3]
-    generator = WorkloadGenerator(_config(cluster.name, 2))
-    runner = WorkloadRunner(
-        cluster=cluster, seed=2, cost_model=OverriddenFormulaModel()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # any warning here is a regression
+        runner, log = _run(
+            cluster, seed=2, days=[1], reference=False, cost_model=OverriddenFormulaModel()
+        )
+    _, reference = _run(
+        cluster, seed=2, days=[1], reference=True, cost_model=OverriddenFormulaModel()
     )
-    assert not runner.batched_supported
-    assert runner.last_run_used_batched is None
-    with pytest.warns(RuntimeWarning, match="falling back to the scalar"):
-        log = runner.run_days(generator, [1])
     assert len(log) > 0
     assert runner._skeleton_planner is None
-    assert runner.last_run_used_batched is False
+    assert runner._engine is not None
+    assert log.jobs == reference.jobs
 
 
 def test_retuned_subclass_keeps_fast_path_with_parity():
@@ -216,8 +231,7 @@ def test_retuned_subclass_keeps_fast_path_with_parity():
     batched_runner, bat_log = _run(
         cluster, seed=2, days=[1], reference=False, cost_model=TweakedModel()
     )
-    assert batched_runner.batched_supported
-    assert batched_runner.last_run_used_batched is True
+    assert batched_runner._skeleton_planner is not None
     assert ref_log.jobs == bat_log.jobs
 
 
@@ -232,30 +246,21 @@ def test_tuned_cost_model_keeps_fast_path_with_parity():
     batched_runner, bat_log = _run(
         cluster, seed=4, days=[1, 2], reference=False, cost_model=TunedCostModel()
     )
-    assert batched_runner.batched_supported
-    assert batched_runner.last_run_used_batched is True
+    assert batched_runner._skeleton_planner is not None
     assert ref_log.jobs == bat_log.jobs
 
 
 def test_stock_config_reports_batched_path():
-    """The stock configuration takes the batched engine, silently."""
-    import warnings
-
+    """The stock configuration replays over skeletons, silently."""
     cluster = DEFAULT_CLUSTERS[0]
     generator = WorkloadGenerator(_config(cluster.name, seed=3))
     runner = WorkloadRunner(cluster=cluster, seed=3)
-    assert runner.batched_supported
-    assert runner.last_run_used_batched is None
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # any warning here is a regression
         log = runner.run_days(generator, [1])
+        reference = run_days_reference(runner, generator, [1])
     assert len(log) > 0
-    assert runner.last_run_used_batched is True
-    # A direct reference run does not warn and does not claim the flag.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        reference = runner.run_days_reference(generator, [1])
-    assert runner.last_run_used_batched is True
+    assert runner._skeleton_planner is not None
     assert len(reference) == len(log)
 
 
@@ -275,4 +280,61 @@ def test_day_by_day_calls_keep_one_days_skeletons():
         assert {key_day for _, key_day in planner._skeletons} == {day}
         assert stats.skeletons_cached <= len(generator.jobs_for_day(day))
         assert stats.skeleton_evictions == stats.skeleton_builds - stats.skeletons_cached
-        assert log.jobs == reference.run_days_reference(generator, [day]).jobs
+        assert log.jobs == run_days_reference(reference, generator, [day]).jobs
+
+
+@pytest.mark.parametrize(
+    "runner_kwargs",
+    [
+        {
+            "planner_config": PlannerConfig(
+                partition_strategy=SamplingStrategy("geometric"),
+                partition_jitter=WorkloadRunner.DEFAULT_PARTITION_JITTER,
+            )
+        },
+        {"cost_model": OverriddenFormulaModel()},
+    ],
+    ids=["sampling_strategy", "overridden_formula"],
+)
+@pytest.mark.parametrize("cluster", DEFAULT_CLUSTERS, ids=lambda c: c.name)
+def test_planner_configurations_log_the_reference(cluster, runner_kwargs):
+    """A configuration the replay does not serve plans through
+    ``QueryPlanner`` and executes through ``add_plan``: bit-exact with the
+    per-operator reference on every cluster."""
+    runner, log = _run(cluster, seed=2, days=[1, 2], reference=False, **runner_kwargs)
+    _, reference = _run(cluster, seed=2, days=[1, 2], reference=True, **runner_kwargs)
+    assert runner._skeleton_planner is None
+    assert len(log) > 0
+    assert log.jobs == reference.jobs
+
+
+def test_tpch_training_plans_through_add_plan_match_the_reference():
+    """Figure 20's training log (22 TPC-H queries x 10 randomized runs on the
+    default plans): ``add_plan`` + ``finish`` equals one reference
+    ``run_job`` per plan, record for record."""
+    catalog = tpch_catalog(1000.0)
+    cluster = ClusterSpec(name="tpch")
+    estimator = CardinalityEstimator()
+    planner = QueryPlanner(
+        DefaultCostModel(), estimator, PlannerConfig(partition_jitter=0.35)
+    )
+    queries = TpchQuerySet(catalog, seed=0)
+    engine = BatchedExecutionEngine(ExecutionSimulator(cluster, seed=0))
+    reference_simulator = ExecutionSimulator(cluster, seed=0)
+    expected = []
+    for run in range(10):
+        for query in queries.all_queries(run=run):
+            planner.jitter_salt = f"tpch_r{run}_q{query.query_id}"
+            plan = planner.plan(query.plan).plan
+            job = {
+                "job_id": f"q{query.query_id}_r{run}",
+                "template_id": f"q{query.query_id}",
+                "day": 1 + run % 2,
+            }
+            engine.add_plan(plan, estimator, **job)
+            expected.append(
+                run_job(reference_simulator, plan, estimator=estimator, **job).record
+            )
+    records = engine.finish()
+    assert len(records) == 220
+    assert records == expected

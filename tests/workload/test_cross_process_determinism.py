@@ -24,18 +24,20 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 #: Runs one small day-1 workload (the historical tie case lives in its
 #: template pool) and fingerprints every record field that a plan-shape
-#: change would perturb.  ``{method}`` selects the execution path: the
-#: batched engine (``run_days``) or the retained scalar reference
+#: change would perturb.  ``{run}`` selects the execution path: the
+#: batched engine (``runner.run_days``) or the per-operator reference
 #: (``run_days_reference``).
 _SCRIPT = """
 import hashlib
+from functools import partial
 from repro.experiments.shared import cluster_spec, workload_config
+from repro.reference import run_days_reference
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.runner import WorkloadRunner
 
 generator = WorkloadGenerator(workload_config("cluster1", "small", 0))
 runner = WorkloadRunner(cluster=cluster_spec("cluster1"), seed=0)
-log = runner.{method}(generator, days=[1])
+log = {run}(generator, days=[1])
 payload = repr(
     [
         (r.job_id, r.actual_latency, r.features, r.signatures)
@@ -46,12 +48,12 @@ print(hashlib.sha256(payload.encode()).hexdigest())
 """
 
 
-def _run_with_hash_seed(hash_seed: str, method: str = "run_days") -> str:
+def _run_with_hash_seed(hash_seed: str, run: str = "runner.run_days") -> str:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     result = subprocess.run(
-        [sys.executable, "-c", _SCRIPT.format(method=method)],
+        [sys.executable, "-c", _SCRIPT.format(run=run)],
         env=env,
         capture_output=True,
         text=True,
@@ -77,8 +79,8 @@ def test_run_log_identical_across_hash_seeds():
 
 def test_batched_and_reference_agree_across_hash_seeds():
     """The two paths agree with *each other* regardless of hash seed."""
-    batched = _run_with_hash_seed("17", method="run_days")
-    reference = _run_with_hash_seed("99", method="run_days_reference")
+    batched = _run_with_hash_seed("17")
+    reference = _run_with_hash_seed("99", run="partial(run_days_reference, runner)")
     assert batched == reference, (
         "batched engine and scalar reference diverged across processes "
         "with different PYTHONHASHSEED values"
