@@ -279,7 +279,15 @@ class BatchedExecutionEngine:
         self._gather(ops, est_in, est_out, statics, job_id, template_id, day, is_adhoc)
 
     def _gather(
-        self, nodes, est_in, est_out, statics, job_id, template_id, day, is_adhoc
+        self,
+        nodes: list,
+        est_in: list[float],
+        est_out: list[float],
+        statics: ShapeStatics,
+        job_id: str,
+        template_id: str,
+        day: int,
+        is_adhoc: bool,
     ) -> None:
         """Append one job's rows to the run buffers: ``nodes`` in post order
         (the order every row buffer and ShapeStatics index relies on),

@@ -75,12 +75,10 @@ class WorkloadRunner:
             # which is only unique within one generator — a different
             # generator (even another instance with the same config) gets
             # fresh caches so stale structures are never served.
+            config = self._planner.config
+            replay = supports_fast_path(self._cost_model, self._estimator, config)
             self._skeleton_planner = (
-                SkeletonPlanner(self._cost_model, self._estimator, self._planner.config)
-                if supports_fast_path(
-                    self._cost_model, self._estimator, self._planner.config
-                )
-                else None
+                SkeletonPlanner(self._cost_model, self._estimator, config) if replay else None
             )
             self._engine = BatchedExecutionEngine(self.simulator)
             self._batched_generator = generator
