@@ -136,13 +136,3 @@ def geometric_partition_samples(max_value: int, skip_coefficient: float) -> list
         if samples[-1] == max_value:
             break
     return samples
-
-
-def summarize_ratio_quality(predicted: np.ndarray, actual: np.ndarray) -> dict[str, float]:
-    """Bundle of the paper's headline metrics for one prediction series."""
-    return {
-        "pearson": pearson(predicted, actual),
-        "median_error_pct": median_error_pct(predicted, actual),
-        "p95_error_pct": percentile_error_pct(predicted, actual, 95.0),
-        "central_mass": Cdf.of(error_ratio(predicted, actual)).central_mass(),
-    }

@@ -71,9 +71,11 @@ class CleoCostModel:
     ``router.lookup_count`` for a sharded fleet, whose shards charge their
     own predictor views.
 
-    ``batched=False`` retains the reference *schedule* everywhere: no
-    deferral, no grid, one ``operator_cost`` round-trip (a one-row batch)
-    per costed candidate — the baseline the parity suite compares against.
+    ``batched=False`` is the reference *schedule*: no deferral, no grid, one
+    ``operator_cost`` round-trip (a one-row batch) per costed candidate.
+    Such a model is opaque to the skeleton replay, so ``QueryPlanner`` plans
+    it on the independent ``PhysicalOp`` search — the oracle the parity
+    suite and the bench compare the fast path against.
     """
 
     def __init__(self, predictor, service=None, batched: bool = True) -> None:
@@ -92,15 +94,15 @@ class CleoCostModel:
 
     @property
     def supports_replay_costing(self) -> bool:
-        """The skeleton replay can price for this model (learned hook surface).
+        """The skeleton replay can price for this model: it batches.
 
         The replay packs its rows straight from its cached per-node
-        statistics (``repro.optimizer.skeleton``) and prices them through
-        :meth:`price_inputs` / :meth:`price_plans`, so both the one-row
-        (``batched=False``) and the deferred-ledger replay stay bitwise
-        identical to the full ``QueryPlanner`` search.
+        statistics (``repro.optimizer.skeleton``) and prices its deferred
+        ledger through :meth:`price_inputs` / :meth:`price_plans`, bitwise
+        identical to the full ``QueryPlanner`` search.  The reference
+        schedule (``batched=False``) stays off it.
         """
-        return True
+        return self.batched
 
     @property
     def predictor(self) -> CleoPredictor:
@@ -135,11 +137,10 @@ class CleoCostModel:
     def price_inputs(self, table: FeatureTable) -> np.ndarray:
         """Exclusive costs of already-featurized operators, one batched call.
 
-        The skeleton replay's frontier-flush hook (and, one row per call,
-        its ``batched=False`` costing): same values and per-prediction
-        lookup accounting as :meth:`price_operators`, minus the
-        :class:`PhysicalOp` featurization (the replay packs ``table`` from
-        its cached per-node statistics).
+        The skeleton replay's frontier-flush hook: same values and
+        per-prediction lookup accounting as :meth:`price_operators`, minus
+        the :class:`PhysicalOp` featurization (the replay packs ``table``
+        from its cached per-node statistics).
         """
         return self.service.predict_inputs(table)
 

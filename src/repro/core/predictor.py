@@ -20,7 +20,6 @@ from repro.core.combined import CombinedModel
 from repro.core.config import SPECIFICITY_ORDER, ModelKind
 from repro.core.model_store import ModelStore, signature_for
 from repro.cost.interface import CostExplanation
-from repro.execution.runtime_log import OperatorRecord
 from repro.plan.signatures import SignatureBundle
 
 
@@ -37,13 +36,6 @@ class CleoPredictor:
     #: model (1) — the paper's "each sample leads to five learned cost model
     #: predictions" accounting (Section 6.5).
     LOOKUPS_PER_PREDICTION = 5
-
-    def coverage_fraction(self, kind: ModelKind, records: list[OperatorRecord]) -> float:
-        """Fraction of records whose signature has a model of ``kind``."""
-        if not records:
-            return float("nan")
-        covered = sum(1 for r in records if self.store.covers(kind, r.signatures))
-        return covered / len(records)
 
     def reset_lookup_count(self) -> None:
         self.lookup_count = 0

@@ -1,15 +1,17 @@
 """``QueryPlanner``: one compile, under any cost model and estimator.
 
 Whenever :func:`~repro.optimizer.skeleton.supports_replay` holds (the stock
-estimator with the default, tuned or learned models: every product caller),
-``plan`` runs the skeleton replay, its skeleton built per call.  Otherwise it
-runs this module's configuration of :mod:`repro.optimizer.search`: frozen
-:class:`PhysicalOp` candidates, estimates from the
-:class:`CardinalityEstimator` it is given, each candidate priced with
-``cost_model.operator_cost(op, estimator)`` — anything duck-typed with that
-one method.  That makes it the construction an opaque cost model or an
-estimator subclass can be served by, and the reference the replay is pinned
-against (tests reach it with an estimator subclass).
+estimator with the default, tuned or batching learned models: every product
+caller), ``plan`` runs the skeleton replay, its skeleton built per call.
+Otherwise it runs this module's configuration of
+:mod:`repro.optimizer.search`: frozen :class:`PhysicalOp` candidates,
+estimates from the :class:`CardinalityEstimator` it is given, each candidate
+priced with ``cost_model.operator_cost(op, estimator)`` — anything
+duck-typed with that one method.  That makes it the construction an opaque
+cost model or an estimator subclass can be served by, and the reference the
+replay is pinned against, sharing no planner path with it: the reference
+schedule ``CleoCostModel(batched=False)`` is such an opaque model (tests also
+reach it with an estimator subclass).
 
 What it overrides: ``_mk`` / ``_with_partitions`` (a ``PhysicalOp`` per
 candidate, which carries its own estimate and takes it along when dropped),
@@ -89,9 +91,7 @@ class QueryPlanner(CascadesSearch):
         """Optimize one logical plan end to end."""
         if self._replay is not None:
             return self._replay.replan_job("", 0, logical_root, self.jitter_salt)
-        self._deferred = bool(
-            getattr(self.cost_model, "supports_batched_pricing", False)
-        )
+        self._deferred = bool(getattr(self.cost_model, "supports_batched_pricing", False))
         _, (planned,) = self._plan_all([("", 0, logical_root, self.jitter_salt)])
         return planned
 

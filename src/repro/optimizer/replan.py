@@ -34,8 +34,9 @@ accounting are bitwise identical to a per-job
 a shared prediction cache, values are still identical but in-batch reuse
 accounting can differ (the PR-5 precedent for cross-plan batches).
 
-Heuristic cost models and the learned reference schedule (``batched=False``)
-never suspend: the same driver finishes each of their searches in its first wave.
+Heuristic cost models never suspend: the same driver finishes each of their
+searches in its first wave.  The learned reference schedule
+(``batched=False``) is opaque to the replay, so it is rejected here.
 """
 
 from __future__ import annotations

@@ -21,12 +21,12 @@ of that core which makes one job's search cheap:
   model's capabilities — *inlined* (the stock :class:`DefaultCostModel`
   formula, prefetched into locals), *stats* (any heuristic model exposing
   ``operator_cost_from_stats``, e.g.
-  :class:`~repro.cost.tuned_model.TunedCostModel`), *learned* (models exposing
-  the packed pricing hooks, :class:`~repro.core.cost_model.CleoCostModel`:
-  each pricing call is ONE feature table of its nodes' cached estimates and
-  :class:`~repro.plan.summary.SubtreeSummary` reads, :func:`feature_row`
-  as for a :class:`PhysicalOp`; with ``supports_batched_pricing`` the
-  core's deferred ledger is flushed through ``price_inputs``, ``_price``).
+  :class:`~repro.cost.tuned_model.TunedCostModel`), *deferred* (models exposing
+  the packed pricing hooks, a batching
+  :class:`~repro.core.cost_model.CleoCostModel`: the core's ledger is flushed
+  through ``price_inputs``, ``_price``, each call ONE feature table of its
+  nodes' cached estimates and :class:`~repro.plan.summary.SubtreeSummary`
+  reads, :func:`feature_row` as for a :class:`PhysicalOp`).
 
 The decisions themselves are re-run per job — instance wobble can genuinely
 flip cost ties (build-side choice, local pre-aggregation, push-down vs
@@ -217,20 +217,13 @@ class SkeletonPlanner(CascadesSearch):
         super().__init__(cost_model, estimator, config or PlannerConfig())
         self._skeletons: dict[tuple[str, int], list[SkelNode]] = {}
         self._estimate_logical = estimator.estimate_logical
-        # Costing backend (see module docstring): learned models price
-        # through the packed hooks (deferred ledger when they batch),
-        # DefaultCostModel keeps the inlined formula, other heuristic
-        # models go through operator_cost_from_stats.
-        self._learned = hasattr(cost_model, "price_inputs")
-        if self._learned:
-            self._deferred = bool(
-                getattr(cost_model, "supports_batched_pricing", False)
-            )
-            self._coster = (
-                type(self)._cost_deferred
-                if self._deferred
-                else type(self)._cost_scalar
-            )
+        # Costing backend (see module docstring): learned models defer to
+        # the ledger the packed hooks flush, DefaultCostModel keeps the
+        # inlined formula, other heuristic models go through
+        # operator_cost_from_stats.
+        self._deferred = hasattr(cost_model, "price_inputs")
+        if self._deferred:
+            self._coster = type(self)._cost_deferred
         elif isinstance(cost_model, DefaultCostModel):
             # Cost-model constants, prefetched once.  id()-keyed coefficient
             # lookup skips enum.__hash__ (a Python-level call) on the hottest
@@ -371,7 +364,7 @@ class SkeletonPlanner(CascadesSearch):
         pass the plan totals come from the replay nodes' cached statistics."""
         if self.config.partition_strategy is not None:
             return super()._finalize(wins)
-        if self._learned:
+        if self._deferred:
             # Every plan total in one packed pass, each reduced with
             # CleoService.predict_plan's exact left-fold order (price_plans).
             walks = [post_order(win) for win in wins]
@@ -449,7 +442,7 @@ class SkeletonPlanner(CascadesSearch):
             for child in children:
                 total += child.est_out
             node.est_in = total
-        if self._learned:
+        if self._deferred:
             node.summary = summarize(node)
         return node
 
@@ -476,7 +469,7 @@ class SkeletonPlanner(CascadesSearch):
         node.est_out = op.est_out
         node.est_in = op.est_in
         node.primed = op.primed
-        if self._learned:
+        if self._deferred:
             node.summary = op.summary
         return node
 
@@ -515,12 +508,6 @@ class SkeletonPlanner(CascadesSearch):
             node.children[0].row_bytes if node.children else node.row_bytes,
             node.partition_count,
         )
-
-    def _cost_scalar(self, node: RNode) -> float:
-        # Learned model, reference schedule (batched=False): one one-row
-        # service round-trip per candidate, like QueryPlanner's
-        # operator_cost calls.
-        return float(self.cost_model.price_inputs(_replay_table([node]))[0])
 
     def _heuristic_partitions(self, op: RNode) -> int:
         # default_partition_heuristic on the replay node's cached estimates.

@@ -113,17 +113,6 @@ class LogicalOp:
         leaves = [node for node in self.walk() if not node.children]
         return float(sum(leaf.true_card for leaf in leaves))
 
-    def op_type_frequencies(self) -> dict[str, int]:
-        """Multiset of logical operator types in the subtree.
-
-        This is the relaxation used by the operator-subgraphApprox model
-        (Section 4.2): same frequencies, ordering ignored.
-        """
-        freq: dict[str, int] = {}
-        for node in self.walk():
-            freq[node.op_type.value] = freq.get(node.op_type.value, 0) + 1
-        return freq
-
     def describe(self, indent: int = 0) -> str:
         """Readable multi-line plan description for debugging and examples."""
         pad = "  " * indent

@@ -32,11 +32,6 @@ class Stage:
             raise InvalidPlanError("empty stage")
         return self.operators[0].partition_count
 
-    @property
-    def partitioning_operators(self) -> list[PhysicalOp]:
-        """The Extract/Exchange operators that set this stage's partitions."""
-        return [op for op in self.operators if op.is_partitioning]
-
     def __contains__(self, op: PhysicalOp) -> bool:
         return any(member is op for member in self.operators)
 
@@ -47,12 +42,6 @@ class StageGraph:
 
     stages: list[Stage]
     stage_of: dict[int, int]  # id(PhysicalOp) -> stage index
-
-    def stage_for(self, op: PhysicalOp) -> Stage:
-        try:
-            return self.stages[self.stage_of[id(op)]]  # repro: allow(hashseed-hazard) -- self.stages holds every keyed operator for as long as the map exists: no key's id can be recycled
-        except KeyError:
-            raise InvalidPlanError("operator is not part of this stage graph") from None
 
     def __len__(self) -> int:
         return len(self.stages)

@@ -55,29 +55,6 @@ def render_stages(plan: PhysicalOp) -> str:
     return "\n".join(lines)
 
 
-def to_dot(plan: PhysicalOp, name: str = "plan") -> str:
-    """GraphViz DOT export; stages become clusters."""
-    graph = build_stage_graph(plan)
-    node_ids: dict[int, str] = {}
-    lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=box, fontsize=10];"]
-
-    for stage in graph.stages:
-        lines.append(f"  subgraph cluster_stage{stage.index} {{")
-        lines.append(f'    label="stage {stage.index} (P={stage.partition_count})";')
-        for op in stage.operators:
-            node_id = f"n{len(node_ids)}"
-            node_ids[id(op)] = node_id
-            label = f"{op.op_type.value}\\nrows={op.true_card:,.0f}"
-            lines.append(f'    {node_id} [label="{label}"];')
-        lines.append("  }")
-
-    for op in plan.walk():
-        for child in op.children:
-            lines.append(f"  {node_ids[id(child)]} -> {node_ids[id(op)]};")
-    lines.append("}")
-    return "\n".join(lines)
-
-
 def diff_plans(before: PhysicalOp, after: PhysicalOp) -> list[str]:
     """Operator-level differences between two plans for the same query."""
     changes: list[str] = []

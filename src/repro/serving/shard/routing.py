@@ -66,13 +66,6 @@ class HashRing:
             pos = 0
         return int(self._owners[pos])
 
-    def shards_for_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Owning shards of a key column, one vectorized lookup."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        pos = np.searchsorted(self._positions, keys, side="left")
-        pos[pos == len(self._positions)] = 0
-        return self._owners[pos]
-
     def shard_for(self, cluster: str, template_signature: int) -> int:
         """Owning shard of one ``(cluster, template)`` pair."""
         return self.shard_for_key(route_key(cluster, template_signature))

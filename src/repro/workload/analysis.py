@@ -61,11 +61,3 @@ def profile_workload(log: RunLog, min_samples: int = 5) -> WorkloadProfile:
         common_subexpressions=common,
         trainable_subexpressions=trainable,
     )
-
-
-def subexpression_frequencies(log: RunLog) -> dict[int, int]:
-    """Strict-signature -> occurrence count (the model-training population)."""
-    counts: Counter = Counter()
-    for record in log.operator_records():
-        counts[record.signatures.strict] += 1
-    return dict(counts)

@@ -15,7 +15,6 @@ from repro.common.stats import (
     pearson,
     percentile_error_pct,
     relative_error_pct,
-    summarize_ratio_quality,
 )
 
 
@@ -68,10 +67,6 @@ class TestErrorMetrics:
     def test_error_ratio_guards_zero(self):
         ratios = error_ratio(np.array([1.0]), np.array([0.0]))
         assert np.isfinite(ratios).all()
-
-    def test_summary_bundle_keys(self):
-        summary = summarize_ratio_quality(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
-        assert set(summary) == {"pearson", "median_error_pct", "p95_error_pct", "central_mass"}
 
 
 class TestCdf:

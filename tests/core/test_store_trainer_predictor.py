@@ -160,12 +160,6 @@ class TestPredictor:
         record = next(tiny_bundle.test_log().operator_records())
         assert _served(bare, [record])[0] >= 0.0
 
-    def test_coverage_fraction_bounds(self, tiny_bundle, tiny_predictor):
-        records = list(tiny_bundle.test_log().operator_records())
-        for kind in ModelKind:
-            fraction = tiny_predictor.coverage_fraction(kind, records)
-            assert 0.0 <= fraction <= 1.0
-
 
 class TestPaperShape:
     """The headline Table 5 orderings, asserted at tiny scale."""

@@ -71,9 +71,11 @@ def _plan_all(planner, jobs, predictor):
 
 
 def _assert_scalar_is_batched_plus_unread(scalar, batched, scalar_lookups, batched_lookups):
-    """Scalar costing prices every ledger row; batched costing all but the
-    stragglers its replay dropped unread (at least one per search)."""
-    assert scalar._replay.stats().rows_unread == 0
+    """Scalar costing (the ``PhysicalOp`` configuration: the reference
+    schedule is opaque to the replay) prices every candidate; batched costing
+    all but the stragglers its replay dropped unread (at least one per
+    search)."""
+    assert scalar._replay is None and scalar._rows_unread == 0
     unread = batched._replay.stats().rows_unread
     assert unread >= batched._replay.stats().jobs_replayed
     assert scalar_lookups == batched_lookups + unread * CleoPredictor.LOOKUPS_PER_PREDICTION
@@ -419,7 +421,7 @@ class TestCompileRunsTheReplay:
         "model,strategy",
         [
             pytest.param(model, _STRATEGIES[name], id=f"{model}-{name}")
-            for model in ("cleo", "cleo-scalar", "default")
+            for model in ("cleo", "default")
             for name in _STRATEGIES
             if model != "default" or name != "analytical"
         ],
@@ -432,7 +434,6 @@ class TestCompileRunsTheReplay:
         on every tiny job."""
         factory = {
             "cleo": lambda: CleoCostModel(tiny_predictor),
-            "cleo-scalar": lambda: CleoCostModel(tiny_predictor, batched=False),
             "default": DefaultCostModel,
         }[model]
         config = PlannerConfig(partition_strategy=strategy, partition_jitter=0.35)

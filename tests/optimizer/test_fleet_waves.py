@@ -57,14 +57,16 @@ def distinct_jobs(tiny_bundle) -> list[ReplanJob]:
 
 @pytest.fixture(scope="module")
 def scalar_reference(distinct_jobs, tiny_predictor):
-    """Per-job ``QueryPlanner`` (``PhysicalOp`` configuration) on the scalar
-    serving path: fingerprints by job id, and the model lookups the whole
-    loop made — every ledger row priced."""
+    """Per-job ``QueryPlanner`` on the scalar serving path (the reference
+    schedule, which it plans on the ``PhysicalOp`` configuration):
+    fingerprints by job id, and the model lookups the whole loop made —
+    every costed candidate priced."""
     planner = QueryPlanner(
         CleoCostModel(tiny_predictor, batched=False),
-        OperatorPathEstimator(),
+        CardinalityEstimator(),
         PlannerConfig(),
     )
+    assert planner._replay is None
     tiny_predictor.reset_lookup_count()
     fingerprints = {}
     for job in distinct_jobs:

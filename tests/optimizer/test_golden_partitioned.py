@@ -10,8 +10,10 @@ walk order, and ``float.hex`` of the estimated cost:
 * ``planned`` — the full resource-aware compile; ``QueryPlanner`` on the
   ``PhysicalOp`` configuration (an
   :class:`~tests.optimizer.test_golden_rules.OperatorPathEstimator`; a stock
-  pair compiles through the replay, like ``FleetReplanner``) and
-  ``FleetReplanner``, batched and ``batched=False``, must all reproduce it;
+  pair compiles through the replay, like ``FleetReplanner``), batched and
+  ``batched=False``, the bench's scalar oracle (a stock pair under
+  ``batched=False``, which the replay refuses) and ``FleetReplanner`` must
+  all reproduce it;
 * ``explored_guard`` / ``explored_noguard`` — ``optimize_partitions`` over
   the day's default plans followed by ``plan_cost``, batched and scalar.
 
@@ -76,8 +78,9 @@ def _config(name: str) -> PlannerConfig:
     return PlannerConfig(partition_strategy=strategy, max_partitions=max_partitions)
 
 
-def planner_digests(bundle, model, name: str, stride: int = 1) -> list[str]:
-    planner = QueryPlanner(model, OperatorPathEstimator(), _config(name))
+def planner_digests(bundle, model, name: str, stride: int = 1, estimator=None) -> list[str]:
+    planner = QueryPlanner(model, estimator or OperatorPathEstimator(), _config(name))
+    assert planner._replay is None
     out = []
     for job in _jobs(bundle, stride):
         planner.jitter_salt = job.salt
@@ -133,14 +136,17 @@ def test_query_planner_reproduces_golden(
     assert got == golden[name]["planned"][::stride]
 
 
-@pytest.mark.parametrize("batched,stride", PATHS)
 @pytest.mark.parametrize("name", STRATEGIES)
-def test_fleet_replanner_reproduces_golden(
-    tiny_bundle, tiny_predictor, golden, name, batched, stride
-):
-    model = CleoCostModel(tiny_predictor, batched=batched)
-    got = fleet_digests(tiny_bundle, model, name, stride)
-    assert got == golden[name]["planned"][::stride]
+def test_scalar_oracle_reproduces_golden(tiny_bundle, tiny_predictor, golden, name):
+    model = CleoCostModel(tiny_predictor, batched=False)
+    got = planner_digests(tiny_bundle, model, name, 3, CardinalityEstimator())
+    assert got == golden[name]["planned"][::3]
+
+
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_fleet_replanner_reproduces_golden(tiny_bundle, tiny_predictor, golden, name):
+    got = fleet_digests(tiny_bundle, CleoCostModel(tiny_predictor), name)
+    assert got == golden[name]["planned"]
 
 
 @pytest.mark.parametrize("batched,stride", PATHS)

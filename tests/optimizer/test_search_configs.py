@@ -184,28 +184,39 @@ def test_heuristic_models_agree(logical, config, salts):
 @settings(max_examples=60, deadline=None)
 def test_learned_model_agrees_scalar_and_deferred(learned, logical, config, salts):
     predictor = learned.predictor
-    outcomes = {}
-    for batched in (False, True):
-        rows = _both(
-            lambda batched=batched: CleoCostModel(predictor, batched=batched),
-            logical,
-            config,
-            salts,
-            lookups=lambda: predictor.lookup_count,
+    rows = _both(
+        lambda: CleoCostModel(predictor),
+        logical,
+        config,
+        salts,
+        lookups=lambda: predictor.lookup_count,
+    )
+    # The reference schedule is opaque to the replay: a stock pair plans it
+    # on the PhysicalOp configuration, one operator_cost per candidate.
+    scalar = QueryPlanner(
+        CleoCostModel(predictor, batched=False), CardinalityEstimator(), config
+    )
+    assert scalar._replay is None
+    for salt, (expected, expected_lookups, expected_unread, got, got_lookups, unread) in zip(
+        salts, rows
+    ):
+        assert got == expected
+        assert got_lookups == expected_lookups
+        assert unread == expected_unread
+        # Deferred costing replays scalar costing's arithmetic; its accounting
+        # is scalar costing's minus the stragglers a finished search drops
+        # unread (a search that fails leaves its unflushed ledger rows
+        # unpriced, uncounted).
+        scalar.jitter_salt = salt
+        before = predictor.lookup_count
+        outcome = _outcome(lambda: scalar.plan(logical))
+        assert outcome == got
+        assert scalar._rows_unread == 0
+        unread_lookups = unread * CleoPredictor.LOOKUPS_PER_PREDICTION
+        assert (
+            got_lookups + unread_lookups == predictor.lookup_count - before
+            or isinstance(outcome, tuple)
         )
-        for expected, expected_lookups, expected_unread, got, got_lookups, unread in rows:
-            assert got == expected
-            assert got_lookups == expected_lookups
-            assert unread == expected_unread
-        outcomes[batched] = rows
-    # Deferred costing replays scalar costing's arithmetic; its accounting is
-    # scalar costing's minus the stragglers a finished search drops unread (a
-    # search that fails leaves its unflushed ledger rows unpriced, uncounted).
-    for scalar, deferred in zip(outcomes[False], outcomes[True]):
-        assert deferred[0] == scalar[0]
-        assert scalar[2] == 0
-        unread = deferred[2] * CleoPredictor.LOOKUPS_PER_PREDICTION
-        assert deferred[1] + unread == scalar[1] or isinstance(scalar[0], tuple)
 
 
 @given(plans=st.lists(logical_plans(max_depth=3), min_size=2, max_size=5))

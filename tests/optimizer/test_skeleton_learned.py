@@ -59,9 +59,10 @@ def _specs(bundle, limit=None, instances=1):
             out.append((spec.template.template_id, spec.day, logical, salt))
     return out
 
-def _reference(jobs, model, config, predictor):
+def _reference(jobs, model, config, predictor, estimator=None):
     """The ``PhysicalOp`` configuration, job by job."""
-    planner = QueryPlanner(model, OperatorPathEstimator(), config)
+    planner = QueryPlanner(model, estimator or OperatorPathEstimator(), config)
+    assert planner._replay is None
     predictor.reset_lookup_count()
     fps = []
     for _template_id, _day, logical, salt in jobs:
@@ -99,21 +100,6 @@ class TestReplayParity:
         )
         rep_fps, rep_lookups = _replay(
             jobs, CleoCostModel(tiny_predictor), config, tiny_predictor
-        )
-        assert ref_fps == rep_fps
-        assert ref_lookups == rep_lookups
-
-    def test_scalar_serving_replay_matches_reference(
-        self, tiny_bundle, tiny_predictor
-    ):
-        """batched=False: the replay prices one service round-trip at a time."""
-        jobs = _specs(tiny_bundle, limit=8)
-        config = PlannerConfig()
-        ref_fps, ref_lookups = _reference(
-            jobs, CleoCostModel(tiny_predictor, batched=False), config, tiny_predictor
-        )
-        rep_fps, rep_lookups = _replay(
-            jobs, CleoCostModel(tiny_predictor, batched=False), config, tiny_predictor
         )
         assert ref_fps == rep_fps
         assert ref_lookups == rep_lookups
@@ -216,18 +202,19 @@ class TestFleetReplanParity:
         assert ref_fps == fleet_fps
         assert ref_lookups == fleet_lookups
 
-    def test_fleet_scalar_serving_matches_reference(
-        self, tiny_bundle, tiny_predictor
-    ):
-        """batched=False degrades to per-job solo replay, still bit-exact."""
+    def test_fleet_matches_scalar_oracle(self, tiny_bundle, tiny_predictor):
+        """The reference schedule on a stock pair: the replay refuses it, so
+        ``QueryPlanner`` plans it one ``operator_cost`` at a time."""
         jobs = _specs(tiny_bundle, limit=5, instances=2)
         config = PlannerConfig()
         ref_fps, _ = _reference(
-            jobs, CleoCostModel(tiny_predictor, batched=False), config, tiny_predictor
+            jobs,
+            CleoCostModel(tiny_predictor, batched=False),
+            config,
+            tiny_predictor,
+            CardinalityEstimator(),
         )
-        fleet_fps, _ = _fleet(
-            jobs, CleoCostModel(tiny_predictor, batched=False), config, tiny_predictor
-        )
+        fleet_fps, _ = _fleet(jobs, CleoCostModel(tiny_predictor), config, tiny_predictor)
         assert ref_fps == fleet_fps
 
     def test_cache_enabled_service_plans_identical(

@@ -145,12 +145,6 @@ class TestTraversal:
     def test_base_card_sums_leaves(self, join_plan):
         assert join_plan.base_card == pytest.approx(10_000_000 + 100_000)
 
-    def test_op_type_frequencies(self, join_plan):
-        freq = join_plan.op_type_frequencies()
-        assert freq["Get"] == 2
-        assert freq["Filter"] == 2
-        assert freq["Join"] == 1
-
     def test_describe_contains_cards(self, simple_plan):
         text = simple_plan.describe()
         assert "Output" in text and "Get" in text

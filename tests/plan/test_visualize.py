@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.plan.physical import PhysOpType
-from repro.plan.visualize import diff_plans, render_stages, render_tree, to_dot
+from repro.plan.visualize import diff_plans, render_stages, render_tree
 
 
 class TestRenderTree:
@@ -32,21 +32,6 @@ class TestRenderStages:
     def test_dependencies_rendered(self, physical_join_plan):
         text = render_stages(physical_join_plan)
         assert "after [" in text
-
-
-class TestDot:
-    def test_valid_dot_structure(self, physical_join_plan):
-        dot = to_dot(physical_join_plan)
-        assert dot.startswith("digraph")
-        assert dot.rstrip().endswith("}")
-        assert dot.count("->") == sum(len(op.children) for op in physical_join_plan.walk())
-
-    def test_stage_clusters(self, physical_join_plan):
-        from repro.plan.stages import build_stage_graph
-
-        dot = to_dot(physical_join_plan)
-        n_stages = len(build_stage_graph(physical_join_plan).stages)
-        assert dot.count("subgraph cluster_stage") == n_stages
 
 
 class TestDiffPlans:

@@ -93,9 +93,7 @@ class TestHashRing:
 
     def test_single_shard_owns_everything(self):
         ring = HashRing(1)
-        keys = np.arange(1000, dtype=np.uint64)
-        assert ring.shard_for_key(12345) == 0
-        assert np.all(ring.shards_for_keys(keys) == 0)
+        assert {ring.shard_for_key(key) for key in range(1000)} == {0}
 
     def test_positions_come_from_stable_hash(self):
         """Virtual nodes sit exactly at stable_hash(salt, shard, replica)."""
@@ -108,21 +106,10 @@ class TestHashRing:
         for position, owner in zip(ring._positions, ring._owners):
             assert expected[int(position)] == int(owner)
 
-    def test_vectorized_matches_scalar_lookup(self):
-        ring = HashRing(4)
-        keys = np.array(
-            [route_key("cluster1", t) for t in range(500)], dtype=np.uint64
-        )
-        vectorized = ring.shards_for_keys(keys)
-        scalar = np.array([ring.shard_for_key(int(k)) for k in keys])
-        assert np.array_equal(vectorized, scalar)
-
     def test_every_shard_owns_some_keys(self):
         ring = HashRing(4)
-        keys = np.array(
-            [route_key("cluster1", t) for t in range(2000)], dtype=np.uint64
-        )
-        spread = np.bincount(ring.shards_for_keys(keys), minlength=4)
+        owners = [ring.shard_for_key(route_key("cluster1", t)) for t in range(2000)]
+        spread = np.bincount(owners, minlength=4)
         assert np.all(spread > 0)
 
     def test_route_key_is_stable_hash(self):

@@ -9,6 +9,13 @@ count, since re-exporting a function is not using it.  The check is by name,
 so it cannot see a member shadowed by a same-named one elsewhere; it catches
 the members nobody calls at all, which is how dead surface accumulates.
 Members reached only through a computed name are listed in ``DISPATCHED``.
+
+A member whose every reference lies under ``tests/`` is product code only
+tests reach.  Outside ``repro/reference/`` (the retained twins, whose
+callers are their parity tests by design) each such member must be listed
+in ``TEST_ONLY``, and each listed one must still be test-only: the list can
+only shrink, as members are deleted, moved into ``tests/`` or given a
+product caller.
 """
 
 from __future__ import annotations
@@ -22,6 +29,49 @@ TREES = ("src", "tests", "bench", "scripts", "examples", "benchmarks")
 DISPATCHED = {
     # TpchQuerySet.query reaches every builder as getattr(builder, f"q{number}").
     "workload/tpch_queries.py": {f"q{number}" for number in range(1, 23)},
+}
+
+#: Product members only tests reach, by module (see the module docstring).
+TEST_ONLY = {
+    "applications/allocation.py": {"meets_deadline"},
+    "applications/prediction.py": {"calibrate", "is_calibrated", "median_ratio"},
+    "applications/scheduling.py": {"utilization"},
+    "cardinality/cardlearner.py": {"coverage_templates"},
+    "common/chaos.py": {"poison"},
+    "common/rng.py": {"lognormal"},
+    "core/learned_model.py": {"feature_weights"},
+    "core/lifecycle.py": {"resume", "rolling_median_error"},
+    "core/regression_control.py": {"audit_predictor", "clear_ledger", "total_removed"},
+    "core/serialization.py": {
+        "load_registry",
+        "quarantine_from_dict",
+        "quarantine_to_dict",
+        "save_registry",
+        "store_from_dict",
+    },
+    "core/trainer.py": {"is_clean"},
+    "data/catalog.py": {"has_table", "scaled", "set_stats"},
+    "data/schema.py": {"has_column"},
+    "data/statistics.py": {"total_bytes"},
+    "features/featurizer.py": {"partition_feature_names"},
+    "features/table.py": {"input_at"},
+    "ml/linear.py": {"selected_features"},
+    "ml/model_selection.py": {"cross_validate"},
+    "ml/proximal.py": {"selected_features"},
+    "optimizer/partition.py": {"optimize_partitions"},
+    "plan/physical.py": {"is_enforcer", "logical_op_count", "validate_physical_plan"},
+    "plan/signatures.py": {"approx_signature", "input_signature", "operator_signature"},
+    "serving/cache.py": {"put"},
+    "serving/service.py": {"deploy"},
+    "serving/shard/loadgen.py": {"build_load", "suggested_cache_capacity"},
+    "serving/shard/router.py": {
+        "export_health",
+        "fault_stats",
+        "hedge_stats",
+        "resilience_stats",
+        "restore_health",
+        "service_for",
+    },
 }
 
 
@@ -58,14 +108,16 @@ def _scan(tree: ast.AST) -> tuple[list[tuple[str, ast.AST]], list[tuple[str, set
     return definitions, references
 
 
-def uncalled_members(root: Path = ROOT) -> list[str]:
+def _members(root: Path) -> tuple[list[tuple[str, str, ast.AST]], dict[str, list]]:
+    """``(public definitions under src/repro, references by name)``; each
+    reference is ``(tree name, ids of the definitions it sits inside)``."""
     definitions: list[tuple[str, str, ast.AST]] = []
-    callers: dict[str, list[set[int]]] = {}
+    callers: dict[str, list[tuple[str, set[int]]]] = {}
     for tree_name in TREES:
         for path in sorted((root / tree_name).rglob("*.py")):
             defined, referenced = _scan(ast.parse(path.read_text()))
             for name, inside in referenced:
-                callers.setdefault(name, []).append(inside)
+                callers.setdefault(name, []).append((tree_name, inside))
             parts = path.relative_to(root).parts
             if parts[:2] == ("src", "repro"):
                 module = "/".join(parts[2:])
@@ -73,12 +125,40 @@ def uncalled_members(root: Path = ROOT) -> list[str]:
                 definitions.extend(
                     (module, name, node) for name, node in defined if name not in dispatched
                 )
+    return definitions, callers
+
+
+def _trees_referencing(node: ast.AST, name: str, callers: dict) -> set[str]:
+    """The trees that reference ``name`` outside ``node``'s own body."""
+    return {tree for tree, inside in callers.get(name, []) if id(node) not in inside}
+
+
+def uncalled_members(root: Path = ROOT) -> list[str]:
+    definitions, callers = _members(root)
     return sorted(
         f"{module}::{name}"
         for module, name, node in definitions
-        if not any(id(node) not in inside for inside in callers.get(name, []))
+        if not _trees_referencing(node, name, callers)
+    )
+
+
+def members_only_tests_reach(root: Path = ROOT) -> list[str]:
+    """Members outside ``repro/reference/`` that only ``tests/`` references."""
+    definitions, callers = _members(root)
+    return sorted(
+        f"{module}::{name}"
+        for module, name, node in definitions
+        if not module.startswith("reference/")
+        and _trees_referencing(node, name, callers) == {"tests"}
     )
 
 
 def test_every_public_member_has_a_caller():
     assert uncalled_members() == []
+
+
+def test_test_only_members_are_listed_and_the_list_is_current():
+    found = set(members_only_tests_reach())
+    listed = {f"{module}::{name}" for module, names in TEST_ONLY.items() for name in names}
+    assert sorted(found - listed) == [], "only tests reach these: delete them or list them"
+    assert sorted(listed - found) == [], "deleted or given a product caller: unlist them"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.workload.analysis import profile_workload, subexpression_frequencies
+from repro.workload.analysis import profile_workload
 
 
 class TestProfileWorkload:
@@ -26,9 +26,3 @@ class TestProfileWorkload:
         loose = profile_workload(tiny_bundle.log, min_samples=2)
         strict = profile_workload(tiny_bundle.log, min_samples=10)
         assert strict.trainable_subexpressions <= loose.trainable_subexpressions
-
-
-class TestFrequencies:
-    def test_frequencies_sum_to_operator_count(self, tiny_bundle):
-        frequencies = subexpression_frequencies(tiny_bundle.log)
-        assert sum(frequencies.values()) == tiny_bundle.log.operator_count
