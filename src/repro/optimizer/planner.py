@@ -91,7 +91,9 @@ class QueryPlanner(CascadesSearch):
         """Optimize one logical plan end to end."""
         if self._replay is not None:
             return self._replay.replan_job("", 0, logical_root, self.jitter_salt)
-        self._deferred = bool(getattr(self.cost_model, "supports_batched_pricing", False))
+        self._deferred = bool(
+            getattr(self.cost_model, "supports_batched_pricing", False)
+        )
         _, (planned,) = self._plan_all([("", 0, logical_root, self.jitter_salt)])
         return planned
 
