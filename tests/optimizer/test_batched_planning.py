@@ -421,7 +421,7 @@ class TestCompileRunsTheReplay:
         "model,strategy",
         [
             pytest.param(model, _STRATEGIES[name], id=f"{model}-{name}")
-            for model in ("cleo", "default")
+            for model in ("cleo", "cleo-scalar", "default")
             for name in _STRATEGIES
             if model != "default" or name != "analytical"
         ],
@@ -431,17 +431,22 @@ class TestCompileRunsTheReplay:
     ):
         """A stock pair compiles through the replay, bit for bit the
         ``PhysicalOp`` configuration: plan, cost and ``candidates_considered``
-        on every tiny job."""
+        on every tiny job.  A stock pair under ``batched=False`` (the bench's
+        scalar oracle) is opaque to the replay and compiles on that
+        configuration itself, with the same digests."""
         factory = {
             "cleo": lambda: CleoCostModel(tiny_predictor),
+            "cleo-scalar": lambda: CleoCostModel(tiny_predictor, batched=False),
             "default": DefaultCostModel,
         }[model]
         config = PlannerConfig(partition_strategy=strategy, partition_jitter=0.35)
         compiled = QueryPlanner(factory(), CardinalityEstimator(), config)
         reference = QueryPlanner(factory(), OperatorPathEstimator(), config)
-        assert compiled._replay is not None and reference._replay is None
+        assert reference._replay is None
+        assert (compiled._replay is None) == (model == "cleo-scalar")
         jobs = _test_jobs(tiny_bundle)
         for job_id, logical in jobs:
             compiled.jitter_salt = reference.jitter_salt = job_id
             assert digest(compiled.plan(logical)) == digest(reference.plan(logical)), job_id
-        assert compiled._replay.stats().jobs_replayed == len(jobs)
+        if compiled._replay is not None:
+            assert compiled._replay.stats().jobs_replayed == len(jobs)

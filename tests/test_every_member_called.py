@@ -21,7 +21,10 @@ product caller.
 from __future__ import annotations
 
 import ast
+import textwrap
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TREES = ("src", "tests", "bench", "scripts", "examples", "benchmarks")
@@ -162,3 +165,93 @@ def test_test_only_members_are_listed_and_the_list_is_current():
     listed = {f"{module}::{name}" for module, names in TEST_ONLY.items() for name in names}
     assert sorted(found - listed) == [], "only tests reach these: delete them or list them"
     assert sorted(listed - found) == [], "deleted or given a product caller: unlist them"
+
+
+def _write_tree(root: Path, files: dict[str, str]) -> Path:
+    for relative, text in files.items():
+        path = root / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text))
+    return root
+
+
+def test_guard_sees_a_member_only_tests_reach(tmp_path):
+    root = _write_tree(
+        tmp_path,
+        {
+            "src/repro/mod.py": """
+                def helper():
+                    return 1
+
+                def used():
+                    return 2
+            """,
+            "src/repro/app.py": "def main():\n    return used()\n",
+            "tests/test_mod.py": "def test_mod():\n    assert helper() + used() == 3\n",
+            "scripts/run.py": "main()\n",
+        },
+    )
+    assert uncalled_members(root) == []
+    assert members_only_tests_reach(root) == ["mod.py::helper"]
+
+
+def test_guard_exempts_the_reference_twins(tmp_path):
+    root = _write_tree(
+        tmp_path,
+        {
+            "src/repro/reference/__init__.py": "def twin():\n    return 1\n",
+            "tests/test_twin.py": "def test_twin():\n    assert twin() == 1\n",
+        },
+    )
+    assert uncalled_members(root) == []
+    assert members_only_tests_reach(root) == []
+
+
+@pytest.mark.parametrize("tree", [tree for tree in TREES if tree != "tests"])
+def test_a_caller_in_any_product_tree_counts(tmp_path, tree):
+    root = _write_tree(
+        tmp_path,
+        {
+            "src/repro/mod.py": "def helper():\n    return 1\n",
+            "tests/test_mod.py": "def test_mod():\n    assert helper() == 1\n",
+            f"{tree}/caller.py": "VALUE = helper()\n",
+        },
+    )
+    assert members_only_tests_reach(root) == []
+
+
+def test_imports_exports_and_own_body_are_not_calls(tmp_path):
+    root = _write_tree(
+        tmp_path,
+        {
+            "src/repro/mod.py": """
+                __all__ = ["recurse"]
+
+                def recurse(n):
+                    return recurse(n - 1) if n else 0
+            """,
+            "src/repro/app.py": "from repro.mod import recurse\n",
+            "tests/test_mod.py": "import repro.mod\n",
+        },
+    )
+    assert uncalled_members(root) == ["mod.py::recurse"]
+    assert members_only_tests_reach(root) == []
+
+
+def test_methods_are_members_nested_functions_are_not(tmp_path):
+    root = _write_tree(
+        tmp_path,
+        {
+            "src/repro/mod.py": """
+                class Box:
+                    def open(self):
+                        def inner():
+                            return 1
+                        return 0
+
+                    def _private(self):
+                        return 2
+            """,
+        },
+    )
+    assert uncalled_members(root) == ["mod.py::open"]
