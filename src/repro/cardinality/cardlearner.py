@@ -117,10 +117,6 @@ class CardLearner:
             self._models[tag] = _PoissonModel.fit(features, targets)
         return len(self._models)
 
-    @property
-    def coverage_templates(self) -> int:
-        return len(self._models)
-
     # ------------------------------------------------------------------ #
     # Estimation (drop-in CardinalityEstimator interface)
     # ------------------------------------------------------------------ #

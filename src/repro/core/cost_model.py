@@ -106,7 +106,7 @@ class CleoCostModel:
 
     @property
     def predictor(self) -> CleoPredictor:
-        """The currently served predictor (tracks service rollbacks)."""
+        """The served predictor."""
         return self.service.predictor
 
     def operator_cost(

@@ -25,7 +25,6 @@ from repro.cardinality.estimator import CardinalityEstimator
 from repro.core.combined import covered_tiers
 from repro.core.config import SPECIFICITY_ORDER, ModelKind
 from repro.core.model_store import ModelStore
-from repro.core.predictor import CleoPredictor
 from repro.cost.interface import CostModel, plan_cost
 from repro.execution.runtime_log import RunLog
 from repro.plan.logical import LogicalOp
@@ -199,6 +198,3 @@ class ModelQuarantine:
             return False
         self.record(kind, signature)
         return True
-
-    def audit_predictor(self, predictor: CleoPredictor, log: RunLog) -> QuarantineReport:
-        return self.audit(predictor.store, log)

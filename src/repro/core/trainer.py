@@ -53,10 +53,6 @@ class TrainingAudit:
     def rows_dropped(self) -> int:
         return self.rows_seen - self.rows_kept
 
-    @property
-    def is_clean(self) -> bool:
-        return self.rows_dropped == 0
-
     def merge(self, other: "TrainingAudit") -> "TrainingAudit":
         return TrainingAudit(
             rows_seen=self.rows_seen + other.rows_seen,

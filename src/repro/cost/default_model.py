@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 
-from repro.cardinality.estimator import CardinalityEstimator
 from repro.cost.interface import CostModelBase
-from repro.plan.physical import PhysOpType, PhysicalOp
+from repro.plan.physical import PhysOpType
 
 #: (cpu_per_row, io_per_byte, out_per_row, nlogn) — deliberately generic and
 #: mis-calibrated relative to the simulator's ground truth: CPU-heavy
@@ -61,35 +60,6 @@ class DefaultCostModel(CostModelBase):
     def __init__(self, coefficients: dict[PhysOpType, tuple[float, float, float, bool]] | None = None) -> None:
         self.coefficients = coefficients or DEFAULT_COEFFICIENTS
 
-    @property
-    def supports_replay_costing(self) -> bool:
-        """Replay-safe unless the pricing formula itself was overridden.
-
-        Subclasses that merely retune ``inflation`` / ``row_cap`` /
-        ``coefficients`` still price exactly through
-        :meth:`operator_cost_from_stats`, so the skeleton replay stays
-        engaged for them; overriding either costing method opts out.
-        """
-        cls = type(self)
-        return (
-            cls.operator_cost is DefaultCostModel.operator_cost
-            and cls.operator_cost_from_stats is DefaultCostModel.operator_cost_from_stats
-        )
-
-    def operator_cost(
-        self,
-        op: PhysicalOp,
-        estimator: CardinalityEstimator,
-        partition_override: int | None = None,
-    ) -> float:
-        return self.operator_cost_from_stats(
-            op.op_type,
-            estimator.estimate_input(op),
-            estimator.estimate(op),
-            op.children[0].row_bytes if op.children else op.row_bytes,
-            partition_override or op.partition_count,
-        )
-
     def operator_cost_from_stats(
         self,
         op_type: PhysOpType,
@@ -98,14 +68,9 @@ class DefaultCostModel(CostModelBase):
         input_row_bytes: float,
         partition_count: int,
     ) -> float:
-        """The cost formula on raw statistics.
-
-        Backs :meth:`operator_cost`.  The skeleton planner's replay search
-        (``repro.optimizer.skeleton.SkeletonPlanner._cost``) inlines a copy
-        of this exact expression for speed — keep the two in sync; the
-        parity suite (``tests/workload/test_batched_parity.py``) pins the
-        equivalence.
-        """
+        """The cost formula on raw statistics: the one body behind
+        :meth:`~repro.cost.interface.CostModelBase.operator_cost` and the
+        skeleton replay's stats backend."""
         cpu, io, out, nlogn = self.coefficients[op_type]
         partitions = float(partition_count)
         rows_in = min(estimated_input, self.row_cap) / partitions

@@ -86,9 +86,12 @@ class CostModel(Protocol):
 
 
 class CostModelBase:
-    """Default ``plan_cost``/``explain`` for simple (heuristic) models.
+    """The shared surface of the heuristic models.
 
-    Subclasses only implement :meth:`operator_cost`; learned models override
+    A subclass supplies the formula, ``operator_cost_from_stats(op_type,
+    estimated_input, estimated_output, input_row_bytes, partition_count)``;
+    :meth:`operator_cost` feeds it the estimator's statistics, and
+    ``plan_cost`` / ``explain`` follow.  Learned models override
     :meth:`explain` with real provenance.
     """
 
@@ -97,15 +100,19 @@ class CostModelBase:
         """Whether the skeleton replay fast path can price for this model.
 
         The template-skeleton replay (``repro.optimizer.skeleton``) never
-        builds :class:`PhysicalOp` trees during search, so it can only serve
-        models whose pricing it can reproduce exactly from cached replay
-        statistics — either through ``operator_cost_from_stats`` (heuristic
-        models) or through the packed pricing hooks
-        (:class:`~repro.core.cost_model.CleoCostModel`).  Models that
-        override the pricing formula itself opt out by returning ``False``
-        here, which routes planning back to the full scalar search.
+        builds :class:`PhysicalOp` trees during search: it hands the model's
+        own ``operator_cost_from_stats`` the statistics :meth:`operator_cost`
+        would have read off the estimator, so it prices exactly as long as
+        :meth:`operator_cost` is this one.  A subclass that retunes the
+        constants or the formula stays on the replay; one that overrides
+        :meth:`operator_cost` opts out, which routes planning back to the
+        ``PhysicalOp`` search.  Learned models answer for themselves
+        (:class:`~repro.core.cost_model.CleoCostModel`).
         """
-        return False
+        return (
+            hasattr(self, "operator_cost_from_stats")
+            and type(self).operator_cost is CostModelBase.operator_cost
+        )
 
     def operator_cost(
         self,
@@ -113,7 +120,13 @@ class CostModelBase:
         estimator: CardinalityEstimator,
         partition_override: int | None = None,
     ) -> float:
-        raise NotImplementedError
+        return self.operator_cost_from_stats(
+            op.op_type,
+            estimator.estimate_input(op),
+            estimator.estimate(op),
+            op.children[0].row_bytes if op.children else op.row_bytes,
+            partition_override or op.partition_count,
+        )
 
     def plan_cost(self, root: PhysicalOp, estimator: CardinalityEstimator) -> float:
         return float(sum(self.operator_cost(op, estimator) for op in root.walk()))

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 
-from repro.cardinality.estimator import CardinalityEstimator
 from repro.cost.interface import CostModelBase
 from repro.execution.ground_truth import GROUND_TRUTH_COEFFICIENTS
-from repro.plan.physical import PhysOpType, PhysicalOp
+from repro.plan.physical import PhysOpType
 
 
 class TunedCostModel(CostModelBase):
@@ -51,29 +50,6 @@ class TunedCostModel(CostModelBase):
     #: kept the idea — production jobs still exceed it routinely.
     row_cap = 2.0e7
 
-    @property
-    def supports_replay_costing(self) -> bool:
-        """Replay-safe unless the pricing formula itself was overridden."""
-        cls = type(self)
-        return (
-            cls.operator_cost is TunedCostModel.operator_cost
-            and cls.operator_cost_from_stats is TunedCostModel.operator_cost_from_stats
-        )
-
-    def operator_cost(
-        self,
-        op: PhysicalOp,
-        estimator: CardinalityEstimator,
-        partition_override: int | None = None,
-    ) -> float:
-        return self.operator_cost_from_stats(
-            op.op_type,
-            estimator.estimate_input(op),
-            estimator.estimate(op),
-            op.children[0].row_bytes if op.children else op.row_bytes,
-            partition_override or op.partition_count,
-        )
-
     def operator_cost_from_stats(
         self,
         op_type: PhysOpType,
@@ -82,12 +58,9 @@ class TunedCostModel(CostModelBase):
         input_row_bytes: float,
         partition_count: int,
     ) -> float:
-        """The tuned formula on raw statistics.
-
-        Backs :meth:`operator_cost` and the skeleton replay's stats-backed
-        costing hook (the replay feeds it the same estimates it would have
-        pulled from the estimator, so costs are bitwise identical).
-        """
+        """The tuned formula on raw statistics: the one body behind
+        :meth:`~repro.cost.interface.CostModelBase.operator_cost` and the
+        skeleton replay's stats backend."""
         coef = GROUND_TRUTH_COEFFICIENTS[op_type]
         fudge = self._FUDGE[op_type]
         partitions = float(partition_count)

@@ -43,9 +43,6 @@ class Catalog:
             raise KeyError(f"table {name!r} not in catalog {self.name!r}")
         self._stats[name] = stats
 
-    def has_table(self, name: str) -> bool:
-        return name in self._tables
-
     @property
     def table_names(self) -> tuple[str, ...]:
         return tuple(sorted(self._tables))

@@ -86,6 +86,3 @@ class TableDef:
             if col.name == name:
                 return col
         raise KeyError(f"no column {name!r} in table {self.name!r}")
-
-    def has_column(self, name: str) -> bool:
-        return any(c.name == name for c in self.columns)

@@ -62,10 +62,6 @@ class TableStats:
         if self.partition_count < 1:
             raise ValueError("partition_count must be >= 1")
 
-    @property
-    def total_bytes(self) -> float:
-        return self.row_count * self.avg_row_bytes
-
     def scaled(self, factor: float) -> "TableStats":
         """A copy with the row count scaled (day-over-day input drift)."""
         if factor <= 0:

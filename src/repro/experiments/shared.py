@@ -97,7 +97,7 @@ class ClusterBundle:
         """The serving façade over :meth:`predictor` (cached alongside it)."""
         predictor = self.predictor(train_days, combined_days, config)
         if self._service is None or self._service.predictor is not predictor:
-            self._service = CleoService(predictor, config=config)
+            self._service = CleoService(predictor)
         return self._service
 
     def test_log(self, days: tuple[int, ...] = (3,)) -> RunLog:

@@ -241,10 +241,6 @@ class FeatureTable:
         words = np.concatenate((self.features.view(np.uint64), self.signatures), axis=1)
         return words.view(_ROW_KEY).ravel().tolist()
 
-    def input_at(self, row: int) -> FeatureInput:
-        """One row's features as a :class:`FeatureInput` (the exact values)."""
-        return FeatureInput(*self.features[row].tolist())
-
     def signature_column(self, name: str) -> np.ndarray:
         """One signature column ("strict"/"approx"/"input"/"operator")."""
         if self.signatures is None:

@@ -29,7 +29,7 @@ subclasses it and supplies only what genuinely differs:
 :class:`~repro.optimizer.planner.QueryPlanner` (frozen ``PhysicalOp`` nodes,
 the estimator, ``operator_cost`` / ``price_operators``, a fresh skeleton per
 call) and :class:`~repro.optimizer.skeleton.SkeletonPlanner` (slotted
-``RNode``s, primed per-index estimates, inlined / stats / packed pricing, a
+``RNode``s, primed per-index estimates, stats / packed pricing, a
 skeleton cached per ``(template_id, day)``) are the two configurations.
 Candidate order, tie-breaks and floating-point expression order exist here
 and nowhere else, so the two cannot disagree on them.

@@ -17,11 +17,10 @@ of that core which makes one job's search cheap:
   are the estimator's own);
 * ``_heuristic_partitions`` is :func:`default_partition_heuristic`'s formula
   on those cached estimates;
-* ``_cost`` is one of three backends chosen at construction from the cost
-  model's capabilities — *inlined* (the stock :class:`DefaultCostModel`
-  formula, prefetched into locals), *stats* (any heuristic model exposing
-  ``operator_cost_from_stats``, e.g.
-  :class:`~repro.cost.tuned_model.TunedCostModel`), *deferred* (models exposing
+* ``_cost`` is one of two backends chosen at construction from the cost
+  model's capabilities — *stats* (a heuristic model: its own
+  ``operator_cost_from_stats`` on the node's cached estimates, the one
+  formula its ``operator_cost`` runs), *deferred* (models exposing
   the packed pricing hooks, a batching
   :class:`~repro.core.cost_model.CleoCostModel`: the core's ledger is flushed
   through ``price_inputs``, ``_price``, each call ONE feature table of its
@@ -51,7 +50,6 @@ from dataclasses import dataclass
 
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.common.errors import OptimizationError
-from repro.cost.default_model import DefaultCostModel
 from repro.features.extract import feature_row
 from repro.features.table import FeatureTable
 from repro.optimizer.planner import PlannedJob, PlannerConfig
@@ -218,24 +216,11 @@ class SkeletonPlanner(CascadesSearch):
         self._skeletons: dict[tuple[str, int], list[SkelNode]] = {}
         self._estimate_logical = estimator.estimate_logical
         # Costing backend (see module docstring): learned models defer to
-        # the ledger the packed hooks flush, DefaultCostModel keeps the
-        # inlined formula, other heuristic models go through
-        # operator_cost_from_stats.
+        # the ledger the packed hooks flush, heuristic models go through
+        # their own operator_cost_from_stats.
         self._deferred = hasattr(cost_model, "price_inputs")
         if self._deferred:
             self._coster = type(self)._cost_deferred
-        elif isinstance(cost_model, DefaultCostModel):
-            # Cost-model constants, prefetched once.  id()-keyed coefficient
-            # lookup skips enum.__hash__ (a Python-level call) on the hottest
-            # dict access; enum members are singletons, so ids are stable.
-            # Retuned subclasses (constants changed, formula intact) prefetch
-            # their own values, so the inlined path serves them too.
-            self._inflation = cost_model.inflation
-            self._row_cap = cost_model.row_cap
-            self._coef_by_id = {
-                id(op_type): coef for op_type, coef in cost_model.coefficients.items()
-            }
-            self._coster = type(self)._cost_inlined
         elif hasattr(cost_model, "operator_cost_from_stats"):
             self._coster = type(self)._cost_stats
         else:  # pragma: no cover - supports_replay_costing implies a backend
@@ -478,29 +463,9 @@ class SkeletonPlanner(CascadesSearch):
         # bound method stored on ``self`` would make the planner a cycle.
         return self._coster(self, node)
 
-    def _cost_inlined(self, node: RNode) -> float:
-        # Inlined DefaultCostModel.operator_cost_from_stats — expression
-        # order kept identical; the parity suite pins the equivalence.
-        children = node.children
-        cpu, io, out, nlogn = self._coef_by_id[id(node.op_type)]  # repro: allow(hashseed-hazard) -- enum members are immortal singletons: their ids are never recycled
-        partitions = float(node.partition_count)
-        row_cap = self._row_cap
-        rows_in = min(node.est_in, row_cap) / partitions
-        rows_out = min(node.est_out, row_cap) / partitions
-        cost = (
-            io * rows_in * (children[0].row_bytes if children else node.row_bytes)
-            + out * rows_out
-        )
-        if nlogn:
-            cost += cpu * rows_in * math.log2(rows_in + 2.0)
-        else:
-            cost += cpu * rows_in
-        return self._inflation * cost + 1e-4
-
     def _cost_stats(self, node: RNode) -> float:
-        # Heuristic models beyond DefaultCostModel (e.g. TunedCostModel):
-        # hand the formula the exact statistics operator_cost would have
-        # pulled from the estimator.
+        # Heuristic models: hand the model's own formula the exact
+        # statistics operator_cost would have pulled from the estimator.
         return self.cost_model.operator_cost_from_stats(
             node.op_type,
             node.est_in,

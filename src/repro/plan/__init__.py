@@ -10,12 +10,7 @@ from repro.plan.builder import PlanBuilder
 from repro.plan.logical import LogicalOp, LogicalOpType
 from repro.plan.physical import PhysicalOp, PhysOpType
 from repro.plan.properties import Partitioning, PartitionScheme, SortOrder
-from repro.plan.signatures import (
-    approx_signature,
-    input_signature,
-    operator_signature,
-    strict_signature,
-)
+from repro.plan.signatures import strict_signature
 from repro.plan.stages import Stage, StageGraph, build_stage_graph
 
 __all__ = [
@@ -29,9 +24,6 @@ __all__ = [
     "SortOrder",
     "Stage",
     "StageGraph",
-    "approx_signature",
     "build_stage_graph",
-    "input_signature",
-    "operator_signature",
     "strict_signature",
 ]

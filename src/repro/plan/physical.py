@@ -136,10 +136,6 @@ class PhysicalOp:
     # ------------------------------------------------------------------ #
 
     @property
-    def is_enforcer(self) -> bool:
-        return self.logical is None
-
-    @property
     def true_card(self) -> float:
         """True output cardinality: the logical node's, or pass-through."""
         if self.logical is not None:
@@ -234,10 +230,6 @@ class PhysicalOp:
     def with_partition_count(self, partition_count: int) -> "PhysicalOp":
         """A copy of this node (only) with a different partition count."""
         return replace(self, partition_count=partition_count)
-
-    def logical_op_count(self) -> int:
-        """Number of non-enforcer operators in the subtree (``CL`` feature)."""
-        return self.summary.n_logical
 
     def describe(self, indent: int = 0) -> str:
         """Readable multi-line physical plan, for examples and debugging."""

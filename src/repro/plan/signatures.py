@@ -2,16 +2,20 @@
 
 SCOPE computes a 64-bit signature per operator recursively from (i) child
 signatures, (ii) the operator's name, and (iii) its logical properties
-(Section 5.1).  Cleo adds three more signatures, one per individual model:
+(Section 5.1).  Cleo adds three more signatures, one per individual model,
+the fields of a :class:`SignatureBundle`:
 
-* :func:`strict_signature` — the operator-subgraph key: root physical
-  operator plus the exact shape of everything beneath it;
-* :func:`approx_signature` — operator-subgraphApprox: root physical operator,
-  normalized inputs, and the *frequency* of logical operators underneath,
-  ignoring order (Section 4.2);
-* :func:`input_signature` — operator-input: root physical operator plus
-  normalized input templates;
-* :func:`operator_signature` — just the physical operator type.
+* ``strict`` (:func:`strict_signature`) — the operator-subgraph key: root
+  physical operator plus the exact shape of everything beneath it;
+* ``approx`` — operator-subgraphApprox: root physical operator, normalized
+  inputs, and the *frequency* of logical operators underneath, ignoring
+  order (Section 4.2): two subgraphs share it when they share the root
+  physical operator, the normalized inputs, and the multiset of logical
+  operator types beneath the root;
+* ``input`` (:func:`input_signature_for`) — operator-input: root physical
+  operator plus normalized input templates;
+* ``operator`` (:func:`operator_signature_for`) — just the physical operator
+  type.
 
 All four are computed by one recursion, :func:`signed` — the paper's "all
 signatures can be computed simultaneously in the same recursion" — which
@@ -168,23 +172,9 @@ def strict_signature(op: PhysicalOp) -> int:
     return signed(op).bundle.strict
 
 
-def approx_signature(op: PhysicalOp) -> int:
-    """Relaxed subgraph signature: same inputs + same logical-op frequencies.
-
-    Two subgraphs map to the same key when they share the root physical
-    operator, the normalized inputs, and the multiset of logical operator
-    types beneath the root — the two relaxations of Section 4.2.
-    """
-    return signed(op).bundle.approx
-
-
-def input_signature(op: PhysicalOp) -> int:
-    """Operator-input signature: physical operator + normalized inputs."""
-    return input_signature_for(op.op_type.value, op.normalized_inputs)
-
-
 def input_signature_for(op_type_value: str, normalized_inputs: frozenset[str]) -> int:
-    """Cached :func:`input_signature` from the raw key components."""
+    """Operator-input signature: physical operator + normalized inputs
+    (cached)."""
     key = (op_type_value, normalized_inputs)
     cached = _INPUT_SIG_CACHE.get(key)
     if cached is None:
@@ -195,13 +185,9 @@ def input_signature_for(op_type_value: str, normalized_inputs: frozenset[str]) -
     return cached
 
 
-def operator_signature(op: PhysicalOp) -> int:
-    """Operator signature: the physical operator type alone (full coverage)."""
-    return operator_signature_for(op.op_type.value)
-
-
 def operator_signature_for(op_type_value: str) -> int:
-    """Cached :func:`operator_signature` from the operator name."""
+    """Operator signature: the physical operator type alone (full coverage;
+    cached)."""
     cached = _OPERATOR_SIG_CACHE.get(op_type_value)
     if cached is None:
         cached = stable_hash("operator", op_type_value)

@@ -1,9 +1,12 @@
 """Serving layer: the public façade for trained Cleo cost models.
 
 :class:`~repro.serving.service.CleoService` is *the* entry point for
-training, loading, versioning, and querying cost models — batched and
-cached, the way the paper's production deployment consults them
-(Section 5.1).  Everything else in the package is supporting machinery.
+training, loading, saving, and querying cost models — batched and cached,
+the way the paper's production deployment consults them (Section 5.1).
+Versioned deployment belongs to
+:class:`~repro.core.lifecycle.LifecycleManager` and its
+:class:`~repro.core.lifecycle.ModelRegistry`.  Everything else in the
+package is supporting machinery.
 """
 
 from repro.serving.cache import CacheStats, LRUCache

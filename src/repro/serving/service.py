@@ -3,8 +3,7 @@
 The paper's production story (Section 5.1) is that trained models are
 *served*: loaded upfront into a signature-keyed map and consulted millions
 of times per optimization pass.  This module is that serving layer — one
-object that owns training, persistence, versioned deployment, and the hot
-prediction path.
+object that owns training, persistence, and the hot prediction path.
 
 The service prices **rows** — request batches, or signature-bearing
 :class:`~repro.features.table.FeatureTable` s — and never sees an operator:
@@ -33,9 +32,12 @@ whole-plan request, :meth:`CleoService.predict_plan`, is :func:`price_plan`
   hit makes one probe and one charge and nothing else.  An LRU serves
   only entries priced against the store's current ``version``, so a
   quarantine empties every LRU sharing the store.
-* **Lifecycle** — :meth:`train` / :meth:`load` / :meth:`save` /
-  :meth:`deploy` wrap the trainer, the JSON model-file format, and the
-  versioned :class:`~repro.core.lifecycle.ModelRegistry`.
+* **Construction and persistence** — :meth:`train` / :meth:`load` /
+  :meth:`save` wrap the trainer and the JSON model-file format.  Versions
+  (publish, promote, roll back) belong to
+  :class:`~repro.core.lifecycle.LifecycleManager` and its
+  :class:`~repro.core.lifecycle.ModelRegistry`; a service serves one
+  predictor for life.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from repro.core.combined import build_meta_matrix, covered_tiers, meta_matrix_an
 from repro.core.config import SPECIFICITY_ORDER, CleoConfig
 from repro.core.packed import predict_most_specific, resource_profiles_most_specific
 from repro.core.learned_model import _MAX_PREDICT_SECONDS, ResourceProfile
-from repro.core.lifecycle import ModelRegistry, ModelVersion
 from repro.core.model_store import ModelStore
 from repro.core.predictor import CleoPredictor, explain_cost
 from repro.core.regression_control import ModelQuarantine
@@ -188,11 +189,12 @@ def price_plan(tier, root: PhysicalOp, estimator: CardinalityEstimator) -> float
     """A plan's total: the one ``predict_plan`` / ``plan_cost`` body.
 
     The serving package's only featurization site: the plan's operators
-    become one table in walk order, priced through ``tier``'s cached core
-    whatever its LRU's capacity, and :func:`plan_totals` folds the answers.
+    become one table in walk order, priced by ``tier.predict_inputs`` (so a
+    plan is charged what the same rows are as a table), and
+    :func:`plan_totals` folds the answers.
     """
     table = operator_table(list(root.walk()), estimator)
-    return plan_totals(tier._predict_keyed(table), [len(table)])[0]
+    return plan_totals(tier.predict_inputs(table), [len(table)])[0]
 
 
 @dataclass(frozen=True)
@@ -287,7 +289,6 @@ class CleoService:
 
     Args:
         predictor: the trained models to serve.
-        config: training/config knobs kept for save/load round-trips.
         prediction_cache_size: LRU capacity of the (features, signatures)
             prediction cache; ``0`` disables caching (every request is
             computed, preserving exact model-lookup accounting).
@@ -302,17 +303,14 @@ class CleoService:
     def __init__(
         self,
         predictor: CleoPredictor,
-        config: CleoConfig | None = None,
         prediction_cache_size: int = DEFAULT_PREDICTION_CACHE,
         validate_inputs: bool = True,
         validate_outputs: bool = True,
     ) -> None:
-        self.config = config or CleoConfig()
         self._prediction_cache = LRUCache(prediction_cache_size)
         self._predictor = predictor
         #: ``store.version`` the LRU's entries were priced against.
         self._cache_version = predictor.store.version
-        self.registry = ModelRegistry()
         self._validate_inputs = bool(validate_inputs)
         self._validate_outputs = bool(validate_outputs)
         self._model_quarantine = ModelQuarantine()
@@ -332,13 +330,8 @@ class CleoService:
 
     @property
     def predictor(self) -> CleoPredictor:
-        """The served models; assigning new ones drops stale cached results."""
+        """The served models."""
         return self._predictor
-
-    @predictor.setter
-    def predictor(self, predictor: CleoPredictor) -> None:
-        self._predictor = predictor
-        self.clear_caches()
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -360,7 +353,7 @@ class CleoService:
         predictor = CleoTrainer(config).train(
             log, individual_days=individual_days, combined_days=combined_days
         )
-        return cls(predictor, config=config, **service_kwargs)
+        return cls(predictor, **service_kwargs)
 
     @classmethod
     def load(
@@ -369,7 +362,7 @@ class CleoService:
         """Load a service from a model file written by :meth:`save`."""
         from repro.core.serialization import load_predictor
 
-        return cls(load_predictor(path, config), config=config, **service_kwargs)
+        return cls(load_predictor(path, config), **service_kwargs)
 
     @classmethod
     def ensure(cls, predictor: "CleoService | CleoPredictor", **kwargs) -> "CleoService":
@@ -383,20 +376,6 @@ class CleoService:
         from repro.core.serialization import save_predictor
 
         save_predictor(self.predictor, path)
-
-    # ------------------------------------------------------------------ #
-    # Deployment (versioned registry)
-    # ------------------------------------------------------------------ #
-
-    def deploy(self, day: int = 0, window: tuple[int, ...] = ()) -> ModelVersion:
-        """Publish the served predictor as a new active registry version."""
-        return self.registry.publish(self.predictor, day=day, window=window)
-
-    def rollback(self) -> ModelVersion:
-        """Reactivate the previous registry version and serve it."""
-        version = self.registry.rollback()
-        self.predictor = version.predictor  # setter drops stale caches
-        return version
 
     # ------------------------------------------------------------------ #
     # Resource profiles (Section 5.3)
@@ -524,17 +503,14 @@ class CleoService:
     def predict_inputs(self, table: FeatureTable) -> np.ndarray:
         """Batched predictions for a signature-bearing table, through the LRU.
 
-        The optimizer's pricing entry, a single price included (one row).
-        With the LRU enabled the table's row keys go through the cached core
-        (:meth:`_predict_keyed`), the misses cut out with one gather; with
-        it disabled this is :meth:`predict_table`.  Same bits either way.
+        The optimizer's pricing entry, a single price included (one row),
+        and a whole plan's (:func:`price_plan`).  With the LRU enabled the
+        table's row keys go through the cached core, the misses cut out with
+        one gather; with it disabled this is :meth:`predict_table`, values
+        and accounting both.  Same bits either way.
         """
         if not self.prediction_cache_enabled:
             return self.predict_table(table)
-        return self._predict_keyed(table)
-
-    def _predict_keyed(self, table: FeatureTable) -> np.ndarray:
-        """A table through the cached core, whatever the LRU's capacity."""
         _require_signatures(table)
         keys = table.row_keys()
         return _only(_cached_core([(self, range(len(keys)))], keys, _table_rows(table)))

@@ -468,22 +468,18 @@ class ShardedCleoRouter:
         as a cache-less service's ``predict_inputs`` does.
         """
         _require_signatures(table)
-        if self._shards[0][self._check_cluster(cluster)].prediction_cache_enabled:
-            return self._predict_keyed(cluster, table)
+        cached = self._shards[0][self._check_cluster(cluster)].prediction_cache_enabled
         approx = table.signature_column("approx").tolist()
         groups, rows = self._group_rows(cluster, approx), _table_rows(table)
+        keys = table.row_keys() if cached else None
         return self._sharded(
-            cluster, approx, groups, lambda owners: _table_core(owners, table), rows
-        )
-
-    def _predict_keyed(self, cluster: str, table: FeatureTable) -> np.ndarray:
-        """A table through each owning shard's cached core, whatever the
-        LRUs' capacity (:func:`~repro.serving.service.price_plan`)."""
-        _require_signatures(table)
-        approx, keys = table.signature_column("approx").tolist(), table.row_keys()
-        groups, rows = self._group_rows(cluster, approx), _table_rows(table)
-        return self._sharded(
-            cluster, approx, groups, lambda owners: _cached_core(owners, keys, rows), rows
+            cluster,
+            approx,
+            groups,
+            lambda owners: (
+                _cached_core(owners, keys, rows) if cached else _table_core(owners, table)
+            ),
+            rows,
         )
 
     def predict_table(self, cluster: str, table: FeatureTable) -> np.ndarray:
@@ -631,8 +627,8 @@ class ShardedCleoRouter:
     def predict_plan(
         self, cluster: str, root: PhysicalOp, estimator: CardinalityEstimator
     ) -> float:
-        """Total cost of a whole-plan request through the sharded cached
-        core (the service's plan table and fold, so bitwise its total)."""
+        """Total cost of a whole-plan request through :meth:`predict_inputs`
+        (the service's plan table and fold, so bitwise its total)."""
         return price_plan(self.client(cluster), root, estimator)
 
     def cost_model(self, cluster: str | None = None) -> CostModel:
@@ -744,11 +740,15 @@ class ShardedCleoRouter:
             self._injector.reset_stats()
 
     def clear_caches(self) -> None:
-        for service in self._services():
-            service.clear_caches()
+        for cluster in self._base:
+            self._clear_cluster(cluster)
+
+    def _clear_cluster(self, cluster: str) -> None:
+        """Drop one cluster's cached predictions and route memo."""
+        for shard in self._shards:
+            shard[cluster].clear_caches()
         with self._route_lock:
-            for routes in self._routes.values():
-                routes.clear()
+            self._routes[cluster].clear()
 
     def close(self) -> None:
         """Shut the fan-out pool down (idempotent)."""
@@ -793,9 +793,6 @@ class ClusterClient:
     def predict_inputs(self, table: FeatureTable) -> np.ndarray:
         return self.router.predict_inputs(self.cluster, table)
 
-    def _predict_keyed(self, table: FeatureTable) -> np.ndarray:
-        return self.router._predict_keyed(self.cluster, table)
-
     def predict_table(self, table: FeatureTable) -> np.ndarray:
         return self.router.predict_table(self.cluster, table)
 
@@ -808,4 +805,5 @@ class ClusterClient:
         return CleoCostModel(self.predictor, service=self)
 
     def clear_caches(self) -> None:
-        self.router.clear_caches()
+        """Drop this cluster's caches; other clusters keep theirs."""
+        self.router._clear_cluster(self.cluster)

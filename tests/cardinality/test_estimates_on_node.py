@@ -184,7 +184,10 @@ class TestCardLearnerOnTheSlot:
     ):
         plan = physical_join_plan
         ops = list(plan.walk())
-        learner = _trained_on(physical_simple_plan)
+        learner = CardLearner()
+        for _ in range(learner.min_samples):
+            learner.observe_plan(physical_simple_plan)
+        covered = learner.fit()
         base_calls = _spy(learner.base)
         before = [learner.estimate(op) for op in ops]
         computed = len(base_calls)
@@ -192,11 +195,9 @@ class TestCardLearnerOnTheSlot:
         assert [learner.estimate_input(op) for op in ops]
         assert len(base_calls) == computed  # no subtree is walked twice
 
-        covered = learner.coverage_templates
         for _ in range(learner.min_samples):
             learner.observe_plan(plan)
-        learner.fit()
-        assert learner.coverage_templates > covered
+        assert learner.fit() > covered
         after = [learner.estimate(op) for op in ops]
         # Equal training, a plan nobody has estimated: the answers a refit
         # must give, whatever the live nodes cached before it.

@@ -180,8 +180,10 @@ class TestCardLearner:
         return learner
 
     def test_learns_covered_templates(self, physical_simple_plan):
-        learner = self._train(physical_simple_plan)
-        assert learner.coverage_templates > 0
+        learner = CardLearner()
+        for _ in range(12):
+            learner.observe_plan(physical_simple_plan)
+        assert learner.fit() > 0
 
     def test_prediction_close_to_truth_on_training_plan(self, physical_simple_plan):
         learner = self._train(physical_simple_plan)
@@ -213,8 +215,7 @@ class TestCardLearner:
     def test_min_samples_threshold(self, physical_simple_plan):
         learner = CardLearner()
         learner.observe_plan(physical_simple_plan)  # one observation only
-        learner.fit()
-        assert learner.coverage_templates == 0
+        assert learner.fit() == 0
 
     def test_estimates_nonnegative(self, physical_simple_plan):
         learner = self._train(physical_simple_plan)

@@ -114,7 +114,7 @@ class TestTrainerGate:
             poisoned, individual_days=[1, 2], combined_days=[2]
         )
         audit = trainer.last_audit
-        assert audit is not None and not audit.is_clean
+        assert audit is not None and audit.rows_dropped > 0
         assert audit.invalid_latency > 0
         assert predictor.store.count() > 0
 
@@ -148,7 +148,7 @@ class TestTrainerGate:
         b = TrainingAudit(rows_seen=5, rows_kept=5)
         merged = a.merge(b)
         assert merged.rows_seen == 15 and merged.rows_dropped == 2
-        assert not merged.is_clean and b.is_clean
+        assert b.rows_dropped == 0
         assert "13/15 rows kept" in merged.describe()
 
 

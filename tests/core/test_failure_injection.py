@@ -67,8 +67,8 @@ class TestCorruptedLabels:
             poisoned, individual_days=[1, 2], combined_days=[2]
         )
         before = predictor.store.count()
-        report = ModelQuarantine(tolerance_factor=4.0).audit_predictor(
-            predictor, tiny_bundle.test_log()
+        report = ModelQuarantine(tolerance_factor=4.0).audit(
+            predictor.store, tiny_bundle.test_log()
         )
         assert report.total_removed > before * 0.5
         assert predictor.store.count() == before - report.total_removed

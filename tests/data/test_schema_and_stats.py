@@ -40,16 +40,8 @@ class TestTableDef:
         with pytest.raises(KeyError):
             table.column("missing")
 
-    def test_has_column(self):
-        table = TableDef("t", (Column("a", DataType.INT),))
-        assert table.has_column("a") and not table.has_column("b")
-
 
 class TestTableStats:
-    def test_total_bytes(self):
-        stats = TableStats(row_count=100, avg_row_bytes=10)
-        assert stats.total_bytes == 1000
-
     def test_validation(self):
         with pytest.raises(ValueError):
             TableStats(row_count=-1, avg_row_bytes=10)

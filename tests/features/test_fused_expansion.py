@@ -19,6 +19,7 @@ from repro.features.featurizer import (
     COLUMN_NAMES,
     FEATURE_EXPRESSIONS,
     FEATURE_FUNCTIONS,
+    FeatureInput,
     INVERSE_P_FEATURES,
     expand_columns,
     feature_names,
@@ -64,7 +65,7 @@ def test_fused_expansion_equals_every_declared_expression(n, seed):
                 column = np.broadcast_to(FEATURE_EXPRESSIONS[name](table), (n,))
                 assert (_bits(fused[:, j]) == _bits(column)).all(), name
             for i in range(min(n, 8)):
-                f = table.input_at(i)
+                f = FeatureInput(*rows[i].tolist())
                 assert (_bits(feature_vector(f, include_context)) == _bits(fused[i])).all()
                 scalar = [FEATURE_FUNCTIONS[name](f) for name in names]
                 assert (_bits(scalar) == _bits(fused[i])).all()

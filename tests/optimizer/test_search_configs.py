@@ -2,7 +2,7 @@
 
 ``QueryPlanner`` (frozen ``PhysicalOp`` candidates, the estimator,
 ``operator_cost`` / ``price_operators``) and ``SkeletonPlanner`` (slotted
-``RNode`` candidates, primed estimates, inlined / stats / packed pricing) run
+``RNode`` candidates, primed estimates, stats / packed pricing) run
 one rule set (``repro.optimizer.search``); what they supply themselves — node
 construction, estimates, costing — must be unobservable in the result.  For
 generated logical plans (shared subexpressions, key-less aggregates and

@@ -385,12 +385,17 @@ class TestPlannerTelemetryAndGates:
         class Retuned(DefaultCostModel):
             inflation = 9.0
 
+        class RetunedFormula(DefaultCostModel):
+            def operator_cost_from_stats(self, op_type, *stats):
+                return 2.0 * super().operator_cost_from_stats(op_type, *stats)
+
         class OverriddenFormula(DefaultCostModel):
             def operator_cost(self, op, estimator, partition_override=None):
                 return 2.0 * super().operator_cost(op, estimator, partition_override)
 
         assert supports_fast_path(DefaultCostModel(), estimator, config)
         assert supports_fast_path(Retuned(), estimator, config)
+        assert supports_fast_path(RetunedFormula(), estimator, config)
         assert supports_fast_path(TunedCostModel(), estimator, config)
         assert supports_fast_path(CleoCostModel(tiny_predictor), estimator, config)
         assert not supports_fast_path(OverriddenFormula(), estimator, config)

@@ -86,7 +86,6 @@ class TestPhysicalSemantics:
         )
         assert exchange.true_card == leaf.true_card
         assert exchange.row_bytes == leaf.row_bytes
-        assert exchange.is_enforcer
         assert exchange.template_tag == "xchg:hash"
 
     def test_child_context(self, physical_join_plan):
@@ -113,7 +112,7 @@ class TestPhysicalSemantics:
 
     def test_logical_op_count_excludes_enforcers(self, physical_join_plan):
         total = physical_join_plan.node_count
-        logical = physical_join_plan.logical_op_count()
+        logical = physical_join_plan.summary.n_logical
         assert logical < total  # enforcers exist in a join plan
         assert logical == sum(
             1 for op in physical_join_plan.walk() if op.logical is not None

@@ -12,9 +12,8 @@ from repro.plan import signatures
 from repro.plan.physical import post_order
 from repro.plan.signatures import (
     SignatureBundle,
-    approx_signature,
-    input_signature,
-    operator_signature,
+    input_signature_for,
+    operator_signature_for,
     signed,
     strict_signature,
 )
@@ -55,7 +54,8 @@ class TestStrictSignature:
 class TestApproxSignature:
     def test_differs_from_strict_keyspace(self, physical_join_plan):
         # Approx and strict signatures are in different hash namespaces.
-        assert approx_signature(physical_join_plan) != strict_signature(physical_join_plan)
+        bundle = SignatureBundle.of(physical_join_plan)
+        assert bundle.approx != bundle.strict
 
     def test_same_root_same_freq_same_inputs_match(self, builder, planner):
         """Reordered unary operators below the root map to the same approx key."""
@@ -70,7 +70,7 @@ class TestApproxSignature:
         p1 = planner.plan(builder.output(agg1, name="o", tag="t:o")).plan
         p2 = planner.plan(builder.output(agg2, name="o", tag="t:o")).plan
         assert strict_signature(p1) != strict_signature(p2)
-        assert approx_signature(p1) == approx_signature(p2)
+        assert SignatureBundle.of(p1).approx == SignatureBundle.of(p2).approx
 
 
 class TestInputAndOperatorSignatures:
@@ -81,13 +81,13 @@ class TestInputAndOperatorSignatures:
         p2 = planner.plan(
             builder.output(builder.scan("users_2024_01_01"), name="o", tag="t:o")
         ).plan
-        assert input_signature(p1) != input_signature(p2)
-        assert operator_signature(p1) == operator_signature(p2)
+        assert SignatureBundle.of(p1).input != SignatureBundle.of(p2).input
+        assert SignatureBundle.of(p1).operator == SignatureBundle.of(p2).operator
 
     def test_operator_signature_by_type_only(self, physical_join_plan):
         sigs = {}
         for op in physical_join_plan.walk():
-            sigs.setdefault(op.op_type, set()).add(operator_signature(op))
+            sigs.setdefault(op.op_type, set()).add(SignatureBundle.of(op).operator)
         for values in sigs.values():
             assert len(values) == 1
 
@@ -97,18 +97,14 @@ class TestBundleComputation:
         for op in physical_join_plan.walk():
             bundle = SignatureBundle.of(op)
             assert bundle.strict == strict_signature(op)
-            assert bundle.approx == approx_signature(op)
-            assert bundle.input == input_signature(op)
-            assert bundle.operator == operator_signature(op)
+            assert bundle.input == input_signature_for(
+                op.op_type.value, op.normalized_inputs
+            )
+            assert bundle.operator == operator_signature_for(op.op_type.value)
 
     def test_bundle_of_equals_computed(self, physical_simple_plan):
         root = physical_simple_plan
-        assert SignatureBundle.of(root) == SignatureBundle(
-            strict_signature(root),
-            approx_signature(root),
-            input_signature(root),
-            operator_signature(root),
-        )
+        assert SignatureBundle.of(root) == oracle_bundle(root)
 
     def test_all_nodes_covered(self, physical_join_plan):
         bundles = [SignatureBundle.of(op) for op in physical_join_plan.walk()]

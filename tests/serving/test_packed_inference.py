@@ -286,13 +286,6 @@ class TestInvalidation:
         store.remove(ModelKind.OPERATOR, 999)
         assert store.memory_bytes == first
 
-    def test_predictor_swap_serves_new_models(self, tiny_predictor, tiny_bundle):
-        table = tiny_bundle.test_table()
-        service = CleoService(tiny_predictor, prediction_cache_size=0)
-        with_combined = service.predict_table(table)
-        service.predictor = CleoPredictor(store=tiny_predictor.store)
-        store_only = service.predict_table(table)
-        assert not np.array_equal(with_combined, store_only)
 
 
 class TestRoundTrip:

@@ -155,19 +155,6 @@ class TestBatchedPrediction:
             len(requests) * CleoPredictor.LOOKUPS_PER_PREDICTION
         )
 
-    def test_predictor_reassignment_drops_stale_cache(
-        self, tiny_predictor, workload_records
-    ):
-        service = CleoService(tiny_predictor)
-        record = workload_records[0]
-        with_combined = _one_row_each(service, [record])[0]
-        service.predictor = CleoPredictor(store=tiny_predictor.store)
-        fresh = _one_row_each(service, [record])[0]
-        assert fresh == tiny_predictor.store.most_specific(record.signatures)[
-            1
-        ].predict_one(record.features)
-        assert fresh != with_combined  # not served from the stale entry
-
 
 class TestExplain:
     def test_combined_tier(self, service, workload_records):
@@ -221,18 +208,6 @@ class TestLifecycle:
         assert trained.model_count > 0
         record = next(tiny_bundle.log.operator_records())
         assert _one_row_each(trained, [record])[0] >= 0.0
-
-    def test_deploy_and_rollback(self, tiny_predictor, tiny_bundle):
-        service = CleoService(tiny_predictor)
-        first = service.deploy(day=2, window=(1, 2))
-        assert first.version == 1
-        other = CleoPredictor(store=tiny_predictor.store)
-        service.predictor = other
-        second = service.deploy(day=3, window=(2, 3))
-        assert second.version == 2
-        rolled = service.rollback()
-        assert rolled.version == 1
-        assert service.predictor is tiny_predictor
 
     def test_ensure_idempotent(self, service, tiny_predictor):
         assert CleoService.ensure(service) is service

@@ -21,7 +21,7 @@ import pytest
 from repro.common.hashing import stable_hash
 from repro.core.predictor import CleoPredictor
 from repro.cost.default_model import DefaultCostModel
-from repro.features.extract import feature_input_for
+from repro.features.extract import feature_input_for, operator_table
 from repro.features.table import FeatureTable
 from repro.plan.physical import PhysOpType
 from repro.plan.signatures import SignatureBundle
@@ -288,6 +288,47 @@ class TestParity:
                     "cluster1", root, tiny_bundle.fresh_estimator()
                 ) == expected
 
+    def test_cacheless_plan_charges_what_its_table_does(
+        self, tiny_bundle, tiny_predictor, baseline
+    ):
+        """A cache-less whole-plan request is its operator table through
+        ``predict_table``: the same counters (no in-batch reuses, no cache
+        requests) and lookups, on a service and on a 2-shard router, and
+        the cached service's total bit for bit."""
+        estimator = tiny_bundle.fresh_estimator
+
+        def table_of(root):
+            return operator_table(list(root.walk()), estimator())
+
+        root = next(
+            root
+            for root in tiny_bundle.runner.plans.values()
+            if len(set(keys := table_of(root).row_keys())) < len(keys)
+        )
+        table = table_of(root)
+        expected = baseline.predict_plan(root, estimator()).hex()
+
+        plain = CleoService(tiny_predictor, prediction_cache_size=0)
+        twin = CleoService(tiny_predictor, prediction_cache_size=0)
+        start = tiny_predictor.lookup_count
+        assert plain.predict_plan(root, estimator()).hex() == expected
+        charged = tiny_predictor.lookup_count - start
+        twin.predict_table(table)
+        assert tiny_predictor.lookup_count - start == 2 * charged
+        assert plain.stats() == twin.stats()
+        assert plain.stats().in_batch_reuses == plain.stats().cache.requests == 0
+
+        with make_router(
+            tiny_predictor, n_shards=2, prediction_cache_size=0
+        ) as router, make_router(
+            tiny_predictor, n_shards=2, prediction_cache_size=0
+        ) as twin_router:
+            ours = router.predict_plan("cluster1", root, estimator())
+            assert ours.hex() == expected
+            twin_router.predict_table("cluster1", table)
+            assert router.stats() == twin_router.stats()
+            assert router.lookup_count == twin_router.lookup_count
+
     def test_cost_model_prices_batched(self, tiny_predictor):
         with make_router(tiny_predictor, n_shards=2) as router:
             model = router.cost_model("cluster1")
@@ -477,6 +518,26 @@ class TestStatsAndLifecycle:
             router.clear_caches()
             assert router.stats().predictions == 0
             assert router.stats().cache.size == 0
+
+    def test_cluster_client_clears_only_its_cluster(self, tiny_predictor, requests):
+        """A cluster-bound cost model's ``clear_cache`` drops that cluster's
+        LRUs and route memo; every other cluster keeps its own."""
+        table = FeatureTable.from_inputs(
+            [r.features for r in requests[:200]], [r.signatures for r in requests[:200]]
+        )
+        with ShardedCleoRouter(
+            {"cluster1": tiny_predictor, "cluster2": tiny_predictor}, n_shards=2
+        ) as router:
+            for cluster in ("cluster1", "cluster2"):
+                router.predict_inputs(cluster, table)
+            router.cost_model("cluster1").clear_cache()
+            assert not router._routes["cluster1"] and router._routes["cluster2"]
+            router.reset_stats()
+            router.predict_inputs("cluster2", table)
+            warm = router.stats().cache
+            assert warm.hits == warm.requests == len(table)
+            router.predict_inputs("cluster1", table)
+            assert router.stats().cache.hits == warm.hits  # cluster1 starts cold
 
     def test_close_is_idempotent(self, tiny_predictor):
         router = make_router(tiny_predictor, n_workers=4)

@@ -12,6 +12,12 @@ The parity references themselves live in ``repro.reference``, which product
 code does not import: the one exception is ``CleoTrainer.train_reference``,
 a delegate for callers that hold a trainer, and the only public
 ``*_reference`` function a product module keeps.
+
+A heuristic model is priced one way too: through its own
+``operator_cost_from_stats``.  Outside ``repro.cost`` no module, the
+references included, reads the formula's constants (``inflation``,
+``row_cap``, ``DEFAULT_COEFFICIENTS``), so none keeps a hand-inlined copy
+of a formula.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ PER_ROW = {"predict_one", "resource_profile"}
 #: The public ``*_reference`` defs a product module keeps, with the reason:
 #: ``train_reference`` delegates into ``repro.reference``.
 PRODUCT_REFERENCES = {("core/trainer.py", "train_reference")}
+#: The package that defines the heuristic formulas, and their constants.
+HEURISTIC_PACKAGE = "cost/"
+FORMULA_CONSTANTS = {"inflation", "row_cap", "DEFAULT_COEFFICIENTS"}
 
 
 def _product_modules() -> dict[str, ast.Module]:
@@ -83,6 +92,22 @@ def _reference_imports(tree: ast.Module) -> list[str]:
     return found
 
 
+def _constant_reads(tree: ast.Module) -> list[tuple[str, int]]:
+    """``(name, line)`` of every read or import of a formula constant."""
+    found: list[tuple[str, int]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found.extend((name, node.lineno) for name in names if name in FORMULA_CONSTANTS)
+    return found
+
+
 def test_guard_sees_a_per_row_call():
     tree = ast.parse(
         "def price(model, f):\n"
@@ -132,3 +157,28 @@ def test_only_the_trainer_delegate_imports_the_references():
         for function in _reference_imports(tree)
     }
     assert found == {("core/trainer.py", "train_reference")}
+
+
+def test_guard_sees_a_formula_constant():
+    tree = ast.parse(
+        "from repro.cost.default_model import DEFAULT_COEFFICIENTS\n"
+        "def cost(model, rows):\n"
+        "    return model.inflation * min(rows, model.row_cap)\n"
+        "def partitions(model):\n"
+        "    return model.partition_cap\n"
+    )
+    assert sorted(_constant_reads(tree)) == [
+        ("DEFAULT_COEFFICIENTS", 1),
+        ("inflation", 3),
+        ("row_cap", 3),
+    ]
+
+
+def test_only_the_heuristic_models_read_their_constants():
+    found = {
+        name: reads
+        for path in sorted(SRC.rglob("*.py"))
+        if not (name := path.relative_to(SRC).as_posix()).startswith(HEURISTIC_PACKAGE)
+        and (reads := _constant_reads(ast.parse(path.read_text())))
+    }
+    assert found == {}

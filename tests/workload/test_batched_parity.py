@@ -28,6 +28,7 @@ from repro.execution.simulator import ExecutionSimulator
 from repro.features.table import FeatureTable
 from repro.optimizer.partition import SamplingStrategy
 from repro.optimizer.planner import PlannerConfig, QueryPlanner
+from repro.optimizer.skeleton import supports_fast_path
 from repro.reference import run_days_reference, run_job
 from repro.workload.generator import ClusterWorkloadConfig, WorkloadGenerator
 from repro.workload.runner import WorkloadRunner
@@ -232,6 +233,28 @@ def test_retuned_subclass_keeps_fast_path_with_parity():
         cluster, seed=2, days=[1], reference=False, cost_model=TweakedModel()
     )
     assert batched_runner._skeleton_planner is not None
+    assert ref_log.jobs == bat_log.jobs
+
+
+def test_retuned_formula_keeps_fast_path_with_parity():
+    """A subclass that rewrites only ``operator_cost_from_stats`` keeps the
+    replay: the replay and ``operator_cost`` both call the model's own
+    formula, so the plans stay the reference's bit for bit."""
+
+    class RetunedFormula(DefaultCostModel):
+        def operator_cost_from_stats(self, op_type, *stats):
+            cost = super().operator_cost_from_stats(op_type, *stats)
+            return 0.5 * cost + 2e-3 * stats[-1]  # a per-partition overhead
+
+    model = RetunedFormula()
+    assert supports_fast_path(model, CardinalityEstimator(), PlannerConfig())
+    cluster = DEFAULT_CLUSTERS[3]
+    _, ref_log = _run(cluster, seed=2, days=[1], reference=True, cost_model=model)
+    batched_runner, bat_log = _run(
+        cluster, seed=2, days=[1], reference=False, cost_model=RetunedFormula()
+    )
+    assert batched_runner._skeleton_planner is not None
+    assert len(bat_log) > 0
     assert ref_log.jobs == bat_log.jobs
 
 
