@@ -36,10 +36,6 @@ class RngFactory:
         """Return a generator unique to ``names`` under this factory's seed."""
         return derive_rng(self.seed, *names)
 
-    def lognormal(self, sigma: float, *names: object) -> float:
-        """One deterministic log-normal draw (mean of the log is 0)."""
-        return float(np.exp(self.child(*names).normal(0.0, sigma)))
-
     def spawn(self, *names: object) -> "RngFactory":
         """Derive a child factory, for handing a subsystem its own seed tree."""
         return RngFactory(stable_hash("factory", self.seed, *names) & ((1 << 63) - 1))

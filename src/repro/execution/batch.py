@@ -8,9 +8,9 @@ a whole *run* of jobs in a handful of array operations, in two layers:
   features.  None of these depend on a job instance's numbers.  They are
   extracted by running the *real* implementations (``SignatureBundle.of``,
   ``build_stage_graph``, ``hidden_multiplier``) over a materialized plan
-  (:func:`build_shape_statics`), and a replayed job's are cached per plan
-  *shape* (the skeleton planner's choice key), so every job that makes the
-  same planning choices reuses them.
+  (:func:`build_shape_statics`), and cached per plan *shape* (each node's
+  op type, template tag and child count, in post order), so every job that
+  plans to the same shape reuses them, whichever entry added it.
 * **Per-run numerics**: jobs are accumulated into flat row-major buffers
   (one row per operator, in post order) and the ground-truth latency
   formula runs once, vectorized, over all rows at
@@ -183,16 +183,15 @@ class BatchedExecutionEngine:
 
         engine.begin()
         for job ...:
-            statics = engine.statics_for(win, choice_key)
-            engine.add_job(win, statics, job_id, template_id, day, adhoc)
+            engine.add_job(win, job_id, template_id, day, adhoc)
             # or, for a plan from QueryPlanner:
             engine.add_plan(plan, estimator, job_id, template_id, day, adhoc)
         records = engine.finish()
     """
 
     #: Clear-at-limit cap on the shape-statics cache, like the skeleton
-    #: planner's: ad-hoc templates mint new choice keys every day, and a
-    #: cleared entry is rebuilt to the same statics.
+    #: planner's: ad-hoc templates mint new shapes every day, and a cleared
+    #: entry is rebuilt to the same statics.
     _SHAPE_CACHE_LIMIT = 1 << 12
 
     def __init__(self, simulator: ExecutionSimulator) -> None:
@@ -203,22 +202,23 @@ class BatchedExecutionEngine:
         self._shape_cache: dict[tuple, ShapeStatics] = {}
         self.begin()
 
-    def statics_for(
-        self, win: RNode, choice_key: tuple, plan: PhysicalOp | None = None
-    ) -> ShapeStatics:
-        """The (cached) shape statics of a replayed plan.
+    def _statics(self, nodes: list, plan: PhysicalOp | None) -> ShapeStatics:
+        """The (cached) shape statics of ``nodes``, a plan's post-order walk;
+        a miss builds them from ``plan``, or from the root materialized.
 
-        ``choice_key`` is the skeleton planner's ``last_choice_key``: the
-        template id plus the search's winner ordinals and join-existence
-        masks, which uniquely determine the plan shape (and is far cheaper
-        to hash than a structural fingerprint of the tree).
+        The key, each node's ``(op_type, template_tag, child count)``, spells
+        out the tree, and within one workload a tag fixes everything else the
+        statics read off a node (logical type, normalized inputs, parameters).
         """
-        statics = self._shape_cache.get(choice_key)
+        key = tuple(
+            [x for n in nodes for x in (n.op_type, n.template_tag, len(n.children))]
+        )
+        statics = self._shape_cache.get(key)
         if statics is None:
             if len(self._shape_cache) >= self._SHAPE_CACHE_LIMIT:
                 self._shape_cache.clear()
-            statics = build_shape_statics(plan or materialize(win), self.simulator)
-            self._shape_cache[choice_key] = statics
+            plan = plan or materialize(nodes[-1])
+            statics = self._shape_cache[key] = build_shape_statics(plan, self.simulator)
         return statics
 
     # ------------------------------------------------------------------ #
@@ -248,7 +248,6 @@ class BatchedExecutionEngine:
     def add_job(
         self,
         win: RNode,
-        statics: ShapeStatics,
         job_id: str,
         template_id: str,
         day: int,
@@ -259,6 +258,7 @@ class BatchedExecutionEngine:
         nodes = post_order(win)
         est_in = [node.est_in for node in nodes]
         est_out = [node.est_out for node in nodes]
+        statics = self._statics(nodes, None)
         self._gather(nodes, est_in, est_out, statics, job_id, template_id, day, is_adhoc)
 
     def add_plan(
@@ -271,11 +271,11 @@ class BatchedExecutionEngine:
         is_adhoc: bool = False,
     ) -> None:
         """Gather one planned job's numerics into the run buffers, with
-        statics built from ``plan`` and ``estimator``'s estimates."""
+        ``estimator``'s estimates."""
         ops = post_order(plan)
         est_in = [estimator.estimate_input(op) for op in ops]
         est_out = [estimator.estimate(op) for op in ops]
-        statics = build_shape_statics(plan, self.simulator)
+        statics = self._statics(ops, plan)
         self._gather(ops, est_in, est_out, statics, job_id, template_id, day, is_adhoc)
 
     def _gather(

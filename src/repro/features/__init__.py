@@ -20,7 +20,6 @@ from repro.features.featurizer import (
     feature_matrix,
     feature_names,
     feature_vector,
-    partition_feature_names,
 )
 from repro.features.table import FeatureTable
 
@@ -37,5 +36,4 @@ __all__ = [
     "feature_matrix",
     "feature_names",
     "feature_vector",
-    "partition_feature_names",
 ]

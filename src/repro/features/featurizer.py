@@ -341,9 +341,3 @@ def feature_matrix(inputs: list[FeatureInput], include_context: bool = False) ->
     """Stack feature vectors for many instances into an (n, d) matrix:
     the inputs are packed once and expanded in one fused pass."""
     return expand_columns(feature_rows(inputs), include_context)
-
-
-def partition_feature_names(include_context: bool = False) -> tuple[tuple[int, str], ...]:
-    """(index, name) of partition-dependent features, for resource profiles."""
-    names = feature_names(include_context)
-    return tuple((i, n) for i, n in enumerate(names) if n in PARTITION_DEPENDENT)

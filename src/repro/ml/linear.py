@@ -120,13 +120,6 @@ class ElasticNet:
         intercept = self.intercept_ - float((self.coef_ * mean / scale).sum())
         return raw, intercept
 
-    @property
-    def selected_features(self) -> np.ndarray:
-        """Indices of features with non-zero weight (elastic-net selection)."""
-        if self.coef_ is None:
-            raise RuntimeError("selected_features before fit()")
-        return np.flatnonzero(np.abs(self.coef_) > 1e-12)
-
 
 class LinearRegressor:
     """Ridge regression via the normal equations (used as a building block)."""

@@ -360,13 +360,6 @@ class ElasticNetMSLE:
         ) * self._y_scale
         return raw, intercept
 
-    @property
-    def selected_features(self) -> np.ndarray:
-        """Indices with non-zero weight (the elastic net's feature selection)."""
-        if self.coef_ is None:
-            raise RuntimeError("selected_features before fit()")
-        return np.flatnonzero(np.abs(self.coef_) > 1e-12)
-
 
 def fit_elastic_nets(
     net: ElasticNetMSLE,

@@ -94,7 +94,7 @@ class QueryPlanner(CascadesSearch):
         self._deferred = bool(
             getattr(self.cost_model, "supports_batched_pricing", False)
         )
-        _, (planned,) = self._plan_all([("", 0, logical_root, self.jitter_salt)])
+        (planned,) = self._plan_all([("", 0, logical_root, self.jitter_salt)])
         return planned
 
     # ------------------------------------------------------------------ #

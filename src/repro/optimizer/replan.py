@@ -27,8 +27,8 @@ Waves are exact.  A row may be priced earlier than a sequential search would
 price it (another job's, or a sibling frame's, suspension triggers the wave),
 but predictions are batch-invariant and ledger indices are assigned when a
 candidate is costed — so candidate generation, enforcement, tie-breaking and
-floating-point arithmetic are unchanged.  Plans, costs, choice keys and (with
-the prediction cache disabled, the optimizer-experiment default) lookup
+floating-point arithmetic are unchanged.  Plans, costs and (with the
+prediction cache disabled, the optimizer-experiment default) lookup
 accounting are bitwise identical to a per-job
 :class:`~repro.optimizer.planner.QueryPlanner` loop, in any job order; with
 a shared prediction cache, values are still identical but in-batch reuse
@@ -86,9 +86,6 @@ class FleetReplanner:
         self.planner = SkeletonPlanner(
             cost_model, estimator or CardinalityEstimator(), config
         )
-        #: Per job of the last :meth:`replan_jobs` call, the search's choice
-        #: key (see :attr:`SkeletonPlanner.last_choice_key`).
-        self.last_choice_keys: list[tuple[str, tuple[int, ...]]] = []
 
     def stats(self) -> SkeletonPlannerStats:
         return self.planner.stats()
@@ -102,14 +99,9 @@ class FleetReplanner:
         jobs = list(jobs)
         if not jobs:
             return []
-        searches, planned = self.planner._plan_all(
+        return self.planner._plan_all(
             (job.template_id, job.day, job.logical, job.salt) for job in jobs
         )
-        self.last_choice_keys = [
-            (job.template_id, tuple(search.choices))
-            for job, search in zip(jobs, searches)
-        ]
-        return planned
 
 
 def replan_jobs(

@@ -295,16 +295,6 @@ def _build_skeleton(bound: list[LogicalOp], config) -> list[SkelNode]:
     return nodes
 
 
-def _flatten(section: list, out: list[int]) -> list[int]:
-    """The ints of a nested choice-key section (``_optimize``), in order."""
-    for item in section:
-        if item.__class__ is list:
-            _flatten(item, out)
-        else:
-            out.append(item)
-    return out
-
-
 class _Search:
     """One job's live search: everything the rules mutate, in one object.
 
@@ -321,7 +311,6 @@ class _Search:
         "salt",
         "jitter_cache",
         "memo",
-        "choices",
         "pending",
         "priced",
         "primed",
@@ -336,7 +325,6 @@ class _Search:
         self.salt = salt
         self.jitter_cache: dict[str, float] = {}
         self.memo: dict[tuple[int, int, int], tuple | None] = {}  # None: in search
-        self.choices: list = []
         self.pending: list = []
         self.priced: list[float] = []
         self.primed: list[float] = []  # per-index estimates, if the config primes
@@ -374,7 +362,7 @@ class CascadesSearch:
     # The driver: open, advance to a suspension, price, repeat
     # ------------------------------------------------------------------ #
 
-    def _plan_all(self, requests) -> tuple[list[_Search], list[PlannedJob]]:
+    def _plan_all(self, requests) -> list[PlannedJob]:
         """Search and finalize every request: the one place a
         :class:`PlannedJob` is stamped.
 
@@ -386,7 +374,7 @@ class CascadesSearch:
         searches = self._search(requests)
         finals = self._finalize([search.win for search in searches])
         share = (time.perf_counter() - start) / len(searches)
-        return searches, [
+        return [
             PlannedJob(plan, total, share, search.candidates_considered)
             for (plan, total), search in zip(finals, searches)
         ]
@@ -422,7 +410,7 @@ class CascadesSearch:
         """Bind one job instance to its template's static search data."""
         bound = _bind_logical(logical_root)
         job = _Search(self._skeleton(template_id, day, bound), bound, jitter_salt)
-        job.run = self._optimize(len(bound) - 1, _ANY, _NO_SORT, job.choices)
+        job.run = self._optimize(len(bound) - 1, _ANY, _NO_SORT)
         return job
 
     def _advance(self, job: _Search) -> bool:
@@ -432,9 +420,8 @@ class CascadesSearch:
             next(job.run)
         except StopIteration as done:
             job.win = done.value[0]
-            job.choices = _flatten(job.choices, [])
-            # Only the winner and the choice key outlive the search (the memo
-            # pins every frame's subplan); pending rows are stragglers.
+            # Only the winner outlives the search (the memo pins every
+            # frame's subplan); pending rows are stragglers.
             self._rows_unread += len(job.pending)
             job.pending.clear()
             job.run = job.memo = job.jitter_cache = job.primed = None
@@ -490,9 +477,7 @@ class CascadesSearch:
     # Core recursion
     # ------------------------------------------------------------------ #
 
-    def _optimize(
-        self, index: int, req_part: Partitioning, req_sort: SortOrder, parent: list
-    ):
+    def _optimize(self, index: int, req_part: Partitioning, req_sort: SortOrder):
         """One search frame, as a generator returning ``(node, cost)``.
 
         A bare ``yield`` is a suspension: "this job's pending ledger must be
@@ -516,8 +501,6 @@ class CascadesSearch:
                 cached = job.memo[key]
             return cached
         job.memo[key] = None
-        # Its section of the choice key: inside its first caller's, in call order.
-        parent.append(choices := [])
         sn = job.nodes[index]
         relaxed = req_part is _ANY and req_sort is _NO_SORT
         inputs = sn.inputs
@@ -529,16 +512,16 @@ class CascadesSearch:
         if len(inputs) < 2 or not self._deferred:  # one child, or no suspensions
             found = []
             for request in inputs:
-                found.append((yield from self._optimize(*request, choices)))
+                found.append((yield from self._optimize(*request)))
         else:
-            frames = [self._optimize(*request, choices) for request in inputs]
+            frames = [self._optimize(*request) for request in inputs]
             while frames:
                 # `next` is None from a suspended frame, the default from a finished one.
                 frames = [frame for frame in frames if next(frame, frame) is None]
                 if frames:
                     yield
             found = [job.memo[child, id(part), id(sort)] for child, part, sort in inputs]
-        candidates = self._implementations(index, found, choices)
+        candidates = self._implementations(index, found)
         if not candidates:
             raise OptimizationError(
                 f"no implementation for {job.bound[index].op_type.value} under "
@@ -560,20 +543,13 @@ class CascadesSearch:
             candidates = [(op, _resolve_cost(cost, priced)) for op, cost in candidates]
         # Cost ties go to the first-seen candidate (strict ``<``).
         best = candidates[0]
-        best_ordinal = 0
-        for ordinal in range(1, len(candidates)):
-            if candidates[ordinal][1] < best[1]:
-                best = candidates[ordinal]
-                best_ordinal = ordinal
-        # The choice key (SkeletonPlanner.last_choice_key): candidate
-        # *existence* can vary per job (alignment failures), so it records how
-        # many candidates were in play as well (packed with the winner
-        # ordinal; counts are single-digit).
-        choices.append(best_ordinal * 16 + len(candidates))
+        for candidate in candidates[1:]:
+            if candidate[1] < best[1]:
+                best = candidate
         job.memo[key] = best
         return best
 
-    def _implementations(self, index: int, found: list, choices: list) -> list:
+    def _implementations(self, index: int, found: list) -> list:
         """The candidates of one frame, from its child frames' winners."""
         kind = self._job.nodes[index].op_type
         if kind is LogicalOpType.GET:
@@ -583,7 +559,7 @@ class CascadesSearch:
         if kind is LogicalOpType.PROCESS:
             return self._impl_process(index, found)
         if kind is LogicalOpType.JOIN:
-            return self._impl_join(index, found, choices)
+            return self._impl_join(index, found)
         if kind is LogicalOpType.AGGREGATE:
             return self._impl_aggregate(index, found)
         if kind is LogicalOpType.SORT:
@@ -649,7 +625,7 @@ class CascadesSearch:
         )
         return [(op, child_cost + self._cost(op))]
 
-    def _impl_join(self, index: int, found: list, choices: list):
+    def _impl_join(self, index: int, found: list):
         job = self._job
         sn = job.nodes[index]
         logical = job.bound[index]
@@ -658,15 +634,10 @@ class CascadesSearch:
         if self.config.enable_join_commute:
             sides.append((hash_right, hash_left, sn.hash_right))
 
-        # Candidate existence here is *numeric* (partition alignment can fail
-        # on one side only), so the join contributes an existence mask to the
-        # choice key — winner ordinals alone would be ambiguous.
-        mask = 0
         out: list[tuple[object, float]] = []
-        for side, (probe_cand, build_cand, probe_req) in enumerate(sides):
+        for probe_cand, build_cand, probe_req in sides:
             aligned = self._align_partitions([probe_cand, build_cand])
             if aligned is not None:
-                mask |= 1 << side
                 (probe_node, probe_cost), (build_node, build_cost) = aligned
                 op = self._mk(
                     PhysOpType.HASH_JOIN,
@@ -681,7 +652,6 @@ class CascadesSearch:
         if merge:
             aligned = self._align_partitions(merge)
             if aligned is not None:
-                mask |= 4
                 (left_node, left_cost), (right_node, right_cost) = aligned
                 op = self._mk(
                     PhysOpType.MERGE_JOIN,
@@ -693,7 +663,6 @@ class CascadesSearch:
                     index=index,
                 )
                 out.append((op, left_cost + right_cost + self._cost(op)))
-        choices.append(mask)
         return out
 
     def _impl_aggregate(self, index: int, found: list):

@@ -243,19 +243,9 @@ class SkeletonPlanner(CascadesSearch):
     def plan_job(
         self, template_id: str, day: int, logical_root: LogicalOp, jitter_salt: str
     ) -> RNode:
-        """Optimize one job instance through the memoized skeleton.
-
-        Also records the job's *choice key* (see :attr:`last_choice_key`): the
-        ordinal of the winning candidate at every memo entry, each frame's
-        after those of the frames it asked for first, in call order.  Which
-        frames a frame asks for is a pure function of the template structure
-        — not of the order an interleaved search completes them in — so
-        ``(template_id, choices)`` uniquely identifies the resulting plan
-        shape, and the batched execution engine keys its shape-statics cache
-        on it without fingerprinting the tree.
-        """
+        """Optimize one job instance through the memoized skeleton; returns
+        the winning :class:`RNode` tree."""
         (job,) = self._search([(template_id, day, logical_root, jitter_salt)])
-        self.last_choice_key = (template_id, tuple(job.choices))
         return job.win
 
     def replan_job(
@@ -268,10 +258,7 @@ class SkeletonPlanner(CascadesSearch):
         plan cost — everything :class:`~repro.optimizer.planner.PlannedJob`
         carries — bitwise identical to the ``PhysicalOp`` configuration.
         """
-        (job,), (planned,) = self._plan_all(
-            [(template_id, day, logical_root, jitter_salt)]
-        )
-        self.last_choice_key = (template_id, tuple(job.choices))
+        (planned,) = self._plan_all([(template_id, day, logical_root, jitter_salt)])
         return planned
 
     def stats(self) -> SkeletonPlannerStats:

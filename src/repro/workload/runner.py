@@ -71,10 +71,10 @@ class WorkloadRunner:
     def run_days(self, generator: WorkloadGenerator, days: list[int] | range) -> RunLog:
         """Run every job of the given days; returns the combined log."""
         if self._engine is None or self._batched_generator is not generator:
-            # Skeleton and shape-statics caches are keyed by template_id,
-            # which is only unique within one generator — a different
-            # generator (even another instance with the same config) gets
-            # fresh caches so stale structures are never served.
+            # Skeletons are keyed by template_id and shape statics by
+            # template tags, both only unique within one generator — a
+            # different generator (even another instance with the same
+            # config) gets fresh caches so stale structures are never served.
             config = self._planner.config
             replay = supports_fast_path(self._cost_model, self._estimator, config)
             self._skeleton_planner = (
@@ -104,13 +104,8 @@ class WorkloadRunner:
                     )
                 else:
                     win = skeleton_planner.plan_job(template_id, job.day, logical, job.job_id)
+                    engine.add_job(win, job.job_id, template_id, job.day, job.is_adhoc)
                     plan = materialize(win) if self.keep_plans else None
-                    statics = engine.statics_for(
-                        win, skeleton_planner.last_choice_key, plan
-                    )
-                    engine.add_job(
-                        win, statics, job.job_id, template_id, job.day, job.is_adhoc
-                    )
                 if self.keep_plans:
                     self.plans[job.job_id] = plan
         return RunLog(jobs=engine.finish())

@@ -30,13 +30,6 @@ class TestRngFactory:
         second = RngFactory(3).child("sim", "noise").random()
         assert first == second
 
-    def test_lognormal_positive(self):
-        factory = RngFactory(5)
-        assert factory.lognormal(0.5, "m") > 0
-
-    def test_lognormal_zero_sigma_is_one(self):
-        assert RngFactory(5).lognormal(0.0, "m") == 1.0
-
     def test_spawn_changes_namespace(self):
         root = RngFactory(9)
         spawned = root.spawn("sub")

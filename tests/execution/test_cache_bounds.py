@@ -50,11 +50,11 @@ def _watch(monkeypatch, owner: type, method: str, caches: dict, peaks: dict) -> 
 
 
 def _watch_all(monkeypatch, peaks: dict) -> None:
-    # Signing happens inside statics_for, so its exit sees the tier memo too.
+    # Signing happens inside _statics, so its exit sees the tier memo too.
     _watch(
         monkeypatch,
         BatchedExecutionEngine,
-        "statics_for",
+        "_statics",
         {
             "_shape_cache": lambda engine: engine._shape_cache,
             "_TIER_CACHE": lambda engine: signatures._TIER_CACHE,

@@ -15,11 +15,11 @@ from repro.features.featurizer import (
     DERIVED_FEATURE_NAMES,
     FEATURE_FUNCTIONS,
     INVERSE_P_FEATURES,
+    PARTITION_DEPENDENT,
     FeatureInput,
     feature_matrix,
     feature_names,
     feature_vector,
-    partition_feature_names,
 )
 
 
@@ -72,9 +72,9 @@ class TestFeatureValues:
         assert values["log(I)*log(C)"] == 0.0
 
     def test_partition_features_flagged(self):
-        flagged = {name for _, name in partition_feature_names()}
-        assert "I/P" in flagged and "P" in flagged
-        assert "I" not in flagged
+        assert "I/P" in PARTITION_DEPENDENT and "P" in PARTITION_DEPENDENT
+        assert "I" not in PARTITION_DEPENDENT
+        assert PARTITION_DEPENDENT <= set(feature_names(False))
 
     def test_inverse_p_features_shrink_with_p(self):
         small_p = dict(zip(feature_names(False), feature_vector(_input(partition_count=2))))

@@ -4,7 +4,7 @@
 template, advances every open search to its next suspension and prices all
 the still-open ones' pending ledger rows in one call; a finished search's
 stragglers are dropped unread.  These tests pin what that must not change —
-plans, costs, choice keys, and lookup accounting against a per-job scalar
+plans, costs and lookup accounting against a per-job scalar
 ``QueryPlanner`` on the ``PhysicalOp`` configuration (minus the unread rows),
 in any job order — and what it must change: the number of pricing calls
 follows the deepest job, not the fleet size (what a job's depth is:
@@ -76,12 +76,10 @@ def scalar_reference(distinct_jobs, tiny_predictor):
 
 
 def _replan(jobs, model):
-    """Fleet fingerprints and choice keys by job id, and the replanner."""
+    """Fleet fingerprints by job id, and the replanner."""
     replanner = FleetReplanner(model, CardinalityEstimator(), PlannerConfig())
     planned = replanner.replan_jobs(jobs)
-    fingerprints = {job.job_id: _fingerprint(p) for job, p in zip(jobs, planned)}
-    keys = {job.job_id: key for job, key in zip(jobs, replanner.last_choice_keys)}
-    return fingerprints, keys, replanner
+    return {job.job_id: _fingerprint(p) for job, p in zip(jobs, planned)}, replanner
 
 
 def _unpriced(replanner) -> int:
@@ -111,32 +109,29 @@ class TestWaveParity:
     ):
         reference, reference_lookups = scalar_reference
         tiny_predictor.reset_lookup_count()
-        fingerprints, _keys, replanner = _replan(
-            distinct_jobs, CleoCostModel(tiny_predictor)
-        )
+        fingerprints, replanner = _replan(distinct_jobs, CleoCostModel(tiny_predictor))
         assert fingerprints == reference
         # Cache disabled: every ledger row is priced once or dropped unread.
         assert _unpriced(replanner) > 0
         assert tiny_predictor.lookup_count + _unpriced(replanner) == reference_lookups
 
     def test_job_order_changes_nothing(self, distinct_jobs, tiny_predictor):
-        fingerprints, keys, _ = _replan(distinct_jobs, CleoCostModel(tiny_predictor))
+        fingerprints, _ = _replan(distinct_jobs, CleoCostModel(tiny_predictor))
         shuffled = list(distinct_jobs)
         random.Random(7).shuffle(shuffled)
         for order in (distinct_jobs[::-1], shuffled):
             assert order != distinct_jobs
-            again, again_keys, _ = _replan(order, CleoCostModel(tiny_predictor))
+            again, _ = _replan(order, CleoCostModel(tiny_predictor))
             assert again == fingerprints
-            assert again_keys == keys
 
-    def test_choice_keys_match_solo_search(self, distinct_jobs, tiny_predictor):
-        _fps, keys, _ = _replan(distinct_jobs, CleoCostModel(tiny_predictor))
+    def test_plans_match_solo_search(self, distinct_jobs, tiny_predictor):
+        fingerprints, _ = _replan(distinct_jobs, CleoCostModel(tiny_predictor))
         solo = SkeletonPlanner(
             CleoCostModel(tiny_predictor), CardinalityEstimator(), PlannerConfig()
         )
         for job in distinct_jobs:
-            solo.replan_job(job.template_id, job.day, job.logical, job.salt)
-            assert keys[job.job_id] == solo.last_choice_key
+            planned = solo.replan_job(job.template_id, job.day, job.logical, job.salt)
+            assert fingerprints[job.job_id] == _fingerprint(planned)
 
     def test_sharded_router_with_cache_prices_the_same(
         self, distinct_jobs, scalar_reference, tiny_predictor
@@ -149,8 +144,8 @@ class TestWaveParity:
             {"cluster1": tiny_predictor}, n_shards=2, prediction_cache_size=4096
         ) as router:
             assert router.service_for("cluster1", 0).prediction_cache_enabled
-            cold, _keys, _ = _replan(distinct_jobs, router.cost_model("cluster1"))
-            warm, _keys, _ = _replan(distinct_jobs, router.cost_model("cluster1"))
+            cold, _ = _replan(distinct_jobs, router.cost_model("cluster1"))
+            warm, _ = _replan(distinct_jobs, router.cost_model("cluster1"))
             assert router.stats().hit_rate > 0.0
         assert cold == reference
         assert warm == reference
@@ -179,13 +174,13 @@ class TestWaveCount:
         deepest = max(critical_path(job.logical) for job in distinct_jobs)
         assert deepest > 3
 
-        _fps, _keys, replanner = _replan(distinct_jobs, CleoCostModel(tiny_predictor))
+        _fps, replanner = _replan(distinct_jobs, CleoCostModel(tiny_predictor))
         flushes = replanner.stats().frontier_flushes
         assert flushes == deepest
 
         doubled = distinct_jobs + distinct_jobs
         assert len(doubled) <= SkeletonPlanner._LIVE_SEARCH_LIMIT
-        _fps, _keys, replanner = _replan(doubled, CleoCostModel(tiny_predictor))
+        _fps, replanner = _replan(doubled, CleoCostModel(tiny_predictor))
         assert replanner.stats().frontier_flushes == flushes
 
 
@@ -212,21 +207,20 @@ class TestPartitionedFinale:
         planner = QueryPlanner(model, OperatorPathEstimator(), self.CONFIG)
         solo = SkeletonPlanner(model, CardinalityEstimator(), self.CONFIG)
         tiny_predictor.reset_lookup_count()
-        expected, keys = [], []
+        expected = []
         for job in jobs:
             planner.jitter_salt = job.salt
             expected.append(_fingerprint(planner.plan(job.logical)))
         lookups = tiny_predictor.lookup_count
-        for job in jobs:
-            solo.replan_job(job.template_id, job.day, job.logical, job.salt)
-            keys.append(solo.last_choice_key)
+        for job, fingerprint in zip(jobs, expected):
+            planned = solo.replan_job(job.template_id, job.day, job.logical, job.salt)
+            assert _fingerprint(planned) == fingerprint
 
         fleet = CleoCostModel(tiny_predictor)
         replanner = FleetReplanner(fleet, CardinalityEstimator(), self.CONFIG)
         tiny_predictor.reset_lookup_count()
         planned = replanner.replan_jobs(jobs)
         assert [_fingerprint(p) for p in planned] == expected
-        assert replanner.last_choice_keys == keys
         assert tiny_predictor.lookup_count == lookups
         finale_calls = fleet.service.stats().batches - replanner.stats().frontier_flushes
         assert finale_calls == 2 == -(-len(jobs) // SkeletonPlanner._LIVE_SEARCH_LIMIT)

@@ -4,9 +4,8 @@ A frame that searches several child frames starts them all and suspends once
 for all of them, so a deferred search flushes once per level of its critical
 path — computed here from the logical plan alone — however many comparing
 frames it has; the rows still pending when it finishes (stragglers) are
-dropped unread.  What that must not change: plans, costs, candidate counts,
-cache-off lookups (up to the unread rows), and the choice key, which is read
-off the frames in call order and so cannot depend on who completes first.
+dropped unread.  What that must not change: plans, costs, candidate counts
+and cache-off lookups (up to the unread rows), whoever completes first.
 """
 
 from __future__ import annotations
@@ -79,35 +78,33 @@ def _replan(planner: SkeletonPlanner, job: ReplanJob):
     return planner.replan_job(job.template_id, job.day, job.logical, job.salt)
 
 
-def _scalar_plan(predictor, template_id: str, logical: LogicalOp, salt: str):
+def _scalar_plan(predictor, logical: LogicalOp, salt: str):
     """One job on the reference schedule, which ``QueryPlanner`` plans on the
-    ``PhysicalOp`` configuration (the replay refuses it): the plan and its
-    choice key."""
+    ``PhysicalOp`` configuration (the replay refuses it)."""
     planner = QueryPlanner(CleoCostModel(predictor, batched=False), CardinalityEstimator())
     assert planner._replay is None
-    (search,), (planned,) = planner._plan_all([(template_id, 0, logical, salt)])
-    return planned, (template_id, tuple(search.choices))
+    planner.jitter_salt = salt
+    return planner.plan(logical)
 
 
-class TestChoiceKeyIsScheduleIndependent:
-    def test_deferred_scalar_and_fleet_keys_agree_on_every_job(
+class TestPlansAreScheduleIndependent:
+    def test_deferred_scalar_and_fleet_plans_agree_on_every_job(
         self, test_day_jobs, tiny_predictor
     ):
         """The interleaved search completes frames in another order than the
-        sequential one; the key lists them in call order either way."""
+        sequential one; it picks the same plans either way."""
         deferred = _solo(CleoCostModel(tiny_predictor))
-        keys = []
+        fingerprints = []
         for job in test_day_jobs:
-            expected, key = _scalar_plan(tiny_predictor, job.template_id, job.logical, job.salt)
-            assert _fingerprint(_replan(deferred, job)) == _fingerprint(expected)
-            assert deferred.last_choice_key == key
-            keys.append(key)
-            assert keys[-1][0] == job.template_id and len(keys[-1][1]) > 3
-        assert len(set(keys)) > 8  # several shapes, not one key repeated
+            expected = _scalar_plan(tiny_predictor, job.logical, job.salt)
+            fingerprints.append(_fingerprint(_replan(deferred, job)))
+            assert fingerprints[-1] == _fingerprint(expected)
+        shapes = {tuple(op for op, _ in fingerprint[0]) for fingerprint in fingerprints}
+        assert len(shapes) > 8  # several shapes, not one plan repeated
 
         fleet = FleetReplanner(CleoCostModel(tiny_predictor))
-        fleet.replan_jobs(test_day_jobs)
-        assert fleet.last_choice_keys == keys
+        planned = fleet.replan_jobs(test_day_jobs)
+        assert [_fingerprint(p) for p in planned] == fingerprints
 
 
 class TestFlushesFollowTheCriticalPath:
@@ -142,12 +139,11 @@ class TestFlushesFollowTheCriticalPath:
         planner = _solo(CleoCostModel(tiny_predictor))
         planned = planner.replan_job("s-join", 1, root, "s-join")
         assert planner.stats().frontier_flushes == 2
-        *inputs, mask, join, output = planner.last_choice_key[1]
-        assert (mask, join % 16, output) == (7, 3, 1)  # all three joins in play
-        assert [packed % 16 for packed in inputs].count(2) == 4  # the filter frames
-        expected, key = _scalar_plan(tiny_predictor, "s-join", root, "s-join")
+        # All three joins in play: the output's one candidate, the join's
+        # three, two in each of the four filter frames, one per scan frame.
+        assert planned.candidates_considered == 1 + 3 + 4 * 2 + 6
+        expected = _scalar_plan(tiny_predictor, root, "s-join")
         assert _fingerprint(planned) == _fingerprint(expected)
-        assert planner.last_choice_key == key
 
     @pytest.mark.parametrize("n_inputs", [2, 3, 6])
     def test_a_union_flushes_as_often_as_one_input(self, builder, tiny_predictor, n_inputs):
@@ -181,7 +177,7 @@ class TestSharedSubexpression:
         # Both cost models price through a bare, cache-off service: every
         # costed candidate is charged its five lookups.
         tiny_predictor.reset_lookup_count()
-        expected, key = _scalar_plan(tiny_predictor, "s-q17", root, "s-q17")
+        expected = _scalar_plan(tiny_predictor, root, "s-q17")
         lookups = tiny_predictor.lookup_count
 
         deferred = _solo(CleoCostModel(tiny_predictor))
@@ -195,7 +191,6 @@ class TestSharedSubexpression:
         )
         assert _fingerprint(planned) == _fingerprint(expected)
         assert planned.candidates_considered == expected.candidates_considered
-        assert deferred.last_choice_key == key
         assert deferred.stats().frontier_flushes == critical_path(root)
 
 
@@ -223,5 +218,4 @@ class TestErrorInsideOneSibling:
             for job in test_day_jobs[:4]:
                 fresh = _solo(CleoCostModel(tiny_predictor))
                 assert _fingerprint(_replan(planner, job)) == _fingerprint(_replan(fresh, job))
-                assert planner.last_choice_key == fresh.last_choice_key
                 assert planner._job.memo is None and planner._job.pending == []

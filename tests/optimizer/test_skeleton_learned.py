@@ -353,15 +353,15 @@ class TestPlannerTelemetryAndGates:
         planner = SkeletonPlanner(
             CleoCostModel(tiny_predictor), CardinalityEstimator(), PlannerConfig()
         )
-        sizes = []
+        considered = []
         for template_id, day, logical, salt in jobs:
-            planner.replan_job(template_id, day, logical, salt)
-            sizes.append(len(planner.last_choice_key[1]))
+            planned = planner.replan_job(template_id, day, logical, salt)
+            considered.append(planned.candidates_considered)
             # A finished search keeps no memo, no generator and no unpriced rows.
             assert planner._job.memo is None and planner._job.run is None
             assert planner._job.pending == []
-        # Each job's choice key is bounded by its own template's frame count.
-        assert all(0 < size < 200 for size in sizes)
+        # Each job's count is bounded by its own template's frame count.
+        assert all(0 < count < 200 for count in considered)
 
     def test_opaque_model_is_rejected(self):
         class OpaqueModel:

@@ -40,7 +40,6 @@ TEST_ONLY = {
     "applications/prediction.py": {"calibrate", "is_calibrated", "median_ratio"},
     "applications/scheduling.py": {"utilization"},
     "common/chaos.py": {"poison"},
-    "common/rng.py": {"lognormal"},
     "core/learned_model.py": {"feature_weights"},
     "core/lifecycle.py": {"resume", "rolling_median_error"},
     "core/regression_control.py": {"clear_ledger", "total_removed"},
@@ -52,10 +51,7 @@ TEST_ONLY = {
         "store_from_dict",
     },
     "data/catalog.py": {"scaled", "set_stats"},
-    "features/featurizer.py": {"partition_feature_names"},
-    "ml/linear.py": {"selected_features"},
     "ml/model_selection.py": {"cross_validate"},
-    "ml/proximal.py": {"selected_features"},
     "optimizer/partition.py": {"optimize_partitions"},
     "plan/physical.py": {"validate_physical_plan"},
     "serving/cache.py": {"put"},
